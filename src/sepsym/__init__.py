@@ -74,7 +74,6 @@ from .symmetry import (
     PointSymmetrySpec,
     inf_symmetry_bracket,
     inf_symmetry_residual,
-    internal_dof_demo,
     point_symmetry_generator,
     symmetry_residual,
 )

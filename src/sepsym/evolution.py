@@ -32,13 +32,10 @@ class EvolutionConfig:
     t0: float = 0.0
     t1: float = 1.0
     hbar: float = 1.0
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0 or self.hbar <= 0:
             raise ValueError("dt and hbar must be positive")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
         self.n_steps()
 
     def n_steps(self) -> int:
@@ -50,9 +47,6 @@ class EvolutionConfig:
                 f"horizon {span} is not a positive integer multiple of dt={self.dt}"
             )
         return int(rounded)
-
-    def halved(self) -> "EvolutionConfig":
-        return EvolutionConfig(self.dt / 2, self.t0, self.t1, self.hbar, self.method)
 
 
 def rk4_trajectory(

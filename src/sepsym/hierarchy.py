@@ -37,9 +37,10 @@ from .space import (
 
 DERIVATION_TOL = 1e-8
 
-# desk-scale truncation: obstruction analysis needs levels up to m + l = 4
+# desk-scale truncation: obstruction analysis needs levels up to m + l = 4,
+# and nothing new appears above that in hierarchies or obstruction sums
 DEFAULT_N_MAX = 3
-HARD_N_CAP = 4
+MAX_PARTICLES = 4
 
 
 @dataclass(frozen=True)
@@ -62,23 +63,17 @@ class Generator:
             raise ValueError("generators above one particle must be strictly homogeneous")
 
 
-def _apply_sliced(fn, m: int, J: tuple[int, ...], t: float, arrays):
+def _apply_sliced(fn, J: tuple[int, ...], t: float, arrays):
     """Apply an l-slot kernel over the J slots of m-slot arrays.
 
-    The non-J slots are flattened into one trailing parameter axis and the
-    kernel is applied slice by slice, exactly realising "all other
-    variables held as parameters".
+    The J slots move to the front and every other slot, together with any
+    batch axes the arrays carry, stays behind them as a batch axis of the
+    kernel contract: one kernel call realises "all other variables held
+    as parameters".
     """
-    ell = len(J)
-    rest = tuple(ax for ax in range(m) if ax not in J)
-    perm = J + rest
-    inv = tuple(int(k) for k in np.argsort(perm))
-    s = arrays[0].shape[0]
-    blocks = [np.transpose(a, perm).reshape((s,) * ell + (-1,)) for a in arrays]
-    out = np.empty_like(blocks[0])
-    for p in range(blocks[0].shape[-1]):
-        out[..., p] = fn(t, *(b[..., p] for b in blocks))
-    return np.transpose(out.reshape((s,) * m), inv)
+    perm = J + tuple(ax for ax in range(arrays[0].ndim) if ax not in J)
+    out = fn(t, *(np.transpose(a, perm) for a in arrays))
+    return np.transpose(out, np.argsort(perm))
 
 
 def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator:
@@ -88,22 +83,19 @@ def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator
         raise BadTuple(f"cannot lift an {op.n}-particle operator to {m} slots")
     if m == op.n:
         return op  # the identity lifting
-    if op.pointwise:
-        # a pointwise operator treats every variable as a parameter already
-        return replace(op, n=m, name=f"{op.name}^{J}")
 
     def ev(t, data):
-        return _apply_sliced(op.eval_fn, m, J, t, (data,))
+        return _apply_sliced(op.eval_fn, J, t, (data,))
 
     deriv = None
     if op.derivative_fn is not None:
         def deriv(t, data, eta):
-            return _apply_sliced(op.derivative_fn, m, J, t, (data, eta))
+            return _apply_sliced(op.derivative_fn, J, t, (data, eta))
 
     second = None
     if op.second_derivative_fn is not None:
         def second(t, data, u, v):
-            return _apply_sliced(op.second_derivative_fn, m, J, t, (data, u, v))
+            return _apply_sliced(op.second_derivative_fn, J, t, (data, u, v))
 
     return NonlinearOperator(
         n=m, space=op.space, eval_fn=ev, derivative_fn=deriv,
@@ -171,8 +163,8 @@ class Hierarchy:
     generators: tuple[Generator, ...] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_max <= HARD_N_CAP:
-            raise BadRange(f"n_max={self.n_max} outside 1..{HARD_N_CAP}")
+        if not 1 <= self.n_max <= MAX_PARTICLES:
+            raise BadRange(f"n_max={self.n_max} outside 1..{MAX_PARTICLES}")
         if len(self.ops) != self.n_max:
             raise BadRange(f"{len(self.ops)} levels given for n_max={self.n_max}")
         for k, op in enumerate(self.ops, start=1):

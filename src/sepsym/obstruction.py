@@ -23,14 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BadRange
-from .hierarchy import Generator, canonical_lift, lift_J, natural_part
+from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
 from .mixedpow import pair_bracket
 from .opcalc import NonlinearOperator, lie_bracket
 from .space import random_state, tensor
-
-# Hard particle cap for obstruction sums; identities against the lifted
-# bracket hold for every n > m, but nothing new appears above m + l.
-MAX_PARTICLES = 4
 
 VANISH_TOL = 1e-7
 

@@ -44,12 +44,17 @@ def require_nowhere_zero(data: np.ndarray) -> None:
 class NonlinearOperator:
     """A (possibly non-linear) map on n-particle state arrays.
 
-    ``eval_fn(t, data)`` acts on complex arrays of shape (size,)*n.  The
-    optional ``derivative_fn(t, data, eta)`` is the real-linear Frechet
-    derivative, ``second_derivative_fn(t, data, u, v)`` its derivative in
-    a second direction v.  ``indices`` declares mixed-logarithmic
-    homogeneity indices when known.  ``pointwise`` marks operators that
-    act entrywise, which lift to any particle number unchanged.
+    ``eval_fn(t, data)`` maps a complex state array to one of the same
+    shape.  The optional ``derivative_fn(t, data, eta)`` is the
+    real-linear Frechet derivative, ``second_derivative_fn(t, data, u, v)``
+    its derivative in a second direction v.  ``indices`` declares
+    mixed-logarithmic homogeneity indices when known.
+
+    Kernel contract: all three kernels act on the leading n particle axes
+    of arrays shaped ``(size,)*n + batch`` and broadcast over any number
+    of trailing batch axes (a gufunc with its core axes in front).  Each
+    batch entry is an independent state, so a kernel that sums, rolls or
+    multiplies over sites does so along the particle axes only.
     """
 
     n: int
@@ -59,7 +64,6 @@ class NonlinearOperator:
     second_derivative_fn: Callable[..., np.ndarray] | None = None
     indices: IndexPair | None = None
     time_dependent: bool = False
-    pointwise: bool = False
     needs_nowhere_zero: bool = False
     name: str = ""
 
@@ -103,9 +107,6 @@ class NonlinearOperator:
     @property
     def has_closed_derivative(self) -> bool:
         return self.derivative_fn is not None
-
-    def without_derivative(self) -> "NonlinearOperator":
-        return replace(self, derivative_fn=None, second_derivative_fn=None)
 
     def renamed(self, name: str) -> "NonlinearOperator":
         return replace(self, name=name)
@@ -182,18 +183,9 @@ def op_combine(
         second_derivative_fn=second,
         indices=_merge_indices([op.indices for op in ops], cs),
         time_dependent=any(op.time_dependent for op in ops),
-        pointwise=all(op.pointwise for op in ops),
         needs_nowhere_zero=any(op.needs_nowhere_zero for op in ops),
         name=name or " + ".join(op.name for op in ops),
     )
-
-
-def op_add(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> NonlinearOperator:
-    return op_combine([F, G], name=name)
-
-
-def op_sub(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> NonlinearOperator:
-    return op_combine([F, G], [1.0, -1.0], name=name or f"{F.name} - {G.name}")
 
 
 def op_scale(F: NonlinearOperator, c: complex, name: str = "") -> NonlinearOperator:
@@ -243,7 +235,6 @@ def lie_bracket(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> N
         derivative_fn=deriv,
         indices=indices,
         time_dependent=F.time_dependent or G.time_dependent,
-        pointwise=F.pointwise and G.pointwise,
         needs_nowhere_zero=F.needs_nowhere_zero or G.needs_nowhere_zero,
         name=name or f"[{F.name}, {G.name}]",
     )

@@ -3,7 +3,8 @@
 All constructors return :class:`~sepsym.opcalc.NonlinearOperator` values
 with closed-form first derivatives (and second derivatives where they are
 cheap), so bracket and obstruction computations never fall back to finite
-differences for the bundled families.
+differences for the bundled families.  Every kernel obeys the batched
+contract of ``NonlinearOperator``: particle axes first, batch axes after.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
 
     return NonlinearOperator(
         n=n, space=space, eval_fn=ev, derivative_fn=lin, second_derivative_fn=second,
-        indices=ZERO_PAIR, pointwise=True, name="zero",
+        indices=ZERO_PAIR, name="zero",
     )
 
 
@@ -47,7 +48,7 @@ def matrix_op(space: ConfigSpace, n: int, matrix, name: str = "linear") -> Nonli
         time_dependent = False
 
     def ev(t, data):
-        return (matfn(t) @ data.reshape(-1)).reshape(data.shape)
+        return (matfn(t) @ data.reshape(space.size**n, -1)).reshape(data.shape)
 
     def second(t, data, u, v):
         return np.zeros_like(data)
@@ -65,6 +66,12 @@ def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> Nonlinea
     return matrix_op(space, 1, matrix, name=name)
 
 
+def site_multiply(vals: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Multiply a site function into the particle axis of a one-particle
+    array, leaving its batch axes alone."""
+    return vals.reshape(vals.shape + (1,) * (data.ndim - 1)) * data
+
+
 def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> NonlinearOperator:
     """One-particle multiplication by a fixed site function."""
     vals = np.asarray(values, dtype=np.complex128)
@@ -72,14 +79,14 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
         raise ValueError(f"multiplier has shape {vals.shape}, expected ({space.size},)")
 
     def ev(t, data):
-        return vals * data
+        return site_multiply(vals, data)
 
     def second(t, data, u, v):
         return np.zeros_like(data)
 
     return NonlinearOperator(
         n=1, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: vals * eta,
+        derivative_fn=lambda t, data, eta: ev(t, eta),
         second_derivative_fn=second, indices=ZERO_PAIR, name=name,
     )
 
@@ -122,7 +129,7 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     return NonlinearOperator(
         n=n, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=static, time_dependent=time_dependent, pointwise=True,
+        indices=static, time_dependent=time_dependent,
         needs_nowhere_zero=True, name=label,
     )
 
@@ -134,10 +141,8 @@ def log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOperato
 
 def _roll_sites(space: ConfigSpace, data: np.ndarray, shift: int) -> np.ndarray:
     """Values at the site shifted by ``shift`` grid steps (one-particle)."""
-    if space.factors:
-        arr = data.reshape(space.internal_size, space.grid_size)
-        return np.roll(arr, -shift, axis=1).reshape(data.shape)
-    return np.roll(data, -shift)
+    arr = data.reshape(space.internal_size, space.grid_size, -1)
+    return np.roll(arr, -shift, axis=1).reshape(data.shape)
 
 
 def shifted_log_modulus_op(
@@ -187,7 +192,7 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
 
     def rel_log(data):
         ln = np.log(np.abs(data))
-        return ln - ln.mean()
+        return ln - ln.mean(axis=0)
 
     def ev(t, data):
         require_nowhere_zero(data)
@@ -196,7 +201,7 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
     def deriv(t, data, eta):
         require_nowhere_zero(data)
         r = (eta / data).real
-        return c * (eta * rel_log(data) + data * (r - r.mean()))
+        return c * (eta * rel_log(data) + data * (r - r.mean(axis=0)))
 
     def second(t, data, u, v):
         require_nowhere_zero(data)
@@ -204,7 +209,9 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
         rv = (v / data).real
         rm = (u * v / data**2).real
         return c * (
-            u * (rv - rv.mean()) + v * (ru - ru.mean()) - data * (rm - rm.mean())
+            u * (rv - rv.mean(axis=0))
+            + v * (ru - ru.mean(axis=0))
+            - data * (rm - rm.mean(axis=0))
         )
 
     return NonlinearOperator(
@@ -214,7 +221,7 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
 
 
 def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOperator:
-    """phi -> c phi ln(|phi| / rms |phi|), rms over all entries.
+    """phi -> c phi ln(|phi| / rms |phi|), rms over all sites.
 
     Strictly homogeneous like the geometric-mean variant, but the rms is
     a log of a mean of exponentials of ln|phi|, i.e. *not* linear in the
@@ -225,7 +232,7 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     c = complex(coeff)
 
     def rel(data):
-        return np.log(np.abs(data)) - 0.5 * np.log((np.abs(data) ** 2).mean())
+        return np.log(np.abs(data)) - 0.5 * np.log((np.abs(data) ** 2).mean(axis=0))
 
     def ev(t, data):
         require_nowhere_zero(data)
@@ -233,15 +240,15 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
 
     def deriv(t, data, eta):
         require_nowhere_zero(data)
-        dln_rms = (np.conj(data) * eta).real.mean() / (np.abs(data) ** 2).mean()
+        dln_rms = (np.conj(data) * eta).real.mean(axis=0) / (np.abs(data) ** 2).mean(axis=0)
         return c * (eta * rel(data) + data * ((eta / data).real - dln_rms))
 
     def second(t, data, u, v):
         require_nowhere_zero(data)
-        r2 = (np.abs(data) ** 2).mean()
-        du = (np.conj(data) * u).real.mean() / r2
-        dv = (np.conj(data) * v).real.mean() / r2
-        duv = (np.conj(u) * v).real.mean() / r2
+        r2 = (np.abs(data) ** 2).mean(axis=0)
+        du = (np.conj(data) * u).real.mean(axis=0) / r2
+        dv = (np.conj(data) * v).real.mean(axis=0) / r2
+        duv = (np.conj(u) * v).real.mean(axis=0) / r2
         return c * (
             u * ((v / data).real - dv)
             + v * ((u / data).real - du)
@@ -298,7 +305,9 @@ def cross_ratio_op(
 
     def sym(fn, data, *dirs):
         direct = fn(data, *dirs)
-        swapped = fn(data.T, *(d.T for d in dirs)).T
+        swapped = np.swapaxes(
+            fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
+        )
         return 0.5 * c * (direct + swapped)
 
     def ev(t, data):
@@ -333,8 +342,7 @@ def nonseparating_op(space: ConfigSpace, n: int, coupling: complex = 1.0) -> Non
         return c * (eta * np.log(w) + data * 2.0 * (np.conj(data) * eta).real / w)
 
     return NonlinearOperator(
-        n=n, space=space, eval_fn=ev, derivative_fn=deriv,
-        pointwise=True, name="non-separating",
+        n=n, space=space, eval_fn=ev, derivative_fn=deriv, name="non-separating",
     )
 
 
@@ -355,14 +363,14 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
 
     def ev(t, data):
         require_nowhere_zero(data)
-        arr = data.reshape(isize, gsize)
+        arr = data.reshape(isize, gsize, -1)
         out = arr * (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr)))
         return c * out.reshape(data.shape)
 
     def deriv(t, data, eta):
         require_nowhere_zero(data)
-        arr = data.reshape(isize, gsize)
-        ea = eta.reshape(isize, gsize)
+        arr = data.reshape(isize, gsize, -1)
+        ea = eta.reshape(isize, gsize, -1)
         dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(arr)
         out = ea * (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr))) + arr * (
             (ea / arr).real - dln_rms
@@ -382,7 +390,7 @@ def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:
     isize, gsize = space.internal_size, space.grid_size
 
     def ev(t, data):
-        arr = data.reshape(isize, gsize).copy()
+        arr = data.reshape(isize, gsize, -1).copy()
         a0 = arr[0].copy()
         arr[0] = arr[1]
         arr[1] = -a0
@@ -450,24 +458,3 @@ def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
         second_derivative_fn=second, indices=ZERO_PAIR, name="grid-derivative",
     )
 
-
-def advection_op(space: ConfigSpace, xi: np.ndarray) -> NonlinearOperator:
-    """One-particle drift term (xi . grad_h) + (1/2)(grad_h . xi)."""
-    D = central_difference_op(space)
-    if space.internal_size > 1:
-        xi_full = np.tile(np.asarray(xi, float), space.internal_size)
-    else:
-        xi_full = np.asarray(xi, float)
-    div = D.apply(0.0, xi_full.astype(np.complex128))
-
-    def ev(t, data):
-        return xi_full * D.apply(t, data) + 0.5 * div * data
-
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second, indices=ZERO_PAIR, name="advection",
-    )

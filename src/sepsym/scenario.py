@@ -51,11 +51,14 @@ def build_space(spec: dict, where: str = "space") -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
         raise ScenarioError(f"{where}: expected an object with a 'size' field")
     factors = spec.get("factors")
-    return ConfigSpace(
-        size=int(spec["size"]),
-        factors=tuple(int(f) for f in factors) if factors else None,
-        grid=bool(spec.get("grid", False)),
-    )
+    try:
+        return ConfigSpace(
+            size=int(spec["size"]),
+            factors=tuple(int(f) for f in factors) if factors else None,
+            grid=bool(spec.get("grid", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def random_hermitian(space: ConfigSpace, rng: np.random.Generator) -> np.ndarray:
@@ -72,6 +75,7 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
         raise ScenarioError(f"{where}: expected an object with a 'kind' field")
     kind = spec["kind"]
     coeff = _complex_of(spec.get("coeff", 1.0), where)
+    coupling = _complex_of(spec.get("coupling", 1.0), where)
     if kind == "lambda":
         idx = IndexPair(
             _complex_of(spec.get("a", 0.0), where), _complex_of(spec.get("b", 0.0), where)
@@ -112,11 +116,11 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
         )
     if kind == "cross-ratio":
         refs = spec.get("refs", [0, 0])
-        op = cross_ratio_op(space, (int(refs[0]), int(refs[1])), coeff)
+        op = cross_ratio_op(space, (int(refs[0]), int(refs[1])), coupling)
         return Generator(op=op, ell=2, indices=IndexPair(0, 0))
     if kind == "non-separating":
         return Generator(
-            op=nonseparating_op(space, 2, coeff), ell=2, indices=IndexPair(0, 0)
+            op=nonseparating_op(space, 2, coupling), ell=2, indices=IndexPair(0, 0)
         )
     raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
 
@@ -168,6 +172,8 @@ class Scenario:
 
 
 def _normalise_checks(entries, known: set[str]) -> tuple[dict, ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise ScenarioError(f"checks: expected a list, got {entries!r}")
     checks = []
     for k, entry in enumerate(entries):
         if isinstance(entry, str):
@@ -187,7 +193,7 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     for key in ("name", "seed", "space", "checks"):
         if key not in doc:
             raise ScenarioError(f"{origin}: missing required field {key!r}")
-    if not isinstance(doc["seed"], int):
+    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
         raise ScenarioError(f"{origin}: seed must be an integer (no implicit entropy)")
     space = build_space(doc["space"])
     checks = _normalise_checks(doc["checks"], known_checks)

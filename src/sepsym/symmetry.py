@@ -44,6 +44,7 @@ from .operators import (
     cross_ratio_op,
     diag_mult_op,
     lambda_op,
+    site_multiply,
     spin_rms_log_op,
     spin_rotation_op,
     zero_op,
@@ -341,7 +342,7 @@ def point_symmetry_parts(
         div = D.apply(t_ref, _tile_internal(space, xi_vals).astype(np.complex128))
         parts["mult"] = diag_mult_op(space, 0.5 * div, name="div(xi)/2")
         def drift_only(t, data, xi_full=_tile_internal(space, xi_vals), D=D):
-            return xi_full * D.apply(t, data)
+            return site_multiply(xi_full, D.apply(t, data))
 
         def drift_zero(t, data, u, v):
             return np.zeros_like(data)
@@ -484,21 +485,6 @@ def freelift_report(
             for i in range(len(drift) - 1)
         ]
     return out
-
-
-def internal_dof_demo(
-    F: Generator,
-    K: Generator,
-    t: float = 0.0,
-    seed: int = 0,
-    batch_size: int = 16,
-):
-    """Two-particle lifting obstruction of a symmetry generator K against
-    a one-particle operator F on a factored (internal x grid) space.
-
-    For non-linear F coupling the internal components the obstruction is
-    strictly positive; a complex-linear F makes it vanish."""
-    return corollary1_report(F, K, t=t, seed=seed, batch_size=batch_size)
 
 
 def internal_dof_report(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sepsym.checks import CHECKS, list_checks
-from sepsym.cli import build_report
+from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
 from sepsym.scenario import (
     build_generator,
@@ -14,7 +14,8 @@ from sepsym.scenario import (
     load_scenario,
     parse_scenario,
 )
-from sepsym.space import ConfigSpace
+from sepsym.operators import cross_ratio_op, nonseparating_op
+from sepsym.space import ConfigSpace, random_state
 
 KNOWN = set(CHECKS)
 
@@ -59,6 +60,24 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(doc, KNOWN)
 
+    def test_bool_seed_rejected(self):
+        doc = dict(FAST_SCENARIO, seed=True)
+        with pytest.raises(ScenarioError, match="integer"):
+            parse_scenario(doc, KNOWN)
+
+    def test_check_list_must_be_a_list(self):
+        doc = dict(FAST_SCENARIO, checks="algebra-table")
+        with pytest.raises(ScenarioError, match="expected a list"):
+            parse_scenario(doc, KNOWN)
+
+    @pytest.mark.parametrize(
+        "space", [{"size": 0}, {"size": "abc"}, {"size": 6, "factors": [4, 2]}]
+    )
+    def test_bad_space_rejected(self, space):
+        doc = dict(FAST_SCENARIO, space=space)
+        with pytest.raises(ScenarioError, match="space"):
+            parse_scenario(doc, KNOWN)
+
     def test_unknown_check_rejected(self):
         doc = dict(FAST_SCENARIO, checks=["no-such-check"])
         with pytest.raises(ScenarioError, match="no-such-check"):
@@ -101,6 +120,20 @@ class TestGeneratorFactory:
             g = build_generator(space, {"kind": kind}, np.random.default_rng(0))
             assert g.ell == 1
 
+    @pytest.mark.parametrize(
+        "kind, factory",
+        [
+            ("cross-ratio", lambda sp: cross_ratio_op(sp, (1, 2), coupling=0.6)),
+            ("non-separating", lambda sp: nonseparating_op(sp, 2, coupling=0.6)),
+        ],
+    )
+    def test_coupling_key_is_read(self, kind, factory):
+        space = ConfigSpace(3)
+        spec = {"kind": kind, "refs": [1, 2], "coupling": 0.6}
+        g = build_generator(space, spec, np.random.default_rng(0))
+        phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True).data
+        assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
+
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match="unknown generator kind"):
             build_generator(ConfigSpace(3), {"kind": "wat"}, np.random.default_rng(0))
@@ -122,6 +155,36 @@ class TestListChecks:
             sc = load_scenario(name, KNOWN)
             for entry in sc.checks:
                 assert entry["name"] in CHECKS
+
+
+class TestCheckErrors:
+    # |X|^4 = 20^4 is over the flat-size cap, which raises a plain ValueError
+    OVERSIZED = {
+        "name": "oversized",
+        "seed": 3,
+        "space": {"size": 20},
+        "generators": {
+            "rms": {"kind": "rms-log-modulus"},
+            "shifted": {"kind": "shifted-log-modulus"},
+        },
+        "checks": [
+            {"name": "liftdeltal-identity", "params": {"pairs": [["rms", "shifted", [4]]]}},
+            "algebra-table",
+        ],
+    }
+
+    def test_unexpected_exception_becomes_error_entry(self, tmp_path, capsys):
+        scen = tmp_path / "oversized.json"
+        scen.write_text(json.dumps(self.OVERSIZED))
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert checks[0]["status"] == "error"
+        assert checks[0]["details"]["error"].startswith("ValueError: ")
+        assert "flat-size cap" in checks[0]["details"]["error"]
+        assert checks[1]["status"] == "pass"  # later checks still run
+        captured = capsys.readouterr()
+        assert "Traceback" in captured.err and "Traceback" not in captured.out
 
 
 class TestCliProcess:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,19 +17,27 @@ from sepsym.hierarchy import (
     tensor_derivation_residual,
 )
 from sepsym.mixedpow import IndexPair
-from sepsym.opcalc import estimate_log_indices, op_combine
+from sepsym.opcalc import estimate_log_indices, lie_bracket, op_combine
 from sepsym.operators import (
+    central_difference_op,
     cross_ratio_op,
+    diag_mult_op,
     lambda_op,
     log_modulus_op,
+    matrix_op,
     nonseparating_op,
+    relative_log_modulus_op,
     rms_log_modulus_op,
+    shift_all_op,
     shifted_log_modulus_op,
     site_matrix_op,
+    spin_rms_log_op,
+    spin_rotation_op,
     zero_op,
 )
 from sepsym.scenario import random_hermitian
-from sepsym.space import permute, random_state, tensor
+from sepsym.space import ConfigSpace, permute, random_state, tensor
+from sepsym.symmetry import PointSymmetrySpec, named_profile, point_symmetry_parts
 
 
 def nz(n, space, rng, cap=None):
@@ -79,7 +88,6 @@ class TestLiftJ:
         lam = lambda_op(IndexPair(0.4, 0.7), 1, space3)
         phi = nz(2, space3, rng)
         lifted = lift_J(lam, (1,), 2)
-        assert lifted.pointwise
         lam2 = lambda_op(IndexPair(0.4, 0.7), 2, space3)
         assert np.allclose(
             lifted.apply(0.0, phi.data), lam2.apply(0.0, phi.data), rtol=1e-14, atol=0
@@ -97,6 +105,111 @@ class TestLiftJ:
             lift_J(cross_ratio_op(space3), (1, 0), 3)
         with pytest.raises(BadTuple):
             lift_J(cross_ratio_op(space3), (0,), 3)
+
+
+def sliced_oracle(fn, m, J, t, arrays):
+    """The per-slice lifting loop: the kernel sees one parameter slice at
+    a time, so no batch axis ever reaches it."""
+    ell = len(J)
+    rest = tuple(ax for ax in range(m) if ax not in J)
+    perm = J + rest
+    inv = tuple(int(k) for k in np.argsort(perm))
+    s = arrays[0].shape[0]
+    blocks = [np.transpose(a, perm).reshape((s,) * ell + (-1,)) for a in arrays]
+    out = np.empty_like(blocks[0])
+    for p in range(blocks[0].shape[-1]):
+        out[..., p] = fn(t, *(b[..., p] for b in blocks))
+    return np.transpose(out.reshape((s,) * m), inv)
+
+
+def _contract_cases():
+    """Every operator factory, the point-symmetry drift, one combination
+    and one bracket, on a factored grid (spin x sites) and a plain grid."""
+    spin = ConfigSpace(6, factors=(2, 3), grid=True)
+    plain = ConfigSpace(5, grid=True)
+    rng = np.random.default_rng(7)
+    sine = named_profile("sine", amplitude=0.7, phase=0.3)
+    drift_spec = PointSymmetrySpec(xi=lambda t, pos: sine(pos))
+    cases = []
+    for sp in (spin, plain):
+        s = sp.size
+        site_vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        square = rng.standard_normal((s * s, s * s)) + 1j * rng.standard_normal((s * s, s * s))
+        cases += [
+            (sp, zero_op(sp, 1)),
+            (sp, zero_op(sp, 2)),
+            (sp, site_matrix_op(sp, random_hermitian(sp, rng))),
+            (sp, matrix_op(sp, 2, lambda t, sq=square: (1.0 + t) * sq, name="td-matrix")),
+            (sp, diag_mult_op(sp, site_vals)),
+            (sp, lambda_op(IndexPair(0.4 - 0.2j, 0.7), 1, sp)),
+            (sp, lambda_op(lambda t: IndexPair(0.3 + t, 0.5j * t), 1, sp)),
+            (sp, lambda_op(IndexPair(0.4, 0.7), 2, sp)),
+            (sp, log_modulus_op(sp, 0.8)),
+            (sp, shifted_log_modulus_op(sp, 0.8 + 0.1j, 2)),
+            (sp, relative_log_modulus_op(sp, 0.9)),
+            (sp, rms_log_modulus_op(sp, 0.9 - 0.3j)),
+            (sp, cross_ratio_op(sp, (1, 2), 0.6)),
+            (sp, nonseparating_op(sp, 1, 0.5)),
+            (sp, nonseparating_op(sp, 2, 0.5)),
+            (sp, shift_all_op(sp, 1, 1)),
+            (sp, shift_all_op(sp, 2, -1)),
+            (sp, central_difference_op(sp)),
+            (sp, point_symmetry_parts(drift_spec, sp)["drift"]),
+            (sp, op_combine(
+                [rms_log_modulus_op(sp, 0.9), shifted_log_modulus_op(sp, 0.8)], [0.5, 1j]
+            )),
+            (sp, lie_bracket(rms_log_modulus_op(sp, 0.9), shifted_log_modulus_op(sp, 0.8))),
+        ]
+    cases += [(spin, spin_rms_log_op(spin, 0.7)), (spin, spin_rotation_op(spin))]
+    return cases
+
+
+CONTRACT_CASES = _contract_cases()
+
+
+def _close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+
+class TestKernelContract:
+    """One batched kernel call per lifting agrees with the slice loop."""
+
+    @pytest.mark.parametrize(
+        "space, op", CONTRACT_CASES,
+        ids=[f"{op.name}-n{op.n}-size{sp.size}" for sp, op in CONTRACT_CASES],
+    )
+    def test_lift_matches_slice_loop(self, space, op):
+        rng = np.random.default_rng(11)
+        t = 0.3
+        for m in range(op.n + 1, 4):
+            data, u, v = (nz(m, space, rng).data for _ in range(3))
+            for J in itertools.combinations(range(m), op.n):
+                lifted = lift_J(op, J, m)
+                _close(lifted.apply(t, data), sliced_oracle(op.eval_fn, m, J, t, (data,)))
+                if op.derivative_fn is not None:
+                    _close(
+                        lifted.derivative(t, data, u),
+                        sliced_oracle(op.derivative_fn, m, J, t, (data, u)),
+                    )
+                if op.second_derivative_fn is not None:
+                    _close(
+                        lifted.second_derivative(t, data, u, v),
+                        sliced_oracle(op.second_derivative_fn, m, J, t, (data, u, v)),
+                    )
+
+    @pytest.mark.parametrize(
+        "space, op", [c for c in CONTRACT_CASES if c[1].n == 1],
+        ids=[f"{op.name}-size{sp.size}" for sp, op in CONTRACT_CASES if op.n == 1],
+    )
+    def test_batch_length_equal_to_size(self, space, op):
+        # a (size, size) batch is where broadcasting a site function along
+        # the last axis instead of the particle axis goes unnoticed by shape
+        rng = np.random.default_rng(12)
+        batch = np.stack([nz(1, space, rng).data for _ in range(space.size)], axis=-1)
+        got = op.apply(0.3, batch)
+        for k in range(space.size):
+            _close(got[:, k], op.apply(0.3, batch[:, k]))
 
 
 class TestCanonicalLift1p:

@@ -8,9 +8,8 @@ from sepsym.errors import BadRange
 from sepsym.evolution import EvolutionConfig
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
 from sepsym.mixedpow import IndexPair
-from sepsym.opcalc import estimate_log_indices
+from sepsym.opcalc import estimate_log_indices, op_combine
 from sepsym.operators import (
-    advection_op,
     diag_mult_op,
     lambda_op,
     log_modulus_op,
@@ -169,7 +168,9 @@ class TestInfinitesimal:
         for gsize in (8, 16, 32):
             sp = ConfigSpace(gsize, grid=True)
             Hg = log_hierarchy(sp, 2)
-            mom = advection_op(sp, np.full(gsize, 0.9))
+            spec = PointSymmetrySpec(xi=lambda t, pos: np.full(pos.shape, 0.9))
+            parts = point_symmetry_parts(spec, sp)
+            mom = op_combine([parts["drift"], parts["mult"]], name="advection")
             gen = Generator(op=mom, ell=1, indices=IndexPair(0, 0))
             K = InfinitesimalSymmetry(
                 levels={n: canonical_lift(gen, n) for n in (1, 2)}, tau=AffineMap(0.0, 0.0)
@@ -445,11 +446,11 @@ class TestFreelift:
 class TestInternalDof:
     def test_demo_api_positive_for_nonlinear(self, spin_space):
         from sepsym.operators import spin_rms_log_op, spin_rotation_op
-        from sepsym.symmetry import internal_dof_demo
+        from sepsym.obstruction import corollary1_report
 
         F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
         K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
-        rep = internal_dof_demo(F, K, seed=4, batch_size=8)
+        rep = corollary1_report(F, K, seed=4, batch_size=8)
         assert rep.kind == "corollary1" and rep.rhs_norm > 1e-3 and not rep.vanishes
 
     def test_positive_and_stable(self):
