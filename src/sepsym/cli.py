@@ -14,7 +14,7 @@ from dataclasses import replace
 from . import __version__
 from .checks import CHECKS, list_checks, run_check
 from .errors import ScenarioError
-from .scenario import bundled_scenario_names, load_scenario
+from .scenario import bundled_scenario_names, finite_number, load_scenario
 
 
 def _parse_tol_overrides(entries) -> dict[str, float]:
@@ -90,13 +90,13 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario, set(CHECKS))
         overrides = _parse_tol_overrides(args.tol)
+        if args.hbar is not None:
+            scenario = replace(scenario, hbar=finite_number(args.hbar, "--hbar", positive=True))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    if args.hbar is not None:
-        scenario = replace(scenario, hbar=args.hbar)
     report = build_report(scenario, overrides)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:

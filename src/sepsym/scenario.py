@@ -11,6 +11,7 @@ directory and can be addressed by bare name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -45,6 +46,19 @@ def _complex_of(value, where: str) -> complex:
     ):
         return complex(value[0], value[1])
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+
+
+def finite_number(value, where: str, positive: bool = False) -> float:
+    """A JSON number as a finite float (booleans rejected), optionally > 0."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        number = float(value) if ok else math.nan
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or (positive and number <= 0):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+    return number
 
 
 def build_space(spec: dict, where: str = "space") -> ConfigSpace:
@@ -134,26 +148,36 @@ def build_point_spec(doc: dict, where: str = "symmetry"):
     """
     from .symmetry import AffineMap, PointSymmetrySpec, named_profile
 
+    def block_of(value, name):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{name}: expected an object, got {value!r}")
+        return value
+
+    def number(block, key, default, name):
+        return finite_number(block.get(key, default), f"{name}.{key}")
+
     def field_profile(block, name):
         if block is None:
             return None
         if not isinstance(block, dict) or "profile" not in block:
-            raise ScenarioError(f"{where}.{name}: expected a profile object")
-        profile = named_profile(
-            block["profile"],
-            amplitude=float(block.get("amplitude", 1.0)),
-            phase=float(block.get("phase", 0.0)),
-            offset=float(block.get("offset", 0.0)),
-        )
+            raise ScenarioError(f"{name}: expected a profile object")
+        shape = {key: number(block, key, default, name)
+                 for key, default in (("amplitude", 1.0), ("phase", 0.0), ("offset", 0.0))}
+        try:
+            profile = named_profile(block["profile"], **shape)
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
         return lambda t, pos: profile(pos)
 
-    tau_doc = doc.get("tau", {})
+    doc = block_of(doc, where)
+    tau_doc = block_of(doc.get("tau", {}), f"{where}.tau")
     return PointSymmetrySpec(
-        eta=field_profile(doc.get("eta"), "eta"),
-        xi=field_profile(doc.get("xi"), "xi"),
-        gamma=float(doc.get("gamma", 0.0)),
-        delta=float(doc.get("delta", 0.0)),
-        tau=AffineMap(float(tau_doc.get("alpha", 0.0)), float(tau_doc.get("beta", 0.0))),
+        eta=field_profile(doc.get("eta"), f"{where}.eta"),
+        xi=field_profile(doc.get("xi"), f"{where}.xi"),
+        gamma=number(doc, "gamma", 0.0, where),
+        delta=number(doc, "delta", 0.0, where),
+        tau=AffineMap(number(tau_doc, "alpha", 0.0, f"{where}.tau"),
+                      number(tau_doc, "beta", 0.0, f"{where}.tau")),
     )
 
 
@@ -202,16 +226,28 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     tolerances = doc.get("tolerances", {})
     if not all(isinstance(v, (int, float)) for v in tolerances.values()):
         raise ScenarioError(f"{origin}: tolerances must map check names to numbers")
+    hbar = finite_number(doc.get("hbar", 1.0), f"{origin}: hbar", positive=True)
+    evolution = doc.get("evolution", {})
+    if not isinstance(evolution, dict):
+        raise ScenarioError(f"{origin}: evolution must be an object, got {evolution!r}")
+    evolution = {
+        key: finite_number(value, f"{origin}: evolution.{key}", positive=key == "dt")
+        if key in ("dt", "t0", "t1") else value
+        for key, value in evolution.items()
+    }
+    symmetry = doc.get("symmetry", {})
+    if symmetry:
+        build_point_spec(symmetry)
     return Scenario(
         name=str(doc["name"]),
         seed=doc["seed"],
         space=space,
         checks=checks,
-        hbar=float(doc.get("hbar", 1.0)),
-        evolution=doc.get("evolution", {}),
+        hbar=hbar,
+        evolution=evolution,
         tolerances=dict(tolerances),
         generators=doc.get("generators", {}),
-        symmetry=doc.get("symmetry", {}),
+        symmetry=symmetry,
         raw=doc,
     )
 

@@ -570,7 +570,13 @@ def index_flow(
         hbar d_t (c, d) = [(i_bar p, i_bar q), (c, d)] - d_t(tau (i_bar p, i_bar q))
 
     for constant evolution indices (p, q) and affine tau.  Returns a
-    callable evaluating (c(t), d(t)) by marching from cfg.t0.
+    callable evaluating (c(t), d(t)).
+
+    The flow keeps the RK4 nodes y(t0 + k dt) and y(t0 - k dt) it has
+    reached, marching further on demand in the direction a call needs; an
+    off-node time takes one partial step from its nearest node (dense
+    output).  The right-hand side does not depend on t, so node k is bit
+    for bit the value of a fresh k-step march from cfg.t0.
     """
     drive = IndexPair(-1j * p, -1j * q)
 
@@ -584,14 +590,24 @@ def index_flow(
             ]
         )
 
+    y0 = np.array([start.a, start.b], dtype=np.complex128)
+    nodes = {cfg.dt: [y0], -cfg.dt: [y0]}  # signed step -> [y_0, y_1, ...]
+
     def at(tt: float) -> IndexPair:
         span = tt - cfg.t0
         steps = int(round(span / cfg.dt))
-        y = np.array([start.a, start.b], dtype=np.complex128)
+        y = y0
         reached = cfg.t0
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
-            y, _, _ = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
+            table = nodes[signed_dt]
+            if len(table) <= abs(steps):
+                _, _, samples = rk4_trajectory(
+                    rhs, table[-1], cfg.t0 + (len(table) - 1) * signed_dt, signed_dt,
+                    abs(steps) - len(table) + 1, keep_samples=True,
+                )
+                table.extend(samples[1:])
+            y = table[abs(steps)]
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:

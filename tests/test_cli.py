@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepsym
 from sepsym.checks import CHECKS, list_checks
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
@@ -187,10 +190,72 @@ class TestCheckErrors:
         assert "Traceback" in captured.err and "Traceback" not in captured.out
 
 
+class TestBadValuesExitTwo:
+    """Malformed values end in exit 2 before any check runs, not in error
+    entries or a traceback."""
+
+    EVOLVING = dict(FAST_SCENARIO, checks=["index-evolution"])
+    POINT_SYM = dict(FAST_SCENARIO, space={"size": 8, "grid": True},
+                     checks=["corollary2-pointsym"])
+
+    def run_main(self, tmp_path, capsys, doc, *flags):
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["run", "--scenario", str(scen), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "scenario error" in err and "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("hbar", [-1, 0, "abc", True, float("nan"), [1.0]])
+    def test_bad_hbar(self, tmp_path, capsys, hbar):
+        err = self.run_main(tmp_path, capsys, dict(self.EVOLVING, hbar=hbar))
+        assert "hbar" in err
+
+    @pytest.mark.parametrize("evolution", [
+        {"dt": -1}, {"dt": 0}, {"dt": "abc"}, {"t0": "abc"}, {"t1": None},
+        {"t1": float("inf")}, "abc",
+    ])
+    def test_bad_evolution(self, tmp_path, capsys, evolution):
+        err = self.run_main(tmp_path, capsys, dict(self.EVOLVING, evolution=evolution))
+        assert "evolution" in err
+
+    @pytest.mark.parametrize("symmetry", [
+        {"eta": {"profile": "bogus"}},
+        {"xi": {"profile": "sine", "amplitude": "big"}},
+        {"eta": "sine"},
+        {"gamma": "abc"},
+        {"tau": [0.0, 1.0]},
+        "abc",
+    ])
+    def test_bad_symmetry(self, tmp_path, capsys, symmetry):
+        err = self.run_main(tmp_path, capsys, dict(self.POINT_SYM, symmetry=symmetry))
+        assert "symmetry" in err
+
+    @pytest.mark.parametrize("hbar", ["-1", "0", "nan", "inf"])
+    def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
+        err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")
+        assert "--hbar" in err
+
+    def test_good_values_still_load(self):
+        doc = dict(self.POINT_SYM, hbar=2, evolution={"dt": 0.01, "t0": 0, "t1": 1},
+                   symmetry={"eta": {"profile": "sine", "amplitude": 0.5},
+                             "tau": {"alpha": 1, "beta": 0.5}, "gamma": 1})
+        sc = parse_scenario(doc, KNOWN)
+        assert sc.hbar == 2.0
+        assert sc.evolution == {"dt": 0.01, "t0": 0.0, "t1": 1.0}
+
+
 class TestCliProcess:
     def run_cli(self, *args):
+        # the child imports the same sepsym as this process, installed or not
+        src = str(Path(sepsym.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "sepsym.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "sepsym.cli", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_list_checks_output(self):

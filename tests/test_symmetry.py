@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sepsym.symmetry
 from sepsym.errors import BadRange
-from sepsym.evolution import EvolutionConfig
+from sepsym.evolution import EvolutionConfig, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
-from sepsym.mixedpow import IndexPair
+from sepsym.mixedpow import IndexPair, pair_bracket
 from sepsym.opcalc import estimate_log_indices, op_combine
 from sepsym.operators import (
     diag_mult_op,
@@ -27,6 +28,7 @@ from sepsym.symmetry import (
     PointSymmetrySpec,
     compose_symmetries,
     freelift_report,
+    index_flow,
     index_law_residual,
     inf_symmetry_bracket,
     inf_symmetry_residual,
@@ -199,6 +201,77 @@ class TestInfinitesimal:
         ]
         assert r[1] <= 1.0 * 0.02**2
         assert 3.0 <= r[0] / r[1] <= 5.0
+
+
+def remarch_oracle(p, q, tau, start, cfg):
+    """The index flow as a fresh RK4 march from cfg.t0 on every call: the
+    flow table must reproduce it bit for bit."""
+    drive = IndexPair(-1j * p, -1j * q)
+
+    def rhs(t, y):
+        br = pair_bracket(drive, IndexPair(y[0], y[1]))
+        return np.array([(br.a - tau.alpha * drive.a) / cfg.hbar,
+                         (br.b - tau.alpha * drive.b) / cfg.hbar])
+
+    def at(tt):
+        span = tt - cfg.t0
+        steps = int(round(span / cfg.dt))
+        y = np.array([start.a, start.b], dtype=np.complex128)
+        reached = cfg.t0
+        if steps != 0:
+            signed_dt = math.copysign(cfg.dt, span)
+            y, _, _ = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
+            reached = cfg.t0 + abs(steps) * signed_dt
+        rem = tt - reached
+        if abs(rem) > 1e-15:
+            y, _, _ = rk4_trajectory(rhs, y, reached, rem, 1)
+        return IndexPair(complex(y[0]), complex(y[1]))
+
+    return at
+
+
+class TestIndexFlowTable:
+    P, Q, START = 1.1, 0.6, IndexPair(0.9, 0.4)
+    CASES = [
+        (AffineMap(0.0, 0.0), EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)),
+        (AffineMap(0.5, 0.2), EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0, hbar=1.7)),
+        (AffineMap(-1.0, 0.3), EvolutionConfig(dt=0.02, t0=0.25, t1=1.25, hbar=0.6)),
+    ]
+
+    def times(self, cfg):
+        dt, t0 = cfg.dt, cfg.t0
+        on_nodes = [t0 + k * dt for k in (1, 2, 7, 40, 3, -1, -5, -2)]
+        off_nodes = [t0 + 0.4 * dt, t0 + 12.3 * dt, t0 - 2.6 * dt, t0 + 5 * dt + 1e-4]
+        return [t0, *on_nodes, *off_nodes, t0 - 1e-4, t0 + 1e-4, t0 + 19.5 * dt]
+
+    @pytest.mark.parametrize("tau, cfg", CASES)
+    def test_matches_fresh_march_exactly(self, tau, cfg):
+        flow = index_flow(self.P, self.Q, tau, self.START, cfg)
+        oracle = remarch_oracle(self.P, self.Q, tau, self.START, cfg)
+        ts = self.times(cfg)
+        # non-monotone order, every time asked twice, the second pass
+        # reversed so that it revisits nodes the table already holds
+        for t in ts + ts[::-1]:
+            got, want = flow(t), oracle(t)
+            assert (got.a, got.b) == (want.a, want.b), t
+
+    def test_each_node_is_marched_once(self, monkeypatch):
+        steps = []
+
+        def counting(rhs, y0, t0, dt, n_steps, keep_samples=False):
+            steps.append(n_steps)
+            return rk4_trajectory(rhs, y0, t0, dt, n_steps, keep_samples)
+
+        monkeypatch.setattr(sepsym.symmetry, "rk4_trajectory", counting)
+        tau, cfg = self.CASES[1]
+        flow = index_flow(self.P, self.Q, tau, self.START, cfg)
+        ts = [0.3, 0.1, 0.3001, -0.05, 0.2999, 0.0, -0.0501, 0.25] * 4
+        for t in ts:
+            flow(t)
+        # every node once in each direction, plus at most one partial step
+        # per call
+        nodes = [round((t - cfg.t0) / cfg.dt) for t in ts]
+        assert sum(steps) <= max(nodes) - min(nodes) + len(ts)
 
 
 class TestBracket:
