@@ -67,8 +67,14 @@ from .operators import (
     spin_rms_log_op,
     spin_rotation_op,
 )
-from .scenario import Scenario, build_generator, build_point_spec, random_hermitian
-from .space import ConfigSpace, random_state
+from .scenario import (
+    Scenario,
+    build_generator,
+    build_point_spec,
+    evolution_config,
+    random_hermitian,
+)
+from .space import ConfigSpace, random_state, sup_norms
 from .symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -113,9 +119,6 @@ class CheckContext:
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.scenario.seed, self.ordinal, salt))
 
-    def seed_tuple(self, salt: int = 0) -> tuple[int, int, int]:
-        return (self.scenario.seed, self.ordinal, salt)
-
     @property
     def space(self) -> ConfigSpace:
         return self.scenario.space
@@ -124,14 +127,9 @@ class CheckContext:
     def hbar(self) -> float:
         return self.scenario.hbar
 
-    def evolution(self, dt: float = 1e-3, t0: float = 0.0, t1: float = 1.0) -> EvolutionConfig:
-        ev = self.scenario.evolution
-        return EvolutionConfig(
-            dt=float(ev.get("dt", dt)),
-            t0=float(ev.get("t0", t0)),
-            t1=float(ev.get("t1", t1)),
-            hbar=self.hbar,
-        )
+    @property
+    def evolution(self) -> EvolutionConfig:
+        return evolution_config(self.scenario.evolution, self.hbar)
 
     def generator(self, name: str, space: ConfigSpace | None = None) -> Generator:
         spec = self.scenario.generators.get(name)
@@ -373,8 +371,6 @@ def _default_bracket_hierarchies(space: ConfigSpace):
         ],
         3,
     )
-    # hierarchies add level-wise; merge G's two generators into one list
-    G = Hierarchy.from_generators(space, [G.generators[0], G.generators[1]], 3)
     return F, G
 
 
@@ -413,9 +409,7 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
         space, [Generator(op=cross_ratio_op(space, refs=(1, 0), coupling=0.6), ell=2, indices=IndexPair(0, 0))], 3
     )
     Bk2 = bracket_hierarchy(F, H2)
-    lvl1 = max(
-        float(np.abs(Bk2.op(1).apply(0.0, s.data)).max()) for s in batch
-    )
+    lvl1 = max(sup_norms(lambda wf: Bk2.op(1).apply(0.0, wf.data), batch))
     prod2 = [
         random_state(1, space, rng, nowhere_zero=True, phase_cap=cap) for _ in range(2)
     ]
@@ -447,21 +441,20 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
         Generator(op=cross_ratio_op(space, coupling=0.7), ell=2, indices=IndexPair(0, 0)),
     ]
     H = Hierarchy.from_generators(space, gens, 3)
-    recovered = canonical_decompose(H, seed=ctx.seed_tuple(5)[0] % 2**31)
+    recovered = canonical_decompose(H, seed=ctx.scenario.seed % 2**31)
     worst = 0.0
     for g_orig, g_rec in zip(gens, recovered):
-        for _ in range(4):
-            probe = random_state(g_orig.ell, space, rng, nowhere_zero=True)
-            diff = np.abs(
-                g_rec.op.apply(0.0, probe.data) - g_orig.op.apply(0.0, probe.data)
-            ).max()
-            worst = max(worst, float(diff))
+        probes = [random_state(g_orig.ell, space, rng, nowhere_zero=True) for _ in range(4)]
+        diffs = sup_norms(
+            lambda wf: g_rec.op.apply(0.0, wf.data) - g_orig.op.apply(0.0, wf.data), probes
+        )
         worst = max(
-            worst, abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b)
+            worst, *diffs,
+            abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b),
         )
     # idempotence: decomposing the rebuilt hierarchy returns the same parts
     rebuilt = Hierarchy.from_generators(space, recovered, 3)
-    again = canonical_decompose(rebuilt, seed=ctx.seed_tuple(6)[0] % 2**31)
+    again = canonical_decompose(rebuilt, seed=ctx.scenario.seed % 2**31)
     for g1, g2 in zip(recovered, again):
         probe = random_state(g1.ell, space, rng, nowhere_zero=True)
         diff = np.abs(g2.op.apply(0.0, probe.data) - g1.op.apply(0.0, probe.data)).max()
@@ -555,7 +548,7 @@ def check_liftdeltal_identity(ctx: CheckContext) -> CheckResult:
         for n in ns:
             batch = 16 if n <= 3 else 6
             rep = theorem10_report(
-                F, G, n, seed=ctx.seed_tuple(n)[0] % 2**31 + n, batch_size=batch
+                F, G, n, seed=ctx.scenario.seed % 2**31 + n, batch_size=batch
             )
             defects.append(rep.identity_residual / bound)
             details["pairs"][f"{label}-n{n}"] = {
@@ -581,14 +574,11 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
                    ell=1, indices=IndexPair(0, 0))
     worst = 0.0
     for n in (2, 3):
-        for k in range(4):
-            wf = random_state(n, space, ctx.rng(10 * n + k), nowhere_zero=True)
-            scale = max(1.0, wf.norm_inf())
-            worst = max(
-                worst,
-                float(np.abs(obstruction_rhs(A, Bl, n, 0.0, wf.data)).max()) / scale,
-                float(np.abs(obstruction_lhs(A, Bl, n, 0.0, wf.data)).max()) / scale,
-            )
+        states = [random_state(n, space, ctx.rng(10 * n + k), nowhere_zero=True) for k in range(4)]
+        scales = [max(1.0, wf.norm_inf()) for wf in states]
+        for side in (obstruction_rhs, obstruction_lhs):
+            norms = sup_norms(lambda wf: side(A, Bl, n, 0.0, wf.data), states)
+            worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
     return _finish(ctx, "real-linear-degeneration", worst, bound, {"levels": [2, 3]})
 
 
@@ -596,34 +586,23 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     """Vanishing two-particle obstruction forces the higher defect to
     vanish; the spin pair keeps both sides large."""
     space = ctx.space
-    rng = ctx.rng()
     two_bound = 1e-8
     lift_bound = 1e-7
     floor = 1e-3
     F = Generator(op=shifted_log_modulus_op(space, 0.8), ell=1, indices=IndexPair(0.8, 0))
     K = Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0))
-    two = 0.0
-    lifted = 0.0
-    for k in range(8):
-        wf2 = random_state(2, space, ctx.rng(k), nowhere_zero=True)
-        two = max(two, float(np.abs(corollary1_obstruction(F, K, 0.0, wf2.data)).max()))
-        wf3 = random_state(3, space, ctx.rng(100 + k), nowhere_zero=True)
-        lifted = max(lifted, float(np.abs(obstruction_lhs(F, K, 3, 0.0, wf3.data)).max()))
+    states2 = [random_state(2, space, ctx.rng(k), nowhere_zero=True) for k in range(8)]
+    states3 = [random_state(3, space, ctx.rng(100 + k), nowhere_zero=True) for k in range(8)]
+    two = max(sup_norms(lambda wf: corollary1_obstruction(F, K, 0.0, wf.data), states2))
+    lifted = max(sup_norms(lambda wf: obstruction_lhs(F, K, 3, 0.0, wf.data), states3))
     gsize = int(ctx.params.get("grid_size", 4))
     spin_space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
     Fs = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
     Ks = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
-    spin_two = 0.0
-    spin_lift = 0.0
-    for k in range(8):
-        wf2 = random_state(2, spin_space, ctx.rng(200 + k), nowhere_zero=True)
-        spin_two = max(
-            spin_two, float(np.abs(corollary1_obstruction(Fs, Ks, 0.0, wf2.data)).max())
-        )
-        wf3 = random_state(3, spin_space, ctx.rng(300 + k), nowhere_zero=True)
-        spin_lift = max(
-            spin_lift, float(np.abs(obstruction_lhs(Fs, Ks, 3, 0.0, wf3.data)).max())
-        )
+    spin2 = [random_state(2, spin_space, ctx.rng(200 + k), nowhere_zero=True) for k in range(8)]
+    spin3 = [random_state(3, spin_space, ctx.rng(300 + k), nowhere_zero=True) for k in range(8)]
+    spin_two = max(sup_norms(lambda wf: corollary1_obstruction(Fs, Ks, 0.0, wf.data), spin2))
+    spin_lift = max(sup_norms(lambda wf: obstruction_lhs(Fs, Ks, 3, 0.0, wf.data), spin3))
     defect = max(
         two / two_bound,
         lifted / lift_bound,
@@ -667,14 +646,12 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     for label in ("phase", "mult", "drift"):
         Kgen = Generator(op=parts[label], ell=1, indices=IndexPair(0, 0))
         norms[label] = max(
-            float(np.abs(corollary2_obstruction(G, Kgen, 0.0, wf.data)).max())
-            for wf in states
+            sup_norms(lambda wf: corollary2_obstruction(G, Kgen, 0.0, wf.data), states)
         )
     zero_gen = Generator(op=cross_ratio_op(space, coupling=0.0), ell=2, indices=IndexPair(0, 0))
     Kphase = Generator(op=parts["phase"], ell=1, indices=IndexPair(0, 0))
     zero_norm = max(
-        float(np.abs(corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data)).max())
-        for wf in states
+        sup_norms(lambda wf: corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data), states)
     )
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound}
@@ -686,7 +663,7 @@ def check_internal_dof(ctx: CheckContext) -> CheckResult:
     obstruction, stable under reseeding and grid refinement."""
     rep = internal_dof_report(
         grid_size=int(ctx.params.get("grid_size", 8)),
-        seed=ctx.seed_tuple()[0] % 2**31,
+        seed=ctx.scenario.seed % 2**31,
         batch_size=int(ctx.params.get("batch", 16)),
     )
     floor = 1e-3
@@ -715,7 +692,6 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     """Separation residual decays at fourth order for the canonical-lift
     hierarchy and plateaus for a non-separating perturbation."""
     space = ctx.space
-    rng = ctx.rng()
     band = (12.0, 20.0)
     plateau_floor = 1e-2
     F1 = Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0))
@@ -827,7 +803,7 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     p, q = 1.1, 0.6
     tau = AffineMap(0.5, 0.2)
     start = IndexPair(0.9, 0.4)
-    cfg = ctx.evolution(dt=1e-3, t0=0.0, t1=1.0)
+    cfg = ctx.evolution
     H = Hierarchy.from_generators(
         space,
         [Generator(op=lambda_op(IndexPair(p, q), 1, space), ell=1, indices=IndexPair(p, q))],
@@ -887,7 +863,7 @@ def check_freelift(ctx: CheckContext) -> CheckResult:
         lambda sp: Generator(op=rms_log_modulus_op(sp, 1.0), ell=1, indices=IndexPair(0, 0)),
         spec,
         grids,
-        seed=ctx.seed_tuple()[0] % 2**31,
+        seed=ctx.scenario.seed % 2**31,
         batch_size=int(ctx.params.get("batch", 4)),
     )
     exact_worst = max(max(rep["c1"]["phase"]), max(rep["c1"]["mult"]),
@@ -913,7 +889,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     rng = ctx.rng()
     p, q = 0.9, 0.5
-    cfg = ctx.evolution(dt=1e-3, t0=0.0, t1=1.0)
+    cfg = ctx.evolution
     H = Hierarchy.from_generators(
         space,
         [Generator(op=lambda_op(IndexPair(p, q), 1, space), ell=1, indices=IndexPair(p, q))],

@@ -9,9 +9,11 @@ with J running over increasing l-tuples, K over m-tuples of {1..n} and
 "nat" the strictly homogeneous natural part.  The right-hand side is the
 obstruction: it vanishes iff the one-sided lifts commute at every level,
 and it degenerates to zero whenever both natural parts are real-linear.
-Two specialisations cover the common cases: the two-particle obstruction
-for lifting a one-particle symmetry, and the (l+1)-particle obstruction
-met when a fresh l-particle generator is added to the evolution.
+Two specialisations of this one double sum cover the common cases: the
+two-particle obstruction for lifting a one-particle symmetry is the sum
+at (l, m, n) = (1, 1, 2), and the (l+1)-particle obstruction met when a
+fresh l-particle generator G is added to the evolution is minus the sum
+at (1, l, l+1) with the symmetry in the first slot.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import BadRange
 from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
 from .mixedpow import pair_bracket
 from .opcalc import NonlinearOperator, lie_bracket
-from .space import random_state, tensor
+from .space import random_state, sup_norms, tensor
 
 VANISH_TOL = 1e-7
 
@@ -94,7 +96,11 @@ def _fd_warnings(*ops: NonlinearOperator) -> tuple[str, ...]:
 def obstruction_rhs(
     F: Generator, G: Generator, n: int, t: float, data: np.ndarray
 ) -> np.ndarray:
-    """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state."""
+    """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state.
+
+    The only loop over slot tuples (J outer, K inner); both corollary
+    obstructions below call it.
+    """
     _check_range(F.ell, G.ell, n)
     Fnat = natural_generator_op(F)
     Gnat = natural_generator_op(G)
@@ -104,16 +110,15 @@ def obstruction_rhs(
     lifts_G = {
         K: lift_J(Gnat, K, n) for K in itertools.combinations(range(n), G.ell)
     }
-    vals_F = {J: op.apply(t, data) for J, op in lifts_F.items()}
     vals_G = {K: op.apply(t, data) for K, op in lifts_G.items()}
     acc = np.zeros_like(data)
-    for K, Gop in lifts_G.items():
-        kset = set(K)
-        for J, Fop in lifts_F.items():
-            if set(J) <= kset:
+    for J, Fop in lifts_F.items():
+        val_F = Fop.apply(t, data)  # used in this pass only: one alive at a time
+        for K, Gop in lifts_G.items():
+            if set(J) <= set(K):
                 continue
             acc += Fop.derivative(t, data, vals_G[K])
-            acc -= Gop.derivative(t, data, vals_F[J])
+            acc -= Gop.derivative(t, data, val_F)
     return acc
 
 
@@ -172,51 +177,32 @@ def obstruction_lhs(
 def corollary1_obstruction(
     F: Generator, K: Generator, t: float, data: np.ndarray
 ) -> np.ndarray:
-    """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]."""
+    """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]:
+    the double sum at (l, m, n) = (1, 1, 2)."""
     if F.ell != 1 or K.ell != 1:
         raise BadRange("the two-particle obstruction takes one-particle generators")
-    Fnat = natural_generator_op(F)
-    Knat = natural_generator_op(K)
-    acc = np.zeros_like(data)
-    for jF, jK in ((0, 1), (1, 0)):
-        Fl = lift_J(Fnat, (jF,), 2)
-        Kl = lift_J(Knat, (jK,), 2)
-        acc += Fl.derivative(t, data, Kl.apply(t, data))
-        acc -= Kl.derivative(t, data, Fl.apply(t, data))
-    return acc
+    return obstruction_rhs(F, K, 2, t, data)
 
 
 def corollary2_obstruction(
     G: Generator, K: Generator, t: float, data: np.ndarray
 ) -> np.ndarray:
     """(l+1)-particle defect sum_j [G^{comp(j)}, K^nat(j)] for a fresh
-    l-particle generator G against a lifted one-particle symmetry K."""
+    l-particle generator G against a lifted one-particle symmetry K: the
+    double sum at (1, l, l+1) with the bracket's operands swapped."""
     if G.ell < 2:
         raise BadRange("corollary2 needs a generator above one particle")
     if K.ell != 1:
         raise BadRange("corollary2 lifts a one-particle symmetry generator")
-    n = G.ell + 1
-    Knat = natural_generator_op(K)
-    acc = np.zeros_like(data)
-    for j in range(n):
-        comp = tuple(k for k in range(n) if k != j)
-        Gl = lift_J(G.op, comp, n)
-        Kl = lift_J(Knat, (j,), n)
-        acc += Gl.derivative(t, data, Kl.apply(t, data))
-        acc -= Kl.derivative(t, data, Gl.apply(t, data))
-    return acc
+    return -obstruction_rhs(K, G, G.ell + 1, t, data)
 
 
-def _batch(space, n, seed, size, smooth=False):
+def _batch(space, n, seed, size):
     rng = np.random.default_rng(seed)
-    return [
-        random_state(n, space, rng, nowhere_zero=True, smooth=smooth)
-        for _ in range(size)
-    ]
+    return [random_state(n, space, rng, nowhere_zero=True) for _ in range(size)]
 
 
-def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states,
-            vanish_tol, warnings=()):
+def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states, warnings=()):
     scale = max(1.0, max(s.norm_inf() for s in states))
     rhs_norm = float(max(rhs_norms))
     return ObstructionReport(
@@ -224,7 +210,7 @@ def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states,
         lhs_norm=float(max(lhs_norms)) if lhs_norms else rhs_norm,
         rhs_norm=rhs_norm,
         identity_residual=float(max(residuals)) if residuals else 0.0,
-        vanishes=rhs_norm <= vanish_tol * scale,
+        vanishes=rhs_norm <= VANISH_TOL * scale,
         seed=seed, batch_size=len(states),
         state_norms=tuple(round(s.norm_inf(), 12) for s in states),
         warnings=tuple(warnings),
@@ -232,74 +218,39 @@ def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states,
 
 
 def theorem10_report(
-    F: Generator,
-    G: Generator,
-    n: int,
-    t: float = 0.0,
-    seed: int = 0,
-    batch_size: int = 16,
-    vanish_tol: float = VANISH_TOL,
-    smooth: bool = False,
+    F: Generator, G: Generator, n: int, seed: int = 0, batch_size: int = 16
 ) -> ObstructionReport:
     """Evaluate both sides of the lift-bracket defect identity on a batch.
 
     ``identity_residual`` is the worst relative gap between the direct
     left side and the double-sum right side.
     """
-    states = _batch(F.op.space, n, seed, batch_size, smooth=smooth)
-    Hgen = bracket_generator(F, G, verify=True, seed=seed, t=t)
+    states = _batch(F.op.space, n, seed, batch_size)
+    Hgen = bracket_generator(F, G, verify=True, seed=seed)
     warnings = _fd_warnings(
         natural_generator_op(F), natural_generator_op(G), F.op, G.op
     )
-    lhs_norms, rhs_norms, residuals = [], [], []
-    for wf in states:
-        lhs = obstruction_lhs(F, G, n, t, wf.data, bracket_gen=Hgen)
-        rhs = obstruction_rhs(F, G, n, t, wf.data)
-        ln = float(np.abs(lhs).max())
-        rn = float(np.abs(rhs).max())
-        lhs_norms.append(ln)
-        rhs_norms.append(rn)
-        residuals.append(float(np.abs(lhs - rhs).max()) / (1.0 + max(ln, rn)))
+    lhs = [obstruction_lhs(F, G, n, 0.0, wf.data, bracket_gen=Hgen) for wf in states]
+    rhs = [obstruction_rhs(F, G, n, 0.0, wf.data) for wf in states]
+    lhs_norms = sup_norms(np.asarray, lhs)
+    rhs_norms = sup_norms(np.asarray, rhs)
+    gaps = sup_norms(np.asarray, [a - b for a, b in zip(lhs, rhs)])
+    residuals = [
+        gap / (1.0 + max(ln, rn)) for gap, ln, rn in zip(gaps, lhs_norms, rhs_norms)
+    ]
     return _report(
         "theorem10", F.ell, G.ell, n, lhs_norms, rhs_norms, residuals,
-        seed, states, vanish_tol, warnings,
+        seed, states, warnings,
     )
 
 
 def corollary1_report(
-    F: Generator,
-    K: Generator,
-    t: float = 0.0,
-    seed: int = 0,
-    batch_size: int = 16,
-    vanish_tol: float = VANISH_TOL,
-    smooth: bool = False,
-) -> ObstructionReport:
-    states = _batch(F.op.space, 2, seed, batch_size, smooth=smooth)
+    F: Generator, K: Generator, seed: int = 0, batch_size: int = 16
+) -> tuple[ObstructionReport, list[float]]:
+    """Two-particle obstruction over a seeded batch: the report (its
+    ``rhs_norm`` is the worst state) and the per-state sup norms."""
+    states = _batch(F.op.space, 2, seed, batch_size)
     warnings = _fd_warnings(natural_generator_op(F), natural_generator_op(K))
-    norms = [
-        float(np.abs(corollary1_obstruction(F, K, t, wf.data)).max()) for wf in states
-    ]
-    return _report(
-        "corollary1", 1, 1, 2, [], norms, [], seed, states, vanish_tol, warnings
-    )
-
-
-def corollary2_report(
-    G: Generator,
-    K: Generator,
-    t: float = 0.0,
-    seed: int = 0,
-    batch_size: int = 16,
-    vanish_tol: float = VANISH_TOL,
-    smooth: bool = False,
-) -> ObstructionReport:
-    n = G.ell + 1
-    states = _batch(G.op.space, n, seed, batch_size, smooth=smooth)
-    warnings = _fd_warnings(G.op, natural_generator_op(K))
-    norms = [
-        float(np.abs(corollary2_obstruction(G, K, t, wf.data)).max()) for wf in states
-    ]
-    return _report(
-        "corollary2", G.ell, G.ell, n, [], norms, [], seed, states, vanish_tol, warnings
-    )
+    norms = sup_norms(lambda wf: corollary1_obstruction(F, K, 0.0, wf.data), states)
+    report = _report("corollary1", 1, 1, 2, [], norms, [], seed, states, warnings)
+    return report, norms

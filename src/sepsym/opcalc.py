@@ -188,10 +188,6 @@ def op_combine(
     )
 
 
-def op_scale(F: NonlinearOperator, c: complex, name: str = "") -> NonlinearOperator:
-    return op_combine([F], [c], name=name or f"{c} * {F.name}")
-
-
 def lie_bracket(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> NonlinearOperator:
     """[F, G] = DF . G - DG . F at a common particle number.
 

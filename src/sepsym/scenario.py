@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, StepMismatch
+from .evolution import EvolutionConfig
 from .hierarchy import Generator
 from .mixedpow import IndexPair
 from .operators import (
@@ -73,6 +74,13 @@ def build_space(spec: dict, where: str = "space") -> ConfigSpace:
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def evolution_config(evolution: dict, hbar: float) -> EvolutionConfig:
+    """The scenario's evolution block over the defaults of EvolutionConfig
+    (dt 1e-3, t0 0, t1 1), at the run's hbar."""
+    steps = {key: evolution[key] for key in ("dt", "t0", "t1") if key in evolution}
+    return EvolutionConfig(**steps, hbar=hbar)
 
 
 def random_hermitian(space: ConfigSpace, rng: np.random.Generator) -> np.ndarray:
@@ -235,6 +243,10 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
         if key in ("dt", "t0", "t1") else value
         for key, value in evolution.items()
     }
+    try:
+        evolution_config(evolution, hbar)
+    except StepMismatch as exc:
+        raise ScenarioError(f"{origin}: evolution: {exc}") from exc
     symmetry = doc.get("symmetry", {})
     if symmetry:
         build_point_spec(symmetry)

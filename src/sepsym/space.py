@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -111,18 +111,6 @@ class WaveFunction:
     def with_data(self, data: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.n, self.space, data)
 
-    def to_pairs(self) -> list[list[float]]:
-        """Flat JSON form: one [re, im] pair per entry, row-major."""
-        flat = self.data.reshape(-1)
-        return [[float(z.real), float(z.imag)] for z in flat]
-
-    @classmethod
-    def from_pairs(
-        cls, n: int, space: ConfigSpace, pairs: Sequence[Sequence[float]]
-    ) -> "WaveFunction":
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        return cls(n, space, flat)
-
 
 def tensor(f: WaveFunction, g: WaveFunction) -> WaveFunction:
     """Tensor product (f x g)(x, y) = f(x) g(y)."""
@@ -136,6 +124,15 @@ def tensor_all(factors: Sequence[WaveFunction]) -> WaveFunction:
     for f in factors[1:]:
         out = tensor(out, f)
     return out
+
+
+def sup_norms(fn: Callable[[object], np.ndarray], states: Iterable) -> list[float]:
+    """Sup norm of ``fn(state)`` for every state of a seeded batch, in order.
+
+    The one way a check judges an operator over a batch: callers take the
+    max (the worst state) or the mean of the list.
+    """
+    return [float(np.abs(fn(state)).max()) for state in states]
 
 
 def permute_data(data: np.ndarray, perm: Sequence[int]) -> np.ndarray:
@@ -160,11 +157,6 @@ def check_index_tuple(J: Sequence[int], n: int, length: int | None = None) -> tu
     if any(J[k] >= J[k + 1] for k in range(len(J) - 1)):
         raise BadTuple(f"tuple {J} is not strictly increasing")
     return J
-
-
-def smooth_second_difference_bound(space: ConfigSpace) -> float:
-    """Bound on the per-axis second difference of smooth fluctuations."""
-    return SMOOTH_COEFF_BUDGET * (SMOOTH_MAX_MODE * space.spacing) ** 2
 
 
 def _smooth_field(space: ConfigSpace, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -216,7 +216,7 @@ class TestBadValuesExitTwo:
 
     @pytest.mark.parametrize("evolution", [
         {"dt": -1}, {"dt": 0}, {"dt": "abc"}, {"t0": "abc"}, {"t1": None},
-        {"t1": float("inf")}, "abc",
+        {"t1": float("inf")}, "abc", {"t0": 1.0, "t1": 0.0}, {"dt": 0.3},
     ])
     def test_bad_evolution(self, tmp_path, capsys, evolution):
         err = self.run_main(tmp_path, capsys, dict(self.EVOLVING, evolution=evolution))

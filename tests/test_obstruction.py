@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from sepsym.errors import BadRange
-from sepsym.hierarchy import Generator
+from sepsym.hierarchy import Generator, lift_J
 from sepsym.mixedpow import IndexPair
 from sepsym.obstruction import (
     bracket_generator,
     corollary1_obstruction,
     corollary1_report,
     corollary2_obstruction,
-    corollary2_report,
     natural_generator_op,
     obstruction_lhs,
     obstruction_rhs,
@@ -20,6 +19,7 @@ from sepsym.obstruction import (
 from sepsym.operators import (
     cross_ratio_op,
     lambda_op,
+    relative_log_modulus_op,
     rms_log_modulus_op,
     shifted_log_modulus_op,
     site_matrix_op,
@@ -28,7 +28,8 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import random_hermitian
-from sepsym.space import permute_data, random_state
+from sepsym.space import permute_data, random_state, sup_norms
+from sepsym.symmetry import PointSymmetrySpec, point_symmetry_parts
 
 IDENTITY_TOL = 1e-8
 LINEAR_TOL = 1e-10
@@ -48,6 +49,38 @@ def gen_shifted(space, c=0.8):
 
 def gen_cross(space, coupling=0.6, refs=(0, 0)):
     return Generator(op=cross_ratio_op(space, refs, coupling), ell=2, indices=IndexPair(0, 0))
+
+
+def corollary1_oracle(F, K, t, data):
+    """The two-particle defect written out slot by slot."""
+    Fnat = natural_generator_op(F)
+    Knat = natural_generator_op(K)
+    acc = np.zeros_like(data)
+    for jF, jK in ((0, 1), (1, 0)):
+        Fl = lift_J(Fnat, (jF,), 2)
+        Kl = lift_J(Knat, (jK,), 2)
+        acc += Fl.derivative(t, data, Kl.apply(t, data))
+        acc -= Kl.derivative(t, data, Fl.apply(t, data))
+    return acc
+
+
+def corollary2_oracle(G, K, t, data):
+    """The added-generator defect sum_j [G^{comp(j)}, K^nat(j)] written out."""
+    n = G.ell + 1
+    Knat = natural_generator_op(K)
+    acc = np.zeros_like(data)
+    for j in range(n):
+        comp = tuple(k for k in range(n) if k != j)
+        Gl = lift_J(G.op, comp, n)
+        Kl = lift_J(Knat, (j,), n)
+        acc += Gl.derivative(t, data, Kl.apply(t, data))
+        acc -= Kl.derivative(t, data, Gl.apply(t, data))
+    return acc
+
+
+def assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
 
 
 class TestIdentity:
@@ -163,8 +196,9 @@ class TestCorollary1:
     def test_spin_counterexample(self, spin_space):
         F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
         K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
-        r1 = corollary1_report(F, K, seed=1, batch_size=8)
-        r2 = corollary1_report(F, K, seed=2, batch_size=8)
+        r1, norms1 = corollary1_report(F, K, seed=1, batch_size=8)
+        r2, _ = corollary1_report(F, K, seed=2, batch_size=8)
+        assert r1.rhs_norm == max(norms1) and len(norms1) == 8
         assert r1.rhs_norm > 1e-3 and r2.rhs_norm > 1e-3
         assert abs(r2.rhs_norm / r1.rhs_norm - 1.0) < 0.25
         assert not r1.vanishes
@@ -184,15 +218,51 @@ class TestCorollary2:
     def test_spin_rotation_vs_cross_ratio(self, spin_space, rng):
         G = gen_cross(spin_space, coupling=1.0)
         K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
-        rep = corollary2_report(G, K, seed=5, batch_size=4)
-        assert rep.n == 3
-        assert rep.rhs_norm > 1e-3
+        rng5 = np.random.default_rng(5)
+        states = [nz(3, spin_space, rng5) for _ in range(4)]
+        assert corollary2_obstruction(G, K, 0.0, states[0].data).shape == (8,) * 3
+        norms = sup_norms(lambda wf: corollary2_obstruction(G, K, 0.0, wf.data), states)
+        assert max(norms) > 1e-3
 
     def test_level_validation(self, space3, rng):
         with pytest.raises(BadRange):
             corollary2_obstruction(gen_rms(space3), gen_rms(space3), 0.0, nz(2, space3, rng).data)
         with pytest.raises(BadRange):
             corollary2_obstruction(gen_cross(space3), gen_cross(space3), 0.0, nz(3, space3, rng).data)
+
+
+class TestSpecialisations:
+    """Each corollary is the one double sum at fixed (l, m, n); it agrees
+    with the slot-by-slot loop it replaced."""
+
+    def test_shifted_vs_relative_log_modulus(self, grid8, rng):
+        F = gen_shifted(grid8)
+        K = Generator(op=relative_log_modulus_op(grid8, 0.7), ell=1, indices=IndexPair(0, 0))
+        for _ in range(4):
+            data = nz(2, grid8, rng).data
+            assert_close(corollary1_obstruction(F, K, 0.0, data), corollary1_oracle(F, K, 0.0, data))
+
+    def test_spin_rms_vs_spin_rotation(self, spin_space, rng):
+        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
+        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        for _ in range(4):
+            data = nz(2, spin_space, rng).data
+            got = corollary1_obstruction(F, K, 0.0, data)
+            assert np.abs(got).max() > 1e-3
+            assert_close(got, corollary1_oracle(F, K, 0.0, data))
+
+    @pytest.mark.parametrize("label", ["phase", "mult", "drift"])
+    def test_cross_ratio_vs_point_symmetry_parts(self, grid8, label):
+        space = grid8
+        spec = PointSymmetrySpec(
+            eta=lambda t, pos: 0.7 * np.sin(pos) + 0.3,
+            xi=lambda t, pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+        )
+        G = gen_cross(space, coupling=0.8)
+        K = Generator(op=point_symmetry_parts(spec, space)[label], ell=1, indices=IndexPair(0, 0))
+        for k in range(4):
+            data = random_state(3, space, k, nowhere_zero=True, smooth=True).data
+            assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
 
 
 class TestReport:

@@ -13,7 +13,6 @@ from sepsym.opcalc import (
     frechet,
     lie_bracket,
     op_combine,
-    op_scale,
 )
 from sepsym.operators import (
     cross_ratio_op,
@@ -271,7 +270,7 @@ class TestCombinators:
 
     def test_scale_scales_indices(self, space4):
         a = lambda_op(IndexPair(0.5, 0.1), 1, space4)
-        s = op_scale(a, 2j)
+        s = op_combine([a], [2j])
         assert s.indices.close_to(IndexPair(1j, 0.2j), 1e-14)
 
     def test_zero_op(self, space4, rng):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,12 +5,13 @@ import pytest
 
 from sepsym.errors import BadTuple, SpaceMismatch
 from sepsym.space import (
+    SMOOTH_COEFF_BUDGET,
+    SMOOTH_MAX_MODE,
     ConfigSpace,
     WaveFunction,
     check_index_tuple,
     permute,
     random_state,
-    smooth_second_difference_bound,
     tensor,
 )
 
@@ -134,7 +134,8 @@ class TestRandomState:
         sp = ConfigSpace(16, grid=True)
         f = random_state(1, sp, 3, smooth=True)
         second = np.roll(f.data, -1) - 2 * f.data + np.roll(f.data, 1)
-        assert np.abs(second).max() <= smooth_second_difference_bound(sp) + 1e-12
+        bound = SMOOTH_COEFF_BUDGET * (SMOOTH_MAX_MODE * sp.spacing) ** 2
+        assert np.abs(second).max() <= bound + 1e-12
 
     def test_smooth_refines_one_function(self):
         # the same seed on a finer grid samples the same band-limited field
@@ -166,13 +167,6 @@ class TestWaveFunction:
         bad[1] = complex(float("nan"), 0)
         with pytest.raises(ValueError):
             WaveFunction(1, ConfigSpace(3), bad)
-
-    def test_json_pairs_round_trip(self, space3, rng):
-        f = random_state(2, space3, rng)
-        pairs = f.to_pairs()
-        json.dumps(pairs)  # must be serialisable as-is
-        g = WaveFunction.from_pairs(2, space3, pairs)
-        assert np.array_equal(f.data, g.data)
 
     def test_accepts_flat_input(self, space3):
         f = WaveFunction(2, space3, np.arange(9, dtype=float))
