@@ -612,6 +612,7 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     details = {
         "vanishing_pair": {"two_particle": two, "lifted_n3": lifted},
         "spin_pair": {"two_particle": spin_two, "lifted_n3": spin_lift},
+        "spin_space": {"size": spin_space.size, "factors": list(spin_space.factors)},
         "bounds": {"two_particle": two_bound, "lifted": lift_bound, "floor": floor},
     }
     return _finish(ctx, "corollary1-equivalence", defect, 1.0, details)
@@ -622,8 +623,8 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
 # with both a phase and a genuine drift part
 def _default_point_spec() -> PointSymmetrySpec:
     return PointSymmetrySpec(
-        eta=lambda t, pos: 0.7 * np.sin(pos) + 0.3,
-        xi=lambda t, pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+        eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+        xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
         gamma=0.4,
         delta=0.2,
     )
@@ -654,7 +655,8 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
         sup_norms(lambda wf: corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data), states)
     )
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
-    details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound}
+    details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
+               "grid_size": gsize}
     return _finish(ctx, "corollary2-pointsym", defect, 1.0, details)
 
 
@@ -762,12 +764,12 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     ]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     closed = complex(math.cos(p / ctx.hbar), -math.sin(p / ctx.hbar))
-    traj = index_ode_solve(p, p, 0.0, 1.0, EvolutionConfig(dt=0.01, t0=0.0, t1=1.0, hbar=ctx.hbar))
+    traj = index_ode_solve(p, p, EvolutionConfig(dt=0.01, t0=0.0, t1=1.0, hbar=ctx.hbar))
     closed_err = abs(complex(traj.a[-1]) - closed)
     # extraction recovers (p, q) at second order: halving the step quarters the error
     extr_errs = []
     for dt in (0.02, 0.01):
-        tr = index_ode_solve(p, p, 0.0, 1.0, EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar))
+        tr = index_ode_solve(p, p, EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar))
         est = extract_indices(tr)
         extr_errs.append(max(abs(est.a - p), abs(est.b - p)))
     extr_ratio = extr_errs[0] / extr_errs[1] if extr_errs[1] > 0 else float("inf")
@@ -842,13 +844,12 @@ def check_lattice_shift(ctx: CheckContext) -> CheckResult:
     V = FiniteSymmetry(
         levels={n: shift_all_op(space, n, 2) for n in (1, 2, 3)},
         tmap=IDENTITY_TIME,
-        inverse_levels={n: shift_all_op(space, n, -2) for n in (1, 2, 3)},
     )
     worst = 0.0
     for n in (1, 2, 3):
         wf = random_state(n, space, ctx.rng(n), nowhere_zero=True)
         worst = max(worst, symmetry_residual(V, H, 0.3, wf))
-    return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2})
+    return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2, "grid_size": gsize})
 
 
 def check_freelift(ctx: CheckContext) -> CheckResult:

@@ -160,7 +160,6 @@ class Hierarchy:
     space: ConfigSpace
     n_max: int
     ops: tuple[NonlinearOperator, ...]
-    generators: tuple[Generator, ...] | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_max <= MAX_PARTICLES:
@@ -180,12 +179,11 @@ class Hierarchy:
     def from_generators(
         cls, space: ConfigSpace, gens: Sequence[Generator], n_max: int = DEFAULT_N_MAX
     ) -> "Hierarchy":
-        gens = tuple(gens)
         ops = []
         for n in range(1, n_max + 1):
             parts = [canonical_lift(g, n) for g in gens if g.ell <= n]
             ops.append(op_combine(parts, name=f"F_{n}") if parts else zero_op(space, n))
-        return cls(space=space, n_max=n_max, ops=tuple(ops), generators=gens)
+        return cls(space=space, n_max=n_max, ops=tuple(ops))
 
 
 def bracket_hierarchy(F: Hierarchy, G: Hierarchy) -> Hierarchy:
@@ -243,7 +241,6 @@ def canonical_decompose(
     t: float = 0.0,
     seed: int = 0,
     derivation_tol: float = DERIVATION_TOL,
-    index_batch: int = 4,
 ) -> list[Generator]:
     """Extract the canonical generators (d_j F)_j of a tensor derivation.
 
@@ -264,7 +261,7 @@ def canonical_decompose(
     else:
         batch = [
             random_state(1, H.space, rng, nowhere_zero=True, phase_cap=np.pi / 2)
-            for _ in range(index_batch)
+            for _ in range(4)
         ]
         idx, _ = estimate_log_indices(first, t, batch)
     gens = [Generator(op=first, ell=1, indices=idx)]

@@ -61,8 +61,8 @@ class IndexPair:
         c = complex(scalar)
         return IndexPair(c * self.a, c * self.b)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self.a) <= tol and abs(self.b) <= tol
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
 
     def close_to(self, other: "IndexPair", tol: float) -> bool:
         return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol

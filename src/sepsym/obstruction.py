@@ -19,7 +19,6 @@ at (1, l, l+1) with the symmetry in the first slot.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,9 +64,6 @@ class ObstructionReport:
             "state_norms": list(self.state_norms),
             "warnings": list(self.warnings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def natural_generator_op(gen: Generator) -> NonlinearOperator:
@@ -122,14 +118,13 @@ def obstruction_rhs(
     return acc
 
 
-def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: int = 0,
-                      t: float = 0.0, tol: float = 1e-8) -> Generator:
+def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: int = 0) -> Generator:
     """[F#_m, G] as an m-particle generator.
 
     The bracket of the lifted derivations has threshold at least m, so
     its m-th level is a legitimate generator; with ``verify`` this is
     spot-checked numerically (strict homogeneity above one particle via
-    vanishing on a seeded product state).
+    vanishing, to 1e-8 relative, on a seeded product state at t = 0).
     """
     m = G.ell
     Fm = canonical_lift(F, m)
@@ -145,8 +140,8 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
         prod = parts[0]
         for p in parts[1:]:
             prod = tensor(prod, p)
-        defect = float(np.abs(H.apply(t, prod.data)).max())
-        if defect > tol * max(1.0, prod.norm_inf()):
+        defect = float(np.abs(H.apply(0.0, prod.data)).max())
+        if defect > 1e-8 * max(1.0, prod.norm_inf()):
             raise BadRange(
                 f"[F#_m, G] fails to vanish on products (defect {defect:.3e}); "
                 "not a legitimate generator"

@@ -97,13 +97,6 @@ class NonlinearOperator:
         h = step * scale_phi / scale_eta
         return (self.apply(t, data + h * eta) - self.apply(t, data - h * eta)) / (2 * h)
 
-    def second_derivative(
-        self, t: float, data: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
-        if self.second_derivative_fn is None:
-            raise ValueError(f"operator {self.name!r} has no closed-form second derivative")
-        return self.second_derivative_fn(t, data, u, v)
-
     @property
     def has_closed_derivative(self) -> bool:
         return self.derivative_fn is not None
@@ -246,7 +239,6 @@ def estimate_log_indices(
     F: NonlinearOperator,
     t: float,
     batch: Sequence[WaveFunction],
-    declared_tol: float = 1e-6,
 ) -> tuple[IndexPair, float]:
     """Estimate logarithmic indices (p, q) from F(k phi) - k F(phi).
 
@@ -254,7 +246,8 @@ def estimate_log_indices(
     k (p ln|k| + i q arg k) phi; dividing it pointwise by k phi and
     averaging recovers the indices.  Returns the averaged pair and the
     worst pointwise deviation from it.  Raises IndexMismatch when the
-    operator declares indices that disagree beyond ``declared_tol``.
+    operator declares indices that disagree beyond 1e-6 plus that
+    deviation.
     """
     p_parts = []
     q_parts = []
@@ -272,7 +265,7 @@ def estimate_log_indices(
     q = complex(q_all.mean())
     residual = float(max(np.abs(p_all - p).max(), np.abs(q_all - q).max()))
     est = IndexPair(p, q)
-    if F.indices is not None and not est.close_to(F.indices, declared_tol + residual):
+    if F.indices is not None and not est.close_to(F.indices, 1e-6 + residual):
         raise IndexMismatch(
             f"estimated indices ({p:.3e}, {q:.3e}) disagree with declared "
             f"({F.indices.a:.3e}, {F.indices.b:.3e})"

@@ -172,10 +172,9 @@ def build_point_spec(doc: dict, where: str = "symmetry"):
         shape = {key: number(block, key, default, name)
                  for key, default in (("amplitude", 1.0), ("phase", 0.0), ("offset", 0.0))}
         try:
-            profile = named_profile(block["profile"], **shape)
+            return named_profile(block["profile"], **shape)
         except ValueError as exc:
             raise ScenarioError(f"{name}: {exc}") from exc
-        return lambda t, pos: profile(pos)
 
     doc = block_of(doc, where)
     tau_doc = block_of(doc.get("tau", {}), f"{where}.tau")
@@ -200,7 +199,6 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
     generators: dict = field(default_factory=dict)
     symmetry: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _normalise_checks(entries, known: set[str]) -> tuple[dict, ...]:
@@ -260,7 +258,6 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
         tolerances=dict(tolerances),
         generators=doc.get("generators", {}),
         symmetry=symmetry,
-        raw=doc,
     )
 
 

@@ -105,9 +105,6 @@ class WaveFunction:
     def norm_inf(self) -> float:
         return float(np.abs(self.data).max())
 
-    def min_modulus(self) -> float:
-        return float(np.abs(self.data).min())
-
     def with_data(self, data: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.n, self.space, data)
 

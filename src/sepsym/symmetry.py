@@ -17,8 +17,8 @@ and close under the bracket
 
 Point space-time generators on the periodic grid take the form
 
-    K(t) phi = sum_j ( i eta^(j) + (xi . grad_h)^(j) + (grad_h . xi)^(j)/2 ) phi
-               + i (gamma(t), delta(t)) . ln phi  phi,
+    K phi = sum_j ( i eta^(j) + (xi . grad_h)^(j) + (grad_h . xi)^(j)/2 ) phi
+            + i (gamma, delta) . ln phi  phi,
 
 whose lifting obstructions split into multiplication parts that vanish
 exactly and a discrete-derivative part that vanishes at the O(h^2) rate
@@ -28,14 +28,14 @@ of the central difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadRange
 from .evolution import EvolutionConfig, rk4_trajectory
-from .hierarchy import Generator, Hierarchy, lift_J
+from .hierarchy import Generator, Hierarchy, canonical_lift
 from .mixedpow import IndexPair, pair_bracket
 from .obstruction import corollary1_obstruction, corollary1_report, corollary2_obstruction
 from .opcalc import NonlinearOperator, lie_bracket, op_combine
@@ -47,7 +47,6 @@ from .operators import (
     site_multiply,
     spin_rms_log_op,
     spin_rotation_op,
-    zero_op,
 )
 from .space import ConfigSpace, WaveFunction, random_state, sup_norms
 
@@ -69,15 +68,6 @@ class AffineMap:
     def derivative(self) -> float:
         return self.alpha
 
-    def inverse(self) -> "AffineMap":
-        if self.alpha == 0:
-            raise ValueError("non-invertible time map")
-        return AffineMap(1.0 / self.alpha, -self.beta / self.alpha)
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """The map t -> self(inner(t))."""
-        return AffineMap(self.alpha * inner.alpha, self.alpha * inner.beta + self.beta)
-
 
 IDENTITY_TIME = AffineMap(1.0, 0.0)
 
@@ -88,7 +78,6 @@ class FiniteSymmetry:
 
     levels: Mapping[int, NonlinearOperator]
     tmap: AffineMap = IDENTITY_TIME
-    inverse_levels: Mapping[int, NonlinearOperator] | None = None
 
     def level(self, n: int) -> NonlinearOperator:
         if n not in self.levels:
@@ -109,25 +98,19 @@ class InfinitesimalSymmetry:
         return self.levels[n]
 
 
-def _time_derivative(op: NonlinearOperator, t: float, data: np.ndarray, dt_sym: float) -> np.ndarray:
-    if not op.time_dependent:
-        return np.zeros_like(data)
-    return (op.apply(t + dt_sym, data) - op.apply(t - dt_sym, data)) / (2 * dt_sym)
+def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
+    """d/dt of an array-valued family of t: central difference at DT_SYM."""
+    return (fn(t + DT_SYM) - fn(t - DT_SYM)) / (2 * DT_SYM)
 
 
-def symmetry_residual(
-    V: FiniteSymmetry,
-    F: Hierarchy,
-    t: float,
-    phi: WaveFunction,
-    dt_sym: float = DT_SYM,
-) -> float:
+def symmetry_residual(V: FiniteSymmetry, F: Hierarchy, t: float, phi: WaveFunction) -> float:
     """Defect of the finite-symmetry evolution equation at one state."""
     n = phi.n
     Vn = V.level(n)
     Fn = F.op(n)
     data = phi.data
-    hbar_dV = _time_derivative(Vn, t, data, dt_sym)  # hbar folded in below
+    # hbar folded in below; a static V has d_t V = 0 exactly
+    hbar_dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
     Vphi = Vn.apply(t, data)
     drive = -1j * Fn.apply(V.tmap(t), data)
     resid = (
@@ -143,7 +126,6 @@ def inf_symmetry_residual(
     F: Hierarchy,
     t: float,
     phi: WaveFunction,
-    dt_sym: float = DT_SYM,
     hbar: float = 1.0,
 ) -> float:
     """Defect of hbar d_t K = [i_bar F, K] - d_t (tau i_bar F) at one state."""
@@ -151,27 +133,19 @@ def inf_symmetry_residual(
     Kn = K.level(n)
     Fn = F.op(n)
     data = phi.data
-    dK = _time_derivative(Kn, t, data, dt_sym)
+    dK = _d_dt(lambda s: Kn.apply(s, data), t) if Kn.time_dependent else 0.0
     Kphi = Kn.apply(t, data)
     Fphi = Fn.apply(t, data)
     # [i_bar F, K] = D(i_bar F).K - DK.(i_bar F); multiplication by -i is
     # complex-linear, so it factors out of DF but must stay inside DK's
     # direction (DK is only real-linear)
     bracket = -1j * Fn.derivative(t, data, Kphi) - Kn.derivative(t, data, -1j * Fphi)
-
-    def tau_drive(s: float) -> np.ndarray:
-        return K.tau(s) * (-1j) * Fn.apply(s, data)
-
-    dtau = (tau_drive(t + dt_sym) - tau_drive(t - dt_sym)) / (2 * dt_sym)
+    dtau = _d_dt(lambda s: K.tau(s) * (-1j) * Fn.apply(s, data), t)
     resid = hbar * dK - bracket + dtau
     return float(np.abs(resid).max())
 
 
-def inf_symmetry_bracket(
-    K: InfinitesimalSymmetry,
-    L: InfinitesimalSymmetry,
-    dt_sym: float = DT_SYM,
-) -> InfinitesimalSymmetry:
+def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> InfinitesimalSymmetry:
     """Bracket [K, L] of infinitesimal symmetries, level by level."""
     common = sorted(set(K.levels) & set(L.levels))
     levels: dict[int, NonlinearOperator] = {}
@@ -181,8 +155,10 @@ def inf_symmetry_bracket(
 
         def ev(t, data, Kn=Kn, Ln=Ln, inner=inner):
             out = inner.apply(t, data)
-            out += K.tau(t) * _time_derivative(Ln, t, data, dt_sym)
-            out -= L.tau(t) * _time_derivative(Kn, t, data, dt_sym)
+            if Ln.time_dependent:
+                out += K.tau(t) * _d_dt(lambda s: Ln.apply(s, data), t)
+            if Kn.time_dependent:
+                out -= L.tau(t) * _d_dt(lambda s: Kn.apply(s, data), t)
             return out
 
         deriv = None
@@ -191,23 +167,9 @@ def inf_symmetry_bracket(
             def deriv(t, data, eta, Kn=Kn, Ln=Ln, inner=inner):
                 out = inner.derivative_fn(t, data, eta)
                 if Ln.time_dependent:
-                    out += (
-                        K.tau(t)
-                        * (
-                            Ln.derivative(t + dt_sym, data, eta)
-                            - Ln.derivative(t - dt_sym, data, eta)
-                        )
-                        / (2 * dt_sym)
-                    )
+                    out += K.tau(t) * _d_dt(lambda s: Ln.derivative(s, data, eta), t)
                 if Kn.time_dependent:
-                    out -= (
-                        L.tau(t)
-                        * (
-                            Kn.derivative(t + dt_sym, data, eta)
-                            - Kn.derivative(t - dt_sym, data, eta)
-                        )
-                        / (2 * dt_sym)
-                    )
+                    out -= L.tau(t) * _d_dt(lambda s: Kn.derivative(s, data, eta), t)
                 return out
 
         levels[n] = NonlinearOperator(
@@ -247,26 +209,18 @@ def named_profile(
 class PointSymmetrySpec:
     """Data of an infinitesimal point space-time symmetry.
 
-    ``eta`` and ``xi`` map (t, site positions) to real arrays; gamma and
-    delta are real functions of time feeding the index term
-    i (gamma, delta) . ln phi  phi.
+    ``eta`` and ``xi`` map site positions to real arrays; the constants
+    gamma and delta feed the index term i (gamma, delta) . ln phi  phi.
     """
 
-    eta: Callable[[float, np.ndarray], np.ndarray] | None = None
-    xi: Callable[[float, np.ndarray], np.ndarray] | None = None
-    gamma: Callable[[float], float] | float = 0.0
-    delta: Callable[[float], float] | float = 0.0
+    eta: Callable[[np.ndarray], np.ndarray] | None = None
+    xi: Callable[[np.ndarray], np.ndarray] | None = None
+    gamma: float = 0.0
+    delta: float = 0.0
     tau: AffineMap = AffineMap(0.0, 0.0)
-    time_dependent: bool = False
 
-    def gamma_at(self, t: float) -> float:
-        return self.gamma(t) if callable(self.gamma) else float(self.gamma)
-
-    def delta_at(self, t: float) -> float:
-        return self.delta(t) if callable(self.delta) else float(self.delta)
-
-    def index_pair(self, t: float = 0.0) -> IndexPair:
-        return IndexPair(1j * self.gamma_at(t), 1j * self.delta_at(t))
+    def index_pair(self) -> IndexPair:
+        return IndexPair(1j * self.gamma, 1j * self.delta)
 
 
 def _tile_internal(space: ConfigSpace, site_values: np.ndarray) -> np.ndarray:
@@ -275,22 +229,20 @@ def _tile_internal(space: ConfigSpace, site_values: np.ndarray) -> np.ndarray:
     return site_values
 
 
-def point_symmetry_parts(
-    spec: PointSymmetrySpec, space: ConfigSpace, t_ref: float = 0.0
-) -> dict[str, NonlinearOperator]:
-    """One-particle pieces of the generator at a reference time:
-    phase (i eta), mult ((grad.xi)/2), drift (xi grad), index (Lambda)."""
+def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[str, NonlinearOperator]:
+    """Natural one-particle pieces of the generator: phase (i eta),
+    mult ((grad.xi)/2) and drift (xi grad)."""
     if not space.grid:
         raise ValueError("point symmetries need a grid-ordered space")
     pos = space.positions()
     parts: dict[str, NonlinearOperator] = {}
     if spec.eta is not None:
-        eta_vals = _tile_internal(space, np.asarray(spec.eta(t_ref, pos), dtype=float))
+        eta_vals = _tile_internal(space, np.asarray(spec.eta(pos), dtype=float))
         parts["phase"] = diag_mult_op(space, 1j * eta_vals, name="i*eta")
     if spec.xi is not None:
-        xi_vals = np.asarray(spec.xi(t_ref, pos), dtype=float)
+        xi_vals = np.asarray(spec.xi(pos), dtype=float)
         D = central_difference_op(space)
-        div = D.apply(t_ref, _tile_internal(space, xi_vals).astype(np.complex128))
+        div = D.apply(0.0, _tile_internal(space, xi_vals).astype(np.complex128))
         parts["mult"] = diag_mult_op(space, 0.5 * div, name="div(xi)/2")
         def drift_only(t, data, xi_full=_tile_internal(space, xi_vals), D=D):
             return site_multiply(xi_full, D.apply(t, data))
@@ -304,59 +256,19 @@ def point_symmetry_parts(
             second_derivative_fn=drift_zero, indices=parts["mult"].indices,
             name="xi*grad",
         )
-    idx = spec.index_pair(t_ref)
-    if not idx.is_zero() or spec.time_dependent:
-        if spec.time_dependent and (callable(spec.gamma) or callable(spec.delta)):
-            parts["index"] = lambda_op(lambda t: spec.index_pair(t), 1, space)
-        elif not idx.is_zero():
-            parts["index"] = lambda_op(idx, 1, space)
     return parts
-
-
-def _point_level_at(spec: PointSymmetrySpec, n: int, space: ConfigSpace,
-                    t_ref: float) -> NonlinearOperator:
-    parts = point_symmetry_parts(spec, space, t_ref=t_ref)
-    summands: list[NonlinearOperator] = []
-    one_particle = [parts[k] for k in ("phase", "mult", "drift") if k in parts]
-    if one_particle:
-        base = op_combine(one_particle, name="point-generator")
-        if n == 1:
-            summands.append(base)
-        else:
-            summands.extend(lift_J(base, (j,), n) for j in range(n))
-    if "index" in parts:
-        idx_op = parts["index"]
-        summands.append(idx_op if n == 1 else replace(idx_op, n=n))
-    if not summands:
-        return zero_op(space, n)
-    return op_combine(summands, name=f"point-symmetry_{n}")
 
 
 def point_symmetry_level(
     spec: PointSymmetrySpec, n: int, space: ConfigSpace
 ) -> NonlinearOperator:
-    """The n-particle generator: slot sums of the one-particle pieces plus
-    one copy of the index term (the canonical-lift combination).
-
-    Time-dependent specs rebuild their site fields at every evaluation
-    time; static ones are assembled once.
-    """
-    if not spec.time_dependent:
-        return _point_level_at(spec, n, space, 0.0)
-
-    def ev(t, data):
-        return _point_level_at(spec, n, space, t).apply(t, data)
-
-    def deriv(t, data, eta):
-        return _point_level_at(spec, n, space, t).derivative(t, data, eta)
-
-    return NonlinearOperator(
-        n=n, space=space, eval_fn=ev, derivative_fn=deriv,
-        time_dependent=True,
-        needs_nowhere_zero=spec.gamma_at(0.0) != 0.0 or spec.delta_at(0.0) != 0.0
-        or callable(spec.gamma) or callable(spec.delta),
-        name=f"point-symmetry_{n}(t)",
-    )
+    """The n-particle generator: the canonical lift of the one-particle
+    pieces plus Lambda(i gamma, i delta), whose slot sum the lift's
+    -(n-1) Lambda term cuts back to one copy of the index term."""
+    idx = spec.index_pair()
+    parts = list(point_symmetry_parts(spec, space).values())
+    gen = Generator(op_combine(parts + [lambda_op(idx, 1, space)]), ell=1, indices=idx)
+    return canonical_lift(gen, n)
 
 
 def point_symmetry_generator(
@@ -409,9 +321,8 @@ def freelift_report(
             random_state(3, space, np.random.default_rng((seed, 100 + i)), nowhere_zero=True, smooth=True)
             for i in range(max(2, batch_size // 2))
         ]
-        part_ops = {k: parts[k] for k in ("phase", "mult", "drift") if k in parts}
-        full = op_combine(list(part_ops.values()), name="point-natural")
-        for label, op in {**part_ops, "full": full}.items():
+        full = op_combine(list(parts.values()), name="point-natural")
+        for label, op in {**parts, "full": full}.items():
             Kgen = Generator(op=op, ell=1, indices=IndexPair(0, 0))
             out["c1"][label].append(max(sup_norms(
                 lambda wf: corollary1_obstruction(F, Kgen, 0.0, wf.data), states2

@@ -1,10 +1,17 @@
-"""Every module-level function of the package has a caller or is exported.
+"""Every function and class member of the package has a reader in it.
 
-A function that no module of the package refers to, and that
+A module-level function that no module of the package refers to, and that
 ``sepsym/__init__.py`` does not export, is dead weight that only its own
-tests keep alive.  The scan is static: it parses the sources and counts a
-name as used when it is loaded (as a bare name or an attribute) anywhere
-outside ``__init__.py``.
+tests keep alive.  So is a method, property or dataclass field of a
+package class whose name the package never reads as an attribute.  The
+scan is static: it parses the sources and counts a name as used when it
+is loaded (as a bare name or an attribute for functions, as an attribute
+for members) anywhere outside ``__init__.py``.
+
+Members are matched by name only, not by class: a member whose name some
+other class also uses and reads passes.  The scan therefore could not see
+that nothing read ``Hierarchy.generators``, because ``Scenario.generators``
+has the same name.  Dunder methods are exempt, since syntax calls them.
 """
 
 import ast
@@ -36,6 +43,31 @@ def _loaded_names(tree):
     return names
 
 
+def _attribute_loads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _members(cls):
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def unread_members():
+    trees = _trees()
+    read = set().union(*(_attribute_loads(t) for name, t in trees.items() if name != "__init__.py"))
+    return sorted(
+        f"{name}:{cls.name}.{member}"
+        for name, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in _members(cls)
+        if not member.startswith("__") and member not in read
+    )
+
+
 def unreferenced_functions():
     trees = _trees()
     exported = _exports(trees["__init__.py"])
@@ -54,6 +86,11 @@ def test_every_function_is_called_or_exported():
     assert not dead, f"no caller in src/ and not exported from sepsym: {dead}"
 
 
+def test_every_member_is_read():
+    dead = unread_members()
+    assert not dead, f"never read as an attribute in src/: {dead}"
+
+
 def test_scan_sees_package_functions():
     # guard against a vacuous pass: the scan must find the real modules
     trees = _trees()
@@ -61,3 +98,8 @@ def test_scan_sees_package_functions():
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.FunctionDef)}
     assert {"obstruction_rhs", "lift_J", "freelift_report"} <= defined
+    members = {f"{cls.name}.{member}" for tree in trees.values()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for member in _members(cls)}
+    assert {"NonlinearOperator.derivative", "WaveFunction.norm_inf",
+            "ConfigSpace.spacing", "Hierarchy.ops"} <= members

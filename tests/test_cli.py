@@ -190,6 +190,26 @@ class TestCheckErrors:
         assert "Traceback" in captured.err and "Traceback" not in captured.out
 
 
+class TestSelfBuiltSpaces:
+    """Checks that build their own grid say in details which one they used,
+    so a scenario whose space has no grid can tell what was checked."""
+
+    def test_details_name_the_space_used(self, tmp_path):
+        doc = dict(FAST_SCENARIO, checks=[
+            "lattice-shift-symmetry",
+            {"name": "corollary2-pointsym", "params": {"grid_size": 16}},
+            {"name": "corollary1-equivalence", "params": {"grid_size": 3}},
+        ])
+        scen = tmp_path / "no-grid.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+        details = {c["name"]: c["details"] for c in json.loads(out.read_text())["checks"]}
+        assert details["lattice-shift-symmetry"]["grid_size"] == 8
+        assert details["corollary2-pointsym"]["grid_size"] == 16
+        assert details["corollary1-equivalence"]["spin_space"] == {"size": 6, "factors": [2, 3]}
+
+
 class TestBadValuesExitTwo:
     """Malformed values end in exit 2 before any check runs, not in error
     entries or a traceback."""

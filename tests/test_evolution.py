@@ -143,14 +143,14 @@ class TestSeparation:
 class TestIndexOde:
     def test_zero_indices_stay_one(self):
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
-        traj = index_ode_solve(0.0, 0.0, 0.0, 1.0, cfg)
+        traj = index_ode_solve(0.0, 0.0, cfg)
         assert np.abs(traj.a - 1.0).max() == 0.0
         assert np.abs(traj.b - 1.0).max() == 0.0
 
     def test_constant_real_closed_form(self):
         p = 1.3
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
-        traj = index_ode_solve(p, p, 0.0, 1.0, cfg)
+        traj = index_ode_solve(p, p, cfg)
         assert abs(complex(traj.a[-1]) - cmath.exp(-1.3j)) <= 1e-8
         assert abs(complex(traj.b[-1]) - cmath.exp(-1.3j)) <= 1e-8
 
@@ -159,7 +159,7 @@ class TestIndexOde:
         p, q = 1.1, 0.4
         hbar = 1.3
         cfg = EvolutionConfig(dt=0.002, t0=0.0, t1=1.0, hbar=hbar)
-        traj = index_ode_solve(p, q, 0.0, 1.0, cfg)
+        traj = index_ode_solve(p, q, cfg)
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
         Ma = rot @ matrix_rep(IndexPair(p, q)) / hbar
         va = scipy.linalg.expm(Ma) @ np.array([1.0, 0.0])
@@ -173,17 +173,10 @@ class TestIndexOde:
         errs = []
         for dt in (0.02, 0.01):
             cfg = EvolutionConfig(dt=dt, t0=0.0, t1=1.0)
-            est = extract_indices(index_ode_solve(p, q, 0.0, 1.0, cfg))
+            est = extract_indices(index_ode_solve(p, q, cfg))
             errs.append(max(abs(est.a - p), abs(est.b - q)))
         assert errs[1] <= 1.0 * 0.01**2
         assert 3.0 <= errs[0] / errs[1] <= 5.0
-
-    def test_time_dependent_indices(self):
-        # p(t) = c t: i hbar a' = c t a  =>  a(1) = exp(-i c / (2 hbar))
-        c = 0.9
-        cfg = EvolutionConfig(dt=0.001, t0=0.0, t1=1.0)
-        traj = index_ode_solve(lambda t: c * t, lambda t: c * t, 0.0, 1.0, cfg)
-        assert abs(complex(traj.a[-1]) - cmath.exp(-1j * c / 2)) <= 1e-10
 
 
 class TestScaling:
@@ -207,7 +200,7 @@ class TestScaling:
         p = 1.3
         k = 1.4 + 0.3j
         cfg = EvolutionConfig(dt=0.005, t0=0.0, t1=1.0)
-        traj = index_ode_solve(p, p, 0.0, 1.0, cfg)
+        traj = index_ode_solve(p, p, cfg)
         factor = mixed_power(k, traj.final())
         closed = mixed_power(k, IndexPair(cmath.exp(-1.3j), cmath.exp(-1.3j)))
         assert abs(factor - closed) <= 1e-8

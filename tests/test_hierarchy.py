@@ -129,7 +129,7 @@ def _contract_cases():
     plain = ConfigSpace(5, grid=True)
     rng = np.random.default_rng(7)
     sine = named_profile("sine", amplitude=0.7, phase=0.3)
-    drift_spec = PointSymmetrySpec(xi=lambda t, pos: sine(pos))
+    drift_spec = PointSymmetrySpec(xi=lambda pos: sine(pos))
     cases = []
     for sp in (spin, plain):
         s = sp.size
@@ -194,7 +194,7 @@ class TestKernelContract:
                     )
                 if op.second_derivative_fn is not None:
                     _close(
-                        lifted.second_derivative(t, data, u, v),
+                        lifted.second_derivative_fn(t, data, u, v),
                         sliced_oracle(op.second_derivative_fn, m, J, t, (data, u, v)),
                     )
 

@@ -255,8 +255,8 @@ class TestSpecialisations:
     def test_cross_ratio_vs_point_symmetry_parts(self, grid8, label):
         space = grid8
         spec = PointSymmetrySpec(
-            eta=lambda t, pos: 0.7 * np.sin(pos) + 0.3,
-            xi=lambda t, pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+            eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+            xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
         )
         G = gen_cross(space, coupling=0.8)
         K = Generator(op=point_symmetry_parts(spec, space)[label], ell=1, indices=IndexPair(0, 0))
@@ -268,7 +268,7 @@ class TestSpecialisations:
 class TestReport:
     def test_json_field_names(self, space3):
         rep = theorem10_report(gen_rms(space3), gen_shifted(space3), 2, seed=3, batch_size=4)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert set(doc) == {
             "kind", "ell", "m", "n", "lhs_norm", "rhs_norm", "identity_residual",
             "vanishes", "seed", "batch_size", "state_norms", "warnings",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 import sepsym.symmetry
 from sepsym.errors import BadRange
 from sepsym.evolution import EvolutionConfig, rk4_trajectory
-from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
+from sepsym.hierarchy import Generator, Hierarchy, canonical_lift, lift_J
 from sepsym.mixedpow import IndexPair, pair_bracket
 from sepsym.opcalc import estimate_log_indices, op_combine
 from sepsym.operators import (
@@ -50,16 +51,6 @@ def log_hierarchy(space, n_max=3):
     return Hierarchy.from_generators(space, [g], n_max)
 
 
-class TestAffineMap:
-    def test_compose_and_invert(self):
-        T = AffineMap(2.0, 1.0)
-        S = AffineMap(-1.0, 3.0)
-        assert T.compose(S)(0.5) == T(S(0.5))
-        assert abs(T.inverse()(T(0.7)) - 0.7) < 1e-15
-        with pytest.raises(ValueError):
-            AffineMap(0.0, 1.0).inverse()
-
-
 class TestFiniteSymmetry:
     def test_identity_symmetry(self, grid8, rng):
         H = log_hierarchy(grid8)
@@ -73,7 +64,6 @@ class TestFiniteSymmetry:
         V = FiniteSymmetry(
             levels={n: shift_all_op(grid8, n, 3) for n in (1, 2, 3)},
             tmap=IDENTITY_TIME,
-            inverse_levels={n: shift_all_op(grid8, n, -3) for n in (1, 2, 3)},
         )
         for n in (1, 2, 3):
             assert symmetry_residual(V, H, 0.3, nz(n, grid8, rng)) <= 1e-12
@@ -91,7 +81,7 @@ class TestFiniteSymmetry:
 
         V = FiniteSymmetry(levels={1: site_matrix_op(space4, vmat)}, tmap=IDENTITY_TIME)
         res = symmetry_residual(V, H, 0.37, nz(1, space4, rng))
-        assert res <= 1e-6  # limited by the dt_sym time differencing
+        assert res <= 1e-6  # limited by the DT_SYM time differencing
 
 
 class TestInfinitesimal:
@@ -126,7 +116,7 @@ class TestInfinitesimal:
         for gsize in (8, 16, 32):
             sp = ConfigSpace(gsize, grid=True)
             Hg = log_hierarchy(sp, 2)
-            spec = PointSymmetrySpec(xi=lambda t, pos: np.full(pos.shape, 0.9))
+            spec = PointSymmetrySpec(xi=lambda pos: np.full(pos.shape, 0.9))
             parts = point_symmetry_parts(spec, sp)
             mom = op_combine([parts["drift"], parts["mult"]], name="advection")
             gen = Generator(op=mom, ell=1, indices=IndexPair(0, 0))
@@ -378,9 +368,20 @@ class TestThresholdConsistency:
         assert res > 1e-2
 
 
+def slot_sum_oracle(spec, n, space):
+    """The n-particle point generator as a hand-written slot sum: the
+    one-particle pieces lifted into each slot plus one n-particle copy of
+    the (pointwise) index term."""
+    base = op_combine(list(point_symmetry_parts(spec, space).values()))
+    idx_op = lambda_op(spec.index_pair(), 1, space)
+    if n == 1:
+        return op_combine([base, idx_op])
+    return op_combine([lift_J(base, (j,), n) for j in range(n)] + [replace(idx_op, n=n)])
+
+
 class TestPointSymmetry:
     def test_constant_phase_form(self, grid8, rng):
-        spec = PointSymmetrySpec(eta=lambda t, pos: 0.7 * np.ones_like(pos))
+        spec = PointSymmetrySpec(eta=lambda pos: 0.7 * np.ones_like(pos))
         for n in (1, 2):
             K = point_symmetry_level(spec, n, grid8)
             phi = random_state(n, grid8, rng)
@@ -392,7 +393,7 @@ class TestPointSymmetry:
         # canonical lift of the one-particle drift equals the explicit
         # slot-sum built independently from kron matrices
         xi = 0.8 * np.sin(grid8.positions() + 0.5) + 0.2
-        spec = PointSymmetrySpec(xi=lambda t, pos: xi)
+        spec = PointSymmetrySpec(xi=lambda pos: xi)
         K2 = point_symmetry_level(spec, 2, grid8)
         D = np.zeros((8, 8))
         h = grid8.spacing
@@ -415,7 +416,7 @@ class TestPointSymmetry:
 
     def test_generator_levels(self, grid8):
         spec = PointSymmetrySpec(
-            eta=lambda t, pos: np.sin(pos), xi=lambda t, pos: np.cos(pos), gamma=0.1
+            eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos), gamma=0.1
         )
         K = point_symmetry_generator(spec, grid8, 3)
         assert sorted(K.levels) == [1, 2, 3]
@@ -432,16 +433,25 @@ class TestPointSymmetry:
         with pytest.raises(ValueError):
             named_profile("cubic")
 
-    def test_time_dependent_spec_rebuilds_fields(self, grid8, rng):
+    def test_level_matches_slot_sum(self, grid8, rng):
+        # the canonical lift of pieces + Lambda against the explicit sum:
+        # every one-particle piece in every slot, one copy of the index term
         spec = PointSymmetrySpec(
-            eta=lambda t, pos: (1.0 + t) * np.ones_like(pos), time_dependent=True
+            eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+            xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+            gamma=0.4,
+            delta=0.2,
         )
-        K1 = point_symmetry_level(spec, 1, grid8)
-        assert K1.time_dependent
-        phi = random_state(1, grid8, rng)
-        at0 = K1.apply(0.0, phi.data)
-        at1 = K1.apply(1.0, phi.data)
-        assert np.allclose(at1, 2.0 * at0, rtol=1e-13, atol=1e-15)
+        for n in (1, 2, 3):
+            oracle = slot_sum_oracle(spec, n, grid8)
+            K = point_symmetry_level(spec, n, grid8)
+            data, eta = nz(n, grid8, rng).data, random_state(n, grid8, rng).data
+            for got, want in [
+                (K.apply(0.3, data), oracle.apply(0.3, data)),
+                (K.derivative(0.3, data, eta), oracle.derivative(0.3, data, eta)),
+            ]:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert K.indices.close_to(oracle.indices, 1e-13)
 
     def test_requires_grid(self, space4):
         with pytest.raises(ValueError):
@@ -451,8 +461,8 @@ class TestPointSymmetry:
 class TestFreelift:
     def test_ladder(self):
         spec = PointSymmetrySpec(
-            eta=lambda t, pos: 0.7 * np.sin(pos) + 0.3,
-            xi=lambda t, pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+            eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+            xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
             gamma=0.4,
             delta=0.2,
         )
