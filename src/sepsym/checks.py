@@ -25,7 +25,6 @@ from . import mixedpow as mp
 from .errors import SepsymError
 from .evolution import (
     EvolutionConfig,
-    evolve,
     extract_indices,
     index_ode_solve,
     scaling_test,
@@ -712,29 +711,21 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
         )
     dts = [float(x) for x in ctx.params.get("dts", (0.02, 0.01, 0.005))]
 
-    def batch_residual(hier, dt):
-        cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar)
-        return sum(separation_test(hier, p1, p2, cfg) for p1, p2 in pairs)
-
-    residuals = [batch_residual(H, dt) for dt in dts]
+    cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
+    runs = [separation_test(H, pairs, cfg) for cfg in cfgs]
+    residuals = [sum(run.gaps) for run in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     bad_ops = list(H.ops)
     bad_ops[1] = op_combine([bad_ops[1], nonseparating_op(space, 2, 0.5)])
     bad = Hierarchy(space=space, n_max=3, ops=tuple(bad_ops))
-    plateau = [
-        separation_test(bad, pairs[0][0], pairs[0][1],
-                        EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar))
-        for dt in dts[:2]
-    ]
+    plateau = [separation_test(bad, pairs[:1], cfg).gaps[0] for cfg in cfgs[:2]]
     defect = max(
         max(_band_defect(r, *band) for r in ratios),
         max(_floor_defect(p, plateau_floor) for p in plateau),
     )
-    # trajectory summary at the finest step: horizon and evolved norms
-    fine = EvolutionConfig(dt=dts[-1], t0=0.0, t1=0.5, hbar=ctx.hbar)
-    evolved = [
-        evolve(H.op(wf.n), wf, fine).norm_inf() for wf in (pairs[0][0], pairs[0][1])
-    ]
+    # trajectory summary at the finest step: horizon and the evolved first pair
+    fine = cfgs[-1]
+    evolved = [float(np.abs(psi[..., 0]).max()) for psi in runs[-1].evolved]
     details = {
         "dts": dts,
         "times": [fine.t0, fine.t1],

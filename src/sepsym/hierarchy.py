@@ -118,7 +118,9 @@ def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
     if not gen.indices.is_zero():
         parts.append(lambda_op(gen.indices, n, gen.op.space))
         coeffs.append(-(n - 1.0))
-    return op_combine(parts, coeffs, name=f"{gen.op.name}#_{n}")
+    # the combined indices n idx - (n-1) idx equal idx only up to round-off
+    lifted = op_combine(parts, coeffs, name=f"{gen.op.name}#_{n}")
+    return replace(lifted, indices=gen.indices)
 
 
 def canonical_lift_gen(gen: Generator, n: int) -> NonlinearOperator:

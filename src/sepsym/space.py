@@ -109,11 +109,22 @@ class WaveFunction:
         return WaveFunction(self.n, self.space, data)
 
 
+def tensor_data(a: np.ndarray, b: np.ndarray, n1: int) -> np.ndarray:
+    """Tensor product of state arrays with trailing batch axes, entry by entry.
+
+    ``a`` is shaped ``(size,)*n1 + batch`` and ``b`` ``(size,)*n2 + batch``;
+    the result, shaped ``(size,)*(n1+n2) + batch``, holds a[..., k] (x) b[..., k]
+    in batch entry k.  With an empty batch it is ``np.multiply.outer(a, b)``.
+    """
+    n2 = b.ndim - (a.ndim - n1)
+    return a.reshape(a.shape[:n1] + (1,) * n2 + a.shape[n1:]) * b
+
+
 def tensor(f: WaveFunction, g: WaveFunction) -> WaveFunction:
     """Tensor product (f x g)(x, y) = f(x) g(y)."""
     if f.space != g.space:
         raise SpaceMismatch(f"tensor factors live on {f.space} and {g.space}")
-    return WaveFunction(f.n + g.n, f.space, np.multiply.outer(f.data, g.data))
+    return WaveFunction(f.n + g.n, f.space, tensor_data(f.data, g.data, f.n))
 
 
 def tensor_all(factors: Sequence[WaveFunction]) -> WaveFunction:

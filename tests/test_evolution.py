@@ -26,7 +26,7 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import random_hermitian
-from sepsym.space import WaveFunction, random_state
+from sepsym.space import WaveFunction, random_state, tensor
 
 
 def nz(n, space, rng):
@@ -106,13 +106,18 @@ class TestSeparation:
         ]
         return Hierarchy.from_generators(space, gens, 3)
 
+    def perturbed(self, space):
+        ops = list(self.hierarchy(space).ops)
+        ops[1] = op_combine([ops[1], nonseparating_op(space, 2, 0.5)])
+        return Hierarchy(space=space, n_max=3, ops=tuple(ops))
+
     def test_fourth_order_decay(self, space3, rng):
         H = self.hierarchy(space3)
         pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(3)]
         res = []
         for dt in (0.02, 0.01):
             cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
-            res.append(sum(separation_test(H, p1, p2, cfg) for p1, p2 in pairs))
+            res.append(sum(separation_test(H, pairs, cfg).gaps))
         assert res[0] <= 1e-6
         assert 10.0 <= res[0] / res[1] <= 22.0
 
@@ -120,24 +125,37 @@ class TestSeparation:
         A = random_hermitian(space3, rng)
         g = Generator(op=site_matrix_op(space3, A), ell=1, indices=IndexPair(0, 0))
         H = Hierarchy.from_generators(space3, [g], 3)
-        phi1, phi2 = nz(1, space3, rng), nz(2, space3, rng)
+        pairs = [(nz(1, space3, rng), nz(2, space3, rng))]
         res = [
-            separation_test(H, phi1, phi2, EvolutionConfig(dt=dt, t0=0.0, t1=0.5))
+            separation_test(H, pairs, EvolutionConfig(dt=dt, t0=0.0, t1=0.5)).gaps[0]
             for dt in (0.02, 0.01)
         ]
         assert res[0] <= 1e-5  # pure time-discretisation error
         assert 12.0 <= res[0] / res[1] <= 20.0
 
     def test_non_separating_plateau(self, space3, rng):
-        H = self.hierarchy(space3)
-        ops = list(H.ops)
-        ops[1] = op_combine([ops[1], nonseparating_op(space3, 2, 0.5)])
-        bad = Hierarchy(space=space3, n_max=3, ops=tuple(ops))
-        phi1, phi2 = nz(1, space3, rng), nz(2, space3, rng)
-        r1 = separation_test(bad, phi1, phi2, EvolutionConfig(dt=0.02, t0=0.0, t1=0.5))
-        r2 = separation_test(bad, phi1, phi2, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5))
+        bad = self.perturbed(space3)
+        pairs = [(nz(1, space3, rng), nz(2, space3, rng))]
+        r1 = separation_test(bad, pairs, EvolutionConfig(dt=0.02, t0=0.0, t1=0.5)).gaps[0]
+        r2 = separation_test(bad, pairs, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)).gaps[0]
         assert r1 > 1e-2 and r2 > 1e-2
         assert abs(r1 - r2) / r1 < 0.01  # dt-independent limit
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_batch_matches_per_pair_reference(self, space3, rng, perturbed):
+        H = self.perturbed(space3) if perturbed else self.hierarchy(space3)
+        pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(4)]
+        for dt in (0.02, 0.01, 0.005):
+            cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
+            run = separation_test(H, pairs, cfg)
+            assert len(run.gaps) == len(pairs)
+            for k, (phi1, phi2) in enumerate(pairs):
+                psi1 = evolve(H.op(1), phi1, cfg)
+                psi2 = evolve(H.op(2), phi2, cfg)
+                psi12 = evolve(H.op(3), tensor(phi1, phi2), cfg)
+                assert np.array_equal(run.evolved[0][..., k], psi1.data)
+                assert np.array_equal(run.evolved[1][..., k], psi2.data)
+                assert run.gaps[k] == float(np.abs(tensor(psi1, psi2).data - psi12.data).max())
 
 
 class TestIndexOde:

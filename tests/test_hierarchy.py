@@ -6,6 +6,7 @@ import pytest
 
 from sepsym.errors import BadRange, BadTuple, NotDerivation
 from sepsym.hierarchy import (
+    MAX_PARTICLES,
     Generator,
     Hierarchy,
     bracket_hierarchy,
@@ -248,9 +249,12 @@ class TestCanonicalLift1p:
         g = gen_shifted(space3)
         assert canonical_lift_1p(g, 1) is g.op
 
-    def test_indices_preserved(self, space3):
-        g = gen_shifted(space3, 0.9)
-        assert canonical_lift_1p(g, 3).indices.close_to(IndexPair(0.9, 0), 1e-13)
+    @pytest.mark.parametrize("c", [0.9, 0.4j])
+    def test_indices_declared_exactly(self, space3, c):
+        # n idx - (n-1) idx rounds 0.4j to 0.40000000000000013j at n = 3
+        g = gen_shifted(space3, c)
+        for n in range(2, MAX_PARTICLES + 1):
+            assert canonical_lift_1p(g, n).indices == g.indices
 
     def test_strict_case_consolidates_with_plain_slot_sum(self, space3, rng):
         # with vanishing indices the one-particle formula is the bare

@@ -13,6 +13,7 @@ from sepsym.space import (
     permute,
     random_state,
     tensor,
+    tensor_data,
 )
 
 
@@ -77,6 +78,19 @@ class TestTensor:
     def test_space_mismatch(self, space3, space4, rng):
         with pytest.raises(SpaceMismatch):
             tensor(random_state(1, space3, rng), random_state(1, space4, rng))
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1)])
+    def test_batched_matches_per_entry_outer(self, space3, rng, n1, n2):
+        fs = [random_state(n1, space3, rng) for _ in range(4)]
+        gs = [random_state(n2, space3, rng) for _ in range(4)]
+        out = tensor_data(
+            np.stack([f.data for f in fs], axis=-1), np.stack([g.data for g in gs], axis=-1), n1
+        )
+        assert out.shape == (3,) * (n1 + n2) + (4,)
+        for k, (f, g) in enumerate(zip(fs, gs)):
+            outer = np.multiply.outer(f.data, g.data)
+            assert np.array_equal(out[..., k], outer)
+            assert np.array_equal(tensor(f, g).data, outer)
 
 
 class TestPermute:
