@@ -408,7 +408,7 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
         space, [Generator(op=cross_ratio_op(space, refs=(1, 0), coupling=0.6), ell=2, indices=IndexPair(0, 0))], 3
     )
     Bk2 = bracket_hierarchy(F, H2)
-    lvl1 = max(sup_norms(lambda wf: Bk2.op(1).apply(0.0, wf.data), batch))
+    lvl1 = max(sup_norms(np.stack([Bk2.op(1).apply(0.0, wf.data) for wf in batch], axis=-1)))
     prod2 = [
         random_state(1, space, rng, nowhere_zero=True, phase_cap=cap) for _ in range(2)
     ]
@@ -444,9 +444,10 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for g_orig, g_rec in zip(gens, recovered):
         probes = [random_state(g_orig.ell, space, rng, nowhere_zero=True) for _ in range(4)]
-        diffs = sup_norms(
-            lambda wf: g_rec.op.apply(0.0, wf.data) - g_orig.op.apply(0.0, wf.data), probes
-        )
+        diffs = sup_norms(np.stack(
+            [g_rec.op.apply(0.0, wf.data) - g_orig.op.apply(0.0, wf.data) for wf in probes],
+            axis=-1,
+        ))
         worst = max(
             worst, *diffs,
             abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b),
@@ -557,6 +558,9 @@ def check_liftdeltal_identity(ctx: CheckContext) -> CheckResult:
                 "identity_residual": rep.identity_residual,
                 "rhs_norm": rep.rhs_norm,
                 "vanishes": rep.vanishes,
+                "seed": rep.seed,
+                "batch_size": rep.batch_size,
+                "warnings": list(rep.warnings),
             }
     details["bound"] = bound
     return _finish(ctx, "liftdeltal-identity", max(defects), 1.0, details)
@@ -576,7 +580,7 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
         states = [random_state(n, space, ctx.rng(10 * n + k), nowhere_zero=True) for k in range(4)]
         scales = [max(1.0, wf.norm_inf()) for wf in states]
         for side in (obstruction_rhs, obstruction_lhs):
-            norms = sup_norms(lambda wf: side(A, Bl, n, 0.0, wf.data), states)
+            norms = sup_norms(np.stack([side(A, Bl, n, 0.0, wf.data) for wf in states], axis=-1))
             worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
     return _finish(ctx, "real-linear-degeneration", worst, bound, {"levels": [2, 3]})
 
@@ -592,16 +596,24 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     K = Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0))
     states2 = [random_state(2, space, ctx.rng(k), nowhere_zero=True) for k in range(8)]
     states3 = [random_state(3, space, ctx.rng(100 + k), nowhere_zero=True) for k in range(8)]
-    two = max(sup_norms(lambda wf: corollary1_obstruction(F, K, 0.0, wf.data), states2))
-    lifted = max(sup_norms(lambda wf: obstruction_lhs(F, K, 3, 0.0, wf.data), states3))
+    two = max(sup_norms(np.stack(
+        [corollary1_obstruction(F, K, 0.0, wf.data) for wf in states2], axis=-1
+    )))
+    lifted = max(sup_norms(np.stack(
+        [obstruction_lhs(F, K, 3, 0.0, wf.data) for wf in states3], axis=-1
+    )))
     gsize = int(ctx.params.get("grid_size", 4))
     spin_space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
     Fs = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
     Ks = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
     spin2 = [random_state(2, spin_space, ctx.rng(200 + k), nowhere_zero=True) for k in range(8)]
     spin3 = [random_state(3, spin_space, ctx.rng(300 + k), nowhere_zero=True) for k in range(8)]
-    spin_two = max(sup_norms(lambda wf: corollary1_obstruction(Fs, Ks, 0.0, wf.data), spin2))
-    spin_lift = max(sup_norms(lambda wf: obstruction_lhs(Fs, Ks, 3, 0.0, wf.data), spin3))
+    spin_two = max(sup_norms(np.stack(
+        [corollary1_obstruction(Fs, Ks, 0.0, wf.data) for wf in spin2], axis=-1
+    )))
+    spin_lift = max(sup_norms(np.stack(
+        [obstruction_lhs(Fs, Ks, 3, 0.0, wf.data) for wf in spin3], axis=-1
+    )))
     defect = max(
         two / two_bound,
         lifted / lift_bound,
@@ -645,14 +657,14 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     norms = {}
     for label in ("phase", "mult", "drift"):
         Kgen = Generator(op=parts[label], ell=1, indices=IndexPair(0, 0))
-        norms[label] = max(
-            sup_norms(lambda wf: corollary2_obstruction(G, Kgen, 0.0, wf.data), states)
-        )
+        norms[label] = max(sup_norms(np.stack(
+            [corollary2_obstruction(G, Kgen, 0.0, wf.data) for wf in states], axis=-1
+        )))
     zero_gen = Generator(op=cross_ratio_op(space, coupling=0.0), ell=2, indices=IndexPair(0, 0))
     Kphase = Generator(op=parts["phase"], ell=1, indices=IndexPair(0, 0))
-    zero_norm = max(
-        sup_norms(lambda wf: corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data), states)
-    )
+    zero_norm = max(sup_norms(np.stack(
+        [corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data) for wf in states], axis=-1
+    )))
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
                "grid_size": gsize}

@@ -193,8 +193,10 @@ def corollary2_obstruction(
 
 
 def _batch(space, n, seed, size):
+    """A seeded batch of states and their data on one trailing batch axis."""
     rng = np.random.default_rng(seed)
-    return [random_state(n, space, rng, nowhere_zero=True) for _ in range(size)]
+    states = [random_state(n, space, rng, nowhere_zero=True) for _ in range(size)]
+    return states, np.stack([wf.data for wf in states], axis=-1)
 
 
 def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states, warnings=()):
@@ -217,19 +219,22 @@ def theorem10_report(
 ) -> ObstructionReport:
     """Evaluate both sides of the lift-bracket defect identity on a batch.
 
+    The seeded states ride on one trailing batch axis, so each side is one
+    call over the whole batch.
+
     ``identity_residual`` is the worst relative gap between the direct
     left side and the double-sum right side.
     """
-    states = _batch(F.op.space, n, seed, batch_size)
+    states, data = _batch(F.op.space, n, seed, batch_size)
     Hgen = bracket_generator(F, G, verify=True, seed=seed)
     warnings = _fd_warnings(
         natural_generator_op(F), natural_generator_op(G), F.op, G.op
     )
-    lhs = [obstruction_lhs(F, G, n, 0.0, wf.data, bracket_gen=Hgen) for wf in states]
-    rhs = [obstruction_rhs(F, G, n, 0.0, wf.data) for wf in states]
-    lhs_norms = sup_norms(np.asarray, lhs)
-    rhs_norms = sup_norms(np.asarray, rhs)
-    gaps = sup_norms(np.asarray, [a - b for a, b in zip(lhs, rhs)])
+    lhs = obstruction_lhs(F, G, n, 0.0, data, bracket_gen=Hgen)
+    rhs = obstruction_rhs(F, G, n, 0.0, data)
+    lhs_norms = sup_norms(lhs)
+    rhs_norms = sup_norms(rhs)
+    gaps = sup_norms(lhs - rhs)
     residuals = [
         gap / (1.0 + max(ln, rn)) for gap, ln, rn in zip(gaps, lhs_norms, rhs_norms)
     ]
@@ -244,8 +249,8 @@ def corollary1_report(
 ) -> tuple[ObstructionReport, list[float]]:
     """Two-particle obstruction over a seeded batch: the report (its
     ``rhs_norm`` is the worst state) and the per-state sup norms."""
-    states = _batch(F.op.space, 2, seed, batch_size)
+    states, data = _batch(F.op.space, 2, seed, batch_size)
     warnings = _fd_warnings(natural_generator_op(F), natural_generator_op(K))
-    norms = sup_norms(lambda wf: corollary1_obstruction(F, K, 0.0, wf.data), states)
+    norms = sup_norms(corollary1_obstruction(F, K, 0.0, data))
     report = _report("corollary1", 1, 1, 2, [], norms, [], seed, states, warnings)
     return report, norms

@@ -87,13 +87,15 @@ class NonlinearOperator:
         """Frechet derivative at ``data`` in direction ``eta``.
 
         Uses the registered closed form when available; passing
-        ``fd_step`` forces the central finite difference with that step.
+        ``fd_step`` forces the central finite difference with that step,
+        scaled per batch entry by the sup norms over the particle axes.
         """
         if self.derivative_fn is not None and fd_step is None:
             return self.derivative_fn(t, data, eta)
         step = FD_STEP if fd_step is None else fd_step
-        scale_phi = max(1.0, float(np.abs(data).max()))
-        scale_eta = max(1.0, float(np.abs(eta).max()))
+        axes = tuple(range(self.n))
+        scale_phi = np.maximum(1.0, np.abs(data).max(axis=axes, keepdims=True))
+        scale_eta = np.maximum(1.0, np.abs(eta).max(axis=axes, keepdims=True))
         h = step * scale_phi / scale_eta
         return (self.apply(t, data + h * eta) - self.apply(t, data - h * eta)) / (2 * h)
 

@@ -261,6 +261,16 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     )
 
 
+def principal_log(z: np.ndarray) -> np.ndarray:
+    """ln|z| + i atan2(Im z, Re z): the principal branch of ``np.log``, with
+    the same sign of the imaginary part on the cut, from two real ufuncs,
+    which large arrays evaluate faster than numpy's complex log."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = np.log(np.abs(z))
+    out.imag = np.arctan2(z.imag, z.real)
+    return out
+
+
 def cross_ratio_op(
     space: ConfigSpace, refs: tuple[int, int] = (0, 0), coupling: complex = 1.0
 ) -> NonlinearOperator:
@@ -270,7 +280,8 @@ def cross_ratio_op(
                                      / (phi(x1,r2) phi(r1,x2)) ],
     symmetrised over the two slots.  The cross ratio is scale invariant,
     so G is strictly homogeneous, and it equals 1 on tensor products, so
-    G vanishes there; both hold exactly.
+    G vanishes there; both hold exactly.  The logarithm is taken on the
+    principal branch as ln|R| + i arg R (``principal_log``).
     """
     r1, r2 = int(refs[0]), int(refs[1])
     if not (0 <= r1 < space.size and 0 <= r2 < space.size):
@@ -291,10 +302,10 @@ def cross_ratio_op(
         return eu / u + evv / v - ew / w - ey / y
 
     def raw_ev(data):
-        return data * np.log(ratio(data))
+        return data * principal_log(ratio(data))
 
     def raw_deriv(data, eta):
-        return eta * np.log(ratio(data)) + data * sdot(data, eta)
+        return eta * principal_log(ratio(data)) + data * sdot(data, eta)
 
     def raw_second(data, a, b):
         u, v, w, y = slices(data)
@@ -312,7 +323,7 @@ def cross_ratio_op(
 
     def ev(t, data):
         require_nowhere_zero(data)
-        return sym(lambda d: raw_ev(d), data)
+        return sym(raw_ev, data)
 
     def deriv(t, data, eta):
         require_nowhere_zero(data)

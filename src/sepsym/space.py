@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,13 +134,17 @@ def tensor_all(factors: Sequence[WaveFunction]) -> WaveFunction:
     return out
 
 
-def sup_norms(fn: Callable[[object], np.ndarray], states: Iterable) -> list[float]:
-    """Sup norm of ``fn(state)`` for every state of a seeded batch, in order.
+def sup_norms(values: np.ndarray) -> list[float]:
+    """Sup norm of every entry of a batch, in order.
 
-    The one way a check judges an operator over a batch: callers take the
-    max (the worst state) or the mean of the list.
+    ``values`` carries the batch on its last axis: an operator's value on
+    states stacked with ``np.stack(..., axis=-1)``, or per-state values
+    stacked the same way.  The one way a check judges an
+    operator over a batch: callers take the max (the worst state) or the
+    mean of the list.
     """
-    return [float(np.abs(fn(state)).max()) for state in states]
+    worst = np.abs(values).max(axis=tuple(range(values.ndim - 1)))
+    return [float(v) for v in worst]
 
 
 def permute_data(data: np.ndarray, perm: Sequence[int]) -> np.ndarray:

@@ -324,13 +324,15 @@ def freelift_report(
         full = op_combine(list(parts.values()), name="point-natural")
         for label, op in {**parts, "full": full}.items():
             Kgen = Generator(op=op, ell=1, indices=IndexPair(0, 0))
-            out["c1"][label].append(max(sup_norms(
-                lambda wf: corollary1_obstruction(F, Kgen, 0.0, wf.data), states2
-            )))
+            # one state at a time: a stacked grid-32 batch would hold every
+            # state's lifted cross-ratio values at once
+            out["c1"][label].append(max(sup_norms(np.stack(
+                [corollary1_obstruction(F, Kgen, 0.0, wf.data) for wf in states2], axis=-1
+            ))))
             if label != "full":
-                out["c2"][label].append(max(sup_norms(
-                    lambda wf: corollary2_obstruction(G, Kgen, 0.0, wf.data), states3
-                )))
+                out["c2"][label].append(max(sup_norms(np.stack(
+                    [corollary2_obstruction(G, Kgen, 0.0, wf.data) for wf in states3], axis=-1
+                ))))
     for key in ("c1", "c2"):
         drift = out[key]["drift"]
         out[key]["drift_ratios"] = [

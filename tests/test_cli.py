@@ -210,6 +210,25 @@ class TestSelfBuiltSpaces:
         assert details["corollary1-equivalence"]["spin_space"] == {"size": 6, "factors": [2, 3]}
 
 
+class TestObstructionProvenance:
+    def test_liftdeltal_pairs_carry_seed_batch_and_warnings(self, tmp_path):
+        out = tmp_path / "report.json"
+        seed = 2**31 + 5
+        assert main(["run", "--scenario", "theorem10", "--seed", str(seed), "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["name"] == "liftdeltal-identity"
+        pairs = check["details"]["pairs"]
+        assert set(pairs) == {
+            "rms-vs-shifted-n2", "rms-vs-shifted-n3", "rms-vs-cr0-n3",
+            "cr0-vs-cr1-n3", "cr0-vs-cr1-n4",
+        }
+        for entry in pairs.values():
+            n = entry["n"]
+            assert entry["seed"] == 5 + n  # the seed drawn, seed % 2**31 + n
+            assert entry["batch_size"] == (16 if n <= 3 else 6)
+            assert entry["warnings"] == []
+
+
 class TestBadValuesExitTwo:
     """Malformed values end in exit 2 before any check runs, not in error
     entries or a traceback."""

@@ -221,7 +221,8 @@ class TestCorollary2:
         rng5 = np.random.default_rng(5)
         states = [nz(3, spin_space, rng5) for _ in range(4)]
         assert corollary2_obstruction(G, K, 0.0, states[0].data).shape == (8,) * 3
-        norms = sup_norms(lambda wf: corollary2_obstruction(G, K, 0.0, wf.data), states)
+        batch = np.stack([wf.data for wf in states], axis=-1)
+        norms = sup_norms(corollary2_obstruction(G, K, 0.0, batch))
         assert max(norms) > 1e-3
 
     def test_level_validation(self, space3, rng):
@@ -263,6 +264,89 @@ class TestSpecialisations:
         for k in range(4):
             data = random_state(3, space, k, nowhere_zero=True, smooth=True).data
             assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
+
+
+def theorem10_oracle(F, G, n, seed, batch_size):
+    """The report fields as the per-state loop computed them."""
+    rng = np.random.default_rng(seed)
+    states = [nz(n, F.op.space, rng) for _ in range(batch_size)]
+    Hgen = bracket_generator(F, G, verify=True, seed=seed)
+    lhs = [obstruction_lhs(F, G, n, 0.0, wf.data, bracket_gen=Hgen) for wf in states]
+    rhs = [obstruction_rhs(F, G, n, 0.0, wf.data) for wf in states]
+    lhs_norms = [float(np.abs(a).max()) for a in lhs]
+    rhs_norms = [float(np.abs(b).max()) for b in rhs]
+    gaps = [float(np.abs(a - b).max()) for a, b in zip(lhs, rhs)]
+    residuals = [g / (1.0 + max(ln, rn)) for g, ln, rn in zip(gaps, lhs_norms, rhs_norms)]
+    return {
+        "lhs_norm": max(lhs_norms),
+        "rhs_norm": max(rhs_norms),
+        "identity_residual": max(residuals),
+        "state_norms": tuple(round(wf.norm_inf(), 12) for wf in states),
+    }
+
+
+def corollary1_oracle_norms(F, K, seed, batch_size):
+    rng = np.random.default_rng(seed)
+    states = [nz(2, F.op.space, rng) for _ in range(batch_size)]
+    return [float(np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max()) for wf in states]
+
+
+class TestBatchedReports:
+    """The reports evaluate their seeded batch as one array; every field
+    equals the per-state loop bit for bit."""
+
+    GENS = {
+        "rms": gen_rms,
+        "shifted": gen_shifted,
+        "cr0": lambda sp: gen_cross(sp, 0.6, (0, 0)),
+        "cr1": lambda sp: gen_cross(sp, 0.5, (1, 2)),
+    }
+
+    @pytest.mark.parametrize("fname,gname,n", [
+        ("rms", "shifted", 2), ("rms", "shifted", 3), ("rms", "shifted", 4),
+        ("shifted", "rms", 2), ("rms", "cr0", 3), ("shifted", "cr1", 4),
+        ("cr0", "cr1", 3), ("cr0", "cr1", 4),
+    ])
+    def test_theorem10_matches_per_state(self, space3, fname, gname, n):
+        F, G = self.GENS[fname](space3), self.GENS[gname](space3)
+        batch = 16 if n <= 3 else 6
+        rep = theorem10_report(F, G, n, seed=40 + n, batch_size=batch)
+        want = theorem10_oracle(F, G, n, 40 + n, batch)
+        assert rep.lhs_norm == want["lhs_norm"]
+        assert rep.rhs_norm == want["rhs_norm"]
+        assert rep.identity_residual == want["identity_residual"]
+        assert rep.state_norms == want["state_norms"]
+        assert rep.batch_size == batch and rep.seed == 40 + n
+
+    def test_theorem10_fd_fallback_matches_per_state(self, space3):
+        from dataclasses import replace
+
+        F = gen_rms(space3)
+        stripped = Generator(op=replace(F.op, derivative_fn=None), ell=1, indices=IndexPair(0, 0))
+        rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=5, batch_size=4)
+        want = theorem10_oracle(stripped, gen_shifted(space3), 2, 5, 4)
+        assert rep.warnings
+        assert rep.identity_residual == want["identity_residual"]
+        assert rep.rhs_norm == want["rhs_norm"]
+
+    @pytest.mark.parametrize("fname,kname", [("rms", "shifted"), ("shifted", "rms")])
+    def test_corollary1_matches_per_state(self, space3, fname, kname):
+        F, K = self.GENS[fname](space3), self.GENS[kname](space3)
+        rep, norms = corollary1_report(F, K, seed=9, batch_size=16)
+        assert norms == corollary1_oracle_norms(F, K, 9, 16)
+        assert rep.rhs_norm == max(norms)
+
+    def test_corollary1_spin_matches_per_state(self, spin_space):
+        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
+        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        _, norms = corollary1_report(F, K, seed=3, batch_size=8)
+        assert norms == corollary1_oracle_norms(F, K, 3, 8)
+
+    def test_sup_norms_per_entry(self, rng):
+        values = rng.standard_normal((3, 3, 5)) + 1j * rng.standard_normal((3, 3, 5))
+        norms = sup_norms(values)
+        assert norms == [float(np.abs(values[..., k]).max()) for k in range(5)]
+        assert all(type(v) is float for v in norms)
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sepsym.operators import (
     cross_ratio_op,
     lambda_op,
     log_modulus_op,
+    principal_log,
     rms_log_modulus_op,
     shifted_log_modulus_op,
     site_matrix_op,
@@ -107,6 +109,45 @@ class TestFrechet:
         phi = WaveFunction(1, space4, flat)
         with pytest.raises(DomainError):
             frechet(F, 0.0, phi, random_state(1, space4, rng))
+
+
+    def test_fd_fallback_is_batch_clean(self, space3, rng):
+        # the step is scaled per batch entry, so a batch entry's derivative
+        # does not depend on its neighbours: batched equals per-state
+        F = replace(rms_log_modulus_op(space3, 0.9), derivative_fn=None)
+        phis = [3.0 * nz_state(1, space3, rng).data, 7.0 * nz_state(1, space3, rng).data]
+        etas = [random_state(1, space3, rng).data for _ in phis]
+        norms = [np.abs(phi).max() for phi in phis]
+        assert min(norms) > 1.0 and norms[0] != norms[1]
+        batched = F.derivative(0.0, np.stack(phis, axis=-1), np.stack(etas, axis=-1))
+        for k, (phi, eta) in enumerate(zip(phis, etas)):
+            assert np.array_equal(batched[..., k], F.derivative(0.0, phi, eta))
+
+
+class TestPrincipalLog:
+    """``principal_log`` is numpy's principal complex log, computed as
+    ln|z| + i atan2(Im z, Re z)."""
+
+    def test_matches_numpy_log(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 1.0, 1e3):
+            z = scale * (rng.standard_normal((16, 16, 4)) + 1j * rng.standard_normal((16, 16, 4)))
+            got, want = principal_log(z), np.log(z)
+            ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+            assert np.all(np.abs(got.real - want.real) <= 4 * ulp)
+            assert np.all(np.abs(got.imag - want.imag) <= 4 * ulp)
+
+    def test_branch_cut_sign(self):
+        tiny = 1e-300
+        z = np.array([
+            complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-2.0, 0.0), complex(-2.0, -0.0),
+            complex(-1.0, tiny), complex(-1.0, -tiny), complex(-3.0, 1e-17), complex(-3.0, -1e-17),
+        ])
+        got, want = principal_log(z), np.log(z)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert np.all(np.abs(got.imag) == np.abs(want.imag))
+        assert np.allclose(got.real, want.real, rtol=0, atol=1e-15)
+        assert got[0].imag == math.pi and got[1].imag == -math.pi
 
 
 class TestLieBracket:
