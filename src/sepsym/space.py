@@ -139,9 +139,9 @@ def sup_norms(values: np.ndarray) -> list[float]:
 
     ``values`` carries the batch on its last axis: an operator's value on
     states stacked with ``np.stack(..., axis=-1)``, or per-state values
-    stacked the same way.  The one way a check judges an
-    operator over a batch: callers take the max (the worst state) or the
-    mean of the list.
+    stacked the same way.  This is the one way a check judges an operator
+    over a batch: callers take the max (the worst state) or the mean of
+    the list.
     """
     worst = np.abs(values).max(axis=tuple(range(values.ndim - 1)))
     return [float(v) for v in worst]
