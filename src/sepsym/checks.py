@@ -300,7 +300,8 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
     Along the scaling direction eta*phi a strictly homogeneous operator
     is exactly affine in the step, so its Euler residual has no quadratic
     term; for those cases the ratio is taken on the finite-difference
-    derivative error in a generic direction instead.
+    derivative error in a generic direction instead, and the case's
+    ``fd_euler_ratio`` is null.
     """
     space = ctx.space
     rng = ctx.rng()
@@ -326,11 +327,14 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
         else:
             r1 = euler_power_residual(op, 0.0, phi, eta, idx, fd_step=h0)
             r2 = euler_power_residual(op, 0.0, phi, eta, idx, fd_step=h0 / 2)
-        euler_ratio = r1 / r2 if r2 > 0 else float("inf")
         if r2 > fd_floor:
+            euler_ratio = r1 / r2
             defects.append(_band_defect(euler_ratio, *band))
         else:
-            defects.append(r1 / fd_floor)  # affine in the step: exact to round-off
+            # affine in the step: exact to round-off, where r1 / r2 would be
+            # a ratio of two round-off values, so no ratio is reported
+            euler_ratio = None
+            defects.append(r1 / fd_floor)
         # generic-direction convergence of the finite-difference derivative
         probe = random_state(op.n, space, rng).data
         closed = op.derivative(0.0, phi.data, probe)
@@ -585,6 +589,17 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     return _finish(ctx, "real-linear-degeneration", worst, bound, {"levels": [2, 3]})
 
 
+def _state_batch(ctx: CheckContext, n: int, space: ConfigSpace, salt: int, size: int,
+                 **kwargs) -> np.ndarray:
+    """Nowhere-zero states from ``ctx.rng(salt + k)``, k < size, stacked on
+    one trailing batch axis."""
+    return np.stack(
+        [random_state(n, space, ctx.rng(salt + k), nowhere_zero=True, **kwargs).data
+         for k in range(size)],
+        axis=-1,
+    )
+
+
 def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     """Vanishing two-particle obstruction forces the higher defect to
     vanish; the spin pair keeps both sides large."""
@@ -594,26 +609,16 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     floor = 1e-3
     F = Generator(op=shifted_log_modulus_op(space, 0.8), ell=1, indices=IndexPair(0.8, 0))
     K = Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0))
-    states2 = [random_state(2, space, ctx.rng(k), nowhere_zero=True) for k in range(8)]
-    states3 = [random_state(3, space, ctx.rng(100 + k), nowhere_zero=True) for k in range(8)]
-    two = max(sup_norms(np.stack(
-        [corollary1_obstruction(F, K, 0.0, wf.data) for wf in states2], axis=-1
-    )))
-    lifted = max(sup_norms(np.stack(
-        [obstruction_lhs(F, K, 3, 0.0, wf.data) for wf in states3], axis=-1
-    )))
+    two = max(sup_norms(corollary1_obstruction(F, K, 0.0, _state_batch(ctx, 2, space, 0, 8))))
+    lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, _state_batch(ctx, 3, space, 100, 8))))
     gsize = int(ctx.params.get("grid_size", 4))
     spin_space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
     Fs = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
     Ks = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
-    spin2 = [random_state(2, spin_space, ctx.rng(200 + k), nowhere_zero=True) for k in range(8)]
-    spin3 = [random_state(3, spin_space, ctx.rng(300 + k), nowhere_zero=True) for k in range(8)]
-    spin_two = max(sup_norms(np.stack(
-        [corollary1_obstruction(Fs, Ks, 0.0, wf.data) for wf in spin2], axis=-1
-    )))
-    spin_lift = max(sup_norms(np.stack(
-        [obstruction_lhs(Fs, Ks, 3, 0.0, wf.data) for wf in spin3], axis=-1
-    )))
+    spin2 = _state_batch(ctx, 2, spin_space, 200, 8)
+    spin3 = _state_batch(ctx, 3, spin_space, 300, 8)
+    spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
+    spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
     defect = max(
         two / two_bound,
         lifted / lift_bound,
@@ -650,21 +655,14 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     G = Generator(op=cross_ratio_op(space, coupling=0.8), ell=2, indices=IndexPair(0, 0))
     spec = ctx.point_spec(_default_point_spec())
     parts = point_symmetry_parts(spec, space)
-    states = [
-        random_state(3, space, ctx.rng(k), nowhere_zero=True, smooth=True)
-        for k in range(4)
-    ]
+    data = _state_batch(ctx, 3, space, 0, 4, smooth=True)
     norms = {}
     for label in ("phase", "mult", "drift"):
         Kgen = Generator(op=parts[label], ell=1, indices=IndexPair(0, 0))
-        norms[label] = max(sup_norms(np.stack(
-            [corollary2_obstruction(G, Kgen, 0.0, wf.data) for wf in states], axis=-1
-        )))
+        norms[label] = max(sup_norms(corollary2_obstruction(G, Kgen, 0.0, data)))
     zero_gen = Generator(op=cross_ratio_op(space, coupling=0.0), ell=2, indices=IndexPair(0, 0))
     Kphase = Generator(op=parts["phase"], ell=1, indices=IndexPair(0, 0))
-    zero_norm = max(sup_norms(np.stack(
-        [corollary2_obstruction(zero_gen, Kphase, 0.0, wf.data) for wf in states], axis=-1
-    )))
+    zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, Kphase, 0.0, data)))
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
                "grid_size": gsize}

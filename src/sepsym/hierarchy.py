@@ -9,6 +9,10 @@ parameter.  Canonical liftings extend generators to tensor derivations:
   l-particle g (l > 1, strictly homogeneous, zero on products):
       g#_n = sum_J g^J over increasing l-tuples J of {1..n}.
 
+A lifting and a canonical lifting each make one kernel call per
+evaluation: the slot permutations of all tuples J ride on one trailing
+batch axis, and the slices are permuted back and added in tuple order.
+
 The canonical decomposition inverts this: d_1 F lifts the first level,
 and each further threshold lifts what the lower thresholds fail to
 explain.  The d_j are idempotent and recover exactly the generators a
@@ -63,17 +67,54 @@ class Generator:
             raise ValueError("generators above one particle must be strictly homogeneous")
 
 
-def _apply_sliced(fn, J: tuple[int, ...], t: float, arrays):
-    """Apply an l-slot kernel over the J slots of m-slot arrays.
+def _slot_sum(
+    op: NonlinearOperator, Js: Sequence[tuple[int, ...]], m: int, name: str
+) -> NonlinearOperator:
+    """sum_J F^J over the l-tuples ``Js`` of an l-slot operator at m slots.
 
-    The J slots move to the front and every other slot, together with any
-    batch axes the arrays carry, stays behind them as a batch axis of the
-    kernel contract: one kernel call realises "all other variables held
-    as parameters".
+    Each tuple's slot permutation (J in front, every other slot behind it
+    in order) and its inverse are fixed here.  At call time the permuted
+    copies of each argument ride on a new trailing batch axis, behind any
+    batch axes the arrays carry, so one kernel call evaluates every tuple
+    with all other variables held as parameters; the slices are then
+    transposed back and added in tuple order.  A single tuple passes its
+    transposed view without a copy.
     """
-    perm = J + tuple(ax for ax in range(arrays[0].ndim) if ax not in J)
-    out = fn(t, *(np.transpose(a, perm) for a in arrays))
-    return np.transpose(out, np.argsort(perm))
+    perms = [J + tuple(ax for ax in range(m) if ax not in J) for J in Js]
+    inverses = [tuple(int(ax) for ax in np.argsort(p)) for p in perms]
+
+    def summed(fn, t, arrays):
+        batch = tuple(range(m, arrays[0].ndim))
+        args = []
+        for a in arrays:
+            views = [a.transpose(p + batch)[..., None] for p in perms]
+            args.append(views[0] if len(views) == 1 else np.concatenate(views, axis=-1))
+        out = fn(t, *args)
+        total = out[..., 0].transpose(inverses[0] + batch)
+        for k, inv in enumerate(inverses[1:], start=1):
+            total = total + out[..., k].transpose(inv + batch)
+        return total
+
+    def ev(t, data):
+        return summed(op.eval_fn, t, (data,))
+
+    deriv = None
+    if op.derivative_fn is not None:
+        def deriv(t, data, eta):
+            return summed(op.derivative_fn, t, (data, eta))
+
+    second = None
+    if op.second_derivative_fn is not None:
+        def second(t, data, u, v):
+            return summed(op.second_derivative_fn, t, (data, u, v))
+
+    return NonlinearOperator(
+        n=m, space=op.space, eval_fn=ev, derivative_fn=deriv,
+        second_derivative_fn=second,
+        indices=None if op.indices is None else len(Js) * op.indices,
+        time_dependent=op.time_dependent, needs_nowhere_zero=op.needs_nowhere_zero,
+        name=name,
+    )
 
 
 def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator:
@@ -83,26 +124,7 @@ def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator
         raise BadTuple(f"cannot lift an {op.n}-particle operator to {m} slots")
     if m == op.n:
         return op  # the identity lifting
-
-    def ev(t, data):
-        return _apply_sliced(op.eval_fn, J, t, (data,))
-
-    deriv = None
-    if op.derivative_fn is not None:
-        def deriv(t, data, eta):
-            return _apply_sliced(op.derivative_fn, J, t, (data, eta))
-
-    second = None
-    if op.second_derivative_fn is not None:
-        def second(t, data, u, v):
-            return _apply_sliced(op.second_derivative_fn, J, t, (data, u, v))
-
-    return NonlinearOperator(
-        n=m, space=op.space, eval_fn=ev, derivative_fn=deriv,
-        second_derivative_fn=second, indices=op.indices,
-        time_dependent=op.time_dependent, needs_nowhere_zero=op.needs_nowhere_zero,
-        name=f"{op.name}^{J}",
-    )
+    return _slot_sum(op, [J], m, f"{op.name}^{J}")
 
 
 def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
@@ -113,13 +135,12 @@ def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
         raise BadRange(f"invalid particle number {n}")
     if n == 1:
         return gen.op
-    parts = [lift_J(gen.op, (j,), n) for j in range(n)]
-    coeffs = [1.0] * n
+    name = f"{gen.op.name}#_{n}"
+    lifted = _slot_sum(gen.op, [(j,) for j in range(n)], n, name)
     if not gen.indices.is_zero():
-        parts.append(lambda_op(gen.indices, n, gen.op.space))
-        coeffs.append(-(n - 1.0))
+        lam = lambda_op(gen.indices, n, gen.op.space)
+        lifted = op_combine([lifted, lam], [1.0, -(n - 1.0)], name=name)
     # the combined indices n idx - (n-1) idx equal idx only up to round-off
-    lifted = op_combine(parts, coeffs, name=f"{gen.op.name}#_{n}")
     return replace(lifted, indices=gen.indices)
 
 
@@ -131,10 +152,8 @@ def canonical_lift_gen(gen: Generator, n: int) -> NonlinearOperator:
         raise BadRange(f"cannot lift a threshold-{gen.ell} generator to n={n}")
     if n == gen.ell:
         return gen.op  # the single tuple J = (0, ..., l-1)
-    parts = [
-        lift_J(gen.op, J, n) for J in itertools.combinations(range(n), gen.ell)
-    ]
-    return op_combine(parts, name=f"{gen.op.name}#_{n}")
+    Js = list(itertools.combinations(range(n), gen.ell))
+    return _slot_sum(gen.op, Js, n, f"{gen.op.name}#_{n}")
 
 
 def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:

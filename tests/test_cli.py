@@ -229,6 +229,23 @@ class TestObstructionProvenance:
             assert entry["warnings"] == []
 
 
+class TestEulerRatioAtRoundOff:
+    def test_scale_invariant_cases_report_no_ratio(self, tmp_path):
+        # at --seed 2 the cross-ratio r1 / r2 is a ratio of two round-off
+        # residuals; a last-ulp change of the log once moved it 0.354 -> 0.636
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", "algebra", "--seed", "2", "--out", str(out)]) == 0
+        check = next(c for c in json.loads(out.read_text())["checks"]
+                     if c["name"] == "euler-identities")
+        assert check["status"] == "pass"
+        cases = check["details"]["cases"]
+        for name in ("cross-ratio", "rms-log-modulus"):
+            assert cases[name]["fd_euler_ratio"] is None
+            assert cases[name]["fd_euler_residual"] <= 1e-11
+        for name in ("lambda", "log-modulus"):
+            assert 3.5 <= cases[name]["fd_euler_ratio"] <= 4.5
+
+
 class TestBadValuesExitTwo:
     """Malformed values end in exit 2 before any check runs, not in error
     entries or a traceback."""

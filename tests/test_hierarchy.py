@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sepsym.hierarchy import (
     Hierarchy,
     bracket_hierarchy,
     canonical_decompose,
+    canonical_lift,
     canonical_lift_1p,
     canonical_lift_gen,
     lift_J,
@@ -297,6 +299,121 @@ class TestCanonicalLiftGen:
             canonical_lift_gen(gen_cross(space3), 1)
         with pytest.raises(BadRange):
             canonical_lift_gen(gen_shifted(space3), 2)
+
+
+def slot_loop_oracle(gen, n):
+    """The per-slot construction: one lift_J operator per tuple, summed by
+    op_combine with the -(n-1) Lambda correction at one particle."""
+    parts = [lift_J(gen.op, J, n) for J in itertools.combinations(range(n), gen.ell)]
+    coeffs = [1.0] * len(parts)
+    if gen.ell == 1 and not gen.indices.is_zero():
+        parts.append(lambda_op(gen.indices, n, gen.op.space))
+        coeffs.append(-(n - 1.0))
+    return op_combine(parts, coeffs)
+
+
+def _fused_cases(space):
+    lam = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
+    zero = IndexPair(0, 0)
+    return {
+        "lambda": Generator(op=lambda_op(lam, 1, space), ell=1, indices=lam),
+        "log-modulus": Generator(op=log_modulus_op(space, 0.8), ell=1,
+                                 indices=IndexPair(0.8, 0)),
+        "shifted": gen_shifted(space, 0.8),
+        "rms": Generator(op=rms_log_modulus_op(space, 0.9), ell=1, indices=zero),
+        "relative": Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=zero),
+        "cross-ratio-00": gen_cross(space, 0.6, (0, 0)),
+        "cross-ratio-12": gen_cross(space, 0.5, (1, 2)),
+    }
+
+
+class TestFusedCanonicalLift:
+    """A canonical lift is one kernel call over the stacked slot
+    permutations and equals the per-slot lift_J sum."""
+
+    SPACE = ConfigSpace(3)
+    CASES = _fused_cases(SPACE)
+
+    @staticmethod
+    def _sides(gen, n, batch):
+        rng = np.random.default_rng(31 + n)
+        shape = () if batch is None else (batch,)
+
+        def draw():
+            states = [nz(n, gen.op.space, rng, cap=np.pi / 4).data
+                      for _ in range(batch or 1)]
+            return np.stack(states, axis=-1).reshape(states[0].shape + shape)
+
+        data, u, v = draw(), draw(), draw()
+        fused, oracle = canonical_lift(gen, n), slot_loop_oracle(gen, n)
+        out = [(fused.apply(0.3, data), oracle.apply(0.3, data)),
+               (fused.derivative(0.3, data, u), oracle.derivative(0.3, data, u))]
+        if oracle.second_derivative_fn is not None:
+            out.append((fused.second_derivative_fn(0.3, data, u, v),
+                        oracle.second_derivative_fn(0.3, data, u, v)))
+        else:
+            assert fused.second_derivative_fn is None
+        return out
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_elementwise_families_bit_for_bit(self, name, n, batch):
+        for got, want in self._sides(self.CASES[name], n, batch):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    def test_matrix_op_to_round_off(self, n, batch):
+        # BLAS may sum a wider batch in another order: round-off only
+        rng = np.random.default_rng(5)
+        square = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        gen = Generator(op=matrix_op(self.SPACE, 1, square), ell=1, indices=IndexPair(0, 0))
+        for got, want in self._sides(gen, n, batch):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["shifted", "cross-ratio-12"])
+    def test_one_kernel_call_per_evaluation(self, name):
+        gen = self.CASES[name]
+        calls = []
+
+        def counted(fn):
+            def kernel(t, *arrays):
+                calls.append(arrays[0].shape)
+                return fn(t, *arrays)
+            return kernel
+
+        op = replace(
+            gen.op,
+            eval_fn=counted(gen.op.eval_fn),
+            derivative_fn=counted(gen.op.derivative_fn),
+            second_derivative_fn=counted(gen.op.second_derivative_fn),
+        )
+        lifted = canonical_lift(replace(gen, op=op), 3)
+        data = nz(3, self.SPACE, np.random.default_rng(2)).data
+        tuples = math.comb(3, gen.ell)
+        stacked = (3,) * 3 + (tuples,)
+        lifted.apply(0.0, data)
+        assert calls == [stacked]
+        lifted.derivative(0.0, data, data)
+        assert calls == [stacked] * 2
+        lifted.second_derivative_fn(0.0, data, data, data)
+        assert calls == [stacked] * 3
+
+    def test_lift_J_kernel_sees_a_view(self):
+        # a lone lifting stacks nothing: grid-32 lifts would copy every state
+        base = self.CASES["shifted"].op
+        data = nz(3, self.SPACE, np.random.default_rng(3)).data
+        shared = []
+
+        def kernel(t, d):
+            shared.append(np.shares_memory(d, data))
+            return base.eval_fn(t, d)
+
+        lift_J(replace(base, eval_fn=kernel), (2,), 3).apply(0.0, data)
+        assert shared == [True]
 
 
 class TestLambdaOp:

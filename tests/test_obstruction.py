@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sepsym import checks
+from sepsym.checks import CHECKS, run_check
 from sepsym.errors import BadRange
 from sepsym.hierarchy import Generator, lift_J
 from sepsym.mixedpow import IndexPair
@@ -27,7 +30,7 @@ from sepsym.operators import (
     spin_rotation_op,
     zero_op,
 )
-from sepsym.scenario import random_hermitian
+from sepsym.scenario import load_scenario, random_hermitian
 from sepsym.space import permute_data, random_state, sup_norms
 from sepsym.symmetry import PointSymmetrySpec, point_symmetry_parts
 
@@ -319,8 +322,6 @@ class TestBatchedReports:
         assert rep.batch_size == batch and rep.seed == 40 + n
 
     def test_theorem10_fd_fallback_matches_per_state(self, space3):
-        from dataclasses import replace
-
         F = gen_rms(space3)
         stripped = Generator(op=replace(F.op, derivative_fn=None), ell=1, indices=IndexPair(0, 0))
         rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=5, batch_size=4)
@@ -347,6 +348,37 @@ class TestBatchedReports:
         norms = sup_norms(values)
         assert norms == [float(np.abs(values[..., k]).max()) for k in range(5)]
         assert all(type(v) is float for v in norms)
+
+
+def per_state(fn):
+    """``fn`` evaluated one batch entry at a time and restacked: the
+    per-state loop the checks made before they batched."""
+    def loop(*args):
+        *head, data = args
+        return np.stack([fn(*head, data[..., k]) for k in range(data.shape[-1])], axis=-1)
+    return loop
+
+
+class TestBatchedChecks:
+    """corollary1-equivalence and corollary2-pointsym evaluate their seeded
+    states as one batch; every detail equals the per-state loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("scenario,check,fns", [
+        ("corollary1", "corollary1-equivalence", ("corollary1_obstruction", "obstruction_lhs")),
+        ("corollary2", "corollary2-pointsym", ("corollary2_obstruction",)),
+    ])
+    def test_check_matches_per_state(self, monkeypatch, scenario, check, fns, seed):
+        sc = load_scenario(scenario, set(CHECKS))
+        if seed is not None:
+            sc = replace(sc, seed=seed)
+        params = next(c.get("params", {}) for c in sc.checks if c["name"] == check)
+        batched = run_check(check, sc, params)
+        for name in fns:
+            monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
+        looped = run_check(check, sc, params)
+        assert batched.status == "pass"
+        assert batched.to_json_dict() == looped.to_json_dict()
 
 
 class TestReport:
@@ -379,8 +411,6 @@ class TestReport:
         assert natural_generator_op(G) is G.op
 
     def test_fd_warning_surfaces(self, space3):
-        from dataclasses import replace
-
         F = gen_rms(space3)
         stripped = Generator(
             op=replace(F.op, derivative_fn=None, second_derivative_fn=None),

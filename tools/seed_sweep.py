@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/seed_sweep.py [--seeds 0-29] [--out DIR]
+    python tools/seed_sweep.py [--seeds 0-29] [--out DIR] [--compare DIR]
 
 Each bundled scenario runs in-process at its bundled seed and at every
 seed of the range, exactly as ``sepsym run --scenario NAME --seed S``
@@ -11,8 +11,13 @@ and ends with the number of failing (scenario, check, seed) runs.  With
 ``--out`` every report is also written, byte for byte as ``sepsym run
 --out`` writes it, to ``DIR/<scenario>.<seed>.json`` (the bundled seed
 as ``DIR/<scenario>.bundled.json``), so the reports of two checkouts can
-be compared with ``diff -r``.  The ``sepsym`` next to this script is the
-one imported.
+be compared with ``diff -r``.  With ``--compare DIR`` the script then
+prints every JSON field whose value differs from the same report in
+``DIR`` (written by an earlier ``--out``), one line each as
+``<scenario>.<seed>: <path> <old> -> <new>``.  Paths join object keys
+with dots, address list entries as ``[i]`` and the entries of
+``checks`` by their check name.  The ``sepsym`` next to this script is
+the one imported.
 
 Exit code: 0 when every run passed, 1 otherwise.
 """
@@ -37,25 +42,70 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+ABSENT = object()
+
+
+def _text(value) -> str:
+    return "absent" if value is ABSENT else json.dumps(value, sort_keys=True)
+
+
+def changed_fields(old, new, path: str = ""):
+    """Yield ``(path, old, new)`` for every JSON value that differs.
+
+    Objects recurse by key and lists of equal length by entry (a named
+    object entry, such as a check, under its name).  Values are compared
+    as the JSON text they serialise to, so NaN equals NaN and 1 differs
+    from 1.0; a key on one side only shows ``absent`` on the other.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_fields(old.get(key, ABSENT), new.get(key, ABSENT),
+                                      f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            named = isinstance(a, dict) and isinstance(b, dict) and "name" in a \
+                and a["name"] == b.get("name")
+            yield from changed_fields(a, b, f"{path}.{a['name']}" if named else f"{path}[{k}]")
+    elif _text(old) != _text(new):
+        yield path, old, new
+
+
+def compare(reports: dict[str, dict], directory: Path) -> list[str]:
+    """One line per field of ``reports`` (keyed ``<scenario>.<seed>``) that
+    differs from ``directory/<scenario>.<seed>.json``."""
+    lines = []
+    for key, report in reports.items():
+        path = directory / f"{key}.json"
+        if not path.exists():
+            lines.append(f"{key}: no report in {directory}")
+            continue
+        old = json.loads(path.read_text())
+        new = json.loads(json.dumps(report, sort_keys=True))
+        lines += [f"{key}: {field} {_text(a)} -> {_text(b)}"
+                  for field, a, b in changed_fields(old, new)]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-29"),
                         help="inclusive seed range FIRST-LAST (default 0-29)")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to write every report to")
+    parser.add_argument("--compare", type=Path, default=None,
+                        help="directory of earlier reports to list changed fields against")
     args = parser.parse_args(argv)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
     failures: dict[tuple[str, str], list[str]] = {}
-    runs = 0
+    reports: dict[str, dict] = {}
     for name in bundled_scenario_names():
         scenario = load_scenario(name, set(CHECKS))
         for seed in [None, *args.seeds]:
             label = "bundled" if seed is None else str(seed)
             run = scenario if seed is None else replace(scenario, seed=seed)
-            report = build_report(run, {})
-            runs += 1
+            report = reports[f"{name}.{label}"] = build_report(run, {})
             if args.out is not None:
                 text = json.dumps(report, sort_keys=True, indent=2) + "\n"
                 (args.out / f"{name}.{label}.json").write_text(text)
@@ -66,7 +116,12 @@ def main(argv=None) -> int:
     for (name, check), seeds in sorted(failures.items()):
         print(f"{name:<36} {check:<36} {len(seeds):>3}  seeds {' '.join(seeds)}")
     total = sum(len(seeds) for seeds in failures.values())
-    print(f"{total} failing (scenario, check, seed) runs in {runs} reports")
+    print(f"{total} failing (scenario, check, seed) runs in {len(reports)} reports")
+    if args.compare is not None:
+        lines = compare(reports, args.compare)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} fields differ from {args.compare}")
     return 1 if total else 0
 
 
