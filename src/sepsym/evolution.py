@@ -111,11 +111,18 @@ class Separation:
     """Outcome of one batched separation march.
 
     ``gaps[k]`` is the factorisation gap of pair k; ``evolved`` holds the
-    evolved first and second factors with the pairs on the last axis.
+    evolved first and second factors and ``psi12`` the evolved products,
+    each with the pairs on the last axis.
     """
 
     gaps: list[float]
     evolved: tuple[np.ndarray, np.ndarray]
+    psi12: np.ndarray
+
+
+def _gaps(psi1: np.ndarray, psi2: np.ndarray, psi12: np.ndarray, n1: int) -> list[float]:
+    gap = np.abs(tensor_data(psi1, psi2, n1) - psi12).max(axis=tuple(range(psi12.ndim - 1)))
+    return [float(g) for g in gap]
 
 
 def separation_test(
@@ -137,8 +144,28 @@ def separation_test(
     psi1 = _march(H.op(n1), phi1, cfg)
     psi2 = _march(H.op(n2), phi2, cfg)
     psi12 = _march(H.op(n1 + n2), tensor_data(phi1, phi2, n1), cfg)
-    gap = np.abs(tensor_data(psi1, psi2, n1) - psi12).max(axis=tuple(range(n1 + n2)))
-    return Separation([float(g) for g in gap], (psi1, psi2))
+    return Separation(_gaps(psi1, psi2, psi12, n1), (psi1, psi2), psi12)
+
+
+def replaced_level_gaps(
+    run: Separation,
+    F: NonlinearOperator,
+    pairs: Sequence[tuple[WaveFunction, WaveFunction]],
+    cfg: EvolutionConfig,
+) -> list[float]:
+    """Factorisation gaps of ``pairs`` when the second factors evolve under
+    ``F`` in place of the hierarchy's level n2.
+
+    ``run`` is a ``separation_test`` at the same ``cfg`` whose first
+    ``len(pairs)`` pairs are ``pairs``.  Its first-factor and product
+    marches are reused and only ``F`` is marched, so the gaps are those of
+    ``separation_test`` on the hierarchy with level n2 replaced by ``F``,
+    provided the first factors have another particle number than n2.
+    """
+    k = len(pairs)
+    phi2 = np.stack([p2.data for _, p2 in pairs], axis=-1)
+    psi1 = run.evolved[0][..., :k]
+    return _gaps(psi1, _march(F, phi2, cfg), run.psi12[..., :k], psi1.ndim - 1)
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,15 @@ def cross_ratio_op(
     so G is strictly homogeneous, and it equals 1 on tensor products, so
     G vanishes there; both hold exactly.  The logarithm is taken on the
     principal branch as ln|R| + i arg R (``principal_log``).
+
+    With distinct reference sites the symmetrisation is the average of G
+    on ``data`` and swap . G . swap, i.e. of refs (r1, r2) and (r2, r1).
+    With coincident ones, refs (r, r), the average is G itself, so the
+    kernels evaluate the cross ratio once: swap . G_(r,r) . swap = G_(r,r),
+    because the swapped evaluation gives R'(x1, x2) = R(x2, x1) =
+    phi(x1,x2) phi(r,r) / (phi(r,x2) phi(x1,r)), the same cross ratio with
+    its two denominator factors commuted.  The values agree with the
+    average up to the round-off of that reordering.
     """
     r1, r2 = int(refs[0]), int(refs[1])
     if not (0 <= r1 < space.size and 0 <= r2 < space.size):
@@ -314,12 +323,16 @@ def cross_ratio_op(
         tt = au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
         return a * sdot(data, b) + b * sdot(data, a) - u * tt
 
-    def sym(fn, data, *dirs):
-        direct = fn(data, *dirs)
-        swapped = np.swapaxes(
-            fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
-        )
-        return 0.5 * c * (direct + swapped)
+    if r1 == r2:
+        def sym(fn, data, *dirs):
+            return c * fn(data, *dirs)
+    else:
+        def sym(fn, data, *dirs):
+            direct = fn(data, *dirs)
+            swapped = np.swapaxes(
+                fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
+            )
+            return 0.5 * c * (direct + swapped)
 
     def ev(t, data):
         require_nowhere_zero(data)

@@ -1,15 +1,19 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from sepsym import checks
+from sepsym.checks import CHECKS, run_check
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
     EvolutionConfig,
     evolve,
     extract_indices,
     index_ode_solve,
+    replaced_level_gaps,
     scaling_test,
     separation_test,
 )
@@ -25,7 +29,7 @@ from sepsym.operators import (
     site_matrix_op,
     zero_op,
 )
-from sepsym.scenario import random_hermitian
+from sepsym.scenario import load_scenario, random_hermitian
 from sepsym.space import WaveFunction, random_state, tensor
 
 
@@ -156,6 +160,40 @@ class TestSeparation:
                 assert np.array_equal(run.evolved[0][..., k], psi1.data)
                 assert np.array_equal(run.evolved[1][..., k], psi2.data)
                 assert run.gaps[k] == float(np.abs(tensor(psi1, psi2).data - psi12.data).max())
+
+    def test_replaced_level_reuses_the_unperturbed_marches(self, space3, rng):
+        H, bad = self.hierarchy(space3), self.perturbed(space3)
+        pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(4)]
+        for dt in (0.02, 0.01):
+            cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
+            run = separation_test(H, pairs, cfg)
+            for k in (1, 2):
+                assert replaced_level_gaps(run, bad.op(2), pairs[:k], cfg) \
+                    == separation_test(bad, pairs[:k], cfg).gaps
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_check_plateau_equals_perturbed_hierarchy_march(self, monkeypatch, seed):
+        # the check's plateau against a full march of the perturbed hierarchy
+        sc = load_scenario("separation-evolution", set(CHECKS))
+        if seed is not None:
+            sc = replace(sc, seed=seed)
+        params = next(c.get("params", {}) for c in sc.checks
+                      if c["name"] == "separation-evolution")
+        seen = []
+
+        def recording(H, pairs, cfg):
+            seen.append((H, pairs, cfg))
+            return separation_test(H, pairs, cfg)
+
+        monkeypatch.setattr(checks, "separation_test", recording)
+        result = run_check("separation-evolution", sc, params)
+        H, pairs, _ = seen[0]
+        ops = list(H.ops)
+        ops[1] = op_combine([ops[1], nonseparating_op(H.space, 2, 0.5)])
+        bad = Hierarchy(space=H.space, n_max=3, ops=tuple(ops))
+        assert result.details["plateau"] == [
+            separation_test(bad, pairs[:1], cfg).gaps[0] for _, _, cfg in seen[:2]
+        ]
 
 
 class TestIndexOde:

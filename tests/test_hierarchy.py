@@ -19,8 +19,9 @@ from sepsym.hierarchy import (
     natural_part,
     tensor_derivation_residual,
 )
-from sepsym.mixedpow import IndexPair
-from sepsym.opcalc import estimate_log_indices, lie_bracket, op_combine
+from sepsym import operators
+from sepsym.mixedpow import IndexPair, ZERO_PAIR
+from sepsym.opcalc import NonlinearOperator, estimate_log_indices, lie_bracket, op_combine
 from sepsym.operators import (
     central_difference_op,
     cross_ratio_op,
@@ -414,6 +415,109 @@ class TestFusedCanonicalLift:
 
         lift_J(replace(base, eval_fn=kernel), (2,), 3).apply(0.0, data)
         assert shared == [True]
+
+
+def two_evaluation_cross_ratio(space, refs, coupling):
+    """The cross-ratio generator with its slot symmetrisation evaluated as
+    the average of G on ``data`` and of swap . G . swap, at any refs."""
+    r1, r2 = refs
+    c = complex(coupling)
+
+    def slices(arr):
+        return arr, arr[r1, r2], arr[:, r2][:, None], arr[r1, :][None, :]
+
+    def ratio(data):
+        u, v, w, y = slices(data)
+        return u * v / (w * y)
+
+    def sdot(data, eta):
+        u, v, w, y = slices(data)
+        eu, evv, ew, ey = slices(eta)
+        return eu / u + evv / v - ew / w - ey / y
+
+    def raw_ev(data):
+        return data * operators.principal_log(ratio(data))
+
+    def raw_deriv(data, eta):
+        return eta * operators.principal_log(ratio(data)) + data * sdot(data, eta)
+
+    def raw_second(data, a, b):
+        u, v, w, y = slices(data)
+        au, av, aw, ay = slices(a)
+        bu, bv, bw, by = slices(b)
+        tt = au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
+        return a * sdot(data, b) + b * sdot(data, a) - u * tt
+
+    def averaged(fn):
+        def kernel(t, data, *dirs):
+            direct = fn(data, *dirs)
+            swapped = np.swapaxes(
+                fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
+            )
+            return 0.5 * c * (direct + swapped)
+        return kernel
+
+    return NonlinearOperator(
+        n=2, space=space, eval_fn=averaged(raw_ev), derivative_fn=averaged(raw_deriv),
+        second_derivative_fn=averaged(raw_second), indices=ZERO_PAIR,
+        needs_nowhere_zero=True, name=f"two-evaluation-cross-ratio{refs}",
+    )
+
+
+class TestCrossRatioShortcut:
+    """At coincident reference sites the cross ratio is evaluated once; the
+    two-evaluation average is the oracle."""
+
+    SPACE = ConfigSpace(3)
+
+    @staticmethod
+    def _pairs(refs, n, batch):
+        # level n = 2 is the bare operator: canonical_lift returns it
+        space = TestCrossRatioShortcut.SPACE
+        rng = np.random.default_rng(41 + n)
+        shape = () if batch is None else (batch,)
+
+        def draw():
+            states = [nz(n, space, rng).data for _ in range(batch or 1)]
+            return np.stack(states, axis=-1).reshape(states[0].shape + shape)
+
+        data, u, v = draw(), draw(), draw()
+        ops = [canonical_lift(Generator(op=op, ell=2, indices=IndexPair(0, 0)), n)
+               for op in (cross_ratio_op(space, refs, 0.7 - 0.2j),
+                          two_evaluation_cross_ratio(space, refs, 0.7 - 0.2j))]
+        return [(op.apply(0.3, data), op.derivative(0.3, data, u),
+                 op.second_derivative_fn(0.3, data, u, v)) for op in ops]
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    @pytest.mark.parametrize("refs", [(0, 0), (2, 2)])
+    def test_coincident_refs_match_average_to_round_off(self, refs, n, batch):
+        for got, want in zip(*self._pairs(refs, n, batch)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    def test_distinct_refs_keep_the_average_bit_for_bit(self, n, batch):
+        for got, want in zip(*self._pairs((1, 2), n, batch)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("refs, logs", [((0, 0), 1), ((2, 2), 1), ((1, 2), 2)])
+    def test_principal_logs_per_evaluation(self, monkeypatch, refs, logs):
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return np.log(z)
+
+        monkeypatch.setattr(operators, "principal_log", counted)
+        G = cross_ratio_op(self.SPACE, refs, 0.7)
+        data = nz(2, self.SPACE, np.random.default_rng(4)).data
+        G.apply(0.0, data)
+        assert len(calls) == logs
+        G.derivative(0.0, data, data)
+        assert len(calls) == 2 * logs
 
 
 class TestLambdaOp:

@@ -360,8 +360,9 @@ def per_state(fn):
 
 
 class TestBatchedChecks:
-    """corollary1-equivalence and corollary2-pointsym evaluate their seeded
-    states as one batch; every detail equals the per-state loop bit for bit."""
+    """corollary1-equivalence, corollary2-pointsym and real-linear-degeneration
+    evaluate their seeded states as one batch; every detail equals the
+    per-state loop bit for bit, and real-linear's residual to round-off."""
 
     @pytest.mark.parametrize("seed", [None, 3])
     @pytest.mark.parametrize("scenario,check,fns", [
@@ -379,6 +380,21 @@ class TestBatchedChecks:
         looped = run_check(check, sc, params)
         assert batched.status == "pass"
         assert batched.to_json_dict() == looped.to_json_dict()
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    def test_real_linear_degeneration_matches_per_state(self, monkeypatch, seed):
+        # site_matrix_op's BLAS sums a wider batch in another order, so the
+        # round-off-sized residual moves by round-off only
+        sc = load_scenario("theorem10", set(CHECKS))
+        if seed is not None:
+            sc = replace(sc, seed=seed)
+        batched = run_check("real-linear-degeneration", sc, {})
+        for name in ("obstruction_rhs", "obstruction_lhs"):
+            monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
+        looped = run_check("real-linear-degeneration", sc, {})
+        assert batched.status == looped.status == "pass"
+        assert batched.details == looped.details
+        assert abs(batched.max_residual - looped.max_residual) <= 1e-14
 
 
 class TestReport:

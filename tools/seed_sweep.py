@@ -16,8 +16,12 @@ prints every JSON field whose value differs from the same report in
 ``DIR`` (written by an earlier ``--out``), one line each as
 ``<scenario>.<seed>: <path> <old> -> <new>``.  Paths join object keys
 with dots, address list entries as ``[i]`` and the entries of
-``checks`` by their check name.  The ``sepsym`` next to this script is
-the one imported.
+``checks`` by their check name.  After those lines it prints one line
+per (scenario, field path with list indices collapsed to ``[]``): the
+largest relative move |new - old| / |old| among the numeric fields with
+|old| > 1e-12, with the seed it occurred at and the number of moved
+fields, largest first.  The ``sepsym`` next to this script is the one
+imported.
 
 Exit code: 0 when every run passed, 1 otherwise.
 """
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +49,8 @@ def seed_range(text: str) -> range:
 
 
 ABSENT = object()
+# below this an old value is round-off, where a relative move says nothing
+MOVE_FLOOR = 1e-12
 
 
 def _text(value) -> str:
@@ -70,20 +78,54 @@ def changed_fields(old, new, path: str = ""):
         yield path, old, new
 
 
-def compare(reports: dict[str, dict], directory: Path) -> list[str]:
-    """One line per field of ``reports`` (keyed ``<scenario>.<seed>``) that
-    differs from ``directory/<scenario>.<seed>.json``."""
-    lines = []
+def differences(reports: dict[str, dict], directory: Path):
+    """Yield ``(key, path, old, new)`` for every field of ``reports`` (keyed
+    ``<scenario>.<seed>``) that differs from ``directory/<key>.json``; a
+    report missing there yields one ``(key, None, ABSENT, ABSENT)``."""
     for key, report in reports.items():
         path = directory / f"{key}.json"
         if not path.exists():
-            lines.append(f"{key}: no report in {directory}")
+            yield key, None, ABSENT, ABSENT
             continue
         old = json.loads(path.read_text())
         new = json.loads(json.dumps(report, sort_keys=True))
-        lines += [f"{key}: {field} {_text(a)} -> {_text(b)}"
-                  for field, a, b in changed_fields(old, new)]
-    return lines
+        for field, a, b in changed_fields(old, new):
+            yield key, field, a, b
+
+
+def compare(reports: dict[str, dict], directory: Path) -> list[str]:
+    """One line per field of ``reports`` that differs from ``directory``."""
+    return [f"{key}: no report in {directory}" if field is None
+            else f"{key}: {field} {_text(a)} -> {_text(b)}"
+            for key, field, a, b in differences(reports, directory)]
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def largest_moves(reports: dict[str, dict], directory: Path) -> list[str]:
+    """One line per (scenario, field path with list indices collapsed to
+    ``[]``): the largest relative move |new - old| / |old| among the
+    numeric fields with |old| > MOVE_FLOOR, with the seed it occurred at
+    and the number of such fields that moved, largest first."""
+    worst: dict[tuple[str, str], tuple[float, str, float, float]] = {}
+    counts: dict[tuple[str, str], int] = {}
+    for key, field, a, b in differences(reports, directory):
+        numeric = field is not None and _finite_number(a) and _finite_number(b)
+        if not numeric or abs(a) <= MOVE_FLOOR:
+            continue
+        scenario, _, seed = key.rpartition(".")
+        group = (scenario, re.sub(r"\[\d+\]", "[]", field))
+        rel = abs(b - a) / abs(a)
+        counts[group] = counts.get(group, 0) + 1
+        if group not in worst or rel > worst[group][0]:
+            worst[group] = (rel, seed, a, b)
+    ranked = sorted(worst.items(), key=lambda item: (-item[1][0], item[0]))
+    return [f"{scenario}: {field} {rel:.2e} at {seed} ({_text(a)} -> {_text(b)}), "
+            f"{counts[scenario, field]} moved"
+            for (scenario, field), (rel, seed, a, b) in ranked]
 
 
 def main(argv=None) -> int:
@@ -122,6 +164,10 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         print(f"{len(lines)} fields differ from {args.compare}")
+        moves = largest_moves(reports, args.compare)
+        for line in moves:
+            print(line)
+        print(f"{len(moves)} (scenario, field) groups moved where |old| > {MOVE_FLOOR:g}")
     return 1 if total else 0
 
 
