@@ -12,6 +12,7 @@ convention), the tolerance is 1.0, and the raw numbers live in
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import sys
@@ -112,7 +113,6 @@ class CheckResult:
 @dataclass
 class CheckContext:
     scenario: Scenario
-    params: dict
     ordinal: int
     tol_override: float | None = None
 
@@ -131,11 +131,9 @@ class CheckContext:
     def evolution(self) -> EvolutionConfig:
         return evolution_config(self.scenario.evolution, self.hbar)
 
-    def generator(self, name: str, space: ConfigSpace | None = None) -> Generator:
-        spec = self.scenario.generators.get(name)
-        if spec is None:
-            raise SepsymError(f"scenario defines no generator named {name!r}")
-        return build_generator(space or self.space, spec, self.rng(997), where=name)
+    def generator(self, name: str) -> Generator:
+        return build_generator(self.space, self.scenario.generators[name], self.rng(997),
+                               where=name)
 
     def point_spec(self, default: PointSymmetrySpec) -> PointSymmetrySpec:
         if self.scenario.symmetry:
@@ -211,7 +209,7 @@ def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
         got = mp.pair_bracket(p, q)
         worst = max(worst, abs(got.a - expect.a), abs(got.b - expect.b))
     rng = ctx.rng()
-    trials = int(ctx.params.get("triples", 200))
+    trials = 200
     for _ in range(trials):
         p, q, r = (
             IndexPair(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
@@ -232,7 +230,7 @@ def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
 def check_matrix_rep(ctx: CheckContext) -> CheckResult:
     """matrix_rep is a product homomorphism with det = Re(a conj b)."""
     rng = ctx.rng()
-    trials = int(ctx.params.get("pairs", 1000))
+    trials = 1000
     worst = 0.0
     for _ in range(trials):
         p = IndexPair(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
@@ -257,7 +255,7 @@ def check_mixed_power_identities(ctx: CheckContext) -> CheckResult:
     crossing can occur (the composition law only holds as a germ at 1).
     """
     rng = ctx.rng()
-    trials = int(ctx.params.get("samples", 300))
+    trials = 300
     worst = 0.0
     for _ in range(trials):
         r = math.exp(rng.uniform(-0.5, 0.5))
@@ -391,7 +389,7 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     worst_leibniz = 0.0
     splits = [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
     count = 0
-    while count < int(ctx.params.get("states", 16)):
+    while count < 16:
         sizes = splits[count % len(splits)]
         factors = [
             random_state(k, space, rng, nowhere_zero=True, phase_cap=cap) for k in sizes
@@ -530,25 +528,21 @@ def _default_theorem10_pairs(space: ConfigSpace):
     ]
 
 
-def check_liftdeltal_identity(ctx: CheckContext) -> CheckResult:
+def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> CheckResult:
     """Direct lift-bracket defect equals the natural-part double sum, for
     generator pairs at every admissible particle number.
 
-    Pairs come from the scenario when given: params "pairs" lists
-    [F-name, G-name, [n, ...]] entries referring to named generators.
+    ``pairs`` lists [F-name, G-name, [n, ...]] entries over the scenario's
+    named generators; without it the three built-in pairs are checked.
     """
-    space = ctx.space
     bound = 1e-8
     defects = []
     details: dict = {"pairs": {}}
-    if "pairs" in ctx.params:
-        cases = [
-            (f"{fname}-vs-{gname}", ctx.generator(fname), ctx.generator(gname),
-             tuple(int(n) for n in ns))
-            for fname, gname, ns in ctx.params["pairs"]
-        ]
+    if pairs is None:
+        cases = _default_theorem10_pairs(ctx.space)
     else:
-        cases = _default_theorem10_pairs(space)
+        cases = [(f"{fname}-vs-{gname}", ctx.generator(fname), ctx.generator(gname), ns)
+                 for fname, gname, ns in pairs]
     for label, F, G, ns in cases:
         for n in ns:
             batch = 16 if n <= 3 else 6
@@ -601,7 +595,7 @@ def _state_batch(ctx: CheckContext, n: int, space: ConfigSpace, salt: int, size:
     )
 
 
-def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
+def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> CheckResult:
     """Vanishing two-particle obstruction forces the higher defect to
     vanish; the spin pair keeps both sides large."""
     space = ctx.space
@@ -612,8 +606,7 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     K = Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0))
     two = max(sup_norms(corollary1_obstruction(F, K, 0.0, _state_batch(ctx, 2, space, 0, 8))))
     lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, _state_batch(ctx, 3, space, 100, 8))))
-    gsize = int(ctx.params.get("grid_size", 4))
-    spin_space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
+    spin_space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
     Fs = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
     Ks = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
     spin2 = _state_batch(ctx, 2, spin_space, 200, 8)
@@ -646,12 +639,11 @@ def _default_point_spec() -> PointSymmetrySpec:
         delta=0.2,
     )
 
-def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
+def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """Added-generator obstruction against point-symmetry parts: the
     multiplication and phase parts vanish to round-off; the discrete
     derivative part stays small and is reported."""
-    gsize = int(ctx.params.get("grid_size", 8))
-    space = ConfigSpace(gsize, grid=True)
+    space = ConfigSpace(grid_size, grid=True)
     exact_bound = 1e-10
     G = Generator(op=cross_ratio_op(space, coupling=0.8), ell=2, indices=IndexPair(0, 0))
     spec = ctx.point_spec(_default_point_spec())
@@ -666,18 +658,14 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, Kphase, 0.0, data)))
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
-               "grid_size": gsize}
+               "grid_size": grid_size}
     return _finish(ctx, "corollary2-pointsym", defect, 1.0, details)
 
 
-def check_internal_dof(ctx: CheckContext) -> CheckResult:
+def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """Spin-coupled non-linearity vs spin rotation: a strictly positive
     obstruction, stable under reseeding and grid refinement."""
-    rep = internal_dof_report(
-        grid_size=int(ctx.params.get("grid_size", 8)),
-        seed=ctx.scenario.seed % 2**31,
-        batch_size=int(ctx.params.get("batch", 16)),
-    )
+    rep = internal_dof_report(grid_size=grid_size, seed=ctx.scenario.seed % 2**31)
     floor = 1e-3
     stability = 0.10
     defect = max(
@@ -691,6 +679,7 @@ def check_internal_dof(ctx: CheckContext) -> CheckResult:
         "refined_norm": rep["refined_norm"],
         "floor": floor,
         "stability_band": stability,
+        "grid_size": grid_size,
         "report": rep["report"].to_json_dict(),
     }
     return _finish(ctx, "internal-dof-demo", defect, 1.0, details)
@@ -712,7 +701,7 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     # residual curves of single state pairs can sit near a cancellation of
     # the leading dt^4 coefficient; the batch sum has a robust one
     pairs = []
-    for k in range(int(ctx.params.get("pairs", 4))):
+    for k in range(4):
         prng = ctx.rng(k)
         pairs.append(
             (
@@ -720,8 +709,7 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
                 random_state(2, space, prng, nowhere_zero=True),
             )
         )
-    dts = [float(x) for x in ctx.params.get("dts", (0.02, 0.01, 0.005))]
-
+    dts = [0.02, 0.01, 0.005]
     cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
     runs = [separation_test(H, pairs, cfg) for cfg in cfgs]
     residuals = [sum(run.gaps) for run in runs]
@@ -760,7 +748,7 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     p = 1.3
     F = lambda_op(IndexPair(p, p), 1, space)
     phi = random_state(1, space, rng, nowhere_zero=True)
-    dts = [float(x) for x in ctx.params.get("dts", (0.02, 0.01, 0.005))]
+    dts = [0.02, 0.01, 0.005]
     residuals = [
         scaling_test(F, phi, 1.4 + 0.3j, EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar))
         for dt in dts
@@ -836,11 +824,10 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
 # symmetries
 
 
-def check_lattice_shift(ctx: CheckContext) -> CheckResult:
+def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """Exact cyclic translations commute with translation-invariant
     non-linear hierarchies to round-off."""
-    gsize = int(ctx.params.get("grid_size", 8))
-    space = ConfigSpace(gsize, grid=True)
+    space = ConfigSpace(grid_size, grid=True)
     bound = 1e-12
     F1 = Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0))
     H = Hierarchy.from_generators(space, [F1], 3)
@@ -852,14 +839,13 @@ def check_lattice_shift(ctx: CheckContext) -> CheckResult:
     for n in (1, 2, 3):
         wf = random_state(n, space, ctx.rng(n), nowhere_zero=True)
         worst = max(worst, symmetry_residual(V, H, 0.3, wf))
-    return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2, "grid_size": gsize})
+    return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2, "grid_size": grid_size})
 
 
-def check_freelift(ctx: CheckContext) -> CheckResult:
+def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> CheckResult:
     """Grid ladder for the point-symmetry obstruction parts: exact
     vanishing of multiplication and phase parts, quadratic decay of the
     discrete-derivative part."""
-    grids = [int(g) for g in ctx.params.get("grids", (8, 16, 32))]
     exact_bound = 1e-10
     band = (3.0, 5.0)
     spec = ctx.point_spec(_default_point_spec())
@@ -868,7 +854,6 @@ def check_freelift(ctx: CheckContext) -> CheckResult:
         spec,
         grids,
         seed=ctx.scenario.seed % 2**31,
-        batch_size=int(ctx.params.get("batch", 4)),
     )
     exact_worst = max(max(rep["c1"]["phase"]), max(rep["c1"]["mult"]),
                       max(rep["c2"]["phase"]), max(rep["c2"]["mult"]))
@@ -878,7 +863,7 @@ def check_freelift(ctx: CheckContext) -> CheckResult:
     )
     defect = max(exact_worst / exact_bound, ladder_defect)
     details = {
-        "grids": grids,
+        "grids": rep["grids"],
         "c1": rep["c1"],
         "c2": rep["c2"],
         "exact_bound": exact_bound,
@@ -904,7 +889,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     M = inf_symmetry_bracket(K, L)
     tau_expected = K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha
     tau_err = abs(M.tau.beta - tau_expected) + abs(M.tau.alpha)
-    bound = float(ctx.params.get("bound", 2e-5))
+    bound = 2e-5
     worst = 0.0
     for t in (0.3, 0.7):
         wf = random_state(2, space, rng, nowhere_zero=True)
@@ -965,14 +950,10 @@ CHECK_ORDINALS = {name: k for k, name in enumerate(CHECKS)}
 
 def run_check(name: str, scenario: Scenario, params: dict, tol_override: float | None = None) -> CheckResult:
     fn, _ = CHECKS[name]
-    ctx = CheckContext(
-        scenario=scenario,
-        params=params or {},
-        ordinal=CHECK_ORDINALS[name],
-        tol_override=tol_override,
-    )
+    ctx = CheckContext(scenario=scenario, ordinal=CHECK_ORDINALS[name],
+                       tol_override=tol_override)
     try:
-        return fn(ctx)
+        return fn(ctx, **params)
     except Exception as exc:
         if not isinstance(exc, SepsymError):
             # an unexpected failure: keep the report, show the trace aside
@@ -986,3 +967,9 @@ def run_check(name: str, scenario: Scenario, params: dict, tol_override: float |
 def list_checks() -> list[tuple[str, str]]:
     """Stable (name, description) listing of every check."""
     return [(name, desc) for name, (_, desc) in CHECKS.items()]
+
+
+def check_parameters(name: str) -> dict:
+    """The parameters a check declares in its signature, with defaults."""
+    fn, _ = CHECKS[name]
+    return {p.name: p.default for p in list(inspect.signature(fn).parameters.values())[1:]}

@@ -12,33 +12,29 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .checks import CHECKS, list_checks, run_check
+from .checks import CHECKS, check_parameters, list_checks, run_check
 from .errors import ScenarioError
-from .scenario import bundled_scenario_names, finite_number, load_scenario
+from .scenario import bundled_scenario_names, finite_number, load_scenario, tolerance_map
 
 
 def _parse_tol_overrides(entries) -> dict[str, float]:
     out: dict[str, float] = {}
     for entry in entries or []:
-        if "=" not in entry:
+        name, sep, value = entry.partition("=")
+        if not sep:
             raise ScenarioError(f"--tol expects NAME=VALUE, got {entry!r}")
-        name, _, value = entry.partition("=")
-        if name not in CHECKS:
-            raise ScenarioError(f"--tol references unknown check {name!r}")
         try:
             out[name] = float(value)
         except ValueError as exc:
             raise ScenarioError(f"--tol {entry!r}: {exc}") from exc
-    return out
+    return tolerance_map(out, set(CHECKS), "--tol")
 
 
 def build_report(scenario: Scenario, tol_overrides: dict[str, float]) -> dict:
     results = []
     for entry in scenario.checks:
         name = entry["name"]
-        res = run_check(
-            name, scenario, entry.get("params", {}), tol_overrides.get(name)
-        )
+        res = run_check(name, scenario, entry["params"], tol_overrides.get(name))
         results.append(res.to_json_dict())
     return {
         "schema": 1,
@@ -74,13 +70,15 @@ def main(argv=None) -> int:
     runp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                       help="override a check tolerance (repeatable)")
     runp.add_argument("--hbar", type=float, default=None, help="override hbar")
-    sub.add_parser("list-checks", help="list every check with what it verifies")
+    sub.add_parser("list-checks", help="list every check, what it verifies and its parameters")
     sub.add_parser("list-scenarios", help="list the bundled scenarios")
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
         for name, desc in list_checks():
-            print(f"{name:<36} {desc}")
+            params = ", ".join(f"{key}={json.dumps(default)}"
+                               for key, default in check_parameters(name).items())
+            print(f"{name:<36} {desc}" + (f" [{params}]" if params else ""))
         return 0
     if args.command == "list-scenarios":
         for name in bundled_scenario_names():

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError, StepMismatch
+from .errors import BadRange, ScenarioError, StepMismatch
 from .evolution import EvolutionConfig
 from .hierarchy import Generator
 from .mixedpow import IndexPair
+from .obstruction import _check_range
 from .operators import (
     cross_ratio_op,
     lambda_op,
@@ -201,20 +202,96 @@ class Scenario:
     symmetry: dict = field(default_factory=dict)
 
 
-def _normalise_checks(entries, known: set[str]) -> tuple[dict, ...]:
+def _grid_size(value, where: str, generators: dict) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 3:
+        raise ScenarioError(f"{where}: expected an integer grid size >= 3, got {value!r}")
+    return value
+
+
+def _grids(value, where: str, generators: dict) -> list[int]:
+    if not (isinstance(value, list) and len(value) >= 2
+            and [_grid_size(g, where, generators) for g in value] == sorted(set(value))):
+        raise ScenarioError(f"{where}: expected two or more grid sizes in strictly "
+                            f"increasing order, got {value!r}")
+    return value
+
+
+def _pairs(value, where: str, generators: dict) -> list | None:
+    """[[F, G, [n, ...]], ...] over named generators, each n admissible for
+    the obstruction of F against G; null keeps the built-in pairs."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{where}: expected a non-empty list, got {value!r}")
+    for entry in value:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(name, str) and name in generators for name in entry[:2])
+                and isinstance(entry[2], list) and entry[2]
+                and all(isinstance(n, int) and not isinstance(n, bool) for n in entry[2])):
+            raise ScenarioError(f"{where}: expected [F, G, [n, ...]] over the scenario's "
+                                f"generators, got {entry!r}")
+        fname, gname, ns = entry
+        try:
+            for n in ns:
+                _check_range(generators[fname].ell, generators[gname].ell, n)
+        except BadRange as exc:
+            raise ScenarioError(f"{where}: {fname} against {gname}: {exc}") from exc
+    return value
+
+
+_PARAM_VALIDATORS = {"grid_size": _grid_size, "grids": _grids, "pairs": _pairs}
+
+
+def _normalise_checks(entries, known: set[str], generators: dict) -> tuple[dict, ...]:
+    from .checks import check_parameters
+
     if not isinstance(entries, (list, tuple)):
         raise ScenarioError(f"checks: expected a list, got {entries!r}")
     checks = []
     for k, entry in enumerate(entries):
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ScenarioError(f"checks[{k}]: expected a name or {{'name': ...}} object")
-        if entry["name"] not in known:
-            raise ScenarioError(f"checks[{k}]: unknown check {entry['name']!r}")
-        entry.setdefault("params", {})
-        checks.append(entry)
+        if not isinstance(entry, dict) or not {"name"} <= set(entry) <= {"name", "params"}:
+            raise ScenarioError(f"checks[{k}]: expected a name or {{'name': ..., 'params': ...}} object")
+        name, params = entry["name"], entry.get("params", {})
+        if not isinstance(name, str) or name not in known:
+            raise ScenarioError(f"checks[{k}]: unknown check {name!r}")
+        declared = check_parameters(name)
+        if not isinstance(params, dict) or not all(key in declared for key in params):
+            raise ScenarioError(f"checks[{k}].params: expected an object over the parameters "
+                                f"{sorted(declared)} of {name}, got {params!r}")
+        checks.append({"name": name, "params": {
+            key: _PARAM_VALIDATORS[key](value, f"checks[{k}].params.{key}", generators)
+            for key, value in params.items()}})
     return tuple(checks)
+
+
+def tolerance_map(tolerances, known: set[str], where: str) -> dict[str, float]:
+    """Check name -> finite positive tolerance: the one validator of the
+    scenario's ``tolerances`` block and of ``--tol``."""
+    if not isinstance(tolerances, dict):
+        raise ScenarioError(f"{where}: expected an object mapping check names to numbers")
+    for name in tolerances:
+        if name not in known:
+            raise ScenarioError(f"{where}: unknown check {name!r}")
+    return {name: finite_number(value, f"{where}.{name}", positive=True)
+            for name, value in tolerances.items()}
+
+
+def _built_generators(specs, space: ConfigSpace) -> dict[str, Generator]:
+    """Each named generator built once, so a malformed spec fails at load."""
+    if not isinstance(specs, dict):
+        raise ScenarioError(f"generators: expected an object, got {specs!r}")
+    built = {}
+    for name, spec in specs.items():
+        try:
+            built[name] = build_generator(space, spec, np.random.default_rng(0),
+                                          where=f"generators.{name}")
+        except ScenarioError:
+            raise
+        except Exception as exc:
+            raise ScenarioError(f"generators.{name}: {type(exc).__name__}: {exc}") from exc
+    return built
 
 
 def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>") -> Scenario:
@@ -226,12 +303,13 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
         raise ScenarioError(f"{origin}: seed must be an integer (no implicit entropy)")
     space = build_space(doc["space"])
-    checks = _normalise_checks(doc["checks"], known_checks)
+    generators = doc.get("generators", {})
+    checks = _normalise_checks(doc["checks"], known_checks,
+                               _built_generators(generators, space))
     if not checks:
         raise ScenarioError(f"{origin}: empty check list")
-    tolerances = doc.get("tolerances", {})
-    if not all(isinstance(v, (int, float)) for v in tolerances.values()):
-        raise ScenarioError(f"{origin}: tolerances must map check names to numbers")
+    tolerances = tolerance_map(doc.get("tolerances", {}), known_checks,
+                               f"{origin}: tolerances")
     hbar = finite_number(doc.get("hbar", 1.0), f"{origin}: hbar", positive=True)
     evolution = doc.get("evolution", {})
     if not isinstance(evolution, dict):
@@ -255,8 +333,8 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
         checks=checks,
         hbar=hbar,
         evolution=evolution,
-        tolerances=dict(tolerances),
-        generators=doc.get("generators", {}),
+        tolerances=tolerances,
+        generators=generators,
         symmetry=symmetry,
     )
 

@@ -287,7 +287,7 @@ def point_symmetry_generator(
 def freelift_report(
     gen_factory: Callable[[ConfigSpace], Generator],
     spec: PointSymmetrySpec,
-    grid_sizes: Sequence[int],
+    grids: Sequence[int],
     seed: int = 0,
     batch_size: int = 4,
 ) -> dict:
@@ -299,9 +299,8 @@ def freelift_report(
     states), for both the two-particle lifting obstruction and the
     added-generator obstruction against the cross-ratio family.
     """
-    grids = [int(g) for g in grid_sizes]
     out: dict = {
-        "grids": grids,
+        "grids": list(grids),
         "c1": {"phase": [], "mult": [], "drift": [], "full": []},
         "c2": {"phase": [], "mult": [], "drift": []},
     }

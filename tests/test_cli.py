@@ -1,14 +1,18 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepsym
-from sepsym.checks import CHECKS, list_checks
+from sepsym.checks import CHECKS, check_parameters, list_checks
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
 from sepsym.scenario import (
@@ -199,6 +203,7 @@ class TestSelfBuiltSpaces:
             "lattice-shift-symmetry",
             {"name": "corollary2-pointsym", "params": {"grid_size": 16}},
             {"name": "corollary1-equivalence", "params": {"grid_size": 3}},
+            {"name": "internal-dof-demo", "params": {"grid_size": 4}},
         ])
         scen = tmp_path / "no-grid.json"
         scen.write_text(json.dumps(doc))
@@ -208,6 +213,7 @@ class TestSelfBuiltSpaces:
         assert details["lattice-shift-symmetry"]["grid_size"] == 8
         assert details["corollary2-pointsym"]["grid_size"] == 16
         assert details["corollary1-equivalence"]["spin_space"] == {"size": 6, "factors": [2, 3]}
+        assert details["internal-dof-demo"]["grid_size"] == 4
 
 
 class TestObstructionProvenance:
@@ -295,6 +301,92 @@ class TestBadValuesExitTwo:
         err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")
         assert "--hbar" in err
 
+    GENERATORS = {"rms": {"kind": "rms-log-modulus"}, "cr0": {"kind": "cross-ratio"}}
+
+    @pytest.mark.parametrize("check, params", [
+        # knobs that only set how much evidence is gathered or how tight a bound is
+        ("mixed-power-identities", {"samples": 0}),
+        ("matrix-rep-homomorphism", {"pairs": 0}),
+        ("algebra-brackets", {"triples": 1}),
+        ("derivation-bracket", {"states": 1}),
+        ("symmetry-bracket-closure", {"bound": 1e9}),
+        ("separation-evolution", {"dts": "abc"}),
+        ("separation-evolution", {"pairs": 1}),
+        ("scaling-indices", {"dts": [0.02]}),
+        ("internal-dof-demo", {"batch": 0}),
+        ("freelift-grid-ladder", {"batch": 4}),
+        ("algebra-table", {"nonsense": 1}),
+        ("algebra-table", 5),
+        ("lattice-shift-symmetry", {"grid_size": True}),
+        ("lattice-shift-symmetry", {"grid_size": 2}),
+        ("corollary2-pointsym", {"grid_size": 8.0}),
+        ("corollary1-equivalence", {"grid_size": "4"}),
+        ("internal-dof-demo", {"grid_size": None}),
+        ("freelift-grid-ladder", {"grids": [8]}),
+        ("freelift-grid-ladder", {"grids": [16, 8]}),
+        ("freelift-grid-ladder", {"grids": [8, 8, 16]}),
+        ("freelift-grid-ladder", {"grids": "8,16"}),
+        ("liftdeltal-identity", {"pairs": 0}),
+        ("liftdeltal-identity", {"pairs": []}),
+        ("liftdeltal-identity", {"pairs": [["rms", "nope", [3]]]}),
+        ("liftdeltal-identity", {"pairs": [["rms", "cr0"]]}),
+        ("liftdeltal-identity", {"pairs": [["rms", "cr0", []]]}),
+        ("liftdeltal-identity", {"pairs": [["rms", "cr0", [3.0]]]}),
+        ("liftdeltal-identity", {"pairs": [["rms", "cr0", [2]]]}),
+        ("liftdeltal-identity", {"pairs": [["rms", "cr0", [5]]]}),
+        ("liftdeltal-identity", {"pairs": [["cr0", "rms", [3]]]}),
+    ])
+    def test_bad_check_params(self, tmp_path, capsys, check, params):
+        doc = dict(FAST_SCENARIO, generators=self.GENERATORS,
+                   checks=[{"name": check, "params": params}])
+        err = self.run_main(tmp_path, capsys, doc)
+        assert "params" in err
+
+    def test_unknown_check_entry_key(self, tmp_path, capsys):
+        doc = dict(FAST_SCENARIO, checks=[{"name": "algebra-table", "parms": {}}])
+        assert "checks[0]" in self.run_main(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("tolerances", [
+        [1], {"algebra-table": True}, {"nocheck": 1}, {"algebra-table": float("nan")},
+        {"algebra-table": 0}, {"algebra-table": -1e-3}, {"algebra-table": "1e-3"},
+    ])
+    def test_bad_tolerances(self, tmp_path, capsys, tolerances):
+        err = self.run_main(tmp_path, capsys, dict(FAST_SCENARIO, tolerances=tolerances))
+        assert "tolerances" in err
+
+    @pytest.mark.parametrize("generators", [
+        [1],
+        {"g": 1},
+        {"g": {"kind": "wat"}},
+        {"g": {"kind": "shifted-log-modulus", "shift": "x"}},
+        {"g": {"kind": "cross-ratio", "refs": [0]}},
+        {"g": {"kind": "linear", "matrix": [[1, 2], [3]]}},
+        {"g": {"kind": "spin-rotation"}},  # needs a factored space
+    ])
+    def test_bad_generators(self, tmp_path, capsys, generators):
+        # an unused generator still fails at load, not inside a later check
+        err = self.run_main(tmp_path, capsys, dict(FAST_SCENARIO, generators=generators))
+        assert "generators" in err
+
+    @pytest.mark.parametrize("tol", [
+        "algebra-table=nan", "algebra-table=inf", "algebra-table=0", "algebra-table=-1",
+        "algebra-table=abc", "nocheck=1", "algebra-table",
+    ])
+    def test_bad_tol_flag(self, tmp_path, capsys, tol):
+        err = self.run_main(tmp_path, capsys, FAST_SCENARIO, "--tol", tol)
+        assert "--tol" in err
+
+    def test_declared_params_load(self):
+        doc = dict(FAST_SCENARIO, generators=self.GENERATORS, checks=[
+            {"name": "liftdeltal-identity", "params": {"pairs": [["rms", "cr0", [3, 4]]]}},
+            {"name": "liftdeltal-identity", "params": {"pairs": None}},
+            {"name": "freelift-grid-ladder", "params": {"grids": [4, 8]}},
+            {"name": "lattice-shift-symmetry", "params": {"grid_size": 3}},
+        ], tolerances={"algebra-table": 1, "liftdeltal-identity": 2.5})
+        sc = parse_scenario(doc, KNOWN)
+        assert [c["params"] for c in sc.checks] == [c["params"] for c in doc["checks"]]
+        assert sc.tolerances == {"algebra-table": 1.0, "liftdeltal-identity": 2.5}
+
     def test_good_values_still_load(self):
         doc = dict(self.POINT_SYM, hbar=2, evolution={"dt": 0.01, "t0": 0, "t1": 1},
                    symmetry={"eta": {"profile": "sine", "amplitude": 0.5},
@@ -302,6 +394,90 @@ class TestBadValuesExitTwo:
         sc = parse_scenario(doc, KNOWN)
         assert sc.hbar == 2.0
         assert sc.evolution == {"dt": 0.01, "t0": 0.0, "t1": 1.0}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# theorem10's generators: rms and shifted have threshold 1, cr0 and cr1 threshold 2
+THEOREM10_GENERATORS = json.loads(
+    (Path(sepsym.__file__).parent / "scenarios" / "theorem10.json").read_text()
+)["generators"]
+PAIR_ENTRIES = st.tuples(
+    st.sampled_from([*THEOREM10_GENERATORS, "nope"]),
+    st.sampled_from([*THEOREM10_GENERATORS, "nope"]),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3) | JSON_VALUES,
+).map(list)
+PARAM_VALUES = {
+    "grid_size": st.integers(2, 40) | JSON_VALUES,
+    "grids": st.lists(st.integers(2, 40), max_size=4) | JSON_VALUES,
+    "pairs": st.lists(PAIR_ENTRIES, max_size=3) | JSON_VALUES,
+}
+PARAMETRISED = [name for name in CHECKS if check_parameters(name)]
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    checks = []
+    for name in draw(st.lists(st.sampled_from(PARAMETRISED) | st.sampled_from(sorted(CHECKS)),
+                              min_size=1, max_size=3)):
+        params = {key: draw(PARAM_VALUES[key]) for key in check_parameters(name)
+                  if draw(st.booleans())}
+        # about one entry in ten gets an undeclared key, one in ten a non-object
+        if draw(st.integers(0, 9)) == 9:
+            params["batch"] = draw(JSON_VALUES)
+        checks.append({"name": name,
+                       "params": draw(JSON_VALUES) if draw(st.integers(0, 9)) == 9 else params})
+    tolerances = draw(st.dictionaries(
+        st.sampled_from(["algebra-table", "liftdeltal-identity", "nocheck"]),
+        st.floats(1e-12, 10.0) | JSON_VALUES, max_size=2,
+    ) | JSON_VALUES)
+    return {"name": "fuzz", "seed": 1, "space": {"size": 3},
+            "generators": THEOREM10_GENERATORS, "checks": checks, "tolerances": tolerances}
+
+
+class TestParseScenarioFuzz:
+    """Any declared-parameter or tolerance value gives a Scenario or a
+    ScenarioError, never another exception."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fuzzed_scenarios())
+    def test_scenario_or_scenario_error(self, doc):
+        try:
+            sc = parse_scenario(doc, KNOWN)
+        except ScenarioError:
+            return
+        for entry in sc.checks:
+            assert set(entry["params"]) <= set(check_parameters(entry["name"]))
+        assert all(math.isfinite(t) and t > 0 for t in sc.tolerances.values())
+
+
+class TestParameterDocs:
+    """The schema doc's parameter table and ``list-checks`` name exactly
+    the parameters the check signatures declare."""
+
+    DECLARED = {(name, key, json.dumps(default))
+                for name in CHECKS for key, default in check_parameters(name).items()}
+
+    def test_schema_table_matches_signatures(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
+        section = doc.split("## Check parameters", 1)[1].split("\n## ", 1)[0]
+        rows = {tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+                for line in section.splitlines() if line.startswith("| `")}
+        assert {(check, key, default) for check, key, _, _, default in rows} == self.DECLARED
+
+    def test_list_checks_matches_signatures(self, capsys):
+        assert main(["list-checks"]) == 0
+        listed = set()
+        for line in capsys.readouterr().out.splitlines():
+            if line.endswith("]"):
+                params = line.rsplit(" [", 1)[1][:-1]
+                listed |= {(line.split()[0], *re.fullmatch(r"(\w+)=(.*)", item).groups())
+                           for item in re.split(r", (?=\w+=)", params)}
+        assert listed == self.DECLARED
 
 
 class TestCliProcess:
