@@ -11,6 +11,7 @@ from .errors import (
     NotDerivation,
     ScenarioError,
     SepsymError,
+    SizeCapExceeded,
     SpaceMismatch,
     StepMismatch,
     ZeroAmplitude,

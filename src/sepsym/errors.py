@@ -29,6 +29,10 @@ class BadRange(SepsymError):
     """Particle-number argument outside the supported range."""
 
 
+class SizeCapExceeded(SepsymError, ValueError):
+    """A state array would exceed the flat-size cap."""
+
+
 class NotDerivation(SepsymError):
     """A hierarchy failed the tensor-derivation residual check."""
 

@@ -112,8 +112,7 @@ def _slot_sum(
         n=m, space=op.space, eval_fn=ev, derivative_fn=deriv,
         second_derivative_fn=second,
         indices=None if op.indices is None else len(Js) * op.indices,
-        time_dependent=op.time_dependent, needs_nowhere_zero=op.needs_nowhere_zero,
-        name=name,
+        time_dependent=op.time_dependent, name=name,
     )
 
 

@@ -101,14 +101,17 @@ def mixed_power(z: complex, idx: IndexPair) -> complex:
     return cmath.exp(idx.a * cmath.log(abs(z)) + 1j * idx.b * cmath.phase(z))
 
 
+def product_components(a, b, c, d) -> tuple[complex, complex]:
+    """The two components of (a,b)(c,d) = (a Re c + i b Im c, b Re d + i a Im d)."""
+    return a * c.real + 1j * b * c.imag, b * d.real + 1j * a * d.imag
+
+
 def pair_product(p: IndexPair, q: IndexPair) -> IndexPair:
-    """Index-pair product: (a,b)(c,d) = (a Re c + i b Im c, b Re d + i a Im d).
+    """Index-pair product ``product_components`` of p and q.
 
     Under this product (z^(c,d))^(a,b) = z^((a,b)(c,d)) as germs at 1.
     """
-    a, b = p.a, p.b
-    c, d = q.a, q.b
-    return IndexPair(a * c.real + 1j * b * c.imag, b * d.real + 1j * a * d.imag)
+    return IndexPair(*product_components(p.a, p.b, q.a, q.b))
 
 
 def pair_bracket(p: IndexPair, q: IndexPair) -> IndexPair:

@@ -64,7 +64,6 @@ class NonlinearOperator:
     second_derivative_fn: Callable[..., np.ndarray] | None = None
     indices: IndexPair | None = None
     time_dependent: bool = False
-    needs_nowhere_zero: bool = False
     name: str = ""
 
     def apply(self, t: float, data: np.ndarray) -> np.ndarray:
@@ -146,44 +145,33 @@ def op_combine(
             raise SpaceMismatch("combined operators must share level and space")
     cs = [complex(c) for c in (coeffs if coeffs is not None else [1.0] * len(ops))]
 
-    def ev(t, data):
-        out = cs[0] * ops[0].eval_fn(t, data)
-        for c, op in zip(cs[1:], ops[1:]):
-            out += c * op.eval_fn(t, data)
-        return out
+    def combined(attr):
+        # sum_k c_k of one kernel of every part; None unless all parts have it
+        fns = [getattr(op, attr) for op in ops]
+        if any(fn is None for fn in fns):
+            return None
 
-    deriv = None
-    if all(op.derivative_fn is not None for op in ops):
-
-        def deriv(t, data, eta):
-            out = cs[0] * ops[0].derivative_fn(t, data, eta)
-            for c, op in zip(cs[1:], ops[1:]):
-                out += c * op.derivative_fn(t, data, eta)
+        def kernel(t, *arrays):
+            out = cs[0] * fns[0](t, *arrays)
+            for c, fn in zip(cs[1:], fns[1:]):
+                out += c * fn(t, *arrays)
             return out
 
-    second = None
-    if all(op.second_derivative_fn is not None for op in ops):
-
-        def second(t, data, u, v):
-            out = cs[0] * ops[0].second_derivative_fn(t, data, u, v)
-            for c, op in zip(cs[1:], ops[1:]):
-                out += c * op.second_derivative_fn(t, data, u, v)
-            return out
+        return kernel
 
     return NonlinearOperator(
         n=first.n,
         space=first.space,
-        eval_fn=ev,
-        derivative_fn=deriv,
-        second_derivative_fn=second,
+        eval_fn=combined("eval_fn"),
+        derivative_fn=combined("derivative_fn"),
+        second_derivative_fn=combined("second_derivative_fn"),
         indices=_merge_indices([op.indices for op in ops], cs),
         time_dependent=any(op.time_dependent for op in ops),
-        needs_nowhere_zero=any(op.needs_nowhere_zero for op in ops),
         name=name or " + ".join(op.name for op in ops),
     )
 
 
-def lie_bracket(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> NonlinearOperator:
+def lie_bracket(F: NonlinearOperator, G: NonlinearOperator) -> NonlinearOperator:
     """[F, G] = DF . G - DG . F at a common particle number.
 
     The result carries a closed-form derivative exactly when both
@@ -226,8 +214,7 @@ def lie_bracket(F: NonlinearOperator, G: NonlinearOperator, name: str = "") -> N
         derivative_fn=deriv,
         indices=indices,
         time_dependent=F.time_dependent or G.time_dependent,
-        needs_nowhere_zero=F.needs_nowhere_zero or G.needs_nowhere_zero,
-        name=name or f"[{F.name}, {G.name}]",
+        name=f"[{F.name}, {G.name}]",
     )
 
 

@@ -5,6 +5,7 @@ with closed-form first derivatives (and second derivatives where they are
 cheap), so bracket and obstruction computations never fall back to finite
 differences for the bundled families.  Every kernel obeys the batched
 contract of ``NonlinearOperator``: particle axes first, batch axes after.
+The complex-linear families all come from ``linear_op``.
 """
 
 from __future__ import annotations
@@ -18,20 +19,26 @@ from .opcalc import NonlinearOperator, require_nowhere_zero
 from .space import ConfigSpace
 
 
-def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
-    def ev(t, data):
-        return np.zeros_like(data)
-
-    def lin(t, data, eta):
-        return np.zeros_like(data)
+def linear_op(
+    space: ConfigSpace, n: int, ev: Callable, name: str, time_dependent: bool = False
+) -> NonlinearOperator:
+    """Complex-linear operator with kernel ``ev(t, data)``: its derivative
+    is ``ev`` applied to the direction, its second derivative is zero and
+    its indices are (0, 0)."""
 
     def second(t, data, u, v):
         return np.zeros_like(data)
 
     return NonlinearOperator(
-        n=n, space=space, eval_fn=ev, derivative_fn=lin, second_derivative_fn=second,
-        indices=ZERO_PAIR, name="zero",
+        n=n, space=space, eval_fn=ev,
+        derivative_fn=lambda t, data, eta: ev(t, eta),
+        second_derivative_fn=second,
+        indices=ZERO_PAIR, time_dependent=time_dependent, name=name,
     )
+
+
+def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
+    return linear_op(space, n, lambda t, data: np.zeros_like(data), "zero")
 
 
 def matrix_op(space: ConfigSpace, n: int, matrix, name: str = "linear") -> NonlinearOperator:
@@ -50,15 +57,7 @@ def matrix_op(space: ConfigSpace, n: int, matrix, name: str = "linear") -> Nonli
     def ev(t, data):
         return (matfn(t) @ data.reshape(space.size**n, -1)).reshape(data.shape)
 
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=n, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second,
-        indices=ZERO_PAIR, time_dependent=time_dependent, name=name,
-    )
+    return linear_op(space, n, ev, name, time_dependent)
 
 
 def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> NonlinearOperator:
@@ -78,17 +77,7 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
     if vals.shape != (space.size,):
         raise ValueError(f"multiplier has shape {vals.shape}, expected ({space.size},)")
 
-    def ev(t, data):
-        return site_multiply(vals, data)
-
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second, indices=ZERO_PAIR, name=name,
-    )
+    return linear_op(space, 1, lambda t, data: site_multiply(vals, data), name)
 
 
 def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
@@ -129,8 +118,7 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     return NonlinearOperator(
         n=n, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=static, time_dependent=time_dependent,
-        needs_nowhere_zero=True, name=label,
+        indices=static, time_dependent=time_dependent, name=label,
     )
 
 
@@ -176,8 +164,7 @@ def shifted_log_modulus_op(
 
     return NonlinearOperator(
         n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=IndexPair(c, 0.0), needs_nowhere_zero=True,
-        name=f"shifted-log-modulus({shift})",
+        indices=IndexPair(c, 0.0), name=f"shifted-log-modulus({shift})",
     )
 
 
@@ -216,7 +203,7 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
 
     return NonlinearOperator(
         n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, needs_nowhere_zero=True, name="relative-log-modulus",
+        indices=ZERO_PAIR, name="relative-log-modulus",
     )
 
 
@@ -257,7 +244,7 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
 
     return NonlinearOperator(
         n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, needs_nowhere_zero=True, name="rms-log-modulus",
+        indices=ZERO_PAIR, name="rms-log-modulus",
     )
 
 
@@ -348,8 +335,7 @@ def cross_ratio_op(
 
     return NonlinearOperator(
         n=2, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, needs_nowhere_zero=True,
-        name=f"cross-ratio{refs}",
+        indices=ZERO_PAIR, name=f"cross-ratio{refs}",
     )
 
 
@@ -403,7 +389,7 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
 
     return NonlinearOperator(
         n=1, space=space, eval_fn=ev, derivative_fn=deriv,
-        indices=ZERO_PAIR, needs_nowhere_zero=True, name="spin-rms-log",
+        indices=ZERO_PAIR, name="spin-rms-log",
     )
 
 
@@ -420,14 +406,7 @@ def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:
         arr[1] = -a0
         return arr.reshape(data.shape)
 
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second, indices=ZERO_PAIR, name="spin-rotation",
-    )
+    return linear_op(space, 1, ev, "spin-rotation")
 
 
 def _site_shift_index(space: ConfigSpace, shift: int) -> np.ndarray:
@@ -451,15 +430,7 @@ def shift_all_op(space: ConfigSpace, n: int, shift: int) -> NonlinearOperator:
             out = np.take(out, sigma, axis=axis)
         return out
 
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=n, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second, indices=ZERO_PAIR,
-        name=f"shift({shift})",
-    )
+    return linear_op(space, n, ev, f"shift({shift})")
 
 
 def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
@@ -473,12 +444,5 @@ def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
         bwd = _roll_sites(space, data, -1)
         return (fwd - bwd) / (2.0 * h)
 
-    def second(t, data, u, v):
-        return np.zeros_like(data)
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
-        second_derivative_fn=second, indices=ZERO_PAIR, name="grid-derivative",
-    )
+    return linear_op(space, 1, ev, "grid-derivative")
 

@@ -39,15 +39,20 @@ from .space import ConfigSpace
 
 
 def _complex_of(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    """A JSON number or [re, im] pair as a complex, each part a finite number."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    try:
+        return complex(*(finite_number(v, where) for v in parts))
+    except ScenarioError:
+        raise ScenarioError(
+            f"{where}: expected a finite number or [re, im] pair, got {value!r}"
+        ) from None
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def finite_number(value, where: str, positive: bool = False) -> float:
@@ -63,9 +68,9 @@ def finite_number(value, where: str, positive: bool = False) -> float:
     return number
 
 
-def build_space(spec: dict, where: str = "space") -> ConfigSpace:
+def build_space(spec: dict) -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
-        raise ScenarioError(f"{where}: expected an object with a 'size' field")
+        raise ScenarioError("space: expected an object with a 'size' field")
     factors = spec.get("factors")
     try:
         return ConfigSpace(
@@ -74,7 +79,7 @@ def build_space(spec: dict, where: str = "space") -> ConfigSpace:
             grid=bool(spec.get("grid", False)),
         )
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"space: {exc}") from exc
 
 
 def evolution_config(evolution: dict, hbar: float) -> EvolutionConfig:
@@ -109,7 +114,8 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
             op=log_modulus_op(space, coeff), ell=1, indices=IndexPair(coeff, 0.0)
         )
     if kind == "shifted-log-modulus":
-        op = shifted_log_modulus_op(space, coeff, int(spec.get("shift", 1)))
+        shift = _integer(spec.get("shift", 1), f"{where}.shift")
+        op = shifted_log_modulus_op(space, coeff, shift)
         return Generator(op=op, ell=1, indices=IndexPair(coeff, 0.0))
     if kind == "relative-log-modulus":
         return Generator(
@@ -138,8 +144,8 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
             op=site_matrix_op(space, mat), ell=1, indices=IndexPair(0, 0)
         )
     if kind == "cross-ratio":
-        refs = spec.get("refs", [0, 0])
-        op = cross_ratio_op(space, (int(refs[0]), int(refs[1])), coupling)
+        r1, r2 = (_integer(r, f"{where}.refs") for r in spec.get("refs", [0, 0]))
+        op = cross_ratio_op(space, (r1, r2), coupling)
         return Generator(op=op, ell=2, indices=IndexPair(0, 0))
     if kind == "non-separating":
         return Generator(
@@ -148,7 +154,7 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
     raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
 
 
-def build_point_spec(doc: dict, where: str = "symmetry"):
+def build_point_spec(doc: dict):
     """Point-symmetry data from its scenario block.
 
     eta and xi are named profiles ("constant", "linear", "sine") with
@@ -177,15 +183,15 @@ def build_point_spec(doc: dict, where: str = "symmetry"):
         except ValueError as exc:
             raise ScenarioError(f"{name}: {exc}") from exc
 
-    doc = block_of(doc, where)
-    tau_doc = block_of(doc.get("tau", {}), f"{where}.tau")
+    doc = block_of(doc, "symmetry")
+    tau_doc = block_of(doc.get("tau", {}), "symmetry.tau")
     return PointSymmetrySpec(
-        eta=field_profile(doc.get("eta"), f"{where}.eta"),
-        xi=field_profile(doc.get("xi"), f"{where}.xi"),
-        gamma=number(doc, "gamma", 0.0, where),
-        delta=number(doc, "delta", 0.0, where),
-        tau=AffineMap(number(tau_doc, "alpha", 0.0, f"{where}.tau"),
-                      number(tau_doc, "beta", 0.0, f"{where}.tau")),
+        eta=field_profile(doc.get("eta"), "symmetry.eta"),
+        xi=field_profile(doc.get("xi"), "symmetry.xi"),
+        gamma=number(doc, "gamma", 0.0, "symmetry"),
+        delta=number(doc, "delta", 0.0, "symmetry"),
+        tau=AffineMap(number(tau_doc, "alpha", 0.0, "symmetry.tau"),
+                      number(tau_doc, "beta", 0.0, "symmetry.tau")),
     )
 
 

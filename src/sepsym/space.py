@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadTuple, SpaceMismatch
+from .errors import BadTuple, SizeCapExceeded, SpaceMismatch
 
 # Soft desk-scale guarantee: |X|^n may not exceed this flat length.
 FLAT_SIZE_CAP = 65536
@@ -75,7 +75,7 @@ def state_shape(space: ConfigSpace, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"particle count must be positive, got {n}")
     if space.size**n > FLAT_SIZE_CAP:
-        raise ValueError(
+        raise SizeCapExceeded(
             f"|X|^n = {space.size}^{n} exceeds the flat-size cap {FLAT_SIZE_CAP}"
         )
     return (space.size,) * n

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BadRange
 from .evolution import EvolutionConfig, rk4_trajectory
 from .hierarchy import Generator, Hierarchy, canonical_lift
-from .mixedpow import IndexPair, pair_bracket
+from .mixedpow import IndexPair, pair_bracket, product_components
 from .obstruction import corollary1_obstruction, corollary1_report, corollary2_obstruction
 from .opcalc import NonlinearOperator, lie_bracket, op_combine
 from .operators import (
@@ -44,6 +44,7 @@ from .operators import (
     cross_ratio_op,
     diag_mult_op,
     lambda_op,
+    linear_op,
     site_multiply,
     spin_rms_log_op,
     spin_rotation_op,
@@ -181,7 +182,6 @@ def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> 
             if Kn.indices is not None and Ln.indices is not None
             else None,
             time_dependent=True,
-            needs_nowhere_zero=Kn.needs_nowhere_zero or Ln.needs_nowhere_zero,
             name=f"[{Kn.name}, {Ln.name}]",
         )
     tau = AffineMap(0.0, K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha)
@@ -244,17 +244,9 @@ def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[st
         D = central_difference_op(space)
         div = D.apply(0.0, _tile_internal(space, xi_vals).astype(np.complex128))
         parts["mult"] = diag_mult_op(space, 0.5 * div, name="div(xi)/2")
-        def drift_only(t, data, xi_full=_tile_internal(space, xi_vals), D=D):
-            return site_multiply(xi_full, D.apply(t, data))
-
-        def drift_zero(t, data, u, v):
-            return np.zeros_like(data)
-
-        parts["drift"] = NonlinearOperator(
-            n=1, space=space, eval_fn=drift_only,
-            derivative_fn=lambda t, data, eta: drift_only(t, eta),
-            second_derivative_fn=drift_zero, indices=parts["mult"].indices,
-            name="xi*grad",
+        xi_full = _tile_internal(space, xi_vals)
+        parts["drift"] = linear_op(
+            space, 1, lambda t, data: site_multiply(xi_full, D.apply(t, data)), "xi*grad"
         )
     return parts
 
@@ -410,16 +402,15 @@ def index_flow(
     output).  The right-hand side does not depend on t, so node k is bit
     for bit the value of a fresh k-step march from cfg.t0.
     """
-    drive = IndexPair(-1j * p, -1j * q)
+    da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
     def rhs(t, y):
-        cd = IndexPair(y[0], y[1])
-        br = pair_bracket(drive, cd)
+        # [drive, (c, d)] = drive (c, d) - (c, d) drive, component by component
+        c, d = complex(y[0]), complex(y[1])
+        fa, fb = product_components(da, db, c, d)
+        ba, bb = product_components(c, d, da, db)
         return np.array(
-            [
-                (br.a - tau.alpha * drive.a) / cfg.hbar,
-                (br.b - tau.alpha * drive.b) / cfg.hbar,
-            ]
+            [(fa - ba - tau.alpha * da) / cfg.hbar, (fb - bb - tau.alpha * db) / cfg.hbar]
         )
 
     y0 = np.array([start.a, start.b], dtype=np.complex128)
@@ -434,7 +425,7 @@ def index_flow(
             signed_dt = math.copysign(cfg.dt, span)
             table = nodes[signed_dt]
             if len(table) <= abs(steps):
-                _, _, samples = rk4_trajectory(
+                _, samples = rk4_trajectory(
                     rhs, table[-1], cfg.t0 + (len(table) - 1) * signed_dt, signed_dt,
                     abs(steps) - len(table) + 1, keep_samples=True,
                 )
@@ -443,7 +434,7 @@ def index_flow(
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y, _, _ = rk4_trajectory(rhs, y, reached, rem, 1)
+            y, _ = rk4_trajectory(rhs, y, reached, rem, 1)
         return IndexPair(complex(y[0]), complex(y[1]))
 
     return at

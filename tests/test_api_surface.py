@@ -8,6 +8,12 @@ scan is static: it parses the sources and counts a name as used when it
 is loaded (as a bare name or an attribute for functions, as an attribute
 for members) anywhere outside ``__init__.py``.
 
+A load that only copies a field forward does not count as reading it: an
+attribute loaded inside a keyword argument of the same name, as in
+``NonlinearOperator(..., flag=op.flag or other.flag)``, passes the value
+on to a new object and decides nothing.  A flag that every combinator
+copies but no code tests is therefore flagged.
+
 Members are matched by name only, not by class: a member whose name some
 other class also uses and reads passes.  The scan therefore could not see
 that nothing read ``Hierarchy.generators``, because ``Scenario.generators``
@@ -43,9 +49,19 @@ def _loaded_names(tree):
     return names
 
 
-def _attribute_loads(tree):
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _attribute_loads(tree, keyword=None):
+    """Attributes loaded in ``tree``, leaving out copies: a load inside a
+    keyword argument of its own name, ``field=op.field``, only passes the
+    field on."""
+    if isinstance(tree, ast.keyword):
+        keyword = tree.arg
+    loads = set()
+    if (isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load)
+            and tree.attr != keyword):
+        loads.add(tree.attr)
+    for child in ast.iter_child_nodes(tree):
+        loads |= _attribute_loads(child, keyword)
+    return loads
 
 
 def _members(cls):
@@ -103,3 +119,12 @@ def test_scan_sees_package_functions():
                for member in _members(cls)}
     assert {"NonlinearOperator.derivative", "WaveFunction.norm_inf",
             "ConfigSpace.spacing", "Hierarchy.ops"} <= members
+
+
+def test_copying_forward_is_not_reading():
+    def loads(src):
+        return _attribute_loads(ast.parse(src))
+
+    assert loads("Op(flag=a.flag or b.flag, name=a.name)") == set()
+    assert loads("Op(other=a.flag)") == {"flag"}
+    assert loads("if a.flag: pass") == {"flag"}

@@ -165,7 +165,7 @@ class TestListChecks:
 
 
 class TestCheckErrors:
-    # |X|^4 = 20^4 is over the flat-size cap, which raises a plain ValueError
+    # |X|^4 = 20^4 is over the flat-size cap
     OVERSIZED = {
         "name": "oversized",
         "seed": 3,
@@ -180,15 +180,29 @@ class TestCheckErrors:
         ],
     }
 
-    def test_unexpected_exception_becomes_error_entry(self, tmp_path, capsys):
-        scen = tmp_path / "oversized.json"
-        scen.write_text(json.dumps(self.OVERSIZED))
+    def run(self, tmp_path, doc):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 1
-        checks = json.loads(out.read_text())["checks"]
+        return json.loads(out.read_text())["checks"]
+
+    def test_oversized_space_is_an_error_entry_without_traceback(self, tmp_path, capsys):
+        checks = self.run(tmp_path, self.OVERSIZED)
         assert checks[0]["status"] == "error"
-        assert checks[0]["details"]["error"].startswith("ValueError: ")
+        assert checks[0]["details"]["error"].startswith("SizeCapExceeded: ")
         assert "flat-size cap" in checks[0]["details"]["error"]
+        assert checks[1]["status"] == "pass"  # later checks still run
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unexpected_exception_becomes_error_entry(self, tmp_path, capsys, monkeypatch):
+        def broken(ctx):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setitem(CHECKS, "algebra-table", (broken, "raises"))
+        checks = self.run(tmp_path, FAST_SCENARIO)
+        assert checks[0]["status"] == "error"
+        assert checks[0]["details"]["error"] == "RuntimeError: planted fault"
         assert checks[1]["status"] == "pass"  # later checks still run
         captured = capsys.readouterr()
         assert "Traceback" in captured.err and "Traceback" not in captured.out
@@ -362,6 +376,14 @@ class TestBadValuesExitTwo:
         {"g": {"kind": "cross-ratio", "refs": [0]}},
         {"g": {"kind": "linear", "matrix": [[1, 2], [3]]}},
         {"g": {"kind": "spin-rotation"}},  # needs a factored space
+        {"g": {"kind": "log-modulus", "coeff": True}},
+        {"g": {"kind": "rms-log-modulus", "coeff": float("nan")}},
+        {"g": {"kind": "lambda", "a": [1, float("inf")]}},
+        {"g": {"kind": "non-separating", "coupling": [True, 0]}},
+        {"g": {"kind": "shifted-log-modulus", "shift": 2.7}},
+        {"g": {"kind": "shifted-log-modulus", "shift": True}},
+        {"g": {"kind": "cross-ratio", "refs": [0.5, 0]}},
+        {"g": {"kind": "cross-ratio", "refs": [True, 0]}},
     ])
     def test_bad_generators(self, tmp_path, capsys, generators):
         # an unused generator still fails at load, not inside a later check

@@ -14,11 +14,12 @@ from sepsym.evolution import (
     extract_indices,
     index_ode_solve,
     replaced_level_gaps,
+    rk4_trajectory,
     scaling_test,
     separation_test,
 )
 from sepsym.hierarchy import Generator, Hierarchy
-from sepsym.mixedpow import IndexPair, matrix_rep, mixed_power
+from sepsym.mixedpow import IndexPair, matrix_rep, mixed_power, pair_action
 from sepsym.opcalc import op_combine
 from sepsym.operators import (
     cross_ratio_op,
@@ -224,6 +225,24 @@ class TestIndexOde:
         vb = scipy.linalg.expm(Mb) @ np.array([1.0, 0.0])
         assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
 
+    def test_scalar_laws_match_joint_array_march(self):
+        # each law marched alone as a Python complex number gives, bit for
+        # bit, the samples of the joint complex128 march of [a, b]
+        p, q = 1.1, 0.4
+        cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25, hbar=1.3)
+        pq, qp = IndexPair(p, q), IndexPair(q, p)
+
+        def rhs(t, y):
+            return np.array([-1j / cfg.hbar * pair_action(pq, y[0]),
+                             -1j / cfg.hbar * pair_action(qp, y[1])])
+
+        _, samples = rk4_trajectory(rhs, np.array([1.0 + 0j, 1.0 + 0j]), cfg.t0, cfg.dt,
+                                    cfg.n_steps(), keep_samples=True)
+        joint = np.array(samples)
+        traj = index_ode_solve(p, q, cfg)
+        assert traj.a.tobytes() == joint[:, 0].tobytes()
+        assert traj.b.tobytes() == joint[:, 1].tobytes()
+
     def test_extraction_second_order(self):
         p, q = 1.3, 0.6
         errs = []
@@ -236,6 +255,24 @@ class TestIndexOde:
 
 
 class TestScaling:
+    @pytest.mark.parametrize("make", [
+        lambda sp: lambda_op(IndexPair(1.3, 0.7), 1, sp),
+        lambda sp: rms_log_modulus_op(sp, 0.8),
+    ])
+    def test_batch_matches_two_evolves(self, make, space4, rng):
+        # k phi and phi marched as one batch give the residual of two
+        # separate marches bit for bit; the rms mean over four sites adds
+        # in the same order with or without the batch axis
+        F = make(space4)
+        phi = nz(1, space4, rng)
+        k = 1.4 + 0.3j
+        cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3)
+        factor = mixed_power(k, index_ode_solve(F.indices.a, F.indices.b, cfg).final())
+        scaled = evolve(F, phi.with_data(k * phi.data), cfg)
+        base = evolve(F, phi, cfg)
+        two_marches = float(np.abs(scaled.data - factor * base.data).max())
+        assert scaling_test(F, phi, k, cfg) == two_marches
+
     def test_strictly_homogeneous_exact(self, space4, rng):
         F = rms_log_modulus_op(space4, 0.8)
         phi = nz(1, space4, rng)

@@ -460,7 +460,7 @@ def two_evaluation_cross_ratio(space, refs, coupling):
     return NonlinearOperator(
         n=2, space=space, eval_fn=averaged(raw_ev), derivative_fn=averaged(raw_deriv),
         second_derivative_fn=averaged(raw_second), indices=ZERO_PAIR,
-        needs_nowhere_zero=True, name=f"two-evaluation-cross-ratio{refs}",
+        name=f"two-evaluation-cross-ratio{refs}",
     )
 
 

@@ -166,11 +166,11 @@ def remarch_oracle(p, q, tau, start, cfg):
         reached = cfg.t0
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
-            y, _, _ = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
+            y, _ = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y, _, _ = rk4_trajectory(rhs, y, reached, rem, 1)
+            y, _ = rk4_trajectory(rhs, y, reached, rem, 1)
         return IndexPair(complex(y[0]), complex(y[1]))
 
     return at
@@ -264,7 +264,7 @@ class TestThresholdConsistency:
         dt_sym = 1e-4
 
         def freeze(n, ev):
-            return NonlinearOperator(n=n, space=space, eval_fn=ev, needs_nowhere_zero=True)
+            return NonlinearOperator(n=n, space=space, eval_fn=ev)
 
         lhs_levels, rhs_levels = [], []
         for n in range(1, n_max + 1):
