@@ -31,14 +31,13 @@ from .mixedpow import (
     pair_bracket,
     pair_product,
 )
-from .space import ConfigSpace, WaveFunction, permute, random_state, tensor
+from .space import ConfigSpace, WaveFunction, random_state, tensor
 from .opcalc import (
     NonlinearOperator,
     check_permutation_property,
     estimate_log_indices,
     euler_log_residual,
     euler_power_residual,
-    frechet,
     lie_bracket,
 )
 from .hierarchy import (

@@ -354,22 +354,13 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
 
 def _default_bracket_hierarchies(space: ConfigSpace):
     F = Hierarchy.from_generators(
-        space,
-        [
-            Generator(op=shifted_log_modulus_op(space, 0.8), ell=1, indices=IndexPair(0.8, 0)),
-            Generator(op=cross_ratio_op(space, coupling=0.5), ell=2, indices=IndexPair(0, 0)),
-        ],
+        [Generator(shifted_log_modulus_op(space, 0.8)), Generator(cross_ratio_op(space, coupling=0.5))],
         3,
     )
     G = Hierarchy.from_generators(
-        space,
         [
-            Generator(
-                op=lambda_op(IndexPair(0.6 + 0.3j, 0.2 - 0.4j), 1, space),
-                ell=1,
-                indices=IndexPair(0.6 + 0.3j, 0.2 - 0.4j),
-            ),
-            Generator(op=rms_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0)),
+            Generator(lambda_op(IndexPair(0.6 + 0.3j, 0.2 - 0.4j), 1, space)),
+            Generator(rms_log_modulus_op(space, 0.7)),
         ],
         3,
     )
@@ -407,9 +398,7 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     index_err = max(abs(est.a - expect.a), abs(est.b - expect.b))
     # threshold of the bracket >= max threshold: a pure 2-threshold
     # hierarchy bracketed against F has a vanishing first level
-    H2 = Hierarchy.from_generators(
-        space, [Generator(op=cross_ratio_op(space, refs=(1, 0), coupling=0.6), ell=2, indices=IndexPair(0, 0))], 3
-    )
+    H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space, refs=(1, 0), coupling=0.6))], 3)
     Bk2 = bracket_hierarchy(F, H2)
     lvl1 = max(sup_norms(Bk2.op(1).apply(0.0, np.stack([wf.data for wf in batch], axis=-1))))
     prod2 = [
@@ -439,10 +428,10 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng()
     bound = 1e-8
     gens = [
-        Generator(op=shifted_log_modulus_op(space, 0.9), ell=1, indices=IndexPair(0.9, 0)),
-        Generator(op=cross_ratio_op(space, coupling=0.7), ell=2, indices=IndexPair(0, 0)),
+        Generator(shifted_log_modulus_op(space, 0.9)),
+        Generator(cross_ratio_op(space, coupling=0.7)),
     ]
-    H = Hierarchy.from_generators(space, gens, 3)
+    H = Hierarchy.from_generators(gens, 3)
     recovered = canonical_decompose(H, seed=ctx.scenario.seed % 2**31)
     worst = 0.0
     for g_orig, g_rec in zip(gens, recovered):
@@ -456,7 +445,7 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
             abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b),
         )
     # idempotence: decomposing the rebuilt hierarchy returns the same parts
-    rebuilt = Hierarchy.from_generators(space, recovered, 3)
+    rebuilt = Hierarchy.from_generators(recovered, 3)
     again = canonical_decompose(rebuilt, seed=ctx.scenario.seed % 2**31)
     for g1, g2 in zip(recovered, again):
         probe = random_state(g1.ell, space, rng, nowhere_zero=True)
@@ -504,7 +493,7 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
                 worst = max(worst, tensor_derivation_residual(H, 0.0, factors))
     bad_ops = list(F.ops)
     bad_ops[1] = op_combine([bad_ops[1], nonseparating_op(space, 2, 0.5)])
-    bad = Hierarchy(space=space, n_max=3, ops=tuple(bad_ops))
+    bad = Hierarchy(tuple(bad_ops))
     factors = [random_state(1, space, rng, nowhere_zero=True) for _ in range(2)]
     bad_residual = tensor_derivation_residual(bad, 0.0, factors)
     defect = max(worst / bound, _floor_defect(bad_residual, 0.01))
@@ -517,10 +506,10 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
 
 
 def _default_theorem10_pairs(space: ConfigSpace):
-    rms = Generator(op=rms_log_modulus_op(space, 0.9), ell=1, indices=IndexPair(0, 0))
-    shifted = Generator(op=shifted_log_modulus_op(space, 0.8), ell=1, indices=IndexPair(0.8, 0))
-    cr0 = Generator(op=cross_ratio_op(space, refs=(0, 0), coupling=0.6), ell=2, indices=IndexPair(0, 0))
-    cr1 = Generator(op=cross_ratio_op(space, refs=(1, 2), coupling=0.5), ell=2, indices=IndexPair(0, 0))
+    rms = Generator(rms_log_modulus_op(space, 0.9))
+    shifted = Generator(shifted_log_modulus_op(space, 0.8))
+    cr0 = Generator(cross_ratio_op(space, refs=(0, 0), coupling=0.6))
+    cr1 = Generator(cross_ratio_op(space, refs=(1, 2), coupling=0.5))
     return [
         ("rms-vs-shifted", rms, shifted, (2, 3)),
         ("rms-vs-crossratio", rms, cr0, (3,)),
@@ -570,10 +559,8 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     rng = ctx.rng()
     bound = 1e-10
-    A = Generator(op=site_matrix_op(space, random_hermitian(space, rng), name="lin-A"),
-                  ell=1, indices=IndexPair(0, 0))
-    Bl = Generator(op=site_matrix_op(space, random_hermitian(space, rng), name="lin-B"),
-                   ell=1, indices=IndexPair(0, 0))
+    A = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-A"))
+    Bl = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-B"))
     worst = 0.0
     for n in (2, 3):
         data = _state_batch(ctx, n, space, 10 * n, 4)
@@ -602,13 +589,13 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> Check
     two_bound = 1e-8
     lift_bound = 1e-7
     floor = 1e-3
-    F = Generator(op=shifted_log_modulus_op(space, 0.8), ell=1, indices=IndexPair(0.8, 0))
-    K = Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=IndexPair(0, 0))
+    F = Generator(shifted_log_modulus_op(space, 0.8))
+    K = Generator(relative_log_modulus_op(space, 0.7))
     two = max(sup_norms(corollary1_obstruction(F, K, 0.0, _state_batch(ctx, 2, space, 0, 8))))
     lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, _state_batch(ctx, 3, space, 100, 8))))
     spin_space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
-    Fs = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
-    Ks = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+    Fs = Generator(spin_rms_log_op(spin_space, 1.0))
+    Ks = Generator(spin_rotation_op(spin_space))
     spin2 = _state_batch(ctx, 2, spin_space, 200, 8)
     spin3 = _state_batch(ctx, 3, spin_space, 300, 8)
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
@@ -645,16 +632,16 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
     derivative part stays small and is reported."""
     space = ConfigSpace(grid_size, grid=True)
     exact_bound = 1e-10
-    G = Generator(op=cross_ratio_op(space, coupling=0.8), ell=2, indices=IndexPair(0, 0))
+    G = Generator(cross_ratio_op(space, coupling=0.8))
     spec = ctx.point_spec(_default_point_spec())
     parts = point_symmetry_parts(spec, space)
     data = _state_batch(ctx, 3, space, 0, 4, smooth=True)
     norms = {}
     for label in ("phase", "mult", "drift"):
-        Kgen = Generator(op=parts[label], ell=1, indices=IndexPair(0, 0))
+        Kgen = Generator(parts[label])
         norms[label] = max(sup_norms(corollary2_obstruction(G, Kgen, 0.0, data)))
-    zero_gen = Generator(op=cross_ratio_op(space, coupling=0.0), ell=2, indices=IndexPair(0, 0))
-    Kphase = Generator(op=parts["phase"], ell=1, indices=IndexPair(0, 0))
+    zero_gen = Generator(cross_ratio_op(space, coupling=0.0))
+    Kphase = Generator(parts["phase"])
     zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, Kphase, 0.0, data)))
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
@@ -695,9 +682,9 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     band = (12.0, 20.0)
     plateau_floor = 1e-2
-    F1 = Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0))
-    G2 = Generator(op=cross_ratio_op(space, coupling=0.25), ell=2, indices=IndexPair(0, 0))
-    H = Hierarchy.from_generators(space, [F1, G2], 3)
+    F1 = Generator(log_modulus_op(space, 1.0))
+    G2 = Generator(cross_ratio_op(space, coupling=0.25))
+    H = Hierarchy.from_generators([F1, G2], 3)
     # residual curves of single state pairs can sit near a cancellation of
     # the leading dt^4 coefficient; the batch sum has a robust one
     pairs = []
@@ -797,11 +784,7 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     tau = AffineMap(0.5, 0.2)
     start = IndexPair(0.9, 0.4)
     cfg = ctx.evolution
-    H = Hierarchy.from_generators(
-        space,
-        [Generator(op=lambda_op(IndexPair(p, q), 1, space), ell=1, indices=IndexPair(p, q))],
-        2,
-    )
+    H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
     K = lambda_index_symmetry(p, q, tau, start, cfg, space, 2)
     sym_bound = 1e-6
     worst_sym = 0.0
@@ -829,8 +812,8 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     non-linear hierarchies to round-off."""
     space = ConfigSpace(grid_size, grid=True)
     bound = 1e-12
-    F1 = Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0))
-    H = Hierarchy.from_generators(space, [F1], 3)
+    F1 = Generator(log_modulus_op(space, 1.0))
+    H = Hierarchy.from_generators([F1], 3)
     V = FiniteSymmetry(
         levels={n: shift_all_op(space, n, 2) for n in (1, 2, 3)},
         tmap=IDENTITY_TIME,
@@ -850,7 +833,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> C
     band = (3.0, 5.0)
     spec = ctx.point_spec(_default_point_spec())
     rep = freelift_report(
-        lambda sp: Generator(op=rms_log_modulus_op(sp, 1.0), ell=1, indices=IndexPair(0, 0)),
+        lambda sp: Generator(rms_log_modulus_op(sp, 1.0)),
         spec,
         grids,
         seed=ctx.scenario.seed % 2**31,
@@ -879,11 +862,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng()
     p, q = 0.9, 0.5
     cfg = ctx.evolution
-    H = Hierarchy.from_generators(
-        space,
-        [Generator(op=lambda_op(IndexPair(p, q), 1, space), ell=1, indices=IndexPair(p, q))],
-        2,
-    )
+    H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
     K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space, 2)
     L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space, 2)
     M = inf_symmetry_bracket(K, L)

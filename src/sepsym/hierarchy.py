@@ -49,22 +49,30 @@ MAX_PARTICLES = 4
 
 @dataclass(frozen=True)
 class Generator:
-    """Threshold data for a tensor derivation.
+    """Threshold data for a tensor derivation: an ell-particle operator.
 
-    At ell = 1 the operator must be mixed-logarithmic homogeneous with
-    the stated indices; at ell > 1 it must be strictly homogeneous
-    (indices (0, 0)) and vanish on tensor products.
+    The threshold ell is the operator's particle number and the indices
+    are the ones it declares.  At ell = 1 the operator must be
+    mixed-logarithmic homogeneous and declare its indices; at ell > 1 it
+    must be strictly homogeneous (declaring (0, 0) or nothing) and vanish
+    on tensor products.
     """
 
     op: NonlinearOperator
-    ell: int
-    indices: IndexPair
 
     def __post_init__(self):
-        if self.ell != self.op.n:
-            raise BadRange(f"generator level {self.ell} != operator level {self.op.n}")
-        if self.ell > 1 and not self.indices.is_zero():
+        if self.ell == 1 and self.indices is None:
+            raise ValueError("a one-particle generator must declare its logarithmic indices")
+        if self.ell > 1 and self.indices is not None and not self.indices.is_zero():
             raise ValueError("generators above one particle must be strictly homogeneous")
+
+    @property
+    def ell(self) -> int:
+        return self.op.n
+
+    @property
+    def indices(self) -> IndexPair | None:
+        return self.op.indices
 
 
 def _slot_sum(
@@ -161,34 +169,38 @@ def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
     return canonical_lift_gen(gen, n)
 
 
-def natural_part(F: NonlinearOperator, indices: IndexPair | None = None) -> NonlinearOperator:
+def natural_part(F: NonlinearOperator) -> NonlinearOperator:
     """Strictly homogeneous part F - Lambda(p, q) of a mixed-log operator."""
-    idx = indices if indices is not None else F.indices
-    if idx is None:
+    if F.indices is None:
         raise ValueError("natural part needs the logarithmic indices")
-    if idx.is_zero():
+    if F.indices.is_zero():
         return F
-    lam = lambda_op(idx, F.n, F.space)
+    lam = lambda_op(F.indices, F.n, F.space)
     out = op_combine([F, lam], [1.0, -1.0], name=f"{F.name}-natural")
     return replace(out, indices=ZERO_PAIR)
 
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """A truncated family F_1 .. F_{n_max} of multi-particle operators."""
+    """A truncated family F_1 .. F_{n_max} of multi-particle operators:
+    level k is ``ops[k-1]``, a k-particle operator on the space of level 1."""
 
-    space: ConfigSpace
-    n_max: int
     ops: tuple[NonlinearOperator, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_max <= MAX_PARTICLES:
-            raise BadRange(f"n_max={self.n_max} outside 1..{MAX_PARTICLES}")
-        if len(self.ops) != self.n_max:
-            raise BadRange(f"{len(self.ops)} levels given for n_max={self.n_max}")
+        if not 1 <= len(self.ops) <= MAX_PARTICLES:
+            raise BadRange(f"{len(self.ops)} levels outside 1..{MAX_PARTICLES}")
         for k, op in enumerate(self.ops, start=1):
             if op.n != k or op.space != self.space:
-                raise SpaceMismatch(f"level {k} operator has n={op.n}")
+                raise SpaceMismatch(f"level {k} operator has n={op.n} or another space")
+
+    @property
+    def space(self) -> ConfigSpace:
+        return self.ops[0].space
+
+    @property
+    def n_max(self) -> int:
+        return len(self.ops)
 
     def op(self, n: int) -> NonlinearOperator:
         if not 1 <= n <= self.n_max:
@@ -196,23 +208,21 @@ class Hierarchy:
         return self.ops[n - 1]
 
     @classmethod
-    def from_generators(
-        cls, space: ConfigSpace, gens: Sequence[Generator], n_max: int = DEFAULT_N_MAX
-    ) -> "Hierarchy":
+    def from_generators(cls, gens: Sequence[Generator], n_max: int = DEFAULT_N_MAX) -> "Hierarchy":
+        """Sum of the canonical lifts of ``gens`` at each level, on their space."""
+        if not gens:
+            raise ValueError("a hierarchy needs at least one generator")
         ops = []
         for n in range(1, n_max + 1):
             parts = [canonical_lift(g, n) for g in gens if g.ell <= n]
-            ops.append(op_combine(parts, name=f"F_{n}") if parts else zero_op(space, n))
-        return cls(space=space, n_max=n_max, ops=tuple(ops))
+            ops.append(op_combine(parts, name=f"F_{n}") if parts else zero_op(gens[0].op.space, n))
+        return cls(tuple(ops))
 
 
 def bracket_hierarchy(F: Hierarchy, G: Hierarchy) -> Hierarchy:
-    """Level-wise Lie bracket of two hierarchies."""
-    if F.space != G.space:
-        raise SpaceMismatch("hierarchies live on different spaces")
+    """Level-wise Lie bracket of two hierarchies on one space."""
     n_max = min(F.n_max, G.n_max)
-    ops = tuple(lie_bracket(F.op(n), G.op(n)) for n in range(1, n_max + 1))
-    return Hierarchy(space=F.space, n_max=n_max, ops=ops)
+    return Hierarchy(tuple(lie_bracket(F.op(n), G.op(n)) for n in range(1, n_max + 1)))
 
 
 def tensor_derivation_residual(
@@ -276,15 +286,13 @@ def canonical_decompose(
             )
     rng = np.random.default_rng(seed + 1)
     first = H.op(1)
-    if first.indices is not None:
-        idx = first.indices
-    else:
+    if first.indices is None:
         batch = [
             random_state(1, H.space, rng, nowhere_zero=True, phase_cap=np.pi / 2)
             for _ in range(4)
         ]
-        idx, _ = estimate_log_indices(first, t, batch)
-    gens = [Generator(op=first, ell=1, indices=idx)]
+        first = replace(first, indices=estimate_log_indices(first, t, batch)[0])
+    gens = [Generator(first)]
     for j in range(2, H.n_max + 1):
         explained = [canonical_lift(g, j) for g in gens]
         residual_op = op_combine(
@@ -292,9 +300,9 @@ def canonical_decompose(
             [1.0] + [-1.0] * len(explained),
             name=f"d_{j}",
         )
-        gens.append(Generator(op=replace(residual_op, indices=ZERO_PAIR), ell=j, indices=ZERO_PAIR))
+        gens.append(Generator(replace(residual_op, indices=ZERO_PAIR)))
     # reconstruction must reproduce H level by level
-    rebuilt = Hierarchy.from_generators(H.space, gens, H.n_max)
+    rebuilt = Hierarchy.from_generators(gens, H.n_max)
     for n in range(1, H.n_max + 1):
         probe = random_state(n, H.space, rng, nowhere_zero=True)
         diff = np.abs(

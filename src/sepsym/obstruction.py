@@ -19,13 +19,12 @@ at (1, l, l+1) with the symmetry in the first slot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadRange
 from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
-from .mixedpow import pair_bracket
 from .opcalc import NonlinearOperator, lie_bracket
 from .space import random_state, sup_norms, tensor
 
@@ -70,7 +69,7 @@ def natural_generator_op(gen: Generator) -> NonlinearOperator:
     """Natural part of a generator: strips Lambda at one particle, is the
     generator itself above (where strict homogeneity already holds)."""
     if gen.ell == 1:
-        return natural_part(gen.op, gen.indices)
+        return natural_part(gen.op)
     return gen.op
 
 
@@ -125,12 +124,11 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
     its m-th level is a legitimate generator; with ``verify`` this is
     spot-checked numerically (strict homogeneity above one particle via
     vanishing, to 1e-8 relative, on a seeded product state at t = 0).
+    Its indices are the index bracket that ``lie_bracket`` forms from the
+    operands' declared indices; the lift of F declares F's exactly.
     """
     m = G.ell
-    Fm = canonical_lift(F, m)
-    H = lie_bracket(Fm, G.op)
-    idx = pair_bracket(F.indices, G.indices)
-    H = replace(H, indices=idx)
+    H = lie_bracket(canonical_lift(F, m), G.op)
     if verify and m > 1:
         rng = np.random.default_rng(seed)
         parts = [
@@ -146,7 +144,7 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
                 f"[F#_m, G] fails to vanish on products (defect {defect:.3e}); "
                 "not a legitimate generator"
             )
-    return Generator(op=H, ell=m, indices=idx)
+    return Generator(H)
 
 
 def obstruction_lhs(

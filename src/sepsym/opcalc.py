@@ -106,19 +106,6 @@ class NonlinearOperator:
         return replace(self, name=name)
 
 
-def frechet(
-    F: NonlinearOperator,
-    t: float,
-    phi: WaveFunction,
-    eta: WaveFunction,
-    fd_step: float | None = None,
-) -> WaveFunction:
-    """Directional derivative DF(phi) . eta as a state."""
-    if phi.space != eta.space or phi.n != eta.n:
-        raise SpaceMismatch("state and direction have mismatched shapes")
-    return phi.with_data(F.derivative(t, phi.data, eta.data, fd_step=fd_step))
-
-
 def _merge_indices(parts: Sequence[IndexPair | None], weights) -> IndexPair | None:
     if any(p is None for p in parts):
         return None

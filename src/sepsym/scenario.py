@@ -72,11 +72,14 @@ def build_space(spec: dict) -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
         raise ScenarioError("space: expected an object with a 'size' field")
     factors = spec.get("factors")
+    grid = spec.get("grid", False)
+    if not isinstance(grid, bool):
+        raise ScenarioError(f"space.grid: expected a boolean, got {grid!r}")
     try:
         return ConfigSpace(
-            size=int(spec["size"]),
-            factors=tuple(int(f) for f in factors) if factors else None,
-            grid=bool(spec.get("grid", False)),
+            size=_integer(spec["size"], "space.size"),
+            factors=tuple(_integer(f, "space.factors") for f in factors) if factors else None,
+            grid=grid,
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"space: {exc}") from exc
@@ -108,29 +111,20 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
         idx = IndexPair(
             _complex_of(spec.get("a", 0.0), where), _complex_of(spec.get("b", 0.0), where)
         )
-        return Generator(op=lambda_op(idx, 1, space), ell=1, indices=idx)
+        return Generator(lambda_op(idx, 1, space))
     if kind == "log-modulus":
-        return Generator(
-            op=log_modulus_op(space, coeff), ell=1, indices=IndexPair(coeff, 0.0)
-        )
+        return Generator(log_modulus_op(space, coeff))
     if kind == "shifted-log-modulus":
         shift = _integer(spec.get("shift", 1), f"{where}.shift")
-        op = shifted_log_modulus_op(space, coeff, shift)
-        return Generator(op=op, ell=1, indices=IndexPair(coeff, 0.0))
+        return Generator(shifted_log_modulus_op(space, coeff, shift))
     if kind == "relative-log-modulus":
-        return Generator(
-            op=relative_log_modulus_op(space, coeff), ell=1, indices=IndexPair(0, 0)
-        )
+        return Generator(relative_log_modulus_op(space, coeff))
     if kind == "rms-log-modulus":
-        return Generator(
-            op=rms_log_modulus_op(space, coeff), ell=1, indices=IndexPair(0, 0)
-        )
+        return Generator(rms_log_modulus_op(space, coeff))
     if kind == "spin-rms-log":
-        return Generator(
-            op=spin_rms_log_op(space, coeff), ell=1, indices=IndexPair(0, 0)
-        )
+        return Generator(spin_rms_log_op(space, coeff))
     if kind == "spin-rotation":
-        return Generator(op=spin_rotation_op(space), ell=1, indices=IndexPair(0, 0))
+        return Generator(spin_rotation_op(space))
     if kind == "linear":
         matrix = spec.get("matrix", "hermitian-random")
         if matrix == "hermitian-random":
@@ -140,17 +134,12 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
                 [[_complex_of(v, where) for v in row] for row in matrix],
                 dtype=np.complex128,
             )
-        return Generator(
-            op=site_matrix_op(space, mat), ell=1, indices=IndexPair(0, 0)
-        )
+        return Generator(site_matrix_op(space, mat))
     if kind == "cross-ratio":
         r1, r2 = (_integer(r, f"{where}.refs") for r in spec.get("refs", [0, 0]))
-        op = cross_ratio_op(space, (r1, r2), coupling)
-        return Generator(op=op, ell=2, indices=IndexPair(0, 0))
+        return Generator(cross_ratio_op(space, (r1, r2), coupling))
     if kind == "non-separating":
-        return Generator(
-            op=nonseparating_op(space, 2, coupling), ell=2, indices=IndexPair(0, 0)
-        )
+        return Generator(nonseparating_op(space, 2, coupling))
     raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
 
 

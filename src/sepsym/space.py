@@ -152,13 +152,6 @@ def permute_data(data: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     return np.transpose(data, tuple(perm))
 
 
-def permute(f: WaveFunction, perm: Sequence[int]) -> WaveFunction:
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(f.n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{f.n - 1}")
-    return WaveFunction(f.n, f.space, permute_data(f.data, perm))
-
-
 def check_index_tuple(J: Sequence[int], n: int, length: int | None = None) -> tuple[int, ...]:
     """Validate a strictly increasing tuple of slot indices in 0..n-1."""
     J = tuple(int(j) for j in J)

@@ -259,7 +259,7 @@ def point_symmetry_level(
     -(n-1) Lambda term cuts back to one copy of the index term."""
     idx = spec.index_pair()
     parts = list(point_symmetry_parts(spec, space).values())
-    gen = Generator(op_combine(parts + [lambda_op(idx, 1, space)]), ell=1, indices=idx)
+    gen = Generator(op_combine(parts + [lambda_op(idx, 1, space)]))
     return canonical_lift(gen, n)
 
 
@@ -299,7 +299,7 @@ def freelift_report(
     for gsize in grids:
         space = ConfigSpace(gsize, grid=True)
         F = gen_factory(space)
-        G = Generator(op=cross_ratio_op(space), ell=2, indices=IndexPair(0, 0))
+        G = Generator(cross_ratio_op(space))
         parts = point_symmetry_parts(spec, space)
         # one seed per state index, *not* per grid: the band-limited sampler
         # draws its mode coefficients before touching the grid, so the same
@@ -314,7 +314,7 @@ def freelift_report(
         ]
         full = op_combine(list(parts.values()), name="point-natural")
         for label, op in {**parts, "full": full}.items():
-            Kgen = Generator(op=op, ell=1, indices=IndexPair(0, 0))
+            Kgen = Generator(op)
             # one state at a time: a stacked grid-32 batch would hold every
             # state's lifted cross-ratio values at once
             out["c1"][label].append(max(sup_norms(np.stack(
@@ -340,8 +340,8 @@ def internal_dof_report(grid_size: int = 8, seed: int = 0, batch_size: int = 16)
     refinement (smooth states sampling one underlying function)."""
     def build(gsize: int) -> tuple[Generator, Generator]:
         space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
-        F = Generator(op=spin_rms_log_op(space, 1.0), ell=1, indices=IndexPair(0, 0))
-        K = Generator(op=spin_rotation_op(space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(spin_rms_log_op(space, 1.0))
+        K = Generator(spin_rotation_op(space))
         return F, K
 
     def smooth_field_mean(F: Generator, K: Generator, size: int) -> float:

@@ -78,7 +78,12 @@ class TestScenarioLoading:
             parse_scenario(doc, KNOWN)
 
     @pytest.mark.parametrize(
-        "space", [{"size": 0}, {"size": "abc"}, {"size": 6, "factors": [4, 2]}]
+        "space",
+        [
+            {"size": 0}, {"size": "abc"}, {"size": 6, "factors": [4, 2]},
+            {"size": 3.7}, {"size": True}, {"size": "3"},
+            {"size": 6, "factors": [2.9, 3]}, {"size": 6, "grid": "no"},
+        ],
     )
     def test_bad_space_rejected(self, space):
         doc = dict(FAST_SCENARIO, space=space)

@@ -106,15 +106,15 @@ class TestEvolve:
 class TestSeparation:
     def hierarchy(self, space):
         gens = [
-            Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0)),
-            Generator(op=cross_ratio_op(space, coupling=0.25), ell=2, indices=IndexPair(0, 0)),
+            Generator(log_modulus_op(space, 1.0)),
+            Generator(cross_ratio_op(space, coupling=0.25)),
         ]
-        return Hierarchy.from_generators(space, gens, 3)
+        return Hierarchy.from_generators(gens, 3)
 
     def perturbed(self, space):
         ops = list(self.hierarchy(space).ops)
         ops[1] = op_combine([ops[1], nonseparating_op(space, 2, 0.5)])
-        return Hierarchy(space=space, n_max=3, ops=tuple(ops))
+        return Hierarchy(tuple(ops))
 
     def test_fourth_order_decay(self, space3, rng):
         H = self.hierarchy(space3)
@@ -128,8 +128,8 @@ class TestSeparation:
 
     def test_linear_hierarchy_separates(self, space3, rng):
         A = random_hermitian(space3, rng)
-        g = Generator(op=site_matrix_op(space3, A), ell=1, indices=IndexPair(0, 0))
-        H = Hierarchy.from_generators(space3, [g], 3)
+        g = Generator(site_matrix_op(space3, A))
+        H = Hierarchy.from_generators([g], 3)
         pairs = [(nz(1, space3, rng), nz(2, space3, rng))]
         res = [
             separation_test(H, pairs, EvolutionConfig(dt=dt, t0=0.0, t1=0.5)).gaps[0]
@@ -191,7 +191,7 @@ class TestSeparation:
         H, pairs, _ = seen[0]
         ops = list(H.ops)
         ops[1] = op_combine([ops[1], nonseparating_op(H.space, 2, 0.5)])
-        bad = Hierarchy(space=H.space, n_max=3, ops=tuple(ops))
+        bad = Hierarchy(tuple(ops))
         assert result.details["plateau"] == [
             separation_test(bad, pairs[:1], cfg).gaps[0] for _, _, cfg in seen[:2]
         ]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sepsym.errors import BadRange, BadTuple, NotDerivation
+from sepsym.errors import BadRange, BadTuple, NotDerivation, SpaceMismatch
 from sepsym.hierarchy import (
     MAX_PARTICLES,
     Generator,
@@ -39,8 +40,8 @@ from sepsym.operators import (
     spin_rotation_op,
     zero_op,
 )
-from sepsym.scenario import random_hermitian
-from sepsym.space import ConfigSpace, permute, random_state, tensor
+from sepsym.scenario import build_generator, random_hermitian
+from sepsym.space import ConfigSpace, permute_data, random_state, tensor
 from sepsym.symmetry import PointSymmetrySpec, named_profile, point_symmetry_parts
 
 
@@ -49,11 +50,11 @@ def nz(n, space, rng, cap=None):
 
 
 def gen_shifted(space, c=0.8):
-    return Generator(op=shifted_log_modulus_op(space, c), ell=1, indices=IndexPair(c, 0))
+    return Generator(shifted_log_modulus_op(space, c))
 
 
 def gen_cross(space, coupling=0.6, refs=(0, 0)):
-    return Generator(op=cross_ratio_op(space, refs, coupling), ell=2, indices=IndexPair(0, 0))
+    return Generator(cross_ratio_op(space, refs, coupling))
 
 
 class TestLiftJ:
@@ -81,12 +82,9 @@ class TestLiftJ:
     def test_permutation_covariance(self, space3, rng):
         F = shifted_log_modulus_op(space3, 1.0)
         phi = nz(2, space3, rng)
-        via_swap = permute(
-            phi.with_data(lift_J(F, (0,), 2).apply(0.0, permute(phi, (1, 0)).data)),
-            (1, 0),
-        )
+        via_swap = permute_data(lift_J(F, (0,), 2).apply(0.0, permute_data(phi.data, (1, 0))), (1, 0))
         direct = lift_J(F, (1,), 2).apply(0.0, phi.data)
-        assert np.allclose(via_swap.data, direct, rtol=1e-13, atol=1e-15)
+        assert np.allclose(via_swap, direct, rtol=1e-13, atol=1e-15)
 
     def test_pointwise_shortcut_matches_slicing(self, space3, rng):
         lam = lambda_op(IndexPair(0.4, 0.7), 1, space3)
@@ -219,7 +217,7 @@ class TestKernelContract:
 class TestCanonicalLift1p:
     def test_linear_is_kron_sum(self, space3, rng):
         A = random_hermitian(space3, rng)
-        g = Generator(op=site_matrix_op(space3, A), ell=1, indices=IndexPair(0, 0))
+        g = Generator(site_matrix_op(space3, A))
         op2 = canonical_lift_1p(g, 2)
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
@@ -228,7 +226,7 @@ class TestCanonicalLift1p:
 
     def test_lambda_lifts_to_lambda(self, space3, rng):
         idx = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
-        g = Generator(op=lambda_op(idx, 1, space3), ell=1, indices=idx)
+        g = Generator(lambda_op(idx, 1, space3))
         for n in (2, 3):
             lifted = canonical_lift_1p(g, n)
             direct = lambda_op(idx, n, space3)
@@ -239,7 +237,7 @@ class TestCanonicalLift1p:
             )
 
     def test_log_modulus_leibniz_on_products(self, space3, rng):
-        g = Generator(op=log_modulus_op(space3, 1.0), ell=1, indices=IndexPair(1.0, 0))
+        g = Generator(log_modulus_op(space3, 1.0))
         op2 = canonical_lift_1p(g, 2)
         f1, f2 = nz(1, space3, rng), nz(1, space3, rng)
         lhs = op2.apply(0.0, tensor(f1, f2).data)
@@ -262,7 +260,7 @@ class TestCanonicalLift1p:
     def test_strict_case_consolidates_with_plain_slot_sum(self, space3, rng):
         # with vanishing indices the one-particle formula is the bare
         # tuple sum, the same rule the higher-threshold lifting uses
-        g = Generator(op=rms_log_modulus_op(space3, 0.7), ell=1, indices=IndexPair(0, 0))
+        g = Generator(rms_log_modulus_op(space3, 0.7))
         lifted = canonical_lift_1p(g, 2)
         plain = op_combine([lift_J(g.op, (j,), 2) for j in range(2)])
         phi = nz(2, space3, rng)
@@ -317,12 +315,11 @@ def _fused_cases(space):
     lam = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
     zero = IndexPair(0, 0)
     return {
-        "lambda": Generator(op=lambda_op(lam, 1, space), ell=1, indices=lam),
-        "log-modulus": Generator(op=log_modulus_op(space, 0.8), ell=1,
-                                 indices=IndexPair(0.8, 0)),
+        "lambda": Generator(lambda_op(lam, 1, space)),
+        "log-modulus": Generator(log_modulus_op(space, 0.8)),
         "shifted": gen_shifted(space, 0.8),
-        "rms": Generator(op=rms_log_modulus_op(space, 0.9), ell=1, indices=zero),
-        "relative": Generator(op=relative_log_modulus_op(space, 0.7), ell=1, indices=zero),
+        "rms": Generator(rms_log_modulus_op(space, 0.9)),
+        "relative": Generator(relative_log_modulus_op(space, 0.7)),
         "cross-ratio-00": gen_cross(space, 0.6, (0, 0)),
         "cross-ratio-12": gen_cross(space, 0.5, (1, 2)),
     }
@@ -370,7 +367,7 @@ class TestFusedCanonicalLift:
         # BLAS may sum a wider batch in another order: round-off only
         rng = np.random.default_rng(5)
         square = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        gen = Generator(op=matrix_op(self.SPACE, 1, square), ell=1, indices=IndexPair(0, 0))
+        gen = Generator(matrix_op(self.SPACE, 1, square))
         for got, want in self._sides(gen, n, batch):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -482,7 +479,7 @@ class TestCrossRatioShortcut:
             return np.stack(states, axis=-1).reshape(states[0].shape + shape)
 
         data, u, v = draw(), draw(), draw()
-        ops = [canonical_lift(Generator(op=op, ell=2, indices=IndexPair(0, 0)), n)
+        ops = [canonical_lift(Generator(op), n)
                for op in (cross_ratio_op(space, refs, 0.7 - 0.2j),
                           two_evaluation_cross_ratio(space, refs, 0.7 - 0.2j))]
         return [(op.apply(0.3, data), op.derivative(0.3, data, u),
@@ -560,7 +557,7 @@ class TestNaturalPart:
 
 class TestTensorDerivation:
     def hierarchy(self, space):
-        return Hierarchy.from_generators(space, [gen_shifted(space), gen_cross(space)], 3)
+        return Hierarchy.from_generators([gen_shifted(space), gen_cross(space)], 3)
 
     def test_canonical_lift_is_derivation(self, space3, rng):
         H = self.hierarchy(space3)
@@ -576,7 +573,7 @@ class TestTensorDerivation:
         H = self.hierarchy(space3)
         ops = list(H.ops)
         ops[1] = op_combine([ops[1], nonseparating_op(space3, 2, 0.5)])
-        bad = Hierarchy(space=space3, n_max=3, ops=tuple(ops))
+        bad = Hierarchy(tuple(ops))
         factors = [nz(1, space3, rng) for _ in range(2)]
         assert tensor_derivation_residual(bad, 0.0, factors) > 0.01
 
@@ -588,16 +585,11 @@ class TestTensorDerivation:
 
 class TestBracketHierarchy:
     def test_bracket_is_derivation_with_bracket_indices(self, space3, rng):
-        F = Hierarchy.from_generators(space3, [gen_shifted(space3), gen_cross(space3)], 3)
+        F = Hierarchy.from_generators([gen_shifted(space3), gen_cross(space3)], 3)
         G = Hierarchy.from_generators(
-            space3,
             [
-                Generator(
-                    op=lambda_op(IndexPair(0.6 + 0.3j, 0.2 - 0.4j), 1, space3),
-                    ell=1,
-                    indices=IndexPair(0.6 + 0.3j, 0.2 - 0.4j),
-                ),
-                Generator(op=rms_log_modulus_op(space3, 0.7), ell=1, indices=IndexPair(0, 0)),
+                Generator(lambda_op(IndexPair(0.6 + 0.3j, 0.2 - 0.4j), 1, space3)),
+                Generator(rms_log_modulus_op(space3, 0.7)),
             ],
             3,
         )
@@ -607,8 +599,8 @@ class TestBracketHierarchy:
             assert tensor_derivation_residual(Bk, 0.0, factors) <= 1e-8
 
     def test_threshold_grows(self, space3, rng):
-        F = Hierarchy.from_generators(space3, [gen_shifted(space3)], 3)
-        H2 = Hierarchy.from_generators(space3, [gen_cross(space3)], 3)
+        F = Hierarchy.from_generators([gen_shifted(space3)], 3)
+        H2 = Hierarchy.from_generators([gen_cross(space3)], 3)
         Bk = bracket_hierarchy(F, H2)
         phi = nz(1, space3, rng)
         assert np.abs(Bk.op(1).apply(0.0, phi.data)).max() <= 1e-12
@@ -620,7 +612,7 @@ class TestBracketHierarchy:
 class TestDecomposition:
     def test_round_trip(self, space3, rng):
         gens = [gen_shifted(space3, 0.9), gen_cross(space3, 0.7)]
-        H = Hierarchy.from_generators(space3, gens, 3)
+        H = Hierarchy.from_generators(gens, 3)
         rec = canonical_decompose(H, seed=17)
         assert [g.ell for g in rec] == [1, 2, 3]
         for orig, got in zip(gens, rec):
@@ -636,7 +628,7 @@ class TestDecomposition:
 
     def test_pure_one_particle_hierarchy(self, space3, rng):
         g = gen_shifted(space3, 1.1)
-        H = Hierarchy.from_generators(space3, [g], 3)
+        H = Hierarchy.from_generators([g], 3)
         rec = canonical_decompose(H, seed=3)
         phi = nz(1, space3, rng)
         assert np.abs(rec[0].op.apply(0.0, phi.data) - g.op.apply(0.0, phi.data)).max() <= 1e-12
@@ -646,9 +638,9 @@ class TestDecomposition:
 
     def test_idempotence(self, space3, rng):
         gens = [gen_shifted(space3, 0.9), gen_cross(space3, 0.7)]
-        H = Hierarchy.from_generators(space3, gens, 3)
+        H = Hierarchy.from_generators(gens, 3)
         first = canonical_decompose(H, seed=17)
-        rebuilt = Hierarchy.from_generators(space3, first, 3)
+        rebuilt = Hierarchy.from_generators(first, 3)
         second = canonical_decompose(rebuilt, seed=23)
         for g1, g2 in zip(first, second):
             phi = nz(g1.ell, space3, rng)
@@ -661,12 +653,8 @@ class TestDecomposition:
         from dataclasses import replace
 
         g = gen_shifted(space3, 0.8)
-        H = Hierarchy.from_generators(space3, [g], 2)
-        stripped = Hierarchy(
-            space=space3,
-            n_max=2,
-            ops=(replace(H.op(1), indices=None), H.op(2)),
-        )
+        H = Hierarchy.from_generators([g], 2)
+        stripped = Hierarchy((replace(H.op(1), indices=None), H.op(2)))
         rec = canonical_decompose(stripped, seed=5)
         assert rec[0].indices.close_to(IndexPair(0.8, 0), 1e-6)
 
@@ -676,32 +664,53 @@ class TestDecomposition:
             nonseparating_op(space3, 2, 1.0),
             zero_op(space3, 3),
         )
-        bad = Hierarchy(space=space3, n_max=3, ops=bad_ops)
+        bad = Hierarchy(bad_ops)
         with pytest.raises(NotDerivation):
             canonical_decompose(bad, seed=1)
 
 
 class TestHierarchyConstruction:
     def test_levels_below_threshold_are_zero(self, space3, rng):
-        H = Hierarchy.from_generators(space3, [gen_cross(space3)], 3)
+        H = Hierarchy.from_generators([gen_cross(space3)], 3)
         phi = random_state(1, space3, rng)
         assert np.abs(H.op(1).apply(0.0, phi.data)).max() == 0.0
 
     def test_level_indices_shared(self, space3):
-        H = Hierarchy.from_generators(space3, [gen_shifted(space3, 0.7), gen_cross(space3)], 3)
+        H = Hierarchy.from_generators([gen_shifted(space3, 0.7), gen_cross(space3)], 3)
         for n in (1, 2, 3):
             assert H.op(n).indices.close_to(IndexPair(0.7, 0), 1e-13)
 
     def test_level_bounds(self, space3):
-        H = Hierarchy.from_generators(space3, [gen_shifted(space3)], 2)
+        H = Hierarchy.from_generators([gen_shifted(space3)], 2)
         with pytest.raises(BadRange):
             H.op(3)
         with pytest.raises(BadRange):
-            Hierarchy.from_generators(space3, [gen_shifted(space3)], 5)
-        assert Hierarchy.from_generators(space3, [gen_shifted(space3)]).n_max == 3
+            Hierarchy.from_generators([gen_shifted(space3)], 5)
+        assert Hierarchy.from_generators([gen_shifted(space3)]).n_max == 3
 
-    def test_generator_validation(self, space3):
+    def test_generator_validation(self, space3, rng):
+        g = Generator(log_modulus_op(space3, 1.0))
+        assert [f.name for f in dataclasses.fields(Generator)] == ["op"]
+        assert (g.ell, g.indices) == (1, IndexPair(1.0, 0))
+        with pytest.raises(ValueError, match="declare"):
+            Generator(replace(log_modulus_op(space3, 1.0), indices=None))
+        with pytest.raises(ValueError, match="strictly homogeneous"):
+            Generator(replace(cross_ratio_op(space3), indices=IndexPair(1.0, 0)))
+        assert Generator(cross_ratio_op(space3)).indices == ZERO_PAIR
+        nonsep = build_generator(space3, {"kind": "non-separating"}, rng)
+        assert (nonsep.ell, nonsep.indices) == (2, None)
+
+    def test_hierarchy_validation(self, space3, space4):
+        levels = [lambda_op(IndexPair(1.0, 0), n, space3) for n in range(1, MAX_PARTICLES + 2)]
+        assert [f.name for f in dataclasses.fields(Hierarchy)] == ["ops"]
+        H = Hierarchy(tuple(levels[:3]))
+        assert (H.space, H.n_max) == (space3, 3)
+        for ops in [(), tuple(levels)]:
+            with pytest.raises(BadRange):
+                Hierarchy(ops)
+        with pytest.raises(SpaceMismatch):
+            Hierarchy((levels[0], levels[2]))
+        with pytest.raises(SpaceMismatch):
+            Hierarchy((levels[0], lambda_op(IndexPair(1.0, 0), 2, space4)))
         with pytest.raises(ValueError):
-            Generator(op=cross_ratio_op(space3), ell=2, indices=IndexPair(1.0, 0))
-        with pytest.raises(BadRange):
-            Generator(op=log_modulus_op(space3, 1.0), ell=2, indices=IndexPair(0, 0))
+            Hierarchy.from_generators([])

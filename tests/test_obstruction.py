@@ -43,15 +43,15 @@ def nz(n, space, rng):
 
 
 def gen_rms(space, c=0.9):
-    return Generator(op=rms_log_modulus_op(space, c), ell=1, indices=IndexPair(0, 0))
+    return Generator(rms_log_modulus_op(space, c))
 
 
 def gen_shifted(space, c=0.8):
-    return Generator(op=shifted_log_modulus_op(space, c), ell=1, indices=IndexPair(c, 0))
+    return Generator(shifted_log_modulus_op(space, c))
 
 
 def gen_cross(space, coupling=0.6, refs=(0, 0)):
-    return Generator(op=cross_ratio_op(space, refs, coupling), ell=2, indices=IndexPair(0, 0))
+    return Generator(cross_ratio_op(space, refs, coupling))
 
 
 def corollary1_oracle(F, K, t, data):
@@ -122,31 +122,32 @@ class TestIdentity:
         assert rep.identity_residual <= IDENTITY_TOL
         assert not rep.vanishes
 
+    def test_index_half_of_bracket_generator(self, space3):
+        # a one-particle bracket generator with a non-zero index bracket:
+        # its canonical lift subtracts (n-1) Lambda of exactly that pair,
+        # so a wrong declared index breaks the identity at every n > 1
+        F = Generator(lambda_op(IndexPair(1j, 1j), 1, space3))
+        G = gen_shifted(space3, 0.8)
+        assert bracket_generator(F, G).indices == IndexPair(0.8j, -0.8j)
+        for n in (2, 3):
+            rep = theorem10_report(F, G, n, seed=7, batch_size=8)
+            assert rep.identity_residual <= IDENTITY_TOL
+
     def test_same_generator_cancels(self, space3, rng):
         F = gen_rms(space3)
         wf = nz(2, space3, rng)
         assert np.abs(obstruction_rhs(F, F, 2, 0.0, wf.data)).max() <= 1e-13
 
     def test_lambda_pair_closes(self, space3, rng):
-        p = Generator(
-            op=lambda_op(IndexPair(0.7, 0.2), 1, space3), ell=1, indices=IndexPair(0.7, 0.2)
-        )
-        q = Generator(
-            op=lambda_op(IndexPair(0.1, 0.9), 1, space3), ell=1, indices=IndexPair(0.1, 0.9)
-        )
+        p = Generator(lambda_op(IndexPair(0.7, 0.2), 1, space3))
+        q = Generator(lambda_op(IndexPair(0.1, 0.9), 1, space3))
         wf = nz(2, space3, rng)
         assert np.abs(obstruction_rhs(p, q, 2, 0.0, wf.data)).max() <= 1e-13
         assert np.abs(obstruction_lhs(p, q, 2, 0.0, wf.data)).max() <= 1e-12
 
     def test_real_linear_degeneration(self, space3, rng):
-        A = Generator(
-            op=site_matrix_op(space3, random_hermitian(space3, rng)), ell=1,
-            indices=IndexPair(0, 0),
-        )
-        B = Generator(
-            op=site_matrix_op(space3, random_hermitian(space3, rng)), ell=1,
-            indices=IndexPair(0, 0),
-        )
+        A = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
+        B = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         for n in (2, 3):
             wf = nz(n, space3, rng)
             assert np.abs(obstruction_rhs(A, B, n, 0.0, wf.data)).max() <= LINEAR_TOL
@@ -178,27 +179,19 @@ class TestIdentity:
 class TestCorollary1:
     def test_lambda_symmetry_has_no_obstruction(self, space3, rng):
         F = gen_shifted(space3)
-        K = Generator(
-            op=lambda_op(IndexPair(0.3, 0.8), 1, space3), ell=1, indices=IndexPair(0.3, 0.8)
-        )
+        K = Generator(lambda_op(IndexPair(0.3, 0.8), 1, space3))
         wf = nz(2, space3, rng)
         assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= 1e-13
 
     def test_linear_pair_vanishes(self, space3, rng):
-        F = Generator(
-            op=site_matrix_op(space3, random_hermitian(space3, rng)), ell=1,
-            indices=IndexPair(0, 0),
-        )
-        K = Generator(
-            op=site_matrix_op(space3, random_hermitian(space3, rng)), ell=1,
-            indices=IndexPair(0, 0),
-        )
+        F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
+        K = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         wf = nz(2, space3, rng)
         assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= LINEAR_TOL
 
     def test_spin_counterexample(self, spin_space):
-        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(spin_rms_log_op(spin_space, 1.0))
+        K = Generator(spin_rotation_op(spin_space))
         r1, norms1 = corollary1_report(F, K, seed=1, batch_size=8)
         r2, _ = corollary1_report(F, K, seed=2, batch_size=8)
         assert r1.rhs_norm == max(norms1) and len(norms1) == 8
@@ -213,14 +206,14 @@ class TestCorollary1:
 
 class TestCorollary2:
     def test_zero_generator(self, space3, rng):
-        G = Generator(op=zero_op(space3, 2), ell=2, indices=IndexPair(0, 0))
+        G = Generator(zero_op(space3, 2))
         K = gen_rms(space3)
         wf = nz(3, space3, rng)
         assert np.abs(corollary2_obstruction(G, K, 0.0, wf.data)).max() == 0.0
 
     def test_spin_rotation_vs_cross_ratio(self, spin_space, rng):
         G = gen_cross(spin_space, coupling=1.0)
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        K = Generator(spin_rotation_op(spin_space))
         rng5 = np.random.default_rng(5)
         states = [nz(3, spin_space, rng5) for _ in range(4)]
         assert corollary2_obstruction(G, K, 0.0, states[0].data).shape == (8,) * 3
@@ -241,14 +234,14 @@ class TestSpecialisations:
 
     def test_shifted_vs_relative_log_modulus(self, grid8, rng):
         F = gen_shifted(grid8)
-        K = Generator(op=relative_log_modulus_op(grid8, 0.7), ell=1, indices=IndexPair(0, 0))
+        K = Generator(relative_log_modulus_op(grid8, 0.7))
         for _ in range(4):
             data = nz(2, grid8, rng).data
             assert_close(corollary1_obstruction(F, K, 0.0, data), corollary1_oracle(F, K, 0.0, data))
 
     def test_spin_rms_vs_spin_rotation(self, spin_space, rng):
-        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(spin_rms_log_op(spin_space, 1.0))
+        K = Generator(spin_rotation_op(spin_space))
         for _ in range(4):
             data = nz(2, spin_space, rng).data
             got = corollary1_obstruction(F, K, 0.0, data)
@@ -263,7 +256,7 @@ class TestSpecialisations:
             xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
         )
         G = gen_cross(space, coupling=0.8)
-        K = Generator(op=point_symmetry_parts(spec, space)[label], ell=1, indices=IndexPair(0, 0))
+        K = Generator(point_symmetry_parts(spec, space)[label])
         for k in range(4):
             data = random_state(3, space, k, nowhere_zero=True, smooth=True).data
             assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
@@ -323,7 +316,7 @@ class TestBatchedReports:
 
     def test_theorem10_fd_fallback_matches_per_state(self, space3):
         F = gen_rms(space3)
-        stripped = Generator(op=replace(F.op, derivative_fn=None), ell=1, indices=IndexPair(0, 0))
+        stripped = Generator(replace(F.op, derivative_fn=None))
         rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=5, batch_size=4)
         want = theorem10_oracle(stripped, gen_shifted(space3), 2, 5, 4)
         assert rep.warnings
@@ -338,8 +331,8 @@ class TestBatchedReports:
         assert rep.rhs_norm == max(norms)
 
     def test_corollary1_spin_matches_per_state(self, spin_space):
-        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(spin_rms_log_op(spin_space, 1.0))
+        K = Generator(spin_rotation_op(spin_space))
         _, norms = corollary1_report(F, K, seed=3, batch_size=8)
         assert norms == corollary1_oracle_norms(F, K, 3, 8)
 
@@ -410,12 +403,8 @@ class TestReport:
         assert len(doc["state_norms"]) == 4
 
     def test_vanishes_flag(self, space3):
-        lin = Generator(
-            op=site_matrix_op(space3, np.eye(3)), ell=1, indices=IndexPair(0, 0)
-        )
-        lin2 = Generator(
-            op=site_matrix_op(space3, np.diag([1.0, 2.0, 3.0])), ell=1, indices=IndexPair(0, 0)
-        )
+        lin = Generator(site_matrix_op(space3, np.eye(3)))
+        lin2 = Generator(site_matrix_op(space3, np.diag([1.0, 2.0, 3.0])))
         rep = theorem10_report(lin, lin2, 2, seed=1, batch_size=4)
         assert rep.vanishes and rep.rhs_norm <= 1e-12
 
@@ -428,9 +417,6 @@ class TestReport:
 
     def test_fd_warning_surfaces(self, space3):
         F = gen_rms(space3)
-        stripped = Generator(
-            op=replace(F.op, derivative_fn=None, second_derivative_fn=None),
-            ell=1, indices=IndexPair(0, 0),
-        )
+        stripped = Generator(replace(F.op, derivative_fn=None, second_derivative_fn=None))
         rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=2, batch_size=2)
         assert rep.warnings

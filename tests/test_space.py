@@ -10,7 +10,7 @@ from sepsym.space import (
     ConfigSpace,
     WaveFunction,
     check_index_tuple,
-    permute,
+    permute_data,
     random_state,
     tensor,
     tensor_data,
@@ -96,38 +96,34 @@ class TestTensor:
 class TestPermute:
     def test_identity(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert np.array_equal(permute(f, (0, 1, 2)).data, f.data)
+        assert np.array_equal(permute_data(f.data, (0, 1, 2)), f.data)
 
     def test_swap_on_product(self, space3, rng):
         f = random_state(1, space3, rng)
         g = random_state(1, space3, rng)
         assert np.allclose(
-            permute(tensor(f, g), (1, 0)).data, tensor(g, f).data, rtol=1e-14, atol=0
+            permute_data(tensor(f, g).data, (1, 0)), tensor(g, f).data, rtol=1e-14, atol=0
         )
 
     def test_round_trip(self, space3, rng):
         f = random_state(3, space3, rng)
         perm = (2, 0, 1)
         inverse = tuple(int(k) for k in np.argsort(perm))
-        assert np.array_equal(permute(permute(f, perm), inverse).data, f.data)
+        assert np.array_equal(permute_data(permute_data(f.data, perm), inverse), f.data)
 
     def test_isometry(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert permute(f, (1, 2, 0)).norm_inf() == f.norm_inf()
+        assert np.abs(permute_data(f.data, (1, 2, 0))).max() == f.norm_inf()
 
     def test_composition_consistency(self, space3, rng):
-        # permute(permute(f, pi), sigma) agrees with a single pointwise oracle
+        # permute_data(permute_data(f, pi), sigma) agrees with a single pointwise oracle
         f = random_state(3, space3, rng)
         pi, sigma = (2, 0, 1), (1, 2, 0)
-        two_step = permute(permute(f, pi), sigma).data
+        two_step = permute_data(permute_data(f.data, pi), sigma)
         for idx in np.ndindex(*two_step.shape):
             inner = tuple(idx[sigma[k]] for k in range(3))
             outer = tuple(inner[pi[k]] for k in range(3))
             assert two_step[idx] == f.data[outer]
-
-    def test_bad_permutation(self, space3, rng):
-        with pytest.raises(ValueError):
-            permute(random_state(2, space3, rng), (0, 0))
 
 
 class TestRandomState:

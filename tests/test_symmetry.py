@@ -47,8 +47,8 @@ def nz(n, space, rng, **kw):
 
 
 def log_hierarchy(space, n_max=3):
-    g = Generator(op=log_modulus_op(space, 1.0), ell=1, indices=IndexPair(1.0, 0))
-    return Hierarchy.from_generators(space, [g], n_max)
+    g = Generator(log_modulus_op(space, 1.0))
+    return Hierarchy.from_generators([g], n_max)
 
 
 class TestFiniteSymmetry:
@@ -72,8 +72,8 @@ class TestFiniteSymmetry:
         # V(t) = e^{-iAt} W e^{iAt} solves the symmetry equation for F = A
         A = random_hermitian(space4, rng)
         W = random_hermitian(space4, rng)
-        g = Generator(op=site_matrix_op(space4, A), ell=1, indices=IndexPair(0, 0))
-        H = Hierarchy.from_generators(space4, [g], 1)
+        g = Generator(site_matrix_op(space4, A))
+        H = Hierarchy.from_generators([g], 1)
 
         def vmat(t):
             U = scipy.linalg.expm(-1j * A * t)
@@ -87,8 +87,8 @@ class TestFiniteSymmetry:
 class TestInfinitesimal:
     def test_linear_commutant(self, space4, rng):
         A = random_hermitian(space4, rng)
-        g = Generator(op=site_matrix_op(space4, A), ell=1, indices=IndexPair(0, 0))
-        H = Hierarchy.from_generators(space4, [g], 1)
+        g = Generator(site_matrix_op(space4, A))
+        H = Hierarchy.from_generators([g], 1)
         K = InfinitesimalSymmetry(
             levels={1: site_matrix_op(space4, A @ A)}, tau=AffineMap(0.0, 0.0)
         )
@@ -105,7 +105,7 @@ class TestInfinitesimal:
     def test_constant_phase_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
         phase = diag_mult_op(grid8, 1j * 0.7 * np.ones(8), name="i*c")
-        gen = Generator(op=phase, ell=1, indices=IndexPair(0, 0))
+        gen = Generator(phase)
         K = InfinitesimalSymmetry(
             levels={n: canonical_lift(gen, n) for n in (1, 2, 3)}, tau=AffineMap(0.0, 0.0)
         )
@@ -119,7 +119,7 @@ class TestInfinitesimal:
             spec = PointSymmetrySpec(xi=lambda pos: np.full(pos.shape, 0.9))
             parts = point_symmetry_parts(spec, sp)
             mom = op_combine([parts["drift"], parts["mult"]], name="advection")
-            gen = Generator(op=mom, ell=1, indices=IndexPair(0, 0))
+            gen = Generator(mom)
             K = InfinitesimalSymmetry(
                 levels={n: canonical_lift(gen, n) for n in (1, 2)}, tau=AffineMap(0.0, 0.0)
             )
@@ -132,8 +132,8 @@ class TestInfinitesimal:
     def test_lambda_index_symmetry(self, space3, rng):
         p, q = 1.1, 0.6
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
-        g = Generator(op=lambda_op(IndexPair(p, q), 1, space3), ell=1, indices=IndexPair(p, q))
-        H = Hierarchy.from_generators(space3, [g], 2)
+        g = Generator(lambda_op(IndexPair(p, q), 1, space3))
+        H = Hierarchy.from_generators([g], 2)
         K = lambda_index_symmetry(p, q, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3, 2)
         for t in (0.2, 0.8):
             assert inf_symmetry_residual(K, H, t, nz(2, space3, rng)) <= 1e-6
@@ -226,11 +226,7 @@ class TestBracket:
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
         K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space, 2)
         L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space, 2)
-        H = Hierarchy.from_generators(
-            space,
-            [Generator(op=lambda_op(IndexPair(p, q), 1, space), ell=1, indices=IndexPair(p, q))],
-            2,
-        )
+        H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
         return K, L, H
 
     def test_self_bracket_vanishes(self, space3, rng):
@@ -283,8 +279,8 @@ class TestThresholdConsistency:
 
             lhs_levels.append(freeze(n, lhs_eval))
             rhs_levels.append(freeze(n, rhs_eval))
-        lhs_h = Hierarchy(space=space, n_max=n_max, ops=tuple(lhs_levels))
-        rhs_h = Hierarchy(space=space, n_max=n_max, ops=tuple(rhs_levels))
+        lhs_h = Hierarchy(tuple(lhs_levels))
+        rhs_h = Hierarchy(tuple(rhs_levels))
         d_lhs = canonical_decompose(lhs_h, t=t0, seed=5, derivation_tol=1e-6)
         d_rhs = canonical_decompose(rhs_h, t=t0, seed=5, derivation_tol=1e-6)
         gaps = []
@@ -306,11 +302,7 @@ class TestThresholdConsistency:
         p, q = 1.1, 0.6
         tau = AffineMap(0.5, 0.2)
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
-        H = Hierarchy.from_generators(
-            space3,
-            [Generator(op=lambda_op(IndexPair(p, q), 1, space3), ell=1, indices=IndexPair(p, q))],
-            3,
-        )
+        H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space3))], 3)
         K = lambda_index_symmetry(p, q, tau, IndexPair(0.9, 0.4), cfg, space3, 3)
         d_lhs, d_rhs, gaps = self.decompose_both_sides(space3, H, K, tau, 0.4, rng)
         assert max(gaps) <= 1e-6
@@ -333,10 +325,9 @@ class TestThresholdConsistency:
         p, q = 1.1, 0.6
         tau = AffineMap(0.0, 0.2)
         H = Hierarchy.from_generators(
-            space3,
             [
-                Generator(op=lambda_op(IndexPair(p, q), 1, space3), ell=1, indices=IndexPair(p, q)),
-                Generator(op=cross_ratio_op(space3, coupling=0.5), ell=2, indices=IndexPair(0, 0)),
+                Generator(lambda_op(IndexPair(p, q), 1, space3)),
+                Generator(cross_ratio_op(space3, coupling=0.5)),
             ],
             3,
         )
@@ -357,11 +348,7 @@ class TestThresholdConsistency:
         import math
         from sepsym.operators import cross_ratio_op
 
-        H2 = Hierarchy.from_generators(
-            space3,
-            [Generator(op=cross_ratio_op(space3, coupling=0.5), ell=2, indices=IndexPair(0, 0))],
-            2,
-        )
+        H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space3, coupling=0.5))], 2)
         levels = {n: lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)}
         K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
         res = inf_symmetry_residual(K, H2, 0.4, nz(2, space3, rng, phase_cap=math.pi / 4))
@@ -467,7 +454,7 @@ class TestFreelift:
             delta=0.2,
         )
         rep = freelift_report(
-            lambda sp: Generator(op=rms_log_modulus_op(sp, 1.0), ell=1, indices=IndexPair(0, 0)),
+            lambda sp: Generator(rms_log_modulus_op(sp, 1.0)),
             spec,
             [8, 16, 32],
             seed=3,
@@ -487,8 +474,8 @@ class TestInternalDof:
         from sepsym.operators import spin_rms_log_op, spin_rotation_op
         from sepsym.obstruction import corollary1_report
 
-        F = Generator(op=spin_rms_log_op(spin_space, 1.0), ell=1, indices=IndexPair(0, 0))
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(spin_rms_log_op(spin_space, 1.0))
+        K = Generator(spin_rotation_op(spin_space))
         rep, _ = corollary1_report(F, K, seed=4, batch_size=8)
         assert rep.kind == "corollary1" and rep.rhs_norm > 1e-3 and not rep.vanishes
 
@@ -503,10 +490,7 @@ class TestInternalDof:
         from sepsym.obstruction import corollary1_obstruction
         from sepsym.operators import spin_rotation_op
 
-        F = Generator(
-            op=site_matrix_op(spin_space, random_hermitian(spin_space, rng)),
-            ell=1, indices=IndexPair(0, 0),
-        )
-        K = Generator(op=spin_rotation_op(spin_space), ell=1, indices=IndexPair(0, 0))
+        F = Generator(site_matrix_op(spin_space, random_hermitian(spin_space, rng)))
+        K = Generator(spin_rotation_op(spin_space))
         wf = nz(2, spin_space, rng)
         assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= 1e-10
