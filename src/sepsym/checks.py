@@ -132,7 +132,9 @@ class CheckContext:
         return evolution_config(self.scenario.evolution, self.hbar)
 
     def generator(self, name: str) -> Generator:
-        return build_generator(self.space, self.scenario.generators[name], self.rng(997),
+        # salted by position, so two random "linear" generators draw two matrices
+        salt = 997 + list(self.scenario.generators).index(name)
+        return build_generator(self.space, self.scenario.generators[name], self.rng(salt),
                                where=name)
 
     def point_spec(self, default: PointSymmetrySpec) -> PointSymmetrySpec:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -44,6 +45,20 @@ def build_report(scenario: Scenario, tol_overrides: dict[str, float]) -> dict:
         "tool_version": __version__,
         "checks": results,
     }
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def report_text(report: dict) -> str:
+    """The report as strict JSON text (RFC 8259): sorted keys, two-space
+    indent, every non-finite float written as ``null``."""
+    return json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _print_table(report: dict) -> None:
@@ -96,10 +111,9 @@ def main(argv=None) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     report = build_report(scenario, overrides)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(report_text(report))
     _print_table(report)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 

@@ -5,11 +5,13 @@ with closed-form first derivatives (and second derivatives where they are
 cheap), so bracket and obstruction computations never fall back to finite
 differences for the bundled families.  Every kernel obeys the batched
 contract of ``NonlinearOperator``: particle axes first, batch axes after.
-The complex-linear families all come from ``linear_op``.
+The complex-linear families all come from ``linear_op``, and the
+logarithmic ones, c psi m(psi) for a multiplier m, from ``multiplier_op``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -41,28 +43,14 @@ def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
     return linear_op(space, n, lambda t, data: np.zeros_like(data), "zero")
 
 
-def matrix_op(space: ConfigSpace, n: int, matrix, name: str = "linear") -> NonlinearOperator:
-    """Complex-linear operator given by a (size^n, size^n) matrix.
-
-    ``matrix`` may be a fixed array or a callable t -> array.
-    """
-    if callable(matrix):
-        matfn = lambda t: np.asarray(matrix(t), dtype=np.complex128)
-        time_dependent = True
-    else:
-        mat = np.asarray(matrix, dtype=np.complex128)
-        matfn = lambda t: mat
-        time_dependent = False
+def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> NonlinearOperator:
+    """One-particle complex-linear operator from a fixed (size, size) matrix."""
+    mat = np.asarray(matrix, dtype=np.complex128)
 
     def ev(t, data):
-        return (matfn(t) @ data.reshape(space.size**n, -1)).reshape(data.shape)
+        return (mat @ data.reshape(space.size, -1)).reshape(data.shape)
 
-    return linear_op(space, n, ev, name, time_dependent)
-
-
-def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> NonlinearOperator:
-    """One-particle complex-linear operator from a (size, size) matrix."""
-    return matrix_op(space, 1, matrix, name=name)
+    return linear_op(space, 1, ev, name)
 
 
 def site_multiply(vals: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -80,45 +68,65 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
     return linear_op(space, 1, lambda t, data: site_multiply(vals, data), name)
 
 
+def multiplier_op(
+    space: ConfigSpace, n: int, coeff: complex, mult: Callable, dmult: Callable,
+    d2mult: Callable | None, indices: IndexPair | None, name: str,
+    time_dependent: bool = False,
+) -> NonlinearOperator:
+    """The operator psi -> c psi m(psi) of a multiplier ``mult(t, data)``.
+
+    ``dmult(t, data, eta)`` is the derivative Dm.eta and ``d2mult(t, data,
+    u, v)`` the second derivative D2m.(u, v), or None where there is no
+    closed form.  The kernels follow from the product rule:
+
+        DF.eta     = c (eta m + psi Dm.eta)
+        D2F.(u, v) = c (u Dm.v + v Dm.u + psi D2m.(u, v))
+
+    Each kernel requires a nowhere-zero state.  At c = 1, where lambda and
+    the cross ratio's unsymmetrised kernels always run, the kernels skip
+    the scaling, an extra pass over every array of a large lift.
+    """
+    c = complex(coeff)
+
+    def scaled(x):
+        return x if c == 1 else c * x
+
+    def ev(t, data):
+        require_nowhere_zero(data)
+        return scaled(data) * mult(t, data)
+
+    def deriv(t, data, eta):
+        require_nowhere_zero(data)
+        return scaled(eta * mult(t, data) + data * dmult(t, data, eta))
+
+    def second(t, data, u, v):
+        require_nowhere_zero(data)
+        return scaled(u * dmult(t, data, v) + v * dmult(t, data, u) + data * d2mult(t, data, u, v))
+
+    return NonlinearOperator(
+        n=n, space=space, eval_fn=ev, derivative_fn=deriv,
+        second_derivative_fn=None if d2mult is None else second,
+        indices=indices, time_dependent=time_dependent, name=name,
+    )
+
+
 def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     """The index-carrying operator phi -> ((a,b) . ln phi) phi, pointwise.
 
     ``idx`` is an IndexPair or a callable t -> IndexPair for explicitly
     time-dependent indices.  Requires nowhere-zero states.
     """
-    if callable(idx):
-        idxfn: Callable[[float], IndexPair] = idx
-        static = None
-        time_dependent = True
-    else:
-        static = idx
-        if static.is_zero():
-            return zero_op(space, n).renamed("lambda(0,0)")
-        idxfn = lambda t: static
-        time_dependent = False
-
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return pair_action(idxfn(t), np.log(data)) * data
-
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        i = idxfn(t)
-        return pair_action(i, eta / data) * data + pair_action(i, np.log(data)) * eta
-
-    def second(t, data, u, v):
-        require_nowhere_zero(data)
-        i = idxfn(t)
-        return (
-            pair_action(i, -u * v / data**2) * data
-            + pair_action(i, u / data) * v
-            + pair_action(i, v / data) * u
-        )
-
+    static = None if callable(idx) else idx
+    if static is not None and static.is_zero():
+        return zero_op(space, n).renamed("lambda(0,0)")
+    idxfn: Callable[[float], IndexPair] = idx if static is None else (lambda t: static)
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
-    return NonlinearOperator(
-        n=n, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=static, time_dependent=time_dependent, name=label,
+    return multiplier_op(
+        space, n, 1.0,
+        lambda t, data: pair_action(idxfn(t), np.log(data)),
+        lambda t, data, eta: pair_action(idxfn(t), eta / data),
+        lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
+        static, label, time_dependent=static is None,
     )
 
 
@@ -141,30 +149,13 @@ def shifted_log_modulus_op(
     Mixed-logarithmic homogeneous with indices (c, 0) but, unlike plain
     log-modulus, with a non-zero strictly homogeneous natural part.
     """
-    c = complex(coeff)
-
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return c * data * np.log(np.abs(_roll_sites(space, data, shift)))
-
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        ds = _roll_sites(space, data, shift)
-        es = _roll_sites(space, eta, shift)
-        return c * (eta * np.log(np.abs(ds)) + data * (es / ds).real)
-
-    def second(t, data, u, v):
-        require_nowhere_zero(data)
-        ds = _roll_sites(space, data, shift)
-        us = _roll_sites(space, u, shift)
-        vs = _roll_sites(space, v, shift)
-        return c * (
-            u * (vs / ds).real + v * (us / ds).real - data * (us * vs / ds**2).real
-        )
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=IndexPair(c, 0.0), name=f"shifted-log-modulus({shift})",
+    sigma = _site_shift_index(space, shift)
+    return multiplier_op(
+        space, 1, coeff,
+        lambda t, data: np.log(np.abs(data[sigma])),
+        lambda t, data, eta: (eta[sigma] / data[sigma]).real,
+        lambda t, data, u, v: -(u[sigma] * v[sigma] / data[sigma] ** 2).real,
+        IndexPair(complex(coeff), 0.0), f"shifted-log-modulus({shift})",
     )
 
 
@@ -175,35 +166,15 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
     natural part, so it drives non-trivial lifting obstructions while
     having a grid-independent definition (used for refinement ladders).
     """
-    c = complex(coeff)
+    def centred(r):
+        return r - r.mean(axis=0)
 
-    def rel_log(data):
-        ln = np.log(np.abs(data))
-        return ln - ln.mean(axis=0)
-
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return c * data * rel_log(data)
-
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        r = (eta / data).real
-        return c * (eta * rel_log(data) + data * (r - r.mean(axis=0)))
-
-    def second(t, data, u, v):
-        require_nowhere_zero(data)
-        ru = (u / data).real
-        rv = (v / data).real
-        rm = (u * v / data**2).real
-        return c * (
-            u * (rv - rv.mean(axis=0))
-            + v * (ru - ru.mean(axis=0))
-            - data * (rm - rm.mean(axis=0))
-        )
-
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, name="relative-log-modulus",
+    return multiplier_op(
+        space, 1, coeff,
+        lambda t, data: centred(np.log(np.abs(data))),
+        lambda t, data, eta: centred((eta / data).real),
+        lambda t, data, u, v: -centred((u * v / data**2).real),
+        ZERO_PAIR, "relative-log-modulus",
     )
 
 
@@ -216,36 +187,23 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     have exactly commuting disjoint-slot liftings; this one does not, so
     it drives genuinely non-zero lifting obstructions.
     """
-    c = complex(coeff)
+    def ms(data):
+        return (np.abs(data) ** 2).mean(axis=0)
 
-    def rel(data):
-        return np.log(np.abs(data)) - 0.5 * np.log((np.abs(data) ** 2).mean(axis=0))
+    def mult(t, data):
+        return np.log(np.abs(data)) - 0.5 * np.log(ms(data))
 
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return c * data * rel(data)
+    def dmult(t, data, eta):
+        return (eta / data).real - (np.conj(data) * eta).real.mean(axis=0) / ms(data)
 
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        dln_rms = (np.conj(data) * eta).real.mean(axis=0) / (np.abs(data) ** 2).mean(axis=0)
-        return c * (eta * rel(data) + data * ((eta / data).real - dln_rms))
-
-    def second(t, data, u, v):
-        require_nowhere_zero(data)
-        r2 = (np.abs(data) ** 2).mean(axis=0)
+    def d2mult(t, data, u, v):
+        r2 = ms(data)
         du = (np.conj(data) * u).real.mean(axis=0) / r2
         dv = (np.conj(data) * v).real.mean(axis=0) / r2
         duv = (np.conj(u) * v).real.mean(axis=0) / r2
-        return c * (
-            u * ((v / data).real - dv)
-            + v * ((u / data).real - du)
-            - data * ((u * v / data**2).real + duv - 2.0 * du * dv)
-        )
+        return -((u * v / data**2).real + duv - 2.0 * du * dv)
 
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, name="rms-log-modulus",
-    )
+    return multiplier_op(space, 1, coeff, mult, dmult, d2mult, ZERO_PAIR, "rms-log-modulus")
 
 
 def principal_log(z: np.ndarray) -> np.ndarray:
@@ -287,56 +245,40 @@ def cross_ratio_op(
     def slices(arr):
         return arr, arr[r1, r2], arr[:, r2][:, None], arr[r1, :][None, :]
 
-    def ratio(data):
+    def log_ratio(t, data):
         u, v, w, y = slices(data)
-        return u * v / (w * y)
+        return principal_log(u * v / (w * y))
 
-    def sdot(data, eta):
+    def sdot(t, data, eta):
         # relative derivative of the cross ratio: DR.eta / R
         u, v, w, y = slices(data)
         eu, evv, ew, ey = slices(eta)
         return eu / u + evv / v - ew / w - ey / y
 
-    def raw_ev(data):
-        return data * principal_log(ratio(data))
-
-    def raw_deriv(data, eta):
-        return eta * principal_log(ratio(data)) + data * sdot(data, eta)
-
-    def raw_second(data, a, b):
+    def d2_log_ratio(t, data, a, b):
         u, v, w, y = slices(data)
         au, av, aw, ay = slices(a)
         bu, bv, bw, by = slices(b)
-        tt = au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
-        return a * sdot(data, b) + b * sdot(data, a) - u * tt
+        return -(au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2)
 
+    # unsymmetrised kernels at coefficient 1: the coupling enters with the symmetrisation
+    raw = multiplier_op(space, 2, 1.0, log_ratio, sdot, d2_log_ratio, ZERO_PAIR,
+                        f"cross-ratio{refs}")
     if r1 == r2:
-        def sym(fn, data, *dirs):
-            return c * fn(data, *dirs)
+        def sym(fn):
+            return lambda t, data, *dirs: c * fn(t, data, *dirs)
     else:
-        def sym(fn, data, *dirs):
-            direct = fn(data, *dirs)
-            swapped = np.swapaxes(
-                fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
-            )
-            return 0.5 * c * (direct + swapped)
+        def sym(fn):
+            def kernel(t, data, *dirs):
+                direct = fn(t, data, *dirs)
+                swapped = np.swapaxes(
+                    fn(t, np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
+                )
+                return 0.5 * c * (direct + swapped)
+            return kernel
 
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return sym(raw_ev, data)
-
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        return sym(raw_deriv, data, eta)
-
-    def second(t, data, u, v):
-        require_nowhere_zero(data)
-        return sym(raw_second, data, u, v)
-
-    return NonlinearOperator(
-        n=2, space=space, eval_fn=ev, derivative_fn=deriv, second_derivative_fn=second,
-        indices=ZERO_PAIR, name=f"cross-ratio{refs}",
-    )
+    return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),
+                   second_derivative_fn=sym(raw.second_derivative_fn))
 
 
 def nonseparating_op(space: ConfigSpace, n: int, coupling: complex = 1.0) -> NonlinearOperator:
@@ -366,31 +308,23 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
     if not space.factors or space.internal_size < 2:
         raise ValueError("spin-rms operator needs a factored space with internal size >= 2")
     isize, gsize = space.internal_size, space.grid_size
-    c = complex(coupling)
+
+    def spin_axis(arr):
+        return arr.reshape(isize, gsize, -1)
 
     def rms_sq(arr):
         return (np.abs(arr) ** 2).mean(axis=0, keepdims=True)
 
-    def ev(t, data):
-        require_nowhere_zero(data)
-        arr = data.reshape(isize, gsize, -1)
-        out = arr * (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr)))
-        return c * out.reshape(data.shape)
+    def mult(t, data):
+        arr = spin_axis(data)
+        return (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr))).reshape(data.shape)
 
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        arr = data.reshape(isize, gsize, -1)
-        ea = eta.reshape(isize, gsize, -1)
+    def dmult(t, data, eta):
+        arr, ea = spin_axis(data), spin_axis(eta)
         dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(arr)
-        out = ea * (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr))) + arr * (
-            (ea / arr).real - dln_rms
-        )
-        return c * out.reshape(data.shape)
+        return ((ea / arr).real - dln_rms).reshape(data.shape)
 
-    return NonlinearOperator(
-        n=1, space=space, eval_fn=ev, derivative_fn=deriv,
-        indices=ZERO_PAIR, name="spin-rms-log",
-    )
+    return multiplier_op(space, 1, coupling, mult, dmult, None, ZERO_PAIR, "spin-rms-log")
 
 
 def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:

@@ -72,13 +72,16 @@ def build_space(spec: dict) -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
         raise ScenarioError("space: expected an object with a 'size' field")
     factors = spec.get("factors")
+    if factors is not None and not (isinstance(factors, list) and factors):
+        raise ScenarioError(f"space.factors: expected a non-empty integer list, got {factors!r}")
     grid = spec.get("grid", False)
     if not isinstance(grid, bool):
         raise ScenarioError(f"space.grid: expected a boolean, got {grid!r}")
     try:
         return ConfigSpace(
             size=_integer(spec["size"], "space.size"),
-            factors=tuple(_integer(f, "space.factors") for f in factors) if factors else None,
+            factors=None if factors is None
+            else tuple(_integer(f, "space.factors") for f in factors),
             grid=grid,
         )
     except (TypeError, ValueError) as exc:

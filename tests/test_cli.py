@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsym
-from sepsym.checks import CHECKS, check_parameters, list_checks
+from sepsym.checks import CHECKS, CheckContext, check_parameters, list_checks
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
 from sepsym.scenario import (
@@ -83,6 +83,9 @@ class TestScenarioLoading:
             {"size": 0}, {"size": "abc"}, {"size": 6, "factors": [4, 2]},
             {"size": 3.7}, {"size": True}, {"size": "3"},
             {"size": 6, "factors": [2.9, 3]}, {"size": 6, "grid": "no"},
+            {"size": 6, "factors": False}, {"size": 6, "factors": 0},
+            {"size": 6, "factors": {}}, {"size": 6, "factors": []},
+            {"size": 6, "factors": ""},
         ],
     )
     def test_bad_space_rejected(self, space):
@@ -146,6 +149,16 @@ class TestGeneratorFactory:
         phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True).data
         assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
 
+    def test_random_linear_generators_differ_within_a_check(self):
+        # each draw is salted by the generator's position; the first keeps 997
+        doc = dict(FAST_SCENARIO, generators={"A": {"kind": "linear"}, "B": {"kind": "linear"}})
+        ctx = CheckContext(scenario=parse_scenario(doc, KNOWN), ordinal=0)
+        phi = random_state(1, ctx.space, np.random.default_rng(1)).data
+        a, b = (ctx.generator(name).op.apply(0.0, phi) for name in ("A", "B"))
+        assert not np.allclose(a, b)
+        first = build_generator(ctx.space, {"kind": "linear"}, ctx.rng(997))
+        assert np.array_equal(a, first.op.apply(0.0, phi))
+
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match="unknown generator kind"):
             build_generator(ConfigSpace(3), {"kind": "wat"}, np.random.default_rng(0))
@@ -169,6 +182,10 @@ class TestListChecks:
                 assert entry["name"] in CHECKS
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 class TestCheckErrors:
     # |X|^4 = 20^4 is over the flat-size cap
     OVERSIZED = {
@@ -190,7 +207,9 @@ class TestCheckErrors:
         scen.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 1
-        return json.loads(out.read_text())["checks"]
+        checks = json.loads(out.read_text(), parse_constant=reject_constant)["checks"]
+        assert checks[0]["max_residual"] is None  # the error entry's inf, as strict JSON
+        return checks
 
     def test_oversized_space_is_an_error_entry_without_traceback(self, tmp_path, capsys):
         checks = self.run(tmp_path, self.OVERSIZED)

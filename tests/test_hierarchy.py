@@ -28,8 +28,8 @@ from sepsym.operators import (
     cross_ratio_op,
     diag_mult_op,
     lambda_op,
+    linear_op,
     log_modulus_op,
-    matrix_op,
     nonseparating_op,
     relative_log_modulus_op,
     rms_log_modulus_op,
@@ -124,6 +124,13 @@ def sliced_oracle(fn, m, J, t, arrays):
     return np.transpose(out.reshape((s,) * m), inv)
 
 
+def td_matrix(space, square):
+    """Kernel of the explicitly time-dependent two-particle matrix (1 + t) square."""
+    def ev(t, data):
+        return ((1.0 + t) * square @ data.reshape(space.size**2, -1)).reshape(data.shape)
+    return ev
+
+
 def _contract_cases():
     """Every operator factory, the point-symmetry drift, one combination
     and one bracket, on a factored grid (spin x sites) and a plain grid."""
@@ -141,7 +148,7 @@ def _contract_cases():
             (sp, zero_op(sp, 1)),
             (sp, zero_op(sp, 2)),
             (sp, site_matrix_op(sp, random_hermitian(sp, rng))),
-            (sp, matrix_op(sp, 2, lambda t, sq=square: (1.0 + t) * sq, name="td-matrix")),
+            (sp, linear_op(sp, 2, td_matrix(sp, square), "td-matrix", time_dependent=True)),
             (sp, diag_mult_op(sp, site_vals)),
             (sp, lambda_op(IndexPair(0.4 - 0.2j, 0.7), 1, sp)),
             (sp, lambda_op(lambda t: IndexPair(0.3 + t, 0.5j * t), 1, sp)),
@@ -212,6 +219,33 @@ class TestKernelContract:
         got = op.apply(0.3, batch)
         for k in range(space.size):
             _close(got[:, k], op.apply(0.3, batch[:, k]))
+
+
+class TestClosedFormDerivatives:
+    """Each closed-form derivative kernel is the central difference of the
+    kernel below it, on a batch of nowhere-zero states whose phases keep
+    every logarithm, the cross ratio's included, off its branch cut."""
+
+    @pytest.mark.parametrize(
+        "space, op", CONTRACT_CASES,
+        ids=[f"{op.name}-n{op.n}-size{sp.size}" for sp, op in CONTRACT_CASES],
+    )
+    def test_kernels_match_central_differences(self, space, op):
+        rng = np.random.default_rng(13)
+        t, h = 0.3, 1e-5
+        data, u, v = (
+            np.stack([nz(op.n, space, rng, cap=np.pi / 8).data for _ in range(3)], axis=-1)
+            for _ in range(3)
+        )
+
+        def central(fn, step, *dirs):
+            return (fn(t, data + h * step, *dirs) - fn(t, data - h * step, *dirs)) / (2 * h)
+
+        # the worst case reads about 2e-9: O(h^2) truncation plus round-off
+        if op.derivative_fn is not None:
+            _close(op.derivative_fn(t, data, u), central(op.eval_fn, u), rel=1e-7)
+        if op.second_derivative_fn is not None:
+            _close(op.second_derivative_fn(t, data, u, v), central(op.derivative_fn, v, u), rel=1e-7)
 
 
 class TestCanonicalLift1p:
@@ -367,7 +401,7 @@ class TestFusedCanonicalLift:
         # BLAS may sum a wider batch in another order: round-off only
         rng = np.random.default_rng(5)
         square = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        gen = Generator(matrix_op(self.SPACE, 1, square))
+        gen = Generator(site_matrix_op(self.SPACE, square))
         for got, want in self._sides(gen, n, batch):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from sepsym.cli import report_text
+
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "seed_sweep.py"
 
 
@@ -30,7 +32,7 @@ def _report(residual, ratio, norms):
 def _write(directory: Path, reports: dict) -> None:
     directory.mkdir()
     for key, report in reports.items():
-        (directory / f"{key}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        (directory / f"{key}.json").write_text(report_text(report))
 
 
 class TestCompare:

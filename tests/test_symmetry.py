@@ -14,6 +14,7 @@ from sepsym.opcalc import estimate_log_indices, op_combine
 from sepsym.operators import (
     diag_mult_op,
     lambda_op,
+    linear_op,
     log_modulus_op,
     rms_log_modulus_op,
     shift_all_op,
@@ -75,11 +76,14 @@ class TestFiniteSymmetry:
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
 
-        def vmat(t):
+        def conjugated(t, data):
             U = scipy.linalg.expm(-1j * A * t)
-            return U @ W @ U.conj().T
+            return U @ W @ U.conj().T @ data
 
-        V = FiniteSymmetry(levels={1: site_matrix_op(space4, vmat)}, tmap=IDENTITY_TIME)
+        V = FiniteSymmetry(
+            levels={1: linear_op(space4, 1, conjugated, "V", time_dependent=True)},
+            tmap=IDENTITY_TIME,
+        )
         res = symmetry_residual(V, H, 0.37, nz(1, space4, rng))
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 

@@ -39,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sepsym.checks import CHECKS  # noqa: E402
-from sepsym.cli import build_report  # noqa: E402
+from sepsym.cli import build_report, report_text  # noqa: E402
 from sepsym.scenario import bundled_scenario_names, load_scenario  # noqa: E402
 
 
@@ -88,7 +88,7 @@ def differences(reports: dict[str, dict], directory: Path):
             yield key, None, ABSENT, ABSENT
             continue
         old = json.loads(path.read_text())
-        new = json.loads(json.dumps(report, sort_keys=True))
+        new = json.loads(report_text(report))
         for field, a, b in changed_fields(old, new):
             yield key, field, a, b
 
@@ -149,8 +149,7 @@ def main(argv=None) -> int:
             run = scenario if seed is None else replace(scenario, seed=seed)
             report = reports[f"{name}.{label}"] = build_report(run, {})
             if args.out is not None:
-                text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-                (args.out / f"{name}.{label}.json").write_text(text)
+                (args.out / f"{name}.{label}.json").write_text(report_text(report))
             for check in report["checks"]:
                 if check["status"] != "pass":
                     failures.setdefault((name, check["name"]), []).append(label)
