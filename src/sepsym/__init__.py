@@ -52,7 +52,6 @@ from .hierarchy import (
     tensor_derivation_residual,
 )
 from .obstruction import (
-    ObstructionReport,
     corollary1_obstruction,
     corollary2_obstruction,
     obstruction_lhs,

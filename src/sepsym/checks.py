@@ -42,13 +42,15 @@ from .hierarchy import (
 )
 from .mixedpow import IndexPair
 from .obstruction import (
+    bracket_generator,
     corollary1_obstruction,
     corollary2_obstruction,
+    natural_generator_op,
     obstruction_lhs,
     obstruction_rhs,
-    theorem10_report,
 )
 from .opcalc import (
+    NonlinearOperator,
     check_permutation_property,
     estimate_log_indices,
     euler_log_residual,
@@ -81,11 +83,9 @@ from .symmetry import (
     FiniteSymmetry,
     IDENTITY_TIME,
     PointSymmetrySpec,
-    freelift_report,
     index_law_residual,
     inf_symmetry_bracket,
     inf_symmetry_residual,
-    internal_dof_report,
     lambda_index_symmetry,
     point_symmetry_parts,
     symmetry_residual,
@@ -164,6 +164,19 @@ def _band_defect(value: float, lo: float, hi: float) -> float:
 def _floor_defect(value: float, floor: float) -> float:
     """<= 1 when value >= floor."""
     return floor / value if value > 0 else float("inf")
+
+
+def _batch(n: int, space: ConfigSpace, seeds, **kwargs) -> np.ndarray:
+    """Nowhere-zero states, one per entry of ``seeds``, stacked on one
+    trailing batch axis.
+
+    An entry is anything ``random_state`` takes: an int or tuple seed, or
+    a Generator, which draws the states of its repeated entries in turn.
+    """
+    return np.stack(
+        [random_state(n, space, seed, nowhere_zero=True, **kwargs).data for seed in seeds],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +519,17 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
 # ---------------------------------------------------------------------------
 # obstructions
 
+# a batch's obstruction "vanishes" below this, relative to its largest state
+VANISH_TOL = 1e-7
+
+
+def _fd_warnings(*ops: NonlinearOperator) -> list[str]:
+    missing = sorted({op.name for op in ops if not op.has_closed_derivative})
+    return [
+        f"operator {name!r} lacks a closed-form derivative; finite differences in use"
+        for name in missing
+    ]
+
 
 def _default_theorem10_pairs(space: ConfigSpace):
     rms = Generator(rms_log_modulus_op(space, 0.9))
@@ -535,22 +559,31 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
         cases = [(f"{fname}-vs-{gname}", ctx.generator(fname), ctx.generator(gname), ns)
                  for fname, gname, ns in pairs]
     for label, F, G, ns in cases:
+        warnings = _fd_warnings(natural_generator_op(F), natural_generator_op(G), F.op, G.op)
         for n in ns:
-            batch = 16 if n <= 3 else 6
-            rep = theorem10_report(
-                F, G, n, seed=ctx.scenario.seed % 2**31 + n, batch_size=batch
+            seed = ctx.scenario.seed % 2**31 + n
+            size = 16 if n <= 3 else 6
+            data = _batch(n, F.op.space, [np.random.default_rng(seed)] * size)
+            H = bracket_generator(F, G, verify=True, seed=seed)
+            lhs = obstruction_lhs(F, G, n, 0.0, data, bracket_gen=H)
+            rhs = obstruction_rhs(F, G, n, 0.0, data)
+            lhs_norms, rhs_norms = sup_norms(lhs), sup_norms(rhs)
+            # the worst gap between the two sides, relative to the larger
+            residual = max(
+                gap / (1.0 + max(ln, rn))
+                for gap, ln, rn in zip(sup_norms(lhs - rhs), lhs_norms, rhs_norms)
             )
-            defects.append(rep.identity_residual / bound)
+            defects.append(residual / bound)
             details["pairs"][f"{label}-n{n}"] = {
-                "ell": rep.ell,
-                "m": rep.m,
-                "n": rep.n,
-                "identity_residual": rep.identity_residual,
-                "rhs_norm": rep.rhs_norm,
-                "vanishes": rep.vanishes,
-                "seed": rep.seed,
-                "batch_size": rep.batch_size,
-                "warnings": list(rep.warnings),
+                "ell": F.ell,
+                "m": G.ell,
+                "n": n,
+                "identity_residual": residual,
+                "rhs_norm": max(rhs_norms),
+                "vanishes": max(rhs_norms) <= VANISH_TOL * max(1.0, *sup_norms(data)),
+                "seed": seed,
+                "batch_size": size,
+                "warnings": warnings,
             }
     details["bound"] = bound
     return _finish(ctx, "liftdeltal-identity", max(defects), 1.0, details)
@@ -565,23 +598,12 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     Bl = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-B"))
     worst = 0.0
     for n in (2, 3):
-        data = _state_batch(ctx, n, space, 10 * n, 4)
+        data = _batch(n, space, [ctx.rng(10 * n + k) for k in range(4)])
         scales = [max(1.0, norm) for norm in sup_norms(data)]
         for side in (obstruction_rhs, obstruction_lhs):
             norms = sup_norms(side(A, Bl, n, 0.0, data))
             worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
     return _finish(ctx, "real-linear-degeneration", worst, bound, {"levels": [2, 3]})
-
-
-def _state_batch(ctx: CheckContext, n: int, space: ConfigSpace, salt: int, size: int,
-                 **kwargs) -> np.ndarray:
-    """Nowhere-zero states from ``ctx.rng(salt + k)``, k < size, stacked on
-    one trailing batch axis."""
-    return np.stack(
-        [random_state(n, space, ctx.rng(salt + k), nowhere_zero=True, **kwargs).data
-         for k in range(size)],
-        axis=-1,
-    )
 
 
 def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> CheckResult:
@@ -593,13 +615,15 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> Check
     floor = 1e-3
     F = Generator(shifted_log_modulus_op(space, 0.8))
     K = Generator(relative_log_modulus_op(space, 0.7))
-    two = max(sup_norms(corollary1_obstruction(F, K, 0.0, _state_batch(ctx, 2, space, 0, 8))))
-    lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, _state_batch(ctx, 3, space, 100, 8))))
+    data2 = _batch(2, space, [ctx.rng(k) for k in range(8)])
+    data3 = _batch(3, space, [ctx.rng(100 + k) for k in range(8)])
+    two = max(sup_norms(corollary1_obstruction(F, K, 0.0, data2)))
+    lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, data3)))
     spin_space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
     Fs = Generator(spin_rms_log_op(spin_space, 1.0))
     Ks = Generator(spin_rotation_op(spin_space))
-    spin2 = _state_batch(ctx, 2, spin_space, 200, 8)
-    spin3 = _state_batch(ctx, 3, spin_space, 300, 8)
+    spin2 = _batch(2, spin_space, [ctx.rng(200 + k) for k in range(8)])
+    spin3 = _batch(3, spin_space, [ctx.rng(300 + k) for k in range(8)])
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
     spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
     defect = max(
@@ -637,7 +661,7 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
     G = Generator(cross_ratio_op(space, coupling=0.8))
     spec = ctx.point_spec(_default_point_spec())
     parts = point_symmetry_parts(spec, space)
-    data = _state_batch(ctx, 3, space, 0, 4, smooth=True)
+    data = _batch(3, space, [ctx.rng(k) for k in range(4)], smooth=True)
     norms = {}
     for label in ("phase", "mult", "drift"):
         Kgen = Generator(parts[label])
@@ -653,23 +677,69 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
 
 def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """Spin-coupled non-linearity vs spin rotation: a strictly positive
-    obstruction, stable under reseeding and grid refinement."""
-    rep = internal_dof_report(grid_size=grid_size, seed=ctx.scenario.seed % 2**31)
+    obstruction, stable under reseeding and grid refinement.
+
+    Stability under reseeding compares the mean two-particle obstruction
+    norm of two generic batches; under refinement, the mean obstruction
+    field of smooth states, which sample one underlying function.
+    """
+    seed = ctx.scenario.seed % 2**31
+    size = 16
     floor = 1e-3
     stability = 0.10
+
+    def build(gsize: int) -> tuple[Generator, Generator]:
+        space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
+        return Generator(spin_rms_log_op(space, 1.0)), Generator(spin_rotation_op(space))
+
+    def smooth_field_mean(F: Generator, K: Generator) -> float:
+        # a Riemann mean of the obstruction field of one continuum state,
+        # the statistic that genuinely converges under refinement
+        return float(np.mean([
+            np.abs(corollary1_obstruction(
+                F, K, 0.0, _batch(2, F.op.space, [(seed, i)], smooth=True)
+            )).mean()
+            for i in range(size // 2)
+        ]))
+
+    F, K = build(grid_size)
+    base = _batch(2, F.op.space, [np.random.default_rng(seed)] * size)
+    reseeded = _batch(2, F.op.space, [np.random.default_rng(seed + 1)] * size)
+    norms = sup_norms(corollary1_obstruction(F, K, 0.0, base))
+    reseeded_norms = sup_norms(corollary1_obstruction(F, K, 0.0, reseeded))
+    smooth_base = smooth_field_mean(F, K)
+    smooth_refined = smooth_field_mean(*build(2 * grid_size))
+    mean_base = float(np.mean(norms))
+    reseed_ratio = float(np.mean(reseeded_norms)) / mean_base if mean_base else float("inf")
+    refine_ratio = smooth_refined / smooth_base if smooth_base else float("inf")
     defect = max(
-        _floor_defect(rep["norm"], floor),
-        abs(rep["reseed_ratio"] - 1.0) / stability,
-        abs(rep["refine_ratio"] - 1.0) / stability,
+        _floor_defect(max(norms), floor),
+        abs(reseed_ratio - 1.0) / stability,
+        abs(refine_ratio - 1.0) / stability,
     )
     details = {
-        "norm": rep["norm"],
-        "reseeded_norm": rep["reseeded_norm"],
-        "refined_norm": rep["refined_norm"],
+        "norm": max(norms),
+        "reseeded_norm": max(reseeded_norms),
+        "refined_norm": smooth_refined,
         "floor": floor,
         "stability_band": stability,
         "grid_size": grid_size,
-        "report": rep["report"].to_json_dict(),
+        # the base batch summarised at (l, m, n) = (1, 1, 2); only the right
+        # side is computed, so lhs_norm repeats it and identity_residual is 0
+        "report": {
+            "kind": "corollary1",
+            "ell": 1,
+            "m": 1,
+            "n": 2,
+            "lhs_norm": max(norms),
+            "rhs_norm": max(norms),
+            "identity_residual": 0.0,
+            "vanishes": max(norms) <= VANISH_TOL * max(1.0, *sup_norms(base)),
+            "seed": seed,
+            "batch_size": size,
+            "state_norms": [round(norm, 12) for norm in sup_norms(base)],
+            "warnings": _fd_warnings(natural_generator_op(F), natural_generator_op(K)),
+        },
     }
     return _finish(ctx, "internal-dof-demo", defect, 1.0, details)
 
@@ -823,7 +893,7 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     worst = 0.0
     for n in (1, 2, 3):
         wf = random_state(n, space, ctx.rng(n), nowhere_zero=True)
-        worst = max(worst, symmetry_residual(V, H, 0.3, wf))
+        worst = max(worst, symmetry_residual(V, H, 0.3, wf, hbar=ctx.hbar))
     return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2, "grid_size": grid_size})
 
 
@@ -834,23 +904,47 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> C
     exact_bound = 1e-10
     band = (3.0, 5.0)
     spec = ctx.point_spec(_default_point_spec())
-    rep = freelift_report(
-        lambda sp: Generator(rms_log_modulus_op(sp, 1.0)),
-        spec,
-        grids,
-        seed=ctx.scenario.seed % 2**31,
-    )
-    exact_worst = max(max(rep["c1"]["phase"]), max(rep["c1"]["mult"]),
-                      max(rep["c2"]["phase"]), max(rep["c2"]["mult"]))
+    seed = ctx.scenario.seed % 2**31
+    c1: dict = {"phase": [], "mult": [], "drift": [], "full": []}
+    c2: dict = {"phase": [], "mult": [], "drift": []}
+    for gsize in grids:
+        space = ConfigSpace(gsize, grid=True)
+        F = Generator(rms_log_modulus_op(space, 1.0))
+        G = Generator(cross_ratio_op(space))
+        parts = point_symmetry_parts(spec, space)
+        # one seed per state index, *not* per grid: the band-limited sampler
+        # draws its mode coefficients before touching the grid, so the same
+        # seed refines one underlying function across the ladder.  One state
+        # at a time: a stacked grid-32 batch would hold every state's lifted
+        # cross-ratio values at once
+        states2 = [_batch(2, space, [(seed, i)], smooth=True) for i in range(4)]
+        states3 = [_batch(3, space, [(seed, 100 + i)], smooth=True) for i in range(2)]
+        full = op_combine(list(parts.values()), name="point-natural")
+        for label, op in {**parts, "full": full}.items():
+            K = Generator(op)
+            c1[label].append(max(
+                max(sup_norms(corollary1_obstruction(F, K, 0.0, data))) for data in states2
+            ))
+            if label != "full":
+                c2[label].append(max(
+                    max(sup_norms(corollary2_obstruction(G, K, 0.0, data))) for data in states3
+                ))
+    for side in (c1, c2):
+        drift = side["drift"]
+        side["drift_ratios"] = [
+            drift[i] / drift[i + 1] if drift[i + 1] > 0 else float("inf")
+            for i in range(len(drift) - 1)
+        ]
+    exact_worst = max(max(c1["phase"]), max(c1["mult"]), max(c2["phase"]), max(c2["mult"]))
     ladder_defect = max(
-        max(_band_defect(r, *band) for r in rep["c1"]["drift_ratios"]),
-        max(_band_defect(r, *band) for r in rep["c2"]["drift_ratios"]),
+        max(_band_defect(r, *band) for r in c1["drift_ratios"]),
+        max(_band_defect(r, *band) for r in c2["drift_ratios"]),
     )
     defect = max(exact_worst / exact_bound, ladder_defect)
     details = {
-        "grids": rep["grids"],
-        "c1": rep["c1"],
-        "c2": rep["c2"],
+        "grids": list(grids),
+        "c1": c1,
+        "c2": c2,
         "exact_bound": exact_bound,
         "band": list(band),
     }

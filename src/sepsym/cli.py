@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import __version__
 from .checks import CHECKS, check_parameters, list_checks, run_check
 from .errors import ScenarioError
-from .scenario import bundled_scenario_names, finite_number, load_scenario, tolerance_map
+from .scenario import Scenario, bundled_scenario_names, finite_number, load_scenario, tolerance_map
 
 
 def _parse_tol_overrides(entries) -> dict[str, float]:

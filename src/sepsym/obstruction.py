@@ -19,50 +19,13 @@ at (1, l, l+1) with the symmetry in the first slot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadRange
 from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
 from .opcalc import NonlinearOperator, lie_bracket
-from .space import random_state, sup_norms, tensor
-
-VANISH_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class ObstructionReport:
-    """Batch summary of one obstruction computation."""
-
-    kind: str
-    ell: int
-    m: int
-    n: int
-    lhs_norm: float
-    rhs_norm: float
-    identity_residual: float
-    vanishes: bool
-    seed: int
-    batch_size: int
-    state_norms: tuple[float, ...]
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ell": self.ell,
-            "m": self.m,
-            "n": self.n,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-            "identity_residual": self.identity_residual,
-            "vanishes": self.vanishes,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "state_norms": list(self.state_norms),
-            "warnings": list(self.warnings),
-        }
+from .space import random_state, tensor
 
 
 def natural_generator_op(gen: Generator) -> NonlinearOperator:
@@ -78,14 +41,6 @@ def _check_range(ell: int, m: int, n: int) -> None:
         raise BadRange(
             f"need 1 <= l <= m < n <= {MAX_PARTICLES}, got (l, m, n) = ({ell}, {m}, {n})"
         )
-
-
-def _fd_warnings(*ops: NonlinearOperator) -> tuple[str, ...]:
-    missing = sorted({op.name for op in ops if not op.has_closed_derivative})
-    return tuple(
-        f"operator {name!r} lacks a closed-form derivative; finite differences in use"
-        for name in missing
-    )
 
 
 def obstruction_rhs(
@@ -189,66 +144,3 @@ def corollary2_obstruction(
         raise BadRange("corollary2 lifts a one-particle symmetry generator")
     return -obstruction_rhs(K, G, G.ell + 1, t, data)
 
-
-def _batch(space, n, seed, size):
-    """A seeded batch of states and their data on one trailing batch axis."""
-    rng = np.random.default_rng(seed)
-    states = [random_state(n, space, rng, nowhere_zero=True) for _ in range(size)]
-    return states, np.stack([wf.data for wf in states], axis=-1)
-
-
-def _report(kind, ell, m, n, lhs_norms, rhs_norms, residuals, seed, states, warnings=()):
-    scale = max(1.0, max(s.norm_inf() for s in states))
-    rhs_norm = float(max(rhs_norms))
-    return ObstructionReport(
-        kind=kind, ell=ell, m=m, n=n,
-        lhs_norm=float(max(lhs_norms)) if lhs_norms else rhs_norm,
-        rhs_norm=rhs_norm,
-        identity_residual=float(max(residuals)) if residuals else 0.0,
-        vanishes=rhs_norm <= VANISH_TOL * scale,
-        seed=seed, batch_size=len(states),
-        state_norms=tuple(round(s.norm_inf(), 12) for s in states),
-        warnings=tuple(warnings),
-    )
-
-
-def theorem10_report(
-    F: Generator, G: Generator, n: int, seed: int = 0, batch_size: int = 16
-) -> ObstructionReport:
-    """Evaluate both sides of the lift-bracket defect identity on a batch.
-
-    The seeded states ride on one trailing batch axis, so each side is one
-    call over the whole batch.
-
-    ``identity_residual`` is the worst relative gap between the direct
-    left side and the double-sum right side.
-    """
-    states, data = _batch(F.op.space, n, seed, batch_size)
-    Hgen = bracket_generator(F, G, verify=True, seed=seed)
-    warnings = _fd_warnings(
-        natural_generator_op(F), natural_generator_op(G), F.op, G.op
-    )
-    lhs = obstruction_lhs(F, G, n, 0.0, data, bracket_gen=Hgen)
-    rhs = obstruction_rhs(F, G, n, 0.0, data)
-    lhs_norms = sup_norms(lhs)
-    rhs_norms = sup_norms(rhs)
-    gaps = sup_norms(lhs - rhs)
-    residuals = [
-        gap / (1.0 + max(ln, rn)) for gap, ln, rn in zip(gaps, lhs_norms, rhs_norms)
-    ]
-    return _report(
-        "theorem10", F.ell, G.ell, n, lhs_norms, rhs_norms, residuals,
-        seed, states, warnings,
-    )
-
-
-def corollary1_report(
-    F: Generator, K: Generator, seed: int = 0, batch_size: int = 16
-) -> tuple[ObstructionReport, list[float]]:
-    """Two-particle obstruction over a seeded batch: the report (its
-    ``rhs_norm`` is the worst state) and the per-state sup norms."""
-    states, data = _batch(F.op.space, 2, seed, batch_size)
-    warnings = _fd_warnings(natural_generator_op(F), natural_generator_op(K))
-    norms = sup_norms(corollary1_obstruction(F, K, 0.0, data))
-    report = _report("corollary1", 1, 1, 2, [], norms, [], seed, states, warnings)
-    return report, norms

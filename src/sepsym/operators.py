@@ -119,7 +119,14 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     static = None if callable(idx) else idx
     if static is not None and static.is_zero():
         return zero_op(space, n).renamed("lambda(0,0)")
-    idxfn: Callable[[float], IndexPair] = idx if static is None else (lambda t: static)
+    last: list = [None, static]  # the time last asked and its indices
+
+    def idxfn(t: float) -> IndexPair:
+        # a kernel asks once per multiplier term, all at one t: solve once
+        if static is None and last[0] != t:
+            last[:] = [t, idx(t)]
+        return last[1]
+
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     return multiplier_op(
         space, n, 1.0,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,19 +37,9 @@ from .errors import BadRange
 from .evolution import EvolutionConfig, rk4_trajectory
 from .hierarchy import Generator, Hierarchy, canonical_lift
 from .mixedpow import IndexPair, pair_bracket, product_components
-from .obstruction import corollary1_obstruction, corollary1_report, corollary2_obstruction
 from .opcalc import NonlinearOperator, lie_bracket, op_combine
-from .operators import (
-    central_difference_op,
-    cross_ratio_op,
-    diag_mult_op,
-    lambda_op,
-    linear_op,
-    site_multiply,
-    spin_rms_log_op,
-    spin_rotation_op,
-)
-from .space import ConfigSpace, WaveFunction, random_state, sup_norms
+from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
+from .space import ConfigSpace, WaveFunction
 
 # Central-difference step for d/dt of operator families V(t), K(t).
 DT_SYM = 1e-4
@@ -104,18 +94,20 @@ def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     return (fn(t + DT_SYM) - fn(t - DT_SYM)) / (2 * DT_SYM)
 
 
-def symmetry_residual(V: FiniteSymmetry, F: Hierarchy, t: float, phi: WaveFunction) -> float:
-    """Defect of the finite-symmetry evolution equation at one state."""
+def symmetry_residual(
+    V: FiniteSymmetry, F: Hierarchy, t: float, phi: WaveFunction, hbar: float = 1.0
+) -> float:
+    """Defect of hbar d_t V = i_bar F V - T' DV . i_bar F(T) at one state."""
     n = phi.n
     Vn = V.level(n)
     Fn = F.op(n)
     data = phi.data
-    # hbar folded in below; a static V has d_t V = 0 exactly
-    hbar_dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
+    # a static V has d_t V = 0 exactly
+    dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
     Vphi = Vn.apply(t, data)
     drive = -1j * Fn.apply(V.tmap(t), data)
     resid = (
-        hbar_dV
+        hbar * dV
         - (-1j) * Fn.apply(t, Vphi)
         + V.tmap.derivative * Vn.derivative(t, data, drive)
     )
@@ -273,112 +265,6 @@ def point_symmetry_generator(
 
 
 # ---------------------------------------------------------------------------
-# harnesses
-
-
-def freelift_report(
-    gen_factory: Callable[[ConfigSpace], Generator],
-    spec: PointSymmetrySpec,
-    grids: Sequence[int],
-    seed: int = 0,
-    batch_size: int = 4,
-) -> dict:
-    """Obstruction ladder for point space-time generators.
-
-    For each grid: splits the symmetry generator into its multiplication
-    parts (phase i*eta and div(xi)/2, which must vanish to round-off) and
-    the discrete-derivative drift part (which must decay O(h^2) on smooth
-    states), for both the two-particle lifting obstruction and the
-    added-generator obstruction against the cross-ratio family.
-    """
-    out: dict = {
-        "grids": list(grids),
-        "c1": {"phase": [], "mult": [], "drift": [], "full": []},
-        "c2": {"phase": [], "mult": [], "drift": []},
-    }
-    for gsize in grids:
-        space = ConfigSpace(gsize, grid=True)
-        F = gen_factory(space)
-        G = Generator(cross_ratio_op(space))
-        parts = point_symmetry_parts(spec, space)
-        # one seed per state index, *not* per grid: the band-limited sampler
-        # draws its mode coefficients before touching the grid, so the same
-        # seed refines one underlying function across the ladder
-        states2 = [
-            random_state(2, space, np.random.default_rng((seed, i)), nowhere_zero=True, smooth=True)
-            for i in range(batch_size)
-        ]
-        states3 = [
-            random_state(3, space, np.random.default_rng((seed, 100 + i)), nowhere_zero=True, smooth=True)
-            for i in range(max(2, batch_size // 2))
-        ]
-        full = op_combine(list(parts.values()), name="point-natural")
-        for label, op in {**parts, "full": full}.items():
-            Kgen = Generator(op)
-            # one state at a time: a stacked grid-32 batch would hold every
-            # state's lifted cross-ratio values at once
-            out["c1"][label].append(max(sup_norms(np.stack(
-                [corollary1_obstruction(F, Kgen, 0.0, wf.data) for wf in states2], axis=-1
-            ))))
-            if label != "full":
-                out["c2"][label].append(max(sup_norms(np.stack(
-                    [corollary2_obstruction(G, Kgen, 0.0, wf.data) for wf in states3], axis=-1
-                ))))
-    for key in ("c1", "c2"):
-        drift = out[key]["drift"]
-        out[key]["drift_ratios"] = [
-            drift[i] / drift[i + 1] if drift[i + 1] > 0 else float("inf")
-            for i in range(len(drift) - 1)
-        ]
-    return out
-
-
-def internal_dof_report(grid_size: int = 8, seed: int = 0, batch_size: int = 16) -> dict:
-    """Spin counterexample: a spin-coupled non-linearity against the spin
-    rotation generator.  The two-particle obstruction norm is reported,
-    together with its stability under reseeding (generic states) and grid
-    refinement (smooth states sampling one underlying function)."""
-    def build(gsize: int) -> tuple[Generator, Generator]:
-        space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
-        F = Generator(spin_rms_log_op(space, 1.0))
-        K = Generator(spin_rotation_op(space))
-        return F, K
-
-    def smooth_field_mean(F: Generator, K: Generator, size: int) -> float:
-        # a Riemann mean of the obstruction field of one continuum state,
-        # the statistic that genuinely converges under refinement
-        states = [
-            random_state(
-                2, F.op.space, np.random.default_rng((seed, i)),
-                nowhere_zero=True, smooth=True,
-            )
-            for i in range(size)
-        ]
-        return float(
-            np.mean(
-                [np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).mean() for wf in states]
-            )
-        )
-
-    F, K = build(grid_size)
-    base, base_norms = corollary1_report(F, K, seed=seed, batch_size=batch_size)
-    reseed, reseed_norms = corollary1_report(F, K, seed=seed + 1, batch_size=batch_size)
-    F2, K2 = build(2 * grid_size)
-    nsmooth = max(4, batch_size // 2)
-    smooth_base = smooth_field_mean(F, K, nsmooth)
-    smooth_refined = smooth_field_mean(F2, K2, nsmooth)
-    mean_base, mean_reseed = float(np.mean(base_norms)), float(np.mean(reseed_norms))
-    return {
-        "report": base,
-        "norm": base.rhs_norm,
-        "reseeded_norm": reseed.rhs_norm,
-        "refined_norm": smooth_refined,
-        "reseed_ratio": mean_reseed / mean_base if mean_base else float("inf"),
-        "refine_ratio": smooth_refined / smooth_base if smooth_base else float("inf"),
-    }
-
-
-# ---------------------------------------------------------------------------
 # index evolution along symmetries
 
 
@@ -478,6 +364,6 @@ def lambda_index_symmetry(
     Lambda(p, q) hierarchy, with (c, d) transported by the index law."""
     flow = index_flow(p, q, tau, start, cfg)
     levels = {
-        n: lambda_op(lambda t: flow(t), n, space) for n in range(1, n_levels + 1)
+        n: lambda_op(flow, n, space) for n in range(1, n_levels + 1)
     }
     return InfinitesimalSymmetry(levels=levels, tau=tau)

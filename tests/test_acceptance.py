@@ -8,7 +8,7 @@ composite defects.
 import json
 
 from sepsym.checks import CHECKS, run_check
-from sepsym.cli import build_report
+from sepsym.cli import build_report, report_text
 from sepsym.scenario import bundled_scenario_names, load_scenario
 
 KNOWN = set(CHECKS)
@@ -154,17 +154,22 @@ def test_criterion_09_index_ode_consistency():
                     f"extraction O(dt^2) with ratio {d['extraction_ratio']:.2f}")
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def test_criterion_10_deterministic_reports():
+    # each report as the command line writes it, parsed as strict JSON
     mismatched = []
     for name in bundled_scenario_names():
         sc = load_scenario(name, KNOWN)
-        first = json.dumps(build_report(sc, {}), sort_keys=True, indent=2)
-        second = json.dumps(build_report(sc, {}), sort_keys=True, indent=2)
+        first = report_text(build_report(sc, {}))
+        second = report_text(build_report(sc, {}))
         if first != second:
             mismatched.append(name)
-        doc = json.loads(first)
+        doc = json.loads(first, parse_constant=reject_constant)
         if not all(c["status"] == "pass" for c in doc["checks"]):
             mismatched.append(f"{name} (failing check)")
     ok = not mismatched
     report("10", ok, "all bundled scenarios pass and reproduce byte-identical "
-                     f"reports (issues: {mismatched or 'none'})")
+                     f"strict-JSON reports (issues: {mismatched or 'none'})")

@@ -21,6 +21,9 @@ has the same name.  Dunder methods are exempt, since syntax calls them.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import sepsym
@@ -113,7 +116,7 @@ def test_scan_sees_package_functions():
     assert {"obstruction.py", "space.py", "symmetry.py", "checks.py"} <= set(trees)
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.FunctionDef)}
-    assert {"obstruction_rhs", "lift_J", "freelift_report"} <= defined
+    assert {"obstruction_rhs", "lift_J", "point_symmetry_parts"} <= defined
     members = {f"{cls.name}.{member}" for tree in trees.values()
                for cls in tree.body if isinstance(cls, ast.ClassDef)
                for member in _members(cls)}
@@ -128,3 +131,37 @@ def test_copying_forward_is_not_reading():
     assert loads("Op(flag=a.flag or b.flag, name=a.name)") == set()
     assert loads("Op(other=a.flag)") == {"flag"}
     assert loads("if a.flag: pass") == {"flag"}
+
+
+def _annotated(obj):
+    """The functions and methods of a module member whose hints can be asked."""
+    if inspect.isfunction(obj):
+        yield obj
+    elif inspect.isclass(obj):
+        yield obj
+        for member in vars(obj).values():
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            elif isinstance(member, property):
+                member = member.fget
+            if inspect.isfunction(member):
+                yield member
+
+
+def test_every_annotation_resolves():
+    # with postponed evaluation, an annotation naming something its module
+    # never imports goes unnoticed until a caller asks for the hints
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue  # it only re-exports
+        module = importlib.import_module(f"sepsym.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for fn in _annotated(obj):
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as exc:
+                    unresolved.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
+    assert not unresolved, unresolved

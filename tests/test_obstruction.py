@@ -12,12 +12,10 @@ from sepsym.mixedpow import IndexPair
 from sepsym.obstruction import (
     bracket_generator,
     corollary1_obstruction,
-    corollary1_report,
     corollary2_obstruction,
     natural_generator_op,
     obstruction_lhs,
     obstruction_rhs,
-    theorem10_report,
 )
 from sepsym.operators import (
     cross_ratio_op,
@@ -31,7 +29,7 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import load_scenario, random_hermitian
-from sepsym.space import permute_data, random_state, sup_norms
+from sepsym.space import ConfigSpace, permute_data, random_state, sup_norms
 from sepsym.symmetry import PointSymmetrySpec, point_symmetry_parts
 
 IDENTITY_TOL = 1e-8
@@ -52,6 +50,22 @@ def gen_shifted(space, c=0.8):
 
 def gen_cross(space, coupling=0.6, refs=(0, 0)):
     return Generator(cross_ratio_op(space, refs, coupling))
+
+
+def stacked(n, space, seed, size):
+    """``size`` nowhere-zero states drawn in turn from one seeded generator,
+    on a trailing batch axis."""
+    rng = np.random.default_rng(seed)
+    return np.stack([nz(n, space, rng).data for _ in range(size)], axis=-1)
+
+
+def identity_residual(F, G, n, data):
+    """Worst relative gap between the two sides of the identity over a
+    batch, and the largest right side."""
+    lhs = obstruction_lhs(F, G, n, 0.0, data)
+    rhs = obstruction_rhs(F, G, n, 0.0, data)
+    gaps = zip(sup_norms(lhs - rhs), sup_norms(lhs), sup_norms(rhs))
+    return max(gap / (1.0 + max(ln, rn)) for gap, ln, rn in gaps), max(sup_norms(rhs))
 
 
 def corollary1_oracle(F, K, t, data):
@@ -117,10 +131,12 @@ class TestIdentity:
         assert worst_gap <= IDENTITY_TOL
         assert nonzero > 1e-3  # these pairs genuinely obstruct
 
-    def test_report_identity_residual(self, space3):
-        rep = theorem10_report(gen_rms(space3), gen_cross(space3), 3, seed=7, batch_size=8)
-        assert rep.identity_residual <= IDENTITY_TOL
-        assert not rep.vanishes
+    def test_batch_identity_residual(self, space3):
+        residual, rhs_norm = identity_residual(
+            gen_rms(space3), gen_cross(space3), 3, stacked(3, space3, 7, 8)
+        )
+        assert residual <= IDENTITY_TOL
+        assert rhs_norm > 1e-3
 
     def test_index_half_of_bracket_generator(self, space3):
         # a one-particle bracket generator with a non-zero index bracket:
@@ -130,8 +146,8 @@ class TestIdentity:
         G = gen_shifted(space3, 0.8)
         assert bracket_generator(F, G).indices == IndexPair(0.8j, -0.8j)
         for n in (2, 3):
-            rep = theorem10_report(F, G, n, seed=7, batch_size=8)
-            assert rep.identity_residual <= IDENTITY_TOL
+            residual, _ = identity_residual(F, G, n, stacked(n, space3, 7, 8))
+            assert residual <= IDENTITY_TOL
 
     def test_same_generator_cancels(self, space3, rng):
         F = gen_rms(space3)
@@ -175,6 +191,13 @@ class TestIdentity:
         assert H.ell == 2
         assert H.indices.close_to(IndexPair(0, 0), 1e-14)
 
+    def test_natural_generator_strips_lambda(self, space3, rng):
+        F = gen_shifted(space3, 0.7)
+        nat = natural_generator_op(F)
+        assert nat.indices.close_to(IndexPair(0, 0), 1e-14)
+        G = gen_cross(space3)
+        assert natural_generator_op(G) is G.op
+
 
 class TestCorollary1:
     def test_lambda_symmetry_has_no_obstruction(self, space3, rng):
@@ -192,12 +215,11 @@ class TestCorollary1:
     def test_spin_counterexample(self, spin_space):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
-        r1, norms1 = corollary1_report(F, K, seed=1, batch_size=8)
-        r2, _ = corollary1_report(F, K, seed=2, batch_size=8)
-        assert r1.rhs_norm == max(norms1) and len(norms1) == 8
-        assert r1.rhs_norm > 1e-3 and r2.rhs_norm > 1e-3
-        assert abs(r2.rhs_norm / r1.rhs_norm - 1.0) < 0.25
-        assert not r1.vanishes
+        norms1 = sup_norms(corollary1_obstruction(F, K, 0.0, stacked(2, spin_space, 1, 8)))
+        norms2 = sup_norms(corollary1_obstruction(F, K, 0.0, stacked(2, spin_space, 2, 8)))
+        assert len(norms1) == 8
+        assert min(norms1) > 1e-3 and min(norms2) > 1e-3
+        assert abs(max(norms2) / max(norms1) - 1.0) < 0.25
 
     def test_requires_one_particle(self, space3, rng):
         with pytest.raises(BadRange):
@@ -262,79 +284,34 @@ class TestSpecialisations:
             assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
 
 
-def theorem10_oracle(F, G, n, seed, batch_size):
-    """The report fields as the per-state loop computed them."""
-    rng = np.random.default_rng(seed)
-    states = [nz(n, F.op.space, rng) for _ in range(batch_size)]
-    Hgen = bracket_generator(F, G, verify=True, seed=seed)
-    lhs = [obstruction_lhs(F, G, n, 0.0, wf.data, bracket_gen=Hgen) for wf in states]
-    rhs = [obstruction_rhs(F, G, n, 0.0, wf.data) for wf in states]
-    lhs_norms = [float(np.abs(a).max()) for a in lhs]
-    rhs_norms = [float(np.abs(b).max()) for b in rhs]
-    gaps = [float(np.abs(a - b).max()) for a, b in zip(lhs, rhs)]
-    residuals = [g / (1.0 + max(ln, rn)) for g, ln, rn in zip(gaps, lhs_norms, rhs_norms)]
-    return {
-        "lhs_norm": max(lhs_norms),
-        "rhs_norm": max(rhs_norms),
-        "identity_residual": max(residuals),
-        "state_norms": tuple(round(wf.norm_inf(), 12) for wf in states),
-    }
+def per_state(fn):
+    """``fn`` evaluated one batch entry at a time and restacked: the
+    per-state loop the checks made before they batched."""
+    def loop(*args, **kwargs):
+        *head, data = args
+        return np.stack([fn(*head, data[..., k], **kwargs) for k in range(data.shape[-1])],
+                        axis=-1)
+    return loop
 
 
-def corollary1_oracle_norms(F, K, seed, batch_size):
-    rng = np.random.default_rng(seed)
-    states = [nz(2, F.op.space, rng) for _ in range(batch_size)]
-    return [float(np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max()) for wf in states]
-
-
-class TestBatchedReports:
-    """The reports evaluate their seeded batch as one array; every field
-    equals the per-state loop bit for bit."""
-
-    GENS = {
-        "rms": gen_rms,
-        "shifted": gen_shifted,
-        "cr0": lambda sp: gen_cross(sp, 0.6, (0, 0)),
-        "cr1": lambda sp: gen_cross(sp, 0.5, (1, 2)),
-    }
-
-    @pytest.mark.parametrize("fname,gname,n", [
-        ("rms", "shifted", 2), ("rms", "shifted", 3), ("rms", "shifted", 4),
-        ("shifted", "rms", 2), ("rms", "cr0", 3), ("shifted", "cr1", 4),
-        ("cr0", "cr1", 3), ("cr0", "cr1", 4),
-    ])
-    def test_theorem10_matches_per_state(self, space3, fname, gname, n):
-        F, G = self.GENS[fname](space3), self.GENS[gname](space3)
-        batch = 16 if n <= 3 else 6
-        rep = theorem10_report(F, G, n, seed=40 + n, batch_size=batch)
-        want = theorem10_oracle(F, G, n, 40 + n, batch)
-        assert rep.lhs_norm == want["lhs_norm"]
-        assert rep.rhs_norm == want["rhs_norm"]
-        assert rep.identity_residual == want["identity_residual"]
-        assert rep.state_norms == want["state_norms"]
-        assert rep.batch_size == batch and rep.seed == 40 + n
-
-    def test_theorem10_fd_fallback_matches_per_state(self, space3):
-        F = gen_rms(space3)
-        stripped = Generator(replace(F.op, derivative_fn=None))
-        rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=5, batch_size=4)
-        want = theorem10_oracle(stripped, gen_shifted(space3), 2, 5, 4)
-        assert rep.warnings
-        assert rep.identity_residual == want["identity_residual"]
-        assert rep.rhs_norm == want["rhs_norm"]
+class TestBatchedObstructions:
+    """The corollary obstruction of a stacked batch equals the per-state
+    loop bit for bit."""
 
     @pytest.mark.parametrize("fname,kname", [("rms", "shifted"), ("shifted", "rms")])
     def test_corollary1_matches_per_state(self, space3, fname, kname):
-        F, K = self.GENS[fname](space3), self.GENS[kname](space3)
-        rep, norms = corollary1_report(F, K, seed=9, batch_size=16)
-        assert norms == corollary1_oracle_norms(F, K, 9, 16)
-        assert rep.rhs_norm == max(norms)
+        gens = {"rms": gen_rms, "shifted": gen_shifted}
+        F, K = gens[fname](space3), gens[kname](space3)
+        data = stacked(2, space3, 9, 16)
+        batched = corollary1_obstruction(F, K, 0.0, data)
+        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, 0.0, data))
 
     def test_corollary1_spin_matches_per_state(self, spin_space):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
-        _, norms = corollary1_report(F, K, seed=3, batch_size=8)
-        assert norms == corollary1_oracle_norms(F, K, 3, 8)
+        data = stacked(2, spin_space, 3, 8)
+        batched = corollary1_obstruction(F, K, 0.0, data)
+        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, 0.0, data))
 
     def test_sup_norms_per_entry(self, rng):
         values = rng.standard_normal((3, 3, 5)) + 1j * rng.standard_normal((3, 3, 5))
@@ -343,35 +320,70 @@ class TestBatchedReports:
         assert all(type(v) is float for v in norms)
 
 
-def per_state(fn):
-    """``fn`` evaluated one batch entry at a time and restacked: the
-    per-state loop the checks made before they batched."""
-    def loop(*args):
-        *head, data = args
-        return np.stack([fn(*head, data[..., k]) for k in range(data.shape[-1])], axis=-1)
-    return loop
+def stripped_rms(space, **fields):
+    """rms-log-modulus without the closed derivative kernels named."""
+    return Generator(replace(rms_log_modulus_op(space, 0.9), **fields))
+
+
+def run_batched_and_looped(monkeypatch, check, sc, params, fns):
+    """The check's result as it runs, then with ``fns`` evaluated per state."""
+    batched = run_check(check, sc, params)
+    for name in fns:
+        monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
+    return batched, run_check(check, sc, params)
 
 
 class TestBatchedChecks:
-    """corollary1-equivalence, corollary2-pointsym and real-linear-degeneration
-    evaluate their seeded states as one batch; every detail equals the
-    per-state loop bit for bit, and real-linear's residual to round-off."""
+    """The obstruction checks evaluate their seeded states as one batch;
+    every detail equals the per-state loop bit for bit, and
+    real-linear's residual to round-off."""
 
     @pytest.mark.parametrize("seed", [None, 3])
     @pytest.mark.parametrize("scenario,check,fns", [
         ("corollary1", "corollary1-equivalence", ("corollary1_obstruction", "obstruction_lhs")),
         ("corollary2", "corollary2-pointsym", ("corollary2_obstruction",)),
+        ("theorem10", "liftdeltal-identity", ("obstruction_lhs", "obstruction_rhs")),
+        ("internal-dof-demo", "internal-dof-demo", ("corollary1_obstruction",)),
     ])
     def test_check_matches_per_state(self, monkeypatch, scenario, check, fns, seed):
         sc = load_scenario(scenario, set(CHECKS))
         if seed is not None:
             sc = replace(sc, seed=seed)
         params = next(c.get("params", {}) for c in sc.checks if c["name"] == check)
-        batched = run_check(check, sc, params)
-        for name in fns:
-            monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
-        looped = run_check(check, sc, params)
+        batched, looped = run_batched_and_looped(monkeypatch, check, sc, params, fns)
         assert batched.status == "pass"
+        assert batched.to_json_dict() == looped.to_json_dict()
+
+    @pytest.mark.parametrize("fname,gname,n", [
+        ("rms", "shifted", 2), ("rms", "shifted", 3), ("rms", "shifted", 4),
+        ("shifted", "rms", 2), ("rms", "cr0", 3), ("shifted", "cr1", 4),
+        ("cr0", "cr1", 3), ("cr0", "cr1", 4),
+    ])
+    def test_liftdeltal_pair_matches_per_state(self, monkeypatch, fname, gname, n):
+        # pairs of the bundled generators beyond the bundled ones, up to
+        # n = 4, where the batch shrinks to 6
+        sc = replace(load_scenario("theorem10", set(CHECKS)), seed=40)
+        batched, looped = run_batched_and_looped(
+            monkeypatch, "liftdeltal-identity", sc, {"pairs": [[fname, gname, [n]]]},
+            ("obstruction_lhs", "obstruction_rhs"),
+        )
+        entry = batched.details["pairs"][f"{fname}-vs-{gname}-n{n}"]
+        assert batched.status == "pass"
+        assert entry["seed"] == 40 + n and entry["batch_size"] == (16 if n <= 3 else 6)
+        assert batched.to_json_dict() == looped.to_json_dict()
+
+    def test_liftdeltal_fd_fallback_matches_per_state(self, monkeypatch):
+        # without a closed derivative the finite-difference route batches too
+        space = ConfigSpace(3)
+        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+            ("stripped", stripped_rms(space, derivative_fn=None), gen_shifted(space), (2,))
+        ])
+        sc = replace(load_scenario("theorem10", set(CHECKS)), seed=3)
+        batched, looped = run_batched_and_looped(
+            monkeypatch, "liftdeltal-identity", sc, {}, ("obstruction_lhs", "obstruction_rhs")
+        )
+        assert batched.status == "pass"
+        assert batched.details["pairs"]["stripped-n2"]["warnings"]
         assert batched.to_json_dict() == looped.to_json_dict()
 
     @pytest.mark.parametrize("seed", [None, 3, 11])
@@ -381,42 +393,49 @@ class TestBatchedChecks:
         sc = load_scenario("theorem10", set(CHECKS))
         if seed is not None:
             sc = replace(sc, seed=seed)
-        batched = run_check("real-linear-degeneration", sc, {})
-        for name in ("obstruction_rhs", "obstruction_lhs"):
-            monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
-        looped = run_check("real-linear-degeneration", sc, {})
+        batched, looped = run_batched_and_looped(
+            monkeypatch, "real-linear-degeneration", sc, {}, ("obstruction_rhs", "obstruction_lhs")
+        )
         assert batched.status == looped.status == "pass"
         assert batched.details == looped.details
         assert abs(batched.max_residual - looped.max_residual) <= 1e-14
 
 
 class TestReport:
-    def test_json_field_names(self, space3):
-        rep = theorem10_report(gen_rms(space3), gen_shifted(space3), 2, seed=3, batch_size=4)
-        doc = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
+    """The obstruction fields that liftdeltal-identity writes per pair and
+    internal-dof-demo writes for its base batch."""
+
+    def test_json_field_names(self):
+        sc = load_scenario("internal-dof-demo", set(CHECKS))
+        doc = json.loads(json.dumps(run_check("internal-dof-demo", sc, {}).details["report"]))
         assert set(doc) == {
             "kind", "ell", "m", "n", "lhs_norm", "rhs_norm", "identity_residual",
             "vanishes", "seed", "batch_size", "state_norms", "warnings",
         }
-        assert doc["kind"] == "theorem10"
-        assert doc["batch_size"] == 4
-        assert len(doc["state_norms"]) == 4
+        assert doc["kind"] == "corollary1"
+        assert doc["seed"] == sc.seed
+        assert doc["batch_size"] == 16
+        assert len(doc["state_norms"]) == 16
+        assert not doc["vanishes"] and doc["warnings"] == []
 
-    def test_vanishes_flag(self, space3):
-        lin = Generator(site_matrix_op(space3, np.eye(3)))
-        lin2 = Generator(site_matrix_op(space3, np.diag([1.0, 2.0, 3.0])))
-        rep = theorem10_report(lin, lin2, 2, seed=1, batch_size=4)
-        assert rep.vanishes and rep.rhs_norm <= 1e-12
+    def test_vanishes_flag(self, monkeypatch):
+        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+            ("linear", Generator(site_matrix_op(sp, np.eye(3))),
+             Generator(site_matrix_op(sp, np.diag([1.0, 2.0, 3.0]))), (2,)),
+        ])
+        sc = load_scenario("theorem10", set(CHECKS))
+        entry = run_check("liftdeltal-identity", sc, {}).details["pairs"]["linear-n2"]
+        assert entry["vanishes"] and entry["rhs_norm"] <= 1e-12
+        assert (entry["ell"], entry["m"], entry["n"]) == (1, 1, 2)
 
-    def test_natural_generator_strips_lambda(self, space3, rng):
-        F = gen_shifted(space3, 0.7)
-        nat = natural_generator_op(F)
-        assert nat.indices.close_to(IndexPair(0, 0), 1e-14)
-        G = gen_cross(space3)
-        assert natural_generator_op(G) is G.op
-
-    def test_fd_warning_surfaces(self, space3):
-        F = gen_rms(space3)
-        stripped = Generator(replace(F.op, derivative_fn=None, second_derivative_fn=None))
-        rep = theorem10_report(stripped, gen_shifted(space3), 2, seed=2, batch_size=2)
-        assert rep.warnings
+    def test_fd_warning_surfaces(self, monkeypatch):
+        space = ConfigSpace(3)
+        stripped = stripped_rms(space, derivative_fn=None, second_derivative_fn=None)
+        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+            ("stripped", stripped, gen_shifted(space), (2,))
+        ])
+        sc = load_scenario("theorem10", set(CHECKS))
+        entry = run_check("liftdeltal-identity", sc, {}).details["pairs"]["stripped-n2"]
+        assert entry["warnings"] == [
+            "operator 'rms-log-modulus' lacks a closed-form derivative; finite differences in use"
+        ]

@@ -58,6 +58,25 @@ class TestFrechet:
         fd = F.derivative(0.0, phi.data, eta.data, fd_step=1e-6)
         assert np.abs(fd - got).max() <= 1e-8
 
+    def test_time_dependent_indices_solved_once_per_kernel_call(self, space4, rng):
+        # a kernel needs the indices at one t for each of its multiplier
+        # terms; a solved index law (the index flow) must be asked once
+        asked = []
+
+        def idx(t):
+            asked.append(t)
+            return IndexPair(0.6 + 0.1 * t, 0.3 - 0.2j * t)
+
+        F = lambda_op(idx, 1, space4)
+        phi, u, v = nz_state(1, space4, rng), random_state(1, space4, rng), random_state(1, space4, rng)
+        got = F.derivative(0.4, phi.data, u.data)
+        assert asked == [0.4]
+        second = F.second_derivative_fn(0.6, phi.data, u.data, v.data)
+        assert asked == [0.4, 0.6]
+        frozen = lambda_op(IndexPair(0.6 + 0.1 * 0.6, 0.3 - 0.2j * 0.6), 1, space4)
+        assert np.array_equal(second, frozen.second_derivative_fn(0.6, phi.data, u.data, v.data))
+        assert np.array_equal(got, lambda_op(idx(0.4), 1, space4).derivative(0.4, phi.data, u.data))
+
     def test_additivity(self, space4, rng):
         F = rms_log_modulus_op(space4, 0.9)
         phi = nz_state(1, space4, rng)

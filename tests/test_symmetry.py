@@ -20,7 +20,8 @@ from sepsym.operators import (
     shift_all_op,
     site_matrix_op,
 )
-from sepsym.scenario import random_hermitian
+from sepsym.checks import CHECKS, run_check
+from sepsym.scenario import load_scenario, random_hermitian
 from sepsym.space import ConfigSpace, random_state
 from sepsym.symmetry import (
     AffineMap,
@@ -28,12 +29,10 @@ from sepsym.symmetry import (
     IDENTITY_TIME,
     InfinitesimalSymmetry,
     PointSymmetrySpec,
-    freelift_report,
     index_flow,
     index_law_residual,
     inf_symmetry_bracket,
     inf_symmetry_residual,
-    internal_dof_report,
     lambda_index_symmetry,
     named_profile,
     point_symmetry_generator,
@@ -69,22 +68,24 @@ class TestFiniteSymmetry:
         for n in (1, 2, 3):
             assert symmetry_residual(V, H, 0.3, nz(n, grid8, rng)) <= 1e-12
 
-    def test_linear_conjugated_flow(self, space4, rng):
-        # V(t) = e^{-iAt} W e^{iAt} solves the symmetry equation for F = A
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_linear_conjugated_flow(self, space4, rng, hbar):
+        # V(t) = U W U^dagger with U = e^{-iAt/hbar} solves the symmetry
+        # equation hbar d_t V = ... for F = A
         A = random_hermitian(space4, rng)
         W = random_hermitian(space4, rng)
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
 
         def conjugated(t, data):
-            U = scipy.linalg.expm(-1j * A * t)
+            U = scipy.linalg.expm(-1j * A * t / hbar)
             return U @ W @ U.conj().T @ data
 
         V = FiniteSymmetry(
             levels={1: linear_op(space4, 1, conjugated, "V", time_dependent=True)},
             tmap=IDENTITY_TIME,
         )
-        res = symmetry_residual(V, H, 0.37, nz(1, space4, rng))
+        res = symmetry_residual(V, H, 0.37, nz(1, space4, rng), hbar=hbar)
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 
 
@@ -449,21 +450,17 @@ class TestPointSymmetry:
             point_symmetry_parts(PointSymmetrySpec(gamma=1.0), space4)
 
 
+def bundled_check(name, seed):
+    """The bundled scenario's check of the same name, run at ``seed``."""
+    sc = replace(load_scenario(name, set(CHECKS)), seed=seed)
+    return run_check(name, sc, {})
+
+
 class TestFreelift:
     def test_ladder(self):
-        spec = PointSymmetrySpec(
-            eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
-            xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
-            gamma=0.4,
-            delta=0.2,
-        )
-        rep = freelift_report(
-            lambda sp: Generator(rms_log_modulus_op(sp, 1.0)),
-            spec,
-            [8, 16, 32],
-            seed=3,
-            batch_size=4,
-        )
+        res = bundled_check("freelift-grid-ladder", 3)
+        rep = res.details
+        assert rep["grids"] == [8, 16, 32]
         for side in ("c1", "c2"):
             assert max(rep[side]["phase"]) <= 1e-10
             assert max(rep[side]["mult"]) <= 1e-10
@@ -471,23 +468,20 @@ class TestFreelift:
                 assert 3.0 <= ratio <= 5.0
         # the full natural part is dominated by its derivative piece
         assert rep["c1"]["full"][0] > 1e-4
+        assert res.status == "pass"
 
 
 class TestInternalDof:
-    def test_demo_api_positive_for_nonlinear(self, spin_space):
-        from sepsym.operators import spin_rms_log_op, spin_rotation_op
-        from sepsym.obstruction import corollary1_report
-
-        F = Generator(spin_rms_log_op(spin_space, 1.0))
-        K = Generator(spin_rotation_op(spin_space))
-        rep, _ = corollary1_report(F, K, seed=4, batch_size=8)
-        assert rep.kind == "corollary1" and rep.rhs_norm > 1e-3 and not rep.vanishes
-
     def test_positive_and_stable(self):
-        rep = internal_dof_report(grid_size=8, seed=1, batch_size=8)
-        assert rep["norm"] > 1e-3
-        assert abs(rep["reseed_ratio"] - 1.0) <= 0.1
-        assert abs(rep["refine_ratio"] - 1.0) <= 0.1
+        # positive: above the floor on the base batch and on both
+        # comparison sets; stable: the check's reseed and refinement
+        # ratios both sit within its band, so its residual is at most 1
+        res = bundled_check("internal-dof-demo", 1)
+        d = res.details
+        assert d["report"]["kind"] == "corollary1" and not d["report"]["vanishes"]
+        assert min(d["norm"], d["reseeded_norm"], d["refined_norm"]) > 1e-3
+        assert d["report"]["rhs_norm"] == d["norm"]
+        assert res.status == "pass" and res.max_residual <= 1.0
 
     def test_linear_theory_escapes(self, spin_space, rng):
         # replacing the non-linearity by a linear operator kills the defect
