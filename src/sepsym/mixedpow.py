@@ -9,8 +9,9 @@ with arg taken on the principal branch (-pi, pi].  The index pairs
 multiply like real-linear endomorphisms of the complex plane acting on
 ln z; under that product E = (1, 1) is the identity, B = (1, -1) is
 complex conjugation, and B, I = (i, i), J = (i, -i) close into sl(2, R)
-under the commutator.  Everything here is exact scalar arithmetic; the
-array-valued pointwise operators built on top live in
+under the commutator.  Each law is written once on components (a, b),
+which may be numbers or arrays of them, and the ``IndexPair`` functions
+wrap it; the pointwise operators built on top live in
 :mod:`sepsym.operators`.
 """
 
@@ -93,17 +94,35 @@ GENERATOR_TABLE = {
 }
 
 
+def power_components(z, a, b):
+    """z^(a, b) = e^{a ln|z| + i b arg z} on the principal branch.
+
+    z is a complex number, or a complex ndarray with indices a, b that
+    broadcast against it (evaluated entrywise through numpy).
+    """
+    exp, log, phase = (np.exp, np.log, np.angle) if isinstance(z, np.ndarray) else (
+        cmath.exp, cmath.log, cmath.phase)
+    modulus = abs(z)
+    if np.min(modulus) < ZERO_BASE_TOL:
+        raise ZeroBase(f"mixed power of zero base |z| = {np.min(modulus):.3e}")
+    return exp(a * log(modulus) + 1j * b * phase(z))
+
+
 def mixed_power(z: complex, idx: IndexPair) -> complex:
     """Evaluate z^(a, b) = e^{a ln|z| + i b arg z} on the principal branch."""
-    z = complex(z)
-    if abs(z) < ZERO_BASE_TOL:
-        raise ZeroBase(f"mixed power of zero base |z| = {abs(z):.3e}")
-    return cmath.exp(idx.a * cmath.log(abs(z)) + 1j * idx.b * cmath.phase(z))
+    return power_components(complex(z), idx.a, idx.b)
 
 
 def product_components(a, b, c, d) -> tuple[complex, complex]:
     """The two components of (a,b)(c,d) = (a Re c + i b Im c, b Re d + i a Im d)."""
     return a * c.real + 1j * b * c.imag, b * d.real + 1j * a * d.imag
+
+
+def bracket_components(a, b, c, d) -> tuple[complex, complex]:
+    """The two components of the commutator (a,b)(c,d) - (c,d)(a,b)."""
+    fa, fb = product_components(a, b, c, d)
+    ba, bb = product_components(c, d, a, b)
+    return fa - ba, fb - bb
 
 
 def pair_product(p: IndexPair, q: IndexPair) -> IndexPair:
@@ -116,27 +135,33 @@ def pair_product(p: IndexPair, q: IndexPair) -> IndexPair:
 
 def pair_bracket(p: IndexPair, q: IndexPair) -> IndexPair:
     """Commutator pq - qp of index pairs."""
-    return pair_product(p, q) - pair_product(q, p)
+    return IndexPair(*bracket_components(p.a, p.b, q.a, q.b))
+
+
+def action_components(a, b, z):
+    """Real-linear action (a, b) . z = a Re z + i b Im z, entrywise on arrays.
+
+    This is the endomorphism of C whose exponential intertwines with the
+    mixed power: ln z^(a,b) = (a,b) . ln z.
+    """
+    return a * z.real + 1j * b * z.imag
 
 
 def pair_action(idx: IndexPair, z):
-    """Real-linear action (a, b) . z = a Re z + i b Im z.
+    """``action_components`` of idx on a scalar or a complex ndarray."""
+    return action_components(idx.a, idx.b, z if isinstance(z, np.ndarray) else complex(z))
 
-    Accepts a scalar or a complex ndarray (applied entrywise); this is the
-    endomorphism of C whose exponential intertwines with the mixed power:
-    ln z^(a,b) = (a,b) . ln z.
-    """
-    if isinstance(z, np.ndarray):
-        return idx.a * z.real + 1j * idx.b * z.imag
-    z = complex(z)
-    return idx.a * z.real + 1j * idx.b * z.imag
+
+def matrix_components(a, b) -> np.ndarray:
+    """2x2 real matrix of the action of (a, b) in the ordered basis (1, i);
+    for component arrays, one matrix per entry on two new trailing axes."""
+    rows = np.array([[a.real, -b.imag], [a.imag, b.real]], dtype=float)
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 def matrix_rep(idx: IndexPair) -> np.ndarray:
     """2x2 real matrix of the action of (a, b) in the ordered basis (1, i)."""
-    return np.array(
-        [[idx.a.real, -idx.b.imag], [idx.a.imag, idx.b.real]], dtype=float
-    )
+    return matrix_components(idx.a, idx.b)
 
 
 def mixed_power_derivative(

@@ -34,9 +34,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BadRange
-from .evolution import EvolutionConfig, rk4_trajectory
+from .evolution import EvolutionConfig, rk4_pair_step
 from .hierarchy import Generator, Hierarchy, canonical_lift
-from .mixedpow import IndexPair, pair_bracket, product_components
+from .mixedpow import IndexPair, bracket_components, pair_bracket
 from .opcalc import NonlinearOperator, lie_bracket, op_combine
 from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
 from .space import ConfigSpace, WaveFunction
@@ -286,20 +286,17 @@ def index_flow(
     reached, marching further on demand in the direction a call needs; an
     off-node time takes one partial step from its nearest node (dense
     output).  The right-hand side does not depend on t, so node k is bit
-    for bit the value of a fresh k-step march from cfg.t0.
+    for bit the value of a fresh k-step march from cfg.t0.  (c, d) is
+    marched as two Python complex numbers by ``rk4_pair_step``.
     """
     da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
-    def rhs(t, y):
-        # [drive, (c, d)] = drive (c, d) - (c, d) drive, component by component
-        c, d = complex(y[0]), complex(y[1])
-        fa, fb = product_components(da, db, c, d)
-        ba, bb = product_components(c, d, da, db)
-        return np.array(
-            [(fa - ba - tau.alpha * da) / cfg.hbar, (fb - bb - tau.alpha * db) / cfg.hbar]
-        )
+    def rhs(c, d):
+        # [drive, (c, d)] - tau' drive, over hbar
+        ba, bb = bracket_components(da, db, c, d)
+        return (ba - tau.alpha * da) / cfg.hbar, (bb - tau.alpha * db) / cfg.hbar
 
-    y0 = np.array([start.a, start.b], dtype=np.complex128)
+    y0 = (start.a, start.b)
     nodes = {cfg.dt: [y0], -cfg.dt: [y0]}  # signed step -> [y_0, y_1, ...]
 
     def at(tt: float) -> IndexPair:
@@ -310,18 +307,14 @@ def index_flow(
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
             table = nodes[signed_dt]
-            if len(table) <= abs(steps):
-                _, samples = rk4_trajectory(
-                    rhs, table[-1], cfg.t0 + (len(table) - 1) * signed_dt, signed_dt,
-                    abs(steps) - len(table) + 1, keep_samples=True,
-                )
-                table.extend(samples[1:])
+            while len(table) <= abs(steps):
+                table.append(rk4_pair_step(rhs, *table[-1], signed_dt))
             y = table[abs(steps)]
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y, _ = rk4_trajectory(rhs, y, reached, rem, 1)
-        return IndexPair(complex(y[0]), complex(y[1]))
+            y = rk4_pair_step(rhs, *y, rem)
+        return IndexPair(*y)
 
     return at
 

@@ -463,6 +463,24 @@ PARAM_VALUES = {
     "pairs": st.lists(PAIR_ENTRIES, max_size=3) | JSON_VALUES,
 }
 PARAMETRISED = [name for name in CHECKS if check_parameters(name)]
+NUMBERS = st.floats() | st.integers(-5, 5) | st.lists(st.floats(), min_size=2, max_size=2)
+GENERATOR_FIELDS = {
+    "coeff": NUMBERS | JSON_VALUES,
+    "coupling": NUMBERS | JSON_VALUES,
+    "shift": st.integers(-5, 5) | NUMBERS | JSON_VALUES,
+    "refs": st.lists(st.integers(-2, 4) | NUMBERS, max_size=3) | JSON_VALUES,
+}
+
+
+@st.composite
+def fuzzed_generators(draw):
+    """theorem10's generators with some number fields, their own or not,
+    set to drawn values."""
+    generators = {}
+    for name, spec in THEOREM10_GENERATORS.items():
+        fields = draw(st.lists(st.sampled_from(sorted(GENERATOR_FIELDS)), max_size=2))
+        generators[name] = {**spec, **{key: draw(GENERATOR_FIELDS[key]) for key in fields}}
+    return generators
 
 
 @st.composite
@@ -482,12 +500,12 @@ def fuzzed_scenarios(draw):
         st.floats(1e-12, 10.0) | JSON_VALUES, max_size=2,
     ) | JSON_VALUES)
     return {"name": "fuzz", "seed": 1, "space": {"size": 3},
-            "generators": THEOREM10_GENERATORS, "checks": checks, "tolerances": tolerances}
+            "generators": draw(fuzzed_generators()), "checks": checks, "tolerances": tolerances}
 
 
 class TestParseScenarioFuzz:
-    """Any declared-parameter or tolerance value gives a Scenario or a
-    ScenarioError, never another exception."""
+    """Any declared-parameter, generator-number or tolerance value gives a
+    Scenario or a ScenarioError, never another exception."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(fuzzed_scenarios())

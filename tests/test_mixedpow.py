@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepsym import mixedpow
+from sepsym.checks import CHECKS, run_check
 from sepsym.errors import ZeroBase
 from sepsym.mixedpow import (
     B,
@@ -20,7 +22,9 @@ from sepsym.mixedpow import (
     pair_action,
     pair_bracket,
     pair_product,
+    power_components,
 )
+from sepsym.scenario import load_scenario
 
 ALG_TOL = 1e-12
 
@@ -228,6 +232,67 @@ class TestDerivative:
             assert errs[0] <= 1e-6 * max(1.0, abs(exact))  # O(h^2) at h = 1e-4
             if errs[0] > 1e-10:
                 assert 2.0 <= errs[0] / errs[1] <= 6.0
+
+
+class TestComponentArrays:
+    """The component-level laws on arrays agree entry by entry with the
+    ``IndexPair`` functions on scalars."""
+
+    def draw(self, rng, n=64):
+        a, b, z = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+        return a, b, z, [IndexPair(x, y) for x, y in zip(a, b)]
+
+    def test_matrix_and_action_exact(self, rng):
+        a, b, z, pairs = self.draw(rng)
+        reps = mixedpow.matrix_components(a, b)
+        acts = mixedpow.action_components(a, b, z)
+        for k, idx in enumerate(pairs):
+            assert np.array_equal(reps[k], matrix_rep(idx))
+            assert acts[k] == pair_action(idx, z[k])
+
+    def test_power_to_round_off(self, rng):
+        # numpy's exp and log may round their last bit unlike cmath's
+        a, b, z, pairs = self.draw(rng)
+        got = power_components(z, a, b)
+        for k, idx in enumerate(pairs):
+            want = mixed_power(z[k], idx)
+            assert abs(got[k] - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_zero_base_entry_raises(self, rng):
+        a, b, z, _ = self.draw(rng, 4)
+        z[2] = 0.0
+        with pytest.raises(ZeroBase):
+            power_components(z, a, b)
+
+
+class TestTrialChecksUseTheLibrary:
+    """The algebra checks judge their trials as arrays through the laws of
+    ``mixedpow``: a defect planted in a law fails them."""
+
+    @staticmethod
+    def statuses(*names):
+        sc = load_scenario("algebra", set(CHECKS))
+        return {run_check(name, sc, {}).status for name in names}
+
+    def test_unplanted_pass(self):
+        assert self.statuses("algebra-brackets", "matrix-rep-homomorphism",
+                             "mixed-power-identities") == {"pass"}
+
+    def test_product_with_imaginary_parts_swapped(self, monkeypatch):
+        monkeypatch.setattr(mixedpow, "product_components", lambda a, b, c, d: (
+            a * c.real + 1j * a * d.imag, b * d.real + 1j * b * c.imag))
+        assert self.statuses("matrix-rep-homomorphism") == {"fail"}
+        assert self.statuses("algebra-brackets") == {"fail"}
+
+    def test_matrix_with_off_diagonal_transposed(self, monkeypatch):
+        monkeypatch.setattr(mixedpow, "matrix_components", lambda a, b: np.moveaxis(
+            np.array([[a.real, a.imag], [-b.imag, b.real]]), (0, 1), (-2, -1)))
+        assert self.statuses("matrix-rep-homomorphism") == {"fail"}
+
+    def test_power_ignoring_b(self, monkeypatch):
+        power = mixedpow.power_components
+        monkeypatch.setattr(mixedpow, "power_components", lambda z, a, b: power(z, a, a))
+        assert self.statuses("mixed-power-identities") == {"fail"}
 
 
 def test_index_pair_validation():

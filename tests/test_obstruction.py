@@ -409,7 +409,7 @@ class TestReport:
         sc = load_scenario("internal-dof-demo", set(CHECKS))
         doc = json.loads(json.dumps(run_check("internal-dof-demo", sc, {}).details["report"]))
         assert set(doc) == {
-            "kind", "ell", "m", "n", "lhs_norm", "rhs_norm", "identity_residual",
+            "kind", "ell", "m", "n", "rhs_norm",
             "vanishes", "seed", "batch_size", "state_norms", "warnings",
         }
         assert doc["kind"] == "corollary1"

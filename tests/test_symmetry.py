@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ import scipy.linalg
 
 import sepsym.symmetry
 from sepsym.errors import BadRange
-from sepsym.evolution import EvolutionConfig, rk4_trajectory
+from sepsym.evolution import EvolutionConfig, rk4_pair_step, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift, lift_J
-from sepsym.mixedpow import IndexPair, pair_bracket
+from sepsym.mixedpow import IndexPair, product_components
 from sepsym.opcalc import estimate_log_indices, op_combine
 from sepsym.operators import (
     diag_mult_op,
@@ -155,14 +156,17 @@ class TestInfinitesimal:
 
 
 def remarch_oracle(p, q, tau, start, cfg):
-    """The index flow as a fresh RK4 march from cfg.t0 on every call: the
-    flow table must reproduce it bit for bit."""
-    drive = IndexPair(-1j * p, -1j * q)
+    """The index flow as a fresh RK4 march from cfg.t0 on every call, its
+    state a 2-entry ndarray marched by rk4_trajectory: the flow's node
+    table and pair march must reproduce it bit for bit."""
+    da, db = -1j * p, -1j * q
 
     def rhs(t, y):
-        br = pair_bracket(drive, IndexPair(y[0], y[1]))
-        return np.array([(br.a - tau.alpha * drive.a) / cfg.hbar,
-                         (br.b - tau.alpha * drive.b) / cfg.hbar])
+        c, d = complex(y[0]), complex(y[1])
+        fa, fb = product_components(da, db, c, d)
+        ba, bb = product_components(c, d, da, db)
+        return np.array([(fa - ba - tau.alpha * da) / cfg.hbar,
+                         (fb - bb - tau.alpha * db) / cfg.hbar])
 
     def at(tt):
         span = tt - cfg.t0
@@ -206,14 +210,17 @@ class TestIndexFlowTable:
             got, want = flow(t), oracle(t)
             assert (got.a, got.b) == (want.a, want.b), t
 
-    def test_each_node_is_marched_once(self, monkeypatch):
+    def march_steps(self, monkeypatch, index_flow=index_flow):
+        """RK4 pair steps the flow makes over a repetitive call sequence,
+        with the fewest and most steps a flow that marches each node once
+        may make."""
         steps = []
 
-        def counting(rhs, y0, t0, dt, n_steps, keep_samples=False):
-            steps.append(n_steps)
-            return rk4_trajectory(rhs, y0, t0, dt, n_steps, keep_samples)
+        def counting(rhs, c, d, dt):
+            steps.append(dt)
+            return rk4_pair_step(rhs, c, d, dt)
 
-        monkeypatch.setattr(sepsym.symmetry, "rk4_trajectory", counting)
+        monkeypatch.setitem(index_flow.__globals__, "rk4_pair_step", counting)
         tau, cfg = self.CASES[1]
         flow = index_flow(self.P, self.Q, tau, self.START, cfg)
         ts = [0.3, 0.1, 0.3001, -0.05, 0.2999, 0.0, -0.0501, 0.25] * 4
@@ -222,7 +229,22 @@ class TestIndexFlowTable:
         # every node once in each direction, plus at most one partial step
         # per call
         nodes = [round((t - cfg.t0) / cfg.dt) for t in ts]
-        assert sum(steps) <= max(nodes) - min(nodes) + len(ts)
+        return len(steps), max(nodes) - min(nodes), max(nodes) - min(nodes) + len(ts)
+
+    def test_each_node_is_marched_once(self, monkeypatch):
+        steps, fewest, most = self.march_steps(monkeypatch)
+        assert fewest <= steps <= most
+
+    def test_remarching_flow_fails_the_count(self, monkeypatch):
+        # a flow that clears its node table on every call re-marches from t0
+        source = inspect.getsource(sepsym.symmetry.index_flow)
+        anchor = "        span = tt - cfg.t0\n"
+        assert source.count(anchor) == 1
+        namespace = dict(vars(sepsym.symmetry))
+        exec(source.replace(anchor, "        nodes.update({cfg.dt: [y0], -cfg.dt: [y0]})\n" + anchor),
+             namespace)
+        steps, _, most = self.march_steps(monkeypatch, namespace["index_flow"])
+        assert steps > most
 
 
 class TestBracket:
