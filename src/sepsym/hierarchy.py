@@ -12,6 +12,10 @@ parameter.  Canonical liftings extend generators to tensor derivations:
 A lifting and a canonical lifting each make one kernel call per
 evaluation: the slot permutations of all tuples J ride on one trailing
 batch axis, and the slices are permuted back and added in tuple order.
+The one exception is g = Lambda(p, q) itself, as ``lambda_op`` marks it:
+in the separating decomposition g#_n = sum_j N^(j) + Lambda_n with natural
+part N = g - Lambda (Goldin and Svetlichny), N is zero, so the lift is the
+pointwise Lambda_n, one evaluation in place of n + 1.
 
 The canonical decomposition inverts this: d_1 F lifts the first level,
 and each further threshold lifts what the lower thresholds fail to
@@ -135,7 +139,13 @@ def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator
 
 
 def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
-    """Canonical lifting of a one-particle generator to n particles."""
+    """Canonical lifting of a one-particle generator to n particles.
+
+    The lift is F#_n = sum_j N^(j) + Lambda_n, with N = F - Lambda the
+    natural part, computed as sum_j F^(j) - (n - 1) Lambda_n.  When F was
+    built as Lambda of its declared indices (``pointwise_lambda``), N is
+    zero and the lift is the pointwise Lambda_n.
+    """
     if gen.ell != 1:
         raise BadRange("canonical_lift_1p requires a one-particle generator")
     if n < 1:
@@ -143,6 +153,8 @@ def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
     if n == 1:
         return gen.op
     name = f"{gen.op.name}#_{n}"
+    if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
+        return lambda_op(gen.indices, n, gen.op.space).renamed(name)
     lifted = _slot_sum(gen.op, [(j,) for j in range(n)], n, name)
     if not gen.indices.is_zero():
         lam = lambda_op(gen.indices, n, gen.op.space)

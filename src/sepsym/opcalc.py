@@ -55,6 +55,12 @@ class NonlinearOperator:
     of trailing batch axes (a gufunc with its core axes in front).  Each
     batch entry is an independent state, so a kernel that sums, rolls or
     multiplies over sites does so along the particle axes only.
+
+    ``pointwise_lambda`` is set only by ``lambda_op`` with static indices,
+    to the pair it was built from: the operator is then the pointwise
+    Lambda(a, b) phi = ((a, b) . ln phi) phi, whose canonical lift to any
+    particle number is Lambda(a, b) there.  Operators derived from another
+    (sums, brackets, liftings, natural parts) leave it None.
     """
 
     n: int
@@ -65,6 +71,7 @@ class NonlinearOperator:
     indices: IndexPair | None = None
     time_dependent: bool = False
     name: str = ""
+    pointwise_lambda: IndexPair | None = None
 
     def apply(self, t: float, data: np.ndarray) -> np.ndarray:
         return self.eval_fn(t, data)

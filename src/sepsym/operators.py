@@ -114,7 +114,8 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     """The index-carrying operator phi -> ((a,b) . ln phi) phi, pointwise.
 
     ``idx`` is an IndexPair or a callable t -> IndexPair for explicitly
-    time-dependent indices.  Requires nowhere-zero states.
+    time-dependent indices.  Requires nowhere-zero states.  With static
+    non-zero indices the operator is marked as ``pointwise_lambda``.
     """
     static = None if callable(idx) else idx
     if static is not None and static.is_zero():
@@ -128,13 +129,14 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
         return last[1]
 
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
-    return multiplier_op(
+    op = multiplier_op(
         space, n, 1.0,
         lambda t, data: pair_action(idxfn(t), np.log(data)),
         lambda t, data, eta: pair_action(idxfn(t), eta / data),
         lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
         static, label, time_dependent=static is None,
     )
+    return replace(op, pointwise_lambda=static)
 
 
 def log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOperator:

@@ -42,7 +42,12 @@ from sepsym.operators import (
 )
 from sepsym.scenario import build_generator, random_hermitian
 from sepsym.space import ConfigSpace, permute_data, random_state, tensor
-from sepsym.symmetry import PointSymmetrySpec, named_profile, point_symmetry_parts
+from sepsym.symmetry import (
+    PointSymmetrySpec,
+    named_profile,
+    point_symmetry_level,
+    point_symmetry_parts,
+)
 
 
 def nz(n, space, rng, cap=None):
@@ -359,6 +364,11 @@ def _fused_cases(space):
     }
 
 
+# Lambda generators lift to the pointwise Lambda_n, one evaluation, where
+# the slot-loop oracle adds n slot copies and subtracts (n - 1) Lambda_n
+POINTWISE_CASES = ("lambda", "log-modulus")
+
+
 class TestFusedCanonicalLift:
     """A canonical lift is one kernel call over the stacked slot
     permutations and equals the per-slot lift_J sum."""
@@ -389,11 +399,20 @@ class TestFusedCanonicalLift:
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
-    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("name", [k for k in CASES if k not in POINTWISE_CASES])
     def test_elementwise_families_bit_for_bit(self, name, n, batch):
         for got, want in self._sides(self.CASES[name], n, batch):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    @pytest.mark.parametrize("name", POINTWISE_CASES)
+    def test_pointwise_lambda_to_round_off(self, name, n, batch):
+        # the oracle's sum of n + 1 terms rounds n times: n ulps at most
+        for got, want in self._sides(self.CASES[name], n, batch):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= n * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
@@ -446,6 +465,93 @@ class TestFusedCanonicalLift:
 
         lift_J(replace(base, eval_fn=kernel), (2,), 3).apply(0.0, data)
         assert shared == [True]
+
+
+class TestPointwiseLambdaLift:
+    """lambda_op marks itself as the pointwise Lambda of its static indices,
+    and only such an operator lifts to Lambda_n in one evaluation."""
+
+    SPACE = ConfigSpace(3, grid=True)
+    IDX = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
+
+    @staticmethod
+    def kernel_shapes(monkeypatch):
+        # every multiplier_op kernel checks its state's floor exactly once
+        shapes = []
+
+        def counted(data):
+            shapes.append(data.shape)
+
+        monkeypatch.setattr(operators, "require_nowhere_zero", counted)
+        return shapes
+
+    def test_marked_lift_is_one_plain_kernel_call(self, monkeypatch):
+        data = nz(3, self.SPACE, np.random.default_rng(6)).data
+        for op in (lambda_op(self.IDX, 1, self.SPACE), log_modulus_op(self.SPACE, 0.8)):
+            assert op.pointwise_lambda == op.indices
+            lifted = canonical_lift(Generator(op), 3)
+            assert lifted.name == f"{op.name}#_3" and lifted.indices == op.indices
+            shapes = self.kernel_shapes(monkeypatch)
+            lifted.apply(0.0, data)
+            lifted.derivative(0.0, data, data)
+            lifted.second_derivative_fn(0.0, data, data, data)
+            assert shapes == [(3, 3, 3)] * 3
+
+    def test_derived_operators_carry_no_marker(self):
+        lam = lambda_op(self.IDX, 1, self.SPACE)
+        derived = [
+            op_combine([lam]),
+            op_combine([lam, log_modulus_op(self.SPACE)], [1.0, -1.0]),
+            lie_bracket(lam, lam),
+            lift_J(lam, (1,), 2),
+            canonical_lift(Generator(op_combine([lam])), 2),
+            natural_part(lam),
+        ]
+        assert [op.pointwise_lambda for op in derived] == [None] * len(derived)
+
+    def test_time_dependent_and_zero_lambda_carry_no_marker(self):
+        assert lambda_op(lambda t: IndexPair(0.3 + t, 0.5j), 1, self.SPACE).pointwise_lambda is None
+        assert lambda_op(ZERO_PAIR, 1, self.SPACE).pointwise_lambda is None
+
+    def test_point_symmetry_sum_takes_the_slot_sum(self, monkeypatch):
+        # pieces + [lambda] is an op_combine sum, not a Lambda generator,
+        # even when the pieces are absent and the sum has one term
+        data = nz(3, self.SPACE, np.random.default_rng(7)).data
+        for spec in (PointSymmetrySpec(gamma=0.4, delta=0.2),
+                     PointSymmetrySpec(eta=lambda pos: np.sin(pos), gamma=0.4)):
+            level = point_symmetry_level(spec, 3, self.SPACE)
+            shapes = self.kernel_shapes(monkeypatch)
+            level.apply(0.0, data)
+            assert shapes == [(3, 3, 3, 3), (3, 3, 3)]
+
+    def test_redeclared_indices_take_the_slot_sum(self, rng):
+        # a marked operator whose indices were replaced is no longer
+        # Lambda of its indices: its lift is n Lambda - (n-1) Lambda'
+        op = replace(log_modulus_op(self.SPACE), indices=IndexPair(2.0, 0.0))
+        phi = nz(2, self.SPACE, rng)
+        want = 2 * lambda_op(IndexPair(1.0, 0.0), 2, self.SPACE).apply(0.0, phi.data) - (
+            lambda_op(IndexPair(2.0, 0.0), 2, self.SPACE).apply(0.0, phi.data))
+        got = canonical_lift(Generator(op), 2).apply(0.0, phi.data)
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_marked_rms_mutant_fails_liftdeltal_identity(self, monkeypatch):
+        # rms-log-modulus declares (0, 0) but is not pointwise: forcing the
+        # pointwise path lifts it to zero, and theorem10's bundled
+        # liftdeltal-identity check must see that
+        from sepsym import checks, scenario
+        from sepsym.checks import CHECKS, run_check
+
+        plain = operators.rms_log_modulus_op
+
+        def marked(*args, **kwargs):
+            op = plain(*args, **kwargs)
+            return replace(op, pointwise_lambda=op.indices)
+
+        monkeypatch.setattr(checks, "rms_log_modulus_op", marked)
+        monkeypatch.setattr(scenario, "rms_log_modulus_op", marked)
+        sc = scenario.load_scenario("theorem10", set(CHECKS))
+        entry = next(e for e in sc.checks if e["name"] == "liftdeltal-identity")
+        assert run_check("liftdeltal-identity", sc, entry["params"]).status == "fail"
 
 
 def two_evaluation_cross_ratio(space, refs, coupling):
