@@ -131,7 +131,7 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     op = multiplier_op(
         space, n, 1.0,
-        lambda t, data: pair_action(idxfn(t), np.log(data)),
+        lambda t, data: pair_action(idxfn(t), principal_log(data)),
         lambda t, data, eta: pair_action(idxfn(t), eta / data),
         lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
         static, label, time_dependent=static is None,
