@@ -128,10 +128,15 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
             last[:] = [t, idx(t)]
         return last[1]
 
+    def mult(t, data):
+        # (a,b) . principal_log(data) = a ln|data| + i b arg data, taken from
+        # the two real parts without assembling the complex logarithm
+        pair = idxfn(t)
+        return pair.a * np.log(np.abs(data)) + 1j * pair.b * np.arctan2(data.imag, data.real)
+
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     op = multiplier_op(
-        space, n, 1.0,
-        lambda t, data: pair_action(idxfn(t), principal_log(data)),
+        space, n, 1.0, mult,
         lambda t, data, eta: pair_action(idxfn(t), eta / data),
         lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
         static, label, time_dependent=static is None,
