@@ -26,7 +26,6 @@ from .mixedpow import (
     ZERO_PAIR,
     matrix_rep,
     mixed_power,
-    mixed_power_derivative,
     pair_action,
     pair_bracket,
     pair_product,
@@ -73,6 +72,6 @@ from .symmetry import (
     PointSymmetrySpec,
     inf_symmetry_bracket,
     inf_symmetry_residual,
-    point_symmetry_generator,
+    point_symmetry_level,
     symmetry_residual,
 )

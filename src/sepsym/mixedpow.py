@@ -162,21 +162,3 @@ def matrix_components(a, b) -> np.ndarray:
 def matrix_rep(idx: IndexPair) -> np.ndarray:
     """2x2 real matrix of the action of (a, b) in the ordered basis (1, i)."""
     return matrix_components(idx.a, idx.b)
-
-
-def mixed_power_derivative(
-    z: complex, idx: IndexPair, dz: complex, didx: IndexPair
-) -> complex:
-    """Directional derivative of (z, a, b) -> z^(a,b).
-
-    Along the joint direction (dz, didx) it equals
-    z^(a,b) * ( didx . ln z + idx . (dz / z) ),
-    real-linear in dz (the map is not holomorphic in z).
-    """
-    z = complex(z)
-    if abs(z) < ZERO_BASE_TOL:
-        raise ZeroBase(f"mixed power derivative at zero base |z| = {abs(z):.3e}")
-    lnz = cmath.log(abs(z)) + 1j * cmath.phase(z)
-    return mixed_power(z, idx) * (
-        pair_action(didx, lnz) + pair_action(idx, complex(dz) / z)
-    )

@@ -255,15 +255,6 @@ def point_symmetry_level(
     return canonical_lift(gen, n)
 
 
-def point_symmetry_generator(
-    spec: PointSymmetrySpec, space: ConfigSpace, n_levels: int
-) -> InfinitesimalSymmetry:
-    levels = {
-        n: point_symmetry_level(spec, n, space) for n in range(1, n_levels + 1)
-    }
-    return InfinitesimalSymmetry(levels=levels, tau=spec.tau)
-
-
 # ---------------------------------------------------------------------------
 # index evolution along symmetries
 

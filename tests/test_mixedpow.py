@@ -18,7 +18,6 @@ from sepsym.mixedpow import (
     J,
     matrix_rep,
     mixed_power,
-    mixed_power_derivative,
     pair_action,
     pair_bracket,
     pair_product,
@@ -135,8 +134,6 @@ class TestMixedPower:
     def test_zero_base_raises(self):
         with pytest.raises(ZeroBase):
             mixed_power(0.0, E)
-        with pytest.raises(ZeroBase):
-            mixed_power_derivative(0.0, E, 1.0, E)
 
     @settings(max_examples=150, derandomize=True)
     @given(
@@ -201,37 +198,6 @@ class TestMatrixRep:
         # Re(a conj b) = 0 with (a, b) != 0: rank drops to one
         assert np.linalg.matrix_rank(matrix_rep(IndexPair(1, 1j))) == 1
         assert np.linalg.matrix_rank(matrix_rep(IndexPair(0, 0))) == 0
-
-
-class TestDerivative:
-    def test_identity_direction(self):
-        # z = 1, idx = E: the map is the identity there
-        w = 0.3 - 0.8j
-        got = mixed_power_derivative(1.0, E, w, IndexPair(0, 0))
-        assert abs(got - w) <= ALG_TOL
-
-    def test_index_direction_at_one(self):
-        # ln 1 = 0 kills the index-direction term
-        got = mixed_power_derivative(1.0, IndexPair(0.3, 2j), 0.0, IndexPair(5, -3j))
-        assert abs(got) <= ALG_TOL
-
-    def test_finite_difference_oracle(self, rng):
-        for _ in range(50):
-            z = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5)))
-            idx = random_pair(rng)
-            dz = complex(*rng.standard_normal(2))
-            didx = random_pair(rng)
-            exact = mixed_power_derivative(z, idx, dz, didx)
-            errs = []
-            for h in (1e-4, 5e-5):
-                num = (
-                    mixed_power(z + h * dz, IndexPair(idx.a + h * didx.a, idx.b + h * didx.b))
-                    - mixed_power(z - h * dz, IndexPair(idx.a - h * didx.a, idx.b - h * didx.b))
-                ) / (2 * h)
-                errs.append(abs(num - exact))
-            assert errs[0] <= 1e-6 * max(1.0, abs(exact))  # O(h^2) at h = 1e-4
-            if errs[0] > 1e-10:
-                assert 2.0 <= errs[0] / errs[1] <= 6.0
 
 
 class TestComponentArrays:

@@ -36,7 +36,6 @@ from sepsym.symmetry import (
     inf_symmetry_residual,
     lambda_index_symmetry,
     named_profile,
-    point_symmetry_generator,
     point_symmetry_level,
     point_symmetry_parts,
     symmetry_residual,
@@ -432,8 +431,11 @@ class TestPointSymmetry:
         spec = PointSymmetrySpec(
             eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos), gamma=0.1
         )
-        K = point_symmetry_generator(spec, grid8, 3)
+        K = InfinitesimalSymmetry(
+            levels={n: point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)}, tau=spec.tau
+        )
         assert sorted(K.levels) == [1, 2, 3]
+        assert [K.level(n).n for n in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(BadRange):
             K.level(4)
 
