@@ -153,7 +153,7 @@ def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
     if n == 1:
         return gen.op
     name = f"{gen.op.name}#_{n}"
-    if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
+    if gen.op.pointwise_lambda == gen.indices:
         return lambda_op(gen.indices, n, gen.op.space).renamed(name)
     lifted = _slot_sum(gen.op, [(j,) for j in range(n)], n, name)
     if not gen.indices.is_zero():
