@@ -43,33 +43,54 @@ def _check_range(ell: int, m: int, n: int) -> None:
         )
 
 
-def obstruction_rhs(
-    F: Generator, G: Generator, n: int, t: float, data: np.ndarray
-) -> np.ndarray:
+def _family(gens) -> list:
+    return list(gens) if isinstance(gens, (list, tuple)) else [gens]
+
+
+def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state.
 
-    The only loop over slot tuples (J outer, K inner); both corollary
-    obstructions below call it.
+    Either side may be a list of same-level generators, a family; the
+    call then returns one array per entry, in order, and evaluates the
+    other side's lifted values once for the whole family.  Two single
+    generators are the one-entry family and give one array.  Each lifted
+    value is evaluated at its first use and freed after its last, so a
+    family adds accumulators but no lifted values to what is alive.
+
+    The only loop over slot tuples (J outer, family entries, K inner);
+    both corollary obstructions below call it.
     """
-    _check_range(F.ell, G.ell, n)
-    Fnat = natural_generator_op(F)
-    Gnat = natural_generator_op(G)
-    lifts_F = {
-        J: lift_J(Fnat, J, n) for J in itertools.combinations(range(n), F.ell)
-    }
-    lifts_G = {
-        K: lift_J(Gnat, K, n) for K in itertools.combinations(range(n), G.ell)
-    }
-    vals_G = {K: op.apply(t, data) for K, op in lifts_G.items()}
-    acc = np.zeros_like(data)
-    for J, Fop in lifts_F.items():
-        val_F = Fop.apply(t, data)  # used in this pass only: one alive at a time
-        for K, Gop in lifts_G.items():
-            if set(J) <= set(K):
-                continue
-            acc += Fop.derivative(t, data, vals_G[K])
-            acc -= Gop.derivative(t, data, val_F)
-    return acc
+    Fs, Gs = _family(F), _family(G)
+    if len(Fs) > 1 and len(Gs) > 1:
+        raise BadRange("a family of generators goes on one side of the obstruction only")
+    if len({g.ell for g in Fs}) > 1 or len({g.ell for g in Gs}) > 1:
+        raise BadRange("a family of generators mixes particle levels")
+    _check_range(Fs[0].ell, Gs[0].ell, n)
+    Js = list(itertools.combinations(range(n), Fs[0].ell))
+    Ks = list(itertools.combinations(range(n), Gs[0].ell))
+    lifts = {}  # (side, entry, slot tuple) -> lifted natural part
+    for side, gens, tuples in (("F", Fs, Js), ("G", Gs, Ks)):
+        for e, gen in enumerate(gens):
+            op = natural_generator_op(gen)
+            lifts.update({(side, e, S): lift_J(op, S, n) for S in tuples})
+    size = max(len(Fs), len(Gs))
+    terms = [
+        (i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
+        for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)
+    ]
+    last = {key: k for k, (_, *keys) in enumerate(terms) for key in keys}
+    vals = {}
+    accs = [np.zeros_like(data) for _ in range(size)]
+    for k, (i, fk, gk) in enumerate(terms):
+        for key in (fk, gk):
+            if key not in vals:
+                vals[key] = lifts[key].apply(t, data)
+        accs[i] += lifts[fk].derivative(t, data, vals[gk])
+        accs[i] -= lifts[gk].derivative(t, data, vals[fk])
+        for key in (fk, gk):
+            if last[key] == k:
+                del vals[key]
+    return accs if isinstance(F, (list, tuple)) or isinstance(G, (list, tuple)) else accs[0]
 
 
 def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: int = 0) -> Generator:
@@ -122,25 +143,26 @@ def obstruction_lhs(
     return term1 - term2
 
 
-def corollary1_obstruction(
-    F: Generator, K: Generator, t: float, data: np.ndarray
-) -> np.ndarray:
+def corollary1_obstruction(F: Generator, K, t: float, data: np.ndarray):
     """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]:
-    the double sum at (l, m, n) = (1, 1, 2)."""
-    if F.ell != 1 or K.ell != 1:
+    the double sum at (l, m, n) = (1, 1, 2).  ``K`` may be a family (a
+    list), which shares F's lifted values and gives one array per entry."""
+    if F.ell != 1 or any(k.ell != 1 for k in _family(K)):
         raise BadRange("the two-particle obstruction takes one-particle generators")
     return obstruction_rhs(F, K, 2, t, data)
 
 
-def corollary2_obstruction(
-    G: Generator, K: Generator, t: float, data: np.ndarray
-) -> np.ndarray:
+def corollary2_obstruction(G: Generator, K, t: float, data: np.ndarray):
     """(l+1)-particle defect sum_j [G^{comp(j)}, K^nat(j)] for a fresh
     l-particle generator G against a lifted one-particle symmetry K: the
-    double sum at (1, l, l+1) with the bracket's operands swapped."""
+    double sum at (1, l, l+1) with the bracket's operands swapped.  ``K``
+    may be a family (a list), which shares G's lifted values and gives one
+    array per entry."""
     if G.ell < 2:
         raise BadRange("corollary2 needs a generator above one particle")
-    if K.ell != 1:
+    if any(k.ell != 1 for k in _family(K)):
         raise BadRange("corollary2 lifts a one-particle symmetry generator")
-    return -obstruction_rhs(K, G, G.ell + 1, t, data)
-
+    out = obstruction_rhs(K, G, G.ell + 1, t, data)
+    for arr in _family(out):
+        np.negative(arr, out=arr)
+    return out

@@ -320,6 +320,73 @@ class TestBatchedObstructions:
         assert all(type(v) is float for v in norms)
 
 
+class TestFamilies:
+    """A family of same-level generators on one side shares the other
+    side's lifted values; every entry equals the one-generator call bit
+    for bit."""
+
+    def point_parts(self, space):
+        spec = PointSymmetrySpec(eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+                                 xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2)
+        return [Generator(op) for op in point_symmetry_parts(spec, space).values()]
+
+    def assert_entries(self, family_call, single_call, family):
+        got = family_call(family)
+        assert isinstance(got, list) and len(got) == len(family)
+        for entry, gen in zip(got, family):
+            assert np.array_equal(entry, single_call(gen))
+
+    def test_corollary1_shared_first_side(self, grid8):
+        F = gen_rms(grid8)
+        family = [gen_shifted(grid8), Generator(relative_log_modulus_op(grid8, 0.7)),
+                  *self.point_parts(grid8)]
+        data = stacked(2, grid8, 3, 4)
+        self.assert_entries(lambda Ks: corollary1_obstruction(F, Ks, 0.0, data),
+                            lambda K: corollary1_obstruction(F, K, 0.0, data), family)
+
+    @pytest.mark.parametrize("refs", [(0, 0), (1, 3)])
+    def test_corollary2_shared_second_side(self, grid8, refs):
+        G = gen_cross(grid8, 0.8, refs)
+        family = self.point_parts(grid8)
+        data = np.stack([random_state(3, grid8, k, nowhere_zero=True, smooth=True).data
+                         for k in range(2)], axis=-1)
+        self.assert_entries(lambda Ks: corollary2_obstruction(G, Ks, 0.0, data),
+                            lambda K: corollary2_obstruction(G, K, 0.0, data), family)
+
+    def test_rhs_one_one_three_either_side(self, space3):
+        family = [gen_rms(space3), gen_shifted(space3),
+                  Generator(lambda_op(IndexPair(0.5, 0.2), 1, space3))]
+        other = Generator(relative_log_modulus_op(space3, 0.7))
+        data = stacked(3, space3, 5, 3)
+        self.assert_entries(lambda Fs: obstruction_rhs(Fs, other, 3, 0.0, data),
+                            lambda F: obstruction_rhs(F, other, 3, 0.0, data), family)
+        self.assert_entries(lambda Gs: obstruction_rhs(other, Gs, 3, 0.0, data),
+                            lambda G: obstruction_rhs(other, G, 3, 0.0, data), family)
+
+    def test_one_entry_family(self, space3, rng):
+        F, G = gen_rms(space3), gen_cross(space3)
+        data = nz(3, space3, rng).data
+        (entry,) = obstruction_rhs([F], G, 3, 0.0, data)
+        assert np.array_equal(entry, obstruction_rhs(F, G, 3, 0.0, data))
+
+    def test_mixed_levels_raise(self, space3, rng):
+        one, two = gen_rms(space3), gen_cross(space3)
+        data = nz(3, space3, rng).data
+        with pytest.raises(BadRange):
+            obstruction_rhs([one, two], two, 3, 0.0, data)
+        with pytest.raises(BadRange):
+            obstruction_rhs(one, [one, two], 3, 0.0, data)
+        with pytest.raises(BadRange):
+            corollary1_obstruction(one, [one, two], 0.0, nz(2, space3, rng).data)
+        with pytest.raises(BadRange):
+            corollary2_obstruction(two, [one, two], 0.0, data)
+
+    def test_family_on_one_side_only(self, space3, rng):
+        one = gen_rms(space3)
+        with pytest.raises(BadRange):
+            obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng).data)
+
+
 def stripped_rms(space, **fields):
     """rms-log-modulus without the closed derivative kernels named."""
     return Generator(replace(rms_log_modulus_op(space, 0.9), **fields))
