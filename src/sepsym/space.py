@@ -170,7 +170,6 @@ def _smooth_field(space: ConfigSpace, n: int, rng: np.random.Generator) -> np.nd
     Mode coefficients are drawn before the grid is referenced, so the same
     seed yields samples of one underlying function across grid refinements.
     """
-    gsize = space.grid_size
     isize = space.internal_size
     nmodes = 2 * SMOOTH_MAX_MODE + 1
     coef = rng.standard_normal((isize,) * n + (nmodes,) * n) + 1j * rng.standard_normal(
@@ -182,17 +181,14 @@ def _smooth_field(space: ConfigSpace, n: int, rng: np.random.Generator) -> np.nd
     theta = space.positions()
     modes = np.arange(-SMOOTH_MAX_MODE, SMOOTH_MAX_MODE + 1)
     waves = np.exp(1j * np.outer(modes, theta))  # (nmodes, gsize)
-    out = np.zeros((isize,) * n + (gsize,) * n, dtype=np.complex128)
-    for kidx in np.ndindex((nmodes,) * n):
-        phase = waves[kidx[0]]
-        for k in kidx[1:]:
-            phase = np.multiply.outer(phase, waves[k])
-        sel = coef[(Ellipsis,) + kidx].reshape((isize,) * n + (1,) * n)
-        out += sel * phase
+    # sum factorisation: contract one mode axis at a time with the wave
+    # table, each contraction appending its grid axis at the end
+    out = coef
+    for _ in range(n):
+        out = np.tensordot(out, waves, axes=(n, 0))
     # interleave internal/grid axes and merge into site indices
     order = [ax for j in range(n) for ax in (j, n + j)]
-    out = np.transpose(out, order).reshape((space.size,) * n)
-    return out
+    return np.transpose(out, order).reshape((space.size,) * n)
 
 
 def random_state(

@@ -15,6 +15,7 @@ from sepsym.space import (
     tensor,
     tensor_data,
 )
+from sepsym.space import _smooth_field
 
 
 def brute_force_tensor(f, g):
@@ -126,7 +127,41 @@ class TestPermute:
             assert two_step[idx] == f.data[outer]
 
 
+def smooth_field_loop(space, n, rng):
+    """The band-limited sampler as a loop over all nmodes^n mode tuples,
+    one outer product of wave rows each: the oracle of the sum-factorised
+    ``_smooth_field``, with the same draws."""
+    gsize, isize = space.grid_size, space.internal_size
+    nmodes = 2 * SMOOTH_MAX_MODE + 1
+    coef = rng.standard_normal((isize,) * n + (nmodes,) * n) + 1j * rng.standard_normal(
+        (isize,) * n + (nmodes,) * n
+    )
+    coef *= SMOOTH_COEFF_BUDGET / np.abs(coef).sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    modes = np.arange(-SMOOTH_MAX_MODE, SMOOTH_MAX_MODE + 1)
+    waves = np.exp(1j * np.outer(modes, space.positions()))
+    out = np.zeros((isize,) * n + (gsize,) * n, dtype=np.complex128)
+    for kidx in np.ndindex((nmodes,) * n):
+        phase = waves[kidx[0]]
+        for k in kidx[1:]:
+            phase = np.multiply.outer(phase, waves[k])
+        out += coef[(Ellipsis,) + kidx].reshape((isize,) * n + (1,) * n) * phase
+    order = [ax for j in range(n) for ax in (j, n + j)]
+    return np.transpose(out, order).reshape((space.size,) * n)
+
+
 class TestRandomState:
+    @pytest.mark.parametrize("space,n", [
+        (ConfigSpace(8, grid=True), 1), (ConfigSpace(16, grid=True), 2),
+        (ConfigSpace(32, grid=True), 3), (ConfigSpace(8, factors=(2, 4), grid=True), 2),
+        (ConfigSpace(6, factors=(2, 3), grid=True), 3),
+    ])
+    def test_sum_factorised_sampler_matches_mode_loop(self, space, n):
+        for seed in range(3):
+            got = _smooth_field(space, n, np.random.default_rng(seed))
+            want = smooth_field_loop(space, n, np.random.default_rng(seed))
+            assert got.shape == want.shape == (space.size,) * n
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_deterministic(self, space4):
         a = random_state(2, space4, 123)
         b = random_state(2, space4, 123)
