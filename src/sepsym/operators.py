@@ -249,7 +249,8 @@ def cross_ratio_op(
     because the swapped evaluation gives R'(x1, x2) = R(x2, x1) =
     phi(x1,x2) phi(r,r) / (phi(r,x2) phi(x1,r)), the same cross ratio with
     its two denominator factors commuted.  The values agree with the
-    average up to the round-off of that reordering.
+    average up to the round-off of that reordering.  The ratio is formed
+    as u ((v / w) (1 / y)), with its divisions on the reference slices.
     """
     r1, r2 = int(refs[0]), int(refs[1])
     if not (0 <= r1 < space.size and 0 <= r2 < space.size):
@@ -261,7 +262,7 @@ def cross_ratio_op(
 
     def log_ratio(t, data):
         u, v, w, y = slices(data)
-        return principal_log(u * v / (w * y))
+        return principal_log(u * ((v / w) * (1 / y)))
 
     def sdot(t, data, eta):
         # relative derivative of the cross ratio: DR.eta / R
@@ -275,21 +276,22 @@ def cross_ratio_op(
         bu, bv, bw, by = slices(b)
         return -(au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2)
 
-    # unsymmetrised kernels at coefficient 1: the coupling enters with the symmetrisation
-    raw = multiplier_op(space, 2, 1.0, log_ratio, sdot, d2_log_ratio, ZERO_PAIR,
-                        f"cross-ratio{refs}")
-    if r1 == r2:
-        def sym(fn):
-            return lambda t, data, *dirs: c * fn(t, data, *dirs)
-    else:
-        def sym(fn):
-            def kernel(t, data, *dirs):
-                direct = fn(t, data, *dirs)
-                swapped = np.swapaxes(
-                    fn(t, np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
-                )
-                return 0.5 * c * (direct + swapped)
-            return kernel
+    # at coincident sites the product rule's scaling carries the coupling
+    # (none at c = 1); at distinct ones it enters with the symmetrisation
+    coincident = r1 == r2
+    raw = multiplier_op(space, 2, c if coincident else 1.0, log_ratio, sdot, d2_log_ratio,
+                        ZERO_PAIR, f"cross-ratio{refs}")
+    if coincident:
+        return raw
+
+    def sym(fn):
+        def kernel(t, data, *dirs):
+            direct = fn(t, data, *dirs)
+            swapped = np.swapaxes(
+                fn(t, np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
+            )
+            return 0.5 * c * (direct + swapped)
+        return kernel
 
     return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),
                    second_derivative_fn=sym(raw.second_derivative_fn))

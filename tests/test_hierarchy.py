@@ -565,7 +565,7 @@ def two_evaluation_cross_ratio(space, refs, coupling):
 
     def ratio(data):
         u, v, w, y = slices(data)
-        return u * v / (w * y)
+        return u * ((v / w) * (1 / y))
 
     def sdot(data, eta):
         u, v, w, y = slices(data)
@@ -608,7 +608,7 @@ class TestCrossRatioShortcut:
     SPACE = ConfigSpace(3)
 
     @staticmethod
-    def _pairs(refs, n, batch):
+    def _pairs(refs, n, batch, coupling=0.7 - 0.2j):
         # level n = 2 is the bare operator: canonical_lift returns it
         space = TestCrossRatioShortcut.SPACE
         rng = np.random.default_rng(41 + n)
@@ -620,8 +620,8 @@ class TestCrossRatioShortcut:
 
         data, u, v = draw(), draw(), draw()
         ops = [canonical_lift(Generator(op), n)
-               for op in (cross_ratio_op(space, refs, 0.7 - 0.2j),
-                          two_evaluation_cross_ratio(space, refs, 0.7 - 0.2j))]
+               for op in (cross_ratio_op(space, refs, coupling),
+                          two_evaluation_cross_ratio(space, refs, coupling))]
         return [(op.apply(0.3, data), op.derivative(0.3, data, u),
                  op.second_derivative_fn(0.3, data, u, v)) for op in ops]
 
@@ -630,6 +630,14 @@ class TestCrossRatioShortcut:
     @pytest.mark.parametrize("refs", [(0, 0), (2, 2)])
     def test_coincident_refs_match_average_to_round_off(self, refs, n, batch):
         for got, want in zip(*self._pairs(refs, n, batch)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
+    @pytest.mark.parametrize("refs", [(0, 0), (2, 2)])
+    def test_unit_coupling_returns_raw_kernels(self, refs, n):
+        # at c = 1 the coincident-site kernels skip the coupling's pass
+        for got, want in zip(*self._pairs(refs, n, 3, coupling=1.0)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -655,6 +663,42 @@ class TestCrossRatioShortcut:
         assert len(calls) == logs
         G.derivative(0.0, data, data)
         assert len(calls) == 2 * logs
+
+
+def quotient_form_ratio(data, refs):
+    """The cross ratio as the kernel formed it before its divisions moved
+    onto the reference slices: u v / (w y), two full-array products and a
+    full-array division."""
+    r1, r2 = refs
+    u, v, w, y = data, data[r1, r2], data[:, r2][:, None], data[r1, :][None, :]
+    return u * v / (w * y)
+
+
+class TestCrossRatioForm:
+    """The kernel forms the ratio as u ((v / w) (1 / y)); the quotient
+    form u v / (w y) is the oracle, to a few ulps, for every ratio a
+    kernel takes the log of (the direct and, at distinct sites, the
+    swapped evaluation)."""
+
+    ULPS = 8
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("refs", [(0, 0), (2, 2), (1, 2), (3, 0)])
+    def test_ratio_matches_quotient_form(self, monkeypatch, refs, batch):
+        seen = []
+        monkeypatch.setattr(operators, "principal_log", lambda z: seen.append(z) or np.log(z))
+        space = ConfigSpace(4)
+        rng = np.random.default_rng(17)
+        states = [nz(2, space, rng).data for _ in range(batch or 1)]
+        data = np.stack(states, axis=-1).reshape(states[0].shape + ((batch,) if batch else ()))
+        cross_ratio_op(space, refs, 0.7).apply(0.0, data)
+        wants = [quotient_form_ratio(data, refs)]
+        if refs[0] != refs[1]:
+            wants.append(quotient_form_ratio(np.swapaxes(data, 0, 1), refs))
+        assert len(seen) == len(wants)
+        for got, want in zip(seen, wants):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= self.ULPS * np.finfo(float).eps * np.abs(want))
 
 
 class TestLambdaOp:
