@@ -648,8 +648,7 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
     norms = {label: max(sup_norms(val))
              for label, val in zip(labels, corollary2_obstruction(G, family, 0.0, data))}
     zero_gen = Generator(cross_ratio_op(space, coupling=0.0))
-    Kphase = Generator(parts["phase"])
-    zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, Kphase, 0.0, data)))
+    zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, family[0], 0.0, data)))
     defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
     details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
                "grid_size": grid_size}

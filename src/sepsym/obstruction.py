@@ -44,43 +44,33 @@ def _check_range(ell: int, m: int, n: int) -> None:
 
 
 def _family(gens) -> list:
-    return list(gens) if isinstance(gens, (list, tuple)) else [gens]
+    return gens if isinstance(gens, list) else [gens]
 
 
 def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state.
 
-    Either side may be a list of same-level generators, a family; the
-    call then returns one array per entry, in order, and evaluates the
-    other side's lifted values once for the whole family.  Two single
-    generators are the one-entry family and give one array.  Each lifted
-    value is evaluated at its first use and freed after its last, so a
-    family adds accumulators but no lifted values to what is alive.
-
-    The only loop over slot tuples (J outer, family entries, K inner);
-    both corollary obstructions below call it.
+    Either side may be a family, a list of same-level generators: the call
+    returns one array per entry and evaluates the other side's lifted
+    values once for the whole family.  A lifted value is evaluated at its
+    first use and freed after its last.  The only loop over slot tuples
+    (J outer, family entries, K inner); both corollaries below call it.
     """
     Fs, Gs = _family(F), _family(G)
-    if len(Fs) > 1 and len(Gs) > 1:
-        raise BadRange("a family of generators goes on one side of the obstruction only")
-    if len({g.ell for g in Fs}) > 1 or len({g.ell for g in Gs}) > 1:
-        raise BadRange("a family of generators mixes particle levels")
+    if min(len(Fs), len(Gs)) > 1 or len({g.ell for g in Fs}) > 1 or len({g.ell for g in Gs}) > 1:
+        raise BadRange("a family of generators takes one side and one particle level")
     _check_range(Fs[0].ell, Gs[0].ell, n)
     Js = list(itertools.combinations(range(n), Fs[0].ell))
     Ks = list(itertools.combinations(range(n), Gs[0].ell))
     lifts = {}  # (side, entry, slot tuple) -> lifted natural part
     for side, gens, tuples in (("F", Fs, Js), ("G", Gs, Ks)):
-        for e, gen in enumerate(gens):
-            op = natural_generator_op(gen)
+        for e, op in enumerate(map(natural_generator_op, gens)):
             lifts.update({(side, e, S): lift_J(op, S, n) for S in tuples})
     size = max(len(Fs), len(Gs))
-    terms = [
-        (i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
-        for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)
-    ]
+    terms = [(i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
+             for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)]
     last = {key: k for k, (_, *keys) in enumerate(terms) for key in keys}
-    vals = {}
-    accs = [np.zeros_like(data) for _ in range(size)]
+    vals, accs = {}, [np.zeros_like(data) for _ in range(size)]
     for k, (i, fk, gk) in enumerate(terms):
         for key in (fk, gk):
             if key not in vals:
@@ -90,7 +80,7 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
         for key in (fk, gk):
             if last[key] == k:
                 del vals[key]
-    return accs if isinstance(F, (list, tuple)) or isinstance(G, (list, tuple)) else accs[0]
+    return accs if isinstance(F, list) or isinstance(G, list) else accs[0]
 
 
 def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: int = 0) -> Generator:
@@ -145,8 +135,7 @@ def obstruction_lhs(
 
 def corollary1_obstruction(F: Generator, K, t: float, data: np.ndarray):
     """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]:
-    the double sum at (l, m, n) = (1, 1, 2).  ``K`` may be a family (a
-    list), which shares F's lifted values and gives one array per entry."""
+    the double sum at (l, m, n) = (1, 1, 2).  ``K`` may be a family."""
     if F.ell != 1 or any(k.ell != 1 for k in _family(K)):
         raise BadRange("the two-particle obstruction takes one-particle generators")
     return obstruction_rhs(F, K, 2, t, data)
@@ -156,8 +145,7 @@ def corollary2_obstruction(G: Generator, K, t: float, data: np.ndarray):
     """(l+1)-particle defect sum_j [G^{comp(j)}, K^nat(j)] for a fresh
     l-particle generator G against a lifted one-particle symmetry K: the
     double sum at (1, l, l+1) with the bracket's operands swapped.  ``K``
-    may be a family (a list), which shares G's lifted values and gives one
-    array per entry."""
+    may be a family."""
     if G.ell < 2:
         raise BadRange("corollary2 needs a generator above one particle")
     if any(k.ell != 1 for k in _family(K)):
