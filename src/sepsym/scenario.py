@@ -150,10 +150,10 @@ def build_point_spec(doc: dict):
     """Point-symmetry data from its scenario block.
 
     eta and xi are named profiles ("constant", "linear", "sine") with
-    amplitude/phase parameters; gamma, delta are constants; tau is an
-    affine map {"alpha": ..., "beta": ...}.
+    amplitude/phase parameters; gamma, delta are constants; tau, an affine
+    map {"alpha": ..., "beta": ...}, is validated and not kept.
     """
-    from .symmetry import AffineMap, PointSymmetrySpec, named_profile
+    from .symmetry import PointSymmetrySpec, named_profile
 
     def block_of(value, name):
         if not isinstance(value, dict):
@@ -177,13 +177,13 @@ def build_point_spec(doc: dict):
 
     doc = block_of(doc, "symmetry")
     tau_doc = block_of(doc.get("tau", {}), "symmetry.tau")
+    for key in ("alpha", "beta"):
+        number(tau_doc, key, 0.0, "symmetry.tau")
     return PointSymmetrySpec(
         eta=field_profile(doc.get("eta"), "symmetry.eta"),
         xi=field_profile(doc.get("xi"), "symmetry.xi"),
         gamma=number(doc, "gamma", 0.0, "symmetry"),
         delta=number(doc, "delta", 0.0, "symmetry"),
-        tau=AffineMap(number(tau_doc, "alpha", 0.0, "symmetry.tau"),
-                      number(tau_doc, "beta", 0.0, "symmetry.tau")),
     )
 
 

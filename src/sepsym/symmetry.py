@@ -209,7 +209,6 @@ class PointSymmetrySpec:
     xi: Callable[[np.ndarray], np.ndarray] | None = None
     gamma: float = 0.0
     delta: float = 0.0
-    tau: AffineMap = AffineMap(0.0, 0.0)
 
     def index_pair(self) -> IndexPair:
         return IndexPair(1j * self.gamma, 1j * self.delta)

@@ -328,6 +328,7 @@ class TestBadValuesExitTwo:
         {"eta": "sine"},
         {"gamma": "abc"},
         {"tau": [0.0, 1.0]},
+        {"tau": {"alpha": "fast"}},
         "abc",
     ])
     def test_bad_symmetry(self, tmp_path, capsys, symmetry):

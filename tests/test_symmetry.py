@@ -432,7 +432,7 @@ class TestPointSymmetry:
             eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos), gamma=0.1
         )
         K = InfinitesimalSymmetry(
-            levels={n: point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)}, tau=spec.tau
+            levels={n: point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)}
         )
         assert sorted(K.levels) == [1, 2, 3]
         assert [K.level(n).n for n in (1, 2, 3)] == [1, 2, 3]
