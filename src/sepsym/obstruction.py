@@ -62,10 +62,9 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     _check_range(Fs[0].ell, Gs[0].ell, n)
     Js = list(itertools.combinations(range(n), Fs[0].ell))
     Ks = list(itertools.combinations(range(n), Gs[0].ell))
-    lifts = {}  # (side, entry, slot tuple) -> lifted natural part
-    for side, gens, tuples in (("F", Fs, Js), ("G", Gs, Ks)):
-        for e, op in enumerate(map(natural_generator_op, gens)):
-            lifts.update({(side, e, S): lift_J(op, S, n) for S in tuples})
+    lifts = {(side, e, S): lift_J(op, S, n)  # keyed (side, family entry, slot tuple)
+             for side, gens, tuples in (("F", Fs, Js), ("G", Gs, Ks))
+             for e, op in enumerate(map(natural_generator_op, gens)) for S in tuples}
     size = max(len(Fs), len(Gs))
     terms = [(i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
              for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)]
@@ -135,9 +134,8 @@ def obstruction_lhs(
 
 def corollary1_obstruction(F: Generator, K, t: float, data: np.ndarray):
     """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]:
-    the double sum at (l, m, n) = (1, 1, 2).  ``K`` may be a family."""
-    if F.ell != 1 or any(k.ell != 1 for k in _family(K)):
-        raise BadRange("the two-particle obstruction takes one-particle generators")
+    the double sum at (l, m, n) = (1, 1, 2), whose range admits only
+    one-particle generators.  ``K`` may be a family."""
     return obstruction_rhs(F, K, 2, t, data)
 
 

@@ -287,10 +287,8 @@ def cross_ratio_op(
     def sym(fn):
         def kernel(t, data, *dirs):
             direct = fn(t, data, *dirs)
-            swapped = np.swapaxes(
-                fn(t, np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
-            )
-            return 0.5 * c * (direct + swapped)
+            swapped = fn(t, *(np.swapaxes(a, 0, 1) for a in (data, *dirs)))
+            return 0.5 * c * (direct + np.swapaxes(swapped, 0, 1))
         return kernel
 
     return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),

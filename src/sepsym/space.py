@@ -170,17 +170,11 @@ def _smooth_field(space: ConfigSpace, n: int, rng: np.random.Generator) -> np.nd
     Mode coefficients are drawn before the grid is referenced, so the same
     seed yields samples of one underlying function across grid refinements.
     """
-    isize = space.internal_size
-    nmodes = 2 * SMOOTH_MAX_MODE + 1
-    coef = rng.standard_normal((isize,) * n + (nmodes,) * n) + 1j * rng.standard_normal(
-        (isize,) * n + (nmodes,) * n
-    )
-    mode_axes = tuple(range(n, 2 * n))
-    scale = np.abs(coef).sum(axis=mode_axes, keepdims=True)
-    coef *= SMOOTH_COEFF_BUDGET / scale
-    theta = space.positions()
+    shape = (space.internal_size,) * n + (2 * SMOOTH_MAX_MODE + 1,) * n
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coef *= SMOOTH_COEFF_BUDGET / np.abs(coef).sum(axis=tuple(range(n, 2 * n)), keepdims=True)
     modes = np.arange(-SMOOTH_MAX_MODE, SMOOTH_MAX_MODE + 1)
-    waves = np.exp(1j * np.outer(modes, theta))  # (nmodes, gsize)
+    waves = np.exp(1j * np.outer(modes, space.positions()))  # (nmodes, grid_size)
     # sum factorisation: contract one mode axis at a time with the wave
     # table, each contraction appending its grid axis at the end
     out = coef
