@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -385,6 +386,29 @@ class TestFamilies:
         one = gen_rms(space3)
         with pytest.raises(BadRange):
             obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng).data)
+
+
+class TestFreeliftMemory:
+    """The grid-32 three-particle pass of freelift-grid-ladder sets the
+    peak memory of the obstruction workload.  Its traced peak at the
+    bundled seed was 5.29 MiB before the parts shared one obstruction call
+    per state and 5.22 MiB after.  Stacking each side's states on a
+    trailing batch axis reads 9.3 MiB, and keeping one state's obstruction
+    values alive through the next state's call 6.2 MiB."""
+
+    BUDGET_MIB = 5.6
+
+    def test_traced_peak_within_budget(self):
+        sc = load_scenario("freelift-grid-ladder", set(CHECKS))
+        run_check("freelift-grid-ladder", sc, {})  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            result = run_check("freelift-grid-ladder", sc, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "pass"
+        assert peak / 2**20 <= self.BUDGET_MIB
 
 
 def stripped_rms(space, **fields):
