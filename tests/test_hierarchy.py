@@ -635,7 +635,7 @@ class TestCrossRatioShortcut:
 
     @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
     @pytest.mark.parametrize("refs", [(0, 0), (2, 2)])
-    def test_unit_coupling_returns_raw_kernels(self, refs, n):
+    def test_unit_coupling_matches_average_to_round_off(self, refs, n):
         # at c = 1 the coincident-site kernels skip the coupling's pass
         for got, want in zip(*self._pairs(refs, n, 3, coupling=1.0)):
             assert got.shape == want.shape

@@ -9,13 +9,13 @@ from sepsym.space import (
     SMOOTH_MAX_MODE,
     ConfigSpace,
     WaveFunction,
+    _smooth_field,
     check_index_tuple,
     permute_data,
     random_state,
     tensor,
     tensor_data,
 )
-from sepsym.space import _smooth_field
 
 
 def brute_force_tensor(f, g):
