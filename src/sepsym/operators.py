@@ -390,7 +390,8 @@ def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
     def ev(t, data):
         fwd = _roll_sites(space, data, 1)
         bwd = _roll_sites(space, data, -1)
-        return (fwd - bwd) / (2.0 * h)
+        # numpy divides a complex array by a real scalar as a complex division
+        return (fwd - bwd) * (1.0 / (2.0 * h))
 
     return linear_op(space, 1, ev, "grid-derivative")
 
