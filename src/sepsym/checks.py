@@ -3,11 +3,11 @@
 Each check is a deterministic computation keyed by the scenario seed; it
 returns a :class:`CheckResult` whose status is ``pass`` exactly when
 ``max_residual <= tolerance``.  Single-bound checks report the raw
-residual against their bound.  Composite checks (several bounds, decay
-bands, positivity floors) report normalised defects: every sub-criterion
-contributes residual/bound (or band/positivity defects using the same
-convention), the tolerance is 1.0, and the raw numbers live in
-``details``.
+residual against their bound, ``SINGLE_BOUNDS``.  Composite checks
+(several bounds, decay bands, positivity floors) declare their criteria
+to :func:`_judge`, which reports the worst normalised defect against
+tolerance 1.0 and writes every criterion's value, limit and defect to
+``details["criteria"]``.
 """
 
 from __future__ import annotations
@@ -143,27 +143,57 @@ class CheckContext:
         return default
 
 
-def _finish(ctx: CheckContext, name: str, residual: float, tolerance: float, details: dict) -> CheckResult:
+# the default tolerance of each single-bound check; every other check is
+# composite and judges its normalised defects against 1.0
+SINGLE_BOUNDS = {
+    "algebra-table": 1e-12,
+    "algebra-brackets": 1e-12,
+    "matrix-rep-homomorphism": 1e-12,
+    "mixed-power-identities": 1e-12,
+    "canonical-decomposition-roundtrip": 1e-8,
+    "real-linear-degeneration": 1e-10,
+    "lattice-shift-symmetry": 1e-12,
+}
+
+
+def _tolerance(ctx: CheckContext, name: str) -> float:
     # precedence: command-line override > scenario tolerances > check default
-    tol = float(ctx.scenario.tolerances.get(name, tolerance))
     if ctx.tol_override is not None:
-        tol = ctx.tol_override
+        return ctx.tol_override
+    return float(ctx.scenario.tolerances.get(name, SINGLE_BOUNDS.get(name, 1.0)))
+
+
+def _finish(ctx: CheckContext, name: str, residual: float, details: dict) -> CheckResult:
+    tol = _tolerance(ctx, name)
     status = "pass" if residual <= tol else "fail"
     return CheckResult(name=name, status=status, max_residual=float(residual),
                        tolerance=tol, details=details)
 
 
-def _band_defect(value: float, lo: float, hi: float) -> float:
-    """0 inside [lo, hi]; >= 2 outside (composite-check convention)."""
+def _defect(kind: str, value: float, limit) -> float:
+    if kind == "bound":
+        return value / limit
+    if kind == "floor":  # <= 1 when value >= limit
+        return limit / value if value > 0 else float("inf")
+    lo, hi = limit  # a band: 0 inside [lo, hi], >= 2 outside
     if lo <= value <= hi:
         return 0.0
     edge = lo if value < lo else hi
     return 2.0 + abs(value - edge) / abs(edge)
 
 
-def _floor_defect(value: float, floor: float) -> float:
-    """<= 1 when value >= floor."""
-    return floor / value if value > 0 else float("inf")
+def _judge(ctx: CheckContext, name: str, criteria: dict, details: dict) -> CheckResult:
+    """Judge a composite check on its criteria, ``label -> (kind, value,
+    limit)`` with ``kind`` one of ``bound``, ``band`` (limit ``(lo, hi)``)
+    or ``floor``; a list value is judged entry by entry.  Each label is
+    written to ``details["criteria"]`` with its value, limit and defect,
+    and the worst defect is the residual against tolerance 1.0."""
+    written = details["criteria"] = {}
+    for label, (kind, value, limit) in criteria.items():
+        values = value if isinstance(value, list) else [value]
+        written[label] = {"value": value, kind: list(limit) if kind == "band" else limit,
+                          "defect": max(_defect(kind, v, limit) for v in values)}
+    return _finish(ctx, name, max(c["defect"] for c in written.values()), details)
 
 
 def _batch(n: int, space: ConfigSpace, seeds, **kwargs) -> np.ndarray:
@@ -209,7 +239,7 @@ def check_algebra_table(ctx: CheckContext) -> CheckResult:
         closure_ok = closure_ok and in_set
     details = {"products_checked": 64, "group_closure": closure_ok}
     residual = worst if closure_ok else float("inf")
-    return _finish(ctx, "algebra-table", residual, 1e-12, details)
+    return _finish(ctx, "algebra-table", residual, details)
 
 
 def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
@@ -230,7 +260,7 @@ def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
     scale = np.maximum(1.0, np.abs(comps).max(axis=0))
     jacobi = np.maximum(np.abs(a1 + a2 + a3), np.abs(b1 + b2 + b3)) / scale**2
     worst = max(worst, float(jacobi.max()))
-    return _finish(ctx, "algebra-brackets", worst, 1e-12, {"jacobi_triples": trials})
+    return _finish(ctx, "algebra-brackets", worst, {"jacobi_triples": trials})
 
 
 def check_matrix_rep(ctx: CheckContext) -> CheckResult:
@@ -247,7 +277,7 @@ def check_matrix_rep(ctx: CheckContext) -> CheckResult:
     act = np.abs(mp.action_components(pa, pb, mp.action_components(qa, qb, z))
                  - mp.action_components(*pq, z)) / np.maximum(1.0, np.abs(z))
     worst = float(np.max(np.maximum(np.maximum(hom, det), act) / scale))
-    return _finish(ctx, "matrix-rep-homomorphism", worst, 1e-12, {"pairs": trials})
+    return _finish(ctx, "matrix-rep-homomorphism", worst, {"pairs": trials})
 
 
 def check_mixed_power_identities(ctx: CheckContext) -> CheckResult:
@@ -271,7 +301,7 @@ def check_mixed_power_identities(ctx: CheckContext) -> CheckResult:
     prod = np.abs(zp * zq - summed) / np.maximum(1.0, np.abs(summed))
     ln = np.abs(np.log(zp) - mp.action_components(pa, pb, np.log(z)))
     worst = float(np.max(np.maximum(np.maximum(comp, prod), ln), where=keep, initial=0.0))
-    return _finish(ctx, "mixed-power-identities", worst, 1e-12, {"samples": trials})
+    return _finish(ctx, "mixed-power-identities", worst, {"samples": trials})
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +330,10 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
     """
     space = ctx.space
     rng = ctx.rng()
-    closed_bound = 1e-10
     fd_floor = 1e-11
     band = (3.5, 4.5)
     h0 = 1e-3
-    defects = []
+    criteria = {}
     details: dict = {"cases": {}}
     for label, op, idx, kind in _euler_cases(space):
         phi = random_state(op.n, space, rng, nowhere_zero=True)
@@ -314,7 +343,7 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
                 worst = max(worst, euler_log_residual(op, 0.0, phi, eta, indices=idx))
             else:
                 worst = max(worst, euler_power_residual(op, 0.0, phi, eta, idx))
-        defects.append(worst / closed_bound)
+        criteria[f"{label}.closed_residual"] = ("bound", worst, 1e-10)
         eta = 0.8 - 0.6j
         if kind == "log":
             r1 = euler_log_residual(op, 0.0, phi, eta, indices=idx, fd_step=h0)
@@ -324,28 +353,26 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
             r2 = euler_power_residual(op, 0.0, phi, eta, idx, fd_step=h0 / 2)
         if r2 > fd_floor:
             euler_ratio = r1 / r2
-            defects.append(_band_defect(euler_ratio, *band))
+            criteria[f"{label}.fd_euler_ratio"] = ("band", euler_ratio, band)
         else:
             # affine in the step: exact to round-off, where r1 / r2 would be
             # a ratio of two round-off values, so no ratio is reported
             euler_ratio = None
-            defects.append(r1 / fd_floor)
+            criteria[f"{label}.fd_euler_residual"] = ("bound", r1, fd_floor)
         # generic-direction convergence of the finite-difference derivative
         probe = random_state(op.n, space, rng).data
         closed = op.derivative(0.0, phi.data, probe)
         e1 = float(np.abs(op.derivative(0.0, phi.data, probe, fd_step=h0) - closed).max())
         e2 = float(np.abs(op.derivative(0.0, phi.data, probe, fd_step=h0 / 2) - closed).max())
         dir_ratio = e1 / e2 if e2 > 0 else float("inf")
-        defects.append(_band_defect(dir_ratio, *band))
+        criteria[f"{label}.fd_derivative_ratio"] = ("band", dir_ratio, band)
         details["cases"][label] = {
             "closed_residual": worst,
             "fd_euler_residual": r1,
             "fd_euler_ratio": euler_ratio,
             "fd_derivative_ratio": dir_ratio,
         }
-    details["closed_bound"] = closed_bound
-    details["richardson_band"] = list(band)
-    return _finish(ctx, "euler-identities", max(defects), 1.0, details)
+    return _judge(ctx, "euler-identities", criteria, details)
 
 
 def _default_bracket_hierarchies(space: ConfigSpace):
@@ -370,8 +397,6 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     F, G = _default_bracket_hierarchies(space)
     Bk = bracket_hierarchy(F, G)
     rng = ctx.rng()
-    leibniz_bound = 1e-8
-    index_bound = 1e-6
     cap = math.pi / 4  # keep summed arguments on the principal branch
     worst_leibniz = 0.0
     splits = [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
@@ -401,20 +426,12 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
         random_state(1, space, rng, nowhere_zero=True, phase_cap=cap) for _ in range(2)
     ]
     lvl2_on_products = tensor_derivation_residual(Bk2, 0.0, prod2)
-    defect = max(
-        worst_leibniz / leibniz_bound,
-        index_err / index_bound,
-        lvl1 / leibniz_bound,
-        lvl2_on_products / leibniz_bound,
-    )
-    details = {
-        "leibniz_residual": worst_leibniz,
-        "index_error": index_err,
-        "bracket_level1_norm": lvl1,
-        "threshold2_product_residual": lvl2_on_products,
-        "bounds": {"leibniz": leibniz_bound, "indices": index_bound},
-    }
-    return _finish(ctx, "derivation-bracket", defect, 1.0, details)
+    return _judge(ctx, "derivation-bracket", {
+        "leibniz_residual": ("bound", worst_leibniz, 1e-8),
+        "index_error": ("bound", index_err, 1e-6),
+        "bracket_level1_norm": ("bound", lvl1, 1e-8),
+        "threshold2_product_residual": ("bound", lvl2_on_products, 1e-8),
+    }, {})
 
 
 def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
@@ -422,7 +439,6 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     including idempotence of the threshold projections."""
     space = ctx.space
     rng = ctx.rng()
-    bound = 1e-8
     gens = [
         Generator(shifted_log_modulus_op(space, 0.9)),
         Generator(cross_ratio_op(space, coupling=0.7)),
@@ -448,7 +464,7 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
         diff = np.abs(g2.op.apply(0.0, probe.data) - g1.op.apply(0.0, probe.data)).max()
         worst = max(worst, float(diff))
     details = {"levels": 3, "thresholds": [g.ell for g in recovered]}
-    return _finish(ctx, "canonical-decomposition-roundtrip", worst, bound, details)
+    return _finish(ctx, "canonical-decomposition-roundtrip", worst, details)
 
 
 def check_permutation(ctx: CheckContext) -> CheckResult:
@@ -459,16 +475,16 @@ def check_permutation(ctx: CheckContext) -> CheckResult:
     F, _ = _default_bracket_hierarchies(space)
     batch2 = [random_state(2, space, rng, nowhere_zero=True) for _ in range(3)]
     batch3 = [random_state(3, space, rng, nowhere_zero=True) for _ in range(2)]
-    sym_bound = 1e-12
     worst_sym = max(
         check_permutation_property(F.op(2), 0.0, batch2),
         check_permutation_property(F.op(3), 0.0, batch3),
     )
     lone = lift_J(shifted_log_modulus_op(space, 1.0), (0,), 2)
     asym = check_permutation_property(lone, 0.0, batch2)
-    defect = max(worst_sym / sym_bound, _floor_defect(asym, 0.1))
-    details = {"hierarchy_residual": worst_sym, "counterexample_residual": asym}
-    return _finish(ctx, "permutation-property", defect, 1.0, details)
+    return _judge(ctx, "permutation-property", {
+        "hierarchy_residual": ("bound", worst_sym, 1e-12),
+        "counterexample_residual": ("floor", asym, 0.1),
+    }, {})
 
 
 def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
@@ -477,7 +493,6 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     rng = ctx.rng()
     F, G = _default_bracket_hierarchies(space)
-    bound = 1e-10
     worst = 0.0
     for H in (F, G):
         for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]:
@@ -492,9 +507,10 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
     bad = Hierarchy(tuple(bad_ops))
     factors = [random_state(1, space, rng, nowhere_zero=True) for _ in range(2)]
     bad_residual = tensor_derivation_residual(bad, 0.0, factors)
-    defect = max(worst / bound, _floor_defect(bad_residual, 0.01))
-    details = {"leibniz_residual": worst, "counterexample_residual": bad_residual}
-    return _finish(ctx, "tensor-derivation-residual", defect, 1.0, details)
+    return _judge(ctx, "tensor-derivation-residual", {
+        "leibniz_residual": ("bound", worst, 1e-10),
+        "counterexample_residual": ("floor", bad_residual, 0.01),
+    }, {})
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +547,7 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
     ``pairs`` lists [F-name, G-name, [n, ...]] entries over the scenario's
     named generators; without it the three built-in pairs are checked.
     """
-    bound = 1e-8
-    defects = []
+    residuals = []
     details: dict = {"pairs": {}}
     if pairs is None:
         cases = _default_theorem10_pairs(ctx.space)
@@ -554,7 +569,7 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
                 gap / (1.0 + max(ln, rn))
                 for gap, ln, rn in zip(sup_norms(lhs - rhs), lhs_norms, rhs_norms)
             )
-            defects.append(residual / bound)
+            residuals.append(residual)
             details["pairs"][f"{label}-n{n}"] = {
                 "ell": F.ell,
                 "m": G.ell,
@@ -566,15 +581,14 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
                 "batch_size": size,
                 "warnings": warnings,
             }
-    details["bound"] = bound
-    return _finish(ctx, "liftdeltal-identity", max(defects), 1.0, details)
+    return _judge(ctx, "liftdeltal-identity",
+                  {"identity_residual": ("bound", residuals, 1e-8)}, details)
 
 
 def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     """Both obstruction sides collapse below 1e-10 for real-linear pairs."""
     space = ctx.space
     rng = ctx.rng()
-    bound = 1e-10
     A = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-A"))
     Bl = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-B"))
     worst = 0.0
@@ -584,16 +598,13 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
         for side in (obstruction_rhs, obstruction_lhs):
             norms = sup_norms(side(A, Bl, n, 0.0, data))
             worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
-    return _finish(ctx, "real-linear-degeneration", worst, bound, {"levels": [2, 3]})
+    return _finish(ctx, "real-linear-degeneration", worst, {"levels": [2, 3]})
 
 
 def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> CheckResult:
     """Vanishing two-particle obstruction forces the higher defect to
     vanish; the spin pair keeps both sides large."""
     space = ctx.space
-    two_bound = 1e-8
-    lift_bound = 1e-7
-    floor = 1e-3
     F = Generator(shifted_log_modulus_op(space, 0.8))
     K = Generator(relative_log_modulus_op(space, 0.7))
     data2 = _batch(2, space, [ctx.rng(k) for k in range(8)])
@@ -607,19 +618,12 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> Check
     spin3 = _batch(3, spin_space, [ctx.rng(300 + k) for k in range(8)])
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
     spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
-    defect = max(
-        two / two_bound,
-        lifted / lift_bound,
-        _floor_defect(spin_two, floor),
-        _floor_defect(spin_lift, floor),
-    )
-    details = {
-        "vanishing_pair": {"two_particle": two, "lifted_n3": lifted},
-        "spin_pair": {"two_particle": spin_two, "lifted_n3": spin_lift},
-        "spin_space": {"size": spin_space.size, "factors": list(spin_space.factors)},
-        "bounds": {"two_particle": two_bound, "lifted": lift_bound, "floor": floor},
-    }
-    return _finish(ctx, "corollary1-equivalence", defect, 1.0, details)
+    return _judge(ctx, "corollary1-equivalence", {
+        "vanishing_pair.two_particle": ("bound", two, 1e-8),
+        "vanishing_pair.lifted_n3": ("bound", lifted, 1e-7),
+        "spin_pair.two_particle": ("floor", spin_two, 1e-3),
+        "spin_pair.lifted_n3": ("floor", spin_lift, 1e-3),
+    }, {"spin_space": {"size": spin_space.size, "factors": list(spin_space.factors)}})
 
 
 
@@ -638,7 +642,6 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
     multiplication and phase parts vanish to round-off; the discrete
     derivative part stays small and is reported."""
     space = ConfigSpace(grid_size, grid=True)
-    exact_bound = 1e-10
     G = Generator(cross_ratio_op(space, coupling=0.8))
     spec = ctx.point_spec(_default_point_spec())
     parts = point_symmetry_parts(spec, space)
@@ -649,10 +652,11 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
              for label, val in zip(labels, corollary2_obstruction(G, family, 0.0, data))}
     zero_gen = Generator(cross_ratio_op(space, coupling=0.0))
     zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, family[0], 0.0, data)))
-    defect = max(norms["phase"], norms["mult"], zero_norm) / exact_bound
-    details = {"norms": norms, "zero_generator_norm": zero_norm, "exact_bound": exact_bound,
-               "grid_size": grid_size}
-    return _finish(ctx, "corollary2-pointsym", defect, 1.0, details)
+    return _judge(ctx, "corollary2-pointsym", {
+        "norms.phase": ("bound", norms["phase"], 1e-10),
+        "norms.mult": ("bound", norms["mult"], 1e-10),
+        "zero_generator_norm": ("bound", zero_norm, 1e-10),
+    }, {"norms": norms, "grid_size": grid_size})
 
 
 def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
@@ -665,8 +669,6 @@ def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """
     seed = ctx.scenario.seed % 2**31
     size = 16
-    floor = 1e-3
-    stability = 0.10
 
     def build(gsize: int) -> tuple[Generator, Generator]:
         space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
@@ -692,17 +694,14 @@ def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     mean_base = float(np.mean(norms))
     reseed_ratio = float(np.mean(reseeded_norms)) / mean_base if mean_base else float("inf")
     refine_ratio = smooth_refined / smooth_base if smooth_base else float("inf")
-    defect = max(
-        _floor_defect(max(norms), floor),
-        abs(reseed_ratio - 1.0) / stability,
-        abs(refine_ratio - 1.0) / stability,
-    )
+    criteria = {
+        "norm": ("floor", max(norms), 1e-3),
+        "reseed_deviation": ("bound", abs(reseed_ratio - 1.0), 0.10),
+        "refine_deviation": ("bound", abs(refine_ratio - 1.0), 0.10),
+    }
     details = {
-        "norm": max(norms),
         "reseeded_norm": max(reseeded_norms),
         "refined_norm": smooth_refined,
-        "floor": floor,
-        "stability_band": stability,
         "grid_size": grid_size,
         # the base batch summarised at (l, m, n) = (1, 1, 2); only the
         # obstruction side is computed, so no identity is judged here
@@ -719,7 +718,7 @@ def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
             "warnings": _fd_warnings(natural_generator_op(F), natural_generator_op(K)),
         },
     }
-    return _finish(ctx, "internal-dof-demo", defect, 1.0, details)
+    return _judge(ctx, "internal-dof-demo", criteria, details)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +729,6 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     """Separation residual decays at fourth order for the canonical-lift
     hierarchy and plateaus for a non-separating perturbation."""
     space = ctx.space
-    band = (12.0, 20.0)
-    plateau_floor = 1e-2
     F1 = Generator(log_modulus_op(space, 1.0))
     G2 = Generator(cross_ratio_op(space, coupling=0.25))
     H = Hierarchy.from_generators([F1, G2], 3)
@@ -756,10 +753,6 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     bad2 = op_combine([H.op(2), nonseparating_op(space, 2, 0.5)])
     plateau = [replaced_level_gaps(run, bad2, pairs[:1], cfg)[0]
                for run, cfg in zip(runs, cfgs[:2])]
-    defect = max(
-        max(_band_defect(r, *band) for r in ratios),
-        max(_floor_defect(p, plateau_floor) for p in plateau),
-    )
     # trajectory summary at the finest step: horizon and the evolved first pair
     fine = cfgs[-1]
     evolved = [float(np.abs(psi[..., 0]).max()) for psi in runs[-1].evolved]
@@ -767,13 +760,13 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
         "dts": dts,
         "times": [fine.t0, fine.t1],
         "residuals": residuals,
-        "ratios": ratios,
-        "plateau": plateau,
         "evolved_norms": evolved,
         "initial_norms": [pairs[0][0].norm_inf(), pairs[0][1].norm_inf()],
-        "band": list(band),
     }
-    return _finish(ctx, "separation-evolution", defect, 1.0, details)
+    return _judge(ctx, "separation-evolution", {
+        "ratios": ("band", ratios, (12.0, 20.0)),
+        "plateau": ("floor", plateau, 1e-2),
+    }, details)
 
 
 def check_scaling_indices(ctx: CheckContext) -> CheckResult:
@@ -781,7 +774,6 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     order in dt, with the closed form and index extraction recovered."""
     space = ctx.space
     rng = ctx.rng()
-    band = (12.0, 20.0)
     p = 1.3
     F = lambda_op(IndexPair(p, p), 1, space)
     phi = random_state(1, space, rng, nowhere_zero=True)
@@ -806,23 +798,13 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     strict_res = scaling_test(
         strict, phi, 0.7 - 0.4j, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)
     )
-    defect = max(
-        max(_band_defect(r, *band) for r in ratios),
-        closed_err / 1e-8,
-        extr_errs[1] / (1.0 * 0.01**2),
-        _band_defect(extr_ratio, 3.0, 5.0),
-        strict_res / 1e-10,
-    )
-    details = {
-        "dts": dts,
-        "scaling_residuals": residuals,
-        "ratios": ratios,
-        "closed_form_error": closed_err,
-        "extraction_errors": extr_errs,
-        "extraction_ratio": extr_ratio,
-        "strict_scaling_residual": strict_res,
-    }
-    return _finish(ctx, "scaling-indices", defect, 1.0, details)
+    return _judge(ctx, "scaling-indices", {
+        "ratios": ("band", ratios, (12.0, 20.0)),
+        "closed_form_error": ("bound", closed_err, 1e-8),
+        "extraction_error": ("bound", extr_errs[1], 0.01**2),
+        "extraction_ratio": ("band", extr_ratio, (3.0, 5.0)),
+        "strict_scaling_residual": ("bound", strict_res, 1e-10),
+    }, {"dts": dts, "scaling_residuals": residuals, "extraction_errors": extr_errs})
 
 
 def check_index_evolution(ctx: CheckContext) -> CheckResult:
@@ -836,21 +818,16 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     cfg = ctx.evolution
     H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
     K = lambda_index_symmetry(p, q, tau, start, cfg, space, 2)
-    sym_bound = 1e-6
     worst_sym = 0.0
     for t in (0.21, 0.5, 0.83):
         wf = random_state(2, space, rng, nowhere_zero=True)
         worst_sym = max(worst_sym, inf_symmetry_residual(K, H, t, wf, hbar=ctx.hbar))
     law_cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=1.0, hbar=ctx.hbar)
     law = index_law_residual(p, q, tau, start, law_cfg)
-    law_bound = 1.0 * law_cfg.dt**2
-    defect = max(worst_sym / sym_bound, law / law_bound)
-    details = {
-        "symmetry_residual": worst_sym,
-        "index_law_residual": law,
-        "bounds": {"symmetry": sym_bound, "law": law_bound},
-    }
-    return _finish(ctx, "index-evolution", defect, 1.0, details)
+    return _judge(ctx, "index-evolution", {
+        "symmetry_residual": ("bound", worst_sym, 1e-6),
+        "index_law_residual": ("bound", law, law_cfg.dt**2),
+    }, {})
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +838,6 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     """Exact cyclic translations commute with translation-invariant
     non-linear hierarchies to round-off."""
     space = ConfigSpace(grid_size, grid=True)
-    bound = 1e-12
     F1 = Generator(log_modulus_op(space, 1.0))
     H = Hierarchy.from_generators([F1], 3)
     V = FiniteSymmetry(
@@ -872,15 +848,13 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     for n in (1, 2, 3):
         wf = random_state(n, space, ctx.rng(n), nowhere_zero=True)
         worst = max(worst, symmetry_residual(V, H, 0.3, wf, hbar=ctx.hbar))
-    return _finish(ctx, "lattice-shift-symmetry", worst, bound, {"shift": 2, "grid_size": grid_size})
+    return _finish(ctx, "lattice-shift-symmetry", worst, {"shift": 2, "grid_size": grid_size})
 
 
 def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> CheckResult:
     """Grid ladder for the point-symmetry obstruction parts: exact
     vanishing of multiplication and phase parts, quadratic decay of the
     discrete-derivative part."""
-    exact_bound = 1e-10
-    band = (3.0, 5.0)
     spec = ctx.point_spec(_default_point_spec())
     seed = ctx.scenario.seed % 2**31
     c1: dict = {"phase": [], "mult": [], "drift": [], "full": []}
@@ -917,20 +891,14 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> C
             drift[i] / drift[i + 1] if drift[i + 1] > 0 else float("inf")
             for i in range(len(drift) - 1)
         ]
-    exact_worst = max(max(c1["phase"]), max(c1["mult"]), max(c2["phase"]), max(c2["mult"]))
-    ladder_defect = max(
-        max(_band_defect(r, *band) for r in c1["drift_ratios"]),
-        max(_band_defect(r, *band) for r in c2["drift_ratios"]),
-    )
-    defect = max(exact_worst / exact_bound, ladder_defect)
-    details = {
-        "grids": list(grids),
-        "c1": c1,
-        "c2": c2,
-        "exact_bound": exact_bound,
-        "band": list(band),
-    }
-    return _finish(ctx, "freelift-grid-ladder", defect, 1.0, details)
+    return _judge(ctx, "freelift-grid-ladder", {
+        "c1.phase": ("bound", c1["phase"], 1e-10),
+        "c1.mult": ("bound", c1["mult"], 1e-10),
+        "c2.phase": ("bound", c2["phase"], 1e-10),
+        "c2.mult": ("bound", c2["mult"], 1e-10),
+        "c1.drift_ratios": ("band", c1["drift_ratios"], (3.0, 5.0)),
+        "c2.drift_ratios": ("band", c2["drift_ratios"], (3.0, 5.0)),
+    }, {"grids": list(grids), "c1": c1, "c2": c2})
 
 
 def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
@@ -946,14 +914,14 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     M = inf_symmetry_bracket(K, L)
     tau_expected = K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha
     tau_err = abs(M.tau.beta - tau_expected) + abs(M.tau.alpha)
-    bound = 2e-5
     worst = 0.0
     for t in (0.3, 0.7):
         wf = random_state(2, space, rng, nowhere_zero=True)
         worst = max(worst, inf_symmetry_residual(M, H, t, wf, hbar=ctx.hbar))
-    defect = max(worst / bound, tau_err / 1e-12)
-    details = {"bracket_residual": worst, "tau_error": tau_err, "bound": bound}
-    return _finish(ctx, "symmetry-bracket-closure", defect, 1.0, details)
+    return _judge(ctx, "symmetry-bracket-closure", {
+        "bracket_residual": ("bound", worst, 2e-5),
+        "tau_error": ("bound", tau_err, 1e-12),
+    }, {})
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +985,7 @@ def run_check(name: str, scenario: Scenario, params: dict, tol_override: float |
             traceback.print_exc(file=sys.stderr)
         return CheckResult(
             name=name, status="error", max_residual=float("inf"),
-            tolerance=0.0, details={"error": f"{type(exc).__name__}: {exc}"},
+            tolerance=_tolerance(ctx, name), details={"error": f"{type(exc).__name__}: {exc}"},
         )
 
 

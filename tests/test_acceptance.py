@@ -6,13 +6,16 @@ composite defects.
 """
 
 import json
+from pathlib import Path
 
 from sepsym.checks import CHECKS, run_check
 from sepsym.cli import build_report, report_text
 from sepsym.scenario import bundled_scenario_names, load_scenario
 
 KNOWN = set(CHECKS)
+MANIFEST = Path(__file__).with_name("bounds_manifest.json")
 _cache: dict[tuple[str, str], object] = {}
+_reports: dict[str, str] = {}
 
 
 def scenario_check(scenario_name: str, check_name: str):
@@ -22,6 +25,15 @@ def scenario_check(scenario_name: str, check_name: str):
         entry = next(e for e in sc.checks if e["name"] == check_name)
         _cache[key] = run_check(check_name, sc, entry.get("params", {}))
     return _cache[key]
+
+
+def bundled_report(scenario_name: str) -> str:
+    """The bundled scenario's report as the command line writes it, built
+    once for every test that reads it."""
+    if scenario_name not in _reports:
+        sc = load_scenario(scenario_name, KNOWN)
+        _reports[scenario_name] = report_text(build_report(sc, {}))
+    return _reports[scenario_name]
 
 
 def report(criterion: str, ok: bool, summary: str) -> None:
@@ -67,11 +79,12 @@ def test_criterion_02_euler_identities():
 
 def test_criterion_03_bracket_of_derivations():
     res = scenario_check("derivation-bracket", "derivation-bracket")
-    d = res.details
-    ok = d["leibniz_residual"] <= 1e-8 and d["index_error"] <= 1e-6
-    report("3", ok, f"bracket Leibniz residual {d['leibniz_residual']:.2e} <= 1e-8 "
+    leibniz, index = (res.details["criteria"][label]["value"]
+                      for label in ("leibniz_residual", "index_error"))
+    ok = leibniz <= 1e-8 and index <= 1e-6
+    report("3", ok, f"bracket Leibniz residual {leibniz:.2e} <= 1e-8 "
                     f"on 16 seeded product states; index bracket error "
-                    f"{d['index_error']:.2e} <= 1e-6")
+                    f"{index:.2e} <= 1e-6")
 
 
 def test_criterion_04_canonical_decomposition():
@@ -101,16 +114,13 @@ def test_criterion_05_obstruction_identity():
 
 def test_criterion_06_corollary1_equivalence():
     res = scenario_check("corollary1", "corollary1-equivalence")
-    d = res.details
-    ok = (
-        d["vanishing_pair"]["two_particle"] <= 1e-8
-        and d["vanishing_pair"]["lifted_n3"] <= 1e-7
-        and d["spin_pair"]["two_particle"] > 1e-3
-        and d["spin_pair"]["lifted_n3"] > 1e-3
+    two, lifted, spin_two, spin_lifted = (
+        res.details["criteria"][f"{pair}.{side}"]["value"]
+        for pair in ("vanishing_pair", "spin_pair") for side in ("two_particle", "lifted_n3")
     )
-    report("6", ok, f"vanishing pair: {d['vanishing_pair']['two_particle']:.2e} / "
-                    f"{d['vanishing_pair']['lifted_n3']:.2e}; spin pair: "
-                    f"{d['spin_pair']['two_particle']:.3f} / {d['spin_pair']['lifted_n3']:.3f} > 1e-3")
+    ok = two <= 1e-8 and lifted <= 1e-7 and spin_two > 1e-3 and spin_lifted > 1e-3
+    report("6", ok, f"vanishing pair: {two:.2e} / {lifted:.2e}; spin pair: "
+                    f"{spin_two:.3f} / {spin_lifted:.3f} > 1e-3")
 
 
 def test_criterion_07_point_symmetry_freelift():
@@ -133,25 +143,26 @@ def test_criterion_07_point_symmetry_freelift():
 
 def test_criterion_08_separation_of_evolutions():
     res = scenario_check("separation-evolution", "separation-evolution")
-    d = res.details
-    ok = all(12.0 <= r <= 20.0 for r in d["ratios"]) and min(d["plateau"]) > 1e-2
+    ratios, plateau = (res.details["criteria"][label]["value"] for label in ("ratios", "plateau"))
+    ok = all(12.0 <= r <= 20.0 for r in ratios) and min(plateau) > 1e-2
     report("8", ok, f"separation residual dt-halving ratios "
-                    f"{['%.1f' % r for r in d['ratios']]} in [12, 20]; "
-                    f"non-separating plateau {min(d['plateau']):.3f} > 1e-2")
+                    f"{['%.1f' % r for r in ratios]} in [12, 20]; "
+                    f"non-separating plateau {min(plateau):.3f} > 1e-2")
 
 
 def test_criterion_09_index_ode_consistency():
     res = scenario_check("scaling-indices", "scaling-indices")
-    d = res.details
+    ratios, closed, extraction_ratio = (res.details["criteria"][label]["value"] for label in
+                                        ("ratios", "closed_form_error", "extraction_ratio"))
     ok = (
-        all(12.0 <= r <= 20.0 for r in d["ratios"])
-        and d["closed_form_error"] <= 1e-8
-        and d["extraction_errors"][1] <= 1e-4
-        and 3.0 <= d["extraction_ratio"] <= 5.0
+        all(12.0 <= r <= 20.0 for r in ratios)
+        and closed <= 1e-8
+        and res.details["extraction_errors"][1] <= 1e-4
+        and 3.0 <= extraction_ratio <= 5.0
     )
-    report("9", ok, f"scaling residual ratios {['%.1f' % r for r in d['ratios']]}; "
-                    f"closed form error {d['closed_form_error']:.2e}; index "
-                    f"extraction O(dt^2) with ratio {d['extraction_ratio']:.2f}")
+    report("9", ok, f"scaling residual ratios {['%.1f' % r for r in ratios]}; "
+                    f"closed form error {closed:.2e}; index "
+                    f"extraction O(dt^2) with ratio {extraction_ratio:.2f}")
 
 
 def reject_constant(name):
@@ -162,9 +173,8 @@ def test_criterion_10_deterministic_reports():
     # each report as the command line writes it, parsed as strict JSON
     mismatched = []
     for name in bundled_scenario_names():
-        sc = load_scenario(name, KNOWN)
-        first = report_text(build_report(sc, {}))
-        second = report_text(build_report(sc, {}))
+        first = bundled_report(name)
+        second = report_text(build_report(load_scenario(name, KNOWN), {}))
         if first != second:
             mismatched.append(name)
         doc = json.loads(first, parse_constant=reject_constant)
@@ -173,3 +183,25 @@ def test_criterion_10_deterministic_reports():
     ok = not mismatched
     report("10", ok, "all bundled scenarios pass and reproduce byte-identical "
                      f"strict-JSON reports (issues: {mismatched or 'none'})")
+
+
+def bounds_manifest() -> dict:
+    """``scenario/check`` -> its tolerance and ``scenario/check/label`` ->
+    each criterion's limit, as ``{kind: limit}``, read from the bundled
+    reports at their bundled seeds."""
+    manifest: dict = {}
+    for name in bundled_scenario_names():
+        for check in json.loads(bundled_report(name))["checks"]:
+            key = f"{name}/{check['name']}"
+            manifest[key] = {"tolerance": check["tolerance"]}
+            for label, criterion in check["details"].get("criteria", {}).items():
+                manifest[f"{key}/{label}"] = {kind: limit for kind, limit in criterion.items()
+                                               if kind not in ("value", "defect")}
+    return manifest
+
+
+def test_bounds_manifest():
+    # every tolerance, band, floor and bound that a bundled report is judged
+    # by is pinned in a checked-in file, one entry a line, so moving one
+    # shows up in the diff of that file
+    assert bounds_manifest() == json.loads(MANIFEST.read_text())

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsym
-from sepsym.checks import CHECKS, CheckContext, check_parameters, list_checks
+from sepsym.checks import CHECKS, CheckContext, check_parameters, list_checks, run_check
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
 from sepsym.scenario import (
@@ -230,6 +230,22 @@ class TestCheckErrors:
         assert checks[1]["status"] == "pass"  # later checks still run
         captured = capsys.readouterr()
         assert "Traceback" in captured.err and "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("name, tolerances, tol, expected", [
+        ("algebra-table", {}, None, 1e-12),  # a single-bound check's default
+        ("euler-identities", {}, None, 1.0),  # a composite check's default
+        ("algebra-table", {"algebra-table": 0.5}, None, 0.5),
+        ("algebra-table", {"algebra-table": 0.5}, 3.0, 3.0),
+    ])
+    def test_error_entry_reports_the_tolerance_in_force(self, monkeypatch, capsys,
+                                                        name, tolerances, tol, expected):
+        def broken(ctx):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setitem(CHECKS, name, (broken, "raises"))
+        sc = parse_scenario(dict(FAST_SCENARIO, checks=[name], tolerances=tolerances), KNOWN)
+        res = run_check(name, sc, {}, tol)
+        assert (res.status, res.tolerance) == ("error", expected)
 
 
 class TestSelfBuiltSpaces:

@@ -192,7 +192,7 @@ class TestSeparation:
         ops = list(H.ops)
         ops[1] = op_combine([ops[1], nonseparating_op(H.space, 2, 0.5)])
         bad = Hierarchy(tuple(ops))
-        assert result.details["plateau"] == [
+        assert result.details["criteria"]["plateau"]["value"] == [
             separation_test(bad, pairs[:1], cfg).gaps[0] for _, _, cfg in seen[:2]
         ]
 
