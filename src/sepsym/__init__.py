@@ -44,8 +44,6 @@ from .hierarchy import (
     Hierarchy,
     canonical_decompose,
     canonical_lift,
-    canonical_lift_1p,
-    canonical_lift_gen,
     lift_J,
     natural_part,
     tensor_derivation_residual,

@@ -38,6 +38,7 @@ from .hierarchy import (
     bracket_hierarchy,
     canonical_decompose,
     lift_J,
+    natural_part,
     tensor_derivation_residual,
 )
 from .mixedpow import IndexPair
@@ -45,7 +46,6 @@ from .obstruction import (
     bracket_generator,
     corollary1_obstruction,
     corollary2_obstruction,
-    natural_generator_op,
     obstruction_lhs,
     obstruction_rhs,
 )
@@ -171,6 +171,8 @@ def _finish(ctx: CheckContext, name: str, residual: float, details: dict) -> Che
 
 
 def _defect(kind: str, value: float, limit) -> float:
+    if value != value:  # NaN meets no criterion, whatever its position
+        return float("inf")
     if kind == "bound":
         return value / limit
     if kind == "floor":  # <= 1 when value >= limit
@@ -555,7 +557,7 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
         cases = [(f"{fname}-vs-{gname}", ctx.generator(fname), ctx.generator(gname), ns)
                  for fname, gname, ns in pairs]
     for label, F, G, ns in cases:
-        warnings = _fd_warnings(natural_generator_op(F), natural_generator_op(G), F.op, G.op)
+        warnings = _fd_warnings(natural_part(F), natural_part(G), F.op, G.op)
         for n in ns:
             seed = ctx.scenario.seed % 2**31 + n
             size = 16 if n <= 3 else 6
@@ -715,7 +717,7 @@ def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
             "seed": seed,
             "batch_size": size,
             "state_norms": [round(norm, 12) for norm in sup_norms(base)],
-            "warnings": _fd_warnings(natural_generator_op(F), natural_generator_op(K)),
+            "warnings": _fd_warnings(natural_part(F), natural_part(K)),
         },
     }
     return _judge(ctx, "internal-dof-demo", criteria, details)
@@ -841,7 +843,7 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
     F1 = Generator(log_modulus_op(space, 1.0))
     H = Hierarchy.from_generators([F1], 3)
     V = FiniteSymmetry(
-        levels={n: shift_all_op(space, n, 2) for n in (1, 2, 3)},
+        levels=Hierarchy(tuple(shift_all_op(space, n, 2) for n in (1, 2, 3))),
         tmap=IDENTITY_TIME,
     )
     worst = 0.0

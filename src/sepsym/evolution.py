@@ -1,8 +1,8 @@
 """Fixed-step time integration of i hbar d_t psi = F(t) psi.
 
 A classical RK4 loop (no adaptivity: deterministic and reproducible at
-desk scale) integrates states, and the same loop integrates the
-evolution-scaling indices, each as a Python complex number,
+desk scale) integrates states, and the same RK4 stages, on a pair of
+Python complex numbers, integrate the evolution-scaling indices
 
     i hbar d_t' a = p Re a + i q Im a      a(t, t) = 1,
     i hbar d_t' b = q Re b + i p Im b      b(t, t) = 1,
@@ -56,18 +56,13 @@ class EvolutionConfig:
         return int(rounded)
 
 
-def rk4_trajectory(
-    rhs: Callable, y0, t0: float, dt: float, n_steps: int, keep_samples: bool = False
-):
-    """RK4 march of dy/dt = rhs(t, y) from y0 at t0.
+def rk4_trajectory(rhs: Callable, y0, t0: float, dt: float, n_steps: int):
+    """RK4 march of dy/dt = rhs(t, y) from y0 at t0; returns the final y.
 
-    ``y`` may be anything closed under ``+`` and multiplication by a float:
-    a state array with batch axes, or a Python complex number.  Returns
-    (final y, samples), the samples being y at every step boundary from y0
-    on when requested and None otherwise.
+    ``y`` may be anything closed under ``+`` and multiplication by a float,
+    such as a state array with batch axes.
     """
     y = y0
-    samples = [y] if keep_samples else None
     t = t0
     for k in range(n_steps):
         k1 = rhs(t, y)
@@ -76,9 +71,7 @@ def rk4_trajectory(
         k4 = rhs(t + dt, y + dt * k3)
         y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t0 + (k + 1) * dt
-        if keep_samples:
-            samples.append(y)
-    return y, samples
+    return y
 
 
 def rk4_pair_step(rhs: Callable, c: complex, d: complex, dt: float) -> tuple[complex, complex]:
@@ -105,7 +98,7 @@ def _march(F: NonlinearOperator, data: np.ndarray, cfg: EvolutionConfig) -> np.n
         return (-1j / hbar) * F.apply(t, y)
 
     try:
-        out, _ = rk4_trajectory(rhs, data, cfg.t0, cfg.dt, cfg.n_steps())
+        out = rk4_trajectory(rhs, data, cfg.t0, cfg.dt, cfg.n_steps())
     except ZeroAmplitude as exc:
         raise ZeroAmplitude(f"trajectory left the nowhere-zero domain: {exc}") from exc
     return out
@@ -194,17 +187,19 @@ class IndexTrajectory:
 def index_ode_solve(p: complex, q: complex, cfg: EvolutionConfig) -> IndexTrajectory:
     """Solve the scaling-index equations for constant indices (p, q) over
     the horizon of cfg, with a = b = 1 at cfg.t0.  The two laws are
-    uncoupled, so each is marched alone as a Python complex number."""
+    uncoupled and autonomous, so (a, b) is marched as one pair of Python
+    complex numbers by ``rk4_pair_step``, keeping every step."""
     hbar = cfg.hbar
+    law_a, law_b = IndexPair(p, q), IndexPair(q, p)
 
-    def law(idx):
-        _, samples = rk4_trajectory(
-            lambda t, z: -1j / hbar * pair_action(idx, z), 1.0 + 0j,
-            cfg.t0, cfg.dt, cfg.n_steps(), keep_samples=True,
-        )
-        return np.array(samples)
+    def rhs(a, b):
+        return -1j / hbar * pair_action(law_a, a), -1j / hbar * pair_action(law_b, b)
 
-    return IndexTrajectory(cfg.dt, law(IndexPair(p, q)), law(IndexPair(q, p)), hbar)
+    samples = [(1.0 + 0j, 1.0 + 0j)]
+    for _ in range(cfg.n_steps()):
+        samples.append(rk4_pair_step(rhs, *samples[-1], cfg.dt))
+    a, b = zip(*samples)
+    return IndexTrajectory(cfg.dt, np.array(a), np.array(b), hbar)
 
 
 def extract_indices(traj: IndexTrajectory) -> IndexPair:

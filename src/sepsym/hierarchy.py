@@ -2,20 +2,22 @@
 
 A lifting F^J applies an l-particle operator to the slots named by the
 strictly increasing tuple J while every other slot rides along as a
-parameter.  Canonical liftings extend generators to tensor derivations:
+parameter.  Canonical liftings extend generators to tensor derivations
+(Goldin and Svetlichny):
 
-  one-particle g with indices (p, q):
-      g#_n phi = sum_j g^(j) phi - (n - 1) ((p,q) . ln phi) phi,
-  l-particle g (l > 1, strictly homogeneous, zero on products):
-      g#_n = sum_J g^J over increasing l-tuples J of {1..n}.
+  g#_n = sum_J N^J + Lambda_n,  J over increasing l-tuples of {1..n},
+
+with N = g - Lambda(p, q) the natural part of a threshold-l generator g.
+Lambda is zero above one particle, where g#_n = sum_J g^J; a one-particle
+g with indices (p, q) gives g#_n phi = sum_j g^(j) phi - (n - 1)
+((p,q) . ln phi) phi.
 
 A lifting and a canonical lifting each make one kernel call per
 evaluation: the slot permutations of all tuples J ride on one trailing
 batch axis, and the slices are permuted back and added in tuple order.
 The one exception is g = Lambda(p, q) itself, as ``lambda_op`` marks it:
-in the separating decomposition g#_n = sum_j N^(j) + Lambda_n with natural
-part N = g - Lambda (Goldin and Svetlichny), N is zero, so the lift is the
-pointwise Lambda_n, one evaluation in place of n + 1.
+N is zero, so the lift is the pointwise Lambda_n, one evaluation in place
+of n + 1.
 
 The canonical decomposition inverts this: d_1 F lifts the first level,
 and each further threshold lifts what the lower thresholds fail to
@@ -95,34 +97,28 @@ def _slot_sum(
     perms = [J + tuple(ax for ax in range(m) if ax not in J) for J in Js]
     inverses = [tuple(int(ax) for ax in np.argsort(p)) for p in perms]
 
-    def summed(fn, t, arrays):
-        batch = tuple(range(m, arrays[0].ndim))
-        args = []
-        for a in arrays:
-            views = [a.transpose(p + batch)[..., None] for p in perms]
-            args.append(views[0] if len(views) == 1 else np.concatenate(views, axis=-1))
-        out = fn(t, *args)
-        total = out[..., 0].transpose(inverses[0] + batch)
-        for k, inv in enumerate(inverses[1:], start=1):
-            total = total + out[..., k].transpose(inv + batch)
-        return total
+    def lifted(fn):
+        if fn is None:
+            return None
 
-    def ev(t, data):
-        return summed(op.eval_fn, t, (data,))
+        def kernel(t, *arrays):
+            batch = tuple(range(m, arrays[0].ndim))
+            args = []
+            for a in arrays:
+                views = [a.transpose(p + batch)[..., None] for p in perms]
+                args.append(views[0] if len(views) == 1 else np.concatenate(views, axis=-1))
+            out = fn(t, *args)
+            total = out[..., 0].transpose(inverses[0] + batch)
+            for k, inv in enumerate(inverses[1:], start=1):
+                total = total + out[..., k].transpose(inv + batch)
+            return total
 
-    deriv = None
-    if op.derivative_fn is not None:
-        def deriv(t, data, eta):
-            return summed(op.derivative_fn, t, (data, eta))
-
-    second = None
-    if op.second_derivative_fn is not None:
-        def second(t, data, u, v):
-            return summed(op.second_derivative_fn, t, (data, u, v))
+        return kernel
 
     return NonlinearOperator(
-        n=m, space=op.space, eval_fn=ev, derivative_fn=deriv,
-        second_derivative_fn=second,
+        n=m, space=op.space, eval_fn=lifted(op.eval_fn),
+        derivative_fn=lifted(op.derivative_fn),
+        second_derivative_fn=lifted(op.second_derivative_fn),
         indices=None if op.indices is None else len(Js) * op.indices,
         time_dependent=op.time_dependent, name=name,
     )
@@ -138,24 +134,27 @@ def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator
     return _slot_sum(op, [J], m, f"{op.name}^{J}")
 
 
-def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
-    """Canonical lifting of a one-particle generator to n particles.
+def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
+    """Canonical lifting F#_n = sum_J N^J + Lambda_n of a threshold-l
+    generator to n particles, J over the increasing l-tuples of {1..n}.
 
-    The lift is F#_n = sum_j N^(j) + Lambda_n, with N = F - Lambda the
-    natural part, computed as sum_j F^(j) - (n - 1) Lambda_n.  When F was
-    built as Lambda of its declared indices (``pointwise_lambda``), N is
-    zero and the lift is the pointwise Lambda_n.
+    N = F - Lambda is the natural part, and Lambda is zero above one
+    particle, so there the lift is sum_J F^J.  A one-particle lift is
+    computed as sum_j F^(j) - (n - 1) Lambda_n; when F was built as Lambda
+    of its declared indices (``pointwise_lambda``), N is zero and the lift
+    is the pointwise Lambda_n.
     """
-    if gen.ell != 1:
-        raise BadRange("canonical_lift_1p requires a one-particle generator")
-    if n < 1:
-        raise BadRange(f"invalid particle number {n}")
-    if n == 1:
-        return gen.op
+    if n < gen.ell:
+        raise BadRange(f"cannot lift a threshold-{gen.ell} generator to n={n}")
+    if n == gen.ell:
+        return gen.op  # the single tuple J = (0, ..., l-1)
     name = f"{gen.op.name}#_{n}"
-    if gen.op.pointwise_lambda == gen.indices:
+    # an l > 1 generator may declare no indices: None == None is no Lambda
+    if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
         return lambda_op(gen.indices, n, gen.op.space).renamed(name)
-    lifted = _slot_sum(gen.op, [(j,) for j in range(n)], n, name)
+    lifted = _slot_sum(gen.op, list(itertools.combinations(range(n), gen.ell)), n, name)
+    if gen.ell > 1:
+        return lifted
     if not gen.indices.is_zero():
         lam = lambda_op(gen.indices, n, gen.op.space)
         lifted = op_combine([lifted, lam], [1.0, -(n - 1.0)], name=name)
@@ -163,31 +162,13 @@ def canonical_lift_1p(gen: Generator, n: int) -> NonlinearOperator:
     return replace(lifted, indices=gen.indices)
 
 
-def canonical_lift_gen(gen: Generator, n: int) -> NonlinearOperator:
-    """Canonical lifting of an l-particle generator (l > 1): sum_J F^J."""
-    if gen.ell < 2:
-        raise BadRange("canonical_lift_gen requires a generator above one particle")
-    if n < gen.ell:
-        raise BadRange(f"cannot lift a threshold-{gen.ell} generator to n={n}")
-    if n == gen.ell:
-        return gen.op  # the single tuple J = (0, ..., l-1)
-    Js = list(itertools.combinations(range(n), gen.ell))
-    return _slot_sum(gen.op, Js, n, f"{gen.op.name}#_{n}")
-
-
-def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
-    if gen.ell == 1:
-        return canonical_lift_1p(gen, n)
-    return canonical_lift_gen(gen, n)
-
-
-def natural_part(F: NonlinearOperator) -> NonlinearOperator:
-    """Strictly homogeneous part F - Lambda(p, q) of a mixed-log operator."""
-    if F.indices is None:
-        raise ValueError("natural part needs the logarithmic indices")
-    if F.indices.is_zero():
+def natural_part(gen: Generator) -> NonlinearOperator:
+    """Natural part N = F - Lambda(p, q) of a generator, strictly
+    homogeneous; above one particle Lambda is zero and N is F itself."""
+    F = gen.op
+    if gen.ell > 1 or F.indices.is_zero():
         return F
-    lam = lambda_op(F.indices, F.n, F.space)
+    lam = lambda_op(F.indices, 1, F.space)
     out = op_combine([F, lam], [1.0, -1.0], name=f"{F.name}-natural")
     return replace(out, indices=ZERO_PAIR)
 

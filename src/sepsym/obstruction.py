@@ -24,16 +24,8 @@ import numpy as np
 
 from .errors import BadRange
 from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
-from .opcalc import NonlinearOperator, lie_bracket
-from .space import random_state, tensor
-
-
-def natural_generator_op(gen: Generator) -> NonlinearOperator:
-    """Natural part of a generator: strips Lambda at one particle, is the
-    generator itself above (where strict homogeneity already holds)."""
-    if gen.ell == 1:
-        return natural_part(gen.op)
-    return gen.op
+from .opcalc import lie_bracket
+from .space import random_state, tensor_all
 
 
 def _check_range(ell: int, m: int, n: int) -> None:
@@ -64,7 +56,7 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     Ks = list(itertools.combinations(range(n), Gs[0].ell))
     lifts = {(side, e, S): lift_J(op, S, n)  # keyed (side, family entry, slot tuple)
              for side, gens, tuples in (("F", Fs, Js), ("G", Gs, Ks))
-             for e, op in enumerate(map(natural_generator_op, gens)) for S in tuples}
+             for e, op in enumerate(map(natural_part, gens)) for S in tuples}
     size = max(len(Fs), len(Gs))
     terms = [(i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
              for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)]
@@ -96,13 +88,10 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
     H = lie_bracket(canonical_lift(F, m), G.op)
     if verify and m > 1:
         rng = np.random.default_rng(seed)
-        parts = [
+        prod = tensor_all([
             random_state(1, F.op.space, rng, nowhere_zero=True, phase_cap=np.pi / 4)
             for _ in range(m)
-        ]
-        prod = parts[0]
-        for p in parts[1:]:
-            prod = tensor(prod, p)
+        ])
         defect = float(np.abs(H.apply(0.0, prod.data)).max())
         if defect > 1e-8 * max(1.0, prod.norm_inf()):
             raise BadRange(

@@ -28,16 +28,15 @@ of the central difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import BadRange
 from .evolution import EvolutionConfig, rk4_pair_step
-from .hierarchy import Generator, Hierarchy, canonical_lift
+from .hierarchy import Generator, Hierarchy, bracket_hierarchy, canonical_lift
 from .mixedpow import IndexPair, bracket_components, pair_bracket
-from .opcalc import NonlinearOperator, lie_bracket, op_combine
+from .opcalc import NonlinearOperator, op_combine
 from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
 from .space import ConfigSpace, WaveFunction
 
@@ -67,26 +66,16 @@ IDENTITY_TIME = AffineMap(1.0, 0.0)
 class FiniteSymmetry:
     """Hierarchy of operators V_n(t) together with the time map T."""
 
-    levels: Mapping[int, NonlinearOperator]
+    levels: Hierarchy
     tmap: AffineMap = IDENTITY_TIME
-
-    def level(self, n: int) -> NonlinearOperator:
-        if n not in self.levels:
-            raise BadRange(f"symmetry has no level n={n}")
-        return self.levels[n]
 
 
 @dataclass(frozen=True)
 class InfinitesimalSymmetry:
     """Hierarchy of generators K_n(t) with the time-reparameterisation rate."""
 
-    levels: Mapping[int, NonlinearOperator]
+    levels: Hierarchy
     tau: AffineMap = AffineMap(0.0, 0.0)
-
-    def level(self, n: int) -> NonlinearOperator:
-        if n not in self.levels:
-            raise BadRange(f"infinitesimal symmetry has no level n={n}")
-        return self.levels[n]
 
 
 def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
@@ -99,7 +88,7 @@ def symmetry_residual(
 ) -> float:
     """Defect of hbar d_t V = i_bar F V - T' DV . i_bar F(T) at one state."""
     n = phi.n
-    Vn = V.level(n)
+    Vn = V.levels.op(n)
     Fn = F.op(n)
     data = phi.data
     # a static V has d_t V = 0 exactly
@@ -123,7 +112,7 @@ def inf_symmetry_residual(
 ) -> float:
     """Defect of hbar d_t K = [i_bar F, K] - d_t (tau i_bar F) at one state."""
     n = phi.n
-    Kn = K.level(n)
+    Kn = K.levels.op(n)
     Fn = F.op(n)
     data = phi.data
     dK = _d_dt(lambda s: Kn.apply(s, data), t) if Kn.time_dependent else 0.0
@@ -139,43 +128,29 @@ def inf_symmetry_residual(
 
 
 def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> InfinitesimalSymmetry:
-    """Bracket [K, L] of infinitesimal symmetries, level by level."""
-    common = sorted(set(K.levels) & set(L.levels))
-    levels: dict[int, NonlinearOperator] = {}
-    for n in common:
-        Kn, Ln = K.level(n), L.level(n)
-        inner = lie_bracket(Kn, Ln)
+    """Bracket [K, L]: the level-wise Lie bracket plus the rate terms
+    tau_K d_t L - tau_L d_t K."""
+    inner = bracket_hierarchy(K.levels, L.levels)
 
-        def ev(t, data, Kn=Kn, Ln=Ln, inner=inner):
-            out = inner.apply(t, data)
-            if Ln.time_dependent:
-                out += K.tau(t) * _d_dt(lambda s: Ln.apply(s, data), t)
-            if Kn.time_dependent:
-                out -= L.tau(t) * _d_dt(lambda s: Kn.apply(s, data), t)
-            return out
+    def with_rates(n):
+        Kn, Ln, br = K.levels.op(n), L.levels.op(n), inner.op(n)
 
-        deriv = None
-        if inner.derivative_fn is not None:
-
-            def deriv(t, data, eta, Kn=Kn, Ln=Ln, inner=inner):
-                out = inner.derivative_fn(t, data, eta)
+        def rated(attr):
+            # one kernel of br plus the rate terms of the same kernel of Ln, Kn
+            def kernel(t, *arrays):
+                out = getattr(br, attr)(t, *arrays)
                 if Ln.time_dependent:
-                    out += K.tau(t) * _d_dt(lambda s: Ln.derivative(s, data, eta), t)
+                    out += K.tau(t) * _d_dt(lambda s: getattr(Ln, attr)(s, *arrays), t)
                 if Kn.time_dependent:
-                    out -= L.tau(t) * _d_dt(lambda s: Kn.derivative(s, data, eta), t)
+                    out -= L.tau(t) * _d_dt(lambda s: getattr(Kn, attr)(s, *arrays), t)
                 return out
 
-        levels[n] = NonlinearOperator(
-            n=n,
-            space=Kn.space,
-            eval_fn=ev,
-            derivative_fn=deriv,
-            indices=pair_bracket(Kn.indices, Ln.indices)
-            if Kn.indices is not None and Ln.indices is not None
-            else None,
-            time_dependent=True,
-            name=f"[{Kn.name}, {Ln.name}]",
-        )
+            return kernel
+
+        deriv = rated("derivative") if br.derivative_fn is not None else None
+        return replace(br, eval_fn=rated("apply"), derivative_fn=deriv, time_dependent=True)
+
+    levels = Hierarchy(tuple(with_rates(n) for n in range(1, inner.n_max + 1)))
     tau = AffineMap(0.0, K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha)
     return InfinitesimalSymmetry(levels=levels, tau=tau)
 
@@ -346,7 +321,5 @@ def lambda_index_symmetry(
     """The index-carrying symmetry K(t) = Lambda(c(t), d(t)) of the
     Lambda(p, q) hierarchy, with (c, d) transported by the index law."""
     flow = index_flow(p, q, tau, start, cfg)
-    levels = {
-        n: lambda_op(flow, n, space) for n in range(1, n_levels + 1)
-    }
+    levels = Hierarchy(tuple(lambda_op(flow, n, space) for n in range(1, n_levels + 1)))
     return InfinitesimalSymmetry(levels=levels, tau=tau)

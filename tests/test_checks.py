@@ -60,3 +60,13 @@ def test_every_label_is_written_with_its_limit_and_defect():
         "f": {"value": 2.0, "floor": 1.0, "defect": 0.5},
     }}
     assert (res.max_residual, res.tolerance, res.status) == (0.5, 1.0, "pass")
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_nan_fails_in_any_position(order):
+    # a NaN value meets no criterion: its defect is inf, so max() cannot
+    # keep an earlier finite defect in its place
+    criteria = {"a": ("bound", 0.5, 1.0), "b": ("band", math.nan, BAND)}
+    res = judge({label: criteria[label] for label in order})
+    assert res.details["criteria"]["b"]["defect"] == math.inf
+    assert (res.max_residual, res.status) == (math.inf, "fail")

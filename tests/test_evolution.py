@@ -226,8 +226,8 @@ class TestIndexOde:
         assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
 
     def test_scalar_laws_match_joint_array_march(self):
-        # each law marched alone as a Python complex number gives, bit for
-        # bit, the samples of the joint complex128 march of [a, b]
+        # the two laws marched as a pair of Python complex numbers give, bit
+        # for bit, the samples of the joint complex128 march of [a, b]
         p, q = 1.1, 0.4
         cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25, hbar=1.3)
         pq, qp = IndexPair(p, q), IndexPair(q, p)
@@ -236,8 +236,9 @@ class TestIndexOde:
             return np.array([-1j / cfg.hbar * pair_action(pq, y[0]),
                              -1j / cfg.hbar * pair_action(qp, y[1])])
 
-        _, samples = rk4_trajectory(rhs, np.array([1.0 + 0j, 1.0 + 0j]), cfg.t0, cfg.dt,
-                                    cfg.n_steps(), keep_samples=True)
+        samples = [np.array([1.0 + 0j, 1.0 + 0j])]
+        for k in range(cfg.n_steps()):
+            samples.append(rk4_trajectory(rhs, samples[-1], cfg.t0 + k * cfg.dt, cfg.dt, 1))
         joint = np.array(samples)
         traj = index_ode_solve(p, q, cfg)
         assert traj.a.tobytes() == joint[:, 0].tobytes()

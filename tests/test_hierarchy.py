@@ -14,8 +14,6 @@ from sepsym.hierarchy import (
     bracket_hierarchy,
     canonical_decompose,
     canonical_lift,
-    canonical_lift_1p,
-    canonical_lift_gen,
     lift_J,
     natural_part,
     tensor_derivation_residual,
@@ -257,7 +255,7 @@ class TestCanonicalLift1p:
     def test_linear_is_kron_sum(self, space3, rng):
         A = random_hermitian(space3, rng)
         g = Generator(site_matrix_op(space3, A))
-        op2 = canonical_lift_1p(g, 2)
+        op2 = canonical_lift(g, 2)
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
         oracle = (np.kron(A, eye) + np.kron(eye, A)) @ phi.data.reshape(-1)
@@ -267,7 +265,7 @@ class TestCanonicalLift1p:
         idx = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
         g = Generator(lambda_op(idx, 1, space3))
         for n in (2, 3):
-            lifted = canonical_lift_1p(g, n)
+            lifted = canonical_lift(g, n)
             direct = lambda_op(idx, n, space3)
             phi = nz(n, space3, rng)
             assert (
@@ -277,7 +275,7 @@ class TestCanonicalLift1p:
 
     def test_log_modulus_leibniz_on_products(self, space3, rng):
         g = Generator(log_modulus_op(space3, 1.0))
-        op2 = canonical_lift_1p(g, 2)
+        op2 = canonical_lift(g, 2)
         f1, f2 = nz(1, space3, rng), nz(1, space3, rng)
         lhs = op2.apply(0.0, tensor(f1, f2).data)
         rhs = np.multiply.outer(g.op.apply(0.0, f1.data), f2.data) + np.multiply.outer(
@@ -287,20 +285,20 @@ class TestCanonicalLift1p:
 
     def test_level_one_is_generator(self, space3):
         g = gen_shifted(space3)
-        assert canonical_lift_1p(g, 1) is g.op
+        assert canonical_lift(g, 1) is g.op
 
     @pytest.mark.parametrize("c", [0.9, 0.4j])
     def test_indices_declared_exactly(self, space3, c):
         # n idx - (n-1) idx rounds 0.4j to 0.40000000000000013j at n = 3
         g = gen_shifted(space3, c)
         for n in range(2, MAX_PARTICLES + 1):
-            assert canonical_lift_1p(g, n).indices == g.indices
+            assert canonical_lift(g, n).indices == g.indices
 
     def test_strict_case_consolidates_with_plain_slot_sum(self, space3, rng):
         # with vanishing indices the one-particle formula is the bare
         # tuple sum, the same rule the higher-threshold lifting uses
         g = Generator(rms_log_modulus_op(space3, 0.7))
-        lifted = canonical_lift_1p(g, 2)
+        lifted = canonical_lift(g, 2)
         plain = op_combine([lift_J(g.op, (j,), 2) for j in range(2)])
         phi = nz(2, space3, rng)
         assert np.abs(lifted.apply(0.0, phi.data) - plain.apply(0.0, phi.data)).max() <= 1e-14
@@ -309,11 +307,11 @@ class TestCanonicalLift1p:
 class TestCanonicalLiftGen:
     def test_level_ell_is_generator(self, space3):
         g = gen_cross(space3)
-        assert canonical_lift_gen(g, 2) is g.op
+        assert canonical_lift(g, 2) is g.op
 
     def test_vanishes_on_products(self, space3, rng):
         g = gen_cross(space3, coupling=1.0)
-        op3 = canonical_lift_gen(g, 3)
+        op3 = canonical_lift(g, 3)
         for _ in range(4):
             fs = [nz(1, space3, rng) for _ in range(3)]
             prod = tensor(tensor(fs[0], fs[1]), fs[2])
@@ -329,14 +327,27 @@ class TestCanonicalLiftGen:
             acc[:, :, x] += G.apply(0.0, phi.data[:, :, x])
             acc[:, x, :] += G.apply(0.0, phi.data[:, x, :])
             acc[x, :, :] += G.apply(0.0, phi.data[x, :, :])
-        total = canonical_lift_gen(gen_cross(space3, 0.7), 3).apply(0.0, phi.data)
+        total = canonical_lift(gen_cross(space3, 0.7), 3).apply(0.0, phi.data)
         assert np.allclose(total, acc, rtol=1e-13, atol=1e-15)
 
     def test_range_errors(self, space3):
         with pytest.raises(BadRange):
-            canonical_lift_gen(gen_cross(space3), 1)
+            canonical_lift(gen_cross(space3), 1)
         with pytest.raises(BadRange):
-            canonical_lift_gen(gen_shifted(space3), 2)
+            canonical_lift(gen_shifted(space3), 0)
+
+    def test_undeclared_indices_take_the_slot_sum(self, space3, rng):
+        # a bracket with an operand that declares no indices declares none
+        # itself; its pointwise_lambda is None too, which must not read as
+        # "Lambda of its indices"
+        op = lie_bracket(gen_cross(space3, 0.7).op, replace(cross_ratio_op(space3, refs=(1, 2)),
+                                                            indices=None))
+        gen = Generator(op)
+        assert gen.indices is None and op.pointwise_lambda is None
+        phi = nz(3, space3, rng)
+        got = canonical_lift(gen, 3).apply(0.0, phi.data)
+        want = slot_loop_oracle(gen, 3).apply(0.0, phi.data)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def slot_loop_oracle(gen, n):
@@ -505,7 +516,7 @@ class TestPointwiseLambdaLift:
             lie_bracket(lam, lam),
             lift_J(lam, (1,), 2),
             canonical_lift(Generator(op_combine([lam])), 2),
-            natural_part(lam),
+            natural_part(Generator(lam)),
         ]
         assert [op.pointwise_lambda for op in derived] == [None] * len(derived)
 
@@ -724,16 +735,16 @@ class TestLambdaOp:
 class TestNaturalPart:
     def test_lambda_natural_is_zero(self, space3, rng):
         idx = IndexPair(0.4, 0.8)
-        nat = natural_part(lambda_op(idx, 1, space3))
+        nat = natural_part(Generator(lambda_op(idx, 1, space3)))
         phi = nz(1, space3, rng)
         assert np.abs(nat.apply(0.0, phi.data)).max() <= 1e-14
 
     def test_linear_unchanged(self, space3, rng):
-        F = site_matrix_op(space3, random_hermitian(space3, rng))
-        assert natural_part(F) is F
+        F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
+        assert natural_part(F) is F.op
 
     def test_strictly_homogeneous_result(self, space3, rng):
-        nat = natural_part(shifted_log_modulus_op(space3, 1.0))
+        nat = natural_part(gen_shifted(space3, 1.0))
         batch = [nz(1, space3, rng, cap=math.pi / 2) for _ in range(3)]
         est, _ = estimate_log_indices(nat, 0.0, batch)
         assert est.close_to(IndexPair(0, 0), 1e-9)

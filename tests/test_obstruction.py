@@ -8,13 +8,12 @@ import pytest
 from sepsym import checks
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import BadRange
-from sepsym.hierarchy import Generator, lift_J
+from sepsym.hierarchy import Generator, lift_J, natural_part
 from sepsym.mixedpow import IndexPair
 from sepsym.obstruction import (
     bracket_generator,
     corollary1_obstruction,
     corollary2_obstruction,
-    natural_generator_op,
     obstruction_lhs,
     obstruction_rhs,
 )
@@ -71,8 +70,8 @@ def identity_residual(F, G, n, data):
 
 def corollary1_oracle(F, K, t, data):
     """The two-particle defect written out slot by slot."""
-    Fnat = natural_generator_op(F)
-    Knat = natural_generator_op(K)
+    Fnat = natural_part(F)
+    Knat = natural_part(K)
     acc = np.zeros_like(data)
     for jF, jK in ((0, 1), (1, 0)):
         Fl = lift_J(Fnat, (jF,), 2)
@@ -85,7 +84,7 @@ def corollary1_oracle(F, K, t, data):
 def corollary2_oracle(G, K, t, data):
     """The added-generator defect sum_j [G^{comp(j)}, K^nat(j)] written out."""
     n = G.ell + 1
-    Knat = natural_generator_op(K)
+    Knat = natural_part(K)
     acc = np.zeros_like(data)
     for j in range(n):
         comp = tuple(k for k in range(n) if k != j)
@@ -194,10 +193,10 @@ class TestIdentity:
 
     def test_natural_generator_strips_lambda(self, space3, rng):
         F = gen_shifted(space3, 0.7)
-        nat = natural_generator_op(F)
+        nat = natural_part(F)
         assert nat.indices.close_to(IndexPair(0, 0), 1e-14)
         G = gen_cross(space3)
-        assert natural_generator_op(G) is G.op
+        assert natural_part(G) is G.op
 
 
 class TestCorollary1:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import sepsym.symmetry
-from sepsym.errors import BadRange
+from sepsym.errors import BadRange, SpaceMismatch
 from sepsym.evolution import EvolutionConfig, rk4_pair_step, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift, lift_J
 from sepsym.mixedpow import IndexPair, product_components
@@ -55,18 +55,23 @@ class TestFiniteSymmetry:
     def test_identity_symmetry(self, grid8, rng):
         H = log_hierarchy(grid8)
         eye = site_matrix_op(grid8, np.eye(8))
-        levels = {1: eye}
+        levels = Hierarchy((eye,))
         V = FiniteSymmetry(levels=levels, tmap=IDENTITY_TIME)
         assert symmetry_residual(V, H, 0.4, nz(1, grid8, rng)) <= 1e-12
 
     def test_lattice_shift_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
         V = FiniteSymmetry(
-            levels={n: shift_all_op(grid8, n, 3) for n in (1, 2, 3)},
+            levels=Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3))),
             tmap=IDENTITY_TIME,
         )
         for n in (1, 2, 3):
             assert symmetry_residual(V, H, 0.3, nz(n, grid8, rng)) <= 1e-12
+
+    def test_level_k_must_act_on_k_particles(self, grid8):
+        # the levels are a Hierarchy, which rejects a gap in the ladder
+        with pytest.raises(SpaceMismatch):
+            FiniteSymmetry(levels=Hierarchy((shift_all_op(grid8, 1, 3), shift_all_op(grid8, 3, 3))))
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     def test_linear_conjugated_flow(self, space4, rng, hbar):
@@ -82,7 +87,7 @@ class TestFiniteSymmetry:
             return U @ W @ U.conj().T @ data
 
         V = FiniteSymmetry(
-            levels={1: linear_op(space4, 1, conjugated, "V", time_dependent=True)},
+            levels=Hierarchy((linear_op(space4, 1, conjugated, "V", time_dependent=True),)),
             tmap=IDENTITY_TIME,
         )
         res = symmetry_residual(V, H, 0.37, nz(1, space4, rng), hbar=hbar)
@@ -95,7 +100,7 @@ class TestInfinitesimal:
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
         K = InfinitesimalSymmetry(
-            levels={1: site_matrix_op(space4, A @ A)}, tau=AffineMap(0.0, 0.0)
+            levels=Hierarchy((site_matrix_op(space4, A @ A),)), tau=AffineMap(0.0, 0.0)
         )
         assert inf_symmetry_residual(K, H, 0.3, nz(1, space4, rng)) <= 1e-11
 
@@ -103,7 +108,7 @@ class TestInfinitesimal:
         # K = i_bar F commutes with the drive ([i_bar F, i_bar F] = 0); the
         # plain F would not, since DF is only real-linear
         H = log_hierarchy(space4, 2)
-        levels = {n: op_combine([H.op(n)], [-1j]) for n in (1, 2)}
+        levels = Hierarchy(tuple(op_combine([H.op(n)], [-1j]) for n in (1, 2)))
         K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
         assert inf_symmetry_residual(K, H, 0.5, nz(2, space4, rng)) <= 1e-11
 
@@ -112,7 +117,8 @@ class TestInfinitesimal:
         phase = diag_mult_op(grid8, 1j * 0.7 * np.ones(8), name="i*c")
         gen = Generator(phase)
         K = InfinitesimalSymmetry(
-            levels={n: canonical_lift(gen, n) for n in (1, 2, 3)}, tau=AffineMap(0.0, 0.0)
+            levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2, 3))),
+            tau=AffineMap(0.0, 0.0),
         )
         assert inf_symmetry_residual(K, H, 0.1, nz(2, grid8, rng)) <= 1e-12
 
@@ -126,7 +132,8 @@ class TestInfinitesimal:
             mom = op_combine([parts["drift"], parts["mult"]], name="advection")
             gen = Generator(mom)
             K = InfinitesimalSymmetry(
-                levels={n: canonical_lift(gen, n) for n in (1, 2)}, tau=AffineMap(0.0, 0.0)
+                levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2))),
+                tau=AffineMap(0.0, 0.0),
             )
             wf = random_state(2, sp, np.random.default_rng((5, 1)), nowhere_zero=True, smooth=True)
             residuals.append(inf_symmetry_residual(K, Hg, 0.2, wf))
@@ -174,11 +181,11 @@ def remarch_oracle(p, q, tau, start, cfg):
         reached = cfg.t0
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
-            y, _ = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
+            y = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y, _ = rk4_trajectory(rhs, y, reached, rem, 1)
+            y = rk4_trajectory(rhs, y, reached, rem, 1)
         return IndexPair(complex(y[0]), complex(y[1]))
 
     return at
@@ -260,7 +267,7 @@ class TestBracket:
         M = inf_symmetry_bracket(K, K)
         assert abs(M.tau.alpha) == 0.0 and abs(M.tau.beta) == 0.0
         phi = nz(2, space3, rng)
-        assert np.abs(M.level(2).apply(0.4, phi.data)).max() <= 1e-7
+        assert np.abs(M.levels.op(2).apply(0.4, phi.data)).max() <= 1e-7
 
     def test_tau_bracket_frozen_example(self, space3):
         # tau_K = 1, tau_L = t gives tau_[K,L] = 1
@@ -290,7 +297,7 @@ class TestThresholdConsistency:
 
         lhs_levels, rhs_levels = [], []
         for n in range(1, n_max + 1):
-            Kn, Fn = K.level(n), H.op(n)
+            Kn, Fn = K.levels.op(n), H.op(n)
 
             def lhs_eval(t, data, Kn=Kn):
                 return (Kn.apply(t0 + dt_sym, data) - Kn.apply(t0 - dt_sym, data)) / (
@@ -358,7 +365,7 @@ class TestThresholdConsistency:
             3,
         )
         c = 0.8
-        levels = {n: lambda_op(IndexPair(c, c), n, space3) for n in (1, 2, 3)}
+        levels = Hierarchy(tuple(lambda_op(IndexPair(c, c), n, space3) for n in (1, 2, 3)))
         K = InfinitesimalSymmetry(levels=levels, tau=tau)
         for n in (1, 2, 3):
             assert inf_symmetry_residual(K, H, 0.4, nz(n, space3, rng, phase_cap=math.pi / 4)) <= 1e-10
@@ -375,7 +382,7 @@ class TestThresholdConsistency:
         from sepsym.operators import cross_ratio_op
 
         H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space3, coupling=0.5))], 2)
-        levels = {n: lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)}
+        levels = Hierarchy(tuple(lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)))
         K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
         res = inf_symmetry_residual(K, H2, 0.4, nz(2, space3, rng, phase_cap=math.pi / 4))
         assert res > 1e-2
@@ -432,12 +439,12 @@ class TestPointSymmetry:
             eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos), gamma=0.1
         )
         K = InfinitesimalSymmetry(
-            levels={n: point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)}
+            levels=Hierarchy(tuple(point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)))
         )
-        assert sorted(K.levels) == [1, 2, 3]
-        assert [K.level(n).n for n in (1, 2, 3)] == [1, 2, 3]
+        assert K.levels.n_max == 3
+        assert [K.levels.op(n).n for n in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(BadRange):
-            K.level(4)
+            K.levels.op(4)
 
     def test_named_profiles(self, grid8):
         pos = grid8.positions()
