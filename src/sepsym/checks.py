@@ -77,7 +77,7 @@ from .scenario import (
     evolution_config,
     random_hermitian,
 )
-from .space import ConfigSpace, random_state, sup_norms
+from .space import ConfigSpace, random_batch, random_state, sup_norms
 from .symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -196,19 +196,6 @@ def _judge(ctx: CheckContext, name: str, criteria: dict, details: dict) -> Check
         written[label] = {"value": value, kind: list(limit) if kind == "band" else limit,
                           "defect": max(_defect(kind, v, limit) for v in values)}
     return _finish(ctx, name, max(c["defect"] for c in written.values()), details)
-
-
-def _batch(n: int, space: ConfigSpace, seeds, **kwargs) -> np.ndarray:
-    """Nowhere-zero states, one per entry of ``seeds``, stacked on one
-    trailing batch axis.
-
-    An entry is anything ``random_state`` takes: an int or tuple seed, or
-    a Generator, which draws the states of its repeated entries in turn.
-    """
-    return np.stack(
-        [random_state(n, space, seed, nowhere_zero=True, **kwargs).data for seed in seeds],
-        axis=-1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +325,12 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
     criteria = {}
     details: dict = {"cases": {}}
     for label, op, idx, kind in _euler_cases(space):
-        phi = random_state(op.n, space, rng, nowhere_zero=True)
-        worst = 0.0
-        for eta in (1.0, 1j, 0.8 - 0.6j):
-            if kind == "log":
-                worst = max(worst, euler_log_residual(op, 0.0, phi, eta, indices=idx))
-            else:
-                worst = max(worst, euler_power_residual(op, 0.0, phi, eta, idx))
+        [phi] = random_batch((op.n,), space, [rng])
+        euler = euler_log_residual if kind == "log" else euler_power_residual
+        worst = max(max(euler(op, 0.0, phi, eta, indices=idx)) for eta in (1.0, 1j, 0.8 - 0.6j))
         criteria[f"{label}.closed_residual"] = ("bound", worst, 1e-10)
-        eta = 0.8 - 0.6j
-        if kind == "log":
-            r1 = euler_log_residual(op, 0.0, phi, eta, indices=idx, fd_step=h0)
-            r2 = euler_log_residual(op, 0.0, phi, eta, indices=idx, fd_step=h0 / 2)
-        else:
-            r1 = euler_power_residual(op, 0.0, phi, eta, idx, fd_step=h0)
-            r2 = euler_power_residual(op, 0.0, phi, eta, idx, fd_step=h0 / 2)
+        r1, r2 = (max(euler(op, 0.0, phi, 0.8 - 0.6j, indices=idx, fd_step=h))
+                  for h in (h0, h0 / 2))
         if r2 > fd_floor:
             euler_ratio = r1 / r2
             criteria[f"{label}.fd_euler_ratio"] = ("band", euler_ratio, band)
@@ -362,10 +340,10 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
             euler_ratio = None
             criteria[f"{label}.fd_euler_residual"] = ("bound", r1, fd_floor)
         # generic-direction convergence of the finite-difference derivative
-        probe = random_state(op.n, space, rng).data
-        closed = op.derivative(0.0, phi.data, probe)
-        e1 = float(np.abs(op.derivative(0.0, phi.data, probe, fd_step=h0) - closed).max())
-        e2 = float(np.abs(op.derivative(0.0, phi.data, probe, fd_step=h0 / 2) - closed).max())
+        probe = random_state(op.n, space, rng).data[..., None]
+        closed = op.derivative(0.0, phi, probe)
+        e1, e2 = (max(sup_norms(op.derivative(0.0, phi, probe, fd_step=h) - closed))
+                  for h in (h0, h0 / 2))
         dir_ratio = e1 / e2 if e2 > 0 else float("inf")
         criteria[f"{label}.fd_derivative_ratio"] = ("band", dir_ratio, band)
         details["cases"][label] = {
@@ -400,20 +378,15 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     Bk = bracket_hierarchy(F, G)
     rng = ctx.rng()
     cap = math.pi / 4  # keep summed arguments on the principal branch
-    worst_leibniz = 0.0
+    # four rounds, each drawing the factors of every split in turn
     splits = [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
-    count = 0
-    while count < 16:
-        sizes = splits[count % len(splits)]
-        factors = [
-            random_state(k, space, rng, nowhere_zero=True, phase_cap=cap) for k in sizes
-        ]
-        worst_leibniz = max(worst_leibniz, tensor_derivation_residual(Bk, 0.0, factors))
-        count += 1
-    batch = [
-        random_state(1, space, rng, nowhere_zero=True, phase_cap=math.pi / 2)
-        for _ in range(4)
-    ]
+    factors = iter(random_batch([k for split in splits for k in split], space, [rng] * 4,
+                                phase_cap=cap))
+    worst_leibniz = max(
+        max(tensor_derivation_residual(Bk, 0.0, [next(factors) for _ in split]))
+        for split in splits
+    )
+    [batch] = random_batch((1,), space, [rng] * 4, phase_cap=math.pi / 2)
     est, _ = estimate_log_indices(Bk.op(1), 0.0, batch)
     expect = mp.pair_bracket(
         F.op(1).indices, G.op(1).indices
@@ -423,11 +396,9 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     # hierarchy bracketed against F has a vanishing first level
     H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space, refs=(1, 0), coupling=0.6))], 3)
     Bk2 = bracket_hierarchy(F, H2)
-    lvl1 = max(sup_norms(Bk2.op(1).apply(0.0, np.stack([wf.data for wf in batch], axis=-1))))
-    prod2 = [
-        random_state(1, space, rng, nowhere_zero=True, phase_cap=cap) for _ in range(2)
-    ]
-    lvl2_on_products = tensor_derivation_residual(Bk2, 0.0, prod2)
+    lvl1 = max(sup_norms(Bk2.op(1).apply(0.0, batch)))
+    prod2 = random_batch((1, 1), space, [rng], phase_cap=cap)
+    lvl2_on_products = max(tensor_derivation_residual(Bk2, 0.0, prod2))
     return _judge(ctx, "derivation-bracket", {
         "leibniz_residual": ("bound", worst_leibniz, 1e-8),
         "index_error": ("bound", index_err, 1e-6),
@@ -446,25 +417,20 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
         Generator(cross_ratio_op(space, coupling=0.7)),
     ]
     H = Hierarchy.from_generators(gens, 3)
-    recovered = canonical_decompose(H, seed=ctx.scenario.seed % 2**31)
+    recovered = canonical_decompose(H, seed=ctx.rng(1))
     worst = 0.0
     for g_orig, g_rec in zip(gens, recovered):
-        probes = [random_state(g_orig.ell, space, rng, nowhere_zero=True) for _ in range(4)]
-        diffs = sup_norms(np.stack(
-            [g_rec.op.apply(0.0, wf.data) - g_orig.op.apply(0.0, wf.data) for wf in probes],
-            axis=-1,
-        ))
+        [probes] = random_batch((g_orig.ell,), space, [rng] * 4)
         worst = max(
-            worst, *diffs,
+            worst, *sup_norms(g_rec.op.apply(0.0, probes) - g_orig.op.apply(0.0, probes)),
             abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b),
         )
     # idempotence: decomposing the rebuilt hierarchy returns the same parts
     rebuilt = Hierarchy.from_generators(recovered, 3)
-    again = canonical_decompose(rebuilt, seed=ctx.scenario.seed % 2**31)
-    for g1, g2 in zip(recovered, again):
-        probe = random_state(g1.ell, space, rng, nowhere_zero=True)
-        diff = np.abs(g2.op.apply(0.0, probe.data) - g1.op.apply(0.0, probe.data)).max()
-        worst = max(worst, float(diff))
+    again = canonical_decompose(rebuilt, seed=ctx.rng(2))
+    probes = random_batch([g.ell for g in recovered], space, [rng])
+    for g1, g2, probe in zip(recovered, again, probes):
+        worst = max(worst, *sup_norms(g2.op.apply(0.0, probe) - g1.op.apply(0.0, probe)))
     details = {"levels": 3, "thresholds": [g.ell for g in recovered]}
     return _finish(ctx, "canonical-decomposition-roundtrip", worst, details)
 
@@ -475,14 +441,14 @@ def check_permutation(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     rng = ctx.rng()
     F, _ = _default_bracket_hierarchies(space)
-    batch2 = [random_state(2, space, rng, nowhere_zero=True) for _ in range(3)]
-    batch3 = [random_state(3, space, rng, nowhere_zero=True) for _ in range(2)]
+    [batch2] = random_batch((2,), space, [rng] * 3)
+    [batch3] = random_batch((3,), space, [rng] * 2)
     worst_sym = max(
-        check_permutation_property(F.op(2), 0.0, batch2),
-        check_permutation_property(F.op(3), 0.0, batch3),
+        *check_permutation_property(F.op(2), 0.0, batch2),
+        *check_permutation_property(F.op(3), 0.0, batch3),
     )
     lone = lift_J(shifted_log_modulus_op(space, 1.0), (0,), 2)
-    asym = check_permutation_property(lone, 0.0, batch2)
+    asym = max(check_permutation_property(lone, 0.0, batch2))
     return _judge(ctx, "permutation-property", {
         "hierarchy_residual": ("bound", worst_sym, 1e-12),
         "counterexample_residual": ("floor", asym, 0.1),
@@ -495,20 +461,15 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     rng = ctx.rng()
     F, G = _default_bracket_hierarchies(space)
-    worst = 0.0
-    for H in (F, G):
-        for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]:
-            for _ in range(4):
-                factors = [
-                    random_state(k, space, rng, nowhere_zero=True, phase_cap=math.pi / 4)
-                    for k in sizes
-                ]
-                worst = max(worst, tensor_derivation_residual(H, 0.0, factors))
+    worst = max(
+        max(tensor_derivation_residual(
+            H, 0.0, random_batch(sizes, space, [rng] * 4, phase_cap=math.pi / 4)))
+        for H in (F, G) for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
+    )
     bad_ops = list(F.ops)
     bad_ops[1] = op_combine([bad_ops[1], nonseparating_op(space, 2, 0.5)])
     bad = Hierarchy(tuple(bad_ops))
-    factors = [random_state(1, space, rng, nowhere_zero=True) for _ in range(2)]
-    bad_residual = tensor_derivation_residual(bad, 0.0, factors)
+    bad_residual = max(tensor_derivation_residual(bad, 0.0, random_batch((1, 1), space, [rng])))
     return _judge(ctx, "tensor-derivation-residual", {
         "leibniz_residual": ("bound", worst, 1e-10),
         "counterexample_residual": ("floor", bad_residual, 0.01),
@@ -561,7 +522,7 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None = None) -> C
         for n in ns:
             seed = ctx.scenario.seed % 2**31 + n
             size = 16 if n <= 3 else 6
-            data = _batch(n, F.op.space, [np.random.default_rng(seed)] * size)
+            [data] = random_batch((n,), F.op.space, [np.random.default_rng(seed)] * size)
             H = bracket_generator(F, G, verify=True, seed=seed)
             lhs = obstruction_lhs(F, G, n, 0.0, data, bracket_gen=H)
             rhs = obstruction_rhs(F, G, n, 0.0, data)
@@ -595,7 +556,7 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     Bl = Generator(site_matrix_op(space, random_hermitian(space, rng), name="lin-B"))
     worst = 0.0
     for n in (2, 3):
-        data = _batch(n, space, [ctx.rng(10 * n + k) for k in range(4)])
+        [data] = random_batch((n,), space, [ctx.rng(10 * n + k) for k in range(4)])
         scales = [max(1.0, norm) for norm in sup_norms(data)]
         for side in (obstruction_rhs, obstruction_lhs):
             norms = sup_norms(side(A, Bl, n, 0.0, data))
@@ -609,15 +570,15 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int = 4) -> Check
     space = ctx.space
     F = Generator(shifted_log_modulus_op(space, 0.8))
     K = Generator(relative_log_modulus_op(space, 0.7))
-    data2 = _batch(2, space, [ctx.rng(k) for k in range(8)])
-    data3 = _batch(3, space, [ctx.rng(100 + k) for k in range(8)])
+    [data2] = random_batch((2,), space, [ctx.rng(k) for k in range(8)])
+    [data3] = random_batch((3,), space, [ctx.rng(100 + k) for k in range(8)])
     two = max(sup_norms(corollary1_obstruction(F, K, 0.0, data2)))
     lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, data3)))
     spin_space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
     Fs = Generator(spin_rms_log_op(spin_space, 1.0))
     Ks = Generator(spin_rotation_op(spin_space))
-    spin2 = _batch(2, spin_space, [ctx.rng(200 + k) for k in range(8)])
-    spin3 = _batch(3, spin_space, [ctx.rng(300 + k) for k in range(8)])
+    [spin2] = random_batch((2,), spin_space, [ctx.rng(200 + k) for k in range(8)])
+    [spin3] = random_batch((3,), spin_space, [ctx.rng(300 + k) for k in range(8)])
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
     spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
     return _judge(ctx, "corollary1-equivalence", {
@@ -647,7 +608,7 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckRes
     G = Generator(cross_ratio_op(space, coupling=0.8))
     spec = ctx.point_spec(_default_point_spec())
     parts = point_symmetry_parts(spec, space)
-    data = _batch(3, space, [ctx.rng(k) for k in range(4)], smooth=True)
+    [data] = random_batch((3,), space, [ctx.rng(k) for k in range(4)], smooth=True)
     labels = ("phase", "mult", "drift")
     family = [Generator(parts[label]) for label in labels]
     norms = {label: max(sup_norms(val))
@@ -681,14 +642,14 @@ def check_internal_dof(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
         # the statistic that genuinely converges under refinement
         return float(np.mean([
             np.abs(corollary1_obstruction(
-                F, K, 0.0, _batch(2, F.op.space, [(seed, i)], smooth=True)
+                F, K, 0.0, random_batch((2,), F.op.space, [(seed, i)], smooth=True)[0]
             )).mean()
             for i in range(size // 2)
         ]))
 
     F, K = build(grid_size)
-    base = _batch(2, F.op.space, [np.random.default_rng(seed)] * size)
-    reseeded = _batch(2, F.op.space, [np.random.default_rng(seed + 1)] * size)
+    [base] = random_batch((2,), F.op.space, [np.random.default_rng(seed)] * size)
+    [reseeded] = random_batch((2,), F.op.space, [np.random.default_rng(seed + 1)] * size)
     norms = sup_norms(corollary1_obstruction(F, K, 0.0, base))
     reseeded_norms = sup_norms(corollary1_obstruction(F, K, 0.0, reseeded))
     smooth_base = smooth_field_mean(F, K)
@@ -820,10 +781,12 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     cfg = ctx.evolution
     H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
     K = lambda_index_symmetry(p, q, tau, start, cfg, space, 2)
-    worst_sym = 0.0
-    for t in (0.21, 0.5, 0.83):
-        wf = random_state(2, space, rng, nowhere_zero=True)
-        worst_sym = max(worst_sym, inf_symmetry_residual(K, H, t, wf, hbar=ctx.hbar))
+    # one two-particle state per time
+    times = (0.21, 0.5, 0.83)
+    worst_sym = max(
+        max(inf_symmetry_residual(K, H, t, data, hbar=ctx.hbar))
+        for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
+    )
     law_cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=1.0, hbar=ctx.hbar)
     law = index_law_residual(p, q, tau, start, law_cfg)
     return _judge(ctx, "index-evolution", {
@@ -846,10 +809,10 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int = 8) -> CheckResult:
         levels=Hierarchy(tuple(shift_all_op(space, n, 2) for n in (1, 2, 3))),
         tmap=IDENTITY_TIME,
     )
-    worst = 0.0
-    for n in (1, 2, 3):
-        wf = random_state(n, space, ctx.rng(n), nowhere_zero=True)
-        worst = max(worst, symmetry_residual(V, H, 0.3, wf, hbar=ctx.hbar))
+    worst = max(
+        max(symmetry_residual(V, H, 0.3, data, hbar=ctx.hbar))
+        for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
+    )
     return _finish(ctx, "lattice-shift-symmetry", worst, {"shift": 2, "grid_size": grid_size})
 
 
@@ -879,7 +842,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...] = (8, 16, 32)) -> C
             family = [Generator(op) for op in ops.values()]
             norms: dict = {label: [] for label in ops}
             for salt in salts:
-                data = _batch(n, space, [(seed, salt)], smooth=True)
+                [data] = random_batch((n,), space, [(seed, salt)], smooth=True)
                 vals = (corollary1_obstruction(F, family, 0.0, data) if n == 2
                         else corollary2_obstruction(G, family, 0.0, data))
                 for label, val in zip(ops, vals):
@@ -916,10 +879,12 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     M = inf_symmetry_bracket(K, L)
     tau_expected = K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha
     tau_err = abs(M.tau.beta - tau_expected) + abs(M.tau.alpha)
-    worst = 0.0
-    for t in (0.3, 0.7):
-        wf = random_state(2, space, rng, nowhere_zero=True)
-        worst = max(worst, inf_symmetry_residual(M, H, t, wf, hbar=ctx.hbar))
+    # one two-particle state per time
+    times = (0.3, 0.7)
+    worst = max(
+        max(inf_symmetry_residual(M, H, t, data, hbar=ctx.hbar))
+        for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
+    )
     return _judge(ctx, "symmetry-bracket-closure", {
         "bracket_residual": ("bound", worst, 2e-5),
         "tau_error": ("bound", tau_err, 1e-12),

@@ -15,7 +15,8 @@ from dataclasses import replace
 from . import __version__
 from .checks import CHECKS, check_parameters, list_checks, run_check
 from .errors import ScenarioError
-from .scenario import Scenario, bundled_scenario_names, finite_number, load_scenario, tolerance_map
+from .scenario import (Scenario, bundled_scenario_names, finite_number, load_scenario,
+                       seed_value, tolerance_map)
 
 
 def _parse_tol_overrides(entries) -> dict[str, float]:
@@ -105,11 +106,11 @@ def main(argv=None) -> int:
         overrides = _parse_tol_overrides(args.tol)
         if args.hbar is not None:
             scenario = replace(scenario, hbar=finite_number(args.hbar, "--hbar", positive=True))
+        if args.seed is not None:
+            scenario = replace(scenario, seed=seed_value(args.seed, "--seed"))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     report = build_report(scenario, overrides)
     if args.out:
         with open(args.out, "w") as fh:

@@ -37,19 +37,12 @@ from .errors import BadRange, BadTuple, NotDerivation, SpaceMismatch
 from .mixedpow import IndexPair, ZERO_PAIR
 from .opcalc import NonlinearOperator, estimate_log_indices, lie_bracket, op_combine
 from .operators import lambda_op, zero_op
-from .space import (
-    ConfigSpace,
-    WaveFunction,
-    check_index_tuple,
-    random_state,
-    tensor_all,
-)
+from .space import ConfigSpace, check_index_tuple, random_batch, sup_norms, tensor_all
 
 DERIVATION_TOL = 1e-8
 
 # desk-scale truncation: obstruction analysis needs levels up to m + l = 4,
 # and nothing new appears above that in hierarchies or obstruction sums
-DEFAULT_N_MAX = 3
 MAX_PARTICLES = 4
 
 
@@ -201,7 +194,7 @@ class Hierarchy:
         return self.ops[n - 1]
 
     @classmethod
-    def from_generators(cls, gens: Sequence[Generator], n_max: int = DEFAULT_N_MAX) -> "Hierarchy":
+    def from_generators(cls, gens: Sequence[Generator], n_max: int) -> "Hierarchy":
         """Sum of the canonical lifts of ``gens`` at each level, on their space."""
         if not gens:
             raise ValueError("a hierarchy needs at least one generator")
@@ -219,71 +212,51 @@ def bracket_hierarchy(F: Hierarchy, G: Hierarchy) -> Hierarchy:
 
 
 def tensor_derivation_residual(
-    H: Hierarchy, t: float, factors: Sequence[WaveFunction]
-) -> float:
-    """Leibniz defect || sum_j phi_1 ... F(phi_j) ... phi_r - F_n(prod) ||_inf."""
-    n_total = sum(f.n for f in factors)
+    H: Hierarchy, t: float, factors: Sequence[np.ndarray]
+) -> list[float]:
+    """Leibniz defect || sum_j phi_1 ... F(phi_j) ... phi_r - F_n(prod) ||_inf
+    for each product of the factor states stacked on one trailing batch
+    axis; factor j has ``factors[j].ndim - 1`` particles."""
+    ns = [f.ndim - 1 for f in factors]
+    n_total = sum(ns)
     if n_total > H.n_max:
         raise BadRange(f"factors use {n_total} particles, hierarchy caps at {H.n_max}")
     prod = tensor_all(factors)
-    lhs = np.zeros_like(prod.data)
-    for j, fj in enumerate(factors):
-        pieces = [
-            H.op(f.n)(t, f).data if k == j else f.data
-            for k, f in enumerate(factors)
-        ]
-        term = pieces[0]
-        for piece in pieces[1:]:
-            term = np.multiply.outer(term, piece)
-        lhs = lhs + term
-    rhs = H.op(n_total).apply(t, prod.data)
-    return float(np.abs(lhs - rhs).max())
-
-
-def _derivation_check_states(
-    space: ConfigSpace, n_max: int, seed
-) -> list[list[WaveFunction]]:
-    # phase-capped factors: the Leibniz rule for index-carrying levels is
-    # branch-exact only while arg f + arg g stays on the principal branch
-    rng = np.random.default_rng(seed)
-    cap = np.pi / 4
-    groups = []
-    for n in range(2, n_max + 1):
-        for n1 in range(1, n):
-            groups.append(
-                [
-                    random_state(n1, space, rng, nowhere_zero=True, phase_cap=cap),
-                    random_state(n - n1, space, rng, nowhere_zero=True, phase_cap=cap),
-                ]
-            )
-    return groups
+    lhs = np.zeros_like(prod)
+    for j, n in enumerate(ns):
+        lhs = lhs + tensor_all([*factors[:j], H.op(n).apply(t, factors[j]), *factors[j + 1:]])
+    return sup_norms(lhs - H.op(n_total).apply(t, prod))
 
 
 def canonical_decompose(
     H: Hierarchy,
     t: float = 0.0,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     derivation_tol: float = DERIVATION_TOL,
 ) -> list[Generator]:
     """Extract the canonical generators (d_j F)_j of a tensor derivation.
 
     Verifies first that H is a derivation on seeded product states and
     afterwards that the extracted generators rebuild H; raises
-    NotDerivation when either residual exceeds ``derivation_tol``.
+    NotDerivation when either residual exceeds ``derivation_tol``.  Every
+    state is drawn from ``np.random.default_rng(seed)``, so ``seed`` may
+    also be a Generator.
     """
-    for factors in _derivation_check_states(H.space, H.n_max, seed):
-        res = tensor_derivation_residual(H, t, factors)
+    rng = np.random.default_rng(seed)
+    # phase-capped factors: the Leibniz rule for index-carrying levels is
+    # branch-exact only while arg f + arg g stays on the principal branch
+    splits = [(n1, n - n1) for n in range(2, H.n_max + 1) for n1 in range(1, n)]
+    factors = random_batch([k for split in splits for k in split], H.space, [rng],
+                           phase_cap=np.pi / 4)
+    for pair in zip(factors[::2], factors[1::2]):
+        res = max(tensor_derivation_residual(H, t, pair))
         if res > derivation_tol:
             raise NotDerivation(
                 f"Leibniz residual {res:.3e} exceeds {derivation_tol:.1e}"
             )
-    rng = np.random.default_rng(seed + 1)
     first = H.op(1)
     if first.indices is None:
-        batch = [
-            random_state(1, H.space, rng, nowhere_zero=True, phase_cap=np.pi / 2)
-            for _ in range(4)
-        ]
+        [batch] = random_batch((1,), H.space, [rng] * 4, phase_cap=np.pi / 2)
         first = replace(first, indices=estimate_log_indices(first, t, batch)[0])
     gens = [Generator(first)]
     for j in range(2, H.n_max + 1):
@@ -296,12 +269,10 @@ def canonical_decompose(
         gens.append(Generator(replace(residual_op, indices=ZERO_PAIR)))
     # reconstruction must reproduce H level by level
     rebuilt = Hierarchy.from_generators(gens, H.n_max)
-    for n in range(1, H.n_max + 1):
-        probe = random_state(n, H.space, rng, nowhere_zero=True)
-        diff = np.abs(
-            rebuilt.op(n).apply(t, probe.data) - H.op(n).apply(t, probe.data)
-        ).max()
-        if diff > derivation_tol * max(1.0, probe.norm_inf()):
+    probes = random_batch(range(1, H.n_max + 1), H.space, [rng])
+    for n, probe in enumerate(probes, start=1):
+        diff = max(sup_norms(rebuilt.op(n).apply(t, probe) - H.op(n).apply(t, probe)))
+        if diff > derivation_tol * max(1.0, *sup_norms(probe)):
             raise NotDerivation(
                 f"reconstruction defect {diff:.3e} at level {n} exceeds tolerance"
             )

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadRange
 from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
 from .opcalc import lie_bracket
-from .space import random_state, tensor_all
+from .space import random_batch, sup_norms, tensor_all
 
 
 def _check_range(ell: int, m: int, n: int) -> None:
@@ -87,13 +87,9 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
     m = G.ell
     H = lie_bracket(canonical_lift(F, m), G.op)
     if verify and m > 1:
-        rng = np.random.default_rng(seed)
-        prod = tensor_all([
-            random_state(1, F.op.space, rng, nowhere_zero=True, phase_cap=np.pi / 4)
-            for _ in range(m)
-        ])
-        defect = float(np.abs(H.apply(0.0, prod.data)).max())
-        if defect > 1e-8 * max(1.0, prod.norm_inf()):
+        prod = tensor_all(random_batch((1,) * m, F.op.space, [seed], phase_cap=np.pi / 4))
+        defect = max(sup_norms(H.apply(0.0, prod)))
+        if defect > 1e-8 * max(1.0, *sup_norms(prod)):
             raise BadRange(
                 f"[F#_m, G] fails to vanish on products (defect {defect:.3e}); "
                 "not a legitimate generator"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IndexMismatch, SpaceMismatch, ZeroAmplitude
 from .mixedpow import IndexPair, pair_action, pair_bracket
-from .space import ConfigSpace, WaveFunction, permute_data
+from .space import ConfigSpace, WaveFunction, sup_norms
 
 # Central-difference step for the Frechet fallback: balances O(h^2)
 # truncation against O(eps/h) round-off at double precision.
@@ -221,29 +221,25 @@ _K_ARG = cmath.exp(1j * math.pi / 4)
 def estimate_log_indices(
     F: NonlinearOperator,
     t: float,
-    batch: Sequence[WaveFunction],
+    data: np.ndarray,
 ) -> tuple[IndexPair, float]:
     """Estimate logarithmic indices (p, q) from F(k phi) - k F(phi).
 
     For a mixed-logarithmic homogeneous operator the defect equals
     k (p ln|k| + i q arg k) phi; dividing it pointwise by k phi and
-    averaging recovers the indices.  Returns the averaged pair and the
-    worst pointwise deviation from it.  Raises IndexMismatch when the
-    operator declares indices that disagree beyond 1e-6 plus that
-    deviation.
+    averaging over the states stacked on ``data``'s trailing batch axis
+    (state by state, in batch order) recovers the indices.  Returns the
+    averaged pair and the worst pointwise deviation from it.  Raises
+    IndexMismatch when the operator declares indices that disagree
+    beyond 1e-6 plus that deviation.
     """
-    p_parts = []
-    q_parts = []
-    for wf in batch:
-        data = wf.data if isinstance(wf, WaveFunction) else np.asarray(wf)
-        require_nowhere_zero(data)
-        base = F.apply(t, data)
-        dp = F.apply(t, _K_MOD * data) - _K_MOD * base
-        p_parts.append(dp / (_K_MOD * math.log(_K_MOD) * data))
-        dq = F.apply(t, _K_ARG * data) - _K_ARG * base
-        q_parts.append(dq / (1j * _K_ARG * (math.pi / 4) * data))
-    p_all = np.concatenate([p.ravel() for p in p_parts])
-    q_all = np.concatenate([q.ravel() for q in q_parts])
+    require_nowhere_zero(data)
+    base = F.apply(t, data)
+    dp = F.apply(t, _K_MOD * data) - _K_MOD * base
+    dq = F.apply(t, _K_ARG * data) - _K_ARG * base
+    # batch axis first: the mean sums the values state by state
+    p_all = np.moveaxis(dp / (_K_MOD * math.log(_K_MOD) * data), -1, 0).ravel()
+    q_all = np.moveaxis(dq / (1j * _K_ARG * (math.pi / 4) * data), -1, 0).ravel()
     p = complex(p_all.mean())
     q = complex(q_all.mean())
     residual = float(max(np.abs(p_all - p).max(), np.abs(q_all - q).max()))
@@ -256,51 +252,46 @@ def estimate_log_indices(
     return est, residual
 
 
-def check_permutation_property(
-    F: NonlinearOperator, t: float, batch: Sequence[WaveFunction]
-) -> float:
-    """Worst defect of F(pi phi) = pi F(phi) over all slot permutations."""
-    worst = 0.0
-    for wf in batch:
-        data = wf.data
-        base = F.apply(t, data)
-        for perm in itertools.permutations(range(F.n)):
-            lhs = F.apply(t, permute_data(data, perm))
-            rhs = permute_data(base, perm)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+def check_permutation_property(F: NonlinearOperator, t: float, data: np.ndarray) -> list[float]:
+    """Defect of F(pi phi) = pi F(phi), worst over all slot permutations,
+    for each state stacked on ``data``'s trailing batch axis."""
+    base = F.apply(t, data)
+    per_perm = []
+    for perm in itertools.permutations(range(F.n)):
+        axes = perm + (F.n,)
+        per_perm.append(sup_norms(F.apply(t, data.transpose(axes)) - base.transpose(axes)))
+    return [max(worst) for worst in zip(*per_perm)]
 
 
 def euler_log_residual(
     F: NonlinearOperator,
     t: float,
-    phi: WaveFunction,
+    data: np.ndarray,
     eta: complex,
     indices: IndexPair | None = None,
     fd_step: float | None = None,
-) -> float:
-    """Defect of DF(phi).(eta phi) = eta F(phi) + ((p,q).eta) phi."""
+) -> list[float]:
+    """Defect of DF(phi).(eta phi) = eta F(phi) + ((p,q).eta) phi, per
+    stacked state."""
     idx = indices if indices is not None else F.indices
     if idx is None:
         raise ValueError("logarithmic indices required for the Euler residual")
-    data = phi.data
     eta = complex(eta)
     lhs = F.derivative(t, data, eta * data, fd_step=fd_step)
     rhs = eta * F.apply(t, data) + pair_action(idx, eta) * data
-    return float(np.abs(lhs - rhs).max())
+    return sup_norms(lhs - rhs)
 
 
 def euler_power_residual(
     H: NonlinearOperator,
     t: float,
-    phi: WaveFunction,
+    data: np.ndarray,
     eta: complex,
     indices: IndexPair,
     fd_step: float | None = None,
-) -> float:
-    """Defect of DH(phi).(eta phi) = ((a,b).eta) H(phi)."""
-    data = phi.data
+) -> list[float]:
+    """Defect of DH(phi).(eta phi) = ((a,b).eta) H(phi), per stacked state."""
     eta = complex(eta)
     lhs = H.derivative(t, data, eta * data, fd_step=fd_step)
     rhs = pair_action(indices, eta) * H.apply(t, data)
-    return float(np.abs(lhs - rhs).max())
+    return sup_norms(lhs - rhs)

@@ -55,6 +55,14 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def seed_value(value, where: str) -> int:
+    """A seed as given: a non-negative integer (booleans rejected), the
+    only kind every generator seeded from it accepts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer (no implicit entropy)")
+    return value
+
+
 def finite_number(value, where: str, positive: bool = False) -> float:
     """A JSON number as a finite float (booleans rejected), optionally > 0."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -298,8 +306,7 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     for key in ("name", "seed", "space", "checks"):
         if key not in doc:
             raise ScenarioError(f"{origin}: missing required field {key!r}")
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-        raise ScenarioError(f"{origin}: seed must be an integer (no implicit entropy)")
+    seed = seed_value(doc["seed"], f"{origin}: seed")
     space = build_space(doc["space"])
     generators = doc.get("generators", {})
     checks = _normalise_checks(doc["checks"], known_checks,
@@ -326,7 +333,7 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
         build_point_spec(symmetry)
     return Scenario(
         name=str(doc["name"]),
-        seed=doc["seed"],
+        seed=seed,
         space=space,
         checks=checks,
         hbar=hbar,

@@ -127,10 +127,12 @@ def tensor(f: WaveFunction, g: WaveFunction) -> WaveFunction:
     return WaveFunction(f.n + g.n, f.space, tensor_data(f.data, g.data, f.n))
 
 
-def tensor_all(factors: Sequence[WaveFunction]) -> WaveFunction:
+def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product phi_1 (x) ... (x) phi_r of states stacked on one
+    trailing batch axis, entry by entry, chained left to right."""
     out = factors[0]
     for f in factors[1:]:
-        out = tensor(out, f)
+        out = tensor_data(out, f, out.ndim - 1)
     return out
 
 
@@ -145,11 +147,6 @@ def sup_norms(values: np.ndarray) -> list[float]:
     """
     worst = np.abs(values).max(axis=tuple(range(values.ndim - 1)))
     return [float(v) for v in worst]
-
-
-def permute_data(data: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """(pi phi)(x_0..x_{n-1}) = phi(x_{pi(0)}, ..., x_{pi(n-1)}), 0-based."""
-    return np.transpose(data, tuple(perm))
 
 
 def check_index_tuple(J: Sequence[int], n: int, length: int | None = None) -> tuple[int, ...]:
@@ -218,3 +215,19 @@ def random_state(
     else:
         data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     return WaveFunction(n, space, data)
+
+
+def random_batch(sizes: Sequence[int], space: ConfigSpace, seeds, **kwargs) -> list[np.ndarray]:
+    """Nowhere-zero states stacked on one trailing batch axis, one stack
+    per particle count in ``sizes``.
+
+    For each entry of ``seeds`` one state per size is drawn, in order,
+    from that entry's generator: an int or tuple seed starts a fresh one,
+    and a Generator, repeated across entries, draws its states in turn.
+    ``kwargs`` go to ``random_state``.
+    """
+    draws = []
+    for seed in seeds:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        draws.append([random_state(n, space, rng, nowhere_zero=True, **kwargs).data for n in sizes])
+    return [np.stack(states, axis=-1) for states in zip(*draws)]

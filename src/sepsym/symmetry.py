@@ -38,7 +38,7 @@ from .hierarchy import Generator, Hierarchy, bracket_hierarchy, canonical_lift
 from .mixedpow import IndexPair, bracket_components, pair_bracket
 from .opcalc import NonlinearOperator, op_combine
 from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
-from .space import ConfigSpace, WaveFunction
+from .space import ConfigSpace, sup_norms
 
 # Central-difference step for d/dt of operator families V(t), K(t).
 DT_SYM = 1e-4
@@ -84,13 +84,13 @@ def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
 
 
 def symmetry_residual(
-    V: FiniteSymmetry, F: Hierarchy, t: float, phi: WaveFunction, hbar: float = 1.0
-) -> float:
-    """Defect of hbar d_t V = i_bar F V - T' DV . i_bar F(T) at one state."""
-    n = phi.n
+    V: FiniteSymmetry, F: Hierarchy, t: float, data: np.ndarray, hbar: float = 1.0
+) -> list[float]:
+    """Defect of hbar d_t V = i_bar F V - T' DV . i_bar F(T), per state
+    stacked on ``data``'s trailing batch axis."""
+    n = data.ndim - 1
     Vn = V.levels.op(n)
     Fn = F.op(n)
-    data = phi.data
     # a static V has d_t V = 0 exactly
     dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
     Vphi = Vn.apply(t, data)
@@ -100,21 +100,21 @@ def symmetry_residual(
         - (-1j) * Fn.apply(t, Vphi)
         + V.tmap.derivative * Vn.derivative(t, data, drive)
     )
-    return float(np.abs(resid).max())
+    return sup_norms(resid)
 
 
 def inf_symmetry_residual(
     K: InfinitesimalSymmetry,
     F: Hierarchy,
     t: float,
-    phi: WaveFunction,
+    data: np.ndarray,
     hbar: float = 1.0,
-) -> float:
-    """Defect of hbar d_t K = [i_bar F, K] - d_t (tau i_bar F) at one state."""
-    n = phi.n
+) -> list[float]:
+    """Defect of hbar d_t K = [i_bar F, K] - d_t (tau i_bar F), per state
+    stacked on ``data``'s trailing batch axis."""
+    n = data.ndim - 1
     Kn = K.levels.op(n)
     Fn = F.op(n)
-    data = phi.data
     dK = _d_dt(lambda s: Kn.apply(s, data), t) if Kn.time_dependent else 0.0
     Kphi = Kn.apply(t, data)
     Fphi = Fn.apply(t, data)
@@ -124,7 +124,7 @@ def inf_symmetry_residual(
     bracket = -1j * Fn.derivative(t, data, Kphi) - Kn.derivative(t, data, -1j * Fphi)
     dtau = _d_dt(lambda s: K.tau(s) * (-1j) * Fn.apply(s, data), t)
     resid = hbar * dK - bracket + dtau
-    return float(np.abs(resid).max())
+    return sup_norms(resid)
 
 
 def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> InfinitesimalSymmetry:

@@ -72,6 +72,11 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(doc, KNOWN)
 
+    def test_negative_seed_rejected(self):
+        doc = dict(FAST_SCENARIO, seed=-5)
+        with pytest.raises(ScenarioError, match="non-negative integer"):
+            parse_scenario(doc, KNOWN)
+
     def test_check_list_must_be_a_list(self):
         doc = dict(FAST_SCENARIO, checks="algebra-table")
         with pytest.raises(ScenarioError, match="expected a list"):
@@ -355,6 +360,15 @@ class TestBadValuesExitTwo:
     def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
         err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")
         assert "--hbar" in err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        # every seeded draw needs a non-negative seed, so one is refused at load
+        err = self.run_main(tmp_path, capsys, dict(FAST_SCENARIO, seed=-5))
+        assert "non-negative integer" in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        err = self.run_main(tmp_path, capsys, FAST_SCENARIO, "--seed=-1")
+        assert "--seed must be a non-negative integer" in err
 
     GENERATORS = {"rms": {"kind": "rms-log-modulus"}, "cr0": {"kind": "cross-ratio"}}
 

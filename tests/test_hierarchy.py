@@ -39,7 +39,7 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import build_generator, random_hermitian
-from sepsym.space import ConfigSpace, permute_data, random_state, tensor
+from sepsym.space import ConfigSpace, random_batch, random_state, tensor
 from sepsym.symmetry import (
     PointSymmetrySpec,
     named_profile,
@@ -85,7 +85,7 @@ class TestLiftJ:
     def test_permutation_covariance(self, space3, rng):
         F = shifted_log_modulus_op(space3, 1.0)
         phi = nz(2, space3, rng)
-        via_swap = permute_data(lift_J(F, (0,), 2).apply(0.0, permute_data(phi.data, (1, 0))), (1, 0))
+        via_swap = lift_J(F, (0,), 2).apply(0.0, phi.data.T).T
         direct = lift_J(F, (1,), 2).apply(0.0, phi.data)
         assert np.allclose(via_swap, direct, rtol=1e-13, atol=1e-15)
 
@@ -727,7 +727,7 @@ class TestLambdaOp:
     def test_index_estimate(self, space3, rng):
         idx = IndexPair(0.5 + 0.1j, -0.8 + 0.6j)
         lam = lambda_op(idx, 1, space3)
-        batch = [nz(1, space3, rng, cap=math.pi / 2) for _ in range(3)]
+        [batch] = random_batch((1,), space3, [rng] * 3, phase_cap=math.pi / 2)
         est, _ = estimate_log_indices(lam, 0.0, batch)
         assert est.close_to(idx, 1e-10)
 
@@ -745,7 +745,7 @@ class TestNaturalPart:
 
     def test_strictly_homogeneous_result(self, space3, rng):
         nat = natural_part(gen_shifted(space3, 1.0))
-        batch = [nz(1, space3, rng, cap=math.pi / 2) for _ in range(3)]
+        [batch] = random_batch((1,), space3, [rng] * 3, phase_cap=math.pi / 2)
         est, _ = estimate_log_indices(nat, 0.0, batch)
         assert est.close_to(IndexPair(0, 0), 1e-9)
 
@@ -757,25 +757,26 @@ class TestTensorDerivation:
     def test_canonical_lift_is_derivation(self, space3, rng):
         H = self.hierarchy(space3)
         for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]:
-            factors = [nz(k, space3, rng, cap=math.pi / 4) for k in sizes]
-            assert tensor_derivation_residual(H, 0.0, factors) <= 1e-10
+            factors = random_batch(sizes, space3, [rng] * 2, phase_cap=math.pi / 4)
+            assert max(tensor_derivation_residual(H, 0.0, factors)) <= 1e-10
 
     def test_single_factor_identically_zero(self, space3, rng):
         H = self.hierarchy(space3)
-        assert tensor_derivation_residual(H, 0.0, [nz(2, space3, rng)]) == 0.0
+        factors = random_batch((2,), space3, [rng] * 2)
+        assert tensor_derivation_residual(H, 0.0, factors) == [0.0] * 2
 
     def test_non_separating_counterexample(self, space3, rng):
         H = self.hierarchy(space3)
         ops = list(H.ops)
         ops[1] = op_combine([ops[1], nonseparating_op(space3, 2, 0.5)])
         bad = Hierarchy(tuple(ops))
-        factors = [nz(1, space3, rng) for _ in range(2)]
-        assert tensor_derivation_residual(bad, 0.0, factors) > 0.01
+        factors = random_batch((1, 1), space3, [rng])
+        assert max(tensor_derivation_residual(bad, 0.0, factors)) > 0.01
 
     def test_level_cap(self, space3, rng):
         H = self.hierarchy(space3)
         with pytest.raises(BadRange):
-            tensor_derivation_residual(H, 0.0, [nz(2, space3, rng), nz(2, space3, rng)])
+            tensor_derivation_residual(H, 0.0, random_batch((2, 2), space3, [rng]))
 
 
 class TestBracketHierarchy:
@@ -790,8 +791,8 @@ class TestBracketHierarchy:
         )
         Bk = bracket_hierarchy(F, G)
         for sizes in [(1, 1), (1, 2), (1, 1, 1)]:
-            factors = [nz(k, space3, rng, cap=math.pi / 4) for k in sizes]
-            assert tensor_derivation_residual(Bk, 0.0, factors) <= 1e-8
+            factors = random_batch(sizes, space3, [rng], phase_cap=math.pi / 4)
+            assert max(tensor_derivation_residual(Bk, 0.0, factors)) <= 1e-8
 
     def test_threshold_grows(self, space3, rng):
         F = Hierarchy.from_generators([gen_shifted(space3)], 3)
@@ -800,8 +801,8 @@ class TestBracketHierarchy:
         phi = nz(1, space3, rng)
         assert np.abs(Bk.op(1).apply(0.0, phi.data)).max() <= 1e-12
         # the threshold level of the bracket vanishes on products
-        factors = [nz(1, space3, rng, cap=math.pi / 4) for _ in range(2)]
-        assert tensor_derivation_residual(Bk, 0.0, factors) <= 1e-10
+        factors = random_batch((1, 1), space3, [rng], phase_cap=math.pi / 4)
+        assert max(tensor_derivation_residual(Bk, 0.0, factors)) <= 1e-10
 
 
 class TestDecomposition:
@@ -881,7 +882,8 @@ class TestHierarchyConstruction:
             H.op(3)
         with pytest.raises(BadRange):
             Hierarchy.from_generators([gen_shifted(space3)], 5)
-        assert Hierarchy.from_generators([gen_shifted(space3)]).n_max == 3
+        with pytest.raises(TypeError):  # n_max has no default; MAX_PARTICLES is the one cap
+            Hierarchy.from_generators([gen_shifted(space3)])
 
     def test_generator_validation(self, space3, rng):
         g = Generator(log_modulus_op(space3, 1.0))
@@ -908,4 +910,4 @@ class TestHierarchyConstruction:
         with pytest.raises(SpaceMismatch):
             Hierarchy((levels[0], lambda_op(IndexPair(1.0, 0), 2, space4)))
         with pytest.raises(ValueError):
-            Hierarchy.from_generators([])
+            Hierarchy.from_generators([], 3)

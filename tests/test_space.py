@@ -11,7 +11,6 @@ from sepsym.space import (
     WaveFunction,
     _smooth_field,
     check_index_tuple,
-    permute_data,
     random_state,
     tensor,
     tensor_data,
@@ -97,30 +96,30 @@ class TestTensor:
 class TestPermute:
     def test_identity(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert np.array_equal(permute_data(f.data, (0, 1, 2)), f.data)
+        assert np.array_equal(np.transpose(f.data, (0, 1, 2)), f.data)
 
     def test_swap_on_product(self, space3, rng):
         f = random_state(1, space3, rng)
         g = random_state(1, space3, rng)
         assert np.allclose(
-            permute_data(tensor(f, g).data, (1, 0)), tensor(g, f).data, rtol=1e-14, atol=0
+            np.transpose(tensor(f, g).data, (1, 0)), tensor(g, f).data, rtol=1e-14, atol=0
         )
 
     def test_round_trip(self, space3, rng):
         f = random_state(3, space3, rng)
         perm = (2, 0, 1)
         inverse = tuple(int(k) for k in np.argsort(perm))
-        assert np.array_equal(permute_data(permute_data(f.data, perm), inverse), f.data)
+        assert np.array_equal(np.transpose(np.transpose(f.data, perm), inverse), f.data)
 
     def test_isometry(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert np.abs(permute_data(f.data, (1, 2, 0))).max() == f.norm_inf()
+        assert np.abs(np.transpose(f.data, (1, 2, 0))).max() == f.norm_inf()
 
     def test_composition_consistency(self, space3, rng):
-        # permute_data(permute_data(f, pi), sigma) agrees with a single pointwise oracle
+        # np.transpose(np.transpose(f, pi), sigma) agrees with a single pointwise oracle
         f = random_state(3, space3, rng)
         pi, sigma = (2, 0, 1), (1, 2, 0)
-        two_step = permute_data(permute_data(f.data, pi), sigma)
+        two_step = np.transpose(np.transpose(f.data, pi), sigma)
         for idx in np.ndindex(*two_step.shape):
             inner = tuple(idx[sigma[k]] for k in range(3))
             outer = tuple(inner[pi[k]] for k in range(3))

@@ -23,7 +23,7 @@ from sepsym.operators import (
 )
 from sepsym.checks import CHECKS, run_check
 from sepsym.scenario import load_scenario, random_hermitian
-from sepsym.space import ConfigSpace, random_state
+from sepsym.space import ConfigSpace, random_batch, random_state
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -46,6 +46,11 @@ def nz(n, space, rng, **kw):
     return random_state(n, space, rng, nowhere_zero=True, **kw)
 
 
+def nzs(n, space, rng, k=1, **kw):
+    """k nowhere-zero n-particle states stacked on a trailing batch axis."""
+    return random_batch((n,), space, [rng] * k, **kw)[0]
+
+
 def log_hierarchy(space, n_max=3):
     g = Generator(log_modulus_op(space, 1.0))
     return Hierarchy.from_generators([g], n_max)
@@ -57,7 +62,7 @@ class TestFiniteSymmetry:
         eye = site_matrix_op(grid8, np.eye(8))
         levels = Hierarchy((eye,))
         V = FiniteSymmetry(levels=levels, tmap=IDENTITY_TIME)
-        assert symmetry_residual(V, H, 0.4, nz(1, grid8, rng)) <= 1e-12
+        assert max(symmetry_residual(V, H, 0.4, nzs(1, grid8, rng))) <= 1e-12
 
     def test_lattice_shift_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
@@ -66,7 +71,7 @@ class TestFiniteSymmetry:
             tmap=IDENTITY_TIME,
         )
         for n in (1, 2, 3):
-            assert symmetry_residual(V, H, 0.3, nz(n, grid8, rng)) <= 1e-12
+            assert max(symmetry_residual(V, H, 0.3, nzs(n, grid8, rng))) <= 1e-12
 
     def test_level_k_must_act_on_k_particles(self, grid8):
         # the levels are a Hierarchy, which rejects a gap in the ladder
@@ -90,7 +95,7 @@ class TestFiniteSymmetry:
             levels=Hierarchy((linear_op(space4, 1, conjugated, "V", time_dependent=True),)),
             tmap=IDENTITY_TIME,
         )
-        res = symmetry_residual(V, H, 0.37, nz(1, space4, rng), hbar=hbar)
+        res = max(symmetry_residual(V, H, 0.37, nzs(1, space4, rng), hbar=hbar))
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 
 
@@ -102,7 +107,7 @@ class TestInfinitesimal:
         K = InfinitesimalSymmetry(
             levels=Hierarchy((site_matrix_op(space4, A @ A),)), tau=AffineMap(0.0, 0.0)
         )
-        assert inf_symmetry_residual(K, H, 0.3, nz(1, space4, rng)) <= 1e-11
+        assert max(inf_symmetry_residual(K, H, 0.3, nzs(1, space4, rng))) <= 1e-11
 
     def test_drive_is_own_symmetry(self, space4, rng):
         # K = i_bar F commutes with the drive ([i_bar F, i_bar F] = 0); the
@@ -110,7 +115,7 @@ class TestInfinitesimal:
         H = log_hierarchy(space4, 2)
         levels = Hierarchy(tuple(op_combine([H.op(n)], [-1j]) for n in (1, 2)))
         K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
-        assert inf_symmetry_residual(K, H, 0.5, nz(2, space4, rng)) <= 1e-11
+        assert max(inf_symmetry_residual(K, H, 0.5, nzs(2, space4, rng))) <= 1e-11
 
     def test_constant_phase_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
@@ -120,7 +125,7 @@ class TestInfinitesimal:
             levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2, 3))),
             tau=AffineMap(0.0, 0.0),
         )
-        assert inf_symmetry_residual(K, H, 0.1, nz(2, grid8, rng)) <= 1e-12
+        assert max(inf_symmetry_residual(K, H, 0.1, nzs(2, grid8, rng))) <= 1e-12
 
     def test_momentum_residual_quadratic_in_h(self, rng):
         residuals = []
@@ -135,8 +140,8 @@ class TestInfinitesimal:
                 levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2))),
                 tau=AffineMap(0.0, 0.0),
             )
-            wf = random_state(2, sp, np.random.default_rng((5, 1)), nowhere_zero=True, smooth=True)
-            residuals.append(inf_symmetry_residual(K, Hg, 0.2, wf))
+            [data] = random_batch((2,), sp, [(5, 1)], smooth=True)
+            residuals.append(max(inf_symmetry_residual(K, Hg, 0.2, data)))
         assert residuals[0] > 1e-4  # genuinely non-zero at finite h
         for r0, r1 in zip(residuals, residuals[1:]):
             assert 2.5 <= r0 / r1 <= 5.5
@@ -148,7 +153,7 @@ class TestInfinitesimal:
         H = Hierarchy.from_generators([g], 2)
         K = lambda_index_symmetry(p, q, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3, 2)
         for t in (0.2, 0.8):
-            assert inf_symmetry_residual(K, H, t, nz(2, space3, rng)) <= 1e-6
+            assert max(inf_symmetry_residual(K, H, t, nzs(2, space3, rng))) <= 1e-6
 
     def test_index_law_residual_second_order(self):
         tau = AffineMap(0.5, 0.2)
@@ -280,7 +285,7 @@ class TestBracket:
         K, L, H = self.make_pair(space3)
         M = inf_symmetry_bracket(K, L)
         for t in (0.3, 0.7):
-            assert inf_symmetry_residual(M, H, t, nz(2, space3, rng)) <= 2e-5
+            assert max(inf_symmetry_residual(M, H, t, nzs(2, space3, rng))) <= 2e-5
 
 
 class TestThresholdConsistency:
@@ -368,7 +373,8 @@ class TestThresholdConsistency:
         levels = Hierarchy(tuple(lambda_op(IndexPair(c, c), n, space3) for n in (1, 2, 3)))
         K = InfinitesimalSymmetry(levels=levels, tau=tau)
         for n in (1, 2, 3):
-            assert inf_symmetry_residual(K, H, 0.4, nz(n, space3, rng, phase_cap=math.pi / 4)) <= 1e-10
+            data = nzs(n, space3, rng, phase_cap=math.pi / 4)
+            assert max(inf_symmetry_residual(K, H, 0.4, data)) <= 1e-10
         d_lhs, d_rhs, gaps = self.decompose_both_sides(space3, H, K, tau, 0.4, rng)
         assert max(gaps) <= 1e-6
         for g in list(d_lhs) + list(d_rhs):
@@ -384,7 +390,7 @@ class TestThresholdConsistency:
         H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space3, coupling=0.5))], 2)
         levels = Hierarchy(tuple(lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)))
         K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
-        res = inf_symmetry_residual(K, H2, 0.4, nz(2, space3, rng, phase_cap=math.pi / 4))
+        res = max(inf_symmetry_residual(K, H2, 0.4, nzs(2, space3, rng, phase_cap=math.pi / 4)))
         assert res > 1e-2
 
 
@@ -430,7 +436,7 @@ class TestPointSymmetry:
     def test_index_part_estimation(self, grid8, rng):
         spec = PointSymmetrySpec(gamma=0.4, delta=0.2)
         K1 = point_symmetry_level(spec, 1, grid8)
-        batch = [nz(1, grid8, rng, phase_cap=math.pi / 2) for _ in range(3)]
+        batch = nzs(1, grid8, rng, 3, phase_cap=math.pi / 2)
         est, _ = estimate_log_indices(K1, 0.0, batch)
         assert est.close_to(IndexPair(0.4j, 0.2j), 1e-10)
 
