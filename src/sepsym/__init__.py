@@ -57,7 +57,6 @@ from .obstruction import (
 from .evolution import (
     EvolutionConfig,
     IndexTrajectory,
-    evolve,
     extract_indices,
     index_ode_solve,
     scaling_test,

@@ -27,7 +27,6 @@ from .errors import SepsymError
 from .evolution import (
     EvolutionConfig,
     extract_indices,
-    index_ode_solve,
     replaced_level_gaps,
     scaling_test,
     separation_test,
@@ -697,25 +696,16 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     H = Hierarchy.from_generators([F1, G2], 3)
     # residual curves of single state pairs can sit near a cancellation of
     # the leading dt^4 coefficient; the batch sum has a robust one
-    pairs = []
-    for k in range(4):
-        prng = ctx.rng(k)
-        pairs.append(
-            (
-                random_state(1, space, prng, nowhere_zero=True),
-                random_state(2, space, prng, nowhere_zero=True),
-            )
-        )
+    phi1, phi2 = random_batch((1, 2), space, [ctx.rng(k) for k in range(4)])
     dts = [0.02, 0.01, 0.005]
     cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
-    runs = [separation_test(H, pairs, cfg) for cfg in cfgs]
+    runs = separation_test(H, phi1, phi2, cfgs)
     residuals = [sum(run.gaps) for run in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     # the perturbed hierarchy differs from H at level 2 only: its level-1
     # and level-3 marches are those of the first pair in the runs above
     bad2 = op_combine([H.op(2), nonseparating_op(space, 2, 0.5)])
-    plateau = [replaced_level_gaps(run, bad2, pairs[:1], cfg)[0]
-               for run, cfg in zip(runs, cfgs[:2])]
+    plateau = [gaps[0] for gaps in replaced_level_gaps(runs[:2], bad2, phi2[..., :1], cfgs[:2])]
     # trajectory summary at the finest step: horizon and the evolved first pair
     fine = cfgs[-1]
     evolved = [float(np.abs(psi[..., 0]).max()) for psi in runs[-1].evolved]
@@ -724,7 +714,7 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
         "times": [fine.t0, fine.t1],
         "residuals": residuals,
         "evolved_norms": evolved,
-        "initial_norms": [pairs[0][0].norm_inf(), pairs[0][1].norm_inf()],
+        "initial_norms": [float(np.abs(phi[..., 0]).max()) for phi in (phi1, phi2)],
     }
     return _judge(ctx, "separation-evolution", {
         "ratios": ("band", ratios, (12.0, 20.0)),
@@ -739,27 +729,27 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng()
     p = 1.3
     F = lambda_op(IndexPair(p, p), 1, space)
-    phi = random_state(1, space, rng, nowhere_zero=True)
+    [phi] = random_batch((1,), space, [rng])
     dts = [0.02, 0.01, 0.005]
-    residuals = [
-        scaling_test(F, phi, 1.4 + 0.3j, EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar))
-        for dt in dts
-    ]
+    runs = scaling_test(F, phi, 1.4 + 0.3j,
+                        [EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar) for dt in dts])
+    residuals = [gaps[0] for gaps, _ in runs]
+    trajs = [traj for _, traj in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+    # the ladder's index laws at dt = 0.02 and 0.01 give the closed form and
+    # the extraction, which recovers (p, q) at second order: halving the
+    # step quarters the error
     closed = complex(math.cos(p / ctx.hbar), -math.sin(p / ctx.hbar))
-    traj = index_ode_solve(p, p, EvolutionConfig(dt=0.01, t0=0.0, t1=1.0, hbar=ctx.hbar))
-    closed_err = abs(complex(traj.a[-1]) - closed)
-    # extraction recovers (p, q) at second order: halving the step quarters the error
+    closed_err = abs(complex(trajs[1].a[-1]) - closed)
     extr_errs = []
-    for dt in (0.02, 0.01):
-        tr = index_ode_solve(p, p, EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar))
-        est = extract_indices(tr)
+    for traj in trajs[:2]:
+        est = extract_indices(traj)
         extr_errs.append(max(abs(est.a - p), abs(est.b - p)))
     extr_ratio = extr_errs[0] / extr_errs[1] if extr_errs[1] > 0 else float("inf")
     # strictly homogeneous operator: scaling holds to round-off
     strict = rms_log_modulus_op(space, 0.8)
-    strict_res = scaling_test(
-        strict, phi, 0.7 - 0.4j, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)
+    [([strict_res], _)] = scaling_test(
+        strict, phi, 0.7 - 0.4j, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)]
     )
     return _judge(ctx, "scaling-indices", {
         "ratios": ("band", ratios, (12.0, 20.0)),

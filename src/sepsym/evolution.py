@@ -11,12 +11,12 @@ which govern how E(t', t)(k phi) = k^(a, b) E(t', t) phi scales rescaled
 initial data.  The logarithmic indices are recovered from the trajectory
 by one-sided second-order differencing of a and b at t' = t.
 
-The separation test marches a batch of state pairs at once: the factors
-and their tensor products sit on a trailing batch axis (the kernel
-contract of ``NonlinearOperator``), so each particle level takes one RK4
-march per step size whatever the number of pairs.  Every batch entry
-evolves exactly as it would alone; a ZeroAmplitude in any entry ends the
-whole march.
+States are marched a whole dt ladder at a time.  An RK4 step on a
+decoupled system is the step on each part, so ``_march`` steps one copy
+of a stacked batch per step size in one loop, and a particle level of the
+separation or scaling test costs the kernel calls of its finest step
+size alone, whatever the number of states.  Every batch entry evolves
+exactly as it would alone; a ZeroAmplitude in any entry ends the march.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import StepMismatch, ZeroAmplitude
 from .hierarchy import Hierarchy
 from .mixedpow import IndexPair, mixed_power, pair_action
 from .opcalc import NonlinearOperator
-from .space import WaveFunction, tensor_data
+from .space import sup_norms, tensor_data
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,13 @@ class EvolutionConfig:
         return int(rounded)
 
 
-def rk4_trajectory(rhs: Callable, y0, t0: float, dt: float, n_steps: int):
+def rk4_trajectory(rhs: Callable, y0, t0, dt, n_steps: int):
     """RK4 march of dy/dt = rhs(t, y) from y0 at t0; returns the final y.
 
     ``y`` may be anything closed under ``+`` and multiplication by a float,
-    such as a state array with batch axes.
+    such as a state array with batch axes.  ``dt`` may be a float64 array
+    that broadcasts against ``y``, one step size per batch entry; ``t0``
+    and the times passed to ``rhs`` are then arrays as well.
     """
     y = y0
     t = t0
@@ -86,32 +88,54 @@ def rk4_pair_step(rhs: Callable, c: complex, d: complex, dt: float) -> tuple[com
             d + (dt / 6) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
 
-def _march(F: NonlinearOperator, data: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """RK4 march of i hbar d_t psi = F(t) psi over the horizon of cfg.
+def _march(
+    F: NonlinearOperator, data: np.ndarray, cfgs: Sequence[EvolutionConfig]
+) -> list[np.ndarray]:
+    """RK4 march of i hbar d_t psi = F(t) psi over a dt ladder: the final
+    state of ``data`` at every cfg, in the order of ``cfgs``.
 
-    ``data`` may carry trailing batch axes: under the kernel contract every
-    batch entry evolves independently in the one march.
+    ``data`` may carry trailing batch axes, whose entries evolve
+    independently under the kernel contract.  A ladder of more than one
+    cfg concatenates one copy of ``data`` per cfg on the last batch axis,
+    finest dt first, steps them with a float64 step-size array on that
+    axis, and slices a copy off when its cfg reaches its step count.
+    numpy casts that array and a Python float to complex alike, so every
+    entry ends bit for bit where a march at its cfg alone ends.  The
+    operator then sees an array of times, so a ladder needs a
+    time-independent F (and a batch axis); its cfgs share t0, t1 and hbar.
     """
-    hbar = cfg.hbar
+    first = cfgs[0]
+    if any((cfg.t0, cfg.t1, cfg.hbar) != (first.t0, first.t1, first.hbar) for cfg in cfgs):
+        raise ValueError("the cfgs of a dt ladder must share t0, t1 and hbar")
+    t0, hbar = first.t0, first.hbar
+    if len(cfgs) > 1 and (F.time_dependent or data.ndim == F.n):
+        raise ValueError("a dt ladder needs a time-independent operator and a batch axis")
 
     def rhs(t, y):
         return (-1j / hbar) * F.apply(t, y)
 
+    order = sorted(range(len(cfgs)), key=lambda i: cfgs[i].dt)
+    width = data.shape[-1]
+    y = np.concatenate([data] * len(cfgs), axis=-1)
+    dt = np.repeat([cfgs[i].dt for i in order], width) if len(cfgs) > 1 else first.dt
+    out, t, done = [None] * len(cfgs), t0, 0
     try:
-        out = rk4_trajectory(rhs, data, cfg.t0, cfg.dt, cfg.n_steps())
+        for m in range(len(cfgs), 0, -1):  # the coarsest cfg left is last and ends first
+            steps = cfgs[order[m - 1]].n_steps()
+            y = rk4_trajectory(rhs, y, t, dt, steps - done)
+            keep = (m - 1) * width
+            out[order[m - 1]], y = y[..., keep:], y[..., :keep]
+            if keep:
+                dt, done = dt[:keep], steps
+                t = t0 + steps * dt
     except ZeroAmplitude as exc:
         raise ZeroAmplitude(f"trajectory left the nowhere-zero domain: {exc}") from exc
     return out
 
 
-def evolve(F: NonlinearOperator, phi0: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
-    """Integrate i hbar d_t psi = F(t) psi from cfg.t0 to cfg.t1."""
-    return phi0.with_data(_march(F, phi0.data, cfg))
-
-
 @dataclass(frozen=True)
 class Separation:
-    """Outcome of one batched separation march.
+    """Outcome of a batched separation march at one step size.
 
     ``gaps[k]`` is the factorisation gap of pair k; ``evolved`` holds the
     evolved first and second factors and ``psi12`` the evolved products,
@@ -123,52 +147,46 @@ class Separation:
     psi12: np.ndarray
 
 
-def _gaps(psi1: np.ndarray, psi2: np.ndarray, psi12: np.ndarray, n1: int) -> list[float]:
-    gap = np.abs(tensor_data(psi1, psi2, n1) - psi12).max(axis=tuple(range(psi12.ndim - 1)))
-    return [float(g) for g in gap]
-
-
 def separation_test(
-    H: Hierarchy,
-    pairs: Sequence[tuple[WaveFunction, WaveFunction]],
-    cfg: EvolutionConfig,
-) -> Separation:
-    """Evolve the factors of every pair and their products; return the
-    factorisation gap sup |E(phi1) x E(phi2) - E(phi1 x phi2)| of each pair.
+    H: Hierarchy, phi1: np.ndarray, phi2: np.ndarray, cfgs: Sequence[EvolutionConfig]
+) -> list[Separation]:
+    """Evolve the first factors ``phi1``, the second factors ``phi2`` and
+    their products over the dt ladder ``cfgs``; one ``Separation`` per cfg
+    holds the factorisation gap sup |E(phi1) x E(phi2) - E(phi1 x phi2)| of
+    each pair.
 
-    Each level marches all pairs at once along a trailing batch axis.  For
-    a separating (tensor-derivation) hierarchy a gap is pure time
-    discretisation error, O(dt^4); a genuinely non-separating level keeps
-    it bounded away from zero.
+    The factors are stacked on one trailing batch axis, pair k in entry k,
+    and each level marches every pair at every step size in one
+    ``_march``.  For a separating (tensor-derivation) hierarchy a gap is
+    pure time discretisation error, O(dt^4); a genuinely non-separating
+    level keeps it bounded away from zero.
     """
-    n1, n2 = pairs[0][0].n, pairs[0][1].n
-    phi1 = np.stack([p1.data for p1, _ in pairs], axis=-1)
-    phi2 = np.stack([p2.data for _, p2 in pairs], axis=-1)
-    psi1 = _march(H.op(n1), phi1, cfg)
-    psi2 = _march(H.op(n2), phi2, cfg)
-    psi12 = _march(H.op(n1 + n2), tensor_data(phi1, phi2, n1), cfg)
-    return Separation(_gaps(psi1, psi2, psi12, n1), (psi1, psi2), psi12)
+    n1, n2 = phi1.ndim - 1, phi2.ndim - 1
+    marches = (_march(H.op(n1), phi1, cfgs), _march(H.op(n2), phi2, cfgs),
+               _march(H.op(n1 + n2), tensor_data(phi1, phi2, n1), cfgs))
+    return [Separation(sup_norms(tensor_data(psi1, psi2, n1) - psi12), (psi1, psi2), psi12)
+            for psi1, psi2, psi12 in zip(*marches)]
 
 
 def replaced_level_gaps(
-    run: Separation,
+    runs: Sequence[Separation],
     F: NonlinearOperator,
-    pairs: Sequence[tuple[WaveFunction, WaveFunction]],
-    cfg: EvolutionConfig,
-) -> list[float]:
-    """Factorisation gaps of ``pairs`` when the second factors evolve under
-    ``F`` in place of the hierarchy's level n2.
+    phi2: np.ndarray,
+    cfgs: Sequence[EvolutionConfig],
+) -> list[list[float]]:
+    """Factorisation gaps, per cfg, of the first pairs when their second
+    factors ``phi2`` evolve under ``F`` in place of the hierarchy's level n2.
 
-    ``run`` is a ``separation_test`` at the same ``cfg`` whose first
-    ``len(pairs)`` pairs are ``pairs``.  Its first-factor and product
-    marches are reused and only ``F`` is marched, so the gaps are those of
-    ``separation_test`` on the hierarchy with level n2 replaced by ``F``,
-    provided the first factors have another particle number than n2.
+    ``runs`` is a ``separation_test`` over ``cfgs`` whose first
+    ``phi2.shape[-1]`` second factors are ``phi2``.  Its first-factor and
+    product marches are reused and only ``F`` is marched, so the gaps are
+    those of ``separation_test`` on the hierarchy with level n2 replaced
+    by ``F``, provided the first factors have another particle number
+    than n2.
     """
-    k = len(pairs)
-    phi2 = np.stack([p2.data for _, p2 in pairs], axis=-1)
-    psi1 = run.evolved[0][..., :k]
-    return _gaps(psi1, _march(F, phi2, cfg), run.psi12[..., :k], psi1.ndim - 1)
+    k = phi2.shape[-1]
+    return [sup_norms(tensor_data(run.evolved[0][..., :k], psi2, run.evolved[0].ndim - 1)
+                      - run.psi12[..., :k]) for run, psi2 in zip(runs, _march(F, phi2, cfgs))]
 
 
 @dataclass(frozen=True)
@@ -217,17 +235,22 @@ def extract_indices(traj: IndexTrajectory) -> IndexPair:
 
 
 def scaling_test(
-    F: NonlinearOperator, phi0: WaveFunction, k: complex, cfg: EvolutionConfig
-) -> float:
-    """Gap || E(k phi) - k^(a,b) E(phi) ||_inf with (a, b) integrated
-    alongside the state from the declared indices of F.  k phi and phi
-    are marched as one batch of two."""
+    F: NonlinearOperator, data: np.ndarray, k: complex, cfgs: Sequence[EvolutionConfig]
+) -> list[tuple[list[float], IndexTrajectory]]:
+    """Gaps || E(k phi) - k^(a,b) E(phi) ||_inf of the states stacked in
+    ``data`` over the dt ladder ``cfgs``, with (a, b) integrated alongside
+    the state from the declared indices of F: per cfg, the gap of every
+    batch entry and the index trajectory.  k phi and phi are marched as
+    one batch."""
     k = complex(k)
     if k == 0:
         raise ValueError("scaling factor must be non-zero")
     if F.indices is None:
         raise ValueError("scaling test needs declared logarithmic indices")
-    traj = index_ode_solve(F.indices.a, F.indices.b, cfg)
-    factor = mixed_power(k, traj.final())
-    out = _march(F, np.stack([k * phi0.data, phi0.data], axis=-1), cfg)
-    return float(np.abs(out[..., 0] - factor * out[..., 1]).max())
+    width = data.shape[-1]
+    runs = []
+    for cfg, out in zip(cfgs, _march(F, np.concatenate([k * data, data], axis=-1), cfgs)):
+        traj = index_ode_solve(F.indices.a, F.indices.b, cfg)
+        factor = mixed_power(k, traj.final())
+        runs.append((sup_norms(out[..., :width] - factor * out[..., width:]), traj))
+    return runs

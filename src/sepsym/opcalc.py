@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IndexMismatch, SpaceMismatch, ZeroAmplitude
 from .mixedpow import IndexPair, pair_action, pair_bracket
-from .space import ConfigSpace, WaveFunction, sup_norms
+from .space import ConfigSpace, sup_norms
 
 # Central-difference step for the Frechet fallback: balances O(h^2)
 # truncation against O(eps/h) round-off at double precision.
@@ -75,13 +75,6 @@ class NonlinearOperator:
 
     def apply(self, t: float, data: np.ndarray) -> np.ndarray:
         return self.eval_fn(t, data)
-
-    def __call__(self, t: float, wf: WaveFunction) -> WaveFunction:
-        if wf.space != self.space or wf.n != self.n:
-            raise SpaceMismatch(
-                f"operator {self.name!r} at n={self.n} applied to n={wf.n} state"
-            )
-        return wf.with_data(self.apply(t, wf.data))
 
     def derivative(
         self,

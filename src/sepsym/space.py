@@ -102,12 +102,6 @@ class WaveFunction:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    def norm_inf(self) -> float:
-        return float(np.abs(self.data).max())
-
-    def with_data(self, data: np.ndarray) -> "WaveFunction":
-        return WaveFunction(self.n, self.space, data)
-
 
 def tensor_data(a: np.ndarray, b: np.ndarray, n1: int) -> np.ndarray:
     """Tensor product of state arrays with trailing batch axes, entry by entry.

@@ -120,7 +120,7 @@ def test_scan_sees_package_functions():
     members = {f"{cls.name}.{member}" for tree in trees.values()
                for cls in tree.body if isinstance(cls, ast.ClassDef)
                for member in _members(cls)}
-    assert {"NonlinearOperator.derivative", "WaveFunction.norm_inf",
+    assert {"NonlinearOperator.derivative", "WaveFunction.data",
             "ConfigSpace.spacing", "Hierarchy.ops"} <= members
 
 

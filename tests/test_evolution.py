@@ -10,7 +10,7 @@ from sepsym.checks import CHECKS, run_check
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
     EvolutionConfig,
-    evolve,
+    _march,
     extract_indices,
     index_ode_solve,
     replaced_level_gaps,
@@ -31,7 +31,7 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import load_scenario, random_hermitian
-from sepsym.space import WaveFunction, random_state, tensor
+from sepsym.space import WaveFunction, random_batch, random_state, tensor_data
 
 
 def nz(n, space, rng):
@@ -42,8 +42,8 @@ class TestEvolve:
     def test_zero_operator_keeps_state(self, space4, rng):
         phi = random_state(2, space4, rng)
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.2)
-        out = evolve(zero_op(space4, 2), phi, cfg)
-        assert np.array_equal(out.data, phi.data)
+        [out] = _march(zero_op(space4, 2), phi.data, [cfg])
+        assert np.array_equal(out, phi.data)
 
     def test_linear_matches_expm_oracle(self, space4, rng):
         A = random_hermitian(space4, rng)
@@ -52,11 +52,11 @@ class TestEvolve:
         errs = []
         for dt in (0.02, 0.01):
             cfg = EvolutionConfig(dt=dt, t0=0.0, t1=1.0)
-            out = evolve(F, phi, cfg)
+            [out] = _march(F, phi.data, [cfg])
             oracle = scipy.linalg.expm(-1j * A) @ phi.data
-            errs.append(np.abs(out.data - oracle).max())
+            errs.append(np.abs(out - oracle).max())
             # Hermitian drive conserves the 2-norm up to the same order
-            assert abs(np.linalg.norm(out.data) - np.linalg.norm(phi.data)) <= 10 * errs[-1] + 1e-12
+            assert abs(np.linalg.norm(out) - np.linalg.norm(phi.data)) <= 10 * errs[-1] + 1e-12
         assert errs[0] <= 1e-6
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -67,9 +67,9 @@ class TestEvolve:
         theta = rng.uniform(-2.0, 2.0, 4)
         phi = WaveFunction(1, space4, np.exp(1j * theta))
         cfg = EvolutionConfig(dt=0.001, t0=0.0, t1=1.0)
-        out = evolve(F, phi, cfg)
+        [out] = _march(F, phi.data, [cfg])
         oracle = np.exp(1j * theta * cmath.exp(-1j * p))
-        assert np.abs(out.data - oracle).max() <= 1e-10
+        assert np.abs(out - oracle).max() <= 1e-10
 
     def test_lambda_general_pointwise_oracle(self, space4, rng):
         # d(ln w)/dt is the real-linear action of -i(p,q)/hbar on ln w
@@ -78,7 +78,7 @@ class TestEvolve:
         F = lambda_op(idx, 1, space4)
         phi = nz(1, space4, rng)
         cfg = EvolutionConfig(dt=0.0005, t0=0.0, t1=0.5, hbar=hbar)
-        out = evolve(F, phi, cfg)
+        [out] = _march(F, phi.data, [cfg])
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # multiplication by -i
         M = rot @ matrix_rep(idx) / hbar
         flow = scipy.linalg.expm(0.5 * M)
@@ -86,7 +86,7 @@ class TestEvolve:
         comps = np.stack([ln0.real, ln0.imag])
         ln1 = flow @ comps
         oracle = np.exp(ln1[0] + 1j * ln1[1])
-        assert np.abs(out.data - oracle).max() <= 1e-9
+        assert np.abs(out - oracle).max() <= 1e-9
 
     def test_zero_crossing_aborts(self, space4):
         # imaginary first index drains the modulus towards the floor
@@ -94,7 +94,7 @@ class TestEvolve:
         phi = WaveFunction(1, space4, np.full(4, 0.3 + 0j))
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=2.0)
         with pytest.raises(ZeroAmplitude):
-            evolve(F, phi, cfg)
+            _march(F, phi.data, [cfg])
 
     def test_step_mismatch(self):
         with pytest.raises(StepMismatch):
@@ -103,26 +103,30 @@ class TestEvolve:
             EvolutionConfig(dt=0.1, t0=1.0, t1=0.5)
 
 
-class TestSeparation:
-    def hierarchy(self, space):
-        gens = [
-            Generator(log_modulus_op(space, 1.0)),
-            Generator(cross_ratio_op(space, coupling=0.25)),
-        ]
-        return Hierarchy.from_generators(gens, 3)
+def separating_hierarchy(space):
+    gens = [
+        Generator(log_modulus_op(space, 1.0)),
+        Generator(cross_ratio_op(space, coupling=0.25)),
+    ]
+    return Hierarchy.from_generators(gens, 3)
 
-    def perturbed(self, space):
-        ops = list(self.hierarchy(space).ops)
-        ops[1] = op_combine([ops[1], nonseparating_op(space, 2, 0.5)])
-        return Hierarchy(tuple(ops))
+
+def perturbed_hierarchy(space):
+    ops = list(separating_hierarchy(space).ops)
+    ops[1] = op_combine([ops[1], nonseparating_op(space, 2, 0.5)])
+    return Hierarchy(tuple(ops))
+
+
+class TestSeparation:
+    def pairs(self, space, rng, count):
+        # pair k's one- and two-particle states, drawn in turn
+        return random_batch((1, 2), space, [rng] * count)
 
     def test_fourth_order_decay(self, space3, rng):
-        H = self.hierarchy(space3)
-        pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(3)]
-        res = []
-        for dt in (0.02, 0.01):
-            cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
-            res.append(sum(separation_test(H, pairs, cfg).gaps))
+        H = separating_hierarchy(space3)
+        phi1, phi2 = self.pairs(space3, rng, 3)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01)]
+        res = [sum(run.gaps) for run in separation_test(H, phi1, phi2, cfgs)]
         assert res[0] <= 1e-6
         assert 10.0 <= res[0] / res[1] <= 22.0
 
@@ -130,51 +134,48 @@ class TestSeparation:
         A = random_hermitian(space3, rng)
         g = Generator(site_matrix_op(space3, A))
         H = Hierarchy.from_generators([g], 3)
-        pairs = [(nz(1, space3, rng), nz(2, space3, rng))]
-        res = [
-            separation_test(H, pairs, EvolutionConfig(dt=dt, t0=0.0, t1=0.5)).gaps[0]
-            for dt in (0.02, 0.01)
-        ]
+        phi1, phi2 = self.pairs(space3, rng, 1)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01)]
+        res = [run.gaps[0] for run in separation_test(H, phi1, phi2, cfgs)]
         assert res[0] <= 1e-5  # pure time-discretisation error
         assert 12.0 <= res[0] / res[1] <= 20.0
 
     def test_non_separating_plateau(self, space3, rng):
-        bad = self.perturbed(space3)
-        pairs = [(nz(1, space3, rng), nz(2, space3, rng))]
-        r1 = separation_test(bad, pairs, EvolutionConfig(dt=0.02, t0=0.0, t1=0.5)).gaps[0]
-        r2 = separation_test(bad, pairs, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)).gaps[0]
+        bad = perturbed_hierarchy(space3)
+        phi1, phi2 = self.pairs(space3, rng, 1)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01)]
+        r1, r2 = [run.gaps[0] for run in separation_test(bad, phi1, phi2, cfgs)]
         assert r1 > 1e-2 and r2 > 1e-2
         assert abs(r1 - r2) / r1 < 0.01  # dt-independent limit
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_batch_matches_per_pair_reference(self, space3, rng, perturbed):
-        H = self.perturbed(space3) if perturbed else self.hierarchy(space3)
-        pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(4)]
-        for dt in (0.02, 0.01, 0.005):
-            cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
-            run = separation_test(H, pairs, cfg)
-            assert len(run.gaps) == len(pairs)
-            for k, (phi1, phi2) in enumerate(pairs):
-                psi1 = evolve(H.op(1), phi1, cfg)
-                psi2 = evolve(H.op(2), phi2, cfg)
-                psi12 = evolve(H.op(3), tensor(phi1, phi2), cfg)
-                assert np.array_equal(run.evolved[0][..., k], psi1.data)
-                assert np.array_equal(run.evolved[1][..., k], psi2.data)
-                assert run.gaps[k] == float(np.abs(tensor(psi1, psi2).data - psi12.data).max())
+        H = perturbed_hierarchy(space3) if perturbed else separating_hierarchy(space3)
+        phi1, phi2 = self.pairs(space3, rng, 4)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01, 0.005)]
+        for cfg, run in zip(cfgs, separation_test(H, phi1, phi2, cfgs)):
+            assert len(run.gaps) == 4
+            for k in range(4):
+                [psi1] = _march(H.op(1), phi1[..., k], [cfg])
+                [psi2] = _march(H.op(2), phi2[..., k], [cfg])
+                [psi12] = _march(H.op(3), tensor_data(phi1[..., k], phi2[..., k], 1), [cfg])
+                assert np.array_equal(run.evolved[0][..., k], psi1)
+                assert np.array_equal(run.evolved[1][..., k], psi2)
+                assert run.gaps[k] == float(np.abs(np.multiply.outer(psi1, psi2) - psi12).max())
 
     def test_replaced_level_reuses_the_unperturbed_marches(self, space3, rng):
-        H, bad = self.hierarchy(space3), self.perturbed(space3)
-        pairs = [(nz(1, space3, rng), nz(2, space3, rng)) for _ in range(4)]
-        for dt in (0.02, 0.01):
-            cfg = EvolutionConfig(dt=dt, t0=0.0, t1=0.5)
-            run = separation_test(H, pairs, cfg)
-            for k in (1, 2):
-                assert replaced_level_gaps(run, bad.op(2), pairs[:k], cfg) \
-                    == separation_test(bad, pairs[:k], cfg).gaps
+        H, bad = separating_hierarchy(space3), perturbed_hierarchy(space3)
+        phi1, phi2 = self.pairs(space3, rng, 4)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01)]
+        runs = separation_test(H, phi1, phi2, cfgs)
+        for k in (1, 2):
+            assert replaced_level_gaps(runs, bad.op(2), phi2[..., :k], cfgs) == [
+                run.gaps for run in separation_test(bad, phi1[..., :k], phi2[..., :k], cfgs)]
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_check_plateau_equals_perturbed_hierarchy_march(self, monkeypatch, seed):
-        # the check's plateau against a full march of the perturbed hierarchy
+        # the check's plateau against full one-step-size marches of the
+        # perturbed hierarchy
         sc = load_scenario("separation-evolution", set(CHECKS))
         if seed is not None:
             sc = replace(sc, seed=seed)
@@ -182,19 +183,110 @@ class TestSeparation:
                       if c["name"] == "separation-evolution")
         seen = []
 
-        def recording(H, pairs, cfg):
-            seen.append((H, pairs, cfg))
-            return separation_test(H, pairs, cfg)
+        def recording(H, phi1, phi2, cfgs):
+            seen.append((H, phi1, phi2, cfgs))
+            return separation_test(H, phi1, phi2, cfgs)
 
         monkeypatch.setattr(checks, "separation_test", recording)
         result = run_check("separation-evolution", sc, params)
-        H, pairs, _ = seen[0]
+        [(H, phi1, phi2, cfgs)] = seen
         ops = list(H.ops)
         ops[1] = op_combine([ops[1], nonseparating_op(H.space, 2, 0.5)])
         bad = Hierarchy(tuple(ops))
         assert result.details["criteria"]["plateau"]["value"] == [
-            separation_test(bad, pairs[:1], cfg).gaps[0] for _, _, cfg in seen[:2]
+            separation_test(bad, phi1[..., :1], phi2[..., :1], [cfg])[0].gaps[0]
+            for cfg in cfgs[:2]
         ]
+
+
+class TestLadder:
+    """A dt ladder marched in one lock-step loop ends, entry by entry, bit
+    for bit where a march at each step size alone ends."""
+
+    DTS = (0.02, 0.01, 0.005)
+
+    def cfgs(self, dts=DTS, t1=0.5, hbar=1.0):
+        return [EvolutionConfig(dt=dt, t0=0.0, t1=t1, hbar=hbar) for dt in dts]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_march_equals_one_step_size_marches(self, space3, seed):
+        F = separating_hierarchy(space3).op(3)
+        [data] = random_batch((3,), space3, [(seed, k) for k in range(2)])
+        # the ladder's order is the caller's, not the march's finest-first one
+        cfgs = self.cfgs((0.01, 0.02, 0.005), hbar=1.3)
+        for cfg, out in zip(cfgs, _march(F, data, cfgs)):
+            assert np.array_equal(out, _march(F, data, [cfg])[0])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_separation_and_plateau_equal_one_step_size_runs(self, space3, seed):
+        H = separating_hierarchy(space3)
+        bad2 = perturbed_hierarchy(space3).op(2)
+        phi1, phi2 = random_batch((1, 2), space3, [(seed, k) for k in range(4)])
+        cfgs = self.cfgs()
+        runs = separation_test(H, phi1, phi2, cfgs)
+        plateau = replaced_level_gaps(runs[:2], bad2, phi2[..., :1], cfgs[:2])
+        for i, cfg in enumerate(cfgs):
+            [alone] = separation_test(H, phi1, phi2, [cfg])
+            assert runs[i].gaps == alone.gaps
+            assert np.array_equal(runs[i].psi12, alone.psi12)
+            for ladder, single in zip(runs[i].evolved, alone.evolved):
+                assert np.array_equal(ladder, single)
+            if i < 2:
+                assert plateau[i] == replaced_level_gaps([alone], bad2, phi2[..., :1], [cfg])[0]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("make", [
+        lambda sp: lambda_op(IndexPair(1.3, 0.7), 1, sp),
+        lambda sp: rms_log_modulus_op(sp, 0.8),
+    ])
+    def test_scaling_equals_one_step_size_runs(self, space4, seed, make):
+        F = make(space4)
+        [data] = random_batch((1,), space4, [(seed, k) for k in range(2)])
+        cfgs = self.cfgs(t1=1.0, hbar=1.3)
+        for cfg, (gaps, traj) in zip(cfgs, scaling_test(F, data, 1.4 + 0.3j, cfgs)):
+            [(alone_gaps, alone_traj)] = scaling_test(F, data, 1.4 + 0.3j, [cfg])
+            assert gaps == alone_gaps
+            assert np.array_equal(traj.a, alone_traj.a) and np.array_equal(traj.b, alone_traj.b)
+
+    def test_each_level_takes_the_finest_step_count(self, space3, rng):
+        # (0.02, 0.01, 0.005) over 0.5 is 25 + 50 + 100 steps one at a time,
+        # but 100 steps, 4 apply calls each, in lock step
+        calls = {}
+
+        def counted(op):
+            def ev(t, data):
+                calls[op.n] = calls.get(op.n, 0) + 1
+                return op.eval_fn(t, data)
+            return replace(op, eval_fn=ev)
+
+        H = separating_hierarchy(space3)
+        phi1, phi2 = random_batch((1, 2), space3, [rng] * 4)
+        separation_test(Hierarchy(tuple(counted(op) for op in H.ops)), phi1, phi2, self.cfgs())
+        assert calls == {1: 400, 2: 400, 3: 400}
+
+    @pytest.mark.parametrize("other", [
+        EvolutionConfig(dt=0.01, t0=0.0, t1=1.0),
+        EvolutionConfig(dt=0.01, t0=0.1, t1=0.5),
+        EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3),
+    ])
+    def test_mismatched_horizon_or_hbar_raises(self, space3, rng, other):
+        [data] = random_batch((1,), space3, [rng])
+        with pytest.raises(ValueError, match="share t0, t1 and hbar"):
+            _march(log_modulus_op(space3), data, [EvolutionConfig(dt=0.02, t0=0.0, t1=0.5), other])
+
+    def test_time_dependent_operator_needs_one_step_size(self, space3, rng):
+        F = lambda_op(lambda t: IndexPair(1.0 + 0.1 * t, 0.5), 1, space3)
+        assert F.time_dependent
+        [data] = random_batch((1,), space3, [rng])
+        [out] = _march(F, data, self.cfgs(self.DTS[:1]))
+        assert np.all(np.isfinite(out))
+        with pytest.raises(ValueError, match="time-independent"):
+            _march(F, data, self.cfgs(self.DTS[:2]))
+
+    def test_ladder_needs_a_batch_axis(self, space3, rng):
+        [data] = random_batch((1,), space3, [rng])
+        with pytest.raises(ValueError, match="batch axis"):
+            _march(log_modulus_op(space3), data[..., 0], self.cfgs(self.DTS[:2]))
 
 
 class TestIndexOde:
@@ -265,28 +357,28 @@ class TestScaling:
         # separate marches bit for bit; the rms mean over four sites adds
         # in the same order with or without the batch axis
         F = make(space4)
-        phi = nz(1, space4, rng)
+        phi = nz(1, space4, rng).data
         k = 1.4 + 0.3j
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3)
         factor = mixed_power(k, index_ode_solve(F.indices.a, F.indices.b, cfg).final())
-        scaled = evolve(F, phi.with_data(k * phi.data), cfg)
-        base = evolve(F, phi, cfg)
-        two_marches = float(np.abs(scaled.data - factor * base.data).max())
-        assert scaling_test(F, phi, k, cfg) == two_marches
+        [scaled] = _march(F, k * phi, [cfg])
+        [base] = _march(F, phi, [cfg])
+        two_marches = float(np.abs(scaled - factor * base).max())
+        [(gaps, _)] = scaling_test(F, phi[..., None], k, [cfg])
+        assert gaps == [two_marches]
 
     def test_strictly_homogeneous_exact(self, space4, rng):
         F = rms_log_modulus_op(space4, 0.8)
-        phi = nz(1, space4, rng)
+        [phi] = random_batch((1,), space4, [rng])
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)
-        assert scaling_test(F, phi, 0.7 - 0.4j, cfg) <= 1e-12
+        [([gap], _)] = scaling_test(F, phi, 0.7 - 0.4j, [cfg])
+        assert gap <= 1e-12
 
     def test_lambda_fourth_order(self, space4, rng):
         F = lambda_op(IndexPair(1.3, 1.3), 1, space4)
-        phi = nz(1, space4, rng)
-        res = [
-            scaling_test(F, phi, 1.4 + 0.3j, EvolutionConfig(dt=dt, t0=0.0, t1=1.0))
-            for dt in (0.02, 0.01)
-        ]
+        [phi] = random_batch((1,), space4, [rng])
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=1.0) for dt in (0.02, 0.01)]
+        res = [gaps[0] for gaps, _ in scaling_test(F, phi, 1.4 + 0.3j, cfgs)]
         assert 12.0 <= res[0] / res[1] <= 20.0
 
     def test_scale_factor_matches_closed_form(self, space4, rng):
@@ -304,5 +396,6 @@ class TestScaling:
         from dataclasses import replace
 
         F = replace(F, indices=None)
+        [data] = random_batch((2,), space4, [rng])
         with pytest.raises(ValueError):
-            scaling_test(F, nz(2, space4, rng), 2.0, EvolutionConfig(dt=0.01, t0=0.0, t1=0.5))
+            scaling_test(F, data, 2.0, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)])
