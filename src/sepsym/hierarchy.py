@@ -85,33 +85,37 @@ def _slot_sum(
     batch axes the arrays carry, so one kernel call evaluates every tuple
     with all other variables held as parameters; the slices are then
     transposed back and added in tuple order.  A single tuple passes its
-    transposed view without a copy.
+    transposed view without a copy; a linearisation permutes its state once.
     """
     perms = [J + tuple(ax for ax in range(m) if ax not in J) for J in Js]
     inverses = [tuple(int(ax) for ax in np.argsort(p)) for p in perms]
 
+    def stack(a):
+        batch = tuple(range(m, a.ndim))
+        views = [a.transpose(p + batch)[..., None] for p in perms]
+        return views[0] if len(views) == 1 else np.concatenate(views, axis=-1)
+
+    def unstack(out):
+        batch = tuple(range(m, out.ndim - 1))
+        total = out[..., 0].transpose(inverses[0] + batch)
+        for k, inv in enumerate(inverses[1:], start=1):
+            total = total + out[..., k].transpose(inv + batch)
+        return total
+
     def lifted(fn):
         if fn is None:
             return None
+        return lambda t, *arrays: unstack(fn(t, *map(stack, arrays)))
 
-        def kernel(t, *arrays):
-            batch = tuple(range(m, arrays[0].ndim))
-            args = []
-            for a in arrays:
-                views = [a.transpose(p + batch)[..., None] for p in perms]
-                args.append(views[0] if len(views) == 1 else np.concatenate(views, axis=-1))
-            out = fn(t, *args)
-            total = out[..., 0].transpose(inverses[0] + batch)
-            for k, inv in enumerate(inverses[1:], start=1):
-                total = total + out[..., k].transpose(inv + batch)
-            return total
-
-        return kernel
+    def linearize(t, data):
+        value, tangent = op.linearize(t, stack(data))
+        return unstack(value), lambda eta: unstack(tangent(stack(eta)))
 
     return NonlinearOperator(
         n=m, space=op.space, eval_fn=lifted(op.eval_fn),
         derivative_fn=lifted(op.derivative_fn),
         second_derivative_fn=lifted(op.second_derivative_fn),
+        linearize_fn=None if op.derivative_fn is None else linearize,
         indices=None if op.indices is None else len(Js) * op.indices,
         time_dependent=op.time_dependent, name=name,
     )

@@ -43,10 +43,10 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state.
 
     Either side may be a family, a list of same-level generators: the call
-    returns one array per entry and evaluates the other side's lifted
-    values once for the whole family.  A lifted value is evaluated at its
-    first use and freed after its last.  The only loop over slot tuples
-    (J outer, family entries, K inner); both corollaries below call it.
+    returns one array per entry.  Each lift is linearised once, at its first
+    use, for its value and its tangent map, and freed after its last; the
+    other side's lifts serve the whole family.  The only loop over slot
+    tuples (J outer, family entries, K inner); both corollaries call it.
     """
     Fs, Gs = _family(F), _family(G)
     if min(len(Fs), len(Gs)) > 1 or len({g.ell for g in Fs}) > 1 or len({g.ell for g in Gs}) > 1:
@@ -61,16 +61,16 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     terms = [(i, ("F", i % len(Fs), J), ("G", i % len(Gs), K))
              for J in Js for i in range(size) for K in Ks if not set(J) <= set(K)]
     last = {key: k for k, (_, *keys) in enumerate(terms) for key in keys}
-    vals, accs = {}, [np.zeros_like(data) for _ in range(size)]
+    lin, accs = {}, [np.zeros_like(data) for _ in range(size)]  # lin: key -> (value, tangent)
     for k, (i, fk, gk) in enumerate(terms):
         for key in (fk, gk):
-            if key not in vals:
-                vals[key] = lifts[key].apply(t, data)
-        accs[i] += lifts[fk].derivative(t, data, vals[gk])
-        accs[i] -= lifts[gk].derivative(t, data, vals[fk])
+            if key not in lin:
+                lin[key] = lifts[key].linearize(t, data)
+        accs[i] += lin[fk][1](lin[gk][0])
+        accs[i] -= lin[gk][1](lin[fk][0])
         for key in (fk, gk):
             if last[key] == k:
-                del vals[key]
+                del lin[key]
     return accs if isinstance(F, list) or isinstance(G, list) else accs[0]
 
 
@@ -107,11 +107,7 @@ def obstruction_lhs(
 ) -> np.ndarray:
     """[F#_n, G#_n] phi - ([F#_m, G]#)_n phi."""
     _check_range(F.ell, G.ell, n)
-    Fn = canonical_lift(F, n)
-    Gn = canonical_lift(G, n)
-    term1 = Fn.derivative(t, data, Gn.apply(t, data)) - Gn.derivative(
-        t, data, Fn.apply(t, data)
-    )
+    term1 = lie_bracket(canonical_lift(F, n), canonical_lift(G, n)).apply(t, data)
     H = bracket_gen if bracket_gen is not None else bracket_generator(F, G)
     term2 = canonical_lift(H, n).apply(t, data)
     return term1 - term2

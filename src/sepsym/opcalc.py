@@ -34,10 +34,13 @@ FD_STEP = 1e-5
 NOWHERE_ZERO_FLOOR = 1e-8
 
 
-def require_nowhere_zero(data: np.ndarray) -> None:
-    m = np.abs(data).min()
+def require_nowhere_zero(data: np.ndarray) -> np.ndarray:
+    """|data|, after checking that no entry is below the floor."""
+    mod = np.abs(data)
+    m = mod.min()
     if m < NOWHERE_ZERO_FLOOR:
         raise ZeroAmplitude(f"amplitude {m:.3e} below floor {NOWHERE_ZERO_FLOOR:.0e}")
+    return mod
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,16 @@ class NonlinearOperator:
     its derivative in a second direction v.  ``indices`` declares
     mixed-logarithmic homogeneity indices when known.
 
-    Kernel contract: all three kernels act on the leading n particle axes
+    ``linearize_fn(t, data)`` returns ``(F(data), eta -> DF(data).eta)``
+    from one preparation of the state, equal bit for bit to ``eval_fn`` and
+    ``derivative_fn`` (one formula each); without it an operator
+    linearises as ``(apply, derivative)``.  A ``replace`` of either kernel
+    must replace it too.
+
+    Kernel contract: all four kernels act on the leading n particle axes
     of arrays shaped ``(size,)*n + batch`` and broadcast over any number
     of trailing batch axes (a gufunc with its core axes in front).  Each
-    batch entry is an independent state, so a kernel that sums, rolls or
+    batch entry is an independent state, so a kernel that sums, shifts or
     multiplies over sites does so along the particle axes only.
 
     ``pointwise_lambda`` is set only by ``lambda_op`` with static indices,
@@ -72,9 +81,16 @@ class NonlinearOperator:
     time_dependent: bool = False
     name: str = ""
     pointwise_lambda: IndexPair | None = None
+    linearize_fn: Callable[[float, np.ndarray], tuple] | None = None
 
     def apply(self, t: float, data: np.ndarray) -> np.ndarray:
         return self.eval_fn(t, data)
+
+    def linearize(self, t: float, data: np.ndarray) -> tuple:
+        """The value and the tangent map at one state, for many directions."""
+        if self.linearize_fn is not None:
+            return self.linearize_fn(t, data)
+        return self.apply(t, data), lambda eta: self.derivative(t, data, eta)
 
     def derivative(
         self,
@@ -122,7 +138,8 @@ def op_combine(
     """Complex-linear combination sum_k c_k F_k of same-level operators.
 
     Mixed-logarithmic indices combine linearly, so declared indices are
-    propagated whenever every part declares them.
+    propagated whenever every part declares them.  With closed derivatives
+    in every part, it linearises as the sum of its parts' linearisations.
     """
     if not ops:
         raise ValueError("empty operator combination")
@@ -132,26 +149,32 @@ def op_combine(
             raise SpaceMismatch("combined operators must share level and space")
     cs = [complex(c) for c in (coeffs if coeffs is not None else [1.0] * len(ops))]
 
+    def weighted(terms):
+        # sum_k c_k x_k in order; each x_k is named, so none is elided
+        out = cs[0] * terms[0]
+        for c, x in zip(cs[1:], terms[1:]):
+            out += c * x
+        return out
+
     def combined(attr):
         # sum_k c_k of one kernel of every part; None unless all parts have it
         fns = [getattr(op, attr) for op in ops]
         if any(fn is None for fn in fns):
             return None
+        return lambda t, *arrays: weighted([fn(t, *arrays) for fn in fns])
 
-        def kernel(t, *arrays):
-            out = cs[0] * fns[0](t, *arrays)
-            for c, fn in zip(cs[1:], fns[1:]):
-                out += c * fn(t, *arrays)
-            return out
+    def linearize(t, data):
+        values, tangents = zip(*(op.linearize(t, data) for op in ops))
+        return weighted(values), lambda eta: weighted([tan(eta) for tan in tangents])
 
-        return kernel
-
+    derivative = combined("derivative_fn")
     return NonlinearOperator(
         n=first.n,
         space=first.space,
         eval_fn=combined("eval_fn"),
-        derivative_fn=combined("derivative_fn"),
+        derivative_fn=derivative,
         second_derivative_fn=combined("second_derivative_fn"),
+        linearize_fn=None if derivative is None else linearize,
         indices=_merge_indices([op.indices for op in ops], cs),
         time_dependent=any(op.time_dependent for op in ops),
         name=name or " + ".join(op.name for op in ops),
@@ -169,27 +192,17 @@ def lie_bracket(F: NonlinearOperator, G: NonlinearOperator) -> NonlinearOperator
         raise SpaceMismatch("bracket operands must share level and space")
 
     def ev(t, data):
-        return F.derivative(t, data, G.apply(t, data)) - G.derivative(
-            t, data, F.apply(t, data)
-        )
+        (Fx, DF), (Gx, DG) = F.linearize(t, data), G.linearize(t, data)
+        return DF(Gx) - DG(Fx)
 
     deriv = None
-    if (
-        F.derivative_fn is not None
-        and G.derivative_fn is not None
-        and F.second_derivative_fn is not None
-        and G.second_derivative_fn is not None
-    ):
+    if None not in (F.derivative_fn, G.derivative_fn,
+                    F.second_derivative_fn, G.second_derivative_fn):
 
         def deriv(t, data, eta):
-            Gx = G.eval_fn(t, data)
-            Fx = F.eval_fn(t, data)
-            return (
-                F.second_derivative_fn(t, data, Gx, eta)
-                + F.derivative_fn(t, data, G.derivative_fn(t, data, eta))
-                - G.second_derivative_fn(t, data, Fx, eta)
-                - G.derivative_fn(t, data, F.derivative_fn(t, data, eta))
-            )
+            (Fx, DF), (Gx, DG) = F.linearize(t, data), G.linearize(t, data)
+            return (F.second_derivative_fn(t, data, Gx, eta) + DF(DG(eta))
+                    - G.second_derivative_fn(t, data, Fx, eta) - DG(DF(eta)))
 
     indices = None
     if F.indices is not None and G.indices is not None:

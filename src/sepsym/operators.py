@@ -1,12 +1,14 @@
 """Built-in operator families.
 
 All constructors return :class:`~sepsym.opcalc.NonlinearOperator` values
-with closed-form first derivatives (and second derivatives where they are
-cheap), so bracket and obstruction computations never fall back to finite
-differences for the bundled families.  Every kernel obeys the batched
-contract of ``NonlinearOperator``: particle axes first, batch axes after.
-The complex-linear families all come from ``linear_op``, and the
-logarithmic ones, c psi m(psi) for a multiplier m, from ``multiplier_op``.
+with closed-form first derivatives (second ones where cheap), so bracket
+and obstruction sums never fall back to finite differences for the bundled
+families.  Every kernel obeys the batched contract of ``NonlinearOperator``:
+particle axes first, batch axes after; a site shift is a gather along the
+particle axis (``data[sigma]``), which takes a lifted view as it is.  The
+complex-linear families come from ``linear_op``; the logarithmic ones,
+c psi m(psi), from ``multiplier_op``, whose value and derivative are one
+formula each, shared by ``linearize`` to prepare m once per state.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
 def multiplier_op(
     space: ConfigSpace, n: int, coeff: complex, mult: Callable, dmult: Callable,
     d2mult: Callable | None, indices: IndexPair | None, name: str,
-    time_dependent: bool = False,
+    time_dependent: bool = False, log_self: bool = False,
 ) -> NonlinearOperator:
-    """The operator psi -> c psi m(psi) of a multiplier ``mult(t, data)``.
+    """The operator psi -> c psi m(psi) of a multiplier ``mult(t, data, |data|)``.
 
     ``dmult(t, data, eta)`` is the derivative Dm.eta and ``d2mult(t, data,
     u, v)`` the second derivative D2m.(u, v), or None where there is no
@@ -82,30 +84,43 @@ def multiplier_op(
         DF.eta     = c (eta m + psi Dm.eta)
         D2F.(u, v) = c (u Dm.v + v Dm.u + psi D2m.(u, v))
 
-    Each kernel requires a nowhere-zero state.  At c = 1, where lambda and
-    the cross ratio's unsymmetrised kernels always run, the kernels skip
-    the scaling, an extra pass over every array of a large lift.
+    With ``log_self``, m = ln psi + r(psi) and ``dmult``/``d2mult`` are
+    those of r: psi D(ln psi).eta = eta then costs no division by psi.
+    Each kernel requires a nowhere-zero state; ``linearize`` checks it and
+    forms m once for the value and every direction.  At c = 1, where lambda
+    and the cross ratio's unsymmetrised kernels always run, the kernels
+    skip the scaling, an extra pass over every array of a large lift.
     """
     c = complex(coeff)
 
     def scaled(x):
         return x if c == 1 else c * x
 
-    def ev(t, data):
-        require_nowhere_zero(data)
-        return scaled(data) * mult(t, data)
+    def prepare(t, data):
+        return mult(t, data, require_nowhere_zero(data))
 
-    def deriv(t, data, eta):
-        require_nowhere_zero(data)
-        return scaled(eta * mult(t, data) + data * dmult(t, data, eta))
+    def value(data, m):
+        return scaled(data) * m
+
+    def tangent(t, data, m):
+        def along(eta):
+            out = eta * m + data * dmult(t, data, eta)
+            return scaled(np.add(out, eta, out=out) if log_self else out)
+        return along
+
+    def linearize(t, data):
+        m = prepare(t, data)
+        return value(data, m), tangent(t, data, m)
 
     def second(t, data, u, v):
         require_nowhere_zero(data)
-        return scaled(u * dmult(t, data, v) + v * dmult(t, data, u) + data * d2mult(t, data, u, v))
+        out = u * dmult(t, data, v) + v * dmult(t, data, u) + data * d2mult(t, data, u, v)
+        return scaled(out + u * v / data if log_self else out)
 
     return NonlinearOperator(
-        n=n, space=space, eval_fn=ev, derivative_fn=deriv,
-        second_derivative_fn=None if d2mult is None else second,
+        n=n, space=space, eval_fn=lambda t, data: value(data, prepare(t, data)),
+        derivative_fn=lambda t, data, eta: tangent(t, data, prepare(t, data))(eta),
+        second_derivative_fn=None if d2mult is None else second, linearize_fn=linearize,
         indices=indices, time_dependent=time_dependent, name=name,
     )
 
@@ -128,11 +143,11 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
             last[:] = [t, idx(t)]
         return last[1]
 
-    def mult(t, data):
+    def mult(t, data, mod):
         # (a,b) . principal_log(data) = a ln|data| + i b arg data, taken from
         # the two real parts without assembling the complex logarithm
         pair = idxfn(t)
-        return pair.a * np.log(np.abs(data)) + 1j * pair.b * np.arctan2(data.imag, data.real)
+        return pair.a * np.log(mod) + 1j * pair.b * np.arctan2(data.imag, data.real)
 
     label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     op = multiplier_op(
@@ -149,12 +164,6 @@ def log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOperato
     return lambda_op(IndexPair(coeff, 0.0), 1, space).renamed("log-modulus")
 
 
-def _roll_sites(space: ConfigSpace, data: np.ndarray, shift: int) -> np.ndarray:
-    """Values at the site shifted by ``shift`` grid steps (one-particle)."""
-    arr = data.reshape(space.internal_size, space.grid_size, -1)
-    return np.roll(arr, -shift, axis=1).reshape(data.shape)
-
-
 def shifted_log_modulus_op(
     space: ConfigSpace, coeff: complex = 1.0, shift: int = 1
 ) -> NonlinearOperator:
@@ -166,7 +175,7 @@ def shifted_log_modulus_op(
     sigma = _site_shift_index(space, shift)
     return multiplier_op(
         space, 1, coeff,
-        lambda t, data: np.log(np.abs(data[sigma])),
+        lambda t, data, mod: np.log(mod[sigma]),
         lambda t, data, eta: (eta[sigma] / data[sigma]).real,
         lambda t, data, u, v: -(u[sigma] * v[sigma] / data[sigma] ** 2).real,
         IndexPair(complex(coeff), 0.0), f"shifted-log-modulus({shift})",
@@ -185,7 +194,7 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
 
     return multiplier_op(
         space, 1, coeff,
-        lambda t, data: centred(np.log(np.abs(data))),
+        lambda t, data, mod: centred(np.log(mod)),
         lambda t, data, eta: centred((eta / data).real),
         lambda t, data, u, v: -centred((u * v / data**2).real),
         ZERO_PAIR, "relative-log-modulus",
@@ -201,17 +210,17 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     have exactly commuting disjoint-slot liftings; this one does not, so
     it drives genuinely non-zero lifting obstructions.
     """
-    def ms(data):
-        return (np.abs(data) ** 2).mean(axis=0)
+    def ms(mod):
+        return (mod**2).mean(axis=0)
 
-    def mult(t, data):
-        return np.log(np.abs(data)) - 0.5 * np.log(ms(data))
+    def mult(t, data, mod):
+        return np.log(mod) - 0.5 * np.log(ms(mod))
 
     def dmult(t, data, eta):
-        return (eta / data).real - (np.conj(data) * eta).real.mean(axis=0) / ms(data)
+        return (eta / data).real - (np.conj(data) * eta).real.mean(axis=0) / ms(np.abs(data))
 
     def d2mult(t, data, u, v):
-        r2 = ms(data)
+        r2 = ms(np.abs(data))
         du = (np.conj(data) * u).real.mean(axis=0) / r2
         dv = (np.conj(data) * v).real.mean(axis=0) / r2
         duv = (np.conj(u) * v).real.mean(axis=0) / r2
@@ -250,49 +259,57 @@ def cross_ratio_op(
     phi(x1,x2) phi(r,r) / (phi(r,x2) phi(x1,r)), the same cross ratio with
     its two denominator factors commuted.  The values agree with the
     average up to the round-off of that reordering.  The ratio is formed
-    as u ((v / w) (1 / y)), with its divisions on the reference slices.
+    as u ((v / w) (1 / y)), with its divisions on the reference slices, and
+    ln R = ln u + ln (v / (w y)) (``log_self``), so DG.eta = eta (ln R + 1)
+    + phi (eta_v / v - eta_w / w - eta_y / y) has no full-size division.
     """
     r1, r2 = int(refs[0]), int(refs[1])
     if not (0 <= r1 < space.size and 0 <= r2 < space.size):
         raise ValueError(f"reference sites {refs} out of range for size {space.size}")
     c = complex(coupling)
 
-    def slices(arr):
-        return arr, arr[r1, r2], arr[:, r2][:, None], arr[r1, :][None, :]
+    def refs_of(arr):
+        return arr[r1, r2], arr[:, r2][:, None], arr[r1, :][None, :]
 
-    def log_ratio(t, data):
-        u, v, w, y = slices(data)
-        return principal_log(u * ((v / w) * (1 / y)))
+    def log_ratio(t, data, mod):
+        v, w, y = refs_of(data)
+        return principal_log(data * ((v / w) * (1 / y)))
 
-    def sdot(t, data, eta):
-        # relative derivative of the cross ratio: DR.eta / R
-        u, v, w, y = slices(data)
-        eu, evv, ew, ey = slices(eta)
-        return eu / u + evv / v - ew / w - ey / y
+    def dref(t, data, eta):
+        # derivative of the reference terms of ln R: DR.eta / R - eta / phi
+        v, w, y = refs_of(data)
+        ev, ew, ey = refs_of(eta)
+        return ev / v - ew / w - ey / y
 
-    def d2_log_ratio(t, data, a, b):
-        u, v, w, y = slices(data)
-        au, av, aw, ay = slices(a)
-        bu, bv, bw, by = slices(b)
-        return -(au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2)
+    def d2ref(t, data, a, b):
+        v, w, y = refs_of(data)
+        av, aw, ay = refs_of(a)
+        bv, bw, by = refs_of(b)
+        return -(av * bv / v**2 - aw * bw / w**2 - ay * by / y**2)
 
     # at coincident sites the product rule's scaling carries the coupling
     # (none at c = 1); at distinct ones it enters with the symmetrisation
     coincident = r1 == r2
-    raw = multiplier_op(space, 2, c if coincident else 1.0, log_ratio, sdot, d2_log_ratio,
-                        ZERO_PAIR, f"cross-ratio{refs}")
+    raw = multiplier_op(space, 2, c if coincident else 1.0, log_ratio, dref, d2ref,
+                        ZERO_PAIR, f"cross-ratio{refs}", log_self=True)
     if coincident:
         return raw
 
+    def swap(a):
+        return np.swapaxes(a, 0, 1)
+
+    def average(direct, swapped):
+        return 0.5 * c * (direct + swap(swapped))
+
     def sym(fn):
-        def kernel(t, data, *dirs):
-            direct = fn(t, data, *dirs)
-            swapped = fn(t, *(np.swapaxes(a, 0, 1) for a in (data, *dirs)))
-            return 0.5 * c * (direct + np.swapaxes(swapped, 0, 1))
-        return kernel
+        return lambda t, data, *dirs: average(fn(t, data, *dirs), fn(t, *map(swap, (data, *dirs))))
+
+    def linearize(t, data):
+        (dv, dtan), (sv, stan) = raw.linearize(t, data), raw.linearize(t, swap(data))
+        return average(dv, sv), lambda eta: average(dtan(eta), stan(swap(eta)))
 
     return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),
-                   second_derivative_fn=sym(raw.second_derivative_fn))
+                   second_derivative_fn=sym(raw.second_derivative_fn), linearize_fn=linearize)
 
 
 def nonseparating_op(space: ConfigSpace, n: int, coupling: complex = 1.0) -> NonlinearOperator:
@@ -326,16 +343,16 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
     def spin_axis(arr):
         return arr.reshape(isize, gsize, -1)
 
-    def rms_sq(arr):
-        return (np.abs(arr) ** 2).mean(axis=0, keepdims=True)
+    def rms_sq(mod):
+        return (mod**2).mean(axis=0, keepdims=True)
 
-    def mult(t, data):
-        arr = spin_axis(data)
-        return (np.log(np.abs(arr)) - 0.5 * np.log(rms_sq(arr))).reshape(data.shape)
+    def mult(t, data, mod):
+        arr = spin_axis(mod)
+        return (np.log(arr) - 0.5 * np.log(rms_sq(arr))).reshape(data.shape)
 
     def dmult(t, data, eta):
         arr, ea = spin_axis(data), spin_axis(eta)
-        dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(arr)
+        dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(np.abs(arr))
         return ((ea / arr).real - dln_rms).reshape(data.shape)
 
     return multiplier_op(space, 1, coupling, mult, dmult, None, ZERO_PAIR, "spin-rms-log")
@@ -386,12 +403,12 @@ def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
     if not space.grid:
         raise ValueError("central difference requires a grid-ordered space")
     h = space.spacing
+    # neighbour sites as gathers: a lifted view is read as it is, not reshaped
+    fwd, bwd = _site_shift_index(space, 1), _site_shift_index(space, -1)
 
     def ev(t, data):
-        fwd = _roll_sites(space, data, 1)
-        bwd = _roll_sites(space, data, -1)
         # numpy divides a complex array by a real scalar as a complex division
-        return (fwd - bwd) * (1.0 / (2.0 * h))
+        return (data[fwd] - data[bwd]) * (1.0 / (2.0 * h))
 
     return linear_op(space, 1, ev, "grid-derivative")
 

@@ -492,6 +492,7 @@ class TestPointwiseLambdaLift:
 
         def counted(data):
             shapes.append(data.shape)
+            return np.abs(data)
 
         monkeypatch.setattr(operators, "require_nowhere_zero", counted)
         return shapes
@@ -578,23 +579,25 @@ def two_evaluation_cross_ratio(space, refs, coupling):
         u, v, w, y = slices(data)
         return u * ((v / w) * (1 / y))
 
-    def sdot(data, eta):
+    def rdot(data, eta):
+        # the reference-slice terms of DR.eta / R; the eta / phi term gives
+        # phi (eta / phi) = eta in the product rule
         u, v, w, y = slices(data)
         eu, evv, ew, ey = slices(eta)
-        return eu / u + evv / v - ew / w - ey / y
+        return evv / v - ew / w - ey / y
 
     def raw_ev(data):
         return data * operators.principal_log(ratio(data))
 
     def raw_deriv(data, eta):
-        return eta * operators.principal_log(ratio(data)) + data * sdot(data, eta)
+        return eta * operators.principal_log(ratio(data)) + data * rdot(data, eta) + eta
 
     def raw_second(data, a, b):
         u, v, w, y = slices(data)
         au, av, aw, ay = slices(a)
         bu, bv, bw, by = slices(b)
-        tt = au * bu / u**2 + av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
-        return a * sdot(data, b) + b * sdot(data, a) - u * tt
+        tt = av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
+        return a * rdot(data, b) + b * rdot(data, a) + u * -tt + a * b / u
 
     def averaged(fn):
         def kernel(t, data, *dirs):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sepsym import checks
+from sepsym import checks, operators
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import BadRange
 from sepsym.hierarchy import Generator, lift_J, natural_part
@@ -387,6 +387,61 @@ class TestFamilies:
             obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng).data)
 
 
+class TestWorkCounts:
+    """obstruction_rhs linearises each lift once per state: the cross
+    ratio's log and every multiplier's floor check run once per lift, not
+    once per term of the double sum."""
+
+    @staticmethod
+    def floor_checks(monkeypatch):
+        shapes = []
+
+        def counted(data):
+            shapes.append(data.shape)
+            return np.abs(data)
+
+        monkeypatch.setattr(operators, "require_nowhere_zero", counted)
+        return shapes
+
+    def test_freelift_log_calls(self, monkeypatch):
+        # 6 three-particle states with 3 lifted cross ratios each: 18 logs,
+        # where a value and a derivative per term took 72
+        calls = []
+        plain = operators.principal_log
+
+        def counted(z):
+            calls.append(z.shape)
+            return plain(z)
+
+        monkeypatch.setattr(operators, "principal_log", counted)
+        sc = load_scenario("freelift-grid-ladder", set(CHECKS))
+        assert run_check("freelift-grid-ladder", sc, {}).status == "pass"
+        assert len(calls) <= 24
+
+    def test_one_floor_check_per_lifted_cross_ratio(self, monkeypatch):
+        space = ConfigSpace(4, grid=True)
+        family = [Generator(op) for op in point_symmetry_parts(
+            PointSymmetrySpec(eta=np.sin, xi=np.cos), space).values()]
+        data = np.stack([nz(3, space, np.random.default_rng(s)).data for s in (1, 2)], axis=-1)
+        shapes = self.floor_checks(monkeypatch)
+        corollary2_obstruction(Generator(cross_ratio_op(space, (1, 2), 0.7)), family, 0.0, data)
+        # three lifts K, each linearised once, on its view of data (with the
+        # lift's tuple axis) and that view's slot swap
+        assert shapes == [data.shape + (1,)] * 6
+        shapes.clear()
+        corollary2_obstruction(Generator(cross_ratio_op(space)), family, 0.0, data)
+        assert shapes == [data.shape + (1,)] * 3
+
+    def test_one_floor_check_per_lifted_multiplier(self, monkeypatch):
+        space = ConfigSpace(4, grid=True)
+        data = np.stack([nz(2, space, np.random.default_rng(s)).data for s in (3, 4)], axis=-1)
+        shapes = self.floor_checks(monkeypatch)
+        family = [Generator(site_matrix_op(space, np.eye(4) * k)) for k in (1.0, 2.0, 3.0)]
+        corollary1_obstruction(Generator(rms_log_modulus_op(space, 0.9)), family, 0.0, data)
+        # the rms lift at each of the two slots, once for all three entries
+        assert len(shapes) == 2
+
+
 class TestFreeliftMemory:
     """The grid-32 three-particle pass of freelift-grid-ladder sets the
     peak memory of the obstruction workload.  Its traced peak at the
@@ -411,8 +466,9 @@ class TestFreeliftMemory:
 
 
 def stripped_rms(space, **fields):
-    """rms-log-modulus without the closed derivative kernels named."""
-    return Generator(replace(rms_log_modulus_op(space, 0.9), **fields))
+    """rms-log-modulus without the closed derivative kernels named, and
+    without the linearize kernel that shares their formula."""
+    return Generator(replace(rms_log_modulus_op(space, 0.9), linearize_fn=None, **fields))
 
 
 def run_batched_and_looped(monkeypatch, check, sc, params, fns):

@@ -15,18 +15,25 @@ from sepsym.opcalc import (
     op_combine,
 )
 from sepsym.operators import (
+    central_difference_op,
     cross_ratio_op,
+    diag_mult_op,
     lambda_op,
     log_modulus_op,
+    nonseparating_op,
     principal_log,
+    relative_log_modulus_op,
     rms_log_modulus_op,
+    shift_all_op,
     shifted_log_modulus_op,
     site_matrix_op,
+    spin_rms_log_op,
+    spin_rotation_op,
     zero_op,
 )
 from sepsym.scenario import random_hermitian
-from sepsym.space import random_batch, random_state
-from sepsym.hierarchy import lift_J
+from sepsym.space import ConfigSpace, random_batch, random_state
+from sepsym.hierarchy import Generator, canonical_lift, lift_J
 
 CLOSED_TOL = 1e-10
 
@@ -335,3 +342,122 @@ class TestCombinators:
         phi = random_state(2, space4, rng)
         assert np.abs(z.apply(0.0, phi.data)).max() == 0.0
         assert np.abs(z.derivative(0.0, phi.data, phi.data)).max() == 0.0
+
+
+def bundled_families(space):
+    """One operator of every bundled family on a factored grid space, with
+    the cross ratio at coincident and distinct refs and couplings != 1."""
+    rng = np.random.default_rng(5)
+    size = space.size
+    idx = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
+    return {
+        "zero": zero_op(space, 1),
+        "site-matrix": site_matrix_op(space, rng.normal(size=(size, size))
+                                      + 1j * rng.normal(size=(size, size))),
+        "diag-mult": diag_mult_op(space, rng.normal(size=size) + 1j * rng.normal(size=size)),
+        "spin-rotation": spin_rotation_op(space),
+        "shift-all": shift_all_op(space, 1, 2),
+        "central-difference": central_difference_op(space),
+        "lambda": lambda_op(idx, 1, space),
+        "lambda-of-t": lambda_op(lambda t: IndexPair(0.6 + 0.1 * t, 0.3 - 0.2j * t), 1, space),
+        "log-modulus": log_modulus_op(space, 0.8),
+        "shifted-log-modulus": shifted_log_modulus_op(space, 0.9, 2),
+        "relative-log-modulus": relative_log_modulus_op(space, 0.7),
+        "rms-log-modulus": rms_log_modulus_op(space, 0.9),
+        "spin-rms-log": spin_rms_log_op(space, 0.6 + 0.2j),
+        "non-separating": nonseparating_op(space, 1, 0.5 - 0.1j),
+        "cross-ratio": cross_ratio_op(space),
+        "cross-ratio-coupled": cross_ratio_op(space, (3, 3), 1.3 + 0.4j),
+        "cross-ratio-distinct": cross_ratio_op(space, (1, 2), 0.7 - 0.2j),
+    }
+
+
+SPIN_GRID = ConfigSpace(8, factors=(2, 4), grid=True)
+FAMILIES = sorted(bundled_families(SPIN_GRID))
+
+
+def linearize_cases(F):
+    """(label, operator) for F as it is, lifted by lift_J and by
+    canonical_lift to 2 and 3 particles, and inside op_combine sums."""
+    space = F.space
+    cases = [("as-is", F)]
+    for m in (2, 3):
+        if m > F.n:
+            cases.append((f"lift_J-{m}", lift_J(F, tuple(range(m - F.n, m)), m)))
+            if F.n > 1 or F.indices is not None:
+                cases.append((f"canonical-{m}", canonical_lift(Generator(F), m)))
+    for label, op in list(cases):
+        lam = lambda_op(IndexPair(0.3, -0.5), op.n, space)
+        cases.append((f"combined-{label}", op_combine([op, lam], [0.7 - 0.2j, 1.3])))
+    return cases
+
+
+class TestLinearize:
+    """linearize(t, data) is (apply, derivative) from one preparation of
+    the state, for every bundled family, its lifts and its sums."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_value_and_tangent_equal_apply_and_derivative(self, family):
+        rng = np.random.default_rng(17)
+        for label, op in linearize_cases(bundled_families(SPIN_GRID)[family]):
+            data, eta, zeta = random_batch((op.n,) * 3, SPIN_GRID, [rng] * 2,
+                                           phase_cap=np.pi / 8)
+            value, tangent = op.linearize(0.3, data)
+            assert np.array_equal(value, op.apply(0.3, data)), label
+            for direction in (eta, zeta):  # the tangent serves many directions
+                got = tangent(direction)
+                assert np.array_equal(got, op.derivative(0.3, data, direction)), label
+                fd = op.derivative(0.3, data, direction, fd_step=1e-6)
+                assert np.abs(fd - got).max() <= 1e-8, label
+
+    def test_which_operators_carry_a_linearize_kernel(self):
+        # every logarithmic family linearises by its own kernel, not by the
+        # (apply, derivative) fallback, and so does every lift and sum with
+        # closed derivatives; a plain linear or non-separating operator falls back
+        fallback = {"zero", "site-matrix", "diag-mult", "spin-rotation", "shift-all",
+                    "central-difference", "non-separating"}
+        for family, F in bundled_families(SPIN_GRID).items():
+            for label, op in linearize_cases(F):
+                lifted_linear = family in fallback and label in ("as-is",)
+                assert (op.linearize_fn is None) == lifted_linear, (family, label)
+
+    def test_stripped_derivative_falls_back_to_finite_differences(self):
+        # a lift or sum of an operator without a closed derivative has no
+        # linearize kernel: its tangent is the whole operator's difference
+        F = replace(rms_log_modulus_op(SPIN_GRID, 0.9), derivative_fn=None, linearize_fn=None)
+        rng = np.random.default_rng(3)
+        for op in (lift_J(F, (1,), 2), op_combine([F, log_modulus_op(SPIN_GRID)])):
+            assert op.linearize_fn is None
+            data, eta = random_batch((op.n,) * 2, SPIN_GRID, [rng] * 2)
+            value, tangent = op.linearize(0.0, data)
+            assert np.array_equal(value, op.apply(0.0, data))
+            assert np.array_equal(tangent(eta), op.derivative(0.0, data, eta))
+
+
+def rolled_difference(space, data):
+    """The central difference as it was formed before the gathers: the
+    grid axis split off by a reshape and rolled both ways."""
+    arr = data.reshape(space.internal_size, space.grid_size, -1)
+    fwd = np.roll(arr, -1, axis=1).reshape(data.shape)
+    bwd = np.roll(arr, 1, axis=1).reshape(data.shape)
+    return (fwd - bwd) * (1.0 / (2.0 * space.spacing))
+
+
+class TestCentralDifferenceGathers:
+    """central_difference_op shifts sites by two gathers along the particle
+    axis; it equals the roll-based difference bit for bit."""
+
+    @pytest.mark.parametrize("space", [ConfigSpace(8, grid=True), SPIN_GRID],
+                             ids=["grid", "spin-grid"])
+    def test_equals_rolls(self, space):
+        D = central_difference_op(space)
+        rng = np.random.default_rng(11)
+        one, three = random_batch((1, 3), space, [rng] * 3)
+        assert np.array_equal(D.apply(0.0, one), rolled_difference(space, one))
+        # a transposed lifted view: particle 2 in front, strides untouched
+        view = three.transpose(2, 0, 1, 3)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(D.apply(0.0, view), rolled_difference(space, view))
+        lifted = lift_J(D, (2,), 3).apply(0.0, three)
+        want = rolled_difference(space, view).transpose(1, 2, 0, 3)
+        assert np.array_equal(lifted, want)
