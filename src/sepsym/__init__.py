@@ -24,13 +24,12 @@ from .mixedpow import (
     IndexPair,
     J,
     ZERO_PAIR,
-    matrix_rep,
     mixed_power,
     pair_action,
     pair_bracket,
     pair_product,
 )
-from .space import ConfigSpace, WaveFunction, random_state, tensor
+from .space import ConfigSpace, random_state
 from .opcalc import (
     NonlinearOperator,
     check_permutation_property,
@@ -69,6 +68,5 @@ from .symmetry import (
     PointSymmetrySpec,
     inf_symmetry_bracket,
     inf_symmetry_residual,
-    point_symmetry_level,
     symmetry_residual,
 )

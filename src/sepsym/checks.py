@@ -252,7 +252,7 @@ def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
 
 
 def check_matrix_rep(ctx: CheckContext) -> CheckResult:
-    """matrix_rep is a product homomorphism with det = Re(a conj b)."""
+    """matrix_components is a product homomorphism with det = Re(a conj b)."""
     trials = 1000
     # one row per trial: p = (pa, pb), q = (qa, qb) and a base z
     pa, pb, qa, qb, z = ctx.rng().standard_normal((trials, 10)).view(complex).T
@@ -339,7 +339,7 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
             euler_ratio = None
             criteria[f"{label}.fd_euler_residual"] = ("bound", r1, fd_floor)
         # generic-direction convergence of the finite-difference derivative
-        probe = random_state(op.n, space, rng).data[..., None]
+        probe = random_state(op.n, space, rng)[..., None]
         closed = op.derivative(0.0, phi, probe)
         e1, e2 = (max(sup_norms(op.derivative(0.0, phi, probe, fd_step=h) - closed))
                   for h in (h0, h0 / 2))
@@ -595,8 +595,6 @@ def _default_point_spec() -> PointSymmetrySpec:
     return PointSymmetrySpec(
         eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
         xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
-        gamma=0.4,
-        delta=0.2,
     )
 
 def check_corollary2_pointsym(ctx: CheckContext, grid_size: int = 8) -> CheckResult:

@@ -157,8 +157,3 @@ def matrix_components(a, b) -> np.ndarray:
     for component arrays, one matrix per entry on two new trailing axes."""
     rows = np.array([[a.real, -b.imag], [a.imag, b.real]], dtype=float)
     return np.moveaxis(rows, (0, 1), (-2, -1))
-
-
-def matrix_rep(idx: IndexPair) -> np.ndarray:
-    """2x2 real matrix of the action of (a, b) in the ordered basis (1, i)."""
-    return matrix_components(idx.a, idx.b)

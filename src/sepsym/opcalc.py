@@ -8,8 +8,9 @@ cannot be pulled through).  The commutator
     [F, G] = DF . G - DG . F
 
 is the Lie bracket of F and G viewed as vector fields on state space.
-Built-in operators register closed-form first (and where cheap, second)
-derivatives; a central finite difference is the fallback.
+Built-in operators register closed-form first derivatives; a central
+finite difference is the fallback.  A second derivative is registered only
+where a bracket's closed derivative needs it (``lie_bracket``).
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """Built-in operator families.
 
 All constructors return :class:`~sepsym.opcalc.NonlinearOperator` values
-with closed-form first derivatives (second ones where cheap), so bracket
-and obstruction sums never fall back to finite differences for the bundled
-families.  Every kernel obeys the batched contract of ``NonlinearOperator``:
-particle axes first, batch axes after; a site shift is a gather along the
-particle axis (``data[sigma]``), which takes a lifted view as it is.  The
-complex-linear families come from ``linear_op``; the logarithmic ones,
-c psi m(psi), from ``multiplier_op``, whose value and derivative are one
-formula each, shared by ``linearize`` to prepare m once per state.
+with closed-form first derivatives, so bracket and obstruction sums never
+fall back to finite differences for the bundled families.  Every kernel
+obeys the batched contract of ``NonlinearOperator``: particle axes first,
+batch axes after; a site shift is a gather along the particle axis
+(``data[sigma]``), which takes a lifted view as it is.  The complex-linear
+families come from ``linear_op``; the logarithmic ones, c psi m(psi), from
+``multiplier_op``, whose value and derivative are one formula each, shared
+by ``linearize`` to prepare m once per state.  Only ``linear_op`` and
+``lambda_op`` give a closed second derivative: a bracket's derivative needs
+its operands' ones, and the only brackets a check differentiates are of
+Lambda symmetries.
 """
 
 from __future__ import annotations
@@ -72,20 +75,21 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
 
 def multiplier_op(
     space: ConfigSpace, n: int, coeff: complex, mult: Callable, dmult: Callable,
-    d2mult: Callable | None, indices: IndexPair | None, name: str,
-    time_dependent: bool = False, log_self: bool = False,
+    indices: IndexPair | None, name: str, time_dependent: bool = False,
+    log_self: bool = False, d2mult: Callable | None = None,
 ) -> NonlinearOperator:
     """The operator psi -> c psi m(psi) of a multiplier ``mult(t, data, |data|)``.
 
     ``dmult(t, data, eta)`` is the derivative Dm.eta and ``d2mult(t, data,
-    u, v)`` the second derivative D2m.(u, v), or None where there is no
-    closed form.  The kernels follow from the product rule:
+    u, v)``, if given, the second derivative D2m.(u, v).  The kernels follow
+    from the product rule:
 
         DF.eta     = c (eta m + psi Dm.eta)
         D2F.(u, v) = c (u Dm.v + v Dm.u + psi D2m.(u, v))
 
-    With ``log_self``, m = ln psi + r(psi) and ``dmult``/``d2mult`` are
-    those of r: psi D(ln psi).eta = eta then costs no division by psi.
+    With ``log_self``, m = ln psi + r(psi) and ``dmult`` is that of r:
+    psi D(ln psi).eta = eta then costs no division by psi.  No second
+    derivative is formed for it: D2F would miss the u v / psi of ln psi.
     Each kernel requires a nowhere-zero state; ``linearize`` checks it and
     forms m once for the value and every direction.  At c = 1, where lambda
     and the cross ratio's unsymmetrised kernels always run, the kernels
@@ -115,7 +119,7 @@ def multiplier_op(
     def second(t, data, u, v):
         require_nowhere_zero(data)
         out = u * dmult(t, data, v) + v * dmult(t, data, u) + data * d2mult(t, data, u, v)
-        return scaled(out + u * v / data if log_self else out)
+        return scaled(out)
 
     return NonlinearOperator(
         n=n, space=space, eval_fn=lambda t, data: value(data, prepare(t, data)),
@@ -153,8 +157,8 @@ def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
     op = multiplier_op(
         space, n, 1.0, mult,
         lambda t, data, eta: pair_action(idxfn(t), eta / data),
-        lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
         static, label, time_dependent=static is None,
+        d2mult=lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
     )
     return replace(op, pointwise_lambda=static)
 
@@ -177,7 +181,6 @@ def shifted_log_modulus_op(
         space, 1, coeff,
         lambda t, data, mod: np.log(mod[sigma]),
         lambda t, data, eta: (eta[sigma] / data[sigma]).real,
-        lambda t, data, u, v: -(u[sigma] * v[sigma] / data[sigma] ** 2).real,
         IndexPair(complex(coeff), 0.0), f"shifted-log-modulus({shift})",
     )
 
@@ -196,7 +199,6 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
         space, 1, coeff,
         lambda t, data, mod: centred(np.log(mod)),
         lambda t, data, eta: centred((eta / data).real),
-        lambda t, data, u, v: -centred((u * v / data**2).real),
         ZERO_PAIR, "relative-log-modulus",
     )
 
@@ -219,14 +221,7 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     def dmult(t, data, eta):
         return (eta / data).real - (np.conj(data) * eta).real.mean(axis=0) / ms(np.abs(data))
 
-    def d2mult(t, data, u, v):
-        r2 = ms(np.abs(data))
-        du = (np.conj(data) * u).real.mean(axis=0) / r2
-        dv = (np.conj(data) * v).real.mean(axis=0) / r2
-        duv = (np.conj(u) * v).real.mean(axis=0) / r2
-        return -((u * v / data**2).real + duv - 2.0 * du * dv)
-
-    return multiplier_op(space, 1, coeff, mult, dmult, d2mult, ZERO_PAIR, "rms-log-modulus")
+    return multiplier_op(space, 1, coeff, mult, dmult, ZERO_PAIR, "rms-log-modulus")
 
 
 def principal_log(z: np.ndarray) -> np.ndarray:
@@ -281,16 +276,10 @@ def cross_ratio_op(
         ev, ew, ey = refs_of(eta)
         return ev / v - ew / w - ey / y
 
-    def d2ref(t, data, a, b):
-        v, w, y = refs_of(data)
-        av, aw, ay = refs_of(a)
-        bv, bw, by = refs_of(b)
-        return -(av * bv / v**2 - aw * bw / w**2 - ay * by / y**2)
-
     # at coincident sites the product rule's scaling carries the coupling
     # (none at c = 1); at distinct ones it enters with the symmetrisation
     coincident = r1 == r2
-    raw = multiplier_op(space, 2, c if coincident else 1.0, log_ratio, dref, d2ref,
+    raw = multiplier_op(space, 2, c if coincident else 1.0, log_ratio, dref,
                         ZERO_PAIR, f"cross-ratio{refs}", log_self=True)
     if coincident:
         return raw
@@ -309,7 +298,7 @@ def cross_ratio_op(
         return average(dv, sv), lambda eta: average(dtan(eta), stan(swap(eta)))
 
     return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),
-                   second_derivative_fn=sym(raw.second_derivative_fn), linearize_fn=linearize)
+                   linearize_fn=linearize)
 
 
 def nonseparating_op(space: ConfigSpace, n: int, coupling: complex = 1.0) -> NonlinearOperator:
@@ -355,7 +344,7 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
         dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(np.abs(arr))
         return ((ea / arr).real - dln_rms).reshape(data.shape)
 
-    return multiplier_op(space, 1, coupling, mult, dmult, None, ZERO_PAIR, "spin-rms-log")
+    return multiplier_op(space, 1, coupling, mult, dmult, ZERO_PAIR, "spin-rms-log")
 
 
 def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:

@@ -154,44 +154,39 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
     raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
 
 
+def _known_keys(block: dict, allowed, where: str) -> None:
+    """Reject any key of ``block`` outside ``allowed``, naming the allowed set."""
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}, "
+                            f"expected keys among {sorted(allowed)}")
+
+
 def build_point_spec(doc: dict):
-    """Point-symmetry data from its scenario block.
-
-    eta and xi are named profiles ("constant", "linear", "sine") with
-    amplitude/phase parameters; gamma, delta are constants; tau, an affine
-    map {"alpha": ..., "beta": ...}, is validated and not kept.
-    """
+    """Point-symmetry data from its scenario block: eta and xi are named
+    profiles ("constant", "linear", "sine") with amplitude/phase/offset
+    parameters."""
     from .symmetry import PointSymmetrySpec, named_profile
-
-    def block_of(value, name):
-        if not isinstance(value, dict):
-            raise ScenarioError(f"{name}: expected an object, got {value!r}")
-        return value
-
-    def number(block, key, default, name):
-        return finite_number(block.get(key, default), f"{name}.{key}")
 
     def field_profile(block, name):
         if block is None:
             return None
         if not isinstance(block, dict) or "profile" not in block:
             raise ScenarioError(f"{name}: expected a profile object")
-        shape = {key: number(block, key, default, name)
+        _known_keys(block, ("profile", "amplitude", "phase", "offset"), name)
+        shape = {key: finite_number(block.get(key, default), f"{name}.{key}")
                  for key, default in (("amplitude", 1.0), ("phase", 0.0), ("offset", 0.0))}
         try:
             return named_profile(block["profile"], **shape)
         except ValueError as exc:
             raise ScenarioError(f"{name}: {exc}") from exc
 
-    doc = block_of(doc, "symmetry")
-    tau_doc = block_of(doc.get("tau", {}), "symmetry.tau")
-    for key in ("alpha", "beta"):
-        number(tau_doc, key, 0.0, "symmetry.tau")
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"symmetry: expected an object, got {doc!r}")
+    _known_keys(doc, ("eta", "xi"), "symmetry")
     return PointSymmetrySpec(
         eta=field_profile(doc.get("eta"), "symmetry.eta"),
         xi=field_profile(doc.get("xi"), "symmetry.xi"),
-        gamma=number(doc, "gamma", 0.0, "symmetry"),
-        delta=number(doc, "delta", 0.0, "symmetry"),
     )
 
 
@@ -329,8 +324,7 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     except StepMismatch as exc:
         raise ScenarioError(f"{origin}: evolution: {exc}") from exc
     symmetry = doc.get("symmetry", {})
-    if symmetry:
-        build_point_spec(symmetry)
+    build_point_spec(symmetry)
     return Scenario(
         name=str(doc["name"]),
         seed=seed,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadTuple, SizeCapExceeded, SpaceMismatch
+from .errors import BadTuple, SizeCapExceeded
 
 # Soft desk-scale guarantee: |X|^n may not exceed this flat length.
 FLAT_SIZE_CAP = 65536
@@ -81,28 +81,6 @@ def state_shape(space: ConfigSpace, n: int) -> tuple[int, ...]:
     return (space.size,) * n
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    """Dense n-particle state; immutable after construction."""
-
-    n: int
-    space: ConfigSpace
-    data: np.ndarray
-
-    def __post_init__(self):
-        shape = state_shape(self.space, self.n)
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.shape == (self.space.size**self.n,):
-            data = data.reshape(shape)
-        if data.shape != shape:
-            raise ValueError(f"state data has shape {data.shape}, expected {shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("state data contains non-finite entries")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-
 def tensor_data(a: np.ndarray, b: np.ndarray, n1: int) -> np.ndarray:
     """Tensor product of state arrays with trailing batch axes, entry by entry.
 
@@ -112,13 +90,6 @@ def tensor_data(a: np.ndarray, b: np.ndarray, n1: int) -> np.ndarray:
     """
     n2 = b.ndim - (a.ndim - n1)
     return a.reshape(a.shape[:n1] + (1,) * n2 + a.shape[n1:]) * b
-
-
-def tensor(f: WaveFunction, g: WaveFunction) -> WaveFunction:
-    """Tensor product (f x g)(x, y) = f(x) g(y)."""
-    if f.space != g.space:
-        raise SpaceMismatch(f"tensor factors live on {f.space} and {g.space}")
-    return WaveFunction(f.n + g.n, f.space, tensor_data(f.data, g.data, f.n))
 
 
 def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -183,8 +154,8 @@ def random_state(
     nowhere_zero: bool = False,
     smooth: bool = False,
     phase_cap: float | None = None,
-) -> WaveFunction:
-    """Deterministic random n-particle state.
+) -> np.ndarray:
+    """Deterministic random n-particle state array, shaped ``(size,)*n``.
 
     With ``nowhere_zero`` the minimum modulus is at least
     ``NOWHERE_ZERO_MIN``; with ``smooth`` (grid spaces only) the values
@@ -208,7 +179,9 @@ def random_state(
         data = r * np.exp(1j * th)
     else:
         data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    return WaveFunction(n, space, data)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("state data contains non-finite entries")
+    return data
 
 
 def random_batch(sizes: Sequence[int], space: ConfigSpace, seeds, **kwargs) -> list[np.ndarray]:
@@ -223,5 +196,5 @@ def random_batch(sizes: Sequence[int], space: ConfigSpace, seeds, **kwargs) -> l
     draws = []
     for seed in seeds:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        draws.append([random_state(n, space, rng, nowhere_zero=True, **kwargs).data for n in sizes])
+        draws.append([random_state(n, space, rng, nowhere_zero=True, **kwargs) for n in sizes])
     return [np.stack(states, axis=-1) for states in zip(*draws)]

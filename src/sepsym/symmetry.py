@@ -17,8 +17,7 @@ and close under the bracket
 
 Point space-time generators on the periodic grid take the form
 
-    K phi = sum_j ( i eta^(j) + (xi . grad_h)^(j) + (grad_h . xi)^(j)/2 ) phi
-            + i (gamma, delta) . ln phi  phi,
+    K phi = sum_j ( i eta^(j) + (xi . grad_h)^(j) + (grad_h . xi)^(j)/2 ) phi,
 
 whose lifting obstructions split into multiplication parts that vanish
 exactly and a discrete-derivative part that vanishes at the O(h^2) rate
@@ -34,9 +33,9 @@ from typing import Callable
 import numpy as np
 
 from .evolution import EvolutionConfig, rk4_pair_step
-from .hierarchy import Generator, Hierarchy, bracket_hierarchy, canonical_lift
+from .hierarchy import Hierarchy, bracket_hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
-from .opcalc import NonlinearOperator, op_combine
+from .opcalc import NonlinearOperator
 from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
 from .space import ConfigSpace, sup_norms
 
@@ -174,19 +173,11 @@ def named_profile(
 
 @dataclass(frozen=True)
 class PointSymmetrySpec:
-    """Data of an infinitesimal point space-time symmetry.
-
-    ``eta`` and ``xi`` map site positions to real arrays; the constants
-    gamma and delta feed the index term i (gamma, delta) . ln phi  phi.
-    """
+    """Data of an infinitesimal point space-time symmetry: ``eta`` and
+    ``xi`` map site positions to real arrays."""
 
     eta: Callable[[np.ndarray], np.ndarray] | None = None
     xi: Callable[[np.ndarray], np.ndarray] | None = None
-    gamma: float = 0.0
-    delta: float = 0.0
-
-    def index_pair(self) -> IndexPair:
-        return IndexPair(1j * self.gamma, 1j * self.delta)
 
 
 def _tile_internal(space: ConfigSpace, site_values: np.ndarray) -> np.ndarray:
@@ -215,18 +206,6 @@ def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[st
             space, 1, lambda t, data: site_multiply(xi_full, D.apply(t, data)), "xi*grad"
         )
     return parts
-
-
-def point_symmetry_level(
-    spec: PointSymmetrySpec, n: int, space: ConfigSpace
-) -> NonlinearOperator:
-    """The n-particle generator: the canonical lift of the one-particle
-    pieces plus Lambda(i gamma, i delta), whose slot sum the lift's
-    -(n-1) Lambda term cuts back to one copy of the index term."""
-    idx = spec.index_pair()
-    parts = list(point_symmetry_parts(spec, space).values())
-    gen = Generator(op_combine(parts + [lambda_op(idx, 1, space)]))
-    return canonical_lift(gen, n)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from sepsym.operators import (
     shifted_log_modulus_op,
 )
 from sepsym.evolution import EvolutionConfig
-from sepsym.space import random_batch, random_state, tensor, tensor_all
+from sepsym.space import random_batch, random_state, tensor_all
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -47,7 +47,7 @@ class TestRandomBatch:
     def test_repeated_generator_draws_in_turn(self, space3):
         [got] = random_batch((2,), space3, [np.random.default_rng(5)] * 4)
         rng = np.random.default_rng(5)
-        want = [random_state(2, space3, rng, nowhere_zero=True).data for _ in range(4)]
+        want = [random_state(2, space3, rng, nowhere_zero=True) for _ in range(4)]
         assert got.shape == (3, 3, 4)
         assert np.array_equal(got, np.stack(want, axis=-1))
 
@@ -55,12 +55,12 @@ class TestRandomBatch:
         [got] = random_batch((2,), space3, SEEDS, phase_cap=math.pi / 4)
         for k, seed in enumerate(SEEDS):
             want = random_state(2, space3, seed, nowhere_zero=True, phase_cap=math.pi / 4)
-            assert np.array_equal(got[..., k], want.data)
+            assert np.array_equal(got[..., k], want)
 
     def test_sizes_are_drawn_in_order_within_an_entry(self, space3):
         ones, twos = random_batch((1, 2), space3, [np.random.default_rng(9)] * 2)
         rng = np.random.default_rng(9)
-        draws = [random_state(n, space3, rng, nowhere_zero=True).data
+        draws = [random_state(n, space3, rng, nowhere_zero=True)
                  for _ in range(2) for n in (1, 2)]
         assert np.array_equal(ones, np.stack(draws[0::2], axis=-1))
         assert np.array_equal(twos, np.stack(draws[1::2], axis=-1))
@@ -68,18 +68,18 @@ class TestRandomBatch:
     def test_smooth_states(self, grid8):
         [got] = random_batch((2,), grid8, [(3, 1)], smooth=True)
         want = random_state(2, grid8, (3, 1), nowhere_zero=True, smooth=True)
-        assert np.array_equal(got[..., 0], want.data)
+        assert np.array_equal(got[..., 0], want)
 
 
 class TestTensorAll:
-    def test_matches_wave_function_tensor_entry_by_entry(self, space3):
+    def test_matches_outer_products_entry_by_entry(self, space3):
         factors = random_batch((1, 2, 1), space3, SEEDS)
         prod = tensor_all(factors)
         assert prod.shape == (3,) * 4 + (len(SEEDS),)
         for k, seed in enumerate(SEEDS):
             rng = np.random.default_rng(seed)
             f, g, h = (random_state(n, space3, rng, nowhere_zero=True) for n in (1, 2, 1))
-            assert np.array_equal(prod[..., k], tensor(tensor(f, g), h).data)
+            assert np.array_equal(prod[..., k], np.multiply.outer(np.multiply.outer(f, g), h))
 
     def test_single_factor_is_itself(self, space3):
         [data] = random_batch((2,), space3, SEEDS)

@@ -151,14 +151,14 @@ class TestGeneratorFactory:
         space = ConfigSpace(3)
         spec = {"kind": kind, "refs": [1, 2], "coupling": 0.6}
         g = build_generator(space, spec, np.random.default_rng(0))
-        phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True).data
+        phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True)
         assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
 
     def test_random_linear_generators_differ_within_a_check(self):
         # each draw is salted by the generator's position; the first keeps 997
         doc = dict(FAST_SCENARIO, generators={"A": {"kind": "linear"}, "B": {"kind": "linear"}})
         ctx = CheckContext(scenario=parse_scenario(doc, KNOWN), ordinal=0)
-        phi = random_state(1, ctx.space, np.random.default_rng(1)).data
+        phi = random_state(1, ctx.space, np.random.default_rng(1))
         a, b = (ctx.generator(name).op.apply(0.0, phi) for name in ("A", "B"))
         assert not np.allclose(a, b)
         first = build_generator(ctx.space, {"kind": "linear"}, ctx.rng(997))
@@ -351,10 +351,24 @@ class TestBadValuesExitTwo:
         {"tau": [0.0, 1.0]},
         {"tau": {"alpha": "fast"}},
         "abc",
+        0,
+        [],
     ])
     def test_bad_symmetry(self, tmp_path, capsys, symmetry):
         err = self.run_main(tmp_path, capsys, dict(self.POINT_SYM, symmetry=symmetry))
         assert "symmetry" in err
+
+    @pytest.mark.parametrize("symmetry, where, allowed", [
+        ({"gamma": 0.4}, "symmetry", "['eta', 'xi']"),
+        ({"tau": {"alpha": 1, "beta": 0.5}}, "symmetry", "['eta', 'xi']"),
+        ({"etaa": {"profile": "sine"}}, "symmetry", "['eta', 'xi']"),
+        ({"eta": {"profile": "sine", "amplitud": 0.5}}, "symmetry.eta",
+         "['amplitude', 'offset', 'phase', 'profile']"),
+    ], ids=["gamma", "tau", "etaa", "amplitud"])
+    def test_unknown_symmetry_key(self, tmp_path, capsys, symmetry, where, allowed):
+        # a key nothing reads is an error, not a silent default
+        err = self.run_main(tmp_path, capsys, dict(self.POINT_SYM, symmetry=symmetry))
+        assert f"{where}: unknown keys" in err and allowed in err
 
     @pytest.mark.parametrize("hbar", ["-1", "0", "nan", "inf"])
     def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
@@ -467,7 +481,7 @@ class TestBadValuesExitTwo:
     def test_good_values_still_load(self):
         doc = dict(self.POINT_SYM, hbar=2, evolution={"dt": 0.01, "t0": 0, "t1": 1},
                    symmetry={"eta": {"profile": "sine", "amplitude": 0.5},
-                             "tau": {"alpha": 1, "beta": 0.5}, "gamma": 1})
+                             "xi": {"profile": "linear", "offset": 0.2, "phase": 1}})
         sc = parse_scenario(doc, KNOWN)
         assert sc.hbar == 2.0
         assert sc.evolution == {"dt": 0.01, "t0": 0.0, "t1": 1.0}

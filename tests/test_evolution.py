@@ -19,7 +19,7 @@ from sepsym.evolution import (
     separation_test,
 )
 from sepsym.hierarchy import Generator, Hierarchy
-from sepsym.mixedpow import IndexPair, matrix_rep, mixed_power, pair_action
+from sepsym.mixedpow import IndexPair, matrix_components, mixed_power, pair_action
 from sepsym.opcalc import op_combine
 from sepsym.operators import (
     cross_ratio_op,
@@ -31,7 +31,7 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import load_scenario, random_hermitian
-from sepsym.space import WaveFunction, random_batch, random_state, tensor_data
+from sepsym.space import random_batch, random_state, tensor_data
 
 
 def nz(n, space, rng):
@@ -42,8 +42,8 @@ class TestEvolve:
     def test_zero_operator_keeps_state(self, space4, rng):
         phi = random_state(2, space4, rng)
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.2)
-        [out] = _march(zero_op(space4, 2), phi.data, [cfg])
-        assert np.array_equal(out, phi.data)
+        [out] = _march(zero_op(space4, 2), phi, [cfg])
+        assert np.array_equal(out, phi)
 
     def test_linear_matches_expm_oracle(self, space4, rng):
         A = random_hermitian(space4, rng)
@@ -52,11 +52,11 @@ class TestEvolve:
         errs = []
         for dt in (0.02, 0.01):
             cfg = EvolutionConfig(dt=dt, t0=0.0, t1=1.0)
-            [out] = _march(F, phi.data, [cfg])
-            oracle = scipy.linalg.expm(-1j * A) @ phi.data
+            [out] = _march(F, phi, [cfg])
+            oracle = scipy.linalg.expm(-1j * A) @ phi
             errs.append(np.abs(out - oracle).max())
             # Hermitian drive conserves the 2-norm up to the same order
-            assert abs(np.linalg.norm(out) - np.linalg.norm(phi.data)) <= 10 * errs[-1] + 1e-12
+            assert abs(np.linalg.norm(out) - np.linalg.norm(phi)) <= 10 * errs[-1] + 1e-12
         assert errs[0] <= 1e-6
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -65,9 +65,9 @@ class TestEvolve:
         p = 1.2
         F = lambda_op(IndexPair(p, p), 1, space4)
         theta = rng.uniform(-2.0, 2.0, 4)
-        phi = WaveFunction(1, space4, np.exp(1j * theta))
+        phi = np.exp(1j * theta)
         cfg = EvolutionConfig(dt=0.001, t0=0.0, t1=1.0)
-        [out] = _march(F, phi.data, [cfg])
+        [out] = _march(F, phi, [cfg])
         oracle = np.exp(1j * theta * cmath.exp(-1j * p))
         assert np.abs(out - oracle).max() <= 1e-10
 
@@ -78,11 +78,11 @@ class TestEvolve:
         F = lambda_op(idx, 1, space4)
         phi = nz(1, space4, rng)
         cfg = EvolutionConfig(dt=0.0005, t0=0.0, t1=0.5, hbar=hbar)
-        [out] = _march(F, phi.data, [cfg])
+        [out] = _march(F, phi, [cfg])
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # multiplication by -i
-        M = rot @ matrix_rep(idx) / hbar
+        M = rot @ matrix_components(idx.a, idx.b) / hbar
         flow = scipy.linalg.expm(0.5 * M)
-        ln0 = np.log(phi.data)
+        ln0 = np.log(phi)
         comps = np.stack([ln0.real, ln0.imag])
         ln1 = flow @ comps
         oracle = np.exp(ln1[0] + 1j * ln1[1])
@@ -91,10 +91,10 @@ class TestEvolve:
     def test_zero_crossing_aborts(self, space4):
         # imaginary first index drains the modulus towards the floor
         F = lambda_op(IndexPair(5j, 0), 1, space4)
-        phi = WaveFunction(1, space4, np.full(4, 0.3 + 0j))
+        phi = np.full(4, 0.3 + 0j)
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=2.0)
         with pytest.raises(ZeroAmplitude):
-            _march(F, phi.data, [cfg])
+            _march(F, phi, [cfg])
 
     def test_step_mismatch(self):
         with pytest.raises(StepMismatch):
@@ -310,10 +310,10 @@ class TestIndexOde:
         cfg = EvolutionConfig(dt=0.002, t0=0.0, t1=1.0, hbar=hbar)
         traj = index_ode_solve(p, q, cfg)
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        Ma = rot @ matrix_rep(IndexPair(p, q)) / hbar
+        Ma = rot @ matrix_components(p, q) / hbar
         va = scipy.linalg.expm(Ma) @ np.array([1.0, 0.0])
         assert abs(complex(traj.a[-1]) - complex(va[0], va[1])) <= 1e-10
-        Mb = rot @ matrix_rep(IndexPair(q, p)) / hbar
+        Mb = rot @ matrix_components(q, p) / hbar
         vb = scipy.linalg.expm(Mb) @ np.array([1.0, 0.0])
         assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
 
@@ -357,7 +357,7 @@ class TestScaling:
         # separate marches bit for bit; the rms mean over four sites adds
         # in the same order with or without the batch axis
         F = make(space4)
-        phi = nz(1, space4, rng).data
+        phi = nz(1, space4, rng)
         k = 1.4 + 0.3j
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3)
         factor = mixed_power(k, index_ode_solve(F.indices.a, F.indices.b, cfg).final())

@@ -39,11 +39,10 @@ from sepsym.operators import (
     zero_op,
 )
 from sepsym.scenario import build_generator, random_hermitian
-from sepsym.space import ConfigSpace, random_batch, random_state, tensor
+from sepsym.space import ConfigSpace, random_batch, random_state
 from sepsym.symmetry import (
     PointSymmetrySpec,
     named_profile,
-    point_symmetry_level,
     point_symmetry_parts,
 )
 
@@ -66,27 +65,27 @@ class TestLiftJ:
         F = site_matrix_op(space3, A)
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
-        left = lift_J(F, (0,), 2).apply(0.0, phi.data)
+        left = lift_J(F, (0,), 2).apply(0.0, phi)
         assert np.allclose(
-            left.reshape(-1), np.kron(A, eye) @ phi.data.reshape(-1), rtol=1e-13, atol=1e-14
+            left.reshape(-1), np.kron(A, eye) @ phi.reshape(-1), rtol=1e-13, atol=1e-14
         )
-        right = lift_J(F, (1,), 2).apply(0.0, phi.data)
+        right = lift_J(F, (1,), 2).apply(0.0, phi)
         assert np.allclose(
-            right.reshape(-1), np.kron(eye, A) @ phi.data.reshape(-1), rtol=1e-13, atol=1e-14
+            right.reshape(-1), np.kron(eye, A) @ phi.reshape(-1), rtol=1e-13, atol=1e-14
         )
 
     def test_parameters_factor_out(self, space3, rng):
         F = rms_log_modulus_op(space3, 0.9)
         f, g = nz(1, space3, rng), nz(1, space3, rng)
-        lifted = lift_J(F, (0,), 2).apply(0.0, tensor(f, g).data)
-        expect = np.multiply.outer(F.apply(0.0, f.data), g.data)
+        lifted = lift_J(F, (0,), 2).apply(0.0, np.multiply.outer(f, g))
+        expect = np.multiply.outer(F.apply(0.0, f), g)
         assert np.allclose(lifted, expect, rtol=1e-12, atol=1e-14)
 
     def test_permutation_covariance(self, space3, rng):
         F = shifted_log_modulus_op(space3, 1.0)
         phi = nz(2, space3, rng)
-        via_swap = lift_J(F, (0,), 2).apply(0.0, phi.data.T).T
-        direct = lift_J(F, (1,), 2).apply(0.0, phi.data)
+        via_swap = lift_J(F, (0,), 2).apply(0.0, phi.T).T
+        direct = lift_J(F, (1,), 2).apply(0.0, phi)
         assert np.allclose(via_swap, direct, rtol=1e-13, atol=1e-15)
 
     def test_pointwise_shortcut_matches_slicing(self, space3, rng):
@@ -95,7 +94,7 @@ class TestLiftJ:
         lifted = lift_J(lam, (1,), 2)
         lam2 = lambda_op(IndexPair(0.4, 0.7), 2, space3)
         assert np.allclose(
-            lifted.apply(0.0, phi.data), lam2.apply(0.0, phi.data), rtol=1e-14, atol=0
+            lifted.apply(0.0, phi), lam2.apply(0.0, phi), rtol=1e-14, atol=0
         )
 
     def test_identity_lift_is_same_object(self, space3):
@@ -195,7 +194,7 @@ class TestKernelContract:
         rng = np.random.default_rng(11)
         t = 0.3
         for m in range(op.n + 1, 4):
-            data, u, v = (nz(m, space, rng).data for _ in range(3))
+            data, u, v = (nz(m, space, rng) for _ in range(3))
             for J in itertools.combinations(range(m), op.n):
                 lifted = lift_J(op, J, m)
                 _close(lifted.apply(t, data), sliced_oracle(op.eval_fn, m, J, t, (data,)))
@@ -218,7 +217,7 @@ class TestKernelContract:
         # a (size, size) batch is where broadcasting a site function along
         # the last axis instead of the particle axis goes unnoticed by shape
         rng = np.random.default_rng(12)
-        batch = np.stack([nz(1, space, rng).data for _ in range(space.size)], axis=-1)
+        batch = np.stack([nz(1, space, rng) for _ in range(space.size)], axis=-1)
         got = op.apply(0.3, batch)
         for k in range(space.size):
             _close(got[:, k], op.apply(0.3, batch[:, k]))
@@ -237,7 +236,7 @@ class TestClosedFormDerivatives:
         rng = np.random.default_rng(13)
         t, h = 0.3, 1e-5
         data, u, v = (
-            np.stack([nz(op.n, space, rng, cap=np.pi / 8).data for _ in range(3)], axis=-1)
+            np.stack([nz(op.n, space, rng, cap=np.pi / 8) for _ in range(3)], axis=-1)
             for _ in range(3)
         )
 
@@ -258,8 +257,8 @@ class TestCanonicalLift1p:
         op2 = canonical_lift(g, 2)
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
-        oracle = (np.kron(A, eye) + np.kron(eye, A)) @ phi.data.reshape(-1)
-        assert np.allclose(op2.apply(0.0, phi.data).reshape(-1), oracle, rtol=1e-13, atol=1e-14)
+        oracle = (np.kron(A, eye) + np.kron(eye, A)) @ phi.reshape(-1)
+        assert np.allclose(op2.apply(0.0, phi).reshape(-1), oracle, rtol=1e-13, atol=1e-14)
 
     def test_lambda_lifts_to_lambda(self, space3, rng):
         idx = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
@@ -269,7 +268,7 @@ class TestCanonicalLift1p:
             direct = lambda_op(idx, n, space3)
             phi = nz(n, space3, rng)
             assert (
-                np.abs(lifted.apply(0.0, phi.data) - direct.apply(0.0, phi.data)).max()
+                np.abs(lifted.apply(0.0, phi) - direct.apply(0.0, phi)).max()
                 <= 1e-12
             )
 
@@ -277,9 +276,9 @@ class TestCanonicalLift1p:
         g = Generator(log_modulus_op(space3, 1.0))
         op2 = canonical_lift(g, 2)
         f1, f2 = nz(1, space3, rng), nz(1, space3, rng)
-        lhs = op2.apply(0.0, tensor(f1, f2).data)
-        rhs = np.multiply.outer(g.op.apply(0.0, f1.data), f2.data) + np.multiply.outer(
-            f1.data, g.op.apply(0.0, f2.data)
+        lhs = op2.apply(0.0, np.multiply.outer(f1, f2))
+        rhs = np.multiply.outer(g.op.apply(0.0, f1), f2) + np.multiply.outer(
+            f1, g.op.apply(0.0, f2)
         )
         assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -301,7 +300,7 @@ class TestCanonicalLift1p:
         lifted = canonical_lift(g, 2)
         plain = op_combine([lift_J(g.op, (j,), 2) for j in range(2)])
         phi = nz(2, space3, rng)
-        assert np.abs(lifted.apply(0.0, phi.data) - plain.apply(0.0, phi.data)).max() <= 1e-14
+        assert np.abs(lifted.apply(0.0, phi) - plain.apply(0.0, phi)).max() <= 1e-14
 
 
 class TestCanonicalLiftGen:
@@ -314,20 +313,20 @@ class TestCanonicalLiftGen:
         op3 = canonical_lift(g, 3)
         for _ in range(4):
             fs = [nz(1, space3, rng) for _ in range(3)]
-            prod = tensor(tensor(fs[0], fs[1]), fs[2])
-            assert np.abs(op3.apply(0.0, prod.data)).max() <= 1e-12
+            prod = np.multiply.outer(np.multiply.outer(fs[0], fs[1]), fs[2])
+            assert np.abs(op3.apply(0.0, prod)).max() <= 1e-12
 
     def test_brute_force_tuple_oracle(self, space3, rng):
         # independent slice enumeration for l = 2, n = 3: apply the raw
         # generator to every pair of slots with the third held fixed
         G = cross_ratio_op(space3, coupling=0.7)
         phi = nz(3, space3, rng)
-        acc = np.zeros_like(phi.data)
+        acc = np.zeros_like(phi)
         for x in range(space3.size):
-            acc[:, :, x] += G.apply(0.0, phi.data[:, :, x])
-            acc[:, x, :] += G.apply(0.0, phi.data[:, x, :])
-            acc[x, :, :] += G.apply(0.0, phi.data[x, :, :])
-        total = canonical_lift(gen_cross(space3, 0.7), 3).apply(0.0, phi.data)
+            acc[:, :, x] += G.apply(0.0, phi[:, :, x])
+            acc[:, x, :] += G.apply(0.0, phi[:, x, :])
+            acc[x, :, :] += G.apply(0.0, phi[x, :, :])
+        total = canonical_lift(gen_cross(space3, 0.7), 3).apply(0.0, phi)
         assert np.allclose(total, acc, rtol=1e-13, atol=1e-15)
 
     def test_range_errors(self, space3):
@@ -345,8 +344,8 @@ class TestCanonicalLiftGen:
         gen = Generator(op)
         assert gen.indices is None and op.pointwise_lambda is None
         phi = nz(3, space3, rng)
-        got = canonical_lift(gen, 3).apply(0.0, phi.data)
-        want = slot_loop_oracle(gen, 3).apply(0.0, phi.data)
+        got = canonical_lift(gen, 3).apply(0.0, phi)
+        want = slot_loop_oracle(gen, 3).apply(0.0, phi)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -393,7 +392,7 @@ class TestFusedCanonicalLift:
         shape = () if batch is None else (batch,)
 
         def draw():
-            states = [nz(n, gen.op.space, rng, cap=np.pi / 4).data
+            states = [nz(n, gen.op.space, rng, cap=np.pi / 4)
                       for _ in range(batch or 1)]
             return np.stack(states, axis=-1).reshape(states[0].shape + shape)
 
@@ -451,23 +450,20 @@ class TestFusedCanonicalLift:
             gen.op,
             eval_fn=counted(gen.op.eval_fn),
             derivative_fn=counted(gen.op.derivative_fn),
-            second_derivative_fn=counted(gen.op.second_derivative_fn),
         )
         lifted = canonical_lift(replace(gen, op=op), 3)
-        data = nz(3, self.SPACE, np.random.default_rng(2)).data
+        data = nz(3, self.SPACE, np.random.default_rng(2))
         tuples = math.comb(3, gen.ell)
         stacked = (3,) * 3 + (tuples,)
         lifted.apply(0.0, data)
         assert calls == [stacked]
         lifted.derivative(0.0, data, data)
         assert calls == [stacked] * 2
-        lifted.second_derivative_fn(0.0, data, data, data)
-        assert calls == [stacked] * 3
 
     def test_lift_J_kernel_sees_a_view(self):
         # a lone lifting stacks nothing: grid-32 lifts would copy every state
         base = self.CASES["shifted"].op
-        data = nz(3, self.SPACE, np.random.default_rng(3)).data
+        data = nz(3, self.SPACE, np.random.default_rng(3))
         shared = []
 
         def kernel(t, d):
@@ -498,7 +494,7 @@ class TestPointwiseLambdaLift:
         return shapes
 
     def test_marked_lift_is_one_plain_kernel_call(self, monkeypatch):
-        data = nz(3, self.SPACE, np.random.default_rng(6)).data
+        data = nz(3, self.SPACE, np.random.default_rng(6))
         for op in (lambda_op(self.IDX, 1, self.SPACE), log_modulus_op(self.SPACE, 0.8)):
             assert op.pointwise_lambda == op.indices
             lifted = canonical_lift(Generator(op), 3)
@@ -525,13 +521,14 @@ class TestPointwiseLambdaLift:
         assert lambda_op(lambda t: IndexPair(0.3 + t, 0.5j), 1, self.SPACE).pointwise_lambda is None
         assert lambda_op(ZERO_PAIR, 1, self.SPACE).pointwise_lambda is None
 
-    def test_point_symmetry_sum_takes_the_slot_sum(self, monkeypatch):
+    def test_lambda_sum_takes_the_slot_sum(self, monkeypatch):
         # pieces + [lambda] is an op_combine sum, not a Lambda generator,
         # even when the pieces are absent and the sum has one term
-        data = nz(3, self.SPACE, np.random.default_rng(7)).data
-        for spec in (PointSymmetrySpec(gamma=0.4, delta=0.2),
-                     PointSymmetrySpec(eta=lambda pos: np.sin(pos), gamma=0.4)):
-            level = point_symmetry_level(spec, 3, self.SPACE)
+        data = nz(3, self.SPACE, np.random.default_rng(7))
+        lam = lambda_op(IndexPair(0.4j, 0.2j), 1, self.SPACE)
+        phase = diag_mult_op(self.SPACE, 1j * np.sin(self.SPACE.positions()))
+        for parts in ([lam], [phase, lam]):
+            level = canonical_lift(Generator(op_combine(parts)), 3)
             shapes = self.kernel_shapes(monkeypatch)
             level.apply(0.0, data)
             assert shapes == [(3, 3, 3, 3), (3, 3, 3)]
@@ -541,9 +538,9 @@ class TestPointwiseLambdaLift:
         # Lambda of its indices: its lift is n Lambda - (n-1) Lambda'
         op = replace(log_modulus_op(self.SPACE), indices=IndexPair(2.0, 0.0))
         phi = nz(2, self.SPACE, rng)
-        want = 2 * lambda_op(IndexPair(1.0, 0.0), 2, self.SPACE).apply(0.0, phi.data) - (
-            lambda_op(IndexPair(2.0, 0.0), 2, self.SPACE).apply(0.0, phi.data))
-        got = canonical_lift(Generator(op), 2).apply(0.0, phi.data)
+        want = 2 * lambda_op(IndexPair(1.0, 0.0), 2, self.SPACE).apply(0.0, phi) - (
+            lambda_op(IndexPair(2.0, 0.0), 2, self.SPACE).apply(0.0, phi))
+        got = canonical_lift(Generator(op), 2).apply(0.0, phi)
         assert np.abs(got - want).max() <= 1e-14
 
     def test_marked_rms_mutant_fails_liftdeltal_identity(self, monkeypatch):
@@ -592,13 +589,6 @@ def two_evaluation_cross_ratio(space, refs, coupling):
     def raw_deriv(data, eta):
         return eta * operators.principal_log(ratio(data)) + data * rdot(data, eta) + eta
 
-    def raw_second(data, a, b):
-        u, v, w, y = slices(data)
-        au, av, aw, ay = slices(a)
-        bu, bv, bw, by = slices(b)
-        tt = av * bv / v**2 - aw * bw / w**2 - ay * by / y**2
-        return a * rdot(data, b) + b * rdot(data, a) + u * -tt + a * b / u
-
     def averaged(fn):
         def kernel(t, data, *dirs):
             direct = fn(data, *dirs)
@@ -610,7 +600,7 @@ def two_evaluation_cross_ratio(space, refs, coupling):
 
     return NonlinearOperator(
         n=2, space=space, eval_fn=averaged(raw_ev), derivative_fn=averaged(raw_deriv),
-        second_derivative_fn=averaged(raw_second), indices=ZERO_PAIR,
+        indices=ZERO_PAIR,
         name=f"two-evaluation-cross-ratio{refs}",
     )
 
@@ -629,15 +619,14 @@ class TestCrossRatioShortcut:
         shape = () if batch is None else (batch,)
 
         def draw():
-            states = [nz(n, space, rng).data for _ in range(batch or 1)]
+            states = [nz(n, space, rng) for _ in range(batch or 1)]
             return np.stack(states, axis=-1).reshape(states[0].shape + shape)
 
-        data, u, v = draw(), draw(), draw()
+        data, u = draw(), draw()
         ops = [canonical_lift(Generator(op), n)
                for op in (cross_ratio_op(space, refs, coupling),
                           two_evaluation_cross_ratio(space, refs, coupling))]
-        return [(op.apply(0.3, data), op.derivative(0.3, data, u),
-                 op.second_derivative_fn(0.3, data, u, v)) for op in ops]
+        return [(op.apply(0.3, data), op.derivative(0.3, data, u)) for op in ops]
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
@@ -672,7 +661,7 @@ class TestCrossRatioShortcut:
 
         monkeypatch.setattr(operators, "principal_log", counted)
         G = cross_ratio_op(self.SPACE, refs, 0.7)
-        data = nz(2, self.SPACE, np.random.default_rng(4)).data
+        data = nz(2, self.SPACE, np.random.default_rng(4))
         G.apply(0.0, data)
         assert len(calls) == logs
         G.derivative(0.0, data, data)
@@ -703,7 +692,7 @@ class TestCrossRatioForm:
         monkeypatch.setattr(operators, "principal_log", lambda z: seen.append(z) or np.log(z))
         space = ConfigSpace(4)
         rng = np.random.default_rng(17)
-        states = [nz(2, space, rng).data for _ in range(batch or 1)]
+        states = [nz(2, space, rng) for _ in range(batch or 1)]
         data = np.stack(states, axis=-1).reshape(states[0].shape + ((batch,) if batch else ()))
         cross_ratio_op(space, refs, 0.7).apply(0.0, data)
         wants = [quotient_form_ratio(data, refs)]
@@ -719,7 +708,7 @@ class TestLambdaOp:
     def test_zero_pair_is_zero_operator(self, space3, rng):
         z = lambda_op(IndexPair(0, 0), 2, space3)
         phi = random_state(2, space3, rng)  # zeros allowed: no log evaluated
-        assert np.abs(z.apply(0.0, phi.data)).max() == 0.0
+        assert np.abs(z.apply(0.0, phi)).max() == 0.0
 
     def test_unit_modulus_kernel(self, space3, rng):
         th = rng.uniform(-math.pi, math.pi, (3, 3))
@@ -740,7 +729,7 @@ class TestNaturalPart:
         idx = IndexPair(0.4, 0.8)
         nat = natural_part(Generator(lambda_op(idx, 1, space3)))
         phi = nz(1, space3, rng)
-        assert np.abs(nat.apply(0.0, phi.data)).max() <= 1e-14
+        assert np.abs(nat.apply(0.0, phi)).max() <= 1e-14
 
     def test_linear_unchanged(self, space3, rng):
         F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
@@ -802,7 +791,7 @@ class TestBracketHierarchy:
         H2 = Hierarchy.from_generators([gen_cross(space3)], 3)
         Bk = bracket_hierarchy(F, H2)
         phi = nz(1, space3, rng)
-        assert np.abs(Bk.op(1).apply(0.0, phi.data)).max() <= 1e-12
+        assert np.abs(Bk.op(1).apply(0.0, phi)).max() <= 1e-12
         # the threshold level of the bracket vanishes on products
         factors = random_batch((1, 1), space3, [rng], phase_cap=math.pi / 4)
         assert max(tensor_derivation_residual(Bk, 0.0, factors)) <= 1e-10
@@ -818,22 +807,22 @@ class TestDecomposition:
             for _ in range(4):
                 phi = nz(orig.ell, space3, rng)
                 diff = np.abs(
-                    got.op.apply(0.0, phi.data) - orig.op.apply(0.0, phi.data)
+                    got.op.apply(0.0, phi) - orig.op.apply(0.0, phi)
                 ).max()
                 assert diff <= 1e-8
         # nothing was injected at threshold 3
         phi3 = nz(3, space3, rng)
-        assert np.abs(rec[2].op.apply(0.0, phi3.data)).max() <= 1e-8
+        assert np.abs(rec[2].op.apply(0.0, phi3)).max() <= 1e-8
 
     def test_pure_one_particle_hierarchy(self, space3, rng):
         g = gen_shifted(space3, 1.1)
         H = Hierarchy.from_generators([g], 3)
         rec = canonical_decompose(H, seed=3)
         phi = nz(1, space3, rng)
-        assert np.abs(rec[0].op.apply(0.0, phi.data) - g.op.apply(0.0, phi.data)).max() <= 1e-12
+        assert np.abs(rec[0].op.apply(0.0, phi) - g.op.apply(0.0, phi)).max() <= 1e-12
         for level in (2, 3):
             probe = nz(level, space3, rng)
-            assert np.abs(rec[level - 1].op.apply(0.0, probe.data)).max() <= 1e-9
+            assert np.abs(rec[level - 1].op.apply(0.0, probe)).max() <= 1e-9
 
     def test_idempotence(self, space3, rng):
         gens = [gen_shifted(space3, 0.9), gen_cross(space3, 0.7)]
@@ -844,7 +833,7 @@ class TestDecomposition:
         for g1, g2 in zip(first, second):
             phi = nz(g1.ell, space3, rng)
             assert (
-                np.abs(g2.op.apply(0.0, phi.data) - g1.op.apply(0.0, phi.data)).max()
+                np.abs(g2.op.apply(0.0, phi) - g1.op.apply(0.0, phi)).max()
                 <= 1e-9
             )
 
@@ -872,7 +861,7 @@ class TestHierarchyConstruction:
     def test_levels_below_threshold_are_zero(self, space3, rng):
         H = Hierarchy.from_generators([gen_cross(space3)], 3)
         phi = random_state(1, space3, rng)
-        assert np.abs(H.op(1).apply(0.0, phi.data)).max() == 0.0
+        assert np.abs(H.op(1).apply(0.0, phi)).max() == 0.0
 
     def test_level_indices_shared(self, space3):
         H = Hierarchy.from_generators([gen_shifted(space3, 0.7), gen_cross(space3)], 3)

@@ -16,7 +16,7 @@ from sepsym.mixedpow import (
     I,
     IndexPair,
     J,
-    matrix_rep,
+    matrix_components,
     mixed_power,
     pair_action,
     pair_bracket,
@@ -175,6 +175,11 @@ class TestAction:
         out = pair_action(idx, arr)
         for k in range(5):
             assert abs(out[k] - pair_action(idx, complex(arr[k]))) <= ALG_TOL
+
+
+def matrix_rep(idx):
+    """The 2x2 matrix of one pair's action."""
+    return matrix_components(idx.a, idx.b)
 
 
 class TestMatrixRep:

@@ -56,7 +56,7 @@ def stacked(n, space, seed, size):
     """``size`` nowhere-zero states drawn in turn from one seeded generator,
     on a trailing batch axis."""
     rng = np.random.default_rng(seed)
-    return np.stack([nz(n, space, rng).data for _ in range(size)], axis=-1)
+    return np.stack([nz(n, space, rng) for _ in range(size)], axis=-1)
 
 
 def identity_residual(F, G, n, data):
@@ -123,8 +123,8 @@ class TestIdentity:
         nonzero = 0.0
         for _ in range(4):
             wf = nz(n, space3, rng)
-            lhs = obstruction_lhs(F, G, n, 0.0, wf.data)
-            rhs = obstruction_rhs(F, G, n, 0.0, wf.data)
+            lhs = obstruction_lhs(F, G, n, 0.0, wf)
+            rhs = obstruction_rhs(F, G, n, 0.0, wf)
             scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
             worst_gap = max(worst_gap, float(np.abs(lhs - rhs).max()) / scale)
             nonzero = max(nonzero, float(np.abs(rhs).max()))
@@ -152,38 +152,38 @@ class TestIdentity:
     def test_same_generator_cancels(self, space3, rng):
         F = gen_rms(space3)
         wf = nz(2, space3, rng)
-        assert np.abs(obstruction_rhs(F, F, 2, 0.0, wf.data)).max() <= 1e-13
+        assert np.abs(obstruction_rhs(F, F, 2, 0.0, wf)).max() <= 1e-13
 
     def test_lambda_pair_closes(self, space3, rng):
         p = Generator(lambda_op(IndexPair(0.7, 0.2), 1, space3))
         q = Generator(lambda_op(IndexPair(0.1, 0.9), 1, space3))
         wf = nz(2, space3, rng)
-        assert np.abs(obstruction_rhs(p, q, 2, 0.0, wf.data)).max() <= 1e-13
-        assert np.abs(obstruction_lhs(p, q, 2, 0.0, wf.data)).max() <= 1e-12
+        assert np.abs(obstruction_rhs(p, q, 2, 0.0, wf)).max() <= 1e-13
+        assert np.abs(obstruction_lhs(p, q, 2, 0.0, wf)).max() <= 1e-12
 
     def test_real_linear_degeneration(self, space3, rng):
         A = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         B = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         for n in (2, 3):
             wf = nz(n, space3, rng)
-            assert np.abs(obstruction_rhs(A, B, n, 0.0, wf.data)).max() <= LINEAR_TOL
-            assert np.abs(obstruction_lhs(A, B, n, 0.0, wf.data)).max() <= LINEAR_TOL
+            assert np.abs(obstruction_rhs(A, B, n, 0.0, wf)).max() <= LINEAR_TOL
+            assert np.abs(obstruction_lhs(A, B, n, 0.0, wf)).max() <= LINEAR_TOL
 
     def test_permutation_equivariance(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
         wf = nz(3, space3, rng)
         perm = (2, 0, 1)
-        direct = obstruction_rhs(F, G, 3, 0.0, np.transpose(wf.data, perm))
-        swapped = np.transpose(obstruction_rhs(F, G, 3, 0.0, wf.data), perm)
+        direct = obstruction_rhs(F, G, 3, 0.0, np.transpose(wf, perm))
+        swapped = np.transpose(obstruction_rhs(F, G, 3, 0.0, wf), perm)
         assert np.abs(direct - swapped).max() <= 1e-10
 
     def test_range_validation(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
         wf = nz(2, space3, rng)
         with pytest.raises(BadRange):
-            obstruction_rhs(F, G, 2, 0.0, wf.data)  # n must exceed m
+            obstruction_rhs(F, G, 2, 0.0, wf)  # n must exceed m
         with pytest.raises(BadRange):
-            obstruction_rhs(G, F, 3, 0.0, wf.data)  # l <= m ordering
+            obstruction_rhs(G, F, 3, 0.0, wf)  # l <= m ordering
 
     def test_bracket_generator_levels(self, space3):
         F, G = gen_rms(space3), gen_cross(space3)
@@ -204,13 +204,13 @@ class TestCorollary1:
         F = gen_shifted(space3)
         K = Generator(lambda_op(IndexPair(0.3, 0.8), 1, space3))
         wf = nz(2, space3, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= 1e-13
+        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= 1e-13
 
     def test_linear_pair_vanishes(self, space3, rng):
         F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         K = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         wf = nz(2, space3, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= LINEAR_TOL
+        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= LINEAR_TOL
 
     def test_spin_counterexample(self, spin_space):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
@@ -223,7 +223,7 @@ class TestCorollary1:
 
     def test_requires_one_particle(self, space3, rng):
         with pytest.raises(BadRange):
-            corollary1_obstruction(gen_cross(space3), gen_rms(space3), 0.0, nz(2, space3, rng).data)
+            corollary1_obstruction(gen_cross(space3), gen_rms(space3), 0.0, nz(2, space3, rng))
 
 
 class TestCorollary2:
@@ -231,23 +231,23 @@ class TestCorollary2:
         G = Generator(zero_op(space3, 2))
         K = gen_rms(space3)
         wf = nz(3, space3, rng)
-        assert np.abs(corollary2_obstruction(G, K, 0.0, wf.data)).max() == 0.0
+        assert np.abs(corollary2_obstruction(G, K, 0.0, wf)).max() == 0.0
 
     def test_spin_rotation_vs_cross_ratio(self, spin_space, rng):
         G = gen_cross(spin_space, coupling=1.0)
         K = Generator(spin_rotation_op(spin_space))
         rng5 = np.random.default_rng(5)
         states = [nz(3, spin_space, rng5) for _ in range(4)]
-        assert corollary2_obstruction(G, K, 0.0, states[0].data).shape == (8,) * 3
-        batch = np.stack([wf.data for wf in states], axis=-1)
+        assert corollary2_obstruction(G, K, 0.0, states[0]).shape == (8,) * 3
+        batch = np.stack(states, axis=-1)
         norms = sup_norms(corollary2_obstruction(G, K, 0.0, batch))
         assert max(norms) > 1e-3
 
     def test_level_validation(self, space3, rng):
         with pytest.raises(BadRange):
-            corollary2_obstruction(gen_rms(space3), gen_rms(space3), 0.0, nz(2, space3, rng).data)
+            corollary2_obstruction(gen_rms(space3), gen_rms(space3), 0.0, nz(2, space3, rng))
         with pytest.raises(BadRange):
-            corollary2_obstruction(gen_cross(space3), gen_cross(space3), 0.0, nz(3, space3, rng).data)
+            corollary2_obstruction(gen_cross(space3), gen_cross(space3), 0.0, nz(3, space3, rng))
 
 
 class TestSpecialisations:
@@ -258,14 +258,14 @@ class TestSpecialisations:
         F = gen_shifted(grid8)
         K = Generator(relative_log_modulus_op(grid8, 0.7))
         for _ in range(4):
-            data = nz(2, grid8, rng).data
+            data = nz(2, grid8, rng)
             assert_close(corollary1_obstruction(F, K, 0.0, data), corollary1_oracle(F, K, 0.0, data))
 
     def test_spin_rms_vs_spin_rotation(self, spin_space, rng):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
         for _ in range(4):
-            data = nz(2, spin_space, rng).data
+            data = nz(2, spin_space, rng)
             got = corollary1_obstruction(F, K, 0.0, data)
             assert np.abs(got).max() > 1e-3
             assert_close(got, corollary1_oracle(F, K, 0.0, data))
@@ -280,7 +280,7 @@ class TestSpecialisations:
         G = gen_cross(space, coupling=0.8)
         K = Generator(point_symmetry_parts(spec, space)[label])
         for k in range(4):
-            data = random_state(3, space, k, nowhere_zero=True, smooth=True).data
+            data = random_state(3, space, k, nowhere_zero=True, smooth=True)
             assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
 
 
@@ -348,7 +348,7 @@ class TestFamilies:
     def test_corollary2_shared_second_side(self, grid8, refs):
         G = gen_cross(grid8, 0.8, refs)
         family = self.point_parts(grid8)
-        data = np.stack([random_state(3, grid8, k, nowhere_zero=True, smooth=True).data
+        data = np.stack([random_state(3, grid8, k, nowhere_zero=True, smooth=True)
                          for k in range(2)], axis=-1)
         self.assert_entries(lambda Ks: corollary2_obstruction(G, Ks, 0.0, data),
                             lambda K: corollary2_obstruction(G, K, 0.0, data), family)
@@ -365,26 +365,26 @@ class TestFamilies:
 
     def test_one_entry_family(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
-        data = nz(3, space3, rng).data
+        data = nz(3, space3, rng)
         (entry,) = obstruction_rhs([F], G, 3, 0.0, data)
         assert np.array_equal(entry, obstruction_rhs(F, G, 3, 0.0, data))
 
     def test_mixed_levels_raise(self, space3, rng):
         one, two = gen_rms(space3), gen_cross(space3)
-        data = nz(3, space3, rng).data
+        data = nz(3, space3, rng)
         with pytest.raises(BadRange):
             obstruction_rhs([one, two], two, 3, 0.0, data)
         with pytest.raises(BadRange):
             obstruction_rhs(one, [one, two], 3, 0.0, data)
         with pytest.raises(BadRange):
-            corollary1_obstruction(one, [one, two], 0.0, nz(2, space3, rng).data)
+            corollary1_obstruction(one, [one, two], 0.0, nz(2, space3, rng))
         with pytest.raises(BadRange):
             corollary2_obstruction(two, [one, two], 0.0, data)
 
     def test_family_on_one_side_only(self, space3, rng):
         one = gen_rms(space3)
         with pytest.raises(BadRange):
-            obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng).data)
+            obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng))
 
 
 class TestWorkCounts:
@@ -422,7 +422,7 @@ class TestWorkCounts:
         space = ConfigSpace(4, grid=True)
         family = [Generator(op) for op in point_symmetry_parts(
             PointSymmetrySpec(eta=np.sin, xi=np.cos), space).values()]
-        data = np.stack([nz(3, space, np.random.default_rng(s)).data for s in (1, 2)], axis=-1)
+        data = np.stack([nz(3, space, np.random.default_rng(s)) for s in (1, 2)], axis=-1)
         shapes = self.floor_checks(monkeypatch)
         corollary2_obstruction(Generator(cross_ratio_op(space, (1, 2), 0.7)), family, 0.0, data)
         # three lifts K, each linearised once, on its view of data (with the
@@ -434,7 +434,7 @@ class TestWorkCounts:
 
     def test_one_floor_check_per_lifted_multiplier(self, monkeypatch):
         space = ConfigSpace(4, grid=True)
-        data = np.stack([nz(2, space, np.random.default_rng(s)).data for s in (3, 4)], axis=-1)
+        data = np.stack([nz(2, space, np.random.default_rng(s)) for s in (3, 4)], axis=-1)
         shapes = self.floor_checks(monkeypatch)
         family = [Generator(site_matrix_op(space, np.eye(4) * k)) for k in (1.0, 2.0, 3.0)]
         corollary1_obstruction(Generator(rms_log_modulus_op(space, 0.9)), family, 0.0, data)
@@ -576,7 +576,7 @@ class TestReport:
 
     def test_fd_warning_surfaces(self, monkeypatch):
         space = ConfigSpace(3)
-        stripped = stripped_rms(space, derivative_fn=None, second_derivative_fn=None)
+        stripped = stripped_rms(space, derivative_fn=None)
         monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
             ("stripped", stripped, gen_shifted(space), (2,))
         ])

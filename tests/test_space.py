@@ -3,128 +3,122 @@ import math
 import numpy as np
 import pytest
 
-from sepsym.errors import BadTuple, SpaceMismatch
+import sepsym.space
+from sepsym.errors import BadTuple, SizeCapExceeded
 from sepsym.space import (
     SMOOTH_COEFF_BUDGET,
     SMOOTH_MAX_MODE,
     ConfigSpace,
-    WaveFunction,
     _smooth_field,
     check_index_tuple,
     random_state,
-    tensor,
     tensor_data,
 )
 
 
+def tensor(f, g):
+    """Tensor product of two single states."""
+    return tensor_data(f, g, f.ndim)
+
+
 def brute_force_tensor(f, g):
     """Independent pointwise-product oracle."""
-    n1, n2, s = f.n, g.n, f.space.size
-    out = np.empty((s,) * (n1 + n2), dtype=complex)
+    n1 = f.ndim
+    out = np.empty(f.shape + g.shape, dtype=complex)
     for idx in np.ndindex(*out.shape):
-        out[idx] = f.data[idx[:n1]] * g.data[idx[n1:]]
+        out[idx] = f[idx[:n1]] * g[idx[n1:]]
     return out
 
 
 class TestTensor:
     def test_frozen_example(self):
-        sp = ConfigSpace(2)
-        f = WaveFunction(1, sp, np.array([1.0, 2.0]))
-        g = WaveFunction(1, sp, np.array([3.0, 5.0]))
-        assert np.array_equal(tensor(f, g).data.ravel(), [3.0, 5.0, 6.0, 10.0])
+        f = np.array([1.0, 2.0], dtype=complex)
+        g = np.array([3.0, 5.0], dtype=complex)
+        assert np.array_equal(tensor(f, g).ravel(), [3.0, 5.0, 6.0, 10.0])
 
     def test_matches_brute_force(self, space3, rng):
         # vectorised and scalar complex products may differ in the last ulp
         f = random_state(1, space3, rng)
         g = random_state(2, space3, rng)
-        assert np.allclose(tensor(f, g).data, brute_force_tensor(f, g), rtol=1e-14, atol=0)
+        assert np.allclose(tensor(f, g), brute_force_tensor(f, g), rtol=1e-14, atol=0)
 
     def test_ones_replication(self, space3, rng):
         f = random_state(2, space3, rng)
-        ones = WaveFunction(1, space3, np.ones(3))
-        out = tensor(f, ones)
+        out = tensor(f, np.ones(3, dtype=complex))
         for k in range(3):
-            assert np.array_equal(out.data[:, :, k], f.data)
+            assert np.array_equal(out[:, :, k], f)
 
     def test_bilinearity(self, space3, rng):
         f = random_state(1, space3, rng)
         g = random_state(1, space3, rng)
         k = 0.7 - 1.3j
-        lhs = tensor(WaveFunction(f.n, f.space, k * f.data), g).data
-        rhs = k * tensor(f, g).data
+        lhs = tensor(k * f, g)
+        rhs = k * tensor(f, g)
         assert np.allclose(lhs, rhs, rtol=1e-15, atol=0)
 
     def test_associativity_exact_on_integers(self, space3, rng):
-        mk = lambda: WaveFunction(
-            1, space3, rng.integers(-4, 5, 3) + 1j * rng.integers(-4, 5, 3)
-        )
+        mk = lambda: rng.integers(-4, 5, 3) + 1j * rng.integers(-4, 5, 3)
         f, g, h = mk(), mk(), mk()
-        left = tensor(tensor(f, g), h).data
-        right = tensor(f, tensor(g, h)).data
+        left = tensor(tensor(f, g), h)
+        right = tensor(f, tensor(g, h))
         assert np.array_equal(left, right)
 
     def test_associativity_float(self, space3, rng):
         f, g, h = (random_state(1, space3, rng) for _ in range(3))
-        left = tensor(tensor(f, g), h).data
-        right = tensor(f, tensor(g, h)).data
+        left = tensor(tensor(f, g), h)
+        right = tensor(f, tensor(g, h))
         assert np.allclose(left, right, rtol=1e-14, atol=0)
 
     def test_sup_norm_multiplicative(self, space3, rng):
         f = random_state(1, space3, rng)
         g = random_state(2, space3, rng)
         prod = tensor(f, g)
-        sup = [float(np.abs(x.data).max()) for x in (prod, f, g)]
+        sup = [float(np.abs(x).max()) for x in (prod, f, g)]
         assert math.isclose(sup[0], sup[1] * sup[2], rel_tol=1e-13)
-
-    def test_space_mismatch(self, space3, space4, rng):
-        with pytest.raises(SpaceMismatch):
-            tensor(random_state(1, space3, rng), random_state(1, space4, rng))
 
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1)])
     def test_batched_matches_per_entry_outer(self, space3, rng, n1, n2):
         fs = [random_state(n1, space3, rng) for _ in range(4)]
         gs = [random_state(n2, space3, rng) for _ in range(4)]
-        out = tensor_data(
-            np.stack([f.data for f in fs], axis=-1), np.stack([g.data for g in gs], axis=-1), n1
-        )
+        out = tensor_data(np.stack(fs, axis=-1), np.stack(gs, axis=-1), n1)
         assert out.shape == (3,) * (n1 + n2) + (4,)
         for k, (f, g) in enumerate(zip(fs, gs)):
-            outer = np.multiply.outer(f.data, g.data)
+            outer = np.multiply.outer(f, g)
             assert np.array_equal(out[..., k], outer)
-            assert np.array_equal(tensor(f, g).data, outer)
+            assert np.array_equal(tensor(f, g), outer)
 
 
 class TestPermute:
     def test_identity(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert np.array_equal(np.transpose(f.data, (0, 1, 2)), f.data)
+        assert np.array_equal(np.transpose(f, (0, 1, 2)), f)
 
     def test_swap_on_product(self, space3, rng):
         f = random_state(1, space3, rng)
         g = random_state(1, space3, rng)
         assert np.allclose(
-            np.transpose(tensor(f, g).data, (1, 0)), tensor(g, f).data, rtol=1e-14, atol=0
+            np.transpose(tensor(f, g), (1, 0)), tensor(g, f), rtol=1e-14, atol=0
         )
 
     def test_round_trip(self, space3, rng):
         f = random_state(3, space3, rng)
         perm = (2, 0, 1)
         inverse = tuple(int(k) for k in np.argsort(perm))
-        assert np.array_equal(np.transpose(np.transpose(f.data, perm), inverse), f.data)
+        assert np.array_equal(np.transpose(np.transpose(f, perm), inverse), f)
 
     def test_isometry(self, space3, rng):
         f = random_state(3, space3, rng)
-        assert np.abs(np.transpose(f.data, (1, 2, 0))).max() == np.abs(f.data).max()
+        assert np.abs(np.transpose(f, (1, 2, 0))).max() == np.abs(f).max()
 
     def test_composition_consistency(self, space3, rng):
         # np.transpose(np.transpose(f, pi), sigma) agrees with a single pointwise oracle
         f = random_state(3, space3, rng)
         pi, sigma = (2, 0, 1), (1, 2, 0)
-        two_step = np.transpose(np.transpose(f.data, pi), sigma)
+        two_step = np.transpose(np.transpose(f, pi), sigma)
         for idx in np.ndindex(*two_step.shape):
             inner = tuple(idx[sigma[k]] for k in range(3))
             outer = tuple(inner[pi[k]] for k in range(3))
-            assert two_step[idx] == f.data[outer]
+            assert two_step[idx] == f[outer]
 
 
 def smooth_field_loop(space, n, rng):
@@ -165,20 +159,20 @@ class TestRandomState:
     def test_deterministic(self, space4):
         a = random_state(2, space4, 123)
         b = random_state(2, space4, 123)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_nowhere_zero_floor(self, space4):
         f = random_state(3, space4, 7, nowhere_zero=True)
-        assert np.abs(f.data).min() >= 0.1
+        assert np.abs(f).min() >= 0.1
 
     def test_phase_cap(self, space4):
         f = random_state(2, space4, 11, nowhere_zero=True, phase_cap=math.pi / 4)
-        assert np.abs(np.angle(f.data)).max() <= math.pi / 4
+        assert np.abs(np.angle(f)).max() <= math.pi / 4
 
     def test_smooth_second_difference_bound(self):
         sp = ConfigSpace(16, grid=True)
         f = random_state(1, sp, 3, smooth=True)
-        second = np.roll(f.data, -1) - 2 * f.data + np.roll(f.data, 1)
+        second = np.roll(f, -1) - 2 * f + np.roll(f, 1)
         bound = SMOOTH_COEFF_BUDGET * (SMOOTH_MAX_MODE * sp.spacing) ** 2
         assert np.abs(second).max() <= bound + 1e-12
 
@@ -186,7 +180,7 @@ class TestRandomState:
         # the same seed on a finer grid samples the same band-limited field
         coarse = random_state(1, ConfigSpace(8, grid=True), 5, smooth=True, nowhere_zero=True)
         fine = random_state(1, ConfigSpace(16, grid=True), 5, smooth=True, nowhere_zero=True)
-        assert np.allclose(fine.data[::2], coarse.data, rtol=0, atol=1e-12)
+        assert np.allclose(fine[::2], coarse, rtol=0, atol=1e-12)
 
     def test_smooth_needs_grid(self, space4):
         with pytest.raises(ValueError):
@@ -194,28 +188,27 @@ class TestRandomState:
 
     def test_smooth_factor_space(self, spin_space):
         f = random_state(2, spin_space, 9, smooth=True, nowhere_zero=True)
-        assert np.abs(f.data).min() >= 0.1
+        assert np.abs(f).min() >= 0.1
 
 
-class TestWaveFunction:
-    def test_immutable(self, space3, rng):
-        f = random_state(1, space3, rng)
-        with pytest.raises(ValueError):
-            f.data[0] = 0.0
+    def test_state_array(self, space3, rng):
+        for kwargs in ({}, {"nowhere_zero": True}):
+            f = random_state(2, space3, rng, **kwargs)
+            assert f.shape == (3, 3) and f.dtype == np.complex128
 
     def test_flat_size_cap(self):
-        with pytest.raises(ValueError):
-            WaveFunction(5, ConfigSpace(16), np.zeros(16**5))
+        with pytest.raises(SizeCapExceeded):
+            random_state(5, ConfigSpace(16), 0)
 
-    def test_rejects_non_finite(self, space3):
-        bad = np.ones((3,), dtype=complex)
-        bad[1] = complex(float("nan"), 0)
-        with pytest.raises(ValueError):
-            WaveFunction(1, ConfigSpace(3), bad)
+    def test_rejects_non_finite(self, grid8, monkeypatch):
+        def bad_field(space, n, rng):
+            field = np.ones((space.size,) * n, dtype=complex)
+            field[1] = complex(float("nan"), 0)
+            return field
 
-    def test_accepts_flat_input(self, space3):
-        f = WaveFunction(2, space3, np.arange(9, dtype=float))
-        assert f.data.shape == (3, 3)
+        monkeypatch.setattr(sepsym.space, "_smooth_field", bad_field)
+        with pytest.raises(ValueError, match="non-finite"):
+            random_state(1, grid8, 0, smooth=True)
 
 
 class TestConfigSpace:

@@ -9,9 +9,9 @@ import scipy.linalg
 import sepsym.symmetry
 from sepsym.errors import BadRange, SpaceMismatch
 from sepsym.evolution import EvolutionConfig, rk4_pair_step, rk4_trajectory
-from sepsym.hierarchy import Generator, Hierarchy, canonical_lift, lift_J
+from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
 from sepsym.mixedpow import IndexPair, product_components
-from sepsym.opcalc import estimate_log_indices, op_combine
+from sepsym.opcalc import op_combine
 from sepsym.operators import (
     diag_mult_op,
     lambda_op,
@@ -36,7 +36,6 @@ from sepsym.symmetry import (
     inf_symmetry_residual,
     lambda_index_symmetry,
     named_profile,
-    point_symmetry_level,
     point_symmetry_parts,
     symmetry_residual,
 )
@@ -272,7 +271,7 @@ class TestBracket:
         M = inf_symmetry_bracket(K, K)
         assert abs(M.tau.alpha) == 0.0 and abs(M.tau.beta) == 0.0
         phi = nz(2, space3, rng)
-        assert np.abs(M.levels.op(2).apply(0.4, phi.data)).max() <= 1e-7
+        assert np.abs(M.levels.op(2).apply(0.4, phi)).max() <= 1e-7
 
     def test_tau_bracket_frozen_example(self, space3):
         # tau_K = 1, tau_L = t gives tau_[K,L] = 1
@@ -286,6 +285,26 @@ class TestBracket:
         M = inf_symmetry_bracket(K, L)
         for t in (0.3, 0.7):
             assert max(inf_symmetry_residual(M, H, t, nzs(2, space3, rng))) <= 2e-5
+
+    def test_checked_bracket_has_closed_derivatives(self, monkeypatch):
+        # symmetry-bracket-closure differentiates every level of [K, L]; a
+        # level without a closed derivative would move it onto finite
+        # differences without a word (only Lambda and linear operators
+        # carry the second derivatives a bracket's derivative needs)
+        from sepsym import checks
+
+        built = []
+
+        def recorded(K, L):
+            built.append(inf_symmetry_bracket(K, L))
+            return built[-1]
+
+        monkeypatch.setattr(checks, "inf_symmetry_bracket", recorded)
+        sc = load_scenario("scaling-indices", set(CHECKS))
+        assert run_check("symmetry-bracket-closure", sc, {}).status == "pass"
+        [M] = built
+        levels = [M.levels.op(n) for n in range(1, M.levels.n_max + 1)]
+        assert len(levels) == 2 and all(op.has_closed_derivative for op in levels)
 
 
 class TestThresholdConsistency:
@@ -326,7 +345,7 @@ class TestThresholdConsistency:
             phi = nz(gl.ell, space, rng, phase_cap=math.pi / 4)
             gaps.append(
                 float(
-                    np.abs(gl.op.apply(t0, phi.data) - gr.op.apply(t0, phi.data)).max()
+                    np.abs(gl.op.apply(t0, phi) - gr.op.apply(t0, phi)).max()
                 )
             )
         return d_lhs, d_rhs, gaps
@@ -346,10 +365,10 @@ class TestThresholdConsistency:
         assert max(gaps) <= 1e-6
         for g in list(d_lhs[1:]) + list(d_rhs[1:]):
             phi = nz(g.ell, space3, rng, phase_cap=math.pi / 4)
-            assert np.abs(g.op.apply(0.4, phi.data)).max() <= 1e-6
+            assert np.abs(g.op.apply(0.4, phi)).max() <= 1e-6
         # the threshold-one part is genuinely non-zero
         phi1 = nz(1, space3, rng)
-        assert np.abs(d_lhs[0].op.apply(0.4, phi1.data)).max() > 1e-3
+        assert np.abs(d_lhs[0].op.apply(0.4, phi1)).max() > 1e-3
 
     def test_balanced_index_symmetry_of_extended_hierarchy(self, space3, rng):
         # with a threshold-2 generator in the evolution, only symmetries
@@ -379,7 +398,7 @@ class TestThresholdConsistency:
         assert max(gaps) <= 1e-6
         for g in list(d_lhs) + list(d_rhs):
             phi = nz(g.ell, space3, rng, phase_cap=math.pi / 4)
-            assert np.abs(g.op.apply(0.4, phi.data)).max() <= 1e-6
+            assert np.abs(g.op.apply(0.4, phi)).max() <= 1e-6
 
     def test_unbalanced_indices_are_obstructed(self, space3, rng):
         # the same construction with c != d fails against the threshold-2
@@ -394,25 +413,20 @@ class TestThresholdConsistency:
         assert res > 1e-2
 
 
-def slot_sum_oracle(spec, n, space):
-    """The n-particle point generator as a hand-written slot sum: the
-    one-particle pieces lifted into each slot plus one n-particle copy of
-    the (pointwise) index term."""
-    base = op_combine(list(point_symmetry_parts(spec, space).values()))
-    idx_op = lambda_op(spec.index_pair(), 1, space)
-    if n == 1:
-        return op_combine([base, idx_op])
-    return op_combine([lift_J(base, (j,), n) for j in range(n)] + [replace(idx_op, n=n)])
+def point_level(spec, n, space):
+    """The n-particle point generator: the canonical lift of the sum of
+    its one-particle pieces."""
+    return canonical_lift(Generator(op_combine(list(point_symmetry_parts(spec, space).values()))), n)
 
 
 class TestPointSymmetry:
     def test_constant_phase_form(self, grid8, rng):
         spec = PointSymmetrySpec(eta=lambda pos: 0.7 * np.ones_like(pos))
         for n in (1, 2):
-            K = point_symmetry_level(spec, n, grid8)
+            K = point_level(spec, n, grid8)
             phi = random_state(n, grid8, rng)
             assert np.allclose(
-                K.apply(0.0, phi.data), 1j * 0.7 * n * phi.data, rtol=1e-13, atol=1e-15
+                K.apply(0.0, phi), 1j * 0.7 * n * phi, rtol=1e-13, atol=1e-15
             )
 
     def test_momentum_matches_direct_two_particle_form(self, grid8, rng):
@@ -420,7 +434,7 @@ class TestPointSymmetry:
         # slot-sum built independently from kron matrices
         xi = 0.8 * np.sin(grid8.positions() + 0.5) + 0.2
         spec = PointSymmetrySpec(xi=lambda pos: xi)
-        K2 = point_symmetry_level(spec, 2, grid8)
+        K2 = point_level(spec, 2, grid8)
         D = np.zeros((8, 8))
         h = grid8.spacing
         for k in range(8):
@@ -430,22 +444,13 @@ class TestPointSymmetry:
         eye = np.eye(8)
         full = np.kron(L1, eye) + np.kron(eye, L1)
         phi = random_state(2, grid8, rng)
-        oracle = (full @ phi.data.reshape(-1)).reshape(8, 8)
-        assert np.allclose(K2.apply(0.0, phi.data), oracle, rtol=1e-12, atol=1e-13)
-
-    def test_index_part_estimation(self, grid8, rng):
-        spec = PointSymmetrySpec(gamma=0.4, delta=0.2)
-        K1 = point_symmetry_level(spec, 1, grid8)
-        batch = nzs(1, grid8, rng, 3, phase_cap=math.pi / 2)
-        est, _ = estimate_log_indices(K1, 0.0, batch)
-        assert est.close_to(IndexPair(0.4j, 0.2j), 1e-10)
+        oracle = (full @ phi.reshape(-1)).reshape(8, 8)
+        assert np.allclose(K2.apply(0.0, phi), oracle, rtol=1e-12, atol=1e-13)
 
     def test_generator_levels(self, grid8):
-        spec = PointSymmetrySpec(
-            eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos), gamma=0.1
-        )
+        spec = PointSymmetrySpec(eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos))
         K = InfinitesimalSymmetry(
-            levels=Hierarchy(tuple(point_symmetry_level(spec, n, grid8) for n in (1, 2, 3)))
+            levels=Hierarchy(tuple(point_level(spec, n, grid8) for n in (1, 2, 3)))
         )
         assert K.levels.n_max == 3
         assert [K.levels.op(n).n for n in (1, 2, 3)] == [1, 2, 3]
@@ -462,29 +467,9 @@ class TestPointSymmetry:
         with pytest.raises(ValueError):
             named_profile("cubic")
 
-    def test_level_matches_slot_sum(self, grid8, rng):
-        # the canonical lift of pieces + Lambda against the explicit sum:
-        # every one-particle piece in every slot, one copy of the index term
-        spec = PointSymmetrySpec(
-            eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
-            xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
-            gamma=0.4,
-            delta=0.2,
-        )
-        for n in (1, 2, 3):
-            oracle = slot_sum_oracle(spec, n, grid8)
-            K = point_symmetry_level(spec, n, grid8)
-            data, eta = nz(n, grid8, rng).data, random_state(n, grid8, rng).data
-            for got, want in [
-                (K.apply(0.3, data), oracle.apply(0.3, data)),
-                (K.derivative(0.3, data, eta), oracle.derivative(0.3, data, eta)),
-            ]:
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-            assert K.indices.close_to(oracle.indices, 1e-13)
-
     def test_requires_grid(self, space4):
         with pytest.raises(ValueError):
-            point_symmetry_parts(PointSymmetrySpec(gamma=1.0), space4)
+            point_symmetry_parts(PointSymmetrySpec(), space4)
 
 
 def bundled_check(name, seed):
@@ -529,4 +514,4 @@ class TestInternalDof:
         F = Generator(site_matrix_op(spin_space, random_hermitian(spin_space, rng)))
         K = Generator(spin_rotation_op(spin_space))
         wf = nz(2, spin_space, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf.data)).max() <= 1e-10
+        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= 1e-10
