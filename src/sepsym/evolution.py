@@ -11,12 +11,17 @@ which govern how E(t', t)(k phi) = k^(a, b) E(t', t) phi scales rescaled
 initial data.  The logarithmic indices are recovered from the trajectory
 by one-sided second-order differencing of a and b at t' = t.
 
-States are marched a whole dt ladder at a time.  An RK4 step on a
-decoupled system is the step on each part, so ``_march`` steps one copy
-of a stacked batch per step size in one loop, and a particle level of the
-separation or scaling test costs the kernel calls of its finest step
-size alone, whatever the number of states.  Every batch entry evolves
-exactly as it would alone; a ZeroAmplitude in any entry ends the march.
+States are marched a whole dt ladder and, in the separation test, all
+particle levels at a time.  An RK4 step on a decoupled system is the step
+on each part, so ``_march`` steps one copy of a stacked batch per step
+size in one loop, and the separation test flattens its factor and product
+levels into one stacked state of a hierarchy's ``direct_sum``.  A march
+then costs the kernel calls of its finest step size alone, one per
+generator and RK4 stage for a hierarchy built from generators, whatever
+the number of states and levels.  Every batch entry and level evolves
+exactly as it would alone (for kernels whose value on one batch entry does
+not depend on the rest of the batch); a ZeroAmplitude in any entry ends
+the march.
 """
 
 from __future__ import annotations
@@ -66,12 +71,14 @@ def rk4_trajectory(rhs: Callable, y0, t0, dt, n_steps: int):
     """
     y = y0
     t = t0
+    half, sixth = dt / 2, dt / 6  # on a ladder each is an array operation
     for k in range(n_steps):
+        mid = t + half
         k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + (dt / 2) * k1)
-        k3 = rhs(t + dt / 2, y + (dt / 2) * k2)
+        k2 = rhs(mid, y + half * k1)
+        k3 = rhs(mid, y + half * k2)
         k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t0 + (k + 1) * dt
     return y
 
@@ -95,7 +102,9 @@ def _march(
     state of ``data`` at every cfg, in the order of ``cfgs``.
 
     ``data`` may carry trailing batch axes, whose entries evolve
-    independently under the kernel contract.  A ladder of more than one
+    independently under the kernel contract.  F may be a hierarchy's
+    ``direct_sum``, whose ``data`` stacks several particle levels row-wise,
+    so one march steps every level.  A ladder of more than one
     cfg concatenates one copy of ``data`` per cfg on the last batch axis,
     finest dt first, steps them with a float64 step-size array on that
     axis, and slices a copy off when its cfg reaches its step count.
@@ -155,17 +164,27 @@ def separation_test(
     holds the factorisation gap sup |E(phi1) x E(phi2) - E(phi1 x phi2)| of
     each pair.
 
-    The factors are stacked on one trailing batch axis, pair k in entry k,
-    and each level marches every pair at every step size in one
-    ``_march``.  For a separating (tensor-derivation) hierarchy a gap is
-    pure time discretisation error, O(dt^4); a genuinely non-separating
+    The factors are stacked on one trailing batch axis, pair k in entry k.
+    The three levels are flattened and stacked row-wise into one state, so
+    one ``_march`` of ``H.direct_sum`` marches every level and pair at
+    every step size.  For a separating (tensor-derivation) hierarchy a gap
+    is pure time discretisation error, O(dt^4); a genuinely non-separating
     level keeps it bounded away from zero.
     """
-    n1, n2 = phi1.ndim - 1, phi2.ndim - 1
-    marches = (_march(H.op(n1), phi1, cfgs), _march(H.op(n2), phi2, cfgs),
-               _march(H.op(n1 + n2), tensor_data(phi1, phi2, n1), cfgs))
-    return [Separation(sup_norms(tensor_data(psi1, psi2, n1) - psi12), (psi1, psi2), psi12)
-            for psi1, psi2, psi12 in zip(*marches)]
+    n1 = phi1.ndim - 1
+    states = (phi1, phi2, tensor_data(phi1, phi2, n1))
+    order = sorted(range(3), key=lambda k: states[k].ndim)  # levels in increasing order
+    stacked = np.concatenate([states[k].reshape(-1, phi1.shape[-1]) for k in order])
+    F = H.direct_sum([states[k].ndim - 1 for k in order])
+    cuts = np.cumsum([states[k][..., 0].size for k in order])[:-1]
+    runs = []
+    for out in _march(F, stacked, cfgs):
+        evolved = [None] * 3
+        for k, block in zip(order, np.split(out, cuts)):
+            evolved[k] = block.reshape(states[k].shape)
+        psi1, psi2, psi12 = evolved
+        runs.append(Separation(sup_norms(tensor_data(psi1, psi2, n1) - psi12), (psi1, psi2), psi12))
+    return runs
 
 
 def replaced_level_gaps(

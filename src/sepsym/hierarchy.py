@@ -19,6 +19,11 @@ The one exception is g = Lambda(p, q) itself, as ``lambda_op`` marks it:
 N is zero, so the lift is the pointwise Lambda_n, one evaluation in place
 of n + 1.
 
+A hierarchy built from generators keeps them.  Its ``direct_sum`` of
+several levels, on their states flattened and stacked row-wise, then
+makes one kernel call per generator for all levels: the slot permutations
+of every level and tuple ride on one gathered batch axis.
+
 The canonical decomposition inverts this: d_1 F lifts the first level,
 and each further threshold lifts what the lower thresholds fail to
 explain.  The d_j are idempotent and recover exactly the generators a
@@ -131,6 +136,13 @@ def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator
     return _slot_sum(op, [J], m, f"{op.name}^{J}")
 
 
+def _is_pointwise_lambda(gen: Generator) -> bool:
+    """Whether ``gen`` is Lambda of its own indices, whose canonical lift
+    is the pointwise Lambda_n (an l > 1 generator may declare no indices:
+    None == None is no Lambda)."""
+    return gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices
+
+
 def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
     """Canonical lifting F#_n = sum_J N^J + Lambda_n of a threshold-l
     generator to n particles, J over the increasing l-tuples of {1..n}.
@@ -146,8 +158,7 @@ def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
     if n == gen.ell:
         return gen.op  # the single tuple J = (0, ..., l-1)
     name = f"{gen.op.name}#_{n}"
-    # an l > 1 generator may declare no indices: None == None is no Lambda
-    if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
+    if _is_pointwise_lambda(gen):
         return lambda_op(gen.indices, n, gen.op.space).renamed(name)
     lifted = _slot_sum(gen.op, list(itertools.combinations(range(n), gen.ell)), n, name)
     if gen.ell > 1:
@@ -170,12 +181,87 @@ def natural_part(gen: Generator) -> NonlinearOperator:
     return replace(out, indices=ZERO_PAIR)
 
 
+# the weight op_combine gives each part of a from_generators level
+_UNIT = complex(1.0)
+
+
+def _stacked_lift(gen: Generator, ns: Sequence[int], blocks: Sequence[slice], size: int):
+    """The canonical lift of ``gen`` at the stacked levels n >= ell, from one
+    kernel call: ``(first row, parts)``, where ``parts(t, data)`` gives the
+    rows from the first level n >= ell on; None when no level reaches ell.
+
+    ``_slot_sum``'s permuted copy of each level and tuple J is gathered as
+    a group of columns of one (size,)*ell + (columns,) + batch array.  The
+    copies are gathered back in slot order, every level's first copy in
+    front, so those rows line up with the levels' rows, and each level's
+    further copies are added to them in tuple order.  A one-particle
+    generator then takes its -(n - 1) Lambda_n term at n > 1, weighted as
+    ``canonical_lift`` weights it.  A ``pointwise_lambda`` generator is
+    Lambda_n at every level: one elementwise call over all rows."""
+    if _is_pointwise_lambda(gen):
+        return 0, gen.op.apply
+    ell = gen.ell
+    levels = [(blk, n, [J + tuple(ax for ax in range(n) if ax not in J)
+                        for J in itertools.combinations(range(n), ell)])
+              for blk, n in zip(blocks, ns) if n >= ell]
+    if not levels:
+        return None
+    first = levels[0][0].start
+    copies, col = [], 0  # copies[level][k]: the columns of copy k
+    for blk, n, perms in levels:
+        copies.append([slice(col + k * size**(n - ell), col + (k + 1) * size**(n - ell))
+                       for k in range(len(perms))])
+        col += len(perms) * size**(n - ell)
+    gather = np.concatenate([
+        np.arange(blk.start, blk.stop).reshape((size,) * n).transpose(perm)
+        .reshape(size**ell, -1) for blk, n, perms in levels for perm in perms], axis=1)
+    # where each gathered row lands in the kernel's flattened output
+    landing = np.arange(gather.size).reshape(gather.shape)
+    back, adds, row = [], [], 0  # adds: (a level's rows, the back rows of a further copy)
+    for k in range(max(len(perms) for _, _, perms in levels)):
+        for (blk, n, perms), cols in zip(levels, copies):
+            if k < len(perms):
+                back.append(landing[:, cols[k]].reshape((size,) * n)
+                            .transpose(np.argsort(perms[k])).ravel())
+                if k:
+                    adds.append((slice(blk.start - first, blk.stop - first),
+                                 slice(row, row + size**n)))
+                row += size**n
+    back = np.concatenate(back)
+    lam, lam_terms = None, []
+    if ell == 1 and not gen.indices.is_zero():
+        lam = lambda_op(gen.indices, 1, gen.op.space)
+        lam_terms = [(slice(blk.start - first, blk.stop - first), complex(-(n - 1.0)), blk)
+                     for blk, n, _ in levels if n > 1]
+    width, covered = gather.shape[1], blocks[-1].stop - first
+
+    def parts(t, data):
+        batch = data.shape[1:]
+        out = gen.op.apply(t, np.take(data, gather, axis=0).reshape((size,) * ell + (width,) + batch))
+        picked = np.take(out.reshape((-1,) + batch), back, axis=0)
+        for rows, copy in adds:
+            np.add(picked[rows], picked[copy], out=picked[rows])
+        if lam_terms:
+            lam_values = lam.apply(t, data)
+            for rows, weight, blk in lam_terms:
+                level = picked[rows]
+                np.multiply(_UNIT, level, out=level)
+                level += weight * lam_values[blk]
+        return picked[:covered]
+
+    return first, parts
+
+
 @dataclass(frozen=True)
 class Hierarchy:
     """A truncated family F_1 .. F_{n_max} of multi-particle operators:
-    level k is ``ops[k-1]``, a k-particle operator on the space of level 1."""
+    level k is ``ops[k-1]``, a k-particle operator on the space of level 1.
+
+    ``gens`` holds the generators ``from_generators`` summed, and is None
+    for a hierarchy built from its levels."""
 
     ops: tuple[NonlinearOperator, ...]
+    gens: tuple[Generator, ...] | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.ops) <= MAX_PARTICLES:
@@ -197,6 +283,57 @@ class Hierarchy:
             raise BadRange(f"level {n} outside 1..{self.n_max}")
         return self.ops[n - 1]
 
+    def direct_sum(self, ns: Sequence[int]) -> NonlinearOperator:
+        """F_{n_1} (+) ... (+) F_{n_k}: the levels ``ns``, in increasing
+        order, as one operator on their states flattened and stacked
+        row-wise, level n taking size**n rows, with the batch axes trailing.
+        Each row block of its value equals ``op(n).apply`` on that block,
+        bit for bit, wherever a kernel's value on one batch entry does not
+        depend on the batch around it (a BLAS matrix product can round a
+        column by its position).
+
+        For a hierarchy built from generators, one evaluation makes one
+        kernel call per generator for all levels (``_stacked_lift``), and
+        combines each level's parts in ``op_combine``'s order and weights.
+        A hierarchy built from its levels applies each level to its block.
+        """
+        if list(ns) != sorted(ns):
+            raise ValueError(f"levels {list(ns)} are not in increasing order")
+        levels = [self.op(n) for n in ns]
+        size = self.space.size
+        ends = np.cumsum([size**n for n in ns]).tolist()
+        blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        if self.gens is None:
+            def ev(t, data):
+                batch = data.shape[1:]
+                return np.concatenate([
+                    op.apply(t, data[blk].reshape((size,) * op.n + batch)).reshape((-1,) + batch)
+                    for op, blk in zip(levels, blocks)])
+        else:
+            terms = [term for term in (_stacked_lift(g, ns, blocks, size) for g in self.gens)
+                     if term is not None]
+
+            def ev(t, data):
+                # a generator's part covers the rows from its first level on:
+                # the first part at a row sets it, and later ones add to it
+                out, filled = np.empty(data.shape, dtype=np.complex128), len(data)
+                for first, parts in terms:
+                    value = parts(t, data)
+                    if filled < len(data):
+                        tail = out[max(first, filled):]
+                        tail += _UNIT * value[len(value) - len(tail):]
+                    if first < filled:
+                        np.multiply(_UNIT, value[:filled - first], out=out[first:filled])
+                        filled = first
+                out[:filled] = 0  # levels below every threshold are zero_op
+                return out
+
+        return NonlinearOperator(
+            n=1, space=ConfigSpace(ends[-1]), eval_fn=ev,
+            time_dependent=any(op.time_dependent for op in levels),
+            name=" (+) ".join(op.name for op in levels),
+        )
+
     @classmethod
     def from_generators(cls, gens: Sequence[Generator], n_max: int) -> "Hierarchy":
         """Sum of the canonical lifts of ``gens`` at each level, on their space."""
@@ -206,7 +343,7 @@ class Hierarchy:
         for n in range(1, n_max + 1):
             parts = [canonical_lift(g, n) for g in gens if g.ell <= n]
             ops.append(op_combine(parts, name=f"F_{n}") if parts else zero_op(gens[0].op.space, n))
-        return cls(tuple(ops))
+        return cls(tuple(ops), tuple(gens))
 
 
 def bracket_hierarchy(F: Hierarchy, G: Hierarchy) -> Hierarchy:

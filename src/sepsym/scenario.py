@@ -76,9 +76,17 @@ def finite_number(value, where: str, positive: bool = False) -> float:
     return number
 
 
+# the keys each block may hold; any other key is a scenario error
+TOP_LEVEL_KEYS = ("name", "seed", "space", "checks", "hbar", "evolution", "tolerances",
+                  "generators", "symmetry")
+SPACE_KEYS = ("size", "factors", "grid")
+EVOLUTION_KEYS = ("dt", "t0", "t1")
+
+
 def build_space(spec: dict) -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
         raise ScenarioError("space: expected an object with a 'size' field")
+    _known_keys(spec, SPACE_KEYS, "space")
     factors = spec.get("factors")
     if factors is not None and not (isinstance(factors, list) and factors):
         raise ScenarioError(f"space.factors: expected a non-empty integer list, got {factors!r}")
@@ -99,8 +107,7 @@ def build_space(spec: dict) -> ConfigSpace:
 def evolution_config(evolution: dict, hbar: float) -> EvolutionConfig:
     """The scenario's evolution block over the defaults of EvolutionConfig
     (dt 1e-3, t0 0, t1 1), at the run's hbar."""
-    steps = {key: evolution[key] for key in ("dt", "t0", "t1") if key in evolution}
-    return EvolutionConfig(**steps, hbar=hbar)
+    return EvolutionConfig(**evolution, hbar=hbar)
 
 
 def random_hermitian(space: ConfigSpace, rng: np.random.Generator) -> np.ndarray:
@@ -298,6 +305,7 @@ def _built_generators(specs, space: ConfigSpace) -> dict[str, Generator]:
 def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{origin}: top level must be a JSON object")
+    _known_keys(doc, TOP_LEVEL_KEYS, origin)
     for key in ("name", "seed", "space", "checks"):
         if key not in doc:
             raise ScenarioError(f"{origin}: missing required field {key!r}")
@@ -314,11 +322,9 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     evolution = doc.get("evolution", {})
     if not isinstance(evolution, dict):
         raise ScenarioError(f"{origin}: evolution must be an object, got {evolution!r}")
-    evolution = {
-        key: finite_number(value, f"{origin}: evolution.{key}", positive=key == "dt")
-        if key in ("dt", "t0", "t1") else value
-        for key, value in evolution.items()
-    }
+    _known_keys(evolution, EVOLUTION_KEYS, f"{origin}: evolution")
+    evolution = {key: finite_number(value, f"{origin}: evolution.{key}", positive=key == "dt")
+                 for key, value in evolution.items()}
     try:
         evolution_config(evolution, hbar)
     except StepMismatch as exc:

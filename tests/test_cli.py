@@ -370,6 +370,19 @@ class TestBadValuesExitTwo:
         err = self.run_main(tmp_path, capsys, dict(self.POINT_SYM, symmetry=symmetry))
         assert f"{where}: unknown keys" in err and allowed in err
 
+    @pytest.mark.parametrize("doc, where, allowed", [
+        (dict(EVOLVING, tolerence={"index-evolution": 1e-3}), "bad.json",
+         "'symmetry', 'tolerances'"),
+        (dict(EVOLVING, space={"size": 3, "grids": [8, 16]}), "space",
+         "['factors', 'grid', 'size']"),
+        (dict(EVOLVING, evolution={"dt": 0.01, "steps": 100}), "evolution",
+         "['dt', 't0', 't1']"),
+    ], ids=["tolerence", "space.grids", "evolution.steps"])
+    def test_unknown_block_key(self, tmp_path, capsys, doc, where, allowed):
+        # a misspelt key would otherwise run the check at its defaults
+        err = self.run_main(tmp_path, capsys, doc)
+        assert f"{where}: unknown keys" in err and allowed in err
+
     @pytest.mark.parametrize("hbar", ["-1", "0", "nan", "inf"])
     def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
         err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")

@@ -163,6 +163,20 @@ class TestSeparation:
                 assert np.array_equal(run.evolved[1][..., k], psi2)
                 assert run.gaps[k] == float(np.abs(np.multiply.outer(psi1, psi2) - psi12).max())
 
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_stacked_levels_equal_level_marches(self, space3, rng, sizes, perturbed):
+        # one march of the stacked levels, in any order of the factor sizes
+        H = perturbed_hierarchy(space3) if perturbed else separating_hierarchy(space3)
+        phi1, phi2 = random_batch(sizes, space3, [rng] * 4)
+        cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in (0.02, 0.01)]
+        n1, n2 = sizes
+        levels = (_march(H.op(n1), phi1, cfgs), _march(H.op(n2), phi2, cfgs),
+                  _march(H.op(n1 + n2), tensor_data(phi1, phi2, n1), cfgs))
+        for run, psi1, psi2, psi12 in zip(separation_test(H, phi1, phi2, cfgs), *levels):
+            assert np.array_equal(run.evolved[0], psi1) and np.array_equal(run.evolved[1], psi2)
+            assert np.array_equal(run.psi12, psi12)
+
     def test_replaced_level_reuses_the_unperturbed_marches(self, space3, rng):
         H, bad = separating_hierarchy(space3), perturbed_hierarchy(space3)
         phi1, phi2 = self.pairs(space3, rng, 4)
@@ -263,6 +277,23 @@ class TestLadder:
         phi1, phi2 = random_batch((1, 2), space3, [rng] * 4)
         separation_test(Hierarchy(tuple(counted(op) for op in H.ops)), phi1, phi2, self.cfgs())
         assert calls == {1: 400, 2: 400, 3: 400}
+
+    def test_each_generator_kernel_runs_once_per_stage(self, space3, rng):
+        # all three levels march as one stacked state: 100 steps of 4 stages,
+        # one kernel call per generator each, however many levels and tuples
+        calls = {}
+
+        def counted(gen):
+            def ev(t, data):
+                calls[gen.op.name] = calls.get(gen.op.name, 0) + 1
+                return gen.op.eval_fn(t, data)
+            return Generator(replace(gen.op, eval_fn=ev))
+
+        H = separating_hierarchy(space3)
+        phi1, phi2 = random_batch((1, 2), space3, [rng] * 4)
+        counted_H = Hierarchy.from_generators([counted(g) for g in H.gens], 3)
+        separation_test(counted_H, phi1, phi2, self.cfgs())
+        assert calls == {"log-modulus": 400, "cross-ratio(0, 0)": 400}
 
     @pytest.mark.parametrize("other", [
         EvolutionConfig(dt=0.01, t0=0.0, t1=1.0),
