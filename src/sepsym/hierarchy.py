@@ -288,9 +288,8 @@ class Hierarchy:
         order, as one operator on their states flattened and stacked
         row-wise, level n taking size**n rows, with the batch axes trailing.
         Each row block of its value equals ``op(n).apply`` on that block,
-        bit for bit, wherever a kernel's value on one batch entry does not
-        depend on the batch around it (a BLAS matrix product can round a
-        column by its position).
+        bit for bit, since a kernel's value on one batch entry does not
+        depend on the batch around it.
 
         For a hierarchy built from generators, one evaluation makes one
         kernel call per generator for all levels (``_stacked_lift``), and

@@ -49,11 +49,16 @@ def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
 
 
 def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> NonlinearOperator:
-    """One-particle complex-linear operator from a fixed (size, size) matrix."""
+    """One-particle complex-linear operator from a fixed (size, size) matrix.
+
+    The product is an ``einsum``, not ``@``: a BLAS matrix product may round
+    a column by its place in the column blocking, while this one gives each
+    batch entry the same value at every batch width.
+    """
     mat = np.asarray(matrix, dtype=np.complex128)
 
     def ev(t, data):
-        return (mat @ data.reshape(space.size, -1)).reshape(data.shape)
+        return np.einsum("ij,jk->ik", mat, data.reshape(space.size, -1)).reshape(data.shape)
 
     return linear_op(space, 1, ev, name)
 

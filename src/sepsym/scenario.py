@@ -81,6 +81,20 @@ TOP_LEVEL_KEYS = ("name", "seed", "space", "checks", "hbar", "evolution", "toler
                   "generators", "symmetry")
 SPACE_KEYS = ("size", "factors", "grid")
 EVOLUTION_KEYS = ("dt", "t0", "t1")
+SYMMETRY_KEYS = ("eta", "xi")
+PROFILE_KEYS = ("profile", "amplitude", "phase", "offset")
+GENERATOR_KEYS = {  # generator kind -> the keys its spec may hold
+    "lambda": ("kind", "a", "b"),
+    "log-modulus": ("kind", "coeff"),
+    "shifted-log-modulus": ("kind", "coeff", "shift"),
+    "relative-log-modulus": ("kind", "coeff"),
+    "rms-log-modulus": ("kind", "coeff"),
+    "spin-rms-log": ("kind", "coeff"),
+    "spin-rotation": ("kind",),
+    "linear": ("kind", "matrix"),
+    "cross-ratio": ("kind", "refs", "coupling"),
+    "non-separating": ("kind", "coupling"),
+}
 
 
 def build_space(spec: dict) -> ConfigSpace:
@@ -123,6 +137,9 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError(f"{where}: expected an object with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in GENERATOR_KEYS:
+        raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
+    _known_keys(spec, GENERATOR_KEYS[kind], where)
     coeff = _complex_of(spec.get("coeff", 1.0), where)
     coupling = _complex_of(spec.get("coupling", 1.0), where)
     if kind == "lambda":
@@ -156,9 +173,7 @@ def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
     if kind == "cross-ratio":
         r1, r2 = (_integer(r, f"{where}.refs") for r in spec.get("refs", [0, 0]))
         return Generator(cross_ratio_op(space, (r1, r2), coupling))
-    if kind == "non-separating":
-        return Generator(nonseparating_op(space, 2, coupling))
-    raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
+    return Generator(nonseparating_op(space, 2, coupling))  # the last kind, non-separating
 
 
 def _known_keys(block: dict, allowed, where: str) -> None:
@@ -180,7 +195,7 @@ def build_point_spec(doc: dict):
             return None
         if not isinstance(block, dict) or "profile" not in block:
             raise ScenarioError(f"{name}: expected a profile object")
-        _known_keys(block, ("profile", "amplitude", "phase", "offset"), name)
+        _known_keys(block, PROFILE_KEYS, name)
         shape = {key: finite_number(block.get(key, default), f"{name}.{key}")
                  for key, default in (("amplitude", 1.0), ("phase", 0.0), ("offset", 0.0))}
         try:
@@ -190,7 +205,7 @@ def build_point_spec(doc: dict):
 
     if not isinstance(doc, dict):
         raise ScenarioError(f"symmetry: expected an object, got {doc!r}")
-    _known_keys(doc, ("eta", "xi"), "symmetry")
+    _known_keys(doc, SYMMETRY_KEYS, "symmetry")
     return PointSymmetrySpec(
         eta=field_profile(doc.get("eta"), "symmetry.eta"),
         xi=field_profile(doc.get("xi"), "symmetry.xi"),

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evolution import EvolutionConfig, rk4_pair_step
+from .evolution import EvolutionConfig, rk4_affine_step
 from .hierarchy import Hierarchy, bracket_hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
 from .opcalc import NonlinearOperator
@@ -226,22 +226,25 @@ def index_flow(
     for constant evolution indices (p, q) and affine tau.  Returns a
     callable evaluating (c(t), d(t)).
 
-    The flow keeps the RK4 nodes y(t0 + k dt) and y(t0 - k dt) it has
-    reached, marching further on demand in the direction a call needs; an
-    off-node time takes one partial step from its nearest node (dense
-    output).  The right-hand side does not depend on t, so node k is bit
-    for bit the value of a fresh k-step march from cfg.t0.  (c, d) is
-    marched as two Python complex numbers by ``rk4_pair_step``.
+    The law is real-affine in (c, d), so each step size has one
+    ``rk4_affine_step`` map.  The flow keeps the RK4 nodes y(t0 + k dt)
+    and y(t0 - k dt) it has reached, marching further on demand in the
+    direction a call needs with the map of that signed step; an off-node
+    time takes one map of the remaining size from its nearest node (dense
+    output).  Node k is bit for bit k applications of the map to the
+    start, the value of a fresh k-step march from cfg.t0.
     """
     da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
-    def rhs(c, d):
-        # [drive, (c, d)] - tau' drive, over hbar
+    def linear(c, d):
+        # [drive, (c, d)] over hbar
         ba, bb = bracket_components(da, db, c, d)
-        return (ba - tau.alpha * da) / cfg.hbar, (bb - tau.alpha * db) / cfg.hbar
+        return ba / cfg.hbar, bb / cfg.hbar
 
+    offset = (-tau.alpha * da / cfg.hbar, -tau.alpha * db / cfg.hbar)  # -tau' drive over hbar
     y0 = (start.a, start.b)
-    nodes = {cfg.dt: [y0], -cfg.dt: [y0]}  # signed step -> [y_0, y_1, ...]
+    # signed step -> (its step map, [y_0, y_1, ...])
+    nodes = {dt: (rk4_affine_step(linear, offset, dt), [y0]) for dt in (cfg.dt, -cfg.dt)}
 
     def at(tt: float) -> IndexPair:
         span = tt - cfg.t0
@@ -250,14 +253,14 @@ def index_flow(
         reached = cfg.t0
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
-            table = nodes[signed_dt]
-            while len(table) <= abs(steps):
-                table.append(rk4_pair_step(rhs, *table[-1], signed_dt))
+            step, table = nodes[signed_dt]
+            for _ in range(len(table), abs(steps) + 1):
+                table.append(step(*table[-1]))
             y = table[abs(steps)]
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y = rk4_pair_step(rhs, *y, rem)
+            y = rk4_affine_step(linear, offset, rem)(*y)
         return IndexPair(*y)
 
     return at

@@ -28,9 +28,10 @@ from sepsym.operators import (
     rms_log_modulus_op,
     shift_all_op,
     shifted_log_modulus_op,
+    site_matrix_op,
 )
 from sepsym.evolution import EvolutionConfig
-from sepsym.space import random_batch, random_state, tensor_all
+from sepsym.space import ConfigSpace, random_batch, random_state, tensor_all
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -84,6 +85,20 @@ class TestTensorAll:
     def test_single_factor_is_itself(self, space3):
         [data] = random_batch((2,), space3, SEEDS)
         assert tensor_all([data]) is data
+
+
+class TestBatchWidth:
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_site_matrix_entry_is_width_independent(self, size):
+        # a BLAS product may round a column by its place in the column
+        # blocking; site_matrix_op gives each entry one value at any width
+        rng = np.random.default_rng(size)
+        F = site_matrix_op(ConfigSpace(size), rng.standard_normal((size, size))
+                           + 1j * rng.standard_normal((size, size)))
+        data = rng.standard_normal((size, 9)) + 1j * rng.standard_normal((size, 9))
+        full = F.apply(0.0, data)
+        for k in range(1, 10):
+            assert np.array_equal(full[..., :k], F.apply(0.0, data[..., :k]))
 
 
 def one_by_one(residual, sizes, space, **kwargs):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsym
+from sepsym import scenario
 from sepsym.checks import CHECKS, CheckContext, check_parameters, list_checks, run_check
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
@@ -141,15 +142,16 @@ class TestGeneratorFactory:
             assert g.ell == 1
 
     @pytest.mark.parametrize(
-        "kind, factory",
+        "spec, factory",
         [
-            ("cross-ratio", lambda sp: cross_ratio_op(sp, (1, 2), coupling=0.6)),
-            ("non-separating", lambda sp: nonseparating_op(sp, 2, coupling=0.6)),
+            ({"kind": "cross-ratio", "refs": [1, 2], "coupling": 0.6},
+             lambda sp: cross_ratio_op(sp, (1, 2), coupling=0.6)),
+            ({"kind": "non-separating", "coupling": 0.6},
+             lambda sp: nonseparating_op(sp, 2, coupling=0.6)),
         ],
     )
-    def test_coupling_key_is_read(self, kind, factory):
+    def test_coupling_key_is_read(self, spec, factory):
         space = ConfigSpace(3)
-        spec = {"kind": kind, "refs": [1, 2], "coupling": 0.6}
         g = build_generator(space, spec, np.random.default_rng(0))
         phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True)
         assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
@@ -383,6 +385,16 @@ class TestBadValuesExitTwo:
         err = self.run_main(tmp_path, capsys, doc)
         assert f"{where}: unknown keys" in err and allowed in err
 
+    @pytest.mark.parametrize("spec, allowed", [
+        ({"kind": "rms-log-modulus", "coef": 0.9}, "['coeff', 'kind']"),
+        ({"kind": "log-modulus", "coupling": 0.5}, "['coeff', 'kind']"),
+        ({"kind": "cross-ratio", "refs": [0, 1], "shift": 1}, "['coupling', 'kind', 'refs']"),
+    ], ids=["coef", "coupling-on-log-modulus", "shift-on-cross-ratio"])
+    def test_unknown_generator_key(self, tmp_path, capsys, spec, allowed):
+        # a key the kind does not read would otherwise build it at its defaults
+        err = self.run_main(tmp_path, capsys, dict(FAST_SCENARIO, generators={"g": spec}))
+        assert "generators.g: unknown keys" in err and allowed in err
+
     @pytest.mark.parametrize("hbar", ["-1", "0", "nan", "inf"])
     def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
         err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")
@@ -575,6 +587,37 @@ class TestParseScenarioFuzz:
         for entry in sc.checks:
             assert set(entry["params"]) <= set(check_parameters(entry["name"]))
         assert all(math.isfinite(t) and t > 0 for t in sc.tolerances.values())
+
+
+class TestAllowedKeyDocs:
+    """The schema doc's `generators` table and its "Allowed keys" table
+    name exactly the keys the parser accepts."""
+
+    DOC = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
+
+    def rows(self, heading):
+        """(first cell, backticked keys of the second) of each body row of
+        the table under ``heading``."""
+        section = self.DOC.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        table = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+        for cells in table[2:]:  # below the header and its rule
+            yield cells[0].strip(), set(re.findall(r"`(\w+)`", cells[1]))
+
+    def test_generator_table_matches_parser(self):
+        table = {kind.strip("`"): keys | {"kind"} for kind, keys in self.rows("`generators`")}
+        assert table == {kind: set(keys) for kind, keys in scenario.GENERATOR_KEYS.items()}
+
+    def test_allowed_keys_table_matches_parser(self):
+        table = dict(self.rows("Allowed keys"))
+        every_generator_key = set().union(*scenario.GENERATOR_KEYS.values())
+        assert table == {
+            "top level": set(scenario.TOP_LEVEL_KEYS),
+            "`space`": set(scenario.SPACE_KEYS),
+            "`evolution`": set(scenario.EVOLUTION_KEYS),
+            "`symmetry`": set(scenario.SYMMETRY_KEYS),
+            "`symmetry.eta`, `symmetry.xi`": set(scenario.PROFILE_KEYS),
+            "each spec of `generators`": every_generator_key,
+        }
 
 
 class TestParameterDocs:

@@ -1,11 +1,12 @@
 import cmath
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sepsym import checks
+from sepsym import checks, evolution
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
@@ -14,6 +15,7 @@ from sepsym.evolution import (
     extract_indices,
     index_ode_solve,
     replaced_level_gaps,
+    rk4_affine_step,
     rk4_trajectory,
     scaling_test,
     separation_test,
@@ -320,6 +322,68 @@ class TestLadder:
             _march(log_modulus_op(space3), data[..., 0], self.cfgs(self.DTS[:2]))
 
 
+def random_affine_law(seed):
+    """A random real-linear law on (c, d), a random offset, and the
+    right-hand side of the whole law on a 2-entry complex array."""
+    rng = np.random.default_rng(seed)
+    A, b = rng.standard_normal((4, 4)), rng.standard_normal(4)
+
+    def linear(c, d):
+        y = A @ [c.real, c.imag, d.real, d.imag]
+        return complex(y[0], y[1]), complex(y[2], y[3])
+
+    offset = (complex(b[0], b[1]), complex(b[2], b[3]))
+
+    def rhs(t, y):
+        lc, ld = linear(complex(y[0]), complex(y[1]))
+        return np.array([lc + offset[0], ld + offset[1]])
+
+    return linear, offset, rhs, rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+
+def map_march(step, y0, n_steps):
+    y = tuple(y0)
+    for _ in range(n_steps):
+        y = step(*y)
+    return np.array(y)
+
+
+class TestAffineStep:
+    """One precomputed step map against the staged RK4 march of the same
+    affine law on a 2-entry array."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_step_to_a_few_ulps(self, seed):
+        linear, offset, rhs, y0 = random_affine_law(seed)
+        for dt in (0.02, -0.005):
+            got = map_march(rk4_affine_step(linear, offset, dt), y0, 1)
+            want = rk4_trajectory(rhs, y0, 0.0, dt, 1)
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_thousand_steps_to_round_off(self, seed):
+        linear, offset, rhs, y0 = random_affine_law(seed)
+        got = map_march(rk4_affine_step(linear, offset, 1e-3), y0, 1000)
+        want = rk4_trajectory(rhs, y0, 0.0, 1e-3, 1000)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("anchor, mutant", [
+        ("eye / 6 + M / 24", "eye / 6"),  # the polynomial cut after M^3
+        ("_real4(*offset)", "np.zeros(4)"),  # the offset dropped
+        ("(dt * S @", "(dt / 2 * S @"),  # half a step of the offset
+    ], ids=["truncated", "no-offset", "half-dt"])
+    def test_mutant_maps_miss_the_staged_march(self, anchor, mutant):
+        source = inspect.getsource(rk4_affine_step)
+        assert source.count(anchor) == 1
+        namespace = dict(vars(evolution))
+        exec(source.replace(anchor, mutant), namespace)
+        for seed in range(5):
+            linear, offset, rhs, y0 = random_affine_law(seed)
+            got = map_march(namespace["rk4_affine_step"](linear, offset, 0.02), y0, 50)
+            want = rk4_trajectory(rhs, y0, 0.0, 0.02, 50)
+            assert np.abs(got - want).max() >= 1e-8
+
+
 class TestIndexOde:
     def test_zero_indices_stay_one(self):
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
@@ -349,23 +413,29 @@ class TestIndexOde:
         assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
 
     def test_scalar_laws_match_joint_array_march(self):
-        # the two laws marched as a pair of Python complex numbers give, bit
-        # for bit, the samples of the joint complex128 march of [a, b]
+        # sample k is k applications of one step map of the two laws, bit
+        # for bit, and the joint complex128 march of [a, b] to round-off
         p, q = 1.1, 0.4
         cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25, hbar=1.3)
         pq, qp = IndexPair(p, q), IndexPair(q, p)
 
-        def rhs(t, y):
-            return np.array([-1j / cfg.hbar * pair_action(pq, y[0]),
-                             -1j / cfg.hbar * pair_action(qp, y[1])])
+        def linear(a, b):
+            return -1j / cfg.hbar * pair_action(pq, a), -1j / cfg.hbar * pair_action(qp, b)
 
-        samples = [np.array([1.0 + 0j, 1.0 + 0j])]
+        def rhs(t, y):
+            return np.array(linear(complex(y[0]), complex(y[1])))
+
+        step = rk4_affine_step(linear, (0j, 0j), cfg.dt)
+        mapped, samples = [(1.0 + 0j, 1.0 + 0j)], [np.array([1.0 + 0j, 1.0 + 0j])]
         for k in range(cfg.n_steps()):
+            mapped.append(step(*mapped[-1]))
             samples.append(rk4_trajectory(rhs, samples[-1], cfg.t0 + k * cfg.dt, cfg.dt, 1))
-        joint = np.array(samples)
         traj = index_ode_solve(p, q, cfg)
-        assert traj.a.tobytes() == joint[:, 0].tobytes()
-        assert traj.b.tobytes() == joint[:, 1].tobytes()
+        assert traj.a.tobytes() == np.array([a for a, _ in mapped]).tobytes()
+        assert traj.b.tobytes() == np.array([b for _, b in mapped]).tobytes()
+        joint = np.array(samples)
+        assert np.abs(traj.a - joint[:, 0]).max() <= 1e-12
+        assert np.abs(traj.b - joint[:, 1]).max() <= 1e-12
 
     def test_extraction_second_order(self):
         p, q = 1.3, 0.6

@@ -827,18 +827,10 @@ class TestDirectSum:
     @pytest.mark.parametrize("case", list(_direct_sum_gens(ConfigSpace(3))))
     def test_blocks_equal_level_apply(self, space3, rng, case, batch):
         H = Hierarchy.from_generators(_direct_sum_gens(space3)[case], 3)
-        # a BLAS matrix product rounds the columns past its last full block
-        # of columns differently, so site_matrix_op's value on one batch
-        # entry depends on the batch width, in a level's own apply as well;
-        # at a width of 6 it is pinned to round-off, not to the bit
-        exact = not (case == "site-matrix" and batch == (2, 3))
         for ns in self.LEVELS:
             for phi, block in self.blocks(H, ns, batch, rng):
                 level = H.op(phi.ndim - len(batch)).apply(0.0, phi)
-                if exact:
-                    assert np.array_equal(block.reshape(phi.shape), level)
-                else:
-                    assert np.abs(block.reshape(phi.shape) - level).max() <= 1e-15 * np.abs(level).max()
+                assert np.array_equal(block.reshape(phi.shape), level)
 
     @pytest.mark.parametrize("batch", [(4,), (2, 3)])
     def test_hand_built_levels_apply_each_block(self, space3, rng, batch):

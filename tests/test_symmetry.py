@@ -8,9 +8,9 @@ import scipy.linalg
 
 import sepsym.symmetry
 from sepsym.errors import BadRange, SpaceMismatch
-from sepsym.evolution import EvolutionConfig, rk4_pair_step, rk4_trajectory
+from sepsym.evolution import EvolutionConfig, rk4_affine_step, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
-from sepsym.mixedpow import IndexPair, product_components
+from sepsym.mixedpow import IndexPair, bracket_components, product_components
 from sepsym.opcalc import op_combine
 from sepsym.operators import (
     diag_mult_op,
@@ -167,8 +167,8 @@ class TestInfinitesimal:
 
 def remarch_oracle(p, q, tau, start, cfg):
     """The index flow as a fresh RK4 march from cfg.t0 on every call, its
-    state a 2-entry ndarray marched by rk4_trajectory: the flow's node
-    table and pair march must reproduce it bit for bit."""
+    state a 2-entry ndarray marched stage by stage by rk4_trajectory: the
+    flow's step maps must reproduce it to round-off."""
     da, db = -1j * p, -1j * q
 
     def rhs(t, y):
@@ -195,6 +195,38 @@ def remarch_oracle(p, q, tau, start, cfg):
     return at
 
 
+def map_march_oracle(p, q, tau, start, cfg):
+    """The index flow as a fresh march from cfg.t0 on every call, with a
+    new step map per call: k applications of the map of the signed step,
+    then one map of the remaining size.  The flow's node table must
+    reproduce it bit for bit."""
+    da, db = -1j * p, -1j * q
+
+    def linear(c, d):
+        ba, bb = bracket_components(da, db, c, d)
+        return ba / cfg.hbar, bb / cfg.hbar
+
+    offset = (-tau.alpha * da / cfg.hbar, -tau.alpha * db / cfg.hbar)
+
+    def at(tt):
+        span = tt - cfg.t0
+        steps = int(round(span / cfg.dt))
+        y = (start.a, start.b)
+        reached = cfg.t0
+        if steps != 0:
+            signed_dt = math.copysign(cfg.dt, span)
+            step = rk4_affine_step(linear, offset, signed_dt)
+            for _ in range(abs(steps)):
+                y = step(*y)
+            reached = cfg.t0 + abs(steps) * signed_dt
+        rem = tt - reached
+        if abs(rem) > 1e-15:
+            y = rk4_affine_step(linear, offset, rem)(*y)
+        return IndexPair(*y)
+
+    return at
+
+
 class TestIndexFlowTable:
     P, Q, START = 1.1, 0.6, IndexPair(0.9, 0.4)
     CASES = [
@@ -212,25 +244,32 @@ class TestIndexFlowTable:
     @pytest.mark.parametrize("tau, cfg", CASES)
     def test_matches_fresh_march_exactly(self, tau, cfg):
         flow = index_flow(self.P, self.Q, tau, self.START, cfg)
-        oracle = remarch_oracle(self.P, self.Q, tau, self.START, cfg)
+        oracle = map_march_oracle(self.P, self.Q, tau, self.START, cfg)
+        staged = remarch_oracle(self.P, self.Q, tau, self.START, cfg)
         ts = self.times(cfg)
         # non-monotone order, every time asked twice, the second pass
         # reversed so that it revisits nodes the table already holds
         for t in ts + ts[::-1]:
-            got, want = flow(t), oracle(t)
+            got, want, near = flow(t), oracle(t), staged(t)
             assert (got.a, got.b) == (want.a, want.b), t
+            assert got.close_to(near, 1e-12), t
 
     def march_steps(self, monkeypatch, index_flow=index_flow):
-        """RK4 pair steps the flow makes over a repetitive call sequence,
-        with the fewest and most steps a flow that marches each node once
-        may make."""
+        """Step-map applications the flow makes over a repetitive call
+        sequence, with the fewest and most a flow that marches each node
+        once may make."""
         steps = []
 
-        def counting(rhs, c, d, dt):
-            steps.append(dt)
-            return rk4_pair_step(rhs, c, d, dt)
+        def counting(linear, offset, dt):
+            step = rk4_affine_step(linear, offset, dt)
 
-        monkeypatch.setitem(index_flow.__globals__, "rk4_pair_step", counting)
+            def counted(c, d):
+                steps.append(dt)
+                return step(c, d)
+
+            return counted
+
+        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
         tau, cfg = self.CASES[1]
         flow = index_flow(self.P, self.Q, tau, self.START, cfg)
         ts = [0.3, 0.1, 0.3001, -0.05, 0.2999, 0.0, -0.0501, 0.25] * 4
@@ -246,13 +285,13 @@ class TestIndexFlowTable:
         assert fewest <= steps <= most
 
     def test_remarching_flow_fails_the_count(self, monkeypatch):
-        # a flow that clears its node table on every call re-marches from t0
+        # a flow that clears its node tables on every call re-marches from t0
         source = inspect.getsource(sepsym.symmetry.index_flow)
         anchor = "        span = tt - cfg.t0\n"
         assert source.count(anchor) == 1
         namespace = dict(vars(sepsym.symmetry))
-        exec(source.replace(anchor, "        nodes.update({cfg.dt: [y0], -cfg.dt: [y0]})\n" + anchor),
-             namespace)
+        clear = "        for _, table in nodes.values():\n            del table[1:]\n"
+        exec(source.replace(anchor, clear + anchor), namespace)
         steps, _, most = self.march_steps(monkeypatch, namespace["index_flow"])
         assert steps > most
 
