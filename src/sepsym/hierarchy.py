@@ -12,17 +12,18 @@ Lambda is zero above one particle, where g#_n = sum_J g^J; a one-particle
 g with indices (p, q) gives g#_n phi = sum_j g^(j) phi - (n - 1)
 ((p,q) . ln phi) phi.
 
-A lifting and a canonical lifting each make one kernel call per
-evaluation: the slot permutations of all tuples J ride on one trailing
-batch axis, and the slices are permuted back and added in tuple order.
-The one exception is g = Lambda(p, q) itself, as ``lambda_op`` marks it:
-N is zero, so the lift is the pointwise Lambda_n, one evaluation in place
-of n + 1.
+A lifting F^J makes one kernel call per evaluation, on the state's
+transposed view with J's slots in front.  A canonical lifting makes one
+too: one precomputed gather lays the slot permutations of all tuples J
+side by side on one batch axis, and a second gathers the results back
+into slot order, where they are added in tuple order.  The one exception
+is g = Lambda(p, q) itself, as ``lambda_op`` marks it: N is zero, so the
+lift is the pointwise Lambda_n, one evaluation in place of n + 1.
 
 A hierarchy built from generators keeps them.  Its ``direct_sum`` of
-several levels, on their states flattened and stacked row-wise, then
-makes one kernel call per generator for all levels: the slot permutations
-of every level and tuple ride on one gathered batch axis.
+several levels, on their states flattened and stacked row-wise, runs the
+same gathered slot sum over all levels at once, one per generator, and
+combines them as each level combines its canonical lifts.
 
 The canonical decomposition inverts this: d_1 F lifts the first level,
 and each further threshold lifts what the lower thresholds fail to
@@ -32,6 +33,7 @@ derivation was built from.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -49,6 +51,16 @@ DERIVATION_TOL = 1e-8
 # desk-scale truncation: obstruction analysis needs levels up to m + l = 4,
 # and nothing new appears above that in hierarchies or obstruction sums
 MAX_PARTICLES = 4
+
+
+def check_obstruction_range(ell: int, m: int, n: int) -> None:
+    """Raise BadRange unless 1 <= l <= m < n <= MAX_PARTICLES, the range
+    of an obstruction double sum of an l- against an m-particle generator
+    at n particles."""
+    if not 1 <= ell <= m < n <= MAX_PARTICLES:
+        raise BadRange(
+            f"need 1 <= l <= m < n <= {MAX_PARTICLES}, got (l, m, n) = ({ell}, {m}, {n})"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,68 +91,126 @@ class Generator:
         return self.op.indices
 
 
-def _slot_sum(
-    op: NonlinearOperator, Js: Sequence[tuple[int, ...]], m: int, name: str
-) -> NonlinearOperator:
-    """sum_J F^J over the l-tuples ``Js`` of an l-slot operator at m slots.
-
-    Each tuple's slot permutation (J in front, every other slot behind it
-    in order) and its inverse are fixed here.  At call time the permuted
-    copies of each argument ride on a new trailing batch axis, behind any
-    batch axes the arrays carry, so one kernel call evaluates every tuple
-    with all other variables held as parameters; the slices are then
-    transposed back and added in tuple order.  A single tuple passes its
-    transposed view without a copy; a linearisation permutes its state once.
-    """
-    perms = [J + tuple(ax for ax in range(m) if ax not in J) for J in Js]
-    inverses = [tuple(int(ax) for ax in np.argsort(p)) for p in perms]
-
-    def stack(a):
-        batch = tuple(range(m, a.ndim))
-        views = [a.transpose(p + batch)[..., None] for p in perms]
-        return views[0] if len(views) == 1 else np.concatenate(views, axis=-1)
-
-    def unstack(out):
-        batch = tuple(range(m, out.ndim - 1))
-        total = out[..., 0].transpose(inverses[0] + batch)
-        for k, inv in enumerate(inverses[1:], start=1):
-            total = total + out[..., k].transpose(inv + batch)
-        return total
+def _lifted(op: NonlinearOperator, into, out_of, **fields) -> NonlinearOperator:
+    """``op`` with each of its kernels taking every array through ``into``
+    and giving its result through ``out_of``; ``fields`` name the new
+    operator's level, space, indices and name."""
 
     def lifted(fn):
         if fn is None:
             return None
-        return lambda t, *arrays: unstack(fn(t, *map(stack, arrays)))
+        return lambda t, *arrays: out_of(fn(t, *map(into, arrays)))
 
     def linearize(t, data):
-        value, tangent = op.linearize(t, stack(data))
-        return unstack(value), lambda eta: unstack(tangent(stack(eta)))
+        value, tangent = op.linearize(t, into(data))
+        return out_of(value), lambda eta: out_of(tangent(into(eta)))
 
     return NonlinearOperator(
-        n=m, space=op.space, eval_fn=lifted(op.eval_fn),
-        derivative_fn=lifted(op.derivative_fn),
+        eval_fn=lifted(op.eval_fn), derivative_fn=lifted(op.derivative_fn),
         second_derivative_fn=lifted(op.second_derivative_fn),
         linearize_fn=None if op.derivative_fn is None else linearize,
-        indices=None if op.indices is None else len(Js) * op.indices,
-        time_dependent=op.time_dependent, name=name,
+        time_dependent=op.time_dependent, **fields,
     )
 
 
 def lift_J(op: NonlinearOperator, J: Sequence[int], m: int) -> NonlinearOperator:
-    """Lifting F^J of an l-particle operator to m particles, slots 0-based."""
+    """Lifting F^J of an l-particle operator to m particles, slots 0-based.
+
+    The kernels see the state's transposed view, J's slots in front and
+    every other slot behind them in order, with no copy."""
     J = check_index_tuple(J, m, length=op.n)
     if m < op.n:
         raise BadTuple(f"cannot lift an {op.n}-particle operator to {m} slots")
     if m == op.n:
         return op  # the identity lifting
-    return _slot_sum(op, [J], m, f"{op.name}^{J}")
+    perm = J + tuple(ax for ax in range(m) if ax not in J)
+    inverse = tuple(np.argsort(perm).tolist())
+    return _lifted(op, lambda a: a.transpose(perm + tuple(range(m, a.ndim))),
+                   lambda out: out.transpose(inverse + tuple(range(m, out.ndim))),
+                   n=m, space=op.space, indices=op.indices, name=f"{op.name}^{J}")
 
 
-def _is_pointwise_lambda(gen: Generator) -> bool:
-    """Whether ``gen`` is Lambda of its own indices, whose canonical lift
-    is the pointwise Lambda_n (an l > 1 generator may declare no indices:
-    None == None is no Lambda)."""
-    return gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices
+# a plan depends on no operator: the seven lift-obstruction scenarios
+# build 62 lifts from 8 plans, so each is built once per key
+@functools.lru_cache(maxsize=32)
+def _slot_plan(size: int, ns: tuple[int, ...], ell: int):
+    """Index plan of an ell-slot kernel's slot sum over the levels ``ns``,
+    flattened and stacked row-wise: ``(gather, back, adds, first)``.
+
+    Copy k of level n >= ell holds the level's rows permuted by the k-th
+    increasing ell-tuple J (J's slots in front, every other slot behind
+    them in order) as size**(n - ell) columns of ``gather``, shaped
+    (size,)*ell + (columns,): the kernel's particle axes and one batch
+    axis.  ``back`` picks the kernel's flattened output rows back into
+    slot order, every level's first copy in row order and then each
+    further copy.  Behind ``first`` zero rows, the rows of the levels
+    below ell, the picked rows then hold every level at its own rows, and
+    ``adds`` pairs a level's rows with those of each further copy, in
+    tuple order.
+    """
+    starts = np.cumsum((0,) + tuple(size**n for n in ns)).tolist()
+    copies = [(k, start, np.arange(start, start + size**n).reshape((size,) * n)
+               .transpose(J + tuple(ax for ax in range(n) if ax not in J)).reshape(size**ell, -1))
+              for start, n in zip(starts, ns) if n >= ell
+              for k, J in enumerate(itertools.combinations(range(n), ell))]
+    gather = np.concatenate([src for _, _, src in copies], axis=1)
+    cuts = np.cumsum([src.shape[1] for _, _, src in copies])[:-1]
+    landing = np.split(np.arange(gather.size).reshape(gather.shape), cuts, axis=1)
+    first = row = copies[0][1]
+    back, adds = [], []
+    # every level's first copy, in row order, then the further copies
+    for (k, start, src), lands in sorted(zip(copies, landing), key=lambda c: c[0][0]):
+        rows = np.empty(src.size, dtype=np.intp)  # where each row of the level landed
+        rows[src - start] = lands
+        back.append(rows)
+        if k:
+            adds.append((slice(start, start + src.size), slice(row, row + src.size)))
+        row += src.size
+    gather, back = gather.reshape((size,) * ell + (-1,)), np.concatenate(back)
+    gather.flags.writeable = back.flags.writeable = False
+    return gather, back, tuple(adds), first
+
+
+def _slot_sum(gen: Generator, ns: tuple[int, ...], n: int, space: ConfigSpace,
+              name: str) -> NonlinearOperator:
+    """The canonical lift sum_J N^J + Lambda of ``gen`` at each level of
+    ``ns``, as an n-particle operator on ``space`` whose (space.size,)*n
+    particle entries are the levels' states flattened and stacked
+    row-wise; rows of levels below the threshold are zero.
+
+    Every level's slot permutations ride on one batch axis of one kernel
+    call (``_slot_plan``), and each level's copies are added in tuple
+    order.  A one-particle generator takes -(n_k - 1) Lambda on the rows
+    of level n_k.  A ``pointwise_lambda`` generator lifts to Lambda at
+    every level: its own elementwise kernel, with every slot but the first
+    as a batch axis, in one call over all rows."""
+    if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
+        return replace(gen.op, n=n, space=space, name=name)
+    shape, count = (space.size,) * n, space.size**n
+    gather, back, adds, first = _slot_plan(gen.op.space.size, ns, gen.ell)
+
+    def into(a):
+        return np.take(a.reshape((-1,) + a.shape[n:]), gather, axis=0)
+
+    def out_of(out):
+        batch = out.shape[gen.ell + 1:]
+        picked = np.empty((first + len(back),) + batch, dtype=out.dtype)
+        picked[:first] = 0
+        # every index is in range; "clip" only spares take a buffered copy
+        np.take(out.reshape((-1,) + batch), back, axis=0, out=picked[first:], mode="clip")
+        for level, copy in adds:
+            np.add(picked[level], picked[copy], out=picked[level])
+        return picked[:count].reshape(shape + batch)
+
+    lifted = _lifted(gen.op, into, out_of, n=n, space=space, indices=gen.indices, name=name)
+    if gen.ell > 1 or gen.indices.is_zero():
+        return lifted
+    weights = np.repeat([-(k - 1.0) for k in ns], [gen.op.space.size**k for k in ns]).reshape(shape)
+    lam = _lifted(lambda_op(gen.indices, n, space), lambda a: a,
+                  lambda out: weights.reshape(shape + (1,) * (out.ndim - n)) * out,
+                  n=n, space=space)
+    # op_combine drops the indices, which Lambda's level-weighted part lacks
+    return replace(op_combine([lifted, lam], name=name), indices=gen.indices)
 
 
 def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
@@ -151,23 +221,13 @@ def canonical_lift(gen: Generator, n: int) -> NonlinearOperator:
     particle, so there the lift is sum_J F^J.  A one-particle lift is
     computed as sum_j F^(j) - (n - 1) Lambda_n; when F was built as Lambda
     of its declared indices (``pointwise_lambda``), N is zero and the lift
-    is the pointwise Lambda_n.
+    is the pointwise Lambda_n.  It is ``_slot_sum`` at the one level n.
     """
     if n < gen.ell:
         raise BadRange(f"cannot lift a threshold-{gen.ell} generator to n={n}")
     if n == gen.ell:
         return gen.op  # the single tuple J = (0, ..., l-1)
-    name = f"{gen.op.name}#_{n}"
-    if _is_pointwise_lambda(gen):
-        return lambda_op(gen.indices, n, gen.op.space).renamed(name)
-    lifted = _slot_sum(gen.op, list(itertools.combinations(range(n), gen.ell)), n, name)
-    if gen.ell > 1:
-        return lifted
-    if not gen.indices.is_zero():
-        lam = lambda_op(gen.indices, n, gen.op.space)
-        lifted = op_combine([lifted, lam], [1.0, -(n - 1.0)], name=name)
-    # the combined indices n idx - (n-1) idx equal idx only up to round-off
-    return replace(lifted, indices=gen.indices)
+    return _slot_sum(gen, (n,), n, gen.op.space, f"{gen.op.name}#_{n}")
 
 
 def natural_part(gen: Generator) -> NonlinearOperator:
@@ -179,77 +239,6 @@ def natural_part(gen: Generator) -> NonlinearOperator:
     lam = lambda_op(F.indices, 1, F.space)
     out = op_combine([F, lam], [1.0, -1.0], name=f"{F.name}-natural")
     return replace(out, indices=ZERO_PAIR)
-
-
-# the weight op_combine gives each part of a from_generators level
-_UNIT = complex(1.0)
-
-
-def _stacked_lift(gen: Generator, ns: Sequence[int], blocks: Sequence[slice], size: int):
-    """The canonical lift of ``gen`` at the stacked levels n >= ell, from one
-    kernel call: ``(first row, parts)``, where ``parts(t, data)`` gives the
-    rows from the first level n >= ell on; None when no level reaches ell.
-
-    ``_slot_sum``'s permuted copy of each level and tuple J is gathered as
-    a group of columns of one (size,)*ell + (columns,) + batch array.  The
-    copies are gathered back in slot order, every level's first copy in
-    front, so those rows line up with the levels' rows, and each level's
-    further copies are added to them in tuple order.  A one-particle
-    generator then takes its -(n - 1) Lambda_n term at n > 1, weighted as
-    ``canonical_lift`` weights it.  A ``pointwise_lambda`` generator is
-    Lambda_n at every level: one elementwise call over all rows."""
-    if _is_pointwise_lambda(gen):
-        return 0, gen.op.apply
-    ell = gen.ell
-    levels = [(blk, n, [J + tuple(ax for ax in range(n) if ax not in J)
-                        for J in itertools.combinations(range(n), ell)])
-              for blk, n in zip(blocks, ns) if n >= ell]
-    if not levels:
-        return None
-    first = levels[0][0].start
-    copies, col = [], 0  # copies[level][k]: the columns of copy k
-    for blk, n, perms in levels:
-        copies.append([slice(col + k * size**(n - ell), col + (k + 1) * size**(n - ell))
-                       for k in range(len(perms))])
-        col += len(perms) * size**(n - ell)
-    gather = np.concatenate([
-        np.arange(blk.start, blk.stop).reshape((size,) * n).transpose(perm)
-        .reshape(size**ell, -1) for blk, n, perms in levels for perm in perms], axis=1)
-    # where each gathered row lands in the kernel's flattened output
-    landing = np.arange(gather.size).reshape(gather.shape)
-    back, adds, row = [], [], 0  # adds: (a level's rows, the back rows of a further copy)
-    for k in range(max(len(perms) for _, _, perms in levels)):
-        for (blk, n, perms), cols in zip(levels, copies):
-            if k < len(perms):
-                back.append(landing[:, cols[k]].reshape((size,) * n)
-                            .transpose(np.argsort(perms[k])).ravel())
-                if k:
-                    adds.append((slice(blk.start - first, blk.stop - first),
-                                 slice(row, row + size**n)))
-                row += size**n
-    back = np.concatenate(back)
-    lam, lam_terms = None, []
-    if ell == 1 and not gen.indices.is_zero():
-        lam = lambda_op(gen.indices, 1, gen.op.space)
-        lam_terms = [(slice(blk.start - first, blk.stop - first), complex(-(n - 1.0)), blk)
-                     for blk, n, _ in levels if n > 1]
-    width, covered = gather.shape[1], blocks[-1].stop - first
-
-    def parts(t, data):
-        batch = data.shape[1:]
-        out = gen.op.apply(t, np.take(data, gather, axis=0).reshape((size,) * ell + (width,) + batch))
-        picked = np.take(out.reshape((-1,) + batch), back, axis=0)
-        for rows, copy in adds:
-            np.add(picked[rows], picked[copy], out=picked[rows])
-        if lam_terms:
-            lam_values = lam.apply(t, data)
-            for rows, weight, blk in lam_terms:
-                level = picked[rows]
-                np.multiply(_UNIT, level, out=level)
-                level += weight * lam_values[blk]
-        return picked[:covered]
-
-    return first, parts
 
 
 @dataclass(frozen=True)
@@ -291,46 +280,32 @@ class Hierarchy:
         bit for bit, since a kernel's value on one batch entry does not
         depend on the batch around it.
 
-        For a hierarchy built from generators, one evaluation makes one
-        kernel call per generator for all levels (``_stacked_lift``), and
-        combines each level's parts in ``op_combine``'s order and weights.
-        A hierarchy built from its levels applies each level to its block.
+        For a hierarchy built from generators it is the ``op_combine`` of
+        one ``_slot_sum`` per generator that some level reaches, as each
+        level combines its canonical lifts: one kernel call per generator
+        for all levels, with every kernel of a sum.  A hierarchy built from
+        its levels applies each level to its block.
         """
         if list(ns) != sorted(ns):
             raise ValueError(f"levels {list(ns)} are not in increasing order")
         levels = [self.op(n) for n in ns]
         size = self.space.size
         ends = np.cumsum([size**n for n in ns]).tolist()
+        space, name = ConfigSpace(ends[-1]), " (+) ".join(op.name for op in levels)
+        gens = [g for g in self.gens or () if g.ell <= ns[-1]]
+        if gens:
+            return op_combine([_slot_sum(g, tuple(ns), 1, space, name) for g in gens], name=name)
         blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-        if self.gens is None:
-            def ev(t, data):
-                batch = data.shape[1:]
-                return np.concatenate([
-                    op.apply(t, data[blk].reshape((size,) * op.n + batch)).reshape((-1,) + batch)
-                    for op, blk in zip(levels, blocks)])
-        else:
-            terms = [term for term in (_stacked_lift(g, ns, blocks, size) for g in self.gens)
-                     if term is not None]
 
-            def ev(t, data):
-                # a generator's part covers the rows from its first level on:
-                # the first part at a row sets it, and later ones add to it
-                out, filled = np.empty(data.shape, dtype=np.complex128), len(data)
-                for first, parts in terms:
-                    value = parts(t, data)
-                    if filled < len(data):
-                        tail = out[max(first, filled):]
-                        tail += _UNIT * value[len(value) - len(tail):]
-                    if first < filled:
-                        np.multiply(_UNIT, value[:filled - first], out=out[first:filled])
-                        filled = first
-                out[:filled] = 0  # levels below every threshold are zero_op
-                return out
+        def ev(t, data):
+            batch = data.shape[1:]
+            return np.concatenate([
+                op.apply(t, data[blk].reshape((size,) * op.n + batch)).reshape((-1,) + batch)
+                for op, blk in zip(levels, blocks)])
 
         return NonlinearOperator(
-            n=1, space=ConfigSpace(ends[-1]), eval_fn=ev,
-            time_dependent=any(op.time_dependent for op in levels),
-            name=" (+) ".join(op.name for op in levels),
+            n=1, space=space, eval_fn=ev,
+            time_dependent=any(op.time_dependent for op in levels), name=name,
         )
 
     @classmethod

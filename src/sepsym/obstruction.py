@@ -23,16 +23,9 @@ import itertools
 import numpy as np
 
 from .errors import BadRange
-from .hierarchy import MAX_PARTICLES, Generator, canonical_lift, lift_J, natural_part
+from .hierarchy import Generator, canonical_lift, check_obstruction_range, lift_J, natural_part
 from .opcalc import lie_bracket
 from .space import random_batch, sup_norms, tensor_all
-
-
-def _check_range(ell: int, m: int, n: int) -> None:
-    if not 1 <= ell <= m < n <= MAX_PARTICLES:
-        raise BadRange(
-            f"need 1 <= l <= m < n <= {MAX_PARTICLES}, got (l, m, n) = ({ell}, {m}, {n})"
-        )
 
 
 def _family(gens) -> list:
@@ -51,7 +44,7 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     Fs, Gs = _family(F), _family(G)
     if min(len(Fs), len(Gs)) > 1 or len({g.ell for g in Fs}) > 1 or len({g.ell for g in Gs}) > 1:
         raise BadRange("a family of generators takes one side and one particle level")
-    _check_range(Fs[0].ell, Gs[0].ell, n)
+    check_obstruction_range(Fs[0].ell, Gs[0].ell, n)
     Js = list(itertools.combinations(range(n), Fs[0].ell))
     Ks = list(itertools.combinations(range(n), Gs[0].ell))
     lifts = {(side, e, S): lift_J(op, S, n)  # keyed (side, family entry, slot tuple)
@@ -106,7 +99,7 @@ def obstruction_lhs(
     bracket_gen: Generator | None = None,
 ) -> np.ndarray:
     """[F#_n, G#_n] phi - ([F#_m, G]#)_n phi."""
-    _check_range(F.ell, G.ell, n)
+    check_obstruction_range(F.ell, G.ell, n)
     term1 = lie_bracket(canonical_lift(F, n), canonical_lift(G, n)).apply(t, data)
     H = bracket_gen if bracket_gen is not None else bracket_generator(F, G)
     term2 = canonical_lift(H, n).apply(t, data)

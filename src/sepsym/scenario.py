@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import BadRange, ScenarioError, StepMismatch
 from .evolution import EvolutionConfig
-from .hierarchy import Generator
+from .hierarchy import Generator, check_obstruction_range
 from .mixedpow import IndexPair
-from .obstruction import _check_range
 from .operators import (
     cross_ratio_op,
     lambda_op,
@@ -256,7 +255,7 @@ def _pairs(value, where: str, generators: dict) -> list | None:
         fname, gname, ns = entry
         try:
             for n in ns:
-                _check_range(generators[fname].ell, generators[gname].ell, n)
+                check_obstruction_range(generators[fname].ell, generators[gname].ell, n)
         except BadRange as exc:
             raise ScenarioError(f"{where}: {fname} against {gname}: {exc}") from exc
     return value

@@ -19,6 +19,9 @@ Members are matched by name only, not by class: a member whose name some
 other class also uses and reads passes.  The scan therefore could not see
 that nothing read ``Hierarchy.generators``, because ``Scenario.generators``
 has the same name.  Dunder methods are exempt, since syntax calls them.
+
+No package module imports another module's private name (one leading
+underscore): what two modules share is public where it is defined.
 """
 
 import ast
@@ -140,6 +143,24 @@ def test_copying_forward_is_not_reading():
     assert loads("Op(flag=a.flag or b.flag, name=a.name)") == set()
     assert loads("Op(other=a.flag)") == {"flag"}
     assert loads("if a.flag: pass") == {"flag"}
+
+
+def _private_imports(tree):
+    """Names with one leading underscore that ``tree`` imports from a module."""
+    return sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_no_module_imports_a_private_name():
+    found = {name: names for name, tree in _trees().items() if (names := _private_imports(tree))}
+    assert not found, f"private names imported across package modules: {found}"
+
+
+def test_private_import_scan_sees_one():
+    # guard against a vacuous pass: an import inside a function counts too
+    tree = ast.parse("from . import __version__\ndef f():\n    from .obstruction import _check_range")
+    assert _private_imports(tree) == ["_check_range"]
 
 
 def _annotated(obj):

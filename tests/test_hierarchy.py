@@ -453,8 +453,9 @@ class TestFusedCanonicalLift:
         )
         lifted = canonical_lift(replace(gen, op=op), 3)
         data = nz(3, self.SPACE, np.random.default_rng(2))
+        # every tuple's copy of the other slots on one gathered batch axis
         tuples = math.comb(3, gen.ell)
-        stacked = (3,) * 3 + (tuples,)
+        stacked = (3,) * gen.ell + (tuples * 3 ** (3 - gen.ell),)
         lifted.apply(0.0, data)
         assert calls == [stacked]
         lifted.derivative(0.0, data, data)
@@ -531,7 +532,7 @@ class TestPointwiseLambdaLift:
             level = canonical_lift(Generator(op_combine(parts)), 3)
             shapes = self.kernel_shapes(monkeypatch)
             level.apply(0.0, data)
-            assert shapes == [(3, 3, 3, 3), (3, 3, 3)]
+            assert shapes == [(3, 27), (3, 3, 3)]
 
     def test_redeclared_indices_take_the_slot_sum(self, rng):
         # a marked operator whose indices were replaced is no longer
@@ -841,6 +842,51 @@ class TestDirectSum:
             for phi, block in self.blocks(H, ns, batch, rng):
                 level = H.op(phi.ndim - len(batch)).apply(0.0, phi)
                 assert np.array_equal(block.reshape(phi.shape), level)
+
+    @pytest.mark.parametrize("batch", [(4,), (2, 3)])
+    @pytest.mark.parametrize("case", list(_direct_sum_gens(ConfigSpace(3))))
+    def test_blocks_equal_slot_loop_oracle(self, space3, rng, case, batch):
+        # op(n) runs the same gathered slot sum as direct_sum; this oracle
+        # shares none of it: lift_J per tuple, op_combine and Lambda, summed
+        # over the generators that reach level n
+        gens = _direct_sum_gens(space3)[case]
+        H = Hierarchy.from_generators(gens, 3)
+        for ns in self.LEVELS:
+            for phi, block in self.blocks(H, ns, batch, rng):
+                n = phi.ndim - len(batch)
+                parts = [slot_loop_oracle(g, n) for g in gens if g.ell <= n]
+                want = op_combine(parts).apply(0.0, phi) if parts else np.zeros_like(phi)
+                err = np.abs(block.reshape(phi.shape) - want).max()
+                assert err <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("batch", [(4,), (2, 3)])
+    @pytest.mark.parametrize("case", list(_direct_sum_gens(ConfigSpace(3))))
+    def test_derivative_and_linearize_blocks_equal_level_ones(self, space3, rng, case, batch):
+        H = Hierarchy.from_generators(_direct_sum_gens(space3)[case], 3)
+
+        def draw(ns):
+            return [phi.reshape(phi.shape[:-1] + batch)
+                    for phi in random_batch(ns, H.space, [rng] * math.prod(batch))]
+
+        def stack(states):
+            return np.concatenate([phi.reshape((-1,) + batch) for phi in states])
+
+        for ns in self.LEVELS:
+            states, etas = draw(ns), draw(ns)
+            F, data, eta = H.direct_sum(ns), stack(states), stack(etas)
+            value, tangent = F.linearize(0.0, data)
+            kernels = [F.derivative(0.0, data, eta), value, tangent(eta)]
+            if F.second_derivative_fn is not None:
+                kernels.append(F.second_derivative_fn(0.0, data, eta, data))
+            cuts = np.cumsum([phi.size // math.prod(batch) for phi in states])[:-1]
+            for phi, d, *blocks in zip(states, etas, *(np.split(k, cuts) for k in kernels)):
+                level = H.op(phi.ndim - len(batch))
+                level_value, level_tangent = level.linearize(0.0, phi)
+                want = [level.derivative(0.0, phi, d), level_value, level_tangent(d)]
+                if F.second_derivative_fn is not None:
+                    want.append(level.second_derivative_fn(0.0, phi, d, phi))
+                for block, w in zip(blocks, want, strict=True):
+                    assert np.array_equal(block.reshape(phi.shape), w)
 
     def test_sliced_state_and_metadata(self, space3, rng):
         # a march slices finished step sizes off the batch axis

@@ -425,12 +425,12 @@ class TestWorkCounts:
         data = np.stack([nz(3, space, np.random.default_rng(s)) for s in (1, 2)], axis=-1)
         shapes = self.floor_checks(monkeypatch)
         corollary2_obstruction(Generator(cross_ratio_op(space, (1, 2), 0.7)), family, 0.0, data)
-        # three lifts K, each linearised once, on its view of data (with the
-        # lift's tuple axis) and that view's slot swap
-        assert shapes == [data.shape + (1,)] * 6
+        # three lifts K, each linearised once, on its view of data and that
+        # view's slot swap
+        assert shapes == [data.shape] * 6
         shapes.clear()
         corollary2_obstruction(Generator(cross_ratio_op(space)), family, 0.0, data)
-        assert shapes == [data.shape + (1,)] * 3
+        assert shapes == [data.shape] * 3
 
     def test_one_floor_check_per_lifted_multiplier(self, monkeypatch):
         space = ConfigSpace(4, grid=True)
