@@ -1,0 +1,102 @@
+"""The evolution checks: separation of product states and the scaling
+indices of the evolution operator."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .checks import CheckContext, CheckResult, judge
+from .evolution import (
+    EvolutionConfig,
+    extract_indices,
+    replaced_level_gaps,
+    scaling_test,
+    separation_test,
+)
+from .hierarchy import Generator, Hierarchy
+from .mixedpow import IndexPair
+from .opcalc import op_combine
+from .operators import (cross_ratio_op, lambda_op, log_modulus_op, nonseparating_op,
+                        rms_log_modulus_op)
+from .space import random_batch
+
+
+def check_separation_evolution(ctx: CheckContext) -> CheckResult:
+    """Separation residual decays at fourth order for the canonical-lift
+    hierarchy and plateaus for a non-separating perturbation."""
+    space = ctx.space
+    F1 = Generator(log_modulus_op(space, 1.0))
+    G2 = Generator(cross_ratio_op(space, coupling=0.25))
+    H = Hierarchy.from_generators([F1, G2], 3)
+    # residual curves of single state pairs can sit near a cancellation of
+    # the leading dt^4 coefficient; the batch sum has a robust one
+    phi1, phi2 = random_batch((1, 2), space, [ctx.rng(k) for k in range(4)])
+    dts = [0.02, 0.01, 0.005]
+    cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
+    runs = separation_test(H, phi1, phi2, cfgs)
+    residuals = [sum(run.gaps) for run in runs]
+    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+    # the perturbed hierarchy differs from H at level 2 only: its level-1
+    # and level-3 marches are those of the first pair in the runs above
+    bad2 = op_combine([H.op(2), nonseparating_op(space, 2, 0.5)])
+    plateau = [gaps[0] for gaps in replaced_level_gaps(runs[:2], bad2, phi2[..., :1], cfgs[:2])]
+    # trajectory summary at the finest step: horizon and the evolved first pair
+    fine = cfgs[-1]
+    evolved = [float(np.abs(psi[..., 0]).max()) for psi in runs[-1].evolved]
+    details = {
+        "dts": dts,
+        "times": [fine.t0, fine.t1],
+        "residuals": residuals,
+        "evolved_norms": evolved,
+        "initial_norms": [float(np.abs(phi[..., 0]).max()) for phi in (phi1, phi2)],
+    }
+    return judge(ctx, "separation-evolution", {
+        "ratios": ("band", ratios, (12.0, 20.0)),
+        "plateau": ("floor", plateau, 1e-2),
+    }, details)
+
+
+def check_scaling_indices(ctx: CheckContext) -> CheckResult:
+    """Evolution-operator scaling against the index equations: fourth
+    order in dt, with the closed form and index extraction recovered."""
+    space = ctx.space
+    rng = ctx.rng()
+    p = 1.3
+    F = lambda_op(IndexPair(p, p), 1, space)
+    [phi] = random_batch((1,), space, [rng])
+    dts = [0.02, 0.01, 0.005]
+    runs = scaling_test(F, phi, 1.4 + 0.3j,
+                        [EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar) for dt in dts])
+    residuals = [gaps[0] for gaps, _ in runs]
+    trajs = [traj for _, traj in runs]
+    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+    # the ladder's index laws at dt = 0.02 and 0.01 give the closed form and
+    # the extraction, which recovers (p, q) at second order: halving the
+    # step quarters the error
+    closed = complex(math.cos(p / ctx.hbar), -math.sin(p / ctx.hbar))
+    closed_err = abs(complex(trajs[1].a[-1]) - closed)
+    extr_errs = []
+    for traj in trajs[:2]:
+        est = extract_indices(traj)
+        extr_errs.append(max(abs(est.a - p), abs(est.b - p)))
+    extr_ratio = extr_errs[0] / extr_errs[1] if extr_errs[1] > 0 else float("inf")
+    # strictly homogeneous operator: scaling holds to round-off
+    strict = rms_log_modulus_op(space, 0.8)
+    [([strict_res], _)] = scaling_test(
+        strict, phi, 0.7 - 0.4j, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)]
+    )
+    return judge(ctx, "scaling-indices", {
+        "ratios": ("band", ratios, (12.0, 20.0)),
+        "closed_form_error": ("bound", closed_err, 1e-8),
+        "extraction_error": ("bound", extr_errs[1], 0.01**2),
+        "extraction_ratio": ("band", extr_ratio, (3.0, 5.0)),
+        "strict_scaling_residual": ("bound", strict_res, 1e-10),
+    }, {"dts": dts, "scaling_residuals": residuals, "extraction_errors": extr_errs})
+
+
+FAMILY = {
+    "separation-evolution": check_separation_evolution,
+    "scaling-indices": check_scaling_indices,
+}

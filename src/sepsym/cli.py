@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
+from . import obstruction  # noqa: F401  perfbench's tracer looks it up after importing cli
 from .checks import CHECKS, check_parameters, list_checks, run_check
 from .errors import ScenarioError
 from .scenario import (Scenario, bundled_scenario_names, finite_number, load_scenario,

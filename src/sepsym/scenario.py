@@ -344,7 +344,8 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     except StepMismatch as exc:
         raise ScenarioError(f"{origin}: evolution: {exc}") from exc
     symmetry = doc.get("symmetry", {})
-    build_point_spec(symmetry)
+    if symmetry != {}:  # the default block needs no symmetry code to validate
+        build_point_spec(symmetry)
     return Scenario(
         name=str(doc["name"]),
         seed=seed,

@@ -230,9 +230,9 @@ def index_flow(
     ``rk4_affine_step`` map.  The flow keeps the RK4 nodes y(t0 + k dt)
     and y(t0 - k dt) it has reached, marching further on demand in the
     direction a call needs with the map of that signed step; an off-node
-    time takes one map of the remaining size from its nearest node (dense
-    output).  Node k is bit for bit k applications of the map to the
-    start, the value of a fresh k-step march from cfg.t0.
+    time takes the map of its remainder, built once, from its nearest node
+    (dense output).  Node k is bit for bit k applications of the map to
+    the start, the value of a fresh k-step march from cfg.t0.
     """
     da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
@@ -243,7 +243,7 @@ def index_flow(
 
     offset = (-tau.alpha * da / cfg.hbar, -tau.alpha * db / cfg.hbar)  # -tau' drive over hbar
     y0 = (start.a, start.b)
-    # signed step -> (its step map, [y_0, y_1, ...])
+    # signed step -> (its step map, [y_0, y_1, ...]); remainder -> (its map, [])
     nodes = {dt: (rk4_affine_step(linear, offset, dt), [y0]) for dt in (cfg.dt, -cfg.dt)}
 
     def at(tt: float) -> IndexPair:
@@ -260,7 +260,9 @@ def index_flow(
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y = rk4_affine_step(linear, offset, rem)(*y)
+            if rem not in nodes:  # central differences revisit each remainder
+                nodes[rem] = (rk4_affine_step(linear, offset, rem), [])
+            y = nodes[rem][0](*y)
         return IndexPair(*y)
 
     return at

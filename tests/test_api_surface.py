@@ -18,7 +18,11 @@ copies but no code tests is therefore flagged.
 Members are matched by name only, not by class: a member whose name some
 other class also uses and reads passes.  The scan therefore could not see
 that nothing read ``Hierarchy.generators``, because ``Scenario.generators``
-has the same name.  Dunder methods are exempt, since syntax calls them.
+has the same name.  Dunder methods are exempt, since syntax calls them, and
+so are dunder functions such as a module's ``__getattr__`` (PEP 562).
+
+The package exports lazily: ``__init__.py`` holds a table, module -> the
+names it exports, and the scan reads that table.
 
 No package module imports another module's private name (one leading
 underscore): what two modules share is public where it is defined.
@@ -31,6 +35,7 @@ import typing
 from pathlib import Path
 
 import sepsym
+from sepsym.checks import _REGISTRY, check_parameters
 
 PACKAGE = Path(sepsym.__file__).parent
 
@@ -41,9 +46,10 @@ def _trees():
 
 
 def _exports(init_tree):
-    return {alias.asname or alias.name
-            for node in ast.walk(init_tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
+    """The names of the lazy export table ``_EXPORTS``, module -> names."""
+    [table] = [node.value for node in init_tree.body if isinstance(node, ast.Assign)
+               and [target.id for target in node.targets] == ["_EXPORTS"]]
+    return {name.value for names in table.values for name in names.elts}
 
 
 def _loaded_names(tree):
@@ -103,6 +109,7 @@ def unreferenced_functions():
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name not in used
+        and not node.name.startswith("__")
     )
 
 
@@ -125,10 +132,13 @@ def test_every_member_is_read():
 def test_scan_sees_package_functions():
     # guard against a vacuous pass: the scan must find the real modules
     trees = _trees()
-    assert {"obstruction.py", "space.py", "symmetry.py", "checks.py"} <= set(trees)
+    assert {"obstruction.py", "space.py", "symmetry.py", "checks.py",
+            "checks_lifts.py"} <= set(trees)
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.FunctionDef)}
-    assert {"obstruction_rhs", "lift_J", "point_symmetry_parts"} <= defined
+    assert {"obstruction_rhs", "lift_J", "point_symmetry_parts", "check_freelift"} <= defined
+    exports = _exports(trees["__init__.py"])
+    assert {"IndexPair", "lift_J", "PointSymmetrySpec", "BadRange"} <= exports
     members = {f"{cls.name}.{member}" for tree in trees.values()
                for cls in tree.body if isinstance(cls, ast.ClassDef)
                for member in _members(cls)}
@@ -195,3 +205,27 @@ def test_every_annotation_resolves():
                 except NameError as exc:
                     unresolved.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
     assert not unresolved, unresolved
+
+
+def _families():
+    return [importlib.import_module(f"sepsym.{path.stem}")
+            for path in sorted(PACKAGE.glob("checks_*.py"))]
+
+
+def test_families_hold_every_check_once():
+    # each check sits in the family the registry names for it, and only there
+    families = _families()
+    held = [(family.__name__.removeprefix("sepsym.checks_"), name)
+            for family in families for name in family.FAMILY]
+    assert len(families) == 4
+    assert sorted(held) == sorted((entry[0], name) for name, entry in _REGISTRY.items())
+
+
+def test_family_parameters_are_the_declared_ones():
+    # the registry holds each default once: a check function takes exactly
+    # the declared parameters, none with a default of its own
+    for family in _families():
+        for name, fn in family.FAMILY.items():
+            params = list(inspect.signature(fn).parameters.values())[1:]
+            assert [p.name for p in params] == list(check_parameters(name)), name
+            assert all(p.default is inspect.Parameter.empty for p in params), name

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sepsym.checks import CHECKS, CheckContext, _judge
+from sepsym.checks import CHECKS, CheckContext, judge as judge_check
 from sepsym.scenario import parse_scenario
 
 BAND = (12.0, 20.0)
@@ -14,7 +14,7 @@ BAND = (12.0, 20.0)
 def judge(criteria: dict):
     doc = {"name": "judge", "seed": 0, "space": {"size": 3}, "checks": ["euler-identities"]}
     ctx = CheckContext(scenario=parse_scenario(doc, set(CHECKS)), ordinal=0)
-    return _judge(ctx, "euler-identities", criteria, {"kept": 1})
+    return judge_check(ctx, "euler-identities", criteria, {"kept": 1})
 
 
 def defects(criteria: dict) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sepsym import checks, evolution
+from sepsym import checks_evolution, evolution
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
@@ -203,7 +203,7 @@ class TestSeparation:
             seen.append((H, phi1, phi2, cfgs))
             return separation_test(H, phi1, phi2, cfgs)
 
-        monkeypatch.setattr(checks, "separation_test", recording)
+        monkeypatch.setattr(checks_evolution, "separation_test", recording)
         result = run_check("separation-evolution", sc, params)
         [(H, phi1, phi2, cfgs)] = seen
         ops = list(H.ops)

@@ -548,7 +548,7 @@ class TestPointwiseLambdaLift:
         # rms-log-modulus declares (0, 0) but is not pointwise: forcing the
         # pointwise path lifts it to zero, and theorem10's bundled
         # liftdeltal-identity check must see that
-        from sepsym import checks, scenario
+        from sepsym import checks_lifts, scenario
         from sepsym.checks import CHECKS, run_check
 
         plain = operators.rms_log_modulus_op
@@ -557,7 +557,7 @@ class TestPointwiseLambdaLift:
             op = plain(*args, **kwargs)
             return replace(op, pointwise_lambda=op.indices)
 
-        monkeypatch.setattr(checks, "rms_log_modulus_op", marked)
+        monkeypatch.setattr(checks_lifts, "rms_log_modulus_op", marked)
         monkeypatch.setattr(scenario, "rms_log_modulus_op", marked)
         sc = scenario.load_scenario("theorem10", set(CHECKS))
         entry = next(e for e in sc.checks if e["name"] == "liftdeltal-identity")

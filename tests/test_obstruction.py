@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sepsym import checks, operators
+from sepsym import checks_lifts, operators
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import BadRange
 from sepsym.hierarchy import Generator, lift_J, natural_part
@@ -475,7 +475,7 @@ def run_batched_and_looped(monkeypatch, check, sc, params, fns):
     """The check's result as it runs, then with ``fns`` evaluated per state."""
     batched = run_check(check, sc, params)
     for name in fns:
-        monkeypatch.setattr(checks, name, per_state(getattr(checks, name)))
+        monkeypatch.setattr(checks_lifts, name, per_state(getattr(checks_lifts, name)))
     return batched, run_check(check, sc, params)
 
 
@@ -521,7 +521,7 @@ class TestBatchedChecks:
     def test_liftdeltal_fd_fallback_matches_per_state(self, monkeypatch):
         # without a closed derivative the finite-difference route batches too
         space = ConfigSpace(3)
-        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
             ("stripped", stripped_rms(space, derivative_fn=None), gen_shifted(space), (2,))
         ])
         sc = replace(load_scenario("theorem10", set(CHECKS)), seed=3)
@@ -565,7 +565,7 @@ class TestReport:
         assert not doc["vanishes"] and doc["warnings"] == []
 
     def test_vanishes_flag(self, monkeypatch):
-        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
             ("linear", Generator(site_matrix_op(sp, np.eye(3))),
              Generator(site_matrix_op(sp, np.diag([1.0, 2.0, 3.0]))), (2,)),
         ])
@@ -577,7 +577,7 @@ class TestReport:
     def test_fd_warning_surfaces(self, monkeypatch):
         space = ConfigSpace(3)
         stripped = stripped_rms(space, derivative_fn=None)
-        monkeypatch.setattr(checks, "_default_theorem10_pairs", lambda sp: [
+        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
             ("stripped", stripped, gen_shifted(space), (2,))
         ])
         sc = load_scenario("theorem10", set(CHECKS))

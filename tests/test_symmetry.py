@@ -254,6 +254,24 @@ class TestIndexFlowTable:
             assert (got.a, got.b) == (want.a, want.b), t
             assert got.close_to(near, 1e-12), t
 
+    def test_repeated_off_node_time_builds_no_second_map(self, monkeypatch):
+        # the central differences of index_law_residual revisit remainders:
+        # each remainder's map is built once, and its value is a fresh flow's
+        tau, cfg = self.CASES[1]
+        fresh = index_flow(self.P, self.Q, tau, self.START, cfg)(0.3001)
+        built = []
+
+        def counting(linear, offset, dt):
+            built.append(dt)
+            return rk4_affine_step(linear, offset, dt)
+
+        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
+        flow = index_flow(self.P, self.Q, tau, self.START, cfg)
+        assert len(built) == 2  # the two signed steps
+        values = [flow(t) for t in (0.3001, 0.1, 0.3001, -0.2, 0.3001)]
+        assert len(built) == 3
+        assert all((got.a, got.b) == (fresh.a, fresh.b) for got in values[::2])
+
     def march_steps(self, monkeypatch, index_flow=index_flow):
         """Step-map applications the flow makes over a repetitive call
         sequence, with the fewest and most a flow that marches each node
@@ -330,7 +348,7 @@ class TestBracket:
         # level without a closed derivative would move it onto finite
         # differences without a word (only Lambda and linear operators
         # carry the second derivatives a bracket's derivative needs)
-        from sepsym import checks
+        from sepsym import checks_symmetry
 
         built = []
 
@@ -338,7 +356,7 @@ class TestBracket:
             built.append(inf_symmetry_bracket(K, L))
             return built[-1]
 
-        monkeypatch.setattr(checks, "inf_symmetry_bracket", recorded)
+        monkeypatch.setattr(checks_symmetry, "inf_symmetry_bracket", recorded)
         sc = load_scenario("scaling-indices", set(CHECKS))
         assert run_check("symmetry-bracket-closure", sc, {}).status == "pass"
         [M] = built
