@@ -52,11 +52,11 @@ class CheckResult:
 @dataclass
 class CheckContext:
     scenario: Scenario
-    ordinal: int
-    tol_override: float | None = None
+    name: str
 
     def rng(self, salt: int = 0) -> np.random.Generator:
-        return np.random.default_rng((self.scenario.seed, self.ordinal, salt))
+        # salted by the check's position in the registry
+        return np.random.default_rng((self.scenario.seed, list(_REGISTRY).index(self.name), salt))
 
     @property
     def space(self) -> ConfigSpace:
@@ -77,17 +77,14 @@ class CheckContext:
                                where=name)
 
 
-def _tolerance(ctx: CheckContext, name: str) -> float:
-    # precedence: command-line override > scenario tolerances > check default
-    if ctx.tol_override is not None:
-        return ctx.tol_override
-    return float(ctx.scenario.tolerances.get(name, _REGISTRY[name][1]))
+def _tolerance(ctx: CheckContext) -> float:
+    return float(ctx.scenario.tolerances.get(ctx.name, _REGISTRY[ctx.name][1]))
 
 
-def finish(ctx: CheckContext, name: str, residual: float, details: dict) -> CheckResult:
-    tol = _tolerance(ctx, name)
+def finish(ctx: CheckContext, residual: float, details: dict) -> CheckResult:
+    tol = _tolerance(ctx)
     status = "pass" if residual <= tol else "fail"
-    return CheckResult(name=name, status=status, max_residual=float(residual),
+    return CheckResult(name=ctx.name, status=status, max_residual=float(residual),
                        tolerance=tol, details=details)
 
 
@@ -105,7 +102,7 @@ def _defect(kind: str, value: float, limit) -> float:
     return 2.0 + abs(value - edge) / abs(edge)
 
 
-def judge(ctx: CheckContext, name: str, criteria: dict, details: dict) -> CheckResult:
+def judge(ctx: CheckContext, criteria: dict, details: dict) -> CheckResult:
     """Judge a composite check on its criteria, ``label -> (kind, value,
     limit)`` with ``kind`` one of ``bound``, ``band`` (limit ``(lo, hi)``)
     or ``floor``; a list value is judged entry by entry.  Each label is
@@ -116,7 +113,7 @@ def judge(ctx: CheckContext, name: str, criteria: dict, details: dict) -> CheckR
         values = value if isinstance(value, list) else [value]
         written[label] = {"value": value, kind: list(limit) if kind == "band" else limit,
                           "defect": max(_defect(kind, v, limit) for v in values)}
-    return finish(ctx, name, max(c["defect"] for c in written.values()), details)
+    return finish(ctx, max(c["defect"] for c in written.values()), details)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ def judge(ctx: CheckContext, name: str, criteria: dict, details: dict) -> CheckR
 # check name -> (family module, default tolerance, declared parameters with
 # their defaults, description).  A single-bound check's tolerance is its
 # bound; a composite check judges its normalised defects against 1.0.  The
-# order fixes each check's ordinal, which salts its draws.
+# order fixes each check's position, which salts its draws.
 _REGISTRY: dict[str, tuple[str, float, dict, str]] = {
     "algebra-table": ("algebra", 1e-12, {},
                       "generator product table and group closure of the mixed-power algebra"),
@@ -184,13 +181,10 @@ CHECKS: dict[str, tuple[Callable[..., CheckResult], str]] = {
     for name, (family, _, defaults, desc) in _REGISTRY.items()
 }
 
-CHECK_ORDINALS = {name: k for k, name in enumerate(CHECKS)}
 
-
-def run_check(name: str, scenario: Scenario, params: dict, tol_override: float | None = None) -> CheckResult:
+def run_check(name: str, scenario: Scenario, params: dict) -> CheckResult:
     fn, _ = CHECKS[name]
-    ctx = CheckContext(scenario=scenario, ordinal=CHECK_ORDINALS[name],
-                       tol_override=tol_override)
+    ctx = CheckContext(scenario=scenario, name=name)
     try:
         return fn(ctx, **params)
     except Exception as exc:
@@ -199,13 +193,8 @@ def run_check(name: str, scenario: Scenario, params: dict, tol_override: float |
             traceback.print_exc(file=sys.stderr)
         return CheckResult(
             name=name, status="error", max_residual=float("inf"),
-            tolerance=_tolerance(ctx, name), details={"error": f"{type(exc).__name__}: {exc}"},
+            tolerance=_tolerance(ctx), details={"error": f"{type(exc).__name__}: {exc}"},
         )
-
-
-def list_checks() -> list[tuple[str, str]]:
-    """Stable (name, description) listing of every check."""
-    return [(name, desc) for name, (_, desc) in CHECKS.items()]
 
 
 def check_parameters(name: str) -> dict:

@@ -42,7 +42,7 @@ def check_algebra_table(ctx: CheckContext) -> CheckResult:
         closure_ok = closure_ok and in_set
     details = {"products_checked": 64, "group_closure": closure_ok}
     residual = worst if closure_ok else float("inf")
-    return finish(ctx, "algebra-table", residual, details)
+    return finish(ctx, residual, details)
 
 
 def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
@@ -63,7 +63,7 @@ def check_algebra_brackets(ctx: CheckContext) -> CheckResult:
     scale = np.maximum(1.0, np.abs(comps).max(axis=0))
     jacobi = np.maximum(np.abs(a1 + a2 + a3), np.abs(b1 + b2 + b3)) / scale**2
     worst = max(worst, float(jacobi.max()))
-    return finish(ctx, "algebra-brackets", worst, {"jacobi_triples": trials})
+    return finish(ctx, worst, {"jacobi_triples": trials})
 
 
 def check_matrix_rep(ctx: CheckContext) -> CheckResult:
@@ -80,7 +80,7 @@ def check_matrix_rep(ctx: CheckContext) -> CheckResult:
     act = np.abs(mp.action_components(pa, pb, mp.action_components(qa, qb, z))
                  - mp.action_components(*pq, z)) / np.maximum(1.0, np.abs(z))
     worst = float(np.max(np.maximum(np.maximum(hom, det), act) / scale))
-    return finish(ctx, "matrix-rep-homomorphism", worst, {"pairs": trials})
+    return finish(ctx, worst, {"pairs": trials})
 
 
 def check_mixed_power_identities(ctx: CheckContext) -> CheckResult:
@@ -104,7 +104,7 @@ def check_mixed_power_identities(ctx: CheckContext) -> CheckResult:
     prod = np.abs(zp * zq - summed) / np.maximum(1.0, np.abs(summed))
     ln = np.abs(np.log(zp) - mp.action_components(pa, pb, np.log(z)))
     worst = float(np.max(np.maximum(np.maximum(comp, prod), ln), where=keep, initial=0.0))
-    return finish(ctx, "mixed-power-identities", worst, {"samples": trials})
+    return finish(ctx, worst, {"samples": trials})
 
 
 def _euler_cases(space: ConfigSpace):
@@ -162,7 +162,7 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
             "fd_euler_ratio": euler_ratio,
             "fd_derivative_ratio": dir_ratio,
         }
-    return judge(ctx, "euler-identities", criteria, details)
+    return judge(ctx, criteria, details)
 
 
 FAMILY = {

@@ -52,7 +52,7 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
         "evolved_norms": evolved,
         "initial_norms": [float(np.abs(phi[..., 0]).max()) for phi in (phi1, phi2)],
     }
-    return judge(ctx, "separation-evolution", {
+    return judge(ctx, {
         "ratios": ("band", ratios, (12.0, 20.0)),
         "plateau": ("floor", plateau, 1e-2),
     }, details)
@@ -87,7 +87,7 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     [([strict_res], _)] = scaling_test(
         strict, phi, 0.7 - 0.4j, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)]
     )
-    return judge(ctx, "scaling-indices", {
+    return judge(ctx, {
         "ratios": ("band", ratios, (12.0, 20.0)),
         "closed_form_error": ("bound", closed_err, 1e-8),
         "extraction_error": ("bound", extr_errs[1], 0.01**2),

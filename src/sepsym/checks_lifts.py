@@ -84,7 +84,7 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     lvl1 = max(sup_norms(Bk2.op(1).apply(0.0, batch)))
     prod2 = random_batch((1, 1), space, [rng], phase_cap=cap)
     lvl2_on_products = max(tensor_derivation_residual(Bk2, 0.0, prod2))
-    return judge(ctx, "derivation-bracket", {
+    return judge(ctx, {
         "leibniz_residual": ("bound", worst_leibniz, 1e-8),
         "index_error": ("bound", index_err, 1e-6),
         "bracket_level1_norm": ("bound", lvl1, 1e-8),
@@ -117,7 +117,7 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     for g1, g2, probe in zip(recovered, again, probes):
         worst = max(worst, *sup_norms(g2.op.apply(0.0, probe) - g1.op.apply(0.0, probe)))
     details = {"levels": 3, "thresholds": [g.ell for g in recovered]}
-    return finish(ctx, "canonical-decomposition-roundtrip", worst, details)
+    return finish(ctx, worst, details)
 
 
 def check_permutation(ctx: CheckContext) -> CheckResult:
@@ -134,7 +134,7 @@ def check_permutation(ctx: CheckContext) -> CheckResult:
     )
     lone = lift_J(shifted_log_modulus_op(space, 1.0), (0,), 2)
     asym = max(check_permutation_property(lone, 0.0, batch2))
-    return judge(ctx, "permutation-property", {
+    return judge(ctx, {
         "hierarchy_residual": ("bound", worst_sym, 1e-12),
         "counterexample_residual": ("floor", asym, 0.1),
     }, {})
@@ -155,7 +155,7 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
     bad_ops[1] = op_combine([bad_ops[1], nonseparating_op(space, 2, 0.5)])
     bad = Hierarchy(tuple(bad_ops))
     bad_residual = max(tensor_derivation_residual(bad, 0.0, random_batch((1, 1), space, [rng])))
-    return judge(ctx, "tensor-derivation-residual", {
+    return judge(ctx, {
         "leibniz_residual": ("bound", worst, 1e-10),
         "counterexample_residual": ("floor", bad_residual, 0.01),
     }, {})
@@ -226,8 +226,7 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None) -> CheckRes
                 "batch_size": size,
                 "warnings": warnings,
             }
-    return judge(ctx, "liftdeltal-identity",
-                  {"identity_residual": ("bound", residuals, 1e-8)}, details)
+    return judge(ctx, {"identity_residual": ("bound", residuals, 1e-8)}, details)
 
 
 def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
@@ -243,7 +242,14 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
         for side in (obstruction_rhs, obstruction_lhs):
             norms = sup_norms(side(A, Bl, n, 0.0, data))
             worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
-    return finish(ctx, "real-linear-degeneration", worst, {"levels": [2, 3]})
+    return finish(ctx, worst, {"levels": [2, 3]})
+
+
+def _spin_pair(grid_size: int) -> tuple[Generator, Generator]:
+    """The spin-coupled non-linearity and the spin rotation on a spin-1/2
+    grid of ``grid_size`` sites: a pair whose obstruction stays large."""
+    space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
+    return Generator(spin_rms_log_op(space, 1.0)), Generator(spin_rotation_op(space))
 
 
 def check_corollary1_equivalence(ctx: CheckContext, grid_size: int) -> CheckResult:
@@ -256,14 +262,13 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int) -> CheckResu
     [data3] = random_batch((3,), space, [ctx.rng(100 + k) for k in range(8)])
     two = max(sup_norms(corollary1_obstruction(F, K, 0.0, data2)))
     lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, data3)))
-    spin_space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
-    Fs = Generator(spin_rms_log_op(spin_space, 1.0))
-    Ks = Generator(spin_rotation_op(spin_space))
+    Fs, Ks = _spin_pair(grid_size)
+    spin_space = Fs.op.space
     [spin2] = random_batch((2,), spin_space, [ctx.rng(200 + k) for k in range(8)])
     [spin3] = random_batch((3,), spin_space, [ctx.rng(300 + k) for k in range(8)])
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
     spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
-    return judge(ctx, "corollary1-equivalence", {
+    return judge(ctx, {
         "vanishing_pair.two_particle": ("bound", two, 1e-8),
         "vanishing_pair.lifted_n3": ("bound", lifted, 1e-7),
         "spin_pair.two_particle": ("floor", spin_two, 1e-3),
@@ -297,7 +302,7 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int) -> CheckResult:
              for label, val in zip(labels, corollary2_obstruction(G, family, 0.0, data))}
     zero_gen = Generator(cross_ratio_op(space, coupling=0.0))
     zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, family[0], 0.0, data)))
-    return judge(ctx, "corollary2-pointsym", {
+    return judge(ctx, {
         "norms.phase": ("bound", norms["phase"], 1e-10),
         "norms.mult": ("bound", norms["mult"], 1e-10),
         "zero_generator_norm": ("bound", zero_norm, 1e-10),
@@ -315,10 +320,6 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
     seed = ctx.scenario.seed % 2**31
     size = 16
 
-    def build(gsize: int) -> tuple[Generator, Generator]:
-        space = ConfigSpace(2 * gsize, factors=(2, gsize), grid=True)
-        return Generator(spin_rms_log_op(space, 1.0)), Generator(spin_rotation_op(space))
-
     def smooth_field_mean(F: Generator, K: Generator) -> float:
         # a Riemann mean of the obstruction field of one continuum state,
         # the statistic that genuinely converges under refinement
@@ -329,13 +330,13 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
             for i in range(size // 2)
         ]))
 
-    F, K = build(grid_size)
+    F, K = _spin_pair(grid_size)
     [base] = random_batch((2,), F.op.space, [np.random.default_rng(seed)] * size)
     [reseeded] = random_batch((2,), F.op.space, [np.random.default_rng(seed + 1)] * size)
     norms = sup_norms(corollary1_obstruction(F, K, 0.0, base))
     reseeded_norms = sup_norms(corollary1_obstruction(F, K, 0.0, reseeded))
     smooth_base = smooth_field_mean(F, K)
-    smooth_refined = smooth_field_mean(*build(2 * grid_size))
+    smooth_refined = smooth_field_mean(*_spin_pair(2 * grid_size))
     mean_base = float(np.mean(norms))
     reseed_ratio = float(np.mean(reseeded_norms)) / mean_base if mean_base else float("inf")
     refine_ratio = smooth_refined / smooth_base if smooth_base else float("inf")
@@ -363,7 +364,7 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
             "warnings": _fd_warnings(natural_part(F), natural_part(K)),
         },
     }
-    return judge(ctx, "internal-dof-demo", criteria, details)
+    return judge(ctx, criteria, details)
 
 
 def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
@@ -406,7 +407,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
             drift[i] / drift[i + 1] if drift[i + 1] > 0 else float("inf")
             for i in range(len(drift) - 1)
         ]
-    return judge(ctx, "freelift-grid-ladder", {
+    return judge(ctx, {
         "c1.phase": ("bound", c1["phase"], 1e-10),
         "c1.mult": ("bound", c1["mult"], 1e-10),
         "c2.phase": ("bound", c2["phase"], 1e-10),

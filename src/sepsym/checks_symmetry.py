@@ -40,7 +40,7 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     )
     law_cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=1.0, hbar=ctx.hbar)
     law = index_law_residual(p, q, tau, start, law_cfg)
-    return judge(ctx, "index-evolution", {
+    return judge(ctx, {
         "symmetry_residual": ("bound", worst_sym, 1e-6),
         "index_law_residual": ("bound", law, law_cfg.dt**2),
     }, {})
@@ -60,7 +60,7 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int) -> CheckResult:
         max(symmetry_residual(V, H, 0.3, data, hbar=ctx.hbar))
         for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
     )
-    return finish(ctx, "lattice-shift-symmetry", worst, {"shift": 2, "grid_size": grid_size})
+    return finish(ctx, worst, {"shift": 2, "grid_size": grid_size})
 
 
 def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
@@ -82,7 +82,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
         max(inf_symmetry_residual(M, H, t, data, hbar=ctx.hbar))
         for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
     )
-    return judge(ctx, "symmetry-bracket-closure", {
+    return judge(ctx, {
         "bracket_residual": ("bound", worst, 2e-5),
         "tau_error": ("bound", tau_err, 1e-12),
     }, {})

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import __version__
 from . import obstruction  # noqa: F401  perfbench's tracer looks it up after importing cli
-from .checks import CHECKS, check_parameters, list_checks, run_check
+from .checks import CHECKS, check_parameters, run_check
 from .errors import ScenarioError
 from .scenario import (Scenario, bundled_scenario_names, finite_number, load_scenario,
                        seed_value, tolerance_map)
@@ -33,12 +33,9 @@ def _parse_tol_overrides(entries) -> dict[str, float]:
     return tolerance_map(out, set(CHECKS), "--tol")
 
 
-def build_report(scenario: Scenario, tol_overrides: dict[str, float]) -> dict:
-    results = []
-    for entry in scenario.checks:
-        name = entry["name"]
-        res = run_check(name, scenario, entry["params"], tol_overrides.get(name))
-        results.append(res.to_json_dict())
+def build_report(scenario: Scenario) -> dict:
+    results = [run_check(entry["name"], scenario, entry["params"]).to_json_dict()
+               for entry in scenario.checks]
     return {
         "schema": 1,
         "scenario": scenario.name,
@@ -92,7 +89,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
-        for name, desc in list_checks():
+        for name, (_, desc) in CHECKS.items():
             params = ", ".join(f"{key}={json.dumps(default)}"
                                for key, default in check_parameters(name).items())
             print(f"{name:<36} {desc}" + (f" [{params}]" if params else ""))
@@ -104,7 +101,8 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario, set(CHECKS))
-        overrides = _parse_tol_overrides(args.tol)
+        scenario = replace(scenario, tolerances={**scenario.tolerances,
+                                                 **_parse_tol_overrides(args.tol)})
         if args.hbar is not None:
             scenario = replace(scenario, hbar=finite_number(args.hbar, "--hbar", positive=True))
         if args.seed is not None:
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(scenario, overrides)
+    report = build_report(scenario)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report_text(report))

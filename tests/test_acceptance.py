@@ -32,7 +32,7 @@ def bundled_report(scenario_name: str) -> str:
     once for every test that reads it."""
     if scenario_name not in _reports:
         sc = load_scenario(scenario_name, KNOWN)
-        _reports[scenario_name] = report_text(build_report(sc, {}))
+        _reports[scenario_name] = report_text(build_report(sc))
     return _reports[scenario_name]
 
 
@@ -174,7 +174,7 @@ def test_criterion_10_deterministic_reports():
     mismatched = []
     for name in bundled_scenario_names():
         first = bundled_report(name)
-        second = report_text(build_report(load_scenario(name, KNOWN), {}))
+        second = report_text(build_report(load_scenario(name, KNOWN)))
         if first != second:
             mismatched.append(name)
         doc = json.loads(first, parse_constant=reject_constant)

@@ -13,8 +13,8 @@ BAND = (12.0, 20.0)
 
 def judge(criteria: dict):
     doc = {"name": "judge", "seed": 0, "space": {"size": 3}, "checks": ["euler-identities"]}
-    ctx = CheckContext(scenario=parse_scenario(doc, set(CHECKS)), ordinal=0)
-    return judge_check(ctx, "euler-identities", criteria, {"kept": 1})
+    ctx = CheckContext(scenario=parse_scenario(doc, set(CHECKS)), name="euler-identities")
+    return judge_check(ctx, criteria, {"kept": 1})
 
 
 def defects(criteria: dict) -> dict:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import sepsym
 from sepsym import scenario
-from sepsym.checks import CHECKS, CheckContext, check_parameters, list_checks, run_check
+from sepsym.checks import CHECKS, CheckContext, check_parameters, run_check
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError
 from sepsym.scenario import (
@@ -141,6 +141,15 @@ class TestGeneratorFactory:
             g = build_generator(space, {"kind": kind}, np.random.default_rng(0))
             assert g.ell == 1
 
+    @pytest.mark.parametrize("kind", list(scenario.GENERATOR_KEYS))
+    def test_each_kind_builds_its_own_operator(self, kind):
+        # the factory's last kind is its fall-through: a kind without a
+        # branch of its own would build that operator instead
+        spin = kind.startswith("spin-")
+        space = ConfigSpace(8, factors=(2, 4), grid=True) if spin else ConfigSpace(3)
+        g = build_generator(space, {"kind": kind}, np.random.default_rng(0))
+        assert g.op.name.startswith(kind)
+
     @pytest.mark.parametrize(
         "spec, factory",
         [
@@ -159,7 +168,7 @@ class TestGeneratorFactory:
     def test_random_linear_generators_differ_within_a_check(self):
         # each draw is salted by the generator's position; the first keeps 997
         doc = dict(FAST_SCENARIO, generators={"A": {"kind": "linear"}, "B": {"kind": "linear"}})
-        ctx = CheckContext(scenario=parse_scenario(doc, KNOWN), ordinal=0)
+        ctx = CheckContext(scenario=parse_scenario(doc, KNOWN), name="algebra-table")
         phi = random_state(1, ctx.space, np.random.default_rng(1))
         a, b = (ctx.generator(name).op.apply(0.0, phi) for name in ("A", "B"))
         assert not np.allclose(a, b)
@@ -171,14 +180,25 @@ class TestGeneratorFactory:
             build_generator(ConfigSpace(3), {"kind": "wat"}, np.random.default_rng(0))
 
 
+class TestCheckDraws:
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_draws_are_salted_by_registry_position(self, name):
+        sc = parse_scenario(FAST_SCENARIO, KNOWN)
+        ctx = CheckContext(scenario=sc, name=name)
+        position = list(CHECKS).index(name)
+        for salt in (0, 7, 997):
+            expected = np.random.default_rng((sc.seed, position, salt)).random(4)
+            assert np.array_equal(ctx.rng(salt).random(4), expected)
+
+
 class TestListChecks:
     def test_inventory(self):
-        listing = list_checks()
+        listing = [(n, desc) for n, (_, desc) in CHECKS.items()]
         names = [n for n, _ in listing]
         assert len(names) >= 15
         assert "liftdeltal-identity" in names
         assert "freelift-grid-ladder" in names
-        assert names == [n for n, _ in list_checks()]  # stable ordering
+        assert names == list(CHECKS)  # stable ordering
         for _, desc in listing:
             assert desc
 
@@ -250,8 +270,10 @@ class TestCheckErrors:
             raise RuntimeError("planted fault")
 
         monkeypatch.setitem(CHECKS, name, (broken, "raises"))
+        if tol is not None:  # --tol merged over the scenario's block, as main merges it
+            tolerances = {**tolerances, name: tol}
         sc = parse_scenario(dict(FAST_SCENARIO, checks=[name], tolerances=tolerances), KNOWN)
-        res = run_check(name, sc, {}, tol)
+        res = run_check(name, sc, {})
         assert (res.status, res.tolerance) == ("error", expected)
 
 
@@ -736,12 +758,12 @@ class TestCliProcess:
 class TestDeterminism:
     def test_reports_byte_identical(self):
         sc = load_scenario("canonical-decomposition-roundtrip", KNOWN)
-        one = json.dumps(build_report(sc, {}), sort_keys=True)
-        two = json.dumps(build_report(sc, {}), sort_keys=True)
+        one = json.dumps(build_report(sc), sort_keys=True)
+        two = json.dumps(build_report(sc), sort_keys=True)
         assert one == two
 
     def test_seed_changes_details_not_structure(self):
         sc = load_scenario("algebra", KNOWN)
-        rep = build_report(sc, {})
+        rep = build_report(sc)
         names = [c["name"] for c in rep["checks"]]
         assert names == [c["name"] for c in sc.checks]

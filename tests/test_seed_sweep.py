@@ -110,7 +110,7 @@ class TestLargestMoves:
         monkeypatch.setattr(sweep, "load_scenario", lambda name, known: None)
         monkeypatch.setattr(sweep, "replace", lambda scenario, seed: scenario)
         monkeypatch.setattr(sweep, "build_report",
-                            lambda scenario, overrides: _report(1e-16, 4.4, [1.0]))
+                            lambda scenario: _report(1e-16, 4.4, [1.0]))
         code = sweep.main(["--seeds", "0-0", "--compare", str(tmp_path / "old")])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()

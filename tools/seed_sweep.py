@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         for seed in [None, *args.seeds]:
             label = "bundled" if seed is None else str(seed)
             run = scenario if seed is None else replace(scenario, seed=seed)
-            report = reports[f"{name}.{label}"] = build_report(run, {})
+            report = reports[f"{name}.{label}"] = build_report(run)
             if args.out is not None:
                 (args.out / f"{name}.{label}.json").write_text(report_text(report))
             for check in report["checks"]:
