@@ -65,7 +65,10 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng()
     p = 1.3
     F = lambda_op(IndexPair(p, p), 1, space)
-    [phi] = random_batch((1,), space, [rng])
+    # the flow of Lambda(p, p) rotates ln psi, so |Im ln psi(t)| <= |ln psi(0)|;
+    # |arg phi| <= pi/2 keeps |ln psi(0)| <= 1.98 < pi for phi and k phi, and so
+    # both trajectories off the branch cut, where E(k phi) = k^(a,b) E(phi) holds
+    [phi] = random_batch((1,), space, [rng], phase_cap=math.pi / 2)
     dts = [0.02, 0.01, 0.005]
     runs = scaling_test(F, phi, 1.4 + 0.3j,
                         [EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar) for dt in dts])

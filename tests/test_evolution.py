@@ -482,6 +482,15 @@ class TestScaling:
         res = [gaps[0] for gaps, _ in scaling_test(F, phi, 1.4 + 0.3j, cfgs)]
         assert 12.0 <= res[0] / res[1] <= 20.0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_passes_off_the_bundled_seed(self, seed):
+        # the check's state keeps |arg phi| <= pi/2, so neither phi nor
+        # k phi wraps the principal log along its march; an uncapped phi
+        # fails at seeds 0 and 1
+        sc = replace(load_scenario("scaling-indices", set(CHECKS)), seed=seed)
+        result = run_check("scaling-indices", sc, {})
+        assert result.status == "pass", result.details["criteria"]
+
     def test_scale_factor_matches_closed_form(self, space4, rng):
         # for p = q real the factor is the plain power k^(e^{-ip t}-weighted pair)
         p = 1.3
