@@ -55,7 +55,6 @@ class CheckContext:
     name: str
 
     def rng(self, salt: int = 0) -> np.random.Generator:
-        # salted by the check's position in the registry
         return np.random.default_rng((self.scenario.seed, list(_REGISTRY).index(self.name), salt))
 
     @property
