@@ -1,13 +1,11 @@
-"""Every function, export and class member of the package has a reader in it.
+"""Every function and class member of the package has a reader in it.
 
 A module-level function that no module of the package refers to is dead
-weight that only its own tests keep alive, and exporting it from
-``sepsym/__init__.py`` does not make it alive: every exported name must be
-read by some package module too.  So is a method, property or dataclass
-field of a package class whose name the package never reads as an
-attribute.  The scan is static: it parses the sources and counts a name as
-used when it is loaded (as a bare name or an attribute for functions and
-exports, as an attribute for members) anywhere outside ``__init__.py``.
+weight that only its own tests keep alive.  So is a method, property or
+dataclass field of a package class whose name the package never reads as
+an attribute.  The scan is static: it parses the sources and counts a name
+as used when it is loaded (as a bare name or an attribute for functions,
+as an attribute for members) anywhere outside ``__init__.py``.
 
 A load that only copies a field forward does not count as reading it: an
 attribute loaded inside a keyword argument of the same name, as in
@@ -18,11 +16,8 @@ copies but no code tests is therefore flagged.
 Members are matched by name only, not by class: a member whose name some
 other class also uses and reads passes.  The scan therefore could not see
 that nothing read ``Hierarchy.generators``, because ``Scenario.generators``
-has the same name.  Dunder methods are exempt, since syntax calls them, and
-so are dunder functions such as a module's ``__getattr__`` (PEP 562).
-
-The package exports lazily: ``__init__.py`` holds a table, module -> the
-names it exports, and the scan reads that table.
+has the same name.  Dunder methods and dunder functions are exempt, since
+syntax and the import system call them.
 
 No package module imports another module's private name (one leading
 underscore): what two modules share is public where it is defined.
@@ -43,13 +38,6 @@ PACKAGE = Path(sepsym.__file__).parent
 def _trees():
     return {path.name: ast.parse(path.read_text(), filename=str(path))
             for path in sorted(PACKAGE.glob("*.py"))}
-
-
-def _exports(init_tree):
-    """The names of the lazy export table ``_EXPORTS``, module -> names."""
-    [table] = [node.value for node in init_tree.body if isinstance(node, ast.Assign)
-               and [target.id for target in node.targets] == ["_EXPORTS"]]
-    return {name.value for names in table.values for name in names.elts}
 
 
 def _loaded_names(tree):
@@ -118,12 +106,6 @@ def test_every_function_is_called():
     assert not dead, f"no caller in src/: {dead}"
 
 
-def test_every_export_is_read():
-    trees = _trees()
-    dead = sorted(_exports(trees["__init__.py"]) - _package_loads(trees))
-    assert not dead, f"exported from sepsym but read by no package module: {dead}"
-
-
 def test_every_member_is_read():
     dead = unread_members()
     assert not dead, f"never read as an attribute in src/: {dead}"
@@ -137,8 +119,6 @@ def test_scan_sees_package_functions():
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.FunctionDef)}
     assert {"obstruction_rhs", "lift_J", "point_symmetry_parts", "check_freelift"} <= defined
-    exports = _exports(trees["__init__.py"])
-    assert {"IndexPair", "lift_J", "PointSymmetrySpec", "BadRange"} <= exports
     members = {f"{cls.name}.{member}" for tree in trees.values()
                for cls in tree.body if isinstance(cls, ast.ClassDef)
                for member in _members(cls)}
@@ -194,7 +174,7 @@ def test_every_annotation_resolves():
     unresolved = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
-            continue  # it only re-exports
+            continue  # it holds only the version
         module = importlib.import_module(f"sepsym.{path.stem}")
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:
