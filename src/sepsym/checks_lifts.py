@@ -373,6 +373,10 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
     discrete-derivative part."""
     spec = _point_spec(ctx)
     seed = ctx.scenario.seed % 2**31
+    # the drift is compared on the sites every grid shares: a sup over a
+    # finer grid also samples points where the error field peaks higher,
+    # so only on common sites does an O(h^2) error halve its ratio to 4
+    shared = math.gcd(*grids)
     c1: dict = {"phase": [], "mult": [], "drift": [], "full": []}
     c2: dict = {"phase": [], "mult": [], "drift": []}
     for gsize in grids:
@@ -397,6 +401,8 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
                 vals = (corollary1_obstruction(F, family, 0.0, data) if n == 2
                         else corollary2_obstruction(G, family, 0.0, data))
                 for label, val in zip(ops, vals):
+                    if label == "drift":
+                        val = val[(slice(None, None, gsize // shared),) * n]
                     norms[label].append(max(sup_norms(val)))
                 del data, vals
             for label, worst in norms.items():
@@ -414,7 +420,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
         "c2.mult": ("bound", c2["mult"], 1e-10),
         "c1.drift_ratios": ("band", c1["drift_ratios"], (3.0, 5.0)),
         "c2.drift_ratios": ("band", c2["drift_ratios"], (3.0, 5.0)),
-    }, {"grids": list(grids), "c1": c1, "c2": c2})
+    }, {"grids": list(grids), "drift_sites": shared, "c1": c1, "c2": c2})
 
 
 FAMILY = {

@@ -549,6 +549,29 @@ class TestFreelift:
         assert rep["c1"]["full"][0] > 1e-4
         assert res.status == "pass"
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_passes_off_the_bundled_seed(self, seed):
+        # the drift ratios compare sup norms over the 8 sites that all three
+        # grids share; over each grid's own sites seeds 0, 2, 4 and 5 fail
+        res = bundled_check("freelift-grid-ladder", seed)
+        assert res.details["drift_sites"] == 8
+        assert res.status == "pass", res.details["criteria"]
+
+    def test_first_order_difference_fails(self, monkeypatch):
+        # a forward difference has an O(h) error, so its drift ratios sit
+        # near 2, below the band the central difference's O(h^2) meets
+        def forward_difference_op(space):
+            h = space.spacing
+            return linear_op(space, 1, lambda t, data: (np.roll(data, -1, axis=0) - data) / h,
+                             "grid-derivative")
+
+        monkeypatch.setattr(sepsym.symmetry, "central_difference_op", forward_difference_op)
+        sc = load_scenario("freelift-grid-ladder", set(CHECKS))
+        res = run_check("freelift-grid-ladder", sc, {})
+        assert res.status == "fail"
+        for side in ("c1", "c2"):
+            assert all(ratio < 3.0 for ratio in res.details[side]["drift_ratios"])
+
 
 class TestInternalDof:
     def test_positive_and_stable(self):
