@@ -27,6 +27,7 @@ the march.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,7 +55,7 @@ class EvolutionConfig:
     def n_steps(self) -> int:
         span = self.t1 - self.t0
         steps = span / self.dt
-        rounded = round(steps)
+        rounded = round(steps) if math.isfinite(steps) else 0  # round(inf) overflows
         if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
             raise StepMismatch(
                 f"horizon {span} is not a positive integer multiple of dt={self.dt}"

@@ -48,6 +48,8 @@ class ConfigSpace:
             raise ValueError(f"configuration set must be non-empty, got {self.size}")
         if self.factors is not None:
             object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
+            if min(self.factors) < 1:
+                raise ValueError(f"factor sizes must be positive, got {self.factors}")
             if math.prod(self.factors) != self.size:
                 raise ValueError(
                     f"factor sizes {self.factors} do not multiply to {self.size}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepsym
@@ -91,7 +91,7 @@ class TestScenarioLoading:
             {"size": 6, "factors": [2.9, 3]}, {"size": 6, "grid": "no"},
             {"size": 6, "factors": False}, {"size": 6, "factors": 0},
             {"size": 6, "factors": {}}, {"size": 6, "factors": []},
-            {"size": 6, "factors": ""},
+            {"size": 6, "factors": ""}, {"size": 3, "factors": [-1, -3]},
         ],
     )
     def test_bad_space_rejected(self, space):
@@ -362,10 +362,17 @@ class TestBadValuesExitTwo:
     @pytest.mark.parametrize("evolution", [
         {"dt": -1}, {"dt": 0}, {"dt": "abc"}, {"t0": "abc"}, {"t1": None},
         {"t1": float("inf")}, "abc", {"t0": 1.0, "t1": 0.0}, {"dt": 0.3},
+        {"dt": 1e-300, "t1": 1e300},
     ])
     def test_bad_evolution(self, tmp_path, capsys, evolution):
         err = self.run_main(tmp_path, capsys, dict(self.EVOLVING, evolution=evolution))
         assert "evolution" in err
+
+    def test_negative_factors(self, tmp_path, capsys):
+        # (-1) * (-3) is the size, but a factor below 1 is no set of sites
+        err = self.run_main(tmp_path, capsys,
+                            dict(FAST_SCENARIO, space={"size": 3, "factors": [-1, -3]}))
+        assert "factor sizes must be positive" in err
 
     @pytest.mark.parametrize("symmetry", [
         {"eta": {"profile": "bogus"}},
@@ -575,8 +582,59 @@ def fuzzed_generators(draw):
     return generators
 
 
+# magnitudes from 1e-300 to 1e300 of either sign: a horizon over a step
+# size can overflow, and a product of factors can hide their signs
+WIDE = st.integers(-300, 300).map(lambda e: 10.0 ** e) | st.floats(-1e300, 1e300)
+BLOCK_NUMBERS = WIDE | JSON_VALUES
+
+
+def sometimes_unknown_key(draw, block):
+    """``block``, about one time in ten with a key that no block allows."""
+    if draw(st.integers(0, 9)) == 9:
+        block["unknown"] = draw(JSON_VALUES)
+    return block
+
+
 @st.composite
-def fuzzed_scenarios(draw):
+def fuzzed_space(draw):
+    factors = draw(st.none() | st.lists(st.integers(-4, 6), min_size=1, max_size=3)
+                   | JSON_VALUES)
+    integers = isinstance(factors, list) and all(type(f) is int for f in factors)
+    # half the time the factors' own product, so that only their signs can fail
+    space = {"size": math.prod(factors) if integers and draw(st.booleans())
+             else draw(st.integers(-3, 12) | BLOCK_NUMBERS)}
+    if factors is not None:
+        space["factors"] = factors
+    if draw(st.booleans()):
+        space["grid"] = draw(st.booleans() | JSON_VALUES)
+    return sometimes_unknown_key(draw, space)
+
+
+@st.composite
+def fuzzed_evolution(draw):
+    keys = draw(st.lists(st.sampled_from(scenario.EVOLUTION_KEYS), unique=True))
+    return sometimes_unknown_key(draw, {key: draw(BLOCK_NUMBERS) for key in keys})
+
+
+@st.composite
+def fuzzed_profile(draw):
+    profile = {"profile": draw(st.sampled_from(["constant", "linear", "sine", "bogus"])
+                               | JSON_VALUES)}
+    for key in draw(st.lists(st.sampled_from(scenario.PROFILE_KEYS[1:]), unique=True)):
+        profile[key] = draw(BLOCK_NUMBERS)
+    return sometimes_unknown_key(draw, profile)
+
+
+@st.composite
+def fuzzed_symmetry(draw):
+    keys = draw(st.lists(st.sampled_from(scenario.SYMMETRY_KEYS), unique=True))
+    return sometimes_unknown_key(draw, {key: draw(fuzzed_profile() | JSON_VALUES)
+                                        for key in keys})
+
+
+@st.composite
+def fuzzed_checks(draw):
+    """Check entries, tolerances and generators with drawn values."""
     checks = []
     for name in draw(st.lists(st.sampled_from(PARAMETRISED) | st.sampled_from(sorted(CHECKS)),
                               min_size=1, max_size=3)):
@@ -591,16 +649,33 @@ def fuzzed_scenarios(draw):
         st.sampled_from(["algebra-table", "liftdeltal-identity", "nocheck"]),
         st.floats(1e-12, 10.0) | JSON_VALUES, max_size=2,
     ) | JSON_VALUES)
-    return {"name": "fuzz", "seed": 1, "space": {"size": 3},
-            "generators": draw(fuzzed_generators()), "checks": checks, "tolerances": tolerances}
+    return {"generators": draw(fuzzed_generators()), "checks": checks, "tolerances": tolerances}
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    # half the time one plain check and no generators, so that the blocks
+    # validated after them are reached, and no generator build fails first
+    doc = {"name": "fuzz", "seed": 1, "space": {"size": 3},
+           **(draw(fuzzed_checks()) if draw(st.booleans()) else {"checks": ["algebra-table"]})}
+    # each optional block drawn about half the time, one in ten of them not an object
+    for key, block in (("space", fuzzed_space()), ("evolution", fuzzed_evolution()),
+                       ("hbar", BLOCK_NUMBERS), ("symmetry", fuzzed_symmetry())):
+        if draw(st.booleans()):
+            doc[key] = draw(JSON_VALUES if draw(st.integers(0, 9)) == 9 else block)
+    return sometimes_unknown_key(draw, doc)
 
 
 class TestParseScenarioFuzz:
-    """Any declared-parameter, generator-number or tolerance value gives a
+    """Any value in any block, and an unknown key in any block, gives a
     Scenario or a ScenarioError, never another exception."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(fuzzed_scenarios())
+    # the two defects the wider draws reach, kept as examples: a step count
+    # that overflows round(), and factors whose product hides their signs
+    @example(dict(FAST_SCENARIO, evolution={"dt": 1e-300, "t1": 1e300}))
+    @example(dict(FAST_SCENARIO, space={"size": 3, "factors": [-1, -3]}))
     def test_scenario_or_scenario_error(self, doc):
         try:
             sc = parse_scenario(doc, KNOWN)
@@ -609,6 +684,9 @@ class TestParseScenarioFuzz:
         for entry in sc.checks:
             assert set(entry["params"]) <= set(check_parameters(entry["name"]))
         assert all(math.isfinite(t) and t > 0 for t in sc.tolerances.values())
+        assert min(sc.space.factors or (sc.space.size,)) >= 1
+        assert math.isfinite(sc.hbar) and sc.hbar > 0
+        assert scenario.evolution_config(sc.evolution, sc.hbar).n_steps() >= 1
 
 
 class TestAllowedKeyDocs:

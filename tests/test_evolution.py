@@ -104,6 +104,11 @@ class TestEvolve:
         with pytest.raises(StepMismatch):
             EvolutionConfig(dt=0.1, t0=1.0, t1=0.5)
 
+    def test_step_count_beyond_floats_is_a_mismatch(self):
+        # span / dt overflows to inf, which round() cannot take
+        with pytest.raises(StepMismatch):
+            EvolutionConfig(dt=1e-300, t0=0.0, t1=1e300)
+
 
 def separating_hierarchy(space):
     gens = [

@@ -215,6 +215,8 @@ class TestConfigSpace:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             ConfigSpace(6, factors=(2, 2))
+        with pytest.raises(ValueError, match="positive"):
+            ConfigSpace(3, factors=(-1, -3))  # the product alone would pass
         sp = ConfigSpace(6, factors=(2, 3), grid=True)
         assert sp.grid_size == 3 and sp.internal_size == 2
         assert math.isclose(sp.spacing, 2 * math.pi / 3)
