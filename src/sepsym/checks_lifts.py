@@ -373,9 +373,9 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
     discrete-derivative part."""
     spec = _point_spec(ctx)
     seed = ctx.scenario.seed % 2**31
-    # the drift is compared on the sites every grid shares: a sup over a
-    # finer grid also samples points where the error field peaks higher,
-    # so only on common sites does an O(h^2) error halve its ratio to 4
+    # the drift is compared on the sites every grid shares: a finer grid's
+    # own sites include points where the error field peaks higher, while on
+    # the common sites an O(h^2) error falls by 4 per halving of h
     shared = math.gcd(*grids)
     c1: dict = {"phase": [], "mult": [], "drift": [], "full": []}
     c2: dict = {"phase": [], "mult": [], "drift": []}

@@ -48,7 +48,7 @@ class ConfigSpace:
             raise ValueError(f"configuration set must be non-empty, got {self.size}")
         if self.factors is not None:
             object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
-            if min(self.factors) < 1:
+            if any(f < 1 for f in self.factors):
                 raise ValueError(f"factor sizes must be positive, got {self.factors}")
             if math.prod(self.factors) != self.size:
                 raise ValueError(

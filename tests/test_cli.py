@@ -91,7 +91,7 @@ class TestScenarioLoading:
             {"size": 6, "factors": [2.9, 3]}, {"size": 6, "grid": "no"},
             {"size": 6, "factors": False}, {"size": 6, "factors": 0},
             {"size": 6, "factors": {}}, {"size": 6, "factors": []},
-            {"size": 6, "factors": ""}, {"size": 3, "factors": [-1, -3]},
+            {"size": 6, "factors": ""},
         ],
     )
     def test_bad_space_rejected(self, space):
