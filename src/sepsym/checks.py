@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import SepsymError
 from .evolution import EvolutionConfig
-from .hierarchy import Generator
-from .scenario import Scenario, build_generator, evolution_config
+from .scenario import Scenario, evolution_config
 from .space import ConfigSpace
 
 
@@ -68,12 +67,6 @@ class CheckContext:
     @property
     def evolution(self) -> EvolutionConfig:
         return evolution_config(self.scenario.evolution, self.hbar)
-
-    def generator(self, name: str) -> Generator:
-        # salted by position, so two random "linear" generators draw two matrices
-        salt = 997 + list(self.scenario.generators).index(name)
-        return build_generator(self.space, self.scenario.generators[name], self.rng(salt),
-                               where=name)
 
 
 def _tolerance(ctx: CheckContext) -> float:

@@ -197,7 +197,8 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None) -> CheckRes
     if pairs is None:
         cases = _default_theorem10_pairs(ctx.space)
     else:
-        cases = [(f"{fname}-vs-{gname}", ctx.generator(fname), ctx.generator(gname), ns)
+        named = ctx.scenario.generators
+        cases = [(f"{fname}-vs-{gname}", named[fname], named[gname], ns)
                  for fname, gname, ns in pairs]
     for label, F, G, ns in cases:
         warnings = _fd_warnings(natural_part(F), natural_part(G), F.op, G.op)

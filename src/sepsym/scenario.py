@@ -34,7 +34,7 @@ from .operators import (
     spin_rotation_op,
     site_matrix_op,
 )
-from .space import ConfigSpace
+from .space import ConfigSpace, state_shape
 
 
 def _complex_of(value, where: str) -> complex:
@@ -82,20 +82,6 @@ SPACE_KEYS = ("size", "factors", "grid")
 EVOLUTION_KEYS = ("dt", "t0", "t1")
 SYMMETRY_KEYS = ("eta", "xi")
 PROFILE_KEYS = ("profile", "amplitude", "phase", "offset")
-GENERATOR_KEYS = {  # generator kind -> the keys its spec may hold
-    "lambda": ("kind", "a", "b"),
-    "log-modulus": ("kind", "coeff"),
-    "shifted-log-modulus": ("kind", "coeff", "shift"),
-    "relative-log-modulus": ("kind", "coeff"),
-    "rms-log-modulus": ("kind", "coeff"),
-    "spin-rms-log": ("kind", "coeff"),
-    "spin-rotation": ("kind",),
-    "linear": ("kind", "matrix"),
-    "cross-ratio": ("kind", "refs", "coupling"),
-    "non-separating": ("kind", "coupling"),
-}
-
-
 def build_space(spec: dict) -> ConfigSpace:
     if not isinstance(spec, dict) or "size" not in spec:
         raise ScenarioError("space: expected an object with a 'size' field")
@@ -124,55 +110,62 @@ def evolution_config(evolution: dict, hbar: float) -> EvolutionConfig:
 
 
 def random_hermitian(space: ConfigSpace, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((space.size, space.size)) + 1j * rng.standard_normal(
-        (space.size, space.size)
-    )
+    shape = state_shape(space, 2)  # the flat-size cap, before anything is drawn
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return (a + a.conj().T) / 2.0
 
 
-def build_generator(space: ConfigSpace, spec: dict, rng: np.random.Generator,
-                    where: str = "generator") -> Generator:
+def _number(spec: dict, key: str, default, where: str) -> complex:
+    return _complex_of(spec.get(key, default), where)
+
+
+def _with_coeff(op):
+    """The builder of ``op(space, coeff)``, with coeff 1 unless the spec gives one."""
+    return lambda space, spec, where: op(space, _number(spec, "coeff", 1.0, where))
+
+
+def _linear(space: ConfigSpace, spec: dict, where: str):
+    if "matrix" not in spec:
+        raise ScenarioError(f"{where}: a linear generator needs its 'matrix' rows")
+    rows = [[_complex_of(v, where) for v in row] for row in spec["matrix"]]
+    return site_matrix_op(space, np.array(rows, dtype=np.complex128))
+
+
+def _cross_ratio(space: ConfigSpace, spec: dict, where: str):
+    r1, r2 = (_integer(r, f"{where}.refs") for r in spec.get("refs", [0, 0]))
+    return cross_ratio_op(space, (r1, r2), _number(spec, "coupling", 1.0, where))
+
+
+# generator kind -> (the keys its spec may hold, the builder of its operator
+# from the space, the spec and where the spec sits in the scenario)
+GENERATOR_KINDS = {
+    "lambda": (("kind", "a", "b"), lambda space, spec, where: lambda_op(
+        IndexPair(_number(spec, "a", 0.0, where), _number(spec, "b", 0.0, where)), 1, space)),
+    "log-modulus": (("kind", "coeff"), _with_coeff(log_modulus_op)),
+    "shifted-log-modulus": (("kind", "coeff", "shift"), lambda space, spec, where: (
+        shifted_log_modulus_op(space, _number(spec, "coeff", 1.0, where),
+                               _integer(spec.get("shift", 1), f"{where}.shift")))),
+    "relative-log-modulus": (("kind", "coeff"), _with_coeff(relative_log_modulus_op)),
+    "rms-log-modulus": (("kind", "coeff"), _with_coeff(rms_log_modulus_op)),
+    "spin-rms-log": (("kind", "coeff"), _with_coeff(spin_rms_log_op)),
+    "spin-rotation": (("kind",), lambda space, spec, where: spin_rotation_op(space)),
+    "linear": (("kind", "matrix"), _linear),
+    "cross-ratio": (("kind", "refs", "coupling"), _cross_ratio),
+    "non-separating": (("kind", "coupling"), lambda space, spec, where: nonseparating_op(
+        space, 2, _number(spec, "coupling", 1.0, where))),
+}
+
+
+def build_generator(space: ConfigSpace, spec: dict, where: str = "generator") -> Generator:
     """Instantiate a generator from its scenario description."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError(f"{where}: expected an object with a 'kind' field")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in GENERATOR_KEYS:
+    if not isinstance(kind, str) or kind not in GENERATOR_KINDS:
         raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
-    _known_keys(spec, GENERATOR_KEYS[kind], where)
-    coeff = _complex_of(spec.get("coeff", 1.0), where)
-    coupling = _complex_of(spec.get("coupling", 1.0), where)
-    if kind == "lambda":
-        idx = IndexPair(
-            _complex_of(spec.get("a", 0.0), where), _complex_of(spec.get("b", 0.0), where)
-        )
-        return Generator(lambda_op(idx, 1, space))
-    if kind == "log-modulus":
-        return Generator(log_modulus_op(space, coeff))
-    if kind == "shifted-log-modulus":
-        shift = _integer(spec.get("shift", 1), f"{where}.shift")
-        return Generator(shifted_log_modulus_op(space, coeff, shift))
-    if kind == "relative-log-modulus":
-        return Generator(relative_log_modulus_op(space, coeff))
-    if kind == "rms-log-modulus":
-        return Generator(rms_log_modulus_op(space, coeff))
-    if kind == "spin-rms-log":
-        return Generator(spin_rms_log_op(space, coeff))
-    if kind == "spin-rotation":
-        return Generator(spin_rotation_op(space))
-    if kind == "linear":
-        matrix = spec.get("matrix", "hermitian-random")
-        if matrix == "hermitian-random":
-            mat = random_hermitian(space, rng)
-        else:
-            mat = np.array(
-                [[_complex_of(v, where) for v in row] for row in matrix],
-                dtype=np.complex128,
-            )
-        return Generator(site_matrix_op(space, mat))
-    if kind == "cross-ratio":
-        r1, r2 = (_integer(r, f"{where}.refs") for r in spec.get("refs", [0, 0]))
-        return Generator(cross_ratio_op(space, (r1, r2), coupling))
-    return Generator(nonseparating_op(space, 2, coupling))  # the last kind, non-separating
+    keys, build = GENERATOR_KINDS[kind]
+    _known_keys(spec, keys, where)
+    return Generator(build(space, spec, where))
 
 
 def _known_keys(block: dict, allowed, where: str) -> None:
@@ -220,7 +213,7 @@ class Scenario:
     hbar: float = 1.0
     evolution: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    generators: dict = field(default_factory=dict)
+    generators: dict[str, Generator] = field(default_factory=dict)
     symmetry: dict = field(default_factory=dict)
 
 
@@ -301,14 +294,14 @@ def tolerance_map(tolerances, known: set[str], where: str) -> dict[str, float]:
 
 
 def _built_generators(specs, space: ConfigSpace) -> dict[str, Generator]:
-    """Each named generator built once, so a malformed spec fails at load."""
+    """Each named generator built once, at load: a malformed spec fails
+    there, and every check of the scenario shares what was built."""
     if not isinstance(specs, dict):
         raise ScenarioError(f"generators: expected an object, got {specs!r}")
     built = {}
     for name, spec in specs.items():
         try:
-            built[name] = build_generator(space, spec, np.random.default_rng(0),
-                                          where=f"generators.{name}")
+            built[name] = build_generator(space, spec, where=f"generators.{name}")
         except ScenarioError:
             raise
         except Exception as exc:
@@ -325,9 +318,8 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
             raise ScenarioError(f"{origin}: missing required field {key!r}")
     seed = seed_value(doc["seed"], f"{origin}: seed")
     space = build_space(doc["space"])
-    generators = doc.get("generators", {})
-    checks = _normalise_checks(doc["checks"], known_checks,
-                               _built_generators(generators, space))
+    generators = _built_generators(doc.get("generators", {}), space)
+    checks = _normalise_checks(doc["checks"], known_checks, generators)
     if not checks:
         raise ScenarioError(f"{origin}: empty check list")
     tolerances = tolerance_map(doc.get("tolerances", {}), known_checks,

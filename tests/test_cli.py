@@ -124,7 +124,6 @@ class TestGeneratorFactory:
             {"kind": "shifted-log-modulus", "coeff": 0.8, "shift": 2},
             {"kind": "relative-log-modulus"},
             {"kind": "rms-log-modulus", "coeff": [0.9, 0.1]},
-            {"kind": "linear"},
             {"kind": "linear", "matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
             {"kind": "cross-ratio", "refs": [1, 2], "coupling": 0.5},
             {"kind": "non-separating"},
@@ -132,22 +131,23 @@ class TestGeneratorFactory:
     )
     def test_kinds(self, spec):
         space = ConfigSpace(3)
-        g = build_generator(space, spec, np.random.default_rng(0))
+        g = build_generator(space, spec)
         assert g.op.space == space
 
     def test_spin_kinds(self):
         space = ConfigSpace(8, factors=(2, 4), grid=True)
         for kind in ("spin-rms-log", "spin-rotation"):
-            g = build_generator(space, {"kind": kind}, np.random.default_rng(0))
+            g = build_generator(space, {"kind": kind})
             assert g.ell == 1
 
-    @pytest.mark.parametrize("kind", list(scenario.GENERATOR_KEYS))
+    @pytest.mark.parametrize("kind", list(scenario.GENERATOR_KINDS))
     def test_each_kind_builds_its_own_operator(self, kind):
-        # the factory's last kind is its fall-through: a kind without a
-        # branch of its own would build that operator instead
+        # a table entry that borrowed another kind's builder would build
+        # that operator instead
         spin = kind.startswith("spin-")
         space = ConfigSpace(8, factors=(2, 4), grid=True) if spin else ConfigSpace(3)
-        g = build_generator(space, {"kind": kind}, np.random.default_rng(0))
+        spec = {"kind": kind, "matrix": np.eye(3).tolist()} if kind == "linear" else {"kind": kind}
+        g = build_generator(space, spec)
         assert g.op.name.startswith(kind)
 
     @pytest.mark.parametrize(
@@ -161,23 +161,24 @@ class TestGeneratorFactory:
     )
     def test_coupling_key_is_read(self, spec, factory):
         space = ConfigSpace(3)
-        g = build_generator(space, spec, np.random.default_rng(0))
+        g = build_generator(space, spec)
         phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True)
         assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
 
-    def test_random_linear_generators_differ_within_a_check(self):
-        # each draw is salted by the generator's position; the first keeps 997
-        doc = dict(FAST_SCENARIO, generators={"A": {"kind": "linear"}, "B": {"kind": "linear"}})
-        ctx = CheckContext(scenario=parse_scenario(doc, KNOWN), name="algebra-table")
-        phi = random_state(1, ctx.space, np.random.default_rng(1))
-        a, b = (ctx.generator(name).op.apply(0.0, phi) for name in ("A", "B"))
-        assert not np.allclose(a, b)
-        first = build_generator(ctx.space, {"kind": "linear"}, ctx.rng(997))
-        assert np.array_equal(a, first.op.apply(0.0, phi))
+    def test_scenario_holds_its_built_generators(self):
+        # built once at load from their specs; every check reads these
+        specs = {"A": {"kind": "linear", "matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
+                 "B": {"kind": "cross-ratio", "refs": [1, 2]}}
+        sc = parse_scenario(dict(FAST_SCENARIO, generators=specs), KNOWN)
+        phi = random_state(2, sc.space, np.random.default_rng(1), nowhere_zero=True)
+        for name, spec in specs.items():
+            want = build_generator(sc.space, spec).op
+            data = phi if want.n == 2 else phi[:, 0]
+            assert np.array_equal(sc.generators[name].op.apply(0.0, data), want.apply(0.0, data))
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match="unknown generator kind"):
-            build_generator(ConfigSpace(3), {"kind": "wat"}, np.random.default_rng(0))
+            build_generator(ConfigSpace(3), {"kind": "wat"})
 
 
 class TestCheckDraws:
@@ -497,6 +498,7 @@ class TestBadValuesExitTwo:
         {"g": {"kind": "wat"}},
         {"g": {"kind": "shifted-log-modulus", "shift": "x"}},
         {"g": {"kind": "cross-ratio", "refs": [0]}},
+        {"g": {"kind": "linear"}},  # a linear generator gives its matrix
         {"g": {"kind": "linear", "matrix": [[1, 2], [3]]}},
         {"g": {"kind": "spin-rotation"}},  # needs a factored space
         {"g": {"kind": "log-modulus", "coeff": True}},
@@ -705,11 +707,11 @@ class TestAllowedKeyDocs:
 
     def test_generator_table_matches_parser(self):
         table = {kind.strip("`"): keys | {"kind"} for kind, keys in self.rows("`generators`")}
-        assert table == {kind: set(keys) for kind, keys in scenario.GENERATOR_KEYS.items()}
+        assert table == {kind: set(keys) for kind, (keys, _) in scenario.GENERATOR_KINDS.items()}
 
     def test_allowed_keys_table_matches_parser(self):
         table = dict(self.rows("Allowed keys"))
-        every_generator_key = set().union(*scenario.GENERATOR_KEYS.values())
+        every_generator_key = set().union(*(keys for keys, _ in scenario.GENERATOR_KINDS.values()))
         assert table == {
             "top level": set(scenario.TOP_LEVEL_KEYS),
             "`space`": set(scenario.SPACE_KEYS),

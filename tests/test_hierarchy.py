@@ -551,14 +551,16 @@ class TestPointwiseLambdaLift:
         from sepsym import checks_lifts, scenario
         from sepsym.checks import CHECKS, run_check
 
-        plain = operators.rms_log_modulus_op
-
-        def marked(*args, **kwargs):
-            op = plain(*args, **kwargs)
+        def mark(op):
             return replace(op, pointwise_lambda=op.indices)
 
-        monkeypatch.setattr(checks_lifts, "rms_log_modulus_op", marked)
-        monkeypatch.setattr(scenario, "rms_log_modulus_op", marked)
+        plain = operators.rms_log_modulus_op
+        keys, build = scenario.GENERATOR_KINDS["rms-log-modulus"]
+        monkeypatch.setattr(checks_lifts, "rms_log_modulus_op",
+                            lambda *args, **kwargs: mark(plain(*args, **kwargs)))
+        # the scenario's named generators come from the kind table's builder
+        monkeypatch.setitem(scenario.GENERATOR_KINDS, "rms-log-modulus",
+                            (keys, lambda *args: mark(build(*args))))
         sc = scenario.load_scenario("theorem10", set(CHECKS))
         entry = next(e for e in sc.checks if e["name"] == "liftdeltal-identity")
         assert run_check("liftdeltal-identity", sc, entry["params"]).status == "fail"
@@ -981,7 +983,7 @@ class TestHierarchyConstruction:
         with pytest.raises(TypeError):  # n_max has no default; MAX_PARTICLES is the one cap
             Hierarchy.from_generators([gen_shifted(space3)])
 
-    def test_generator_validation(self, space3, rng):
+    def test_generator_validation(self, space3):
         g = Generator(log_modulus_op(space3, 1.0))
         assert [f.name for f in dataclasses.fields(Generator)] == ["op"]
         assert (g.ell, g.indices) == (1, IndexPair(1.0, 0))
@@ -990,7 +992,7 @@ class TestHierarchyConstruction:
         with pytest.raises(ValueError, match="strictly homogeneous"):
             Generator(replace(cross_ratio_op(space3), indices=IndexPair(1.0, 0)))
         assert Generator(cross_ratio_op(space3)).indices == ZERO_PAIR
-        nonsep = build_generator(space3, {"kind": "non-separating"}, rng)
+        nonsep = build_generator(space3, {"kind": "non-separating"})
         assert (nonsep.ell, nonsep.indices) == (2, None)
 
     def test_hierarchy_validation(self, space3, space4):
