@@ -56,6 +56,8 @@ def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> Nonlinea
     batch entry the same value at every batch width.
     """
     mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.shape != (space.size, space.size):
+        raise ValueError(f"matrix has shape {mat.shape}, expected ({space.size}, {space.size})")
 
     def ev(t, data):
         return np.einsum("ij,jk->ik", mat, data.reshape(space.size, -1)).reshape(data.shape)

@@ -15,12 +15,13 @@ import sepsym
 from sepsym import scenario
 from sepsym.checks import CHECKS, CheckContext, check_parameters, run_check
 from sepsym.cli import build_report, main
-from sepsym.errors import ScenarioError
+from sepsym.errors import ScenarioError, SizeCapExceeded
 from sepsym.scenario import (
     build_generator,
     bundled_scenario_names,
     load_scenario,
     parse_scenario,
+    random_hermitian,
 )
 from sepsym.operators import cross_ratio_op, nonseparating_op
 from sepsym.space import ConfigSpace, random_state
@@ -175,6 +176,13 @@ class TestGeneratorFactory:
             want = build_generator(sc.space, spec).op
             data = phi if want.n == 2 else phi[:, 0]
             assert np.array_equal(sc.generators[name].op.apply(0.0, data), want.apply(0.0, data))
+
+    def test_random_hermitian_checks_the_cap_before_drawing(self):
+        # 300^2 entries exceed the flat-size cap; nothing is drawn first
+        rng = np.random.default_rng(0)
+        with pytest.raises(SizeCapExceeded):
+            random_hermitian(ConfigSpace(300), rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match="unknown generator kind"):
@@ -500,6 +508,7 @@ class TestBadValuesExitTwo:
         {"g": {"kind": "cross-ratio", "refs": [0]}},
         {"g": {"kind": "linear"}},  # a linear generator gives its matrix
         {"g": {"kind": "linear", "matrix": [[1, 2], [3]]}},
+        {"g": {"kind": "linear", "matrix": [[1, 0], [0, 1]]}},  # the space has 3 sites
         {"g": {"kind": "spin-rotation"}},  # needs a factored space
         {"g": {"kind": "log-modulus", "coeff": True}},
         {"g": {"kind": "rms-log-modulus", "coeff": float("nan")}},
