@@ -166,7 +166,7 @@ def random_state(
     states together (Leibniz rules, index estimation) are branch-exact
     only while the summed arguments stay on the principal branch.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
     shape = state_shape(space, n)
     if smooth:
         if not space.grid:
@@ -197,6 +197,6 @@ def random_batch(sizes: Sequence[int], space: ConfigSpace, seeds, **kwargs) -> l
     """
     draws = []
     for seed in seeds:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         draws.append([random_state(n, space, rng, nowhere_zero=True, **kwargs) for n in sizes])
     return [np.stack(states, axis=-1) for states in zip(*draws)]
