@@ -39,6 +39,10 @@ from .mixedpow import IndexPair, mixed_power, pair_action
 from .opcalc import NonlinearOperator
 from .space import sup_norms, tensor_data
 
+# Desk-scale guarantee, as the flat-size cap: a march may take at most this
+# many steps.  The default dt takes 1000 and no check's ladder over 200.
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -60,6 +64,9 @@ class EvolutionConfig:
             raise StepMismatch(
                 f"horizon {span} is not a positive integer multiple of dt={self.dt}"
             )
+        if rounded > MAX_STEPS:
+            raise StepMismatch(f"horizon {span} at dt={self.dt} takes {rounded} steps, "
+                               f"above the step-count cap {MAX_STEPS}")
         return int(rounded)
 
 

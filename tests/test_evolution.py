@@ -10,6 +10,7 @@ from sepsym import checks_evolution, evolution
 from sepsym.checks import CHECKS, run_check
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
+    MAX_STEPS,
     EvolutionConfig,
     _march,
     extract_indices,
@@ -103,6 +104,11 @@ class TestEvolve:
             EvolutionConfig(dt=0.3, t0=0.0, t1=1.0)
         with pytest.raises(StepMismatch):
             EvolutionConfig(dt=0.1, t0=1.0, t1=0.5)
+
+    def test_step_count_cap(self):
+        assert EvolutionConfig(dt=1e-5, t0=0.0, t1=1.0).n_steps() == MAX_STEPS
+        with pytest.raises(StepMismatch, match="step-count cap"):
+            EvolutionConfig(dt=1e-9, t0=0.0, t1=1.0)
 
     def test_step_count_beyond_floats_is_a_mismatch(self):
         # span / dt overflows to inf, which round() cannot take
