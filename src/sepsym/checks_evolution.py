@@ -23,16 +23,41 @@ from .operators import (cross_ratio_op, lambda_op, log_modulus_op, nonseparating
 from .space import random_batch
 
 
+def branch_margin(phi2: np.ndarray, coupling: float, cfg: EvolutionConfig) -> float:
+    """pi less the largest |arg R| that the cross ratios R (refs (0, 0))
+    of the two-particle states ``phi2`` reach over [t0, t1] under
+    Lambda_2(1, 0) + c psi ln R, in closed form.
+
+    R is 1 wherever a slot is the reference site, so at every site
+    u = ln|R| and v = arg R obey u' = c v / hbar and v' = -(1 + c) u / hbar
+    while |v| < pi, which gives v(t) = v0 cos wt - sqrt((1 + c) / c) u0 sin wt
+    with w = sqrt(c (1 + c)) / hbar.  |v| peaks at the endpoints or where
+    wt = atan2(-sqrt((1 + c) / c) u0, v0) modulo pi, at the amplitude.
+    """
+    log_r = np.log(phi2 * phi2[:1, :1] / (phi2[:, :1] * phi2[:1, :]))
+    v0, b = log_r.imag, -math.sqrt((1 + coupling) / coupling) * log_r.real
+    span = math.sqrt(coupling * (1 + coupling)) / cfg.hbar * (cfg.t1 - cfg.t0)
+    ends = np.maximum(np.abs(v0), np.abs(v0 * math.cos(span) + b * math.sin(span)))
+    inside = np.mod(np.arctan2(b, v0), math.pi) <= span
+    return math.pi - float(np.where(inside, np.hypot(v0, b), ends).max())
+
+
 def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     """Separation residual decays at fourth order for the canonical-lift
     hierarchy and plateaus for a non-separating perturbation."""
     space = ctx.space
+    coupling = 0.25
     F1 = Generator(log_modulus_op(space, 1.0))
-    G2 = Generator(cross_ratio_op(space, coupling=0.25))
+    G2 = Generator(cross_ratio_op(space, coupling=coupling))
     H = Hierarchy.from_generators([F1, G2], 3)
     # residual curves of single state pairs can sit near a cancellation of
-    # the leading dt^4 coefficient; the batch sum has a robust one
-    phi1, phi2 = random_batch((1, 2), space, [ctx.rng(k) for k in range(4)])
+    # the leading dt^4 coefficient; the batch sum has a robust one.  RK4's
+    # order needs a smooth right-hand side, and the principal ln R is
+    # smooth only while arg R stays off the cut: |arg phi| <= pi/4 keeps it
+    # there (branch_margin > 0), for phi2 and for the product level, whose
+    # cross ratios are phi2's or 1
+    phi1, phi2 = random_batch((1, 2), space, [ctx.rng(k) for k in range(4)],
+                              phase_cap=math.pi / 4)
     dts = [0.02, 0.01, 0.005]
     cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
     runs = separation_test(H, phi1, phi2, cfgs)
@@ -55,6 +80,9 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     return judge(ctx, {
         "ratios": ("band", ratios, (12.0, 20.0)),
         "plateau": ("floor", plateau, 1e-2),
+        # two orders above how far RK4's stage states stray off the orbit
+        # at dt = 0.02, which is O(dt^2)
+        "branch_margin": ("floor", branch_margin(phi2, coupling, fine), 1e-2),
     }, details)
 
 

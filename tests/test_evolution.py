@@ -1,5 +1,6 @@
 import cmath
 import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,58 @@ class TestSeparation:
             separation_test(bad, phi1[..., :1], phi2[..., :1], [cfg])[0].gaps[0]
             for cfg in cfgs[:2]
         ]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_passes_off_the_bundled_seed(self, seed):
+        # the check's factors keep |arg phi| <= pi/4, so no cross ratio
+        # crosses the principal log's cut along the march; uncapped factors
+        # fail at seeds 4, 5 and 8
+        sc = replace(load_scenario("separation-evolution", set(CHECKS)), seed=seed)
+        result = run_check("separation-evolution", sc, {})
+        assert result.status == "pass", result.details["criteria"]
+
+    @pytest.mark.parametrize("cap", [None, math.pi / 4])
+    def test_branch_margin_matches_a_fine_march(self, space3, cap):
+        # pi less the largest |arg R| along a dt = 1e-3 march of level 2,
+        # one margin per set of four pairs, wherever the closed form is
+        # positive (where it is not, the principal arg wraps)
+        coupling, hbar = 0.25, 1.0
+        level2 = Hierarchy.from_generators(
+            [Generator(log_modulus_op(space3, 1.0)),
+             Generator(cross_ratio_op(space3, coupling=coupling))], 3).op(2)
+        kw = {} if cap is None else {"phase_cap": cap}
+        [phi2] = random_batch((2,), space3, [(seed, k) for seed in range(10) for k in range(4)],
+                              **kw)
+        cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=0.5, hbar=hbar)
+        sets = [slice(4 * j, 4 * j + 4) for j in range(10)]
+        closed = [checks_evolution.branch_margin(phi2[..., s], coupling, cfg) for s in sets]
+
+        def top_arg(y):
+            ratio = y * y[:1, :1] / (y[:, :1] * y[:1, :])
+            return np.abs(np.angle(ratio)).max(axis=(0, 1))
+
+        dt, y, top = 1e-3, phi2, top_arg(phi2)
+        for k in range(500):
+            y = rk4_trajectory(lambda t, x: (-1j / hbar) * level2.apply(t, x), y, k * dt, dt, 1)
+            top = np.maximum(top, top_arg(y))
+        marched = [math.pi - float(top[s].max()) for s in sets]
+        positive = [(c, m) for c, m in zip(closed, marched) if c > 0]
+        assert len(positive) >= 3
+        for c, m in positive:
+            assert abs(c - m) <= 1e-3
+
+    def test_uncapped_factors_fail_on_the_branch_margin(self, monkeypatch):
+        # at the bundled seed uncapped factors still pass the ratio band,
+        # but a cross ratio crosses the cut, and the margin floor says so
+        def uncapped(sizes, space, seeds, **kwargs):
+            return random_batch(sizes, space, seeds)
+
+        monkeypatch.setattr(checks_evolution, "random_batch", uncapped)
+        sc = load_scenario("separation-evolution", set(CHECKS))
+        criteria = run_check("separation-evolution", sc, {}).details["criteria"]
+        assert criteria["branch_margin"]["value"] < 0
+        assert criteria["branch_margin"]["defect"] > 1
+        assert criteria["ratios"]["defect"] <= 1
 
 
 class TestLadder:
