@@ -111,66 +111,65 @@ def judge(ctx: CheckContext, criteria: dict, details: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 # registry
 
-# check name -> (family module, default tolerance, declared parameters with
-# their defaults, description).  A single-bound check's tolerance is its
+# check name -> (family module, default tolerance, the names of its required
+# parameters, description).  A single-bound check's tolerance is its
 # bound; a composite check judges its normalised defects against 1.0.  The
 # order fixes each check's position, which salts its draws.
-_REGISTRY: dict[str, tuple[str, float, dict, str]] = {
-    "algebra-table": ("algebra", 1e-12, {},
+_REGISTRY: dict[str, tuple[str, float, tuple[str, ...], str]] = {
+    "algebra-table": ("algebra", 1e-12, (),
                       "generator product table and group closure of the mixed-power algebra"),
-    "algebra-brackets": ("algebra", 1e-12, {},
+    "algebra-brackets": ("algebra", 1e-12, (),
                          "sl(2,R) commutators of the index pairs and the Jacobi identity"),
-    "matrix-rep-homomorphism": ("algebra", 1e-12, {},
+    "matrix-rep-homomorphism": ("algebra", 1e-12, (),
                                 "2x2 real matrix representation is a product homomorphism"),
-    "mixed-power-identities": ("algebra", 1e-12, {},
+    "mixed-power-identities": ("algebra", 1e-12, (),
                                "composition/product/logarithm laws of mixed powers on the safe region"),
-    "euler-identities": ("algebra", 1.0, {},
+    "euler-identities": ("algebra", 1.0, (),
                          "homogeneity Euler identities, closed-form and finite-difference"),
-    "derivation-bracket": ("lifts", 1.0, {},
+    "derivation-bracket": ("lifts", 1.0, (),
                            "bracket of tensor derivations is a tensor derivation; indices bracket"),
-    "canonical-decomposition-roundtrip": ("lifts", 1e-8, {},
+    "canonical-decomposition-roundtrip": ("lifts", 1e-8, (),
                                           "threshold generators are recovered by the canonical decomposition"),
-    "permutation-property": ("lifts", 1.0, {},
+    "permutation-property": ("lifts", 1.0, (),
                              "particle-relabeling equivariance of hierarchy levels"),
-    "tensor-derivation-residual": ("lifts", 1.0, {},
+    "tensor-derivation-residual": ("lifts", 1.0, (),
                                    "Leibniz rule on product states for canonical lifts"),
-    "liftdeltal-identity": ("lifts", 1.0, {"pairs": None},
+    "liftdeltal-identity": ("lifts", 1.0, ("pairs",),
                             "lift-bracket defect equals the natural-part double sum"),
-    "real-linear-degeneration": ("lifts", 1e-10, {},
+    "real-linear-degeneration": ("lifts", 1e-10, (),
                                  "obstructions collapse for real-linear generator pairs"),
-    "corollary1-equivalence": ("lifts", 1.0, {"grid_size": 4},
+    "corollary1-equivalence": ("lifts", 1.0, (),
                                "two-particle obstruction controls symmetry lifting to all levels"),
-    "corollary2-pointsym": ("lifts", 1.0, {"grid_size": 8},
+    "corollary2-pointsym": ("lifts", 1.0, (),
                             "added-generator obstruction against point-symmetry parts"),
-    "internal-dof-demo": ("lifts", 1.0, {"grid_size": 8},
+    "internal-dof-demo": ("lifts", 1.0, (),
                           "internal degrees of freedom break symmetry lifting"),
-    "separation-evolution": ("evolution", 1.0, {},
+    "separation-evolution": ("evolution", 1.0, (),
                              "product states evolve by independent factor evolution"),
-    "scaling-indices": ("evolution", 1.0, {},
+    "scaling-indices": ("evolution", 1.0, (),
                         "evolution-operator scaling indices and their extraction"),
-    "index-evolution": ("symmetry", 1.0, {},
+    "index-evolution": ("symmetry", 1.0, (),
                         "index transport along symmetries of the evolution"),
-    "lattice-shift-symmetry": ("symmetry", 1e-12, {"grid_size": 8},
+    "lattice-shift-symmetry": ("symmetry", 1e-12, (),
                                "exact cyclic translations commute with invariant hierarchies"),
-    "freelift-grid-ladder": ("lifts", 1.0, {"grids": (8, 16, 32)},
+    "freelift-grid-ladder": ("lifts", 1.0, (),
                              "point space-time symmetry obstructions vanish (exactly / at grid rate)"),
-    "symmetry-bracket-closure": ("symmetry", 1.0, {},
+    "symmetry-bracket-closure": ("symmetry", 1.0, (),
                                  "infinitesimal symmetries close under the deformed bracket"),
 }
 
 
-def _on_first_call(name: str, family: str, defaults: dict) -> Callable[..., CheckResult]:
-    """The check ``name``, which imports its family when it is first run and
-    passes the declared defaults of the parameters a scenario leaves out."""
+def _on_first_call(name: str, family: str) -> Callable[..., CheckResult]:
+    """The check ``name``, which imports its family when it is first run."""
     def run(ctx: CheckContext, **params) -> CheckResult:
         module = importlib.import_module(f"{__package__}.checks_{family}")
-        return module.FAMILY[name](ctx, **{**defaults, **params})
+        return module.FAMILY[name](ctx, **params)
     return run
 
 
 CHECKS: dict[str, tuple[Callable[..., CheckResult], str]] = {
-    name: (_on_first_call(name, family, defaults), desc)
-    for name, (family, _, defaults, desc) in _REGISTRY.items()
+    name: (_on_first_call(name, family), desc)
+    for name, (family, _, _, desc) in _REGISTRY.items()
 }
 
 
@@ -189,6 +188,6 @@ def run_check(name: str, scenario: Scenario, params: dict) -> CheckResult:
         )
 
 
-def check_parameters(name: str) -> dict:
-    """The parameters a check declares, with their defaults."""
-    return dict(_REGISTRY[name][2])
+def check_parameters(name: str) -> tuple[str, ...]:
+    """The names of the parameters a check requires; it takes no others."""
+    return _REGISTRY[name][2]

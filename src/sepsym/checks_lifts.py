@@ -173,34 +173,18 @@ def _fd_warnings(*ops: NonlinearOperator) -> list[str]:
     ]
 
 
-def _default_theorem10_pairs(space: ConfigSpace):
-    rms = Generator(rms_log_modulus_op(space, 0.9))
-    shifted = Generator(shifted_log_modulus_op(space, 0.8))
-    cr0 = Generator(cross_ratio_op(space, refs=(0, 0), coupling=0.6))
-    cr1 = Generator(cross_ratio_op(space, refs=(1, 2), coupling=0.5))
-    return [
-        ("rms-vs-shifted", rms, shifted, (2, 3)),
-        ("rms-vs-crossratio", rms, cr0, (3,)),
-        ("crossratio-pair", cr0, cr1, (3, 4)),
-    ]
-
-
-def check_liftdeltal_identity(ctx: CheckContext, pairs: list | None) -> CheckResult:
+def check_liftdeltal_identity(ctx: CheckContext, pairs: list) -> CheckResult:
     """Direct lift-bracket defect equals the natural-part double sum, for
     generator pairs at every admissible particle number.
 
     ``pairs`` lists [F-name, G-name, [n, ...]] entries over the scenario's
-    named generators; without it the three built-in pairs are checked.
+    named generators.
     """
     residuals = []
     details: dict = {"pairs": {}}
-    if pairs is None:
-        cases = _default_theorem10_pairs(ctx.space)
-    else:
-        named = ctx.scenario.generators
-        cases = [(f"{fname}-vs-{gname}", named[fname], named[gname], ns)
-                 for fname, gname, ns in pairs]
-    for label, F, G, ns in cases:
+    named = ctx.scenario.generators
+    for fname, gname, ns in pairs:
+        label, F, G = f"{fname}-vs-{gname}", named[fname], named[gname]
         warnings = _fd_warnings(natural_part(F), natural_part(G), F.op, G.op)
         for n in ns:
             seed = ctx.scenario.seed % 2**31 + n
@@ -246,14 +230,18 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
     return finish(ctx, worst, {"levels": [2, 3]})
 
 
-def _spin_pair(grid_size: int) -> tuple[Generator, Generator]:
-    """The spin-coupled non-linearity and the spin rotation on a spin-1/2
-    grid of ``grid_size`` sites: a pair whose obstruction stays large."""
-    space = ConfigSpace(2 * grid_size, factors=(2, grid_size), grid=True)
+def _spin_pair(space: ConfigSpace) -> tuple[Generator, Generator]:
+    """The spin-coupled non-linearity and the spin rotation on a factored
+    space: a pair whose obstruction stays large."""
     return Generator(spin_rms_log_op(space, 1.0)), Generator(spin_rotation_op(space))
 
 
-def check_corollary1_equivalence(ctx: CheckContext, grid_size: int) -> CheckResult:
+# the space of corollary1-equivalence's spin pair, two spin states times four
+# grid sites, whatever the scenario's space (which its vanishing pair uses)
+SPIN_SPACE = ConfigSpace(8, factors=(2, 4), grid=True)
+
+
+def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     """Vanishing two-particle obstruction forces the higher defect to
     vanish; the spin pair keeps both sides large."""
     space = ctx.space
@@ -263,10 +251,9 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int) -> CheckResu
     [data3] = random_batch((3,), space, [ctx.rng(100 + k) for k in range(8)])
     two = max(sup_norms(corollary1_obstruction(F, K, 0.0, data2)))
     lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, data3)))
-    Fs, Ks = _spin_pair(grid_size)
-    spin_space = Fs.op.space
-    [spin2] = random_batch((2,), spin_space, [ctx.rng(200 + k) for k in range(8)])
-    [spin3] = random_batch((3,), spin_space, [ctx.rng(300 + k) for k in range(8)])
+    Fs, Ks = _spin_pair(SPIN_SPACE)
+    [spin2] = random_batch((2,), SPIN_SPACE, [ctx.rng(200 + k) for k in range(8)])
+    [spin3] = random_batch((3,), SPIN_SPACE, [ctx.rng(300 + k) for k in range(8)])
     spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
     spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
     return judge(ctx, {
@@ -274,7 +261,7 @@ def check_corollary1_equivalence(ctx: CheckContext, grid_size: int) -> CheckResu
         "vanishing_pair.lifted_n3": ("bound", lifted, 1e-7),
         "spin_pair.two_particle": ("floor", spin_two, 1e-3),
         "spin_pair.lifted_n3": ("floor", spin_lift, 1e-3),
-    }, {"spin_space": {"size": spin_space.size, "factors": list(spin_space.factors)}})
+    }, {"spin_space": {"size": SPIN_SPACE.size, "factors": list(SPIN_SPACE.factors)}})
 
 
 def _point_spec(ctx: CheckContext) -> PointSymmetrySpec:
@@ -288,11 +275,11 @@ def _point_spec(ctx: CheckContext) -> PointSymmetrySpec:
     )
 
 
-def check_corollary2_pointsym(ctx: CheckContext, grid_size: int) -> CheckResult:
+def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     """Added-generator obstruction against point-symmetry parts: the
     multiplication and phase parts vanish to round-off; the discrete
     derivative part stays small and is reported."""
-    space = ConfigSpace(grid_size, grid=True)
+    space = ctx.space
     G = Generator(cross_ratio_op(space, coupling=0.8))
     spec = _point_spec(ctx)
     parts = point_symmetry_parts(spec, space)
@@ -307,12 +294,13 @@ def check_corollary2_pointsym(ctx: CheckContext, grid_size: int) -> CheckResult:
         "norms.phase": ("bound", norms["phase"], 1e-10),
         "norms.mult": ("bound", norms["mult"], 1e-10),
         "zero_generator_norm": ("bound", zero_norm, 1e-10),
-    }, {"norms": norms, "grid_size": grid_size})
+    }, {"norms": norms, "grid_size": space.grid_size})
 
 
-def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
-    """Spin-coupled non-linearity vs spin rotation: a strictly positive
-    obstruction, stable under reseeding and grid refinement.
+def check_internal_dof(ctx: CheckContext) -> CheckResult:
+    """Spin-coupled non-linearity vs spin rotation on the scenario's
+    factored grid: a strictly positive obstruction, stable under reseeding
+    and under refinement to twice the grid sites.
 
     Stability under reseeding compares the mean two-particle obstruction
     norm of two generic batches; under refinement, the mean obstruction
@@ -331,13 +319,13 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
             for i in range(size // 2)
         ]))
 
-    F, K = _spin_pair(grid_size)
+    F, K = _spin_pair(ctx.space)
     [base] = random_batch((2,), F.op.space, [np.random.default_rng(seed)] * size)
     [reseeded] = random_batch((2,), F.op.space, [np.random.default_rng(seed + 1)] * size)
     norms = sup_norms(corollary1_obstruction(F, K, 0.0, base))
     reseeded_norms = sup_norms(corollary1_obstruction(F, K, 0.0, reseeded))
     smooth_base = smooth_field_mean(F, K)
-    smooth_refined = smooth_field_mean(*_spin_pair(2 * grid_size))
+    smooth_refined = smooth_field_mean(*_spin_pair(ctx.space.refined(2)))
     mean_base = float(np.mean(norms))
     reseed_ratio = float(np.mean(reseeded_norms)) / mean_base if mean_base else float("inf")
     refine_ratio = smooth_refined / smooth_base if smooth_base else float("inf")
@@ -349,7 +337,7 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
     details = {
         "reseeded_norm": max(reseeded_norms),
         "refined_norm": smooth_refined,
-        "grid_size": grid_size,
+        "grid_size": ctx.space.grid_size,
         # the base batch summarised at (l, m, n) = (1, 1, 2); only the
         # obstruction side is computed, so no identity is judged here
         "report": {
@@ -368,20 +356,26 @@ def check_internal_dof(ctx: CheckContext, grid_size: int) -> CheckResult:
     return judge(ctx, criteria, details)
 
 
-def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
+# freelift-grid-ladder refines the scenario's grid by these factors: its
+# drift band assumes that each rung halves the grid spacing
+LADDER = (1, 2, 4)
+
+
+def check_freelift(ctx: CheckContext) -> CheckResult:
     """Grid ladder for the point-symmetry obstruction parts: exact
     vanishing of multiplication and phase parts, quadratic decay of the
     discrete-derivative part."""
     spec = _point_spec(ctx)
     seed = ctx.scenario.seed % 2**31
-    # the drift is compared on the sites every grid shares: a finer grid's
-    # own sites include points where the error field peaks higher, while on
-    # the common sites an O(h^2) error falls by 4 per halving of h
-    shared = math.gcd(*grids)
+    sites = ctx.space.grid_size
+    # the drift is compared on the scenario's own sites, which every rung
+    # holds at stride k: a finer grid's own sites include points where the
+    # error field peaks higher, while on the common sites an O(h^2) error
+    # falls by 4 per halving of h
     c1: dict = {"phase": [], "mult": [], "drift": [], "full": []}
     c2: dict = {"phase": [], "mult": [], "drift": []}
-    for gsize in grids:
-        space = ConfigSpace(gsize, grid=True)
+    for k in LADDER:
+        space = ctx.space.refined(k)
         F = Generator(rms_log_modulus_op(space, 1.0))
         G = Generator(cross_ratio_op(space))
         parts = point_symmetry_parts(spec, space)
@@ -403,7 +397,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
                         else corollary2_obstruction(G, family, 0.0, data))
                 for label, val in zip(ops, vals):
                     if label == "drift":
-                        val = val[(slice(None, None, gsize // shared),) * n]
+                        val = val[(slice(None, None, k),) * n]
                     norms[label].append(max(sup_norms(val)))
                 del data, vals
             for label, worst in norms.items():
@@ -421,7 +415,7 @@ def check_freelift(ctx: CheckContext, grids: tuple[int, ...]) -> CheckResult:
         "c2.mult": ("bound", c2["mult"], 1e-10),
         "c1.drift_ratios": ("band", c1["drift_ratios"], (3.0, 5.0)),
         "c2.drift_ratios": ("band", c2["drift_ratios"], (3.0, 5.0)),
-    }, {"grids": list(grids), "drift_sites": shared, "c1": c1, "c2": c2})
+    }, {"grids": [k * sites for k in LADDER], "drift_sites": sites, "c1": c1, "c2": c2})
 
 
 FAMILY = {

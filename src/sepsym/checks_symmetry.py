@@ -8,7 +8,7 @@ from .evolution import EvolutionConfig
 from .hierarchy import Generator, Hierarchy
 from .mixedpow import IndexPair
 from .operators import lambda_op, log_modulus_op, shift_all_op
-from .space import ConfigSpace, random_batch
+from .space import random_batch
 from .symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -46,10 +46,10 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     }, {})
 
 
-def check_lattice_shift(ctx: CheckContext, grid_size: int) -> CheckResult:
+def check_lattice_shift(ctx: CheckContext) -> CheckResult:
     """Exact cyclic translations commute with translation-invariant
     non-linear hierarchies to round-off."""
-    space = ConfigSpace(grid_size, grid=True)
+    space = ctx.space
     F1 = Generator(log_modulus_op(space, 1.0))
     H = Hierarchy.from_generators([F1], 3)
     V = FiniteSymmetry(
@@ -60,7 +60,7 @@ def check_lattice_shift(ctx: CheckContext, grid_size: int) -> CheckResult:
         max(symmetry_residual(V, H, 0.3, data, hbar=ctx.hbar))
         for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
     )
-    return finish(ctx, worst, {"shift": 2, "grid_size": grid_size})
+    return finish(ctx, worst, {"shift": 2, "grid_size": space.grid_size})
 
 
 def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:

@@ -84,15 +84,15 @@ def main(argv=None) -> int:
     runp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                       help="override a check tolerance (repeatable)")
     runp.add_argument("--hbar", type=float, default=None, help="override hbar")
-    sub.add_parser("list-checks", help="list every check, what it verifies and its parameters")
+    sub.add_parser("list-checks",
+                   help="list every check, what it verifies and its required parameters")
     sub.add_parser("list-scenarios", help="list the bundled scenarios")
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
         for name, (_, desc) in CHECKS.items():
-            params = ", ".join(f"{key}={json.dumps(default)}"
-                               for key, default in check_parameters(name).items())
-            print(f"{name:<36} {desc}" + (f" [{params}]" if params else ""))
+            params = ", ".join(check_parameters(name))
+            print(f"{name:<36} {desc}" + (f" [required: {params}]" if params else ""))
         return 0
     if args.command == "list-scenarios":
         for name in bundled_scenario_names():

@@ -17,8 +17,9 @@ class ZeroAmplitude(DomainError):
     """A logarithmic operator met an amplitude below the admissible floor."""
 
 
-class SpaceMismatch(SepsymError):
-    """Operands live on different configuration spaces or particle counts."""
+class SpaceMismatch(SepsymError, ValueError):
+    """Operands live on different configuration spaces or particle counts,
+    or a space lacks the grid, spin factors or sites an operation needs."""
 
 
 class BadTuple(SepsymError):

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SpaceMismatch
 from .mixedpow import IndexPair, ZERO_PAIR, pair_action
 from .opcalc import NonlinearOperator, require_nowhere_zero
 from .space import ConfigSpace
@@ -267,7 +268,7 @@ def cross_ratio_op(
     """
     r1, r2 = int(refs[0]), int(refs[1])
     if not (0 <= r1 < space.size and 0 <= r2 < space.size):
-        raise ValueError(f"reference sites {refs} out of range for size {space.size}")
+        raise SpaceMismatch(f"reference sites {refs} out of range for size {space.size}")
     c = complex(coupling)
 
     def refs_of(arr):
@@ -333,7 +334,7 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
     internal-degrees lifting obstruction demonstrations.
     """
     if not space.factors or space.internal_size < 2:
-        raise ValueError("spin-rms operator needs a factored space with internal size >= 2")
+        raise SpaceMismatch("spin-rms operator needs a factored space with internal size >= 2")
     isize, gsize = space.internal_size, space.grid_size
 
     def spin_axis(arr):
@@ -357,7 +358,7 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
 def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:
     """Real rotation generator mixing the first two internal components."""
     if not space.factors or space.internal_size < 2:
-        raise ValueError("spin rotation needs a factored space with internal size >= 2")
+        raise SpaceMismatch("spin rotation needs a factored space with internal size >= 2")
     isize, gsize = space.internal_size, space.grid_size
 
     def ev(t, data):
@@ -397,7 +398,7 @@ def shift_all_op(space: ConfigSpace, n: int, shift: int) -> NonlinearOperator:
 def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
     """One-particle central difference on the periodic grid ordering."""
     if not space.grid:
-        raise ValueError("central difference requires a grid-ordered space")
+        raise SpaceMismatch("central difference requires a grid-ordered space")
     h = space.spacing
     # neighbour sites as gathers: a lifted view is read as it is, not reshaped
     fwd, bwd = _site_shift_index(space, 1), _site_shift_index(space, -1)

@@ -217,25 +217,9 @@ class Scenario:
     symmetry: dict = field(default_factory=dict)
 
 
-def _grid_size(value, where: str, generators: dict) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 3:
-        raise ScenarioError(f"{where}: expected an integer grid size >= 3, got {value!r}")
-    return value
-
-
-def _grids(value, where: str, generators: dict) -> list[int]:
-    if not (isinstance(value, list) and len(value) >= 2
-            and [_grid_size(g, where, generators) for g in value] == sorted(set(value))):
-        raise ScenarioError(f"{where}: expected two or more grid sizes in strictly "
-                            f"increasing order, got {value!r}")
-    return value
-
-
-def _pairs(value, where: str, generators: dict) -> list | None:
+def _pairs(value, where: str, generators: dict) -> list:
     """[[F, G, [n, ...]], ...] over named generators, each n admissible for
-    the obstruction of F against G; null keeps the built-in pairs."""
-    if value is None:
-        return None
+    the obstruction of F against G."""
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{where}: expected a non-empty list, got {value!r}")
     for entry in value:
@@ -254,7 +238,7 @@ def _pairs(value, where: str, generators: dict) -> list | None:
     return value
 
 
-_PARAM_VALIDATORS = {"grid_size": _grid_size, "grids": _grids, "pairs": _pairs}
+_PARAM_VALIDATORS = {"pairs": _pairs}
 
 
 def _normalise_checks(entries, known: set[str], generators: dict) -> tuple[dict, ...]:
@@ -271,10 +255,10 @@ def _normalise_checks(entries, known: set[str], generators: dict) -> tuple[dict,
         name, params = entry["name"], entry.get("params", {})
         if not isinstance(name, str) or name not in known:
             raise ScenarioError(f"checks[{k}]: unknown check {name!r}")
-        declared = check_parameters(name)
-        if not isinstance(params, dict) or not all(key in declared for key in params):
-            raise ScenarioError(f"checks[{k}].params: expected an object over the parameters "
-                                f"{sorted(declared)} of {name}, got {params!r}")
+        required = check_parameters(name)
+        if not isinstance(params, dict) or set(params) != set(required):
+            raise ScenarioError(f"checks[{k}].params: {name} takes exactly the parameters "
+                                f"{sorted(required)}, got {params!r}")
         checks.append({"name": name, "params": {
             key: _PARAM_VALIDATORS[key](value, f"checks[{k}].params.{key}", generators)
             for key, value in params.items()}})

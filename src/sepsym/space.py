@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadTuple, SizeCapExceeded
+from .errors import BadTuple, SizeCapExceeded, SpaceMismatch
 
 # Soft desk-scale guarantee: |X|^n may not exceed this flat length.
 FLAT_SIZE_CAP = 65536
@@ -71,6 +71,12 @@ class ConfigSpace:
     def positions(self) -> np.ndarray:
         """Angular positions of the grid sites."""
         return self.spacing * np.arange(self.grid_size)
+
+    def refined(self, k: int) -> ConfigSpace:
+        """The same space with ``k`` times the grid sites, each internal
+        factor kept: site x of this grid is site k x of the refined one."""
+        factors = None if self.factors is None else (*self.factors[:-1], k * self.grid_size)
+        return ConfigSpace(k * self.size, factors=factors, grid=self.grid)
 
 
 def state_shape(space: ConfigSpace, n: int) -> tuple[int, ...]:
@@ -170,7 +176,7 @@ def random_state(
     shape = state_shape(space, n)
     if smooth:
         if not space.grid:
-            raise ValueError("smooth sampling requires a grid-ordered space")
+            raise SpaceMismatch("smooth sampling requires a grid-ordered space")
         data = _smooth_field(space, n, rng)
         if nowhere_zero:
             data = data + 1.0  # fluctuation l1-norm <= 0.4 keeps |data| >= 0.6

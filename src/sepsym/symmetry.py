@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SpaceMismatch
 from .evolution import EvolutionConfig, rk4_affine_step
 from .hierarchy import Hierarchy, bracket_hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
@@ -190,7 +191,7 @@ def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[st
     """Natural one-particle pieces of the generator: phase (i eta),
     mult ((grad.xi)/2) and drift (xi grad)."""
     if not space.grid:
-        raise ValueError("point symmetries need a grid-ordered space")
+        raise SpaceMismatch("point symmetries need a grid-ordered space")
     pos = space.positions()
     parts: dict[str, NonlinearOperator] = {}
     if spec.eta is not None:

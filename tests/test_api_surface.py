@@ -202,8 +202,8 @@ def test_families_hold_every_check_once():
 
 
 def test_family_parameters_are_the_declared_ones():
-    # the registry holds each default once: a check function takes exactly
-    # the declared parameters, none with a default of its own
+    # a check function takes exactly the parameters the registry requires,
+    # none with a default of its own
     for family in _families():
         for name, fn in family.FAMILY.items():
             params = list(inspect.signature(fn).parameters.values())[1:]

@@ -286,26 +286,77 @@ class TestCheckErrors:
         assert (res.status, res.tolerance) == ("error", expected)
 
 
-class TestSelfBuiltSpaces:
-    """Checks that build their own grid say in details which one they used,
-    so a scenario whose space has no grid can tell what was checked."""
+class TestScenarioSpaces:
+    """The grid checks run on the space the scenario declares and report
+    its grid in their details."""
 
-    def test_details_name_the_space_used(self, tmp_path):
-        doc = dict(FAST_SCENARIO, checks=[
-            "lattice-shift-symmetry",
-            {"name": "corollary2-pointsym", "params": {"grid_size": 16}},
-            {"name": "corollary1-equivalence", "params": {"grid_size": 3}},
-            {"name": "internal-dof-demo", "params": {"grid_size": 4}},
+    def test_details_report_the_scenario_grid(self, tmp_path):
+        doc = dict(FAST_SCENARIO, space={"size": 6, "grid": True}, checks=[
+            "lattice-shift-symmetry", "corollary2-pointsym", "freelift-grid-ladder",
+            "corollary1-equivalence",
         ])
-        scen = tmp_path / "no-grid.json"
+        scen = tmp_path / "grid6.json"
         scen.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
         details = {c["name"]: c["details"] for c in json.loads(out.read_text())["checks"]}
-        assert details["lattice-shift-symmetry"]["grid_size"] == 8
-        assert details["corollary2-pointsym"]["grid_size"] == 16
-        assert details["corollary1-equivalence"]["spin_space"] == {"size": 6, "factors": [2, 3]}
-        assert details["internal-dof-demo"]["grid_size"] == 4
+        assert details["lattice-shift-symmetry"]["grid_size"] == 6
+        assert details["corollary2-pointsym"]["grid_size"] == 6
+        # the ladder refines the scenario's grid and judges the drift on its sites
+        assert details["freelift-grid-ladder"]["grids"] == [6, 12, 24]
+        assert details["freelift-grid-ladder"]["drift_sites"] == 6
+        # the spin pair of corollary1 has a fixed space, which it names
+        assert details["corollary1-equivalence"]["spin_space"] == {"size": 8, "factors": [2, 4]}
+
+    def test_internal_dof_spin_space_is_the_scenario_space(self, monkeypatch):
+        from sepsym import checks_lifts
+
+        used = []
+        spin_pair = checks_lifts._spin_pair
+        monkeypatch.setattr(checks_lifts, "_spin_pair",
+                            lambda space: used.append(space) or spin_pair(space))
+        space = {"size": 12, "factors": [3, 4], "grid": True}
+        sc = parse_scenario(dict(FAST_SCENARIO, space=space, checks=["internal-dof-demo"]), KNOWN)
+        res = run_check("internal-dof-demo", sc, {})
+        # the scenario's spin grid, then the same internal factor on twice the sites
+        assert used == [sc.space, ConfigSpace(24, factors=(3, 8), grid=True)]
+        assert res.details["grid_size"] == 4
+
+
+class TestPremiseGrid:
+    """Every check but liftdeltal-identity on spaces that lack some check's
+    premise: a check that cannot use the space ends as a SpaceMismatch error
+    entry, and nothing reaches stderr."""
+
+    @pytest.mark.parametrize("space, errors", [
+        ({"size": 1}, {"derivation-bracket", "corollary2-pointsym", "internal-dof-demo",
+                       "freelift-grid-ladder"}),
+        ({"size": 3}, {"corollary2-pointsym", "internal-dof-demo", "freelift-grid-ladder"}),
+        ({"size": 8, "grid": True}, {"internal-dof-demo"}),
+        ({"size": 8, "factors": [2, 4], "grid": True}, set()),
+    ], ids=["size1", "size3", "grid8", "spin-grid4"])
+    def test_premise_failures_are_error_entries(self, capsys, space, errors):
+        names = [name for name in CHECKS if name != "liftdeltal-identity"]
+        sc = parse_scenario(dict(FAST_SCENARIO, space=space, checks=names), KNOWN)
+        checks = build_report(sc)["checks"]
+        assert [c["name"] for c in checks] == names
+        errored = {c["name"]: c["details"]["error"] for c in checks if c["status"] == "error"}
+        assert set(errored) == errors
+        assert all(error.startswith("SpaceMismatch: ") for error in errored.values()), errored
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("entry", [
+        "liftdeltal-identity",
+        {"name": "liftdeltal-identity"},
+        {"name": "liftdeltal-identity", "params": {}},
+    ])
+    def test_bare_liftdeltal_exits_two(self, tmp_path, capsys, entry):
+        # its pairs come only from the scenario
+        scen = tmp_path / "bare.json"
+        scen.write_text(json.dumps(dict(FAST_SCENARIO, checks=[entry])))
+        assert main(["run", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and "'pairs'" in err and "Traceback" not in err
 
 
 class TestObstructionProvenance:
@@ -463,15 +514,13 @@ class TestBadValuesExitTwo:
         ("freelift-grid-ladder", {"batch": 4}),
         ("algebra-table", {"nonsense": 1}),
         ("algebra-table", 5),
-        ("lattice-shift-symmetry", {"grid_size": True}),
-        ("lattice-shift-symmetry", {"grid_size": 2}),
-        ("corollary2-pointsym", {"grid_size": 8.0}),
-        ("corollary1-equivalence", {"grid_size": "4"}),
-        ("internal-dof-demo", {"grid_size": None}),
-        ("freelift-grid-ladder", {"grids": [8]}),
-        ("freelift-grid-ladder", {"grids": [16, 8]}),
-        ("freelift-grid-ladder", {"grids": [8, 8, 16]}),
-        ("freelift-grid-ladder", {"grids": "8,16"}),
+        # the grid comes from the scenario's space, not from a parameter
+        ("lattice-shift-symmetry", {"grid_size": 8}),
+        ("corollary2-pointsym", {"grid_size": 8}),
+        ("corollary1-equivalence", {"grid_size": 4}),
+        ("internal-dof-demo", {"grid_size": 8}),
+        ("freelift-grid-ladder", {"grids": [8, 16, 32]}),
+        ("liftdeltal-identity", {"pairs": None}),
         ("liftdeltal-identity", {"pairs": 0}),
         ("liftdeltal-identity", {"pairs": []}),
         ("liftdeltal-identity", {"pairs": [["rms", "nope", [3]]]}),
@@ -535,9 +584,8 @@ class TestBadValuesExitTwo:
     def test_declared_params_load(self):
         doc = dict(FAST_SCENARIO, generators=self.GENERATORS, checks=[
             {"name": "liftdeltal-identity", "params": {"pairs": [["rms", "cr0", [3, 4]]]}},
-            {"name": "liftdeltal-identity", "params": {"pairs": None}},
-            {"name": "freelift-grid-ladder", "params": {"grids": [4, 8]}},
-            {"name": "lattice-shift-symmetry", "params": {"grid_size": 3}},
+            {"name": "liftdeltal-identity", "params": {"pairs": [["rms", "rms", [2]]]}},
+            {"name": "freelift-grid-ladder", "params": {}},
         ], tolerances={"algebra-table": 1, "liftdeltal-identity": 2.5})
         sc = parse_scenario(doc, KNOWN)
         assert [c["params"] for c in sc.checks] == [c["params"] for c in doc["checks"]]
@@ -568,8 +616,6 @@ PAIR_ENTRIES = st.tuples(
     st.lists(st.integers(1, 5), min_size=1, max_size=3) | JSON_VALUES,
 ).map(list)
 PARAM_VALUES = {
-    "grid_size": st.integers(2, 40) | JSON_VALUES,
-    "grids": st.lists(st.integers(2, 40), max_size=4) | JSON_VALUES,
     "pairs": st.lists(PAIR_ENTRIES, max_size=3) | JSON_VALUES,
 }
 PARAMETRISED = [name for name in CHECKS if check_parameters(name)]
@@ -663,41 +709,66 @@ def fuzzed_checks(draw):
     return {"generators": draw(fuzzed_generators()), "checks": checks, "tolerances": tolerances}
 
 
+BLOCKS = {
+    "space": fuzzed_space(),
+    "evolution": fuzzed_evolution(),
+    "hbar": BLOCK_NUMBERS,
+    "symmetry": fuzzed_symmetry(),
+}
+
+
 @st.composite
-def fuzzed_scenarios(draw):
-    # half the time one plain check and no generators, so that the blocks
-    # validated after them are reached, and no generator build fails first
-    doc = {"name": "fuzz", "seed": 1, "space": {"size": 3},
-           **(draw(fuzzed_checks()) if draw(st.booleans()) else {"checks": ["algebra-table"]})}
-    # each optional block drawn about half the time, one in ten of them not an object
-    for key, block in (("space", fuzzed_space()), ("evolution", fuzzed_evolution()),
-                       ("hbar", BLOCK_NUMBERS), ("symmetry", fuzzed_symmetry())):
-        if draw(st.booleans()):
-            doc[key] = draw(JSON_VALUES if draw(st.integers(0, 9)) == 9 else block)
-    return sometimes_unknown_key(draw, doc)
+def fuzzed_scenarios(draw, block):
+    """A valid scenario with one block drawn: one of ``BLOCKS``, one in ten
+    of them not an object; ``checks``, the check entries with tolerances
+    and generators; or ``unknown``, a top-level key that no scenario has."""
+    doc = {"name": "fuzz", "seed": 1, "space": {"size": 3}, "checks": ["algebra-table"]}
+    if block == "checks":
+        doc.update(draw(fuzzed_checks()))
+    elif block == "unknown":
+        key = draw(st.text(max_size=4).filter(lambda key: key not in scenario.TOP_LEVEL_KEYS))
+        doc[key] = draw(JSON_VALUES)
+    else:
+        doc[block] = draw(JSON_VALUES if draw(st.integers(0, 9)) == 9 else BLOCKS[block])
+    return doc
 
 
-class TestParseScenarioFuzz:
-    """Any value in any block, and an unknown key in any block, gives a
-    Scenario or a ScenarioError, never another exception."""
-
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(fuzzed_scenarios())
-    # the two defects the wider draws reach, kept as examples: a step count
-    # that overflows round(), and factors whose product hides their signs
-    @example(dict(FAST_SCENARIO, evolution={"dt": 1e-300, "t1": 1e300}))
-    @example(dict(FAST_SCENARIO, space={"size": 3, "factors": [-1, -3]}))
-    def test_scenario_or_scenario_error(self, doc):
+def fuzz_block(block, *examples):
+    """A test that parses 200 scenarios, each with ``block`` drawn and the
+    rest valid, and the ``examples`` besides."""
+    def test(self, doc):
         try:
             sc = parse_scenario(doc, KNOWN)
         except ScenarioError:
             return
+        assert block != "unknown"
         for entry in sc.checks:
-            assert set(entry["params"]) <= set(check_parameters(entry["name"]))
+            assert set(entry["params"]) == set(check_parameters(entry["name"]))
         assert all(math.isfinite(t) and t > 0 for t in sc.tolerances.values())
         assert min(sc.space.factors or (sc.space.size,)) >= 1
         assert math.isfinite(sc.hbar) and sc.hbar > 0
         assert scenario.evolution_config(sc.evolution, sc.hbar).n_steps() >= 1
+
+    for doc in examples:
+        test = example(doc)(test)
+    return settings(max_examples=200, derandomize=True, deadline=None)(
+        given(fuzzed_scenarios(block))(test))
+
+
+class TestParseScenarioFuzz:
+    """Any value in any block, and an unknown key in any block, gives a
+    Scenario or a ScenarioError, never another exception.  Each test draws
+    one block, so every block gets the whole budget."""
+
+    # the two defects the wider draws reach, kept as examples: factors whose
+    # product hides their signs, and a step count that overflows round()
+    test_space = fuzz_block("space", dict(FAST_SCENARIO, space={"size": 3, "factors": [-1, -3]}))
+    test_evolution = fuzz_block("evolution",
+                                dict(FAST_SCENARIO, evolution={"dt": 1e-300, "t1": 1e300}))
+    test_hbar = fuzz_block("hbar")
+    test_symmetry = fuzz_block("symmetry")
+    test_checks = fuzz_block("checks")
+    test_unknown_key = fuzz_block("unknown")
 
 
 class TestAllowedKeyDocs:
@@ -733,27 +804,25 @@ class TestAllowedKeyDocs:
 
 class TestParameterDocs:
     """The schema doc's parameter table and ``list-checks`` name exactly
-    the parameters the check signatures declare."""
+    the parameters the check signatures require."""
 
-    DECLARED = {(name, key, json.dumps(default))
-                for name in CHECKS for key, default in check_parameters(name).items()}
+    REQUIRED = {(name, key) for name in CHECKS for key in check_parameters(name)}
 
     def test_schema_table_matches_signatures(self):
         doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
         section = doc.split("## Check parameters", 1)[1].split("\n## ", 1)[0]
         rows = {tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
                 for line in section.splitlines() if line.startswith("| `")}
-        assert {(check, key, default) for check, key, _, _, default in rows} == self.DECLARED
+        assert {(check, key) for check, key, _, _ in rows} == self.REQUIRED
 
     def test_list_checks_matches_signatures(self, capsys):
         assert main(["list-checks"]) == 0
         listed = set()
         for line in capsys.readouterr().out.splitlines():
             if line.endswith("]"):
-                params = line.rsplit(" [", 1)[1][:-1]
-                listed |= {(line.split()[0], *re.fullmatch(r"(\w+)=(.*)", item).groups())
-                           for item in re.split(r", (?=\w+=)", params)}
-        assert listed == self.DECLARED
+                params = line.rsplit(" [required: ", 1)[1][:-1]
+                listed |= {(line.split()[0], key) for key in params.split(", ")}
+        assert listed == self.REQUIRED
 
 
 class TestCliProcess:

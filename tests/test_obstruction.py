@@ -521,15 +521,14 @@ class TestBatchedChecks:
     def test_liftdeltal_fd_fallback_matches_per_state(self, monkeypatch):
         # without a closed derivative the finite-difference route batches too
         space = ConfigSpace(3)
-        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
-            ("stripped", stripped_rms(space, derivative_fn=None), gen_shifted(space), (2,))
-        ])
-        sc = replace(load_scenario("theorem10", set(CHECKS)), seed=3)
+        sc = replace(load_scenario("theorem10", set(CHECKS)), seed=3, generators={
+            "stripped": stripped_rms(space, derivative_fn=None), "shifted": gen_shifted(space)})
         batched, looped = run_batched_and_looped(
-            monkeypatch, "liftdeltal-identity", sc, {}, ("obstruction_lhs", "obstruction_rhs")
+            monkeypatch, "liftdeltal-identity", sc, {"pairs": [["stripped", "shifted", [2]]]},
+            ("obstruction_lhs", "obstruction_rhs"),
         )
         assert batched.status == "pass"
-        assert batched.details["pairs"]["stripped-n2"]["warnings"]
+        assert batched.details["pairs"]["stripped-vs-shifted-n2"]["warnings"]
         assert batched.to_json_dict() == looped.to_json_dict()
 
     @pytest.mark.parametrize("seed", [None, 3, 11])
@@ -564,24 +563,24 @@ class TestReport:
         assert len(doc["state_norms"]) == 16
         assert not doc["vanishes"] and doc["warnings"] == []
 
-    def test_vanishes_flag(self, monkeypatch):
-        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
-            ("linear", Generator(site_matrix_op(sp, np.eye(3))),
-             Generator(site_matrix_op(sp, np.diag([1.0, 2.0, 3.0]))), (2,)),
-        ])
-        sc = load_scenario("theorem10", set(CHECKS))
-        entry = run_check("liftdeltal-identity", sc, {}).details["pairs"]["linear-n2"]
+    def test_vanishes_flag(self):
+        space = ConfigSpace(3)
+        sc = replace(load_scenario("theorem10", set(CHECKS)), generators={
+            "eye": Generator(site_matrix_op(space, np.eye(3))),
+            "diag": Generator(site_matrix_op(space, np.diag([1.0, 2.0, 3.0])))})
+        pairs = [["eye", "diag", [2]]]
+        res = run_check("liftdeltal-identity", sc, {"pairs": pairs})
+        entry = res.details["pairs"]["eye-vs-diag-n2"]
         assert entry["vanishes"] and entry["rhs_norm"] <= 1e-12
         assert (entry["ell"], entry["m"], entry["n"]) == (1, 1, 2)
 
-    def test_fd_warning_surfaces(self, monkeypatch):
+    def test_fd_warning_surfaces(self):
         space = ConfigSpace(3)
-        stripped = stripped_rms(space, derivative_fn=None)
-        monkeypatch.setattr(checks_lifts, "_default_theorem10_pairs", lambda sp: [
-            ("stripped", stripped, gen_shifted(space), (2,))
-        ])
-        sc = load_scenario("theorem10", set(CHECKS))
-        entry = run_check("liftdeltal-identity", sc, {}).details["pairs"]["stripped-n2"]
+        sc = replace(load_scenario("theorem10", set(CHECKS)), generators={
+            "stripped": stripped_rms(space, derivative_fn=None), "shifted": gen_shifted(space)})
+        pairs = [["stripped", "shifted", [2]]]
+        res = run_check("liftdeltal-identity", sc, {"pairs": pairs})
+        entry = res.details["pairs"]["stripped-vs-shifted-n2"]
         assert entry["warnings"] == [
             "operator 'rms-log-modulus' lacks a closed-form derivative; finite differences in use"
         ]

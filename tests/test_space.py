@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sepsym.space
-from sepsym.errors import BadTuple, SizeCapExceeded
+from sepsym.errors import BadTuple, SizeCapExceeded, SpaceMismatch
 from sepsym.space import (
     SMOOTH_COEFF_BUDGET,
     SMOOTH_MAX_MODE,
@@ -183,7 +183,7 @@ class TestRandomState:
         assert np.allclose(fine[::2], coarse, rtol=0, atol=1e-12)
 
     def test_smooth_needs_grid(self, space4):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpaceMismatch, match="grid-ordered"):
             random_state(1, space4, 0, smooth=True)
 
     def test_smooth_factor_space(self, spin_space):
@@ -220,6 +220,23 @@ class TestConfigSpace:
         sp = ConfigSpace(6, factors=(2, 3), grid=True)
         assert sp.grid_size == 3 and sp.internal_size == 2
         assert math.isclose(sp.spacing, 2 * math.pi / 3)
+
+    @pytest.mark.parametrize("space, refined", [
+        (ConfigSpace(5), ConfigSpace(10)),
+        (ConfigSpace(8, grid=True), ConfigSpace(16, grid=True)),
+        (ConfigSpace(8, factors=(2, 4), grid=True), ConfigSpace(16, factors=(2, 8), grid=True)),
+        (ConfigSpace(12, factors=(3, 2, 2)), ConfigSpace(24, factors=(3, 2, 4))),
+    ])
+    def test_refined(self, space, refined):
+        # k times the grid sites, every internal factor kept
+        assert space.refined(1) == space and space.refined(2) == refined
+        assert np.allclose(refined.positions()[::2], space.positions(), rtol=0, atol=1e-15)
+        if space.grid:
+            # site x of the grid is site 2x of the refined one, in every
+            # internal component: a smooth draw refines one function
+            coarse = random_state(1, space, 5, smooth=True)
+            assert np.allclose(random_state(1, refined, 5, smooth=True)[::2], coarse,
+                               rtol=0, atol=1e-12)
 
     def test_index_tuple_validation(self):
         assert check_index_tuple((0, 2), 3) == (0, 2)

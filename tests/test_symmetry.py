@@ -13,6 +13,8 @@ from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
 from sepsym.mixedpow import IndexPair, bracket_components, product_components
 from sepsym.opcalc import op_combine
 from sepsym.operators import (
+    central_difference_op,
+    cross_ratio_op,
     diag_mult_op,
     lambda_op,
     linear_op,
@@ -20,6 +22,8 @@ from sepsym.operators import (
     rms_log_modulus_op,
     shift_all_op,
     site_matrix_op,
+    spin_rms_log_op,
+    spin_rotation_op,
 )
 from sepsym.checks import CHECKS, run_check
 from sepsym.scenario import load_scenario, random_hermitian
@@ -524,9 +528,18 @@ class TestPointSymmetry:
         with pytest.raises(ValueError):
             named_profile("cubic")
 
-    def test_requires_grid(self, space4):
-        with pytest.raises(ValueError):
-            point_symmetry_parts(PointSymmetrySpec(), space4)
+    @pytest.mark.parametrize("build, premise", [
+        (lambda sp: point_symmetry_parts(PointSymmetrySpec(), sp), "grid-ordered"),
+        (central_difference_op, "grid-ordered"),
+        (lambda sp: spin_rms_log_op(sp, 1.0), "factored"),
+        (spin_rotation_op, "factored"),
+        (lambda sp: cross_ratio_op(sp, refs=(4, 0)), "out of range"),
+    ], ids=["point-symmetry", "central-difference", "spin-rms", "spin-rotation", "refs"])
+    def test_space_premises(self, space4, build, premise):
+        # a space without what an operator needs is a SpaceMismatch, which a
+        # check run reports as an error entry with no trace on stderr
+        with pytest.raises(SpaceMismatch, match=premise):
+            build(space4)
 
 
 def bundled_check(name, seed):
