@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from sepsym.scenario import (
     random_hermitian,
 )
 from sepsym.operators import cross_ratio_op, nonseparating_op
-from sepsym.space import ConfigSpace, random_state
+from sepsym.space import ConfigSpace, random_batch, random_state
 
 KNOWN = set(CHECKS)
 
@@ -393,6 +394,34 @@ class TestEulerRatioAtRoundOff:
             assert cases[name]["fd_euler_residual"] <= 1e-11
         for name in ("lambda", "log-modulus"):
             assert 3.5 <= cases[name]["fd_euler_ratio"] <= 4.5
+
+
+class TestEulerBranchCut:
+    """euler-identities draws phi with |arg| <= pi/6, so its stencils stay
+    off the principal log's cut; uncapped, a stencil straddles it at seed
+    122 (a cross ratio) and at seed 203 (Lambda's phi)."""
+
+    @pytest.mark.parametrize("seed", [122, 203])
+    def test_passes(self, seed):
+        sc = replace(load_scenario("algebra", KNOWN), seed=seed)
+        result = run_check("euler-identities", sc, {})
+        assert result.status == "pass", result.details["criteria"]
+
+    @pytest.mark.parametrize("seed, criterion", [
+        (122, "cross-ratio.fd_derivative_ratio"),
+        (203, "lambda.fd_euler_ratio"),
+    ])
+    def test_uncapped_draw_fails(self, monkeypatch, seed, criterion):
+        from sepsym import checks_algebra
+
+        def uncapped(sizes, space, seeds, **kwargs):
+            return random_batch(sizes, space, seeds)
+
+        monkeypatch.setattr(checks_algebra, "random_batch", uncapped)
+        sc = replace(load_scenario("algebra", KNOWN), seed=seed)
+        result = run_check("euler-identities", sc, {})
+        assert result.status == "fail"
+        assert result.details["criteria"][criterion]["defect"] > 1
 
 
 class TestBadValuesExitTwo:
