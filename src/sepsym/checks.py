@@ -61,12 +61,8 @@ class CheckContext:
         return self.scenario.space
 
     @property
-    def hbar(self) -> float:
-        return self.scenario.hbar
-
-    @property
     def evolution(self) -> EvolutionConfig:
-        return evolution_config(self.scenario.evolution, self.hbar)
+        return evolution_config(self.scenario.evolution, self.scenario.hbar)
 
 
 def _tolerance(ctx: CheckContext) -> float:

@@ -25,18 +25,18 @@ from .space import random_batch
 
 def branch_margin(phi2: np.ndarray, coupling: float, cfg: EvolutionConfig) -> float:
     """pi less the largest |arg R| that the cross ratios R (refs (0, 0))
-    of the two-particle states ``phi2`` reach over [t0, t1] under
-    Lambda_2(1, 0) + c psi ln R, in closed form.
+    of the two-particle states ``phi2`` reach over [t0, t1] (in units of
+    hbar) under Lambda_2(1, 0) + c psi ln R, in closed form.
 
     R is 1 wherever a slot is the reference site, so at every site
-    u = ln|R| and v = arg R obey u' = c v / hbar and v' = -(1 + c) u / hbar
-    while |v| < pi, which gives v(t) = v0 cos wt - sqrt((1 + c) / c) u0 sin wt
-    with w = sqrt(c (1 + c)) / hbar.  |v| peaks at the endpoints or where
+    u = ln|R| and v = arg R obey u' = c v and v' = -(1 + c) u while
+    |v| < pi, which gives v(t) = v0 cos wt - sqrt((1 + c) / c) u0 sin wt
+    with w = sqrt(c (1 + c)).  |v| peaks at the endpoints or where
     wt = atan2(-sqrt((1 + c) / c) u0, v0) modulo pi, at the amplitude.
     """
     log_r = np.log(phi2 * phi2[:1, :1] / (phi2[:, :1] * phi2[:1, :]))
     v0, b = log_r.imag, -math.sqrt((1 + coupling) / coupling) * log_r.real
-    span = math.sqrt(coupling * (1 + coupling)) / cfg.hbar * (cfg.t1 - cfg.t0)
+    span = math.sqrt(coupling * (1 + coupling)) * (cfg.t1 - cfg.t0)
     ends = np.maximum(np.abs(v0), np.abs(v0 * math.cos(span) + b * math.sin(span)))
     inside = np.mod(np.arctan2(b, v0), math.pi) <= span
     return math.pi - float(np.where(inside, np.hypot(v0, b), ends).max())
@@ -59,7 +59,7 @@ def check_separation_evolution(ctx: CheckContext) -> CheckResult:
     phi1, phi2 = random_batch((1, 2), space, [ctx.rng(k) for k in range(4)],
                               phase_cap=math.pi / 4)
     dts = [0.02, 0.01, 0.005]
-    cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5, hbar=ctx.hbar) for dt in dts]
+    cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=0.5) for dt in dts]
     runs = separation_test(H, phi1, phi2, cfgs)
     residuals = [sum(run.gaps) for run in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
@@ -98,15 +98,14 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     # both trajectories off the branch cut, where E(k phi) = k^(a,b) E(phi) holds
     [phi] = random_batch((1,), space, [rng], phase_cap=math.pi / 2)
     dts = [0.02, 0.01, 0.005]
-    runs = scaling_test(F, phi, 1.4 + 0.3j,
-                        [EvolutionConfig(dt=dt, t0=0.0, t1=1.0, hbar=ctx.hbar) for dt in dts])
+    runs = scaling_test(F, phi, 1.4 + 0.3j, [EvolutionConfig(dt=dt, t0=0.0, t1=1.0) for dt in dts])
     residuals = [gaps[0] for gaps, _ in runs]
     trajs = [traj for _, traj in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     # the ladder's index laws at dt = 0.02 and 0.01 give the closed form and
     # the extraction, which recovers (p, q) at second order: halving the
     # step quarters the error
-    closed = complex(math.cos(p / ctx.hbar), -math.sin(p / ctx.hbar))
+    closed = complex(math.cos(p), -math.sin(p))
     closed_err = abs(complex(trajs[1].a[-1]) - closed)
     extr_errs = []
     for traj in trajs[:2]:
@@ -116,8 +115,7 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     # strictly homogeneous operator: scaling holds to round-off
     strict = rms_log_modulus_op(space, 0.8)
     [([strict_res], _)] = scaling_test(
-        strict, phi, 0.7 - 0.4j, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=ctx.hbar)]
-    )
+        strict, phi, 0.7 - 0.4j, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)])
     return judge(ctx, {
         "ratios": ("band", ratios, (12.0, 20.0)),
         "closed_form_error": ("bound", closed_err, 1e-8),

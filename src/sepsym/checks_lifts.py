@@ -37,7 +37,7 @@ from .operators import (
     spin_rms_log_op,
     spin_rotation_op,
 )
-from .scenario import build_point_spec, random_hermitian
+from .scenario import random_hermitian
 from .space import ConfigSpace, random_batch, sup_norms
 from .symmetry import PointSymmetrySpec, point_symmetry_parts
 
@@ -264,15 +264,12 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     }, {"spin_space": {"size": SPIN_SPACE.size, "factors": list(SPIN_SPACE.factors)}})
 
 
-def _point_spec(ctx: CheckContext) -> PointSymmetrySpec:
-    """The scenario's point-symmetry data; without any, smooth site
-    profiles with both a phase and a genuine drift part."""
-    if ctx.scenario.symmetry:
-        return build_point_spec(ctx.scenario.symmetry)
-    return PointSymmetrySpec(
-        eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
-        xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
-    )
+# the point-symmetry data of a scenario without a symmetry block: smooth site
+# profiles with both a phase and a genuine drift part
+_SMOOTH_SPEC = PointSymmetrySpec(
+    eta=lambda pos: 0.7 * np.sin(pos) + 0.3,
+    xi=lambda pos: 0.8 * np.sin(pos + 0.5) + 0.2,
+)
 
 
 def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
@@ -281,8 +278,7 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     derivative part stays small and is reported."""
     space = ctx.space
     G = Generator(cross_ratio_op(space, coupling=0.8))
-    spec = _point_spec(ctx)
-    parts = point_symmetry_parts(spec, space)
+    parts = point_symmetry_parts(ctx.scenario.symmetry or _SMOOTH_SPEC, space)
     [data] = random_batch((3,), space, [ctx.rng(k) for k in range(4)], smooth=True)
     labels = ("phase", "mult", "drift")
     family = [Generator(parts[label]) for label in labels]
@@ -365,7 +361,7 @@ def check_freelift(ctx: CheckContext) -> CheckResult:
     """Grid ladder for the point-symmetry obstruction parts: exact
     vanishing of multiplication and phase parts, quadratic decay of the
     discrete-derivative part."""
-    spec = _point_spec(ctx)
+    spec = ctx.scenario.symmetry or _SMOOTH_SPEC
     seed = ctx.scenario.seed % 2**31
     sites = ctx.space.grid_size
     # the drift is compared on the scenario's own sites, which every rung

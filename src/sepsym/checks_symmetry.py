@@ -35,10 +35,10 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     # one two-particle state per time
     times = (0.21, 0.5, 0.83)
     worst_sym = max(
-        max(inf_symmetry_residual(K, H, t, data, hbar=ctx.hbar))
+        max(inf_symmetry_residual(K, H, t, data))
         for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
     )
-    law_cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=1.0, hbar=ctx.hbar)
+    law_cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=1.0)
     law = index_law_residual(p, q, tau, start, law_cfg)
     return judge(ctx, {
         "symmetry_residual": ("bound", worst_sym, 1e-6),
@@ -57,7 +57,7 @@ def check_lattice_shift(ctx: CheckContext) -> CheckResult:
         tmap=IDENTITY_TIME,
     )
     worst = max(
-        max(symmetry_residual(V, H, 0.3, data, hbar=ctx.hbar))
+        max(symmetry_residual(V, H, 0.3, data))
         for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
     )
     return finish(ctx, worst, {"shift": 2, "grid_size": space.grid_size})
@@ -79,7 +79,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     # one two-particle state per time
     times = (0.3, 0.7)
     worst = max(
-        max(inf_symmetry_residual(M, H, t, data, hbar=ctx.hbar))
+        max(inf_symmetry_residual(M, H, t, data))
         for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
     )
     return judge(ctx, {

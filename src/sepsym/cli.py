@@ -16,8 +16,8 @@ from . import __version__
 from . import obstruction  # noqa: F401  perfbench's tracer looks it up after importing cli
 from .checks import CHECKS, check_parameters, run_check
 from .errors import ScenarioError
-from .scenario import (Scenario, bundled_scenario_names, finite_number, load_scenario,
-                       seed_value, tolerance_map)
+from .scenario import (Scenario, bundled_scenario_names, evolution_config, finite_number,
+                       load_scenario, seed_value, tolerance_map)
 
 
 def _parse_tol_overrides(entries) -> dict[str, float]:
@@ -107,6 +107,7 @@ def main(argv=None) -> int:
             scenario = replace(scenario, hbar=finite_number(args.hbar, "--hbar", positive=True))
         if args.seed is not None:
             scenario = replace(scenario, seed=seed_value(args.seed, "--seed"))
+        evolution_config(scenario.evolution, scenario.hbar)  # the block at the run's hbar
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

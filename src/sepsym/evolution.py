@@ -1,10 +1,14 @@
-"""Fixed-step time integration of i hbar d_t psi = F(t) psi.
+"""Fixed-step time integration of i d_t psi = F(t) psi.
+
+Every time, step and horizon here is in units of hbar: with t = hbar s the
+law i hbar d_t psi = F psi reads i d_s psi = F psi, so no law carries hbar.
+``scenario.evolution_config`` converts a scenario's absolute-time block.
 
 A classical RK4 loop (no adaptivity: deterministic and reproducible at
 desk scale) integrates states.  The evolution-scaling indices
 
-    i hbar d_t' a = p Re a + i q Im a      a(t, t) = 1,
-    i hbar d_t' b = q Re b + i p Im b      b(t, t) = 1,
+    i d_t' a = p Re a + i q Im a      a(t, t) = 1,
+    i d_t' b = q Re b + i p Im b      b(t, t) = 1,
 
 which govern how E(t', t)(k phi) = k^(a, b) E(t', t) phi scales rescaled
 initial data, obey real-linear laws, so their RK4 step is one fixed real
@@ -39,8 +43,9 @@ from .mixedpow import IndexPair, mixed_power, pair_action
 from .opcalc import NonlinearOperator
 from .space import sup_norms, tensor_data
 
-# Desk-scale guarantee, as the flat-size cap: a march may take at most this
-# many steps.  The default dt takes 1000 and no check's ladder over 200.
+# Desk-scale guarantee, as the flat-size cap: a march, or the index flow either
+# way, may take at most this many steps.  The default dt takes 1000 and no
+# check's ladder over 200.
 MAX_STEPS = 100_000
 
 
@@ -49,11 +54,10 @@ class EvolutionConfig:
     dt: float = 1e-3
     t0: float = 0.0
     t1: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.hbar <= 0:
-            raise ValueError("dt and hbar must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         self.n_steps()
 
     def n_steps(self) -> int:
@@ -131,7 +135,7 @@ def rk4_affine_step(linear: Callable, offset: tuple[complex, complex], dt: float
 def _march(
     F: NonlinearOperator, data: np.ndarray, cfgs: Sequence[EvolutionConfig]
 ) -> list[np.ndarray]:
-    """RK4 march of i hbar d_t psi = F(t) psi over a dt ladder: the final
+    """RK4 march of i d_t psi = F(t) psi over a dt ladder: the final
     state of ``data`` at every cfg, in the order of ``cfgs``.
 
     ``data`` may carry trailing batch axes, whose entries evolve
@@ -144,17 +148,17 @@ def _march(
     numpy casts that array and a Python float to complex alike, so every
     entry ends bit for bit where a march at its cfg alone ends.  The
     operator then sees an array of times, so a ladder needs a
-    time-independent F (and a batch axis); its cfgs share t0, t1 and hbar.
+    time-independent F (and a batch axis); its cfgs share t0 and t1.
     """
     first = cfgs[0]
-    if any((cfg.t0, cfg.t1, cfg.hbar) != (first.t0, first.t1, first.hbar) for cfg in cfgs):
-        raise ValueError("the cfgs of a dt ladder must share t0, t1 and hbar")
-    t0, hbar = first.t0, first.hbar
+    if any((cfg.t0, cfg.t1) != (first.t0, first.t1) for cfg in cfgs):
+        raise ValueError("the cfgs of a dt ladder must share t0 and t1")
+    t0 = first.t0
     if len(cfgs) > 1 and (F.time_dependent or data.ndim == F.n):
         raise ValueError("a dt ladder needs a time-independent operator and a batch axis")
 
     def rhs(t, y):
-        return (-1j / hbar) * F.apply(t, y)
+        return -1j * F.apply(t, y)
 
     order = sorted(range(len(cfgs)), key=lambda i: cfgs[i].dt)
     width = data.shape[-1]
@@ -248,7 +252,6 @@ class IndexTrajectory:
     dt: float
     a: np.ndarray
     b: np.ndarray
-    hbar: float
 
     def final(self) -> IndexPair:
         return IndexPair(complex(self.a[-1]), complex(self.b[-1]))
@@ -260,22 +263,21 @@ def index_ode_solve(p: complex, q: complex, cfg: EvolutionConfig) -> IndexTrajec
     uncoupled, autonomous and real-linear, so (a, b) is marched as one
     pair of Python complex numbers by one ``rk4_affine_step`` map, keeping
     every step."""
-    hbar = cfg.hbar
     law_a, law_b = IndexPair(p, q), IndexPair(q, p)
 
     def linear(a, b):
-        return -1j / hbar * pair_action(law_a, a), -1j / hbar * pair_action(law_b, b)
+        return -1j * pair_action(law_a, a), -1j * pair_action(law_b, b)
 
     step = rk4_affine_step(linear, (0j, 0j), cfg.dt)
     samples = [(1.0 + 0j, 1.0 + 0j)]
     for _ in range(cfg.n_steps()):
         samples.append(step(*samples[-1]))
     a, b = zip(*samples)
-    return IndexTrajectory(cfg.dt, np.array(a), np.array(b), hbar)
+    return IndexTrajectory(cfg.dt, np.array(a), np.array(b))
 
 
 def extract_indices(traj: IndexTrajectory) -> IndexPair:
-    """Logarithmic indices p, q = i hbar d_t' (a, b) at t' = t.
+    """Logarithmic indices p, q = i d_t' (a, b) at t' = t.
 
     Uses the second-order one-sided three-point difference, so the
     recovery error is O(dt^2).
@@ -285,7 +287,7 @@ def extract_indices(traj: IndexTrajectory) -> IndexPair:
     dt = traj.dt
     da = (-3 * traj.a[0] + 4 * traj.a[1] - traj.a[2]) / (2 * dt)
     db = (-3 * traj.b[0] + 4 * traj.b[1] - traj.b[2]) / (2 * dt)
-    return IndexPair(1j * traj.hbar * da, 1j * traj.hbar * db)
+    return IndexPair(1j * da, 1j * db)
 
 
 def scaling_test(

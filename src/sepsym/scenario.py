@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -104,9 +104,14 @@ def build_space(spec: dict) -> ConfigSpace:
 
 
 def evolution_config(evolution: dict, hbar: float) -> EvolutionConfig:
-    """The scenario's evolution block over the defaults of EvolutionConfig
-    (dt 1e-3, t0 0, t1 1), at the run's hbar."""
-    return EvolutionConfig(**evolution, hbar=hbar)
+    """The scenario's evolution block, in absolute time over the defaults of
+    EvolutionConfig (dt 1e-3, t0 0, t1 1), converted to units of the run's
+    hbar: the one place hbar enters the numerics."""
+    try:
+        return EvolutionConfig(**{f.name: evolution.get(f.name, f.default) / hbar
+                                  for f in fields(EvolutionConfig)})
+    except (ValueError, StepMismatch) as exc:
+        raise ScenarioError(f"evolution at hbar={hbar}: {exc}") from exc
 
 
 def random_hermitian(space: ConfigSpace, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +219,7 @@ class Scenario:
     evolution: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     generators: dict[str, Generator] = field(default_factory=dict)
-    symmetry: dict = field(default_factory=dict)
+    symmetry: object = None  # its symmetry.PointSymmetrySpec, None without a block
 
 
 def _pairs(value, where: str, generators: dict) -> list:
@@ -317,11 +322,11 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
                  for key, value in evolution.items()}
     try:
         evolution_config(evolution, hbar)
-    except StepMismatch as exc:
-        raise ScenarioError(f"{origin}: evolution: {exc}") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"{origin}: {exc}") from exc
     symmetry = doc.get("symmetry", {})
-    if symmetry != {}:  # the default block needs no symmetry code to validate
-        build_point_spec(symmetry)
+    # the default block needs no symmetry code
+    symmetry = None if symmetry == {} else build_point_spec(symmetry)
     return Scenario(
         name=str(doc["name"]),
         seed=seed,

@@ -1,15 +1,16 @@
 """Symmetries of hierarchy evolutions.
 
+Times are in units of hbar, as in ``evolution``, so no law carries hbar.
 A finite symmetry acts as (V psi)(t) = V(t) psi(T(t)) with an affine time
 map T; it solves the evolution equation
 
-    hbar d_t V(t) = i_bar F(t) V(t) - T'(t) DV(t) . i_bar F(T(t)),
+    d_t V(t) = i_bar F(t) V(t) - T'(t) DV(t) . i_bar F(T(t)),
 
 where i_bar = -i must stay inside derivative directions because Frechet
 derivatives here are only real-linear.  Infinitesimal symmetries K(t)
 with time rate tau(t) satisfy
 
-    hbar d_t K(t) = [i_bar F(t), K(t)] - d_t ( tau(t) i_bar F(t) ),
+    d_t K(t) = [i_bar F(t), K(t)] - d_t ( tau(t) i_bar F(t) ),
 
 and close under the bracket
     [K, L](t) = [K(t), L(t)] + tau_K d_t L(t) - tau_L d_t K(t),
@@ -32,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SpaceMismatch
-from .evolution import EvolutionConfig, rk4_affine_step
+from .errors import SpaceMismatch, StepMismatch
+from .evolution import MAX_STEPS, EvolutionConfig, rk4_affine_step
 from .hierarchy import Hierarchy, bracket_hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
 from .opcalc import NonlinearOperator
@@ -83,10 +84,8 @@ def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     return (fn(t + DT_SYM) - fn(t - DT_SYM)) / (2 * DT_SYM)
 
 
-def symmetry_residual(
-    V: FiniteSymmetry, F: Hierarchy, t: float, data: np.ndarray, hbar: float = 1.0
-) -> list[float]:
-    """Defect of hbar d_t V = i_bar F V - T' DV . i_bar F(T), per state
+def symmetry_residual(V: FiniteSymmetry, F: Hierarchy, t: float, data: np.ndarray) -> list[float]:
+    """Defect of d_t V = i_bar F V - T' DV . i_bar F(T), per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
     Vn = V.levels.op(n)
@@ -95,22 +94,14 @@ def symmetry_residual(
     dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
     Vphi = Vn.apply(t, data)
     drive = -1j * Fn.apply(V.tmap(t), data)
-    resid = (
-        hbar * dV
-        - (-1j) * Fn.apply(t, Vphi)
-        + V.tmap.derivative * Vn.derivative(t, data, drive)
-    )
+    resid = dV - (-1j) * Fn.apply(t, Vphi) + V.tmap.derivative * Vn.derivative(t, data, drive)
     return sup_norms(resid)
 
 
 def inf_symmetry_residual(
-    K: InfinitesimalSymmetry,
-    F: Hierarchy,
-    t: float,
-    data: np.ndarray,
-    hbar: float = 1.0,
+    K: InfinitesimalSymmetry, F: Hierarchy, t: float, data: np.ndarray
 ) -> list[float]:
-    """Defect of hbar d_t K = [i_bar F, K] - d_t (tau i_bar F), per state
+    """Defect of d_t K = [i_bar F, K] - d_t (tau i_bar F), per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
     Kn = K.levels.op(n)
@@ -123,7 +114,7 @@ def inf_symmetry_residual(
     # direction (DK is only real-linear)
     bracket = -1j * Fn.derivative(t, data, Kphi) - Kn.derivative(t, data, -1j * Fphi)
     dtau = _d_dt(lambda s: K.tau(s) * (-1j) * Fn.apply(s, data), t)
-    resid = hbar * dK - bracket + dtau
+    resid = dK - bracket + dtau
     return sup_norms(resid)
 
 
@@ -222,7 +213,7 @@ def index_flow(
 ) -> Callable[[float], IndexPair]:
     """Dense solution of the symmetry-index evolution
 
-        hbar d_t (c, d) = [(i_bar p, i_bar q), (c, d)] - d_t(tau (i_bar p, i_bar q))
+        d_t (c, d) = [(i_bar p, i_bar q), (c, d)] - d_t(tau (i_bar p, i_bar q))
 
     for constant evolution indices (p, q) and affine tau.  Returns a
     callable evaluating (c(t), d(t)).
@@ -233,23 +224,26 @@ def index_flow(
     direction a call needs with the map of that signed step; an off-node
     time takes the map of its remainder, built once, from its nearest node
     (dense output).  Node k is bit for bit k applications of the map to
-    the start, the value of a fresh k-step march from cfg.t0.
+    the start, the value of a fresh k-step march from cfg.t0.  A time more
+    than MAX_STEPS steps from cfg.t0 raises StepMismatch.
     """
     da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
-    def linear(c, d):
-        # [drive, (c, d)] over hbar
-        ba, bb = bracket_components(da, db, c, d)
-        return ba / cfg.hbar, bb / cfg.hbar
+    def linear(c, d):  # [drive, (c, d)]
+        return bracket_components(da, db, c, d)
 
-    offset = (-tau.alpha * da / cfg.hbar, -tau.alpha * db / cfg.hbar)  # -tau' drive over hbar
+    offset = (-tau.alpha * da, -tau.alpha * db)  # -tau' drive
     y0 = (start.a, start.b)
     # signed step -> (its step map, [y_0, y_1, ...]); remainder -> (its map, [])
     nodes = {dt: (rk4_affine_step(linear, offset, dt), [y0]) for dt in (cfg.dt, -cfg.dt)}
 
     def at(tt: float) -> IndexPair:
         span = tt - cfg.t0
-        steps = int(round(span / cfg.dt))
+        steps = span / cfg.dt
+        if not abs(steps) < MAX_STEPS + 0.5:  # before the table grows; NaN and inf fail too
+            raise StepMismatch(f"time {tt} is {abs(steps):.6g} steps of dt={cfg.dt} from "
+                               f"t0={cfg.t0}, above the step-count cap {MAX_STEPS}")
+        steps = int(round(steps))
         y = y0
         reached = cfg.t0
         if steps != 0:
@@ -289,7 +283,7 @@ def index_law_residual(
             (after.a - before.a) / (2 * cfg.dt), (after.b - before.b) / (2 * cfg.dt)
         )
         rhs = pair_bracket(drive, here) - tau.alpha * drive
-        defect = cfg.hbar * dcd - rhs
+        defect = dcd - rhs
         worst = max(worst, abs(defect.a), abs(defect.b))
     return worst
 

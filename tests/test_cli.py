@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from sepsym.scenario import (
 )
 from sepsym.operators import cross_ratio_op, nonseparating_op
 from sepsym.space import ConfigSpace, random_batch, random_state
+from sepsym.symmetry import PointSymmetrySpec, point_symmetry_parts
 
 KNOWN = set(CHECKS)
 
@@ -178,6 +180,28 @@ class TestGeneratorFactory:
             data = phi if want.n == 2 else phi[:, 0]
             assert np.array_equal(sc.generators[name].op.apply(0.0, data), want.apply(0.0, data))
 
+    @pytest.mark.parametrize("name, check", [("corollary2", "corollary2-pointsym"),
+                                             ("freelift-grid-ladder", "freelift-grid-ladder")])
+    def test_scenario_holds_its_built_symmetry_block(self, monkeypatch, name, check):
+        # built once at load, and the very spec every point-symmetry check uses
+        from sepsym import checks_lifts
+
+        sc = load_scenario(name, KNOWN)
+        assert isinstance(sc.symmetry, PointSymmetrySpec)
+        used = []
+
+        def parts(spec, space):
+            used.append(spec)
+            return point_symmetry_parts(spec, space)
+
+        monkeypatch.setattr(checks_lifts, "point_symmetry_parts", parts)
+        assert run_check(check, sc, {}).status == "pass"
+        assert used and all(spec is sc.symmetry for spec in used)
+
+    def test_no_symmetry_block_is_none(self):
+        assert load_scenario("separation-evolution", KNOWN).symmetry is None
+        assert parse_scenario(dict(FAST_SCENARIO, symmetry={}), KNOWN).symmetry is None
+
     def test_random_hermitian_checks_the_cap_before_drawing(self):
         # 300^2 entries exceed the flat-size cap; nothing is drawn first
         rng = np.random.default_rng(0)
@@ -267,6 +291,20 @@ class TestCheckErrors:
         assert checks[1]["status"] == "pass"  # later checks still run
         captured = capsys.readouterr()
         assert "Traceback" in captured.err and "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("evolution", [{"dt": 1e-6, "t1": 0.01}, {"dt": 1e-300, "t1": 1e-296}])
+    @pytest.mark.parametrize("check", ["index-evolution", "symmetry-bracket-closure"])
+    def test_index_flow_past_the_step_cap_is_an_error_entry(self, capsys, evolution, check):
+        # each block validates at 10 000 steps, but the checks sample the
+        # flow at 0.21 to 0.83, far more steps of dt from t0 than MAX_STEPS
+        sc = parse_scenario(dict(FAST_SCENARIO, checks=[check], evolution=evolution), KNOWN)
+        start = time.perf_counter()
+        result = run_check(check, sc, {})
+        assert time.perf_counter() - start < 0.5
+        assert result.status == "error"
+        assert result.details["error"].startswith("StepMismatch: ")
+        assert "step-count cap" in result.details["error"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name, tolerances, tol, expected", [
         ("algebra-table", {}, None, 1e-12),  # a single-bound check's default
@@ -517,6 +555,17 @@ class TestBadValuesExitTwo:
     def test_bad_hbar_flag(self, tmp_path, capsys, hbar):
         err = self.run_main(tmp_path, capsys, FAST_SCENARIO, f"--hbar={hbar}")
         assert "--hbar" in err
+
+    @pytest.mark.parametrize("doc, flags", [
+        (dict(EVOLVING, evolution={"dt": 1e-300, "t1": 1e-296}), ["--hbar=1e300"]),
+        (dict(EVOLVING, evolution={"dt": 1e9, "t1": 1e10}), ["--hbar=1e-300"]),
+        (dict(EVOLVING, hbar=1e300, evolution={"dt": 1e-300, "t1": 1e-296}), []),
+    ], ids=["dt-underflows-flag", "horizon-overflows-flag", "dt-underflows-key"])
+    def test_evolution_block_at_the_runs_hbar(self, tmp_path, capsys, doc, flags):
+        # the block is absolute time, so it is validated in units of the hbar
+        # the run uses, after any override
+        err = self.run_main(tmp_path, capsys, doc, *flags)
+        assert "evolution at hbar=" in err
 
     def test_negative_seed(self, tmp_path, capsys):
         # every seeded draw needs a non-negative seed, so one is refused at load
@@ -794,7 +843,8 @@ class TestParseScenarioFuzz:
     test_space = fuzz_block("space", dict(FAST_SCENARIO, space={"size": 3, "factors": [-1, -3]}))
     test_evolution = fuzz_block("evolution",
                                 dict(FAST_SCENARIO, evolution={"dt": 1e-300, "t1": 1e300}))
-    test_hbar = fuzz_block("hbar")
+    test_hbar = fuzz_block("hbar", dict(FAST_SCENARIO, hbar=1e300,
+                                        evolution={"dt": 1e-300, "t1": 1e-296}))
     test_symmetry = fuzz_block("symmetry")
     test_checks = fuzz_block("checks")
     test_unknown_key = fuzz_block("unknown")

@@ -1,7 +1,7 @@
 import cmath
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import scipy.linalg
 
 from sepsym import checks_evolution, evolution
 from sepsym.checks import CHECKS, run_check
+from sepsym.cli import report_text
 from sepsym.errors import StepMismatch, ZeroAmplitude
 from sepsym.evolution import (
     MAX_STEPS,
@@ -34,7 +35,7 @@ from sepsym.operators import (
     site_matrix_op,
     zero_op,
 )
-from sepsym.scenario import load_scenario, random_hermitian
+from sepsym.scenario import evolution_config, load_scenario, random_hermitian
 from sepsym.space import random_batch, random_state, tensor_data
 
 
@@ -65,7 +66,8 @@ class TestEvolve:
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_lambda_unit_modulus_phase_rotation(self, space4, rng):
-        # i hbar dw/dt = p w ln w with |w| = 1: ln w(t) = i theta e^{-ipt}
+        # i dw/dt = p w ln w with |w| = 1: ln w(t) = i theta e^{-ipt}, t in
+        # units of hbar
         p = 1.2
         F = lambda_op(IndexPair(p, p), 1, space4)
         theta = rng.uniform(-2.0, 2.0, 4)
@@ -76,16 +78,18 @@ class TestEvolve:
         assert np.abs(out - oracle).max() <= 1e-10
 
     def test_lambda_general_pointwise_oracle(self, space4, rng):
-        # d(ln w)/dt is the real-linear action of -i(p,q)/hbar on ln w
+        # d(ln w)/ds is the real-linear action of -i(p,q) on ln w, with s in
+        # units of hbar: the absolute horizon 0.5 is s = 0.5 / hbar
         idx = IndexPair(0.8 + 0.3j, 0.5 - 0.2j)
         hbar = 1.7
         F = lambda_op(idx, 1, space4)
         phi = nz(1, space4, rng)
-        cfg = EvolutionConfig(dt=0.0005, t0=0.0, t1=0.5, hbar=hbar)
+        cfg = evolution_config({"dt": 0.0005, "t1": 0.5}, hbar)
+        assert cfg.t1 == 0.5 / hbar
         [out] = _march(F, phi, [cfg])
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # multiplication by -i
-        M = rot @ matrix_components(idx.a, idx.b) / hbar
-        flow = scipy.linalg.expm(0.5 * M)
+        M = rot @ matrix_components(idx.a, idx.b)
+        flow = scipy.linalg.expm(cfg.t1 * M)
         ln0 = np.log(phi)
         comps = np.stack([ln0.real, ln0.imag])
         ln1 = flow @ comps
@@ -240,14 +244,14 @@ class TestSeparation:
         # pi less the largest |arg R| along a dt = 1e-3 march of level 2,
         # one margin per set of four pairs, wherever the closed form is
         # positive (where it is not, the principal arg wraps)
-        coupling, hbar = 0.25, 1.0
+        coupling = 0.25
         level2 = Hierarchy.from_generators(
             [Generator(log_modulus_op(space3, 1.0)),
              Generator(cross_ratio_op(space3, coupling=coupling))], 3).op(2)
         kw = {} if cap is None else {"phase_cap": cap}
         [phi2] = random_batch((2,), space3, [(seed, k) for seed in range(10) for k in range(4)],
                               **kw)
-        cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=0.5, hbar=hbar)
+        cfg = EvolutionConfig(dt=0.02, t0=0.0, t1=0.5)
         sets = [slice(4 * j, 4 * j + 4) for j in range(10)]
         closed = [checks_evolution.branch_margin(phi2[..., s], coupling, cfg) for s in sets]
 
@@ -257,7 +261,7 @@ class TestSeparation:
 
         dt, y, top = 1e-3, phi2, top_arg(phi2)
         for k in range(500):
-            y = rk4_trajectory(lambda t, x: (-1j / hbar) * level2.apply(t, x), y, k * dt, dt, 1)
+            y = rk4_trajectory(lambda t, x: -1j * level2.apply(t, x), y, k * dt, dt, 1)
             top = np.maximum(top, top_arg(y))
         marched = [math.pi - float(top[s].max()) for s in sets]
         positive = [(c, m) for c, m in zip(closed, marched) if c > 0]
@@ -285,15 +289,15 @@ class TestLadder:
 
     DTS = (0.02, 0.01, 0.005)
 
-    def cfgs(self, dts=DTS, t1=0.5, hbar=1.0):
-        return [EvolutionConfig(dt=dt, t0=0.0, t1=t1, hbar=hbar) for dt in dts]
+    def cfgs(self, dts=DTS, t1=0.5):
+        return [EvolutionConfig(dt=dt, t0=0.0, t1=t1) for dt in dts]
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_march_equals_one_step_size_marches(self, space3, seed):
         F = separating_hierarchy(space3).op(3)
         [data] = random_batch((3,), space3, [(seed, k) for k in range(2)])
         # the ladder's order is the caller's, not the march's finest-first one
-        cfgs = self.cfgs((0.01, 0.02, 0.005), hbar=1.3)
+        cfgs = self.cfgs((0.01, 0.02, 0.005))
         for cfg, out in zip(cfgs, _march(F, data, cfgs)):
             assert np.array_equal(out, _march(F, data, [cfg])[0])
 
@@ -322,7 +326,7 @@ class TestLadder:
     def test_scaling_equals_one_step_size_runs(self, space4, seed, make):
         F = make(space4)
         [data] = random_batch((1,), space4, [(seed, k) for k in range(2)])
-        cfgs = self.cfgs(t1=1.0, hbar=1.3)
+        cfgs = self.cfgs(t1=1.0)
         for cfg, (gaps, traj) in zip(cfgs, scaling_test(F, data, 1.4 + 0.3j, cfgs)):
             [(alone_gaps, alone_traj)] = scaling_test(F, data, 1.4 + 0.3j, [cfg])
             assert gaps == alone_gaps
@@ -364,11 +368,10 @@ class TestLadder:
     @pytest.mark.parametrize("other", [
         EvolutionConfig(dt=0.01, t0=0.0, t1=1.0),
         EvolutionConfig(dt=0.01, t0=0.1, t1=0.5),
-        EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3),
     ])
-    def test_mismatched_horizon_or_hbar_raises(self, space3, rng, other):
+    def test_mismatched_horizon_raises(self, space3, rng, other):
         [data] = random_batch((1,), space3, [rng])
-        with pytest.raises(ValueError, match="share t0, t1 and hbar"):
+        with pytest.raises(ValueError, match="share t0 and t1"):
             _march(log_modulus_op(space3), data, [EvolutionConfig(dt=0.02, t0=0.0, t1=0.5), other])
 
     def test_time_dependent_operator_needs_one_step_size(self, space3, rng):
@@ -463,28 +466,29 @@ class TestIndexOde:
         assert abs(complex(traj.b[-1]) - cmath.exp(-1.3j)) <= 1e-8
 
     def test_matrix_exponential_oracle(self):
-        # the real 2x2 system d[Re a, Im a]/dt = rot . rep(p, q) / hbar
+        # the real 2x2 system d[Re a, Im a]/ds = rot . rep(p, q), with s in
+        # units of hbar: the absolute horizon 1 is s = 1 / hbar
         p, q = 1.1, 0.4
         hbar = 1.3
-        cfg = EvolutionConfig(dt=0.002, t0=0.0, t1=1.0, hbar=hbar)
+        cfg = evolution_config({"dt": 0.002, "t1": 1.0}, hbar)
         traj = index_ode_solve(p, q, cfg)
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        Ma = rot @ matrix_components(p, q) / hbar
-        va = scipy.linalg.expm(Ma) @ np.array([1.0, 0.0])
+        Ma = rot @ matrix_components(p, q)
+        va = scipy.linalg.expm(cfg.t1 * Ma) @ np.array([1.0, 0.0])
         assert abs(complex(traj.a[-1]) - complex(va[0], va[1])) <= 1e-10
-        Mb = rot @ matrix_components(q, p) / hbar
-        vb = scipy.linalg.expm(Mb) @ np.array([1.0, 0.0])
+        Mb = rot @ matrix_components(q, p)
+        vb = scipy.linalg.expm(cfg.t1 * Mb) @ np.array([1.0, 0.0])
         assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
 
     def test_scalar_laws_match_joint_array_march(self):
         # sample k is k applications of one step map of the two laws, bit
         # for bit, and the joint complex128 march of [a, b] to round-off
         p, q = 1.1, 0.4
-        cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25, hbar=1.3)
+        cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25)
         pq, qp = IndexPair(p, q), IndexPair(q, p)
 
         def linear(a, b):
-            return -1j / cfg.hbar * pair_action(pq, a), -1j / cfg.hbar * pair_action(qp, b)
+            return -1j * pair_action(pq, a), -1j * pair_action(qp, b)
 
         def rhs(t, y):
             return np.array(linear(complex(y[0]), complex(y[1])))
@@ -524,7 +528,7 @@ class TestScaling:
         F = make(space4)
         phi = nz(1, space4, rng)
         k = 1.4 + 0.3j
-        cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5, hbar=1.3)
+        cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)
         factor = mixed_power(k, index_ode_solve(F.indices.a, F.indices.b, cfg).final())
         [scaled] = _march(F, k * phi, [cfg])
         [base] = _march(F, phi, [cfg])
@@ -573,3 +577,29 @@ class TestScaling:
         [data] = random_batch((2,), space4, [rng])
         with pytest.raises(ValueError):
             scaling_test(F, data, 2.0, [EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)])
+
+
+class TestHbarIsAUnitOfTime:
+    """Every built-in step, horizon and sample time is in units of hbar, and
+    the scenario's evolution block is absolute time: a run at hbar = h is,
+    entry for entry, the run at hbar = 1 with the block divided by h."""
+
+    HBARS = (0.05, 0.1, 0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0, 8.0, 20.0)
+    # (bundled scenario, its checks run here); the first two scenarios'
+    # checks judge built-in ladders, the last two march the block's grid
+    RUNS = (("scaling-indices", ("scaling-indices",)),
+            ("separation-evolution", ("separation-evolution",)),
+            ("freelift-grid-ladder", ("lattice-shift-symmetry",)),
+            ("scaling-indices", ("index-evolution", "symmetry-bracket-closure")))
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("name, checks", RUNS)
+    def test_run_equals_the_unit_hbar_run_of_the_scaled_block(self, hbar, name, checks):
+        sc = replace(load_scenario(name, set(CHECKS)), hbar=hbar)
+        absolute = {f.name: sc.evolution.get(f.name, f.default) for f in fields(EvolutionConfig)}
+        unit = replace(sc, hbar=1.0, evolution={k: v / hbar for k, v in absolute.items()})
+        results = [run_check(check, sc, {}) for check in checks]
+        assert ([report_text(r.to_json_dict()) for r in results]
+                == [report_text(run_check(check, unit, {}).to_json_dict()) for check in checks])
+        if "index-evolution" not in checks:  # only the block's grid depends on hbar
+            assert [r.status for r in results] == ["pass"] * len(checks)

@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 import sepsym.symmetry
-from sepsym.errors import BadRange, SpaceMismatch
-from sepsym.evolution import EvolutionConfig, rk4_affine_step, rk4_trajectory
+from sepsym.errors import BadRange, SpaceMismatch, StepMismatch
+from sepsym.evolution import MAX_STEPS, EvolutionConfig, rk4_affine_step, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
 from sepsym.mixedpow import IndexPair, bracket_components, product_components
 from sepsym.opcalc import op_combine
@@ -83,22 +83,23 @@ class TestFiniteSymmetry:
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     def test_linear_conjugated_flow(self, space4, rng, hbar):
-        # V(t) = U W U^dagger with U = e^{-iAt/hbar} solves the symmetry
-        # equation hbar d_t V = ... for F = A
+        # V(s) = U W U^dagger with U = e^{-iAs} solves the symmetry equation
+        # d_s V = ... for F = A, with s in units of hbar: the absolute time
+        # 0.37 is s = 0.37 / hbar
         A = random_hermitian(space4, rng)
         W = random_hermitian(space4, rng)
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
 
         def conjugated(t, data):
-            U = scipy.linalg.expm(-1j * A * t / hbar)
+            U = scipy.linalg.expm(-1j * A * t)
             return U @ W @ U.conj().T @ data
 
         V = FiniteSymmetry(
             levels=Hierarchy((linear_op(space4, 1, conjugated, "V", time_dependent=True),)),
             tmap=IDENTITY_TIME,
         )
-        res = max(symmetry_residual(V, H, 0.37, nzs(1, space4, rng), hbar=hbar))
+        res = max(symmetry_residual(V, H, 0.37 / hbar, nzs(1, space4, rng)))
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 
 
@@ -179,8 +180,7 @@ def remarch_oracle(p, q, tau, start, cfg):
         c, d = complex(y[0]), complex(y[1])
         fa, fb = product_components(da, db, c, d)
         ba, bb = product_components(c, d, da, db)
-        return np.array([(fa - ba - tau.alpha * da) / cfg.hbar,
-                         (fb - bb - tau.alpha * db) / cfg.hbar])
+        return np.array([fa - ba - tau.alpha * da, fb - bb - tau.alpha * db])
 
     def at(tt):
         span = tt - cfg.t0
@@ -207,10 +207,9 @@ def map_march_oracle(p, q, tau, start, cfg):
     da, db = -1j * p, -1j * q
 
     def linear(c, d):
-        ba, bb = bracket_components(da, db, c, d)
-        return ba / cfg.hbar, bb / cfg.hbar
+        return bracket_components(da, db, c, d)
 
-    offset = (-tau.alpha * da / cfg.hbar, -tau.alpha * db / cfg.hbar)
+    offset = (-tau.alpha * da, -tau.alpha * db)
 
     def at(tt):
         span = tt - cfg.t0
@@ -235,8 +234,8 @@ class TestIndexFlowTable:
     P, Q, START = 1.1, 0.6, IndexPair(0.9, 0.4)
     CASES = [
         (AffineMap(0.0, 0.0), EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)),
-        (AffineMap(0.5, 0.2), EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0, hbar=1.7)),
-        (AffineMap(-1.0, 0.3), EvolutionConfig(dt=0.02, t0=0.25, t1=1.25, hbar=0.6)),
+        (AffineMap(0.5, 0.2), EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)),
+        (AffineMap(-1.0, 0.3), EvolutionConfig(dt=0.02, t0=0.25, t1=1.25)),
     ]
 
     def times(self, cfg):
@@ -305,6 +304,26 @@ class TestIndexFlowTable:
     def test_each_node_is_marched_once(self, monkeypatch):
         steps, fewest, most = self.march_steps(monkeypatch)
         assert fewest <= steps <= most
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_past_the_step_cap_raises_before_marching(self, monkeypatch, sign):
+        # node MAX_STEPS is the last the flow marches to, in either direction;
+        # a time beyond it raises before the node table grows
+        steps = []
+
+        def counting(linear, offset, dt):
+            step = rk4_affine_step(linear, offset, dt)
+            return lambda c, d: steps.append(dt) or step(c, d)
+
+        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
+        cfg = EvolutionConfig(dt=0.01, t0=0.5, t1=1.0)
+        flow = index_flow(self.P, self.Q, AffineMap(0.5, 0.2), self.START, cfg)
+        for far in (cfg.t0 + sign * (MAX_STEPS + 1) * cfg.dt, sign * 1e300, math.inf):
+            with pytest.raises(StepMismatch, match="step-count cap"):
+                flow(far)
+        assert steps == []
+        flow(cfg.t0 + sign * MAX_STEPS * cfg.dt)
+        assert len(steps) == MAX_STEPS
 
     def test_remarching_flow_fails_the_count(self, monkeypatch):
         # a flow that clears its node tables on every call re-marches from t0
