@@ -142,9 +142,9 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
     for label, op, idx, kind in _euler_cases(space):
         [phi] = random_batch((op.n,), space, [rng], phase_cap=math.pi / 6)
         euler = euler_log_residual if kind == "log" else euler_power_residual
-        worst = max(max(euler(op, 0.0, phi, eta, indices=idx)) for eta in (1.0, 1j, 0.8 - 0.6j))
+        worst = max(max(euler(op, phi, eta, indices=idx)) for eta in (1.0, 1j, 0.8 - 0.6j))
         criteria[f"{label}.closed_residual"] = ("bound", worst, 1e-10)
-        r1, r2 = (max(euler(op, 0.0, phi, 0.8 - 0.6j, indices=idx, fd_step=h))
+        r1, r2 = (max(euler(op, phi, 0.8 - 0.6j, indices=idx, fd_step=h))
                   for h in (h0, h0 / 2))
         if r2 > fd_floor:
             euler_ratio = r1 / r2
@@ -156,8 +156,8 @@ def check_euler_identities(ctx: CheckContext) -> CheckResult:
             criteria[f"{label}.fd_euler_residual"] = ("bound", r1, fd_floor)
         # generic-direction convergence of the finite-difference derivative
         probe = random_state(op.n, space, rng)[..., None]
-        closed = op.derivative(0.0, phi, probe)
-        e1, e2 = (max(sup_norms(op.derivative(0.0, phi, probe, fd_step=h) - closed))
+        closed = op.derivative(phi, probe)
+        e1, e2 = (max(sup_norms(op.derivative(phi, probe, fd_step=h) - closed))
                   for h in (h0, h0 / 2))
         dir_ratio = e1 / e2 if e2 > 0 else float("inf")
         criteria[f"{label}.fd_derivative_ratio"] = ("band", dir_ratio, band)

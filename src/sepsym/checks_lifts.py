@@ -70,20 +70,20 @@ def check_derivation_bracket(ctx: CheckContext) -> CheckResult:
     factors = iter(random_batch([k for split in splits for k in split], space, [rng] * 4,
                                 phase_cap=cap))
     worst_leibniz = max(
-        max(tensor_derivation_residual(Bk, 0.0, [next(factors) for _ in split]))
+        max(tensor_derivation_residual(Bk, [next(factors) for _ in split]))
         for split in splits
     )
     [batch] = random_batch((1,), space, [rng] * 4, phase_cap=math.pi / 2)
-    est, _ = estimate_log_indices(Bk.op(1), 0.0, batch)
+    est, _ = estimate_log_indices(Bk.op(1), batch)
     expect = pair_bracket(F.op(1).indices, G.op(1).indices)
     index_err = max(abs(est.a - expect.a), abs(est.b - expect.b))
     # threshold of the bracket >= max threshold: a pure 2-threshold
     # hierarchy bracketed against F has a vanishing first level
     H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space, refs=(1, 0), coupling=0.6))], 3)
     Bk2 = bracket_hierarchy(F, H2)
-    lvl1 = max(sup_norms(Bk2.op(1).apply(0.0, batch)))
+    lvl1 = max(sup_norms(Bk2.op(1).apply(batch)))
     prod2 = random_batch((1, 1), space, [rng], phase_cap=cap)
-    lvl2_on_products = max(tensor_derivation_residual(Bk2, 0.0, prod2))
+    lvl2_on_products = max(tensor_derivation_residual(Bk2, prod2))
     return judge(ctx, {
         "leibniz_residual": ("bound", worst_leibniz, 1e-8),
         "index_error": ("bound", index_err, 1e-6),
@@ -107,7 +107,7 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     for g_orig, g_rec in zip(gens, recovered):
         [probes] = random_batch((g_orig.ell,), space, [rng] * 4)
         worst = max(
-            worst, *sup_norms(g_rec.op.apply(0.0, probes) - g_orig.op.apply(0.0, probes)),
+            worst, *sup_norms(g_rec.op.apply(probes) - g_orig.op.apply(probes)),
             abs(g_rec.indices.a - g_orig.indices.a), abs(g_rec.indices.b - g_orig.indices.b),
         )
     # idempotence: decomposing the rebuilt hierarchy returns the same parts
@@ -115,7 +115,7 @@ def check_decomposition_roundtrip(ctx: CheckContext) -> CheckResult:
     again = canonical_decompose(rebuilt, seed=ctx.rng(2))
     probes = random_batch([g.ell for g in recovered], space, [rng])
     for g1, g2, probe in zip(recovered, again, probes):
-        worst = max(worst, *sup_norms(g2.op.apply(0.0, probe) - g1.op.apply(0.0, probe)))
+        worst = max(worst, *sup_norms(g2.op.apply(probe) - g1.op.apply(probe)))
     details = {"levels": 3, "thresholds": [g.ell for g in recovered]}
     return finish(ctx, worst, details)
 
@@ -129,11 +129,11 @@ def check_permutation(ctx: CheckContext) -> CheckResult:
     [batch2] = random_batch((2,), space, [rng] * 3)
     [batch3] = random_batch((3,), space, [rng] * 2)
     worst_sym = max(
-        *check_permutation_property(F.op(2), 0.0, batch2),
-        *check_permutation_property(F.op(3), 0.0, batch3),
+        *check_permutation_property(F.op(2), batch2),
+        *check_permutation_property(F.op(3), batch3),
     )
     lone = lift_J(shifted_log_modulus_op(space, 1.0), (0,), 2)
-    asym = max(check_permutation_property(lone, 0.0, batch2))
+    asym = max(check_permutation_property(lone, batch2))
     return judge(ctx, {
         "hierarchy_residual": ("bound", worst_sym, 1e-12),
         "counterexample_residual": ("floor", asym, 0.1),
@@ -148,13 +148,13 @@ def check_tensor_derivation(ctx: CheckContext) -> CheckResult:
     F, G = _default_bracket_hierarchies(space)
     worst = max(
         max(tensor_derivation_residual(
-            H, 0.0, random_batch(sizes, space, [rng] * 4, phase_cap=math.pi / 4)))
+            H, random_batch(sizes, space, [rng] * 4, phase_cap=math.pi / 4)))
         for H in (F, G) for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
     )
     bad_ops = list(F.ops)
     bad_ops[1] = op_combine([bad_ops[1], nonseparating_op(space, 2, 0.5)])
     bad = Hierarchy(tuple(bad_ops))
-    bad_residual = max(tensor_derivation_residual(bad, 0.0, random_batch((1, 1), space, [rng])))
+    bad_residual = max(tensor_derivation_residual(bad, random_batch((1, 1), space, [rng])))
     return judge(ctx, {
         "leibniz_residual": ("bound", worst, 1e-10),
         "counterexample_residual": ("floor", bad_residual, 0.01),
@@ -191,8 +191,8 @@ def check_liftdeltal_identity(ctx: CheckContext, pairs: list) -> CheckResult:
             size = 16 if n <= 3 else 6
             [data] = random_batch((n,), F.op.space, [np.random.default_rng(seed)] * size)
             H = bracket_generator(F, G, verify=True, seed=seed)
-            lhs = obstruction_lhs(F, G, n, 0.0, data, bracket_gen=H)
-            rhs = obstruction_rhs(F, G, n, 0.0, data)
+            lhs = obstruction_lhs(F, G, n, data, bracket_gen=H)
+            rhs = obstruction_rhs(F, G, n, data)
             lhs_norms, rhs_norms = sup_norms(lhs), sup_norms(rhs)
             # the worst gap between the two sides, relative to the larger
             residual = max(
@@ -225,7 +225,7 @@ def check_real_linear_degeneration(ctx: CheckContext) -> CheckResult:
         [data] = random_batch((n,), space, [ctx.rng(10 * n + k) for k in range(4)])
         scales = [max(1.0, norm) for norm in sup_norms(data)]
         for side in (obstruction_rhs, obstruction_lhs):
-            norms = sup_norms(side(A, Bl, n, 0.0, data))
+            norms = sup_norms(side(A, Bl, n, data))
             worst = max(worst, *(norm / scale for norm, scale in zip(norms, scales)))
     return finish(ctx, worst, {"levels": [2, 3]})
 
@@ -249,13 +249,13 @@ def check_corollary1_equivalence(ctx: CheckContext) -> CheckResult:
     K = Generator(relative_log_modulus_op(space, 0.7))
     [data2] = random_batch((2,), space, [ctx.rng(k) for k in range(8)])
     [data3] = random_batch((3,), space, [ctx.rng(100 + k) for k in range(8)])
-    two = max(sup_norms(corollary1_obstruction(F, K, 0.0, data2)))
-    lifted = max(sup_norms(obstruction_lhs(F, K, 3, 0.0, data3)))
+    two = max(sup_norms(corollary1_obstruction(F, K, data2)))
+    lifted = max(sup_norms(obstruction_lhs(F, K, 3, data3)))
     Fs, Ks = _spin_pair(SPIN_SPACE)
     [spin2] = random_batch((2,), SPIN_SPACE, [ctx.rng(200 + k) for k in range(8)])
     [spin3] = random_batch((3,), SPIN_SPACE, [ctx.rng(300 + k) for k in range(8)])
-    spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, 0.0, spin2)))
-    spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, 0.0, spin3)))
+    spin_two = max(sup_norms(corollary1_obstruction(Fs, Ks, spin2)))
+    spin_lift = max(sup_norms(obstruction_lhs(Fs, Ks, 3, spin3)))
     return judge(ctx, {
         "vanishing_pair.two_particle": ("bound", two, 1e-8),
         "vanishing_pair.lifted_n3": ("bound", lifted, 1e-7),
@@ -283,9 +283,9 @@ def check_corollary2_pointsym(ctx: CheckContext) -> CheckResult:
     labels = ("phase", "mult", "drift")
     family = [Generator(parts[label]) for label in labels]
     norms = {label: max(sup_norms(val))
-             for label, val in zip(labels, corollary2_obstruction(G, family, 0.0, data))}
+             for label, val in zip(labels, corollary2_obstruction(G, family, data))}
     zero_gen = Generator(cross_ratio_op(space, coupling=0.0))
-    zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, family[0], 0.0, data)))
+    zero_norm = max(sup_norms(corollary2_obstruction(zero_gen, family[0], data)))
     return judge(ctx, {
         "norms.phase": ("bound", norms["phase"], 1e-10),
         "norms.mult": ("bound", norms["mult"], 1e-10),
@@ -310,7 +310,7 @@ def check_internal_dof(ctx: CheckContext) -> CheckResult:
         # the statistic that genuinely converges under refinement
         return float(np.mean([
             np.abs(corollary1_obstruction(
-                F, K, 0.0, random_batch((2,), F.op.space, [(seed, i)], smooth=True)[0]
+                F, K, random_batch((2,), F.op.space, [(seed, i)], smooth=True)[0]
             )).mean()
             for i in range(size // 2)
         ]))
@@ -318,8 +318,8 @@ def check_internal_dof(ctx: CheckContext) -> CheckResult:
     F, K = _spin_pair(ctx.space)
     [base] = random_batch((2,), F.op.space, [np.random.default_rng(seed)] * size)
     [reseeded] = random_batch((2,), F.op.space, [np.random.default_rng(seed + 1)] * size)
-    norms = sup_norms(corollary1_obstruction(F, K, 0.0, base))
-    reseeded_norms = sup_norms(corollary1_obstruction(F, K, 0.0, reseeded))
+    norms = sup_norms(corollary1_obstruction(F, K, base))
+    reseeded_norms = sup_norms(corollary1_obstruction(F, K, reseeded))
     smooth_base = smooth_field_mean(F, K)
     smooth_refined = smooth_field_mean(*_spin_pair(ctx.space.refined(2)))
     mean_base = float(np.mean(norms))
@@ -389,8 +389,8 @@ def check_freelift(ctx: CheckContext) -> CheckResult:
             norms: dict = {label: [] for label in ops}
             for salt in salts:
                 [data] = random_batch((n,), space, [(seed, salt)], smooth=True)
-                vals = (corollary1_obstruction(F, family, 0.0, data) if n == 2
-                        else corollary2_obstruction(G, family, 0.0, data))
+                vals = (corollary1_obstruction(F, family, data) if n == 2
+                        else corollary2_obstruction(G, family, data))
                 for label, val in zip(ops, vals):
                     if label == "drift":
                         val = val[(slice(None, None, k),) * n]

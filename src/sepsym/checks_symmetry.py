@@ -1,5 +1,6 @@
 """The symmetry checks: index transport along symmetries, exact lattice
-shifts and the bracket of infinitesimal symmetries."""
+shifts and the bracket of infinitesimal symmetries.  The index checks
+sample their flows at fixed fractions of the evolution block's horizon."""
 
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ from .symmetry import (
 )
 
 
+def _inside(cfg: EvolutionConfig, fractions) -> tuple[float, ...]:
+    """The times t0 + f (t1 - t0) of the block's horizon at each fraction f."""
+    return tuple(cfg.t0 + f * (cfg.t1 - cfg.t0) for f in fractions)
+
+
 def check_index_evolution(ctx: CheckContext) -> CheckResult:
     """The index-transported Lambda symmetry solves the symmetry equation,
     and its indices satisfy the index evolution law at second order."""
@@ -33,7 +39,7 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
     K = lambda_index_symmetry(p, q, tau, start, cfg, space, 2)
     # one two-particle state per time
-    times = (0.21, 0.5, 0.83)
+    times = _inside(cfg, (0.21, 0.5, 0.83))
     worst_sym = max(
         max(inf_symmetry_residual(K, H, t, data))
         for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))
@@ -52,10 +58,8 @@ def check_lattice_shift(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     F1 = Generator(log_modulus_op(space, 1.0))
     H = Hierarchy.from_generators([F1], 3)
-    V = FiniteSymmetry(
-        levels=Hierarchy(tuple(shift_all_op(space, n, 2) for n in (1, 2, 3))),
-        tmap=IDENTITY_TIME,
-    )
+    shifts = Hierarchy(tuple(shift_all_op(space, n, 2) for n in (1, 2, 3)))
+    V = FiniteSymmetry(levels=lambda t: shifts, tmap=IDENTITY_TIME)
     worst = max(
         max(symmetry_residual(V, H, 0.3, data))
         for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
@@ -77,7 +81,7 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     tau_expected = K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha
     tau_err = abs(M.tau.beta - tau_expected) + abs(M.tau.alpha)
     # one two-particle state per time
-    times = (0.3, 0.7)
+    times = _inside(cfg, (0.3, 0.7))
     worst = max(
         max(inf_symmetry_residual(M, H, t, data))
         for t, data in zip(times, random_batch((2,) * len(times), space, [rng]))

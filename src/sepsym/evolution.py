@@ -1,8 +1,11 @@
-"""Fixed-step time integration of i d_t psi = F(t) psi.
+"""Fixed-step time integration of the autonomous law i d_t psi = F(psi).
 
-Every time, step and horizon here is in units of hbar: with t = hbar s the
-law i hbar d_t psi = F psi reads i d_s psi = F psi, so no law carries hbar.
-``scenario.evolution_config`` converts a scenario's absolute-time block.
+F takes no time: a hierarchy's law is autonomous, and only symmetry
+families depend on t (``symmetry``).  Every time, step and horizon here is
+in units of hbar: with t = hbar s the law i hbar d_t psi = F(psi) reads
+i d_s psi = F(psi), so no law carries hbar.  ``scenario.evolution_config``
+converts a scenario's absolute-time block, which fixes the march's grid
+and horizon.
 
 A classical RK4 loop (no adaptivity: deterministic and reproducible at
 desk scale) integrates states.  The evolution-scaling indices
@@ -74,25 +77,22 @@ class EvolutionConfig:
         return int(rounded)
 
 
-def rk4_trajectory(rhs: Callable, y0, t0, dt, n_steps: int):
-    """RK4 march of dy/dt = rhs(t, y) from y0 at t0; returns the final y.
+def rk4_trajectory(rhs: Callable, y0, dt, n_steps: int):
+    """RK4 march of the autonomous law dy/dt = rhs(y) from y0; returns the
+    final y.
 
     ``y`` may be anything closed under ``+`` and multiplication by a float,
     such as a state array with batch axes.  ``dt`` may be a float64 array
-    that broadcasts against ``y``, one step size per batch entry; ``t0``
-    and the times passed to ``rhs`` are then arrays as well.
+    that broadcasts against ``y``, one step size per batch entry.
     """
     y = y0
-    t = t0
     half, sixth = dt / 2, dt / 6  # on a ladder each is an array operation
-    for k in range(n_steps):
-        mid = t + half
-        k1 = rhs(t, y)
-        k2 = rhs(mid, y + half * k1)
-        k3 = rhs(mid, y + half * k2)
-        k4 = rhs(t + dt, y + dt * k3)
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
         y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (k + 1) * dt
     return y
 
 
@@ -135,7 +135,7 @@ def rk4_affine_step(linear: Callable, offset: tuple[complex, complex], dt: float
 def _march(
     F: NonlinearOperator, data: np.ndarray, cfgs: Sequence[EvolutionConfig]
 ) -> list[np.ndarray]:
-    """RK4 march of i d_t psi = F(t) psi over a dt ladder: the final
+    """RK4 march of i d_t psi = F(psi) over a dt ladder: the final
     state of ``data`` at every cfg, in the order of ``cfgs``.
 
     ``data`` may carry trailing batch axes, whose entries evolve
@@ -146,34 +146,31 @@ def _march(
     finest dt first, steps them with a float64 step-size array on that
     axis, and slices a copy off when its cfg reaches its step count.
     numpy casts that array and a Python float to complex alike, so every
-    entry ends bit for bit where a march at its cfg alone ends.  The
-    operator then sees an array of times, so a ladder needs a
-    time-independent F (and a batch axis); its cfgs share t0 and t1.
+    entry ends bit for bit where a march at its cfg alone ends.  A ladder
+    needs a batch axis, and its cfgs share t0 and t1.
     """
     first = cfgs[0]
     if any((cfg.t0, cfg.t1) != (first.t0, first.t1) for cfg in cfgs):
         raise ValueError("the cfgs of a dt ladder must share t0 and t1")
-    t0 = first.t0
-    if len(cfgs) > 1 and (F.time_dependent or data.ndim == F.n):
-        raise ValueError("a dt ladder needs a time-independent operator and a batch axis")
+    if len(cfgs) > 1 and data.ndim == F.n:
+        raise ValueError("a dt ladder needs a batch axis")
 
-    def rhs(t, y):
-        return -1j * F.apply(t, y)
+    def rhs(y):
+        return -1j * F.apply(y)
 
     order = sorted(range(len(cfgs)), key=lambda i: cfgs[i].dt)
     width = data.shape[-1]
     y = np.concatenate([data] * len(cfgs), axis=-1)
     dt = np.repeat([cfgs[i].dt for i in order], width) if len(cfgs) > 1 else first.dt
-    out, t, done = [None] * len(cfgs), t0, 0
+    out, done = [None] * len(cfgs), 0
     try:
         for m in range(len(cfgs), 0, -1):  # the coarsest cfg left is last and ends first
             steps = cfgs[order[m - 1]].n_steps()
-            y = rk4_trajectory(rhs, y, t, dt, steps - done)
+            y = rk4_trajectory(rhs, y, dt, n_steps=steps - done)
             keep = (m - 1) * width
             out[order[m - 1]], y = y[..., keep:], y[..., :keep]
             if keep:
                 dt, done = dt[:keep], steps
-                t = t0 + steps * dt
     except ZeroAmplitude as exc:
         raise ZeroAmplitude(f"trajectory left the nowhere-zero domain: {exc}") from exc
     return out

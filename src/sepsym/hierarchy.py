@@ -99,17 +99,16 @@ def _lifted(op: NonlinearOperator, into, out_of, **fields) -> NonlinearOperator:
     def lifted(fn):
         if fn is None:
             return None
-        return lambda t, *arrays: out_of(fn(t, *map(into, arrays)))
+        return lambda *arrays: out_of(fn(*map(into, arrays)))
 
-    def linearize(t, data):
-        value, tangent = op.linearize(t, into(data))
+    def linearize(data):
+        value, tangent = op.linearize(into(data))
         return out_of(value), lambda eta: out_of(tangent(into(eta)))
 
     return NonlinearOperator(
         eval_fn=lifted(op.eval_fn), derivative_fn=lifted(op.derivative_fn),
         second_derivative_fn=lifted(op.second_derivative_fn),
-        linearize_fn=None if op.derivative_fn is None else linearize,
-        time_dependent=op.time_dependent, **fields,
+        linearize_fn=None if op.derivative_fn is None else linearize, **fields,
     )
 
 
@@ -297,16 +296,13 @@ class Hierarchy:
             return op_combine([_slot_sum(g, tuple(ns), 1, space, name) for g in gens], name=name)
         blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
 
-        def ev(t, data):
+        def ev(data):
             batch = data.shape[1:]
             return np.concatenate([
-                op.apply(t, data[blk].reshape((size,) * op.n + batch)).reshape((-1,) + batch)
+                op.apply(data[blk].reshape((size,) * op.n + batch)).reshape((-1,) + batch)
                 for op, blk in zip(levels, blocks)])
 
-        return NonlinearOperator(
-            n=1, space=space, eval_fn=ev,
-            time_dependent=any(op.time_dependent for op in levels), name=name,
-        )
+        return NonlinearOperator(n=1, space=space, eval_fn=ev, name=name)
 
     @classmethod
     def from_generators(cls, gens: Sequence[Generator], n_max: int) -> "Hierarchy":
@@ -326,9 +322,7 @@ def bracket_hierarchy(F: Hierarchy, G: Hierarchy) -> Hierarchy:
     return Hierarchy(tuple(lie_bracket(F.op(n), G.op(n)) for n in range(1, n_max + 1)))
 
 
-def tensor_derivation_residual(
-    H: Hierarchy, t: float, factors: Sequence[np.ndarray]
-) -> list[float]:
+def tensor_derivation_residual(H: Hierarchy, factors: Sequence[np.ndarray]) -> list[float]:
     """Leibniz defect || sum_j phi_1 ... F(phi_j) ... phi_r - F_n(prod) ||_inf
     for each product of the factor states stacked on one trailing batch
     axis; factor j has ``factors[j].ndim - 1`` particles."""
@@ -339,13 +333,12 @@ def tensor_derivation_residual(
     prod = tensor_all(factors)
     lhs = np.zeros_like(prod)
     for j, n in enumerate(ns):
-        lhs = lhs + tensor_all([*factors[:j], H.op(n).apply(t, factors[j]), *factors[j + 1:]])
-    return sup_norms(lhs - H.op(n_total).apply(t, prod))
+        lhs = lhs + tensor_all([*factors[:j], H.op(n).apply(factors[j]), *factors[j + 1:]])
+    return sup_norms(lhs - H.op(n_total).apply(prod))
 
 
 def canonical_decompose(
     H: Hierarchy,
-    t: float = 0.0,
     seed: int | np.random.Generator = 0,
     derivation_tol: float = DERIVATION_TOL,
 ) -> list[Generator]:
@@ -364,7 +357,7 @@ def canonical_decompose(
     factors = random_batch([k for split in splits for k in split], H.space, [rng],
                            phase_cap=np.pi / 4)
     for pair in zip(factors[::2], factors[1::2]):
-        res = max(tensor_derivation_residual(H, t, pair))
+        res = max(tensor_derivation_residual(H, pair))
         if res > derivation_tol:
             raise NotDerivation(
                 f"Leibniz residual {res:.3e} exceeds {derivation_tol:.1e}"
@@ -372,7 +365,7 @@ def canonical_decompose(
     first = H.op(1)
     if first.indices is None:
         [batch] = random_batch((1,), H.space, [rng] * 4, phase_cap=np.pi / 2)
-        first = replace(first, indices=estimate_log_indices(first, t, batch)[0])
+        first = replace(first, indices=estimate_log_indices(first, batch)[0])
     gens = [Generator(first)]
     for j in range(2, H.n_max + 1):
         explained = [canonical_lift(g, j) for g in gens]
@@ -386,7 +379,7 @@ def canonical_decompose(
     rebuilt = Hierarchy.from_generators(gens, H.n_max)
     probes = random_batch(range(1, H.n_max + 1), H.space, [rng])
     for n, probe in enumerate(probes, start=1):
-        diff = max(sup_norms(rebuilt.op(n).apply(t, probe) - H.op(n).apply(t, probe)))
+        diff = max(sup_norms(rebuilt.op(n).apply(probe) - H.op(n).apply(probe)))
         if diff > derivation_tol * max(1.0, *sup_norms(probe)):
             raise NotDerivation(
                 f"reconstruction defect {diff:.3e} at level {n} exceeds tolerance"

@@ -32,7 +32,7 @@ def _family(gens) -> list:
     return gens if isinstance(gens, list) else [gens]
 
 
-def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
+def obstruction_rhs(F, G, n: int, data: np.ndarray):
     """sum_K sum_{J not subset K} [F^{nat J}, G^{nat K}] applied to a state.
 
     Either side may be a family, a list of same-level generators: the call
@@ -58,7 +58,7 @@ def obstruction_rhs(F, G, n: int, t: float, data: np.ndarray):
     for k, (i, fk, gk) in enumerate(terms):
         for key in (fk, gk):
             if key not in lin:
-                lin[key] = lifts[key].linearize(t, data)
+                lin[key] = lifts[key].linearize(data)
         accs[i] += lin[fk][1](lin[gk][0])
         accs[i] -= lin[gk][1](lin[fk][0])
         for key in (fk, gk):
@@ -73,7 +73,7 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
     The bracket of the lifted derivations has threshold at least m, so
     its m-th level is a legitimate generator; with ``verify`` this is
     spot-checked numerically (strict homogeneity above one particle via
-    vanishing, to 1e-8 relative, on a seeded product state at t = 0).
+    vanishing, to 1e-8 relative, on a seeded product state).
     Its indices are the index bracket that ``lie_bracket`` forms from the
     operands' declared indices; the lift of F declares F's exactly.
     """
@@ -81,7 +81,7 @@ def bracket_generator(F: Generator, G: Generator, verify: bool = False, seed: in
     H = lie_bracket(canonical_lift(F, m), G.op)
     if verify and m > 1:
         prod = tensor_all(random_batch((1,) * m, F.op.space, [seed], phase_cap=np.pi / 4))
-        defect = max(sup_norms(H.apply(0.0, prod)))
+        defect = max(sup_norms(H.apply(prod)))
         if defect > 1e-8 * max(1.0, *sup_norms(prod)):
             raise BadRange(
                 f"[F#_m, G] fails to vanish on products (defect {defect:.3e}); "
@@ -94,26 +94,25 @@ def obstruction_lhs(
     F: Generator,
     G: Generator,
     n: int,
-    t: float,
     data: np.ndarray,
     bracket_gen: Generator | None = None,
 ) -> np.ndarray:
     """[F#_n, G#_n] phi - ([F#_m, G]#)_n phi."""
     check_obstruction_range(F.ell, G.ell, n)
-    term1 = lie_bracket(canonical_lift(F, n), canonical_lift(G, n)).apply(t, data)
+    term1 = lie_bracket(canonical_lift(F, n), canonical_lift(G, n)).apply(data)
     H = bracket_gen if bracket_gen is not None else bracket_generator(F, G)
-    term2 = canonical_lift(H, n).apply(t, data)
+    term2 = canonical_lift(H, n).apply(data)
     return term1 - term2
 
 
-def corollary1_obstruction(F: Generator, K, t: float, data: np.ndarray):
+def corollary1_obstruction(F: Generator, K, data: np.ndarray):
     """Two-particle defect [F^nat(1), K^nat(2)] + [F^nat(2), K^nat(1)]:
     the double sum at (l, m, n) = (1, 1, 2), whose range admits only
     one-particle generators.  ``K`` may be a family."""
-    return obstruction_rhs(F, K, 2, t, data)
+    return obstruction_rhs(F, K, 2, data)
 
 
-def corollary2_obstruction(G: Generator, K, t: float, data: np.ndarray):
+def corollary2_obstruction(G: Generator, K, data: np.ndarray):
     """(l+1)-particle defect sum_j [G^{comp(j)}, K^nat(j)] for a fresh
     l-particle generator G against a lifted one-particle symmetry K: the
     double sum at (1, l, l+1) with the bracket's operands swapped.  ``K``
@@ -122,7 +121,7 @@ def corollary2_obstruction(G: Generator, K, t: float, data: np.ndarray):
         raise BadRange("corollary2 needs a generator above one particle")
     if any(k.ell != 1 for k in _family(K)):
         raise BadRange("corollary2 lifts a one-particle symmetry generator")
-    out = obstruction_rhs(K, G, G.ell + 1, t, data)
+    out = obstruction_rhs(K, G, G.ell + 1, data)
     for arr in _family(out):
         np.negative(arr, out=arr)
     return out

@@ -1,9 +1,10 @@
 """Non-linear operators at fixed particle number and their Frechet calculus.
 
-Operators are maps (t, phi) -> psi between states of one particle count.
-Their Frechet derivative is only *real*-linear in the direction, so the
-direction must always be formed before differentiating (a complex scalar
-cannot be pulled through).  The commutator
+Operators are autonomous maps phi -> psi between states of one particle
+count: no kernel takes a time, which only symmetry families carry
+(``symmetry``).  Their Frechet derivative is only *real*-linear in the
+direction, so the direction must always be formed before differentiating
+(a complex scalar cannot be pulled through).  The commutator
 
     [F, G] = DF . G - DG . F
 
@@ -48,13 +49,13 @@ def require_nowhere_zero(data: np.ndarray) -> np.ndarray:
 class NonlinearOperator:
     """A (possibly non-linear) map on n-particle state arrays.
 
-    ``eval_fn(t, data)`` maps a complex state array to one of the same
-    shape.  The optional ``derivative_fn(t, data, eta)`` is the
-    real-linear Frechet derivative, ``second_derivative_fn(t, data, u, v)``
+    ``eval_fn(data)`` maps a complex state array to one of the same
+    shape.  The optional ``derivative_fn(data, eta)`` is the
+    real-linear Frechet derivative, ``second_derivative_fn(data, u, v)``
     its derivative in a second direction v.  ``indices`` declares
     mixed-logarithmic homogeneity indices when known.
 
-    ``linearize_fn(t, data)`` returns ``(F(data), eta -> DF(data).eta)``
+    ``linearize_fn(data)`` returns ``(F(data), eta -> DF(data).eta)``
     from one preparation of the state, equal bit for bit to ``eval_fn`` and
     ``derivative_fn`` (one formula each); without it an operator
     linearises as ``(apply, derivative)``.  A ``replace`` of either kernel
@@ -75,27 +76,25 @@ class NonlinearOperator:
 
     n: int
     space: ConfigSpace
-    eval_fn: Callable[[float, np.ndarray], np.ndarray]
-    derivative_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    eval_fn: Callable[[np.ndarray], np.ndarray]
+    derivative_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     second_derivative_fn: Callable[..., np.ndarray] | None = None
     indices: IndexPair | None = None
-    time_dependent: bool = False
     name: str = ""
     pointwise_lambda: IndexPair | None = None
-    linearize_fn: Callable[[float, np.ndarray], tuple] | None = None
+    linearize_fn: Callable[[np.ndarray], tuple] | None = None
 
-    def apply(self, t: float, data: np.ndarray) -> np.ndarray:
-        return self.eval_fn(t, data)
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        return self.eval_fn(data)
 
-    def linearize(self, t: float, data: np.ndarray) -> tuple:
+    def linearize(self, data: np.ndarray) -> tuple:
         """The value and the tangent map at one state, for many directions."""
         if self.linearize_fn is not None:
-            return self.linearize_fn(t, data)
-        return self.apply(t, data), lambda eta: self.derivative(t, data, eta)
+            return self.linearize_fn(data)
+        return self.apply(data), lambda eta: self.derivative(data, eta)
 
     def derivative(
         self,
-        t: float,
         data: np.ndarray,
         eta: np.ndarray,
         fd_step: float | None = None,
@@ -107,13 +106,13 @@ class NonlinearOperator:
         scaled per batch entry by the sup norms over the particle axes.
         """
         if self.derivative_fn is not None and fd_step is None:
-            return self.derivative_fn(t, data, eta)
+            return self.derivative_fn(data, eta)
         step = FD_STEP if fd_step is None else fd_step
         axes = tuple(range(self.n))
         scale_phi = np.maximum(1.0, np.abs(data).max(axis=axes, keepdims=True))
         scale_eta = np.maximum(1.0, np.abs(eta).max(axis=axes, keepdims=True))
         h = step * scale_phi / scale_eta
-        return (self.apply(t, data + h * eta) - self.apply(t, data - h * eta)) / (2 * h)
+        return (self.apply(data + h * eta) - self.apply(data - h * eta)) / (2 * h)
 
     @property
     def has_closed_derivative(self) -> bool:
@@ -162,10 +161,10 @@ def op_combine(
         fns = [getattr(op, attr) for op in ops]
         if any(fn is None for fn in fns):
             return None
-        return lambda t, *arrays: weighted([fn(t, *arrays) for fn in fns])
+        return lambda *arrays: weighted([fn(*arrays) for fn in fns])
 
-    def linearize(t, data):
-        values, tangents = zip(*(op.linearize(t, data) for op in ops))
+    def linearize(data):
+        values, tangents = zip(*(op.linearize(data) for op in ops))
         return weighted(values), lambda eta: weighted([tan(eta) for tan in tangents])
 
     derivative = combined("derivative_fn")
@@ -177,7 +176,6 @@ def op_combine(
         second_derivative_fn=combined("second_derivative_fn"),
         linearize_fn=None if derivative is None else linearize,
         indices=_merge_indices([op.indices for op in ops], cs),
-        time_dependent=any(op.time_dependent for op in ops),
         name=name or " + ".join(op.name for op in ops),
     )
 
@@ -192,18 +190,18 @@ def lie_bracket(F: NonlinearOperator, G: NonlinearOperator) -> NonlinearOperator
     if F.n != G.n or F.space != G.space:
         raise SpaceMismatch("bracket operands must share level and space")
 
-    def ev(t, data):
-        (Fx, DF), (Gx, DG) = F.linearize(t, data), G.linearize(t, data)
+    def ev(data):
+        (Fx, DF), (Gx, DG) = F.linearize(data), G.linearize(data)
         return DF(Gx) - DG(Fx)
 
     deriv = None
     if None not in (F.derivative_fn, G.derivative_fn,
                     F.second_derivative_fn, G.second_derivative_fn):
 
-        def deriv(t, data, eta):
-            (Fx, DF), (Gx, DG) = F.linearize(t, data), G.linearize(t, data)
-            return (F.second_derivative_fn(t, data, Gx, eta) + DF(DG(eta))
-                    - G.second_derivative_fn(t, data, Fx, eta) - DG(DF(eta)))
+        def deriv(data, eta):
+            (Fx, DF), (Gx, DG) = F.linearize(data), G.linearize(data)
+            return (F.second_derivative_fn(data, Gx, eta) + DF(DG(eta))
+                    - G.second_derivative_fn(data, Fx, eta) - DG(DF(eta)))
 
     indices = None
     if F.indices is not None and G.indices is not None:
@@ -214,7 +212,6 @@ def lie_bracket(F: NonlinearOperator, G: NonlinearOperator) -> NonlinearOperator
         eval_fn=ev,
         derivative_fn=deriv,
         indices=indices,
-        time_dependent=F.time_dependent or G.time_dependent,
         name=f"[{F.name}, {G.name}]",
     )
 
@@ -227,7 +224,6 @@ _K_ARG = cmath.exp(1j * math.pi / 4)
 
 def estimate_log_indices(
     F: NonlinearOperator,
-    t: float,
     data: np.ndarray,
 ) -> tuple[IndexPair, float]:
     """Estimate logarithmic indices (p, q) from F(k phi) - k F(phi).
@@ -241,9 +237,9 @@ def estimate_log_indices(
     beyond 1e-6 plus that deviation.
     """
     require_nowhere_zero(data)
-    base = F.apply(t, data)
-    dp = F.apply(t, _K_MOD * data) - _K_MOD * base
-    dq = F.apply(t, _K_ARG * data) - _K_ARG * base
+    base = F.apply(data)
+    dp = F.apply(_K_MOD * data) - _K_MOD * base
+    dq = F.apply(_K_ARG * data) - _K_ARG * base
     # batch axis first: the mean sums the values state by state
     p_all = np.moveaxis(dp / (_K_MOD * math.log(_K_MOD) * data), -1, 0).ravel()
     q_all = np.moveaxis(dq / (1j * _K_ARG * (math.pi / 4) * data), -1, 0).ravel()
@@ -259,20 +255,19 @@ def estimate_log_indices(
     return est, residual
 
 
-def check_permutation_property(F: NonlinearOperator, t: float, data: np.ndarray) -> list[float]:
+def check_permutation_property(F: NonlinearOperator, data: np.ndarray) -> list[float]:
     """Defect of F(pi phi) = pi F(phi), worst over all slot permutations,
     for each state stacked on ``data``'s trailing batch axis."""
-    base = F.apply(t, data)
+    base = F.apply(data)
     per_perm = []
     for perm in itertools.permutations(range(F.n)):
         axes = perm + (F.n,)
-        per_perm.append(sup_norms(F.apply(t, data.transpose(axes)) - base.transpose(axes)))
+        per_perm.append(sup_norms(F.apply(data.transpose(axes)) - base.transpose(axes)))
     return [max(worst) for worst in zip(*per_perm)]
 
 
 def euler_log_residual(
     F: NonlinearOperator,
-    t: float,
     data: np.ndarray,
     eta: complex,
     indices: IndexPair | None = None,
@@ -284,14 +279,13 @@ def euler_log_residual(
     if idx is None:
         raise ValueError("logarithmic indices required for the Euler residual")
     eta = complex(eta)
-    lhs = F.derivative(t, data, eta * data, fd_step=fd_step)
-    rhs = eta * F.apply(t, data) + pair_action(idx, eta) * data
+    lhs = F.derivative(data, eta * data, fd_step=fd_step)
+    rhs = eta * F.apply(data) + pair_action(idx, eta) * data
     return sup_norms(lhs - rhs)
 
 
 def euler_power_residual(
     H: NonlinearOperator,
-    t: float,
     data: np.ndarray,
     eta: complex,
     indices: IndexPair,
@@ -299,6 +293,6 @@ def euler_power_residual(
 ) -> list[float]:
     """Defect of DH(phi).(eta phi) = ((a,b).eta) H(phi), per stacked state."""
     eta = complex(eta)
-    lhs = H.derivative(t, data, eta * data, fd_step=fd_step)
-    rhs = pair_action(indices, eta) * H.apply(t, data)
+    lhs = H.derivative(data, eta * data, fd_step=fd_step)
+    rhs = pair_action(indices, eta) * H.apply(data)
     return sup_norms(lhs - rhs)

@@ -27,26 +27,24 @@ from .opcalc import NonlinearOperator, require_nowhere_zero
 from .space import ConfigSpace
 
 
-def linear_op(
-    space: ConfigSpace, n: int, ev: Callable, name: str, time_dependent: bool = False
-) -> NonlinearOperator:
-    """Complex-linear operator with kernel ``ev(t, data)``: its derivative
+def linear_op(space: ConfigSpace, n: int, ev: Callable, name: str) -> NonlinearOperator:
+    """Complex-linear operator with kernel ``ev(data)``: its derivative
     is ``ev`` applied to the direction, its second derivative is zero and
     its indices are (0, 0)."""
 
-    def second(t, data, u, v):
+    def second(data, u, v):
         return np.zeros_like(data)
 
     return NonlinearOperator(
         n=n, space=space, eval_fn=ev,
-        derivative_fn=lambda t, data, eta: ev(t, eta),
+        derivative_fn=lambda data, eta: ev(eta),
         second_derivative_fn=second,
-        indices=ZERO_PAIR, time_dependent=time_dependent, name=name,
+        indices=ZERO_PAIR, name=name,
     )
 
 
 def zero_op(space: ConfigSpace, n: int) -> NonlinearOperator:
-    return linear_op(space, n, lambda t, data: np.zeros_like(data), "zero")
+    return linear_op(space, n, lambda data: np.zeros_like(data), "zero")
 
 
 def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> NonlinearOperator:
@@ -60,7 +58,7 @@ def site_matrix_op(space: ConfigSpace, matrix, name: str = "linear") -> Nonlinea
     if mat.shape != (space.size, space.size):
         raise ValueError(f"matrix has shape {mat.shape}, expected ({space.size}, {space.size})")
 
-    def ev(t, data):
+    def ev(data):
         return np.einsum("ij,jk->ik", mat, data.reshape(space.size, -1)).reshape(data.shape)
 
     return linear_op(space, 1, ev, name)
@@ -78,17 +76,16 @@ def diag_mult_op(space: ConfigSpace, values: np.ndarray, name: str = "mult") -> 
     if vals.shape != (space.size,):
         raise ValueError(f"multiplier has shape {vals.shape}, expected ({space.size},)")
 
-    return linear_op(space, 1, lambda t, data: site_multiply(vals, data), name)
+    return linear_op(space, 1, lambda data: site_multiply(vals, data), name)
 
 
 def multiplier_op(
     space: ConfigSpace, n: int, coeff: complex, mult: Callable, dmult: Callable,
-    indices: IndexPair | None, name: str, time_dependent: bool = False,
-    log_self: bool = False, d2mult: Callable | None = None,
+    indices: IndexPair | None, name: str, log_self: bool = False, d2mult: Callable | None = None,
 ) -> NonlinearOperator:
-    """The operator psi -> c psi m(psi) of a multiplier ``mult(t, data, |data|)``.
+    """The operator psi -> c psi m(psi) of a multiplier ``mult(data, |data|)``.
 
-    ``dmult(t, data, eta)`` is the derivative Dm.eta and ``d2mult(t, data,
+    ``dmult(data, eta)`` is the derivative Dm.eta and ``d2mult(data,
     u, v)``, if given, the second derivative D2m.(u, v).  The kernels follow
     from the product rule:
 
@@ -108,67 +105,56 @@ def multiplier_op(
     def scaled(x):
         return x if c == 1 else c * x
 
-    def prepare(t, data):
-        return mult(t, data, require_nowhere_zero(data))
+    def prepare(data):
+        return mult(data, require_nowhere_zero(data))
 
     def value(data, m):
         return scaled(data) * m
 
-    def tangent(t, data, m):
+    def tangent(data, m):
         def along(eta):
-            out = eta * m + data * dmult(t, data, eta)
+            out = eta * m + data * dmult(data, eta)
             return scaled(np.add(out, eta, out=out) if log_self else out)
         return along
 
-    def linearize(t, data):
-        m = prepare(t, data)
-        return value(data, m), tangent(t, data, m)
+    def linearize(data):
+        m = prepare(data)
+        return value(data, m), tangent(data, m)
 
-    def second(t, data, u, v):
+    def second(data, u, v):
         require_nowhere_zero(data)
-        out = u * dmult(t, data, v) + v * dmult(t, data, u) + data * d2mult(t, data, u, v)
+        out = u * dmult(data, v) + v * dmult(data, u) + data * d2mult(data, u, v)
         return scaled(out)
 
     return NonlinearOperator(
-        n=n, space=space, eval_fn=lambda t, data: value(data, prepare(t, data)),
-        derivative_fn=lambda t, data, eta: tangent(t, data, prepare(t, data))(eta),
+        n=n, space=space, eval_fn=lambda data: value(data, prepare(data)),
+        derivative_fn=lambda data, eta: tangent(data, prepare(data))(eta),
         second_derivative_fn=None if d2mult is None else second, linearize_fn=linearize,
-        indices=indices, time_dependent=time_dependent, name=name,
+        indices=indices, name=name,
     )
 
 
-def lambda_op(idx, n: int, space: ConfigSpace) -> NonlinearOperator:
+def lambda_op(idx: IndexPair, n: int, space: ConfigSpace) -> NonlinearOperator:
     """The index-carrying operator phi -> ((a,b) . ln phi) phi, pointwise.
 
-    ``idx`` is an IndexPair or a callable t -> IndexPair for explicitly
-    time-dependent indices.  Requires nowhere-zero states.  With static
-    non-zero indices the operator is marked as ``pointwise_lambda``.
+    Requires nowhere-zero states.  With non-zero indices the operator is
+    marked as ``pointwise_lambda``.
     """
-    static = None if callable(idx) else idx
-    if static is not None and static.is_zero():
+    if idx.is_zero():
         return zero_op(space, n).renamed("lambda(0,0)")
-    last: list = [None, static]  # the time last asked and its indices
 
-    def idxfn(t: float) -> IndexPair:
-        # a kernel asks once per multiplier term, all at one t: solve once
-        if static is None and last[0] != t:
-            last[:] = [t, idx(t)]
-        return last[1]
-
-    def mult(t, data, mod):
+    def mult(data, mod):
         # (a,b) . principal_log(data) = a ln|data| + i b arg data, taken from
         # the two real parts without assembling the complex logarithm
-        pair = idxfn(t)
-        return pair.a * np.log(mod) + 1j * pair.b * np.arctan2(data.imag, data.real)
+        return idx.a * np.log(mod) + 1j * idx.b * np.arctan2(data.imag, data.real)
 
-    label = "lambda" if static is None else f"lambda({static.a:g},{static.b:g})"
     op = multiplier_op(
         space, n, 1.0, mult,
-        lambda t, data, eta: pair_action(idxfn(t), eta / data),
-        static, label, time_dependent=static is None,
-        d2mult=lambda t, data, u, v: pair_action(idxfn(t), -u * v / data**2),
+        lambda data, eta: pair_action(idx, eta / data),
+        idx, f"lambda({idx.a:g},{idx.b:g})",
+        d2mult=lambda data, u, v: pair_action(idx, -u * v / data**2),
     )
-    return replace(op, pointwise_lambda=static)
+    return replace(op, pointwise_lambda=idx)
 
 
 def log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOperator:
@@ -187,8 +173,8 @@ def shifted_log_modulus_op(
     sigma = _site_shift_index(space, shift)
     return multiplier_op(
         space, 1, coeff,
-        lambda t, data, mod: np.log(mod[sigma]),
-        lambda t, data, eta: (eta[sigma] / data[sigma]).real,
+        lambda data, mod: np.log(mod[sigma]),
+        lambda data, eta: (eta[sigma] / data[sigma]).real,
         IndexPair(complex(coeff), 0.0), f"shifted-log-modulus({shift})",
     )
 
@@ -205,8 +191,8 @@ def relative_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> Nonline
 
     return multiplier_op(
         space, 1, coeff,
-        lambda t, data, mod: centred(np.log(mod)),
-        lambda t, data, eta: centred((eta / data).real),
+        lambda data, mod: centred(np.log(mod)),
+        lambda data, eta: centred((eta / data).real),
         ZERO_PAIR, "relative-log-modulus",
     )
 
@@ -223,10 +209,10 @@ def rms_log_modulus_op(space: ConfigSpace, coeff: complex = 1.0) -> NonlinearOpe
     def ms(mod):
         return (mod**2).mean(axis=0)
 
-    def mult(t, data, mod):
+    def mult(data, mod):
         return np.log(mod) - 0.5 * np.log(ms(mod))
 
-    def dmult(t, data, eta):
+    def dmult(data, eta):
         return (eta / data).real - (np.conj(data) * eta).real.mean(axis=0) / ms(np.abs(data))
 
     return multiplier_op(space, 1, coeff, mult, dmult, ZERO_PAIR, "rms-log-modulus")
@@ -274,11 +260,11 @@ def cross_ratio_op(
     def refs_of(arr):
         return arr[r1, r2], arr[:, r2][:, None], arr[r1, :][None, :]
 
-    def log_ratio(t, data, mod):
+    def log_ratio(data, mod):
         v, w, y = refs_of(data)
         return principal_log(data * ((v / w) * (1 / y)))
 
-    def dref(t, data, eta):
+    def dref(data, eta):
         # derivative of the reference terms of ln R: DR.eta / R - eta / phi
         v, w, y = refs_of(data)
         ev, ew, ey = refs_of(eta)
@@ -299,10 +285,10 @@ def cross_ratio_op(
         return 0.5 * c * (direct + swap(swapped))
 
     def sym(fn):
-        return lambda t, data, *dirs: average(fn(t, data, *dirs), fn(t, *map(swap, (data, *dirs))))
+        return lambda data, *dirs: average(fn(data, *dirs), fn(*map(swap, (data, *dirs))))
 
-    def linearize(t, data):
-        (dv, dtan), (sv, stan) = raw.linearize(t, data), raw.linearize(t, swap(data))
+    def linearize(data):
+        (dv, dtan), (sv, stan) = raw.linearize(data), raw.linearize(swap(data))
         return average(dv, sv), lambda eta: average(dtan(eta), stan(swap(eta)))
 
     return replace(raw, eval_fn=sym(raw.eval_fn), derivative_fn=sym(raw.derivative_fn),
@@ -314,10 +300,10 @@ def nonseparating_op(space: ConfigSpace, n: int, coupling: complex = 1.0) -> Non
     deliberately not a tensor derivation (used as a counterexample term)."""
     c = complex(coupling)
 
-    def ev(t, data):
+    def ev(data):
         return c * data * np.log1p(np.abs(data) ** 2)
 
-    def deriv(t, data, eta):
+    def deriv(data, eta):
         w = 1.0 + np.abs(data) ** 2
         return c * (eta * np.log(w) + data * 2.0 * (np.conj(data) * eta).real / w)
 
@@ -343,11 +329,11 @@ def spin_rms_log_op(space: ConfigSpace, coupling: complex = 1.0) -> NonlinearOpe
     def rms_sq(mod):
         return (mod**2).mean(axis=0, keepdims=True)
 
-    def mult(t, data, mod):
+    def mult(data, mod):
         arr = spin_axis(mod)
         return (np.log(arr) - 0.5 * np.log(rms_sq(arr))).reshape(data.shape)
 
-    def dmult(t, data, eta):
+    def dmult(data, eta):
         arr, ea = spin_axis(data), spin_axis(eta)
         dln_rms = (np.conj(arr) * ea).real.mean(axis=0, keepdims=True) / rms_sq(np.abs(arr))
         return ((ea / arr).real - dln_rms).reshape(data.shape)
@@ -361,7 +347,7 @@ def spin_rotation_op(space: ConfigSpace) -> NonlinearOperator:
         raise SpaceMismatch("spin rotation needs a factored space with internal size >= 2")
     isize, gsize = space.internal_size, space.grid_size
 
-    def ev(t, data):
+    def ev(data):
         arr = data.reshape(isize, gsize, -1).copy()
         a0 = arr[0].copy()
         arr[0] = arr[1]
@@ -386,7 +372,7 @@ def shift_all_op(space: ConfigSpace, n: int, shift: int) -> NonlinearOperator:
     """
     sigma = _site_shift_index(space, shift)
 
-    def ev(t, data):
+    def ev(data):
         out = data
         for axis in range(n):
             out = np.take(out, sigma, axis=axis)
@@ -403,7 +389,7 @@ def central_difference_op(space: ConfigSpace) -> NonlinearOperator:
     # neighbour sites as gathers: a lifted view is read as it is, not reshaped
     fwd, bwd = _site_shift_index(space, 1), _site_shift_index(space, -1)
 
-    def ev(t, data):
+    def ev(data):
         # numpy divides a complex array by a real scalar as a complex division
         return (data[fwd] - data[bwd]) * (1.0 / (2.0 * h))
 

@@ -1,16 +1,21 @@
 """Symmetries of hierarchy evolutions.
 
 Times are in units of hbar, as in ``evolution``, so no law carries hbar.
+The evolution law i d_t psi = F(psi) is autonomous; time lives in the
+symmetries alone.  A symmetry's ``levels`` is a family t -> Hierarchy of
+autonomous operators, and its residuals take d/dt of that family by a
+central difference (exactly zero for a family that ignores t).
+
 A finite symmetry acts as (V psi)(t) = V(t) psi(T(t)) with an affine time
 map T; it solves the evolution equation
 
-    d_t V(t) = i_bar F(t) V(t) - T'(t) DV(t) . i_bar F(T(t)),
+    d_t V(t) = i_bar F V(t) - T'(t) DV(t) . i_bar F,
 
 where i_bar = -i must stay inside derivative directions because Frechet
 derivatives here are only real-linear.  Infinitesimal symmetries K(t)
 with time rate tau(t) satisfy
 
-    d_t K(t) = [i_bar F(t), K(t)] - d_t ( tau(t) i_bar F(t) ),
+    d_t K(t) = [i_bar F, K(t)] - d_t ( tau(t) i_bar F ),
 
 and close under the bracket
     [K, L](t) = [K(t), L(t)] + tau_K d_t L(t) - tau_L d_t K(t),
@@ -65,17 +70,18 @@ IDENTITY_TIME = AffineMap(1.0, 0.0)
 
 @dataclass(frozen=True)
 class FiniteSymmetry:
-    """Hierarchy of operators V_n(t) together with the time map T."""
+    """Family t -> hierarchy of operators V_n(t), with the time map T."""
 
-    levels: Hierarchy
+    levels: Callable[[float], Hierarchy]
     tmap: AffineMap = IDENTITY_TIME
 
 
 @dataclass(frozen=True)
 class InfinitesimalSymmetry:
-    """Hierarchy of generators K_n(t) with the time-reparameterisation rate."""
+    """Family t -> hierarchy of generators K_n(t), with the
+    time-reparameterisation rate."""
 
-    levels: Hierarchy
+    levels: Callable[[float], Hierarchy]
     tau: AffineMap = AffineMap(0.0, 0.0)
 
 
@@ -85,16 +91,15 @@ def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
 
 
 def symmetry_residual(V: FiniteSymmetry, F: Hierarchy, t: float, data: np.ndarray) -> list[float]:
-    """Defect of d_t V = i_bar F V - T' DV . i_bar F(T), per state
+    """Defect of d_t V = i_bar F V - T' DV . i_bar F, per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
-    Vn = V.levels.op(n)
+    Vn = V.levels(t).op(n)
     Fn = F.op(n)
-    # a static V has d_t V = 0 exactly
-    dV = _d_dt(lambda s: Vn.apply(s, data), t) if Vn.time_dependent else 0.0
-    Vphi = Vn.apply(t, data)
-    drive = -1j * Fn.apply(V.tmap(t), data)
-    resid = dV - (-1j) * Fn.apply(t, Vphi) + V.tmap.derivative * Vn.derivative(t, data, drive)
+    dV = _d_dt(lambda s: V.levels(s).op(n).apply(data), t)
+    Vphi = Vn.apply(data)
+    drive = -1j * Fn.apply(data)
+    resid = dV - (-1j) * Fn.apply(Vphi) + V.tmap.derivative * Vn.derivative(data, drive)
     return sup_norms(resid)
 
 
@@ -104,44 +109,48 @@ def inf_symmetry_residual(
     """Defect of d_t K = [i_bar F, K] - d_t (tau i_bar F), per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
-    Kn = K.levels.op(n)
+    Kn = K.levels(t).op(n)
     Fn = F.op(n)
-    dK = _d_dt(lambda s: Kn.apply(s, data), t) if Kn.time_dependent else 0.0
-    Kphi = Kn.apply(t, data)
-    Fphi = Fn.apply(t, data)
+    dK = _d_dt(lambda s: K.levels(s).op(n).apply(data), t)
+    Kphi = Kn.apply(data)
+    Fphi = Fn.apply(data)
     # [i_bar F, K] = D(i_bar F).K - DK.(i_bar F); multiplication by -i is
     # complex-linear, so it factors out of DF but must stay inside DK's
     # direction (DK is only real-linear)
-    bracket = -1j * Fn.derivative(t, data, Kphi) - Kn.derivative(t, data, -1j * Fphi)
-    dtau = _d_dt(lambda s: K.tau(s) * (-1j) * Fn.apply(s, data), t)
+    bracket = -1j * Fn.derivative(data, Kphi) - Kn.derivative(data, -1j * Fphi)
+    dtau = _d_dt(lambda s: K.tau(s) * (-1j) * Fphi, t)
     resid = dK - bracket + dtau
     return sup_norms(resid)
 
 
 def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> InfinitesimalSymmetry:
-    """Bracket [K, L]: the level-wise Lie bracket plus the rate terms
-    tau_K d_t L - tau_L d_t K."""
-    inner = bracket_hierarchy(K.levels, L.levels)
+    """Bracket [K, L]: at each t, the level-wise Lie bracket of K(t) and
+    L(t) plus the rate terms tau_K d_t L - tau_L d_t K."""
 
-    def with_rates(n):
-        Kn, Ln, br = K.levels.op(n), L.levels.op(n), inner.op(n)
+    def levels(t: float) -> Hierarchy:
+        inner = bracket_hierarchy(K.levels(t), L.levels(t))
 
-        def rated(attr):
-            # one kernel of br plus the rate terms of the same kernel of Ln, Kn
-            def kernel(t, *arrays):
-                out = getattr(br, attr)(t, *arrays)
-                if Ln.time_dependent:
-                    out += K.tau(t) * _d_dt(lambda s: getattr(Ln, attr)(s, *arrays), t)
-                if Kn.time_dependent:
-                    out -= L.tau(t) * _d_dt(lambda s: getattr(Kn, attr)(s, *arrays), t)
-                return out
+        def with_rates(n):
+            br = inner.op(n)
 
-            return kernel
+            def rated(attr):
+                # one kernel of br plus the rate terms of the same kernel of L, K
+                def rate(sym, arrays):
+                    return _d_dt(lambda s: getattr(sym.levels(s).op(n), attr)(*arrays), t)
 
-        deriv = rated("derivative") if br.derivative_fn is not None else None
-        return replace(br, eval_fn=rated("apply"), derivative_fn=deriv, time_dependent=True)
+                def kernel(*arrays):
+                    out = getattr(br, attr)(*arrays)
+                    out += K.tau(t) * rate(L, arrays)
+                    out -= L.tau(t) * rate(K, arrays)
+                    return out
 
-    levels = Hierarchy(tuple(with_rates(n) for n in range(1, inner.n_max + 1)))
+                return kernel
+
+            deriv = rated("derivative") if br.derivative_fn is not None else None
+            return replace(br, eval_fn=rated("apply"), derivative_fn=deriv)
+
+        return Hierarchy(tuple(with_rates(n) for n in range(1, inner.n_max + 1)))
+
     tau = AffineMap(0.0, K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha)
     return InfinitesimalSymmetry(levels=levels, tau=tau)
 
@@ -191,11 +200,11 @@ def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[st
     if spec.xi is not None:
         xi_vals = np.asarray(spec.xi(pos), dtype=float)
         D = central_difference_op(space)
-        div = D.apply(0.0, _tile_internal(space, xi_vals).astype(np.complex128))
+        div = D.apply(_tile_internal(space, xi_vals).astype(np.complex128))
         parts["mult"] = diag_mult_op(space, 0.5 * div, name="div(xi)/2")
         xi_full = _tile_internal(space, xi_vals)
         parts["drift"] = linear_op(
-            space, 1, lambda t, data: site_multiply(xi_full, D.apply(t, data)), "xi*grad"
+            space, 1, lambda data: site_multiply(xi_full, D.apply(data)), "xi*grad"
         )
     return parts
 
@@ -298,7 +307,12 @@ def lambda_index_symmetry(
     n_levels: int,
 ) -> InfinitesimalSymmetry:
     """The index-carrying symmetry K(t) = Lambda(c(t), d(t)) of the
-    Lambda(p, q) hierarchy, with (c, d) transported by the index law."""
+    Lambda(p, q) hierarchy, with (c, d) transported by the index law:
+    ``levels(t)`` solves the flow once and builds every level from it."""
     flow = index_flow(p, q, tau, start, cfg)
-    levels = Hierarchy(tuple(lambda_op(flow, n, space) for n in range(1, n_levels + 1)))
+
+    def levels(t: float) -> Hierarchy:
+        idx = flow(t)
+        return Hierarchy(tuple(lambda_op(idx, n, space) for n in range(1, n_levels + 1)))
+
     return InfinitesimalSymmetry(levels=levels, tau=tau)

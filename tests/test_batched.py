@@ -96,9 +96,9 @@ class TestBatchWidth:
         F = site_matrix_op(ConfigSpace(size), rng.standard_normal((size, size))
                            + 1j * rng.standard_normal((size, size)))
         data = rng.standard_normal((size, 9)) + 1j * rng.standard_normal((size, 9))
-        full = F.apply(0.0, data)
+        full = F.apply(data)
         for k in range(1, 10):
-            assert np.array_equal(full[..., :k], F.apply(0.0, data[..., :k]))
+            assert np.array_equal(full[..., :k], F.apply(data[..., :k]))
 
 
 def one_by_one(residual, sizes, space, **kwargs):
@@ -126,7 +126,7 @@ class TestStackedResiduals:
     def test_tensor_derivation_residual(self, space3, sizes):
         for H in bracket_pair(space3):
             stacked, singles = one_by_one(
-                lambda *fs: tensor_derivation_residual(H, 0.0, fs), sizes, space3,
+                lambda *fs: tensor_derivation_residual(H, fs), sizes, space3,
                 phase_cap=math.pi / 4)
             assert len(stacked) == len(SEEDS) and stacked == singles
 
@@ -135,17 +135,17 @@ class TestStackedResiduals:
         F, _ = bracket_pair(space3)
         for op in (F.op(n), lift_J(shifted_log_modulus_op(space3, 1.0), (0,), n)):
             stacked, singles = one_by_one(
-                lambda data: check_permutation_property(op, 0.0, data), (n,), space3)
+                lambda data: check_permutation_property(op, data), (n,), space3)
             assert stacked == singles
 
     @pytest.mark.parametrize("fd_step", [None, 1e-3])
     def test_euler_residuals(self, space3, fd_step):
         lam = lambda_op(IndexPair(0.7 + 0.2j, 0.4 - 0.3j), 1, space3)
         cases = [
-            lambda d: euler_log_residual(lam, 0.0, d, 0.8 - 0.6j, fd_step=fd_step),
-            lambda d: euler_log_residual(rms_log_modulus_op(space3, 0.9), 0.0, d, 1j,
+            lambda d: euler_log_residual(lam, d, 0.8 - 0.6j, fd_step=fd_step),
+            lambda d: euler_log_residual(rms_log_modulus_op(space3, 0.9), d, 1j,
                                          indices=IndexPair(0, 0), fd_step=fd_step),
-            lambda d: euler_power_residual(cross_ratio_op(space3, coupling=0.8), 0.0, d,
+            lambda d: euler_power_residual(cross_ratio_op(space3, coupling=0.8), d,
                                            0.8 - 0.6j, IndexPair(1.0, 1.0), fd_step=fd_step),
         ]
         for residual, n in zip(cases, (1, 1, 2)):
@@ -155,8 +155,8 @@ class TestStackedResiduals:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetry_residual(self, grid8, n):
         H = Hierarchy.from_generators([Generator(log_modulus_op(grid8, 1.0))], 3)
-        V = FiniteSymmetry(Hierarchy(tuple(shift_all_op(grid8, k, 2) for k in (1, 2, 3))),
-                           IDENTITY_TIME)
+        shifts = Hierarchy(tuple(shift_all_op(grid8, k, 2) for k in (1, 2, 3)))
+        V = FiniteSymmetry(lambda t: shifts, IDENTITY_TIME)
         stacked, singles = one_by_one(lambda d: symmetry_residual(V, H, 0.3, d), (n,), grid8)
         assert stacked == singles
 
@@ -177,9 +177,9 @@ class TestStackedResiduals:
         op = bracket_hierarchy(*bracket_pair(space3)).op(1)
         [data] = random_batch((1,), space3, [(0, j) for j in range(4)], phase_cap=math.pi / 2)
         k_mod = 2.0
-        parts = (op.apply(0.0, k_mod * data) - k_mod * op.apply(0.0, data)) / (
+        parts = (op.apply(k_mod * data) - k_mod * op.apply(data)) / (
             k_mod * math.log(k_mod) * data)
         by_state = complex(np.concatenate([parts[..., j] for j in range(4)]).mean())
         assert complex(parts.ravel().mean()) != by_state
-        est, _ = estimate_log_indices(op, 0.0, data)
+        est, _ = estimate_log_indices(op, data)
         assert est.a == by_state

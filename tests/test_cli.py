@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepsym
-from sepsym import scenario
+from sepsym import scenario, symmetry
 from sepsym.checks import CHECKS, CheckContext, check_parameters, run_check
 from sepsym.cli import build_report, main
 from sepsym.errors import ScenarioError, SizeCapExceeded
@@ -27,7 +27,7 @@ from sepsym.scenario import (
 )
 from sepsym.operators import cross_ratio_op, nonseparating_op
 from sepsym.space import ConfigSpace, random_batch, random_state
-from sepsym.symmetry import PointSymmetrySpec, point_symmetry_parts
+from sepsym.symmetry import DT_SYM, PointSymmetrySpec, index_flow, point_symmetry_parts
 
 KNOWN = set(CHECKS)
 
@@ -167,7 +167,7 @@ class TestGeneratorFactory:
         space = ConfigSpace(3)
         g = build_generator(space, spec)
         phi = random_state(2, space, np.random.default_rng(1), nowhere_zero=True)
-        assert np.array_equal(g.op.apply(0.0, phi), factory(space).apply(0.0, phi))
+        assert np.array_equal(g.op.apply(phi), factory(space).apply(phi))
 
     def test_scenario_holds_its_built_generators(self):
         # built once at load from their specs; every check reads these
@@ -178,7 +178,7 @@ class TestGeneratorFactory:
         for name, spec in specs.items():
             want = build_generator(sc.space, spec).op
             data = phi if want.n == 2 else phi[:, 0]
-            assert np.array_equal(sc.generators[name].op.apply(0.0, data), want.apply(0.0, data))
+            assert np.array_equal(sc.generators[name].op.apply(data), want.apply(data))
 
     @pytest.mark.parametrize("name, check", [("corollary2", "corollary2-pointsym"),
                                              ("freelift-grid-ladder", "freelift-grid-ladder")])
@@ -292,11 +292,12 @@ class TestCheckErrors:
         captured = capsys.readouterr()
         assert "Traceback" in captured.err and "Traceback" not in captured.out
 
-    @pytest.mark.parametrize("evolution", [{"dt": 1e-6, "t1": 0.01}, {"dt": 1e-300, "t1": 1e-296}])
+    @pytest.mark.parametrize("evolution", [{"dt": 1e-9, "t1": 1e-5}, {"dt": 1e-300, "t1": 1e-296}])
     @pytest.mark.parametrize("check", ["index-evolution", "symmetry-bracket-closure"])
     def test_index_flow_past_the_step_cap_is_an_error_entry(self, capsys, evolution, check):
-        # each block validates at 10 000 steps, but the checks sample the
-        # flow at 0.21 to 0.83, far more steps of dt from t0 than MAX_STEPS
+        # each block validates at 10 000 steps and the checks sample the
+        # flow inside it, but d/dt of a symmetry family differences it at
+        # DT_SYM = 1e-4 around each sample, more steps of dt than MAX_STEPS
         sc = parse_scenario(dict(FAST_SCENARIO, checks=[check], evolution=evolution), KNOWN)
         start = time.perf_counter()
         result = run_check(check, sc, {})
@@ -305,6 +306,32 @@ class TestCheckErrors:
         assert result.details["error"].startswith("StepMismatch: ")
         assert "step-count cap" in result.details["error"]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("evolution", [{}, {"t0": 200, "t1": 201}, {"t0": 50, "t1": 51},
+                                           {"dt": 0.01, "t0": -3, "t1": 2}])
+    @pytest.mark.parametrize("check", ["index-evolution", "symmetry-bracket-closure"])
+    def test_index_checks_sample_the_flow_inside_the_block(self, monkeypatch, evolution, check):
+        # the symmetry residuals sample the block's flow at fixed fractions
+        # of [t0, t1], each widened by its d/dt stencil, and only there; the
+        # default block keeps the fixed times the checks always sampled
+        asked = []
+
+        def recording(p, q, tau, start, cfg):
+            flow = index_flow(p, q, tau, start, cfg)
+            return lambda t: asked.append((cfg, t)) or flow(t)
+
+        monkeypatch.setattr(symmetry, "index_flow", recording)
+        sc = parse_scenario(dict(FAST_SCENARIO, checks=[check], evolution=evolution), KNOWN)
+        start = time.perf_counter()
+        result = run_check(check, sc, {})
+        assert time.perf_counter() - start < 0.5
+        assert result.status == "pass", result.details
+        cfg = scenario.evolution_config(sc.evolution, sc.hbar)
+        times = [t for c, t in asked if c == cfg]
+        assert times and all(cfg.t0 - DT_SYM <= t <= cfg.t1 + DT_SYM for t in times)
+        if not evolution:
+            fractions = (0.21, 0.5, 0.83) if check == "index-evolution" else (0.3, 0.7)
+            assert set(fractions) <= set(times)
 
     @pytest.mark.parametrize("name, tolerances, tol, expected", [
         ("algebra-table", {}, None, 1e-12),  # a single-bound check's default

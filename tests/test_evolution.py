@@ -260,8 +260,8 @@ class TestSeparation:
             return np.abs(np.angle(ratio)).max(axis=(0, 1))
 
         dt, y, top = 1e-3, phi2, top_arg(phi2)
-        for k in range(500):
-            y = rk4_trajectory(lambda t, x: -1j * level2.apply(t, x), y, k * dt, dt, 1)
+        for _ in range(500):
+            y = rk4_trajectory(lambda x: -1j * level2.apply(x), y, dt, 1)
             top = np.maximum(top, top_arg(y))
         marched = [math.pi - float(top[s].max()) for s in sets]
         positive = [(c, m) for c, m in zip(closed, marched) if c > 0]
@@ -338,9 +338,9 @@ class TestLadder:
         calls = {}
 
         def counted(op):
-            def ev(t, data):
+            def ev(data):
                 calls[op.n] = calls.get(op.n, 0) + 1
-                return op.eval_fn(t, data)
+                return op.eval_fn(data)
             return replace(op, eval_fn=ev)
 
         H = separating_hierarchy(space3)
@@ -354,9 +354,9 @@ class TestLadder:
         calls = {}
 
         def counted(gen):
-            def ev(t, data):
+            def ev(data):
                 calls[gen.op.name] = calls.get(gen.op.name, 0) + 1
-                return gen.op.eval_fn(t, data)
+                return gen.op.eval_fn(data)
             return Generator(replace(gen.op, eval_fn=ev))
 
         H = separating_hierarchy(space3)
@@ -373,15 +373,6 @@ class TestLadder:
         [data] = random_batch((1,), space3, [rng])
         with pytest.raises(ValueError, match="share t0 and t1"):
             _march(log_modulus_op(space3), data, [EvolutionConfig(dt=0.02, t0=0.0, t1=0.5), other])
-
-    def test_time_dependent_operator_needs_one_step_size(self, space3, rng):
-        F = lambda_op(lambda t: IndexPair(1.0 + 0.1 * t, 0.5), 1, space3)
-        assert F.time_dependent
-        [data] = random_batch((1,), space3, [rng])
-        [out] = _march(F, data, self.cfgs(self.DTS[:1]))
-        assert np.all(np.isfinite(out))
-        with pytest.raises(ValueError, match="time-independent"):
-            _march(F, data, self.cfgs(self.DTS[:2]))
 
     def test_ladder_needs_a_batch_axis(self, space3, rng):
         [data] = random_batch((1,), space3, [rng])
@@ -401,7 +392,7 @@ def random_affine_law(seed):
 
     offset = (complex(b[0], b[1]), complex(b[2], b[3]))
 
-    def rhs(t, y):
+    def rhs(y):
         lc, ld = linear(complex(y[0]), complex(y[1]))
         return np.array([lc + offset[0], ld + offset[1]])
 
@@ -424,14 +415,14 @@ class TestAffineStep:
         linear, offset, rhs, y0 = random_affine_law(seed)
         for dt in (0.02, -0.005):
             got = map_march(rk4_affine_step(linear, offset, dt), y0, 1)
-            want = rk4_trajectory(rhs, y0, 0.0, dt, 1)
+            want = rk4_trajectory(rhs, y0, dt, 1)
             assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_thousand_steps_to_round_off(self, seed):
         linear, offset, rhs, y0 = random_affine_law(seed)
         got = map_march(rk4_affine_step(linear, offset, 1e-3), y0, 1000)
-        want = rk4_trajectory(rhs, y0, 0.0, 1e-3, 1000)
+        want = rk4_trajectory(rhs, y0, 1e-3, 1000)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("anchor, mutant", [
@@ -447,7 +438,7 @@ class TestAffineStep:
         for seed in range(5):
             linear, offset, rhs, y0 = random_affine_law(seed)
             got = map_march(namespace["rk4_affine_step"](linear, offset, 0.02), y0, 50)
-            want = rk4_trajectory(rhs, y0, 0.0, 0.02, 50)
+            want = rk4_trajectory(rhs, y0, 0.02, 50)
             assert np.abs(got - want).max() >= 1e-8
 
 
@@ -490,14 +481,14 @@ class TestIndexOde:
         def linear(a, b):
             return -1j * pair_action(pq, a), -1j * pair_action(qp, b)
 
-        def rhs(t, y):
+        def rhs(y):
             return np.array(linear(complex(y[0]), complex(y[1])))
 
         step = rk4_affine_step(linear, (0j, 0j), cfg.dt)
         mapped, samples = [(1.0 + 0j, 1.0 + 0j)], [np.array([1.0 + 0j, 1.0 + 0j])]
-        for k in range(cfg.n_steps()):
+        for _ in range(cfg.n_steps()):
             mapped.append(step(*mapped[-1]))
-            samples.append(rk4_trajectory(rhs, samples[-1], cfg.t0 + k * cfg.dt, cfg.dt, 1))
+            samples.append(rk4_trajectory(rhs, samples[-1], cfg.dt, 1))
         traj = index_ode_solve(p, q, cfg)
         assert traj.a.tobytes() == np.array([a for a, _ in mapped]).tobytes()
         assert traj.b.tobytes() == np.array([b for _, b in mapped]).tobytes()
@@ -601,5 +592,4 @@ class TestHbarIsAUnitOfTime:
         results = [run_check(check, sc, {}) for check in checks]
         assert ([report_text(r.to_json_dict()) for r in results]
                 == [report_text(run_check(check, unit, {}).to_json_dict()) for check in checks])
-        if "index-evolution" not in checks:  # only the block's grid depends on hbar
-            assert [r.status for r in results] == ["pass"] * len(checks)
+        assert [r.status for r in results] == ["pass"] * len(checks)

@@ -26,7 +26,6 @@ from sepsym.operators import (
     cross_ratio_op,
     diag_mult_op,
     lambda_op,
-    linear_op,
     log_modulus_op,
     nonseparating_op,
     relative_log_modulus_op,
@@ -65,11 +64,11 @@ class TestLiftJ:
         F = site_matrix_op(space3, A)
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
-        left = lift_J(F, (0,), 2).apply(0.0, phi)
+        left = lift_J(F, (0,), 2).apply(phi)
         assert np.allclose(
             left.reshape(-1), np.kron(A, eye) @ phi.reshape(-1), rtol=1e-13, atol=1e-14
         )
-        right = lift_J(F, (1,), 2).apply(0.0, phi)
+        right = lift_J(F, (1,), 2).apply(phi)
         assert np.allclose(
             right.reshape(-1), np.kron(eye, A) @ phi.reshape(-1), rtol=1e-13, atol=1e-14
         )
@@ -77,15 +76,15 @@ class TestLiftJ:
     def test_parameters_factor_out(self, space3, rng):
         F = rms_log_modulus_op(space3, 0.9)
         f, g = nz(1, space3, rng), nz(1, space3, rng)
-        lifted = lift_J(F, (0,), 2).apply(0.0, np.multiply.outer(f, g))
-        expect = np.multiply.outer(F.apply(0.0, f), g)
+        lifted = lift_J(F, (0,), 2).apply(np.multiply.outer(f, g))
+        expect = np.multiply.outer(F.apply(f), g)
         assert np.allclose(lifted, expect, rtol=1e-12, atol=1e-14)
 
     def test_permutation_covariance(self, space3, rng):
         F = shifted_log_modulus_op(space3, 1.0)
         phi = nz(2, space3, rng)
-        via_swap = lift_J(F, (0,), 2).apply(0.0, phi.T).T
-        direct = lift_J(F, (1,), 2).apply(0.0, phi)
+        via_swap = lift_J(F, (0,), 2).apply(phi.T).T
+        direct = lift_J(F, (1,), 2).apply(phi)
         assert np.allclose(via_swap, direct, rtol=1e-13, atol=1e-15)
 
     def test_pointwise_shortcut_matches_slicing(self, space3, rng):
@@ -94,7 +93,7 @@ class TestLiftJ:
         lifted = lift_J(lam, (1,), 2)
         lam2 = lambda_op(IndexPair(0.4, 0.7), 2, space3)
         assert np.allclose(
-            lifted.apply(0.0, phi), lam2.apply(0.0, phi), rtol=1e-14, atol=0
+            lifted.apply(phi), lam2.apply(phi), rtol=1e-14, atol=0
         )
 
     def test_identity_lift_is_same_object(self, space3):
@@ -111,7 +110,7 @@ class TestLiftJ:
             lift_J(cross_ratio_op(space3), (0,), 3)
 
 
-def sliced_oracle(fn, m, J, t, arrays):
+def sliced_oracle(fn, m, J, arrays):
     """The per-slice lifting loop: the kernel sees one parameter slice at
     a time, so no batch axis ever reaches it."""
     ell = len(J)
@@ -122,15 +121,8 @@ def sliced_oracle(fn, m, J, t, arrays):
     blocks = [np.transpose(a, perm).reshape((s,) * ell + (-1,)) for a in arrays]
     out = np.empty_like(blocks[0])
     for p in range(blocks[0].shape[-1]):
-        out[..., p] = fn(t, *(b[..., p] for b in blocks))
+        out[..., p] = fn(*(b[..., p] for b in blocks))
     return np.transpose(out.reshape((s,) * m), inv)
-
-
-def td_matrix(space, square):
-    """Kernel of the explicitly time-dependent two-particle matrix (1 + t) square."""
-    def ev(t, data):
-        return ((1.0 + t) * square @ data.reshape(space.size**2, -1)).reshape(data.shape)
-    return ev
 
 
 def _contract_cases():
@@ -145,15 +137,12 @@ def _contract_cases():
     for sp in (spin, plain):
         s = sp.size
         site_vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        square = rng.standard_normal((s * s, s * s)) + 1j * rng.standard_normal((s * s, s * s))
         cases += [
             (sp, zero_op(sp, 1)),
             (sp, zero_op(sp, 2)),
             (sp, site_matrix_op(sp, random_hermitian(sp, rng))),
-            (sp, linear_op(sp, 2, td_matrix(sp, square), "td-matrix", time_dependent=True)),
             (sp, diag_mult_op(sp, site_vals)),
             (sp, lambda_op(IndexPair(0.4 - 0.2j, 0.7), 1, sp)),
-            (sp, lambda_op(lambda t: IndexPair(0.3 + t, 0.5j * t), 1, sp)),
             (sp, lambda_op(IndexPair(0.4, 0.7), 2, sp)),
             (sp, log_modulus_op(sp, 0.8)),
             (sp, shifted_log_modulus_op(sp, 0.8 + 0.1j, 2)),
@@ -192,21 +181,17 @@ class TestKernelContract:
     )
     def test_lift_matches_slice_loop(self, space, op):
         rng = np.random.default_rng(11)
-        t = 0.3
         for m in range(op.n + 1, 4):
             data, u, v = (nz(m, space, rng) for _ in range(3))
             for J in itertools.combinations(range(m), op.n):
                 lifted = lift_J(op, J, m)
-                _close(lifted.apply(t, data), sliced_oracle(op.eval_fn, m, J, t, (data,)))
+                _close(lifted.apply(data), sliced_oracle(op.eval_fn, m, J, (data,)))
                 if op.derivative_fn is not None:
-                    _close(
-                        lifted.derivative(t, data, u),
-                        sliced_oracle(op.derivative_fn, m, J, t, (data, u)),
-                    )
+                    _close(lifted.derivative(data, u), sliced_oracle(op.derivative_fn, m, J, (data, u)))
                 if op.second_derivative_fn is not None:
                     _close(
-                        lifted.second_derivative_fn(t, data, u, v),
-                        sliced_oracle(op.second_derivative_fn, m, J, t, (data, u, v)),
+                        lifted.second_derivative_fn(data, u, v),
+                        sliced_oracle(op.second_derivative_fn, m, J, (data, u, v)),
                     )
 
     @pytest.mark.parametrize(
@@ -218,9 +203,9 @@ class TestKernelContract:
         # the last axis instead of the particle axis goes unnoticed by shape
         rng = np.random.default_rng(12)
         batch = np.stack([nz(1, space, rng) for _ in range(space.size)], axis=-1)
-        got = op.apply(0.3, batch)
+        got = op.apply(batch)
         for k in range(space.size):
-            _close(got[:, k], op.apply(0.3, batch[:, k]))
+            _close(got[:, k], op.apply(batch[:, k]))
 
 
 class TestClosedFormDerivatives:
@@ -234,20 +219,20 @@ class TestClosedFormDerivatives:
     )
     def test_kernels_match_central_differences(self, space, op):
         rng = np.random.default_rng(13)
-        t, h = 0.3, 1e-5
+        h = 1e-5
         data, u, v = (
             np.stack([nz(op.n, space, rng, cap=np.pi / 8) for _ in range(3)], axis=-1)
             for _ in range(3)
         )
 
         def central(fn, step, *dirs):
-            return (fn(t, data + h * step, *dirs) - fn(t, data - h * step, *dirs)) / (2 * h)
+            return (fn(data + h * step, *dirs) - fn(data - h * step, *dirs)) / (2 * h)
 
         # the worst case reads about 2e-9: O(h^2) truncation plus round-off
         if op.derivative_fn is not None:
-            _close(op.derivative_fn(t, data, u), central(op.eval_fn, u), rel=1e-7)
+            _close(op.derivative_fn(data, u), central(op.eval_fn, u), rel=1e-7)
         if op.second_derivative_fn is not None:
-            _close(op.second_derivative_fn(t, data, u, v), central(op.derivative_fn, v, u), rel=1e-7)
+            _close(op.second_derivative_fn(data, u, v), central(op.derivative_fn, v, u), rel=1e-7)
 
 
 class TestCanonicalLift1p:
@@ -258,7 +243,7 @@ class TestCanonicalLift1p:
         phi = random_state(2, space3, rng)
         eye = np.eye(3)
         oracle = (np.kron(A, eye) + np.kron(eye, A)) @ phi.reshape(-1)
-        assert np.allclose(op2.apply(0.0, phi).reshape(-1), oracle, rtol=1e-13, atol=1e-14)
+        assert np.allclose(op2.apply(phi).reshape(-1), oracle, rtol=1e-13, atol=1e-14)
 
     def test_lambda_lifts_to_lambda(self, space3, rng):
         idx = IndexPair(0.7 - 0.4j, 0.2 + 0.9j)
@@ -268,7 +253,7 @@ class TestCanonicalLift1p:
             direct = lambda_op(idx, n, space3)
             phi = nz(n, space3, rng)
             assert (
-                np.abs(lifted.apply(0.0, phi) - direct.apply(0.0, phi)).max()
+                np.abs(lifted.apply(phi) - direct.apply(phi)).max()
                 <= 1e-12
             )
 
@@ -276,9 +261,9 @@ class TestCanonicalLift1p:
         g = Generator(log_modulus_op(space3, 1.0))
         op2 = canonical_lift(g, 2)
         f1, f2 = nz(1, space3, rng), nz(1, space3, rng)
-        lhs = op2.apply(0.0, np.multiply.outer(f1, f2))
-        rhs = np.multiply.outer(g.op.apply(0.0, f1), f2) + np.multiply.outer(
-            f1, g.op.apply(0.0, f2)
+        lhs = op2.apply(np.multiply.outer(f1, f2))
+        rhs = np.multiply.outer(g.op.apply(f1), f2) + np.multiply.outer(
+            f1, g.op.apply(f2)
         )
         assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -300,7 +285,7 @@ class TestCanonicalLift1p:
         lifted = canonical_lift(g, 2)
         plain = op_combine([lift_J(g.op, (j,), 2) for j in range(2)])
         phi = nz(2, space3, rng)
-        assert np.abs(lifted.apply(0.0, phi) - plain.apply(0.0, phi)).max() <= 1e-14
+        assert np.abs(lifted.apply(phi) - plain.apply(phi)).max() <= 1e-14
 
 
 class TestCanonicalLiftGen:
@@ -314,7 +299,7 @@ class TestCanonicalLiftGen:
         for _ in range(4):
             fs = [nz(1, space3, rng) for _ in range(3)]
             prod = np.multiply.outer(np.multiply.outer(fs[0], fs[1]), fs[2])
-            assert np.abs(op3.apply(0.0, prod)).max() <= 1e-12
+            assert np.abs(op3.apply(prod)).max() <= 1e-12
 
     def test_brute_force_tuple_oracle(self, space3, rng):
         # independent slice enumeration for l = 2, n = 3: apply the raw
@@ -323,10 +308,10 @@ class TestCanonicalLiftGen:
         phi = nz(3, space3, rng)
         acc = np.zeros_like(phi)
         for x in range(space3.size):
-            acc[:, :, x] += G.apply(0.0, phi[:, :, x])
-            acc[:, x, :] += G.apply(0.0, phi[:, x, :])
-            acc[x, :, :] += G.apply(0.0, phi[x, :, :])
-        total = canonical_lift(gen_cross(space3, 0.7), 3).apply(0.0, phi)
+            acc[:, :, x] += G.apply(phi[:, :, x])
+            acc[:, x, :] += G.apply(phi[:, x, :])
+            acc[x, :, :] += G.apply(phi[x, :, :])
+        total = canonical_lift(gen_cross(space3, 0.7), 3).apply(phi)
         assert np.allclose(total, acc, rtol=1e-13, atol=1e-15)
 
     def test_range_errors(self, space3):
@@ -344,8 +329,8 @@ class TestCanonicalLiftGen:
         gen = Generator(op)
         assert gen.indices is None and op.pointwise_lambda is None
         phi = nz(3, space3, rng)
-        got = canonical_lift(gen, 3).apply(0.0, phi)
-        want = slot_loop_oracle(gen, 3).apply(0.0, phi)
+        got = canonical_lift(gen, 3).apply(phi)
+        want = slot_loop_oracle(gen, 3).apply(phi)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -398,11 +383,11 @@ class TestFusedCanonicalLift:
 
         data, u, v = draw(), draw(), draw()
         fused, oracle = canonical_lift(gen, n), slot_loop_oracle(gen, n)
-        out = [(fused.apply(0.3, data), oracle.apply(0.3, data)),
-               (fused.derivative(0.3, data, u), oracle.derivative(0.3, data, u))]
+        out = [(fused.apply(data), oracle.apply(data)),
+               (fused.derivative(data, u), oracle.derivative(data, u))]
         if oracle.second_derivative_fn is not None:
-            out.append((fused.second_derivative_fn(0.3, data, u, v),
-                        oracle.second_derivative_fn(0.3, data, u, v)))
+            out.append((fused.second_derivative_fn(data, u, v),
+                        oracle.second_derivative_fn(data, u, v)))
         else:
             assert fused.second_derivative_fn is None
         return out
@@ -441,9 +426,9 @@ class TestFusedCanonicalLift:
         calls = []
 
         def counted(fn):
-            def kernel(t, *arrays):
+            def kernel(*arrays):
                 calls.append(arrays[0].shape)
-                return fn(t, *arrays)
+                return fn(*arrays)
             return kernel
 
         op = replace(
@@ -456,9 +441,9 @@ class TestFusedCanonicalLift:
         # every tuple's copy of the other slots on one gathered batch axis
         tuples = math.comb(3, gen.ell)
         stacked = (3,) * gen.ell + (tuples * 3 ** (3 - gen.ell),)
-        lifted.apply(0.0, data)
+        lifted.apply(data)
         assert calls == [stacked]
-        lifted.derivative(0.0, data, data)
+        lifted.derivative(data, data)
         assert calls == [stacked] * 2
 
     def test_lift_J_kernel_sees_a_view(self):
@@ -467,11 +452,11 @@ class TestFusedCanonicalLift:
         data = nz(3, self.SPACE, np.random.default_rng(3))
         shared = []
 
-        def kernel(t, d):
+        def kernel(d):
             shared.append(np.shares_memory(d, data))
-            return base.eval_fn(t, d)
+            return base.eval_fn(d)
 
-        lift_J(replace(base, eval_fn=kernel), (2,), 3).apply(0.0, data)
+        lift_J(replace(base, eval_fn=kernel), (2,), 3).apply(data)
         assert shared == [True]
 
 
@@ -501,9 +486,9 @@ class TestPointwiseLambdaLift:
             lifted = canonical_lift(Generator(op), 3)
             assert lifted.name == f"{op.name}#_3" and lifted.indices == op.indices
             shapes = self.kernel_shapes(monkeypatch)
-            lifted.apply(0.0, data)
-            lifted.derivative(0.0, data, data)
-            lifted.second_derivative_fn(0.0, data, data, data)
+            lifted.apply(data)
+            lifted.derivative(data, data)
+            lifted.second_derivative_fn(data, data, data)
             assert shapes == [(3, 3, 3)] * 3
 
     def test_derived_operators_carry_no_marker(self):
@@ -518,8 +503,7 @@ class TestPointwiseLambdaLift:
         ]
         assert [op.pointwise_lambda for op in derived] == [None] * len(derived)
 
-    def test_time_dependent_and_zero_lambda_carry_no_marker(self):
-        assert lambda_op(lambda t: IndexPair(0.3 + t, 0.5j), 1, self.SPACE).pointwise_lambda is None
+    def test_zero_lambda_carries_no_marker(self):
         assert lambda_op(ZERO_PAIR, 1, self.SPACE).pointwise_lambda is None
 
     def test_lambda_sum_takes_the_slot_sum(self, monkeypatch):
@@ -531,7 +515,7 @@ class TestPointwiseLambdaLift:
         for parts in ([lam], [phase, lam]):
             level = canonical_lift(Generator(op_combine(parts)), 3)
             shapes = self.kernel_shapes(monkeypatch)
-            level.apply(0.0, data)
+            level.apply(data)
             assert shapes == [(3, 27), (3, 3, 3)]
 
     def test_redeclared_indices_take_the_slot_sum(self, rng):
@@ -539,9 +523,9 @@ class TestPointwiseLambdaLift:
         # Lambda of its indices: its lift is n Lambda - (n-1) Lambda'
         op = replace(log_modulus_op(self.SPACE), indices=IndexPair(2.0, 0.0))
         phi = nz(2, self.SPACE, rng)
-        want = 2 * lambda_op(IndexPair(1.0, 0.0), 2, self.SPACE).apply(0.0, phi) - (
-            lambda_op(IndexPair(2.0, 0.0), 2, self.SPACE).apply(0.0, phi))
-        got = canonical_lift(Generator(op), 2).apply(0.0, phi)
+        want = 2 * lambda_op(IndexPair(1.0, 0.0), 2, self.SPACE).apply(phi) - (
+            lambda_op(IndexPair(2.0, 0.0), 2, self.SPACE).apply(phi))
+        got = canonical_lift(Generator(op), 2).apply(phi)
         assert np.abs(got - want).max() <= 1e-14
 
     def test_marked_rms_mutant_fails_liftdeltal_identity(self, monkeypatch):
@@ -593,7 +577,7 @@ def two_evaluation_cross_ratio(space, refs, coupling):
         return eta * operators.principal_log(ratio(data)) + data * rdot(data, eta) + eta
 
     def averaged(fn):
-        def kernel(t, data, *dirs):
+        def kernel(data, *dirs):
             direct = fn(data, *dirs)
             swapped = np.swapaxes(
                 fn(np.swapaxes(data, 0, 1), *(np.swapaxes(d, 0, 1) for d in dirs)), 0, 1
@@ -629,7 +613,7 @@ class TestCrossRatioShortcut:
         ops = [canonical_lift(Generator(op), n)
                for op in (cross_ratio_op(space, refs, coupling),
                           two_evaluation_cross_ratio(space, refs, coupling))]
-        return [(op.apply(0.3, data), op.derivative(0.3, data, u)) for op in ops]
+        return [(op.apply(data), op.derivative(data, u)) for op in ops]
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("n", range(2, MAX_PARTICLES + 1))
@@ -665,9 +649,9 @@ class TestCrossRatioShortcut:
         monkeypatch.setattr(operators, "principal_log", counted)
         G = cross_ratio_op(self.SPACE, refs, 0.7)
         data = nz(2, self.SPACE, np.random.default_rng(4))
-        G.apply(0.0, data)
+        G.apply(data)
         assert len(calls) == logs
-        G.derivative(0.0, data, data)
+        G.derivative(data, data)
         assert len(calls) == 2 * logs
 
 
@@ -697,7 +681,7 @@ class TestCrossRatioForm:
         rng = np.random.default_rng(17)
         states = [nz(2, space, rng) for _ in range(batch or 1)]
         data = np.stack(states, axis=-1).reshape(states[0].shape + ((batch,) if batch else ()))
-        cross_ratio_op(space, refs, 0.7).apply(0.0, data)
+        cross_ratio_op(space, refs, 0.7).apply(data)
         wants = [quotient_form_ratio(data, refs)]
         if refs[0] != refs[1]:
             wants.append(quotient_form_ratio(np.swapaxes(data, 0, 1), refs))
@@ -711,19 +695,19 @@ class TestLambdaOp:
     def test_zero_pair_is_zero_operator(self, space3, rng):
         z = lambda_op(IndexPair(0, 0), 2, space3)
         phi = random_state(2, space3, rng)  # zeros allowed: no log evaluated
-        assert np.abs(z.apply(0.0, phi)).max() == 0.0
+        assert np.abs(z.apply(phi)).max() == 0.0
 
     def test_unit_modulus_kernel(self, space3, rng):
         th = rng.uniform(-math.pi, math.pi, (3, 3))
         phi = np.exp(1j * th)
         lam = lambda_op(IndexPair(1.0, 0.0), 2, space3)
-        assert np.abs(lam.apply(0.0, phi)).max() <= 1e-14
+        assert np.abs(lam.apply(phi)).max() <= 1e-14
 
     def test_index_estimate(self, space3, rng):
         idx = IndexPair(0.5 + 0.1j, -0.8 + 0.6j)
         lam = lambda_op(idx, 1, space3)
         [batch] = random_batch((1,), space3, [rng] * 3, phase_cap=math.pi / 2)
-        est, _ = estimate_log_indices(lam, 0.0, batch)
+        est, _ = estimate_log_indices(lam, batch)
         assert est.close_to(idx, 1e-10)
 
 
@@ -732,7 +716,7 @@ class TestNaturalPart:
         idx = IndexPair(0.4, 0.8)
         nat = natural_part(Generator(lambda_op(idx, 1, space3)))
         phi = nz(1, space3, rng)
-        assert np.abs(nat.apply(0.0, phi)).max() <= 1e-14
+        assert np.abs(nat.apply(phi)).max() <= 1e-14
 
     def test_linear_unchanged(self, space3, rng):
         F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
@@ -741,7 +725,7 @@ class TestNaturalPart:
     def test_strictly_homogeneous_result(self, space3, rng):
         nat = natural_part(gen_shifted(space3, 1.0))
         [batch] = random_batch((1,), space3, [rng] * 3, phase_cap=math.pi / 2)
-        est, _ = estimate_log_indices(nat, 0.0, batch)
+        est, _ = estimate_log_indices(nat, batch)
         assert est.close_to(IndexPair(0, 0), 1e-9)
 
 
@@ -753,12 +737,12 @@ class TestTensorDerivation:
         H = self.hierarchy(space3)
         for sizes in [(1, 1), (1, 2), (2, 1), (1, 1, 1)]:
             factors = random_batch(sizes, space3, [rng] * 2, phase_cap=math.pi / 4)
-            assert max(tensor_derivation_residual(H, 0.0, factors)) <= 1e-10
+            assert max(tensor_derivation_residual(H, factors)) <= 1e-10
 
     def test_single_factor_identically_zero(self, space3, rng):
         H = self.hierarchy(space3)
         factors = random_batch((2,), space3, [rng] * 2)
-        assert tensor_derivation_residual(H, 0.0, factors) == [0.0] * 2
+        assert tensor_derivation_residual(H, factors) == [0.0] * 2
 
     def test_non_separating_counterexample(self, space3, rng):
         H = self.hierarchy(space3)
@@ -766,12 +750,12 @@ class TestTensorDerivation:
         ops[1] = op_combine([ops[1], nonseparating_op(space3, 2, 0.5)])
         bad = Hierarchy(tuple(ops))
         factors = random_batch((1, 1), space3, [rng])
-        assert max(tensor_derivation_residual(bad, 0.0, factors)) > 0.01
+        assert max(tensor_derivation_residual(bad, factors)) > 0.01
 
     def test_level_cap(self, space3, rng):
         H = self.hierarchy(space3)
         with pytest.raises(BadRange):
-            tensor_derivation_residual(H, 0.0, random_batch((2, 2), space3, [rng]))
+            tensor_derivation_residual(H, random_batch((2, 2), space3, [rng]))
 
 
 class TestBracketHierarchy:
@@ -787,17 +771,17 @@ class TestBracketHierarchy:
         Bk = bracket_hierarchy(F, G)
         for sizes in [(1, 1), (1, 2), (1, 1, 1)]:
             factors = random_batch(sizes, space3, [rng], phase_cap=math.pi / 4)
-            assert max(tensor_derivation_residual(Bk, 0.0, factors)) <= 1e-8
+            assert max(tensor_derivation_residual(Bk, factors)) <= 1e-8
 
     def test_threshold_grows(self, space3, rng):
         F = Hierarchy.from_generators([gen_shifted(space3)], 3)
         H2 = Hierarchy.from_generators([gen_cross(space3)], 3)
         Bk = bracket_hierarchy(F, H2)
         phi = nz(1, space3, rng)
-        assert np.abs(Bk.op(1).apply(0.0, phi)).max() <= 1e-12
+        assert np.abs(Bk.op(1).apply(phi)).max() <= 1e-12
         # the threshold level of the bracket vanishes on products
         factors = random_batch((1, 1), space3, [rng], phase_cap=math.pi / 4)
-        assert max(tensor_derivation_residual(Bk, 0.0, factors)) <= 1e-10
+        assert max(tensor_derivation_residual(Bk, factors)) <= 1e-10
 
 
 def _direct_sum_gens(space):
@@ -821,7 +805,7 @@ class TestDirectSum:
     def blocks(self, H, ns, batch, rng):
         states = random_batch(ns, H.space, [rng] * math.prod(batch))
         states = [phi.reshape(phi.shape[:-1] + batch) for phi in states]
-        out = H.direct_sum(ns).apply(0.0, np.concatenate(
+        out = H.direct_sum(ns).apply(np.concatenate(
             [phi.reshape((-1,) + batch) for phi in states]))
         cuts = np.cumsum([phi.size // math.prod(batch) for phi in states])[:-1]
         return zip(states, np.split(out, cuts))
@@ -832,7 +816,7 @@ class TestDirectSum:
         H = Hierarchy.from_generators(_direct_sum_gens(space3)[case], 3)
         for ns in self.LEVELS:
             for phi, block in self.blocks(H, ns, batch, rng):
-                level = H.op(phi.ndim - len(batch)).apply(0.0, phi)
+                level = H.op(phi.ndim - len(batch)).apply(phi)
                 assert np.array_equal(block.reshape(phi.shape), level)
 
     @pytest.mark.parametrize("batch", [(4,), (2, 3)])
@@ -842,7 +826,7 @@ class TestDirectSum:
         H = Hierarchy(tuple(ops))
         for ns in self.LEVELS:
             for phi, block in self.blocks(H, ns, batch, rng):
-                level = H.op(phi.ndim - len(batch)).apply(0.0, phi)
+                level = H.op(phi.ndim - len(batch)).apply(phi)
                 assert np.array_equal(block.reshape(phi.shape), level)
 
     @pytest.mark.parametrize("batch", [(4,), (2, 3)])
@@ -857,7 +841,7 @@ class TestDirectSum:
             for phi, block in self.blocks(H, ns, batch, rng):
                 n = phi.ndim - len(batch)
                 parts = [slot_loop_oracle(g, n) for g in gens if g.ell <= n]
-                want = op_combine(parts).apply(0.0, phi) if parts else np.zeros_like(phi)
+                want = op_combine(parts).apply(phi) if parts else np.zeros_like(phi)
                 err = np.abs(block.reshape(phi.shape) - want).max()
                 assert err <= 1e-13 * max(1.0, np.abs(want).max())
 
@@ -876,17 +860,17 @@ class TestDirectSum:
         for ns in self.LEVELS:
             states, etas = draw(ns), draw(ns)
             F, data, eta = H.direct_sum(ns), stack(states), stack(etas)
-            value, tangent = F.linearize(0.0, data)
-            kernels = [F.derivative(0.0, data, eta), value, tangent(eta)]
+            value, tangent = F.linearize(data)
+            kernels = [F.derivative(data, eta), value, tangent(eta)]
             if F.second_derivative_fn is not None:
-                kernels.append(F.second_derivative_fn(0.0, data, eta, data))
+                kernels.append(F.second_derivative_fn(data, eta, data))
             cuts = np.cumsum([phi.size // math.prod(batch) for phi in states])[:-1]
             for phi, d, *blocks in zip(states, etas, *(np.split(k, cuts) for k in kernels)):
                 level = H.op(phi.ndim - len(batch))
-                level_value, level_tangent = level.linearize(0.0, phi)
-                want = [level.derivative(0.0, phi, d), level_value, level_tangent(d)]
+                level_value, level_tangent = level.linearize(phi)
+                want = [level.derivative(phi, d), level_value, level_tangent(d)]
                 if F.second_derivative_fn is not None:
-                    want.append(level.second_derivative_fn(0.0, phi, d, phi))
+                    want.append(level.second_derivative_fn(phi, d, phi))
                 for block, w in zip(blocks, want, strict=True):
                     assert np.array_equal(block.reshape(phi.shape), w)
 
@@ -894,9 +878,9 @@ class TestDirectSum:
         # a march slices finished step sizes off the batch axis
         H = Hierarchy.from_generators(_direct_sum_gens(space3)["log-modulus+cross-ratio"], 3)
         F = H.direct_sum((1, 2, 3))
-        assert (F.n, F.space.size, F.time_dependent) == (1, 3 + 9 + 27, False)
+        assert (F.n, F.space.size) == (1, 3 + 9 + 27)
         [data] = random_batch((1,), ConfigSpace(39), [rng] * 6)
-        assert np.array_equal(F.apply(0.0, data[:, :4]), F.apply(0.0, data)[:, :4])
+        assert np.array_equal(F.apply(data[:, :4]), F.apply(data)[:, :4])
         with pytest.raises(BadRange):
             H.direct_sum((1, 4))
         with pytest.raises(ValueError, match="increasing"):
@@ -913,22 +897,22 @@ class TestDecomposition:
             for _ in range(4):
                 phi = nz(orig.ell, space3, rng)
                 diff = np.abs(
-                    got.op.apply(0.0, phi) - orig.op.apply(0.0, phi)
+                    got.op.apply(phi) - orig.op.apply(phi)
                 ).max()
                 assert diff <= 1e-8
         # nothing was injected at threshold 3
         phi3 = nz(3, space3, rng)
-        assert np.abs(rec[2].op.apply(0.0, phi3)).max() <= 1e-8
+        assert np.abs(rec[2].op.apply(phi3)).max() <= 1e-8
 
     def test_pure_one_particle_hierarchy(self, space3, rng):
         g = gen_shifted(space3, 1.1)
         H = Hierarchy.from_generators([g], 3)
         rec = canonical_decompose(H, seed=3)
         phi = nz(1, space3, rng)
-        assert np.abs(rec[0].op.apply(0.0, phi) - g.op.apply(0.0, phi)).max() <= 1e-12
+        assert np.abs(rec[0].op.apply(phi) - g.op.apply(phi)).max() <= 1e-12
         for level in (2, 3):
             probe = nz(level, space3, rng)
-            assert np.abs(rec[level - 1].op.apply(0.0, probe)).max() <= 1e-9
+            assert np.abs(rec[level - 1].op.apply(probe)).max() <= 1e-9
 
     def test_idempotence(self, space3, rng):
         gens = [gen_shifted(space3, 0.9), gen_cross(space3, 0.7)]
@@ -939,7 +923,7 @@ class TestDecomposition:
         for g1, g2 in zip(first, second):
             phi = nz(g1.ell, space3, rng)
             assert (
-                np.abs(g2.op.apply(0.0, phi) - g1.op.apply(0.0, phi)).max()
+                np.abs(g2.op.apply(phi) - g1.op.apply(phi)).max()
                 <= 1e-9
             )
 
@@ -967,7 +951,7 @@ class TestHierarchyConstruction:
     def test_levels_below_threshold_are_zero(self, space3, rng):
         H = Hierarchy.from_generators([gen_cross(space3)], 3)
         phi = random_state(1, space3, rng)
-        assert np.abs(H.op(1).apply(0.0, phi)).max() == 0.0
+        assert np.abs(H.op(1).apply(phi)).max() == 0.0
 
     def test_level_indices_shared(self, space3):
         H = Hierarchy.from_generators([gen_shifted(space3, 0.7), gen_cross(space3)], 3)

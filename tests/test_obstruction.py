@@ -62,13 +62,13 @@ def stacked(n, space, seed, size):
 def identity_residual(F, G, n, data):
     """Worst relative gap between the two sides of the identity over a
     batch, and the largest right side."""
-    lhs = obstruction_lhs(F, G, n, 0.0, data)
-    rhs = obstruction_rhs(F, G, n, 0.0, data)
+    lhs = obstruction_lhs(F, G, n, data)
+    rhs = obstruction_rhs(F, G, n, data)
     gaps = zip(sup_norms(lhs - rhs), sup_norms(lhs), sup_norms(rhs))
     return max(gap / (1.0 + max(ln, rn)) for gap, ln, rn in gaps), max(sup_norms(rhs))
 
 
-def corollary1_oracle(F, K, t, data):
+def corollary1_oracle(F, K, data):
     """The two-particle defect written out slot by slot."""
     Fnat = natural_part(F)
     Knat = natural_part(K)
@@ -76,12 +76,12 @@ def corollary1_oracle(F, K, t, data):
     for jF, jK in ((0, 1), (1, 0)):
         Fl = lift_J(Fnat, (jF,), 2)
         Kl = lift_J(Knat, (jK,), 2)
-        acc += Fl.derivative(t, data, Kl.apply(t, data))
-        acc -= Kl.derivative(t, data, Fl.apply(t, data))
+        acc += Fl.derivative(data, Kl.apply(data))
+        acc -= Kl.derivative(data, Fl.apply(data))
     return acc
 
 
-def corollary2_oracle(G, K, t, data):
+def corollary2_oracle(G, K, data):
     """The added-generator defect sum_j [G^{comp(j)}, K^nat(j)] written out."""
     n = G.ell + 1
     Knat = natural_part(K)
@@ -90,8 +90,8 @@ def corollary2_oracle(G, K, t, data):
         comp = tuple(k for k in range(n) if k != j)
         Gl = lift_J(G.op, comp, n)
         Kl = lift_J(Knat, (j,), n)
-        acc += Gl.derivative(t, data, Kl.apply(t, data))
-        acc -= Kl.derivative(t, data, Gl.apply(t, data))
+        acc += Gl.derivative(data, Kl.apply(data))
+        acc -= Kl.derivative(data, Gl.apply(data))
     return acc
 
 
@@ -123,8 +123,8 @@ class TestIdentity:
         nonzero = 0.0
         for _ in range(4):
             wf = nz(n, space3, rng)
-            lhs = obstruction_lhs(F, G, n, 0.0, wf)
-            rhs = obstruction_rhs(F, G, n, 0.0, wf)
+            lhs = obstruction_lhs(F, G, n, wf)
+            rhs = obstruction_rhs(F, G, n, wf)
             scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
             worst_gap = max(worst_gap, float(np.abs(lhs - rhs).max()) / scale)
             nonzero = max(nonzero, float(np.abs(rhs).max()))
@@ -152,38 +152,38 @@ class TestIdentity:
     def test_same_generator_cancels(self, space3, rng):
         F = gen_rms(space3)
         wf = nz(2, space3, rng)
-        assert np.abs(obstruction_rhs(F, F, 2, 0.0, wf)).max() <= 1e-13
+        assert np.abs(obstruction_rhs(F, F, 2, wf)).max() <= 1e-13
 
     def test_lambda_pair_closes(self, space3, rng):
         p = Generator(lambda_op(IndexPair(0.7, 0.2), 1, space3))
         q = Generator(lambda_op(IndexPair(0.1, 0.9), 1, space3))
         wf = nz(2, space3, rng)
-        assert np.abs(obstruction_rhs(p, q, 2, 0.0, wf)).max() <= 1e-13
-        assert np.abs(obstruction_lhs(p, q, 2, 0.0, wf)).max() <= 1e-12
+        assert np.abs(obstruction_rhs(p, q, 2, wf)).max() <= 1e-13
+        assert np.abs(obstruction_lhs(p, q, 2, wf)).max() <= 1e-12
 
     def test_real_linear_degeneration(self, space3, rng):
         A = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         B = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         for n in (2, 3):
             wf = nz(n, space3, rng)
-            assert np.abs(obstruction_rhs(A, B, n, 0.0, wf)).max() <= LINEAR_TOL
-            assert np.abs(obstruction_lhs(A, B, n, 0.0, wf)).max() <= LINEAR_TOL
+            assert np.abs(obstruction_rhs(A, B, n, wf)).max() <= LINEAR_TOL
+            assert np.abs(obstruction_lhs(A, B, n, wf)).max() <= LINEAR_TOL
 
     def test_permutation_equivariance(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
         wf = nz(3, space3, rng)
         perm = (2, 0, 1)
-        direct = obstruction_rhs(F, G, 3, 0.0, np.transpose(wf, perm))
-        swapped = np.transpose(obstruction_rhs(F, G, 3, 0.0, wf), perm)
+        direct = obstruction_rhs(F, G, 3, np.transpose(wf, perm))
+        swapped = np.transpose(obstruction_rhs(F, G, 3, wf), perm)
         assert np.abs(direct - swapped).max() <= 1e-10
 
     def test_range_validation(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
         wf = nz(2, space3, rng)
         with pytest.raises(BadRange):
-            obstruction_rhs(F, G, 2, 0.0, wf)  # n must exceed m
+            obstruction_rhs(F, G, 2, wf)  # n must exceed m
         with pytest.raises(BadRange):
-            obstruction_rhs(G, F, 3, 0.0, wf)  # l <= m ordering
+            obstruction_rhs(G, F, 3, wf)  # l <= m ordering
 
     def test_bracket_generator_levels(self, space3):
         F, G = gen_rms(space3), gen_cross(space3)
@@ -204,26 +204,26 @@ class TestCorollary1:
         F = gen_shifted(space3)
         K = Generator(lambda_op(IndexPair(0.3, 0.8), 1, space3))
         wf = nz(2, space3, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= 1e-13
+        assert np.abs(corollary1_obstruction(F, K, wf)).max() <= 1e-13
 
     def test_linear_pair_vanishes(self, space3, rng):
         F = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         K = Generator(site_matrix_op(space3, random_hermitian(space3, rng)))
         wf = nz(2, space3, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= LINEAR_TOL
+        assert np.abs(corollary1_obstruction(F, K, wf)).max() <= LINEAR_TOL
 
     def test_spin_counterexample(self, spin_space):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
-        norms1 = sup_norms(corollary1_obstruction(F, K, 0.0, stacked(2, spin_space, 1, 8)))
-        norms2 = sup_norms(corollary1_obstruction(F, K, 0.0, stacked(2, spin_space, 2, 8)))
+        norms1 = sup_norms(corollary1_obstruction(F, K, stacked(2, spin_space, 1, 8)))
+        norms2 = sup_norms(corollary1_obstruction(F, K, stacked(2, spin_space, 2, 8)))
         assert len(norms1) == 8
         assert min(norms1) > 1e-3 and min(norms2) > 1e-3
         assert abs(max(norms2) / max(norms1) - 1.0) < 0.25
 
     def test_requires_one_particle(self, space3, rng):
         with pytest.raises(BadRange):
-            corollary1_obstruction(gen_cross(space3), gen_rms(space3), 0.0, nz(2, space3, rng))
+            corollary1_obstruction(gen_cross(space3), gen_rms(space3), nz(2, space3, rng))
 
 
 class TestCorollary2:
@@ -231,23 +231,23 @@ class TestCorollary2:
         G = Generator(zero_op(space3, 2))
         K = gen_rms(space3)
         wf = nz(3, space3, rng)
-        assert np.abs(corollary2_obstruction(G, K, 0.0, wf)).max() == 0.0
+        assert np.abs(corollary2_obstruction(G, K, wf)).max() == 0.0
 
     def test_spin_rotation_vs_cross_ratio(self, spin_space, rng):
         G = gen_cross(spin_space, coupling=1.0)
         K = Generator(spin_rotation_op(spin_space))
         rng5 = np.random.default_rng(5)
         states = [nz(3, spin_space, rng5) for _ in range(4)]
-        assert corollary2_obstruction(G, K, 0.0, states[0]).shape == (8,) * 3
+        assert corollary2_obstruction(G, K, states[0]).shape == (8,) * 3
         batch = np.stack(states, axis=-1)
-        norms = sup_norms(corollary2_obstruction(G, K, 0.0, batch))
+        norms = sup_norms(corollary2_obstruction(G, K, batch))
         assert max(norms) > 1e-3
 
     def test_level_validation(self, space3, rng):
         with pytest.raises(BadRange):
-            corollary2_obstruction(gen_rms(space3), gen_rms(space3), 0.0, nz(2, space3, rng))
+            corollary2_obstruction(gen_rms(space3), gen_rms(space3), nz(2, space3, rng))
         with pytest.raises(BadRange):
-            corollary2_obstruction(gen_cross(space3), gen_cross(space3), 0.0, nz(3, space3, rng))
+            corollary2_obstruction(gen_cross(space3), gen_cross(space3), nz(3, space3, rng))
 
 
 class TestSpecialisations:
@@ -259,16 +259,16 @@ class TestSpecialisations:
         K = Generator(relative_log_modulus_op(grid8, 0.7))
         for _ in range(4):
             data = nz(2, grid8, rng)
-            assert_close(corollary1_obstruction(F, K, 0.0, data), corollary1_oracle(F, K, 0.0, data))
+            assert_close(corollary1_obstruction(F, K, data), corollary1_oracle(F, K, data))
 
     def test_spin_rms_vs_spin_rotation(self, spin_space, rng):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
         for _ in range(4):
             data = nz(2, spin_space, rng)
-            got = corollary1_obstruction(F, K, 0.0, data)
+            got = corollary1_obstruction(F, K, data)
             assert np.abs(got).max() > 1e-3
-            assert_close(got, corollary1_oracle(F, K, 0.0, data))
+            assert_close(got, corollary1_oracle(F, K, data))
 
     @pytest.mark.parametrize("label", ["phase", "mult", "drift"])
     def test_cross_ratio_vs_point_symmetry_parts(self, grid8, label):
@@ -281,7 +281,7 @@ class TestSpecialisations:
         K = Generator(point_symmetry_parts(spec, space)[label])
         for k in range(4):
             data = random_state(3, space, k, nowhere_zero=True, smooth=True)
-            assert_close(corollary2_obstruction(G, K, 0.0, data), corollary2_oracle(G, K, 0.0, data))
+            assert_close(corollary2_obstruction(G, K, data), corollary2_oracle(G, K, data))
 
 
 def per_state(fn):
@@ -303,15 +303,15 @@ class TestBatchedObstructions:
         gens = {"rms": gen_rms, "shifted": gen_shifted}
         F, K = gens[fname](space3), gens[kname](space3)
         data = stacked(2, space3, 9, 16)
-        batched = corollary1_obstruction(F, K, 0.0, data)
-        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, 0.0, data))
+        batched = corollary1_obstruction(F, K, data)
+        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, data))
 
     def test_corollary1_spin_matches_per_state(self, spin_space):
         F = Generator(spin_rms_log_op(spin_space, 1.0))
         K = Generator(spin_rotation_op(spin_space))
         data = stacked(2, spin_space, 3, 8)
-        batched = corollary1_obstruction(F, K, 0.0, data)
-        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, 0.0, data))
+        batched = corollary1_obstruction(F, K, data)
+        assert np.array_equal(batched, per_state(corollary1_obstruction)(F, K, data))
 
     def test_sup_norms_per_entry(self, rng):
         values = rng.standard_normal((3, 3, 5)) + 1j * rng.standard_normal((3, 3, 5))
@@ -341,8 +341,8 @@ class TestFamilies:
         family = [gen_shifted(grid8), Generator(relative_log_modulus_op(grid8, 0.7)),
                   *self.point_parts(grid8)]
         data = stacked(2, grid8, 3, 4)
-        self.assert_entries(lambda Ks: corollary1_obstruction(F, Ks, 0.0, data),
-                            lambda K: corollary1_obstruction(F, K, 0.0, data), family)
+        self.assert_entries(lambda Ks: corollary1_obstruction(F, Ks, data),
+                            lambda K: corollary1_obstruction(F, K, data), family)
 
     @pytest.mark.parametrize("refs", [(0, 0), (1, 3)])
     def test_corollary2_shared_second_side(self, grid8, refs):
@@ -350,41 +350,41 @@ class TestFamilies:
         family = self.point_parts(grid8)
         data = np.stack([random_state(3, grid8, k, nowhere_zero=True, smooth=True)
                          for k in range(2)], axis=-1)
-        self.assert_entries(lambda Ks: corollary2_obstruction(G, Ks, 0.0, data),
-                            lambda K: corollary2_obstruction(G, K, 0.0, data), family)
+        self.assert_entries(lambda Ks: corollary2_obstruction(G, Ks, data),
+                            lambda K: corollary2_obstruction(G, K, data), family)
 
     def test_rhs_one_one_three_either_side(self, space3):
         family = [gen_rms(space3), gen_shifted(space3),
                   Generator(lambda_op(IndexPair(0.5, 0.2), 1, space3))]
         other = Generator(relative_log_modulus_op(space3, 0.7))
         data = stacked(3, space3, 5, 3)
-        self.assert_entries(lambda Fs: obstruction_rhs(Fs, other, 3, 0.0, data),
-                            lambda F: obstruction_rhs(F, other, 3, 0.0, data), family)
-        self.assert_entries(lambda Gs: obstruction_rhs(other, Gs, 3, 0.0, data),
-                            lambda G: obstruction_rhs(other, G, 3, 0.0, data), family)
+        self.assert_entries(lambda Fs: obstruction_rhs(Fs, other, 3, data),
+                            lambda F: obstruction_rhs(F, other, 3, data), family)
+        self.assert_entries(lambda Gs: obstruction_rhs(other, Gs, 3, data),
+                            lambda G: obstruction_rhs(other, G, 3, data), family)
 
     def test_one_entry_family(self, space3, rng):
         F, G = gen_rms(space3), gen_cross(space3)
         data = nz(3, space3, rng)
-        (entry,) = obstruction_rhs([F], G, 3, 0.0, data)
-        assert np.array_equal(entry, obstruction_rhs(F, G, 3, 0.0, data))
+        (entry,) = obstruction_rhs([F], G, 3, data)
+        assert np.array_equal(entry, obstruction_rhs(F, G, 3, data))
 
     def test_mixed_levels_raise(self, space3, rng):
         one, two = gen_rms(space3), gen_cross(space3)
         data = nz(3, space3, rng)
         with pytest.raises(BadRange):
-            obstruction_rhs([one, two], two, 3, 0.0, data)
+            obstruction_rhs([one, two], two, 3, data)
         with pytest.raises(BadRange):
-            obstruction_rhs(one, [one, two], 3, 0.0, data)
+            obstruction_rhs(one, [one, two], 3, data)
         with pytest.raises(BadRange):
-            corollary1_obstruction(one, [one, two], 0.0, nz(2, space3, rng))
+            corollary1_obstruction(one, [one, two], nz(2, space3, rng))
         with pytest.raises(BadRange):
-            corollary2_obstruction(two, [one, two], 0.0, data)
+            corollary2_obstruction(two, [one, two], data)
 
     def test_family_on_one_side_only(self, space3, rng):
         one = gen_rms(space3)
         with pytest.raises(BadRange):
-            obstruction_rhs([one, one], [one, one], 2, 0.0, nz(2, space3, rng))
+            obstruction_rhs([one, one], [one, one], 2, nz(2, space3, rng))
 
 
 class TestWorkCounts:
@@ -424,12 +424,12 @@ class TestWorkCounts:
             PointSymmetrySpec(eta=np.sin, xi=np.cos), space).values()]
         data = np.stack([nz(3, space, np.random.default_rng(s)) for s in (1, 2)], axis=-1)
         shapes = self.floor_checks(monkeypatch)
-        corollary2_obstruction(Generator(cross_ratio_op(space, (1, 2), 0.7)), family, 0.0, data)
+        corollary2_obstruction(Generator(cross_ratio_op(space, (1, 2), 0.7)), family, data)
         # three lifts K, each linearised once, on its view of data and that
         # view's slot swap
         assert shapes == [data.shape] * 6
         shapes.clear()
-        corollary2_obstruction(Generator(cross_ratio_op(space)), family, 0.0, data)
+        corollary2_obstruction(Generator(cross_ratio_op(space)), family, data)
         assert shapes == [data.shape] * 3
 
     def test_one_floor_check_per_lifted_multiplier(self, monkeypatch):
@@ -437,7 +437,7 @@ class TestWorkCounts:
         data = np.stack([nz(2, space, np.random.default_rng(s)) for s in (3, 4)], axis=-1)
         shapes = self.floor_checks(monkeypatch)
         family = [Generator(site_matrix_op(space, np.eye(4) * k)) for k in (1.0, 2.0, 3.0)]
-        corollary1_obstruction(Generator(rms_log_modulus_op(space, 0.9)), family, 0.0, data)
+        corollary1_obstruction(Generator(rms_log_modulus_op(space, 0.9)), family, data)
         # the rms lift at each of the two slots, once for all three entries
         assert len(shapes) == 2
 

@@ -53,7 +53,7 @@ class TestFrechet:
         F = site_matrix_op(space4, A)
         phi = random_state(1, space4, rng)
         eta = random_state(1, space4, rng)
-        out = F.derivative(0.0, phi, eta)
+        out = F.derivative(phi, eta)
         assert np.allclose(out, A @ eta, rtol=1e-14, atol=0)
 
     def test_lambda_closed_form(self, space4, rng):
@@ -61,45 +61,24 @@ class TestFrechet:
         idx = IndexPair(0.6 - 0.2j, 0.3 + 0.5j)
         F = lambda_op(idx, 1, space4)
         phi, eta = nz_state(1, space4, rng), random_state(1, space4, rng)
-        got = F.derivative(0.0, phi, eta)
+        got = F.derivative(phi, eta)
         expect = (
             pair_action(idx, eta / phi) * phi
             + pair_action(idx, np.log(phi)) * eta
         )
         assert np.allclose(got, expect, rtol=1e-13, atol=0)
-        fd = F.derivative(0.0, phi, eta, fd_step=1e-6)
+        fd = F.derivative(phi, eta, fd_step=1e-6)
         assert np.abs(fd - got).max() <= 1e-8
-
-    def test_time_dependent_indices_solved_once_per_kernel_call(self, space4, rng):
-        # a kernel needs the indices at one t for each of its multiplier
-        # terms; a solved index law (the index flow) must be asked once
-        asked = []
-
-        def idx(t):
-            asked.append(t)
-            return IndexPair(0.6 + 0.1 * t, 0.3 - 0.2j * t)
-
-        F = lambda_op(idx, 1, space4)
-        phi, u, v = nz_state(1, space4, rng), random_state(1, space4, rng), random_state(1, space4, rng)
-        got = F.derivative(0.4, phi, u)
-        assert asked == [0.4]
-        second = F.second_derivative_fn(0.6, phi, u, v)
-        assert asked == [0.4, 0.6]
-        frozen = lambda_op(IndexPair(0.6 + 0.1 * 0.6, 0.3 - 0.2j * 0.6), 1, space4)
-        assert np.array_equal(second, frozen.second_derivative_fn(0.6, phi, u, v))
-        assert np.array_equal(got, lambda_op(idx(0.4), 1, space4).derivative(0.4, phi, u))
 
     def test_additivity(self, space4, rng):
         F = rms_log_modulus_op(space4, 0.9)
         phi = nz_state(1, space4, rng)
         e1, e2 = random_state(1, space4, rng), random_state(1, space4, rng)
-        both = F.derivative(0.0, phi, e1 + e2)
-        split = F.derivative(0.0, phi, e1) + F.derivative(0.0, phi, e2)
+        both = F.derivative(phi, e1 + e2)
+        split = F.derivative(phi, e1) + F.derivative(phi, e2)
         assert np.abs(both - split).max() <= 1e-13
-        fd_both = F.derivative(0.0, phi, e1 + e2, fd_step=1e-5)
-        fd_split = F.derivative(0.0, phi, e1, fd_step=1e-5) + F.derivative(
-            0.0, phi, e2, fd_step=1e-5
-        )
+        fd_both = F.derivative(phi, e1 + e2, fd_step=1e-5)
+        fd_split = F.derivative(phi, e1, fd_step=1e-5) + F.derivative(phi, e2, fd_step=1e-5)
         assert np.abs(fd_both - fd_split).max() <= 1e-8  # O(h^2)
 
     def test_real_scalar_homogeneity(self, space4, rng):
@@ -108,11 +87,11 @@ class TestFrechet:
         phi = nz_state(1, space4, rng)
         eta = random_state(1, space4, rng)
         for c in (2.0, -0.7, 0.0):
-            lhs = F.derivative(0.0, phi, c * eta)
-            rhs = c * F.derivative(0.0, phi, eta)
+            lhs = F.derivative(phi, c * eta)
+            rhs = c * F.derivative(phi, eta)
             assert np.abs(lhs - rhs).max() <= 1e-13
-        fd_l = F.derivative(0.0, phi, 2.0 * eta, fd_step=1e-5)
-        fd_r = 2.0 * F.derivative(0.0, phi, eta, fd_step=1e-5)
+        fd_l = F.derivative(phi, 2.0 * eta, fd_step=1e-5)
+        fd_r = 2.0 * F.derivative(phi, eta, fd_step=1e-5)
         assert np.abs(fd_l - fd_r).max() <= 1e-8
 
     def test_real_linearity_only(self, space4, rng):
@@ -120,8 +99,8 @@ class TestFrechet:
         F = log_modulus_op(space4, 1.0)
         phi = nz_state(1, space4, rng)
         eta = random_state(1, space4, rng)
-        lhs = F.derivative(0.0, phi, 1j * eta)
-        rhs = 1j * F.derivative(0.0, phi, eta)
+        lhs = F.derivative(phi, 1j * eta)
+        rhs = 1j * F.derivative(phi, eta)
         assert np.abs(lhs - rhs).max() > 0.01
 
     def test_log_domain_failure_is_domain_error(self, space4, rng):
@@ -131,7 +110,7 @@ class TestFrechet:
         phi = np.ones(4, dtype=complex)
         phi[1] = 0.0
         with pytest.raises(DomainError):
-            F.derivative(0.0, phi, random_state(1, space4, rng))
+            F.derivative(phi, random_state(1, space4, rng))
 
 
     def test_fd_fallback_is_batch_clean(self, space3, rng):
@@ -142,9 +121,9 @@ class TestFrechet:
         etas = [random_state(1, space3, rng) for _ in phis]
         norms = [np.abs(phi).max() for phi in phis]
         assert min(norms) > 1.0 and norms[0] != norms[1]
-        batched = F.derivative(0.0, np.stack(phis, axis=-1), np.stack(etas, axis=-1))
+        batched = F.derivative(np.stack(phis, axis=-1), np.stack(etas, axis=-1))
         for k, (phi, eta) in enumerate(zip(phis, etas)):
-            assert np.array_equal(batched[..., k], F.derivative(0.0, phi, eta))
+            assert np.array_equal(batched[..., k], F.derivative(phi, eta))
 
 
 class TestPrincipalLog:
@@ -178,7 +157,7 @@ class TestLieBracket:
         F = rms_log_modulus_op(space4, 0.8)
         B = lie_bracket(F, F)
         phi = nz_state(1, space4, rng)
-        assert np.abs(B.apply(0.0, phi)).max() <= 1e-14
+        assert np.abs(B.apply(phi)).max() <= 1e-14
 
     def test_linear_reduces_to_matrix_commutator(self, space4, rng):
         A = random_hermitian(space4, rng)
@@ -186,7 +165,7 @@ class TestLieBracket:
         br = lie_bracket(site_matrix_op(space4, A), site_matrix_op(space4, Bm))
         phi = random_state(1, space4, rng)
         oracle = (A @ Bm - Bm @ A) @ phi
-        assert np.allclose(br.apply(0.0, phi), oracle, rtol=1e-13, atol=1e-14)
+        assert np.allclose(br.apply(phi), oracle, rtol=1e-13, atol=1e-14)
 
     def test_lambda_bracket_is_lambda_of_pair_bracket(self, space4, rng):
         p = IndexPair(0.7 + 0.3j, -0.2 + 0.6j)
@@ -194,7 +173,7 @@ class TestLieBracket:
         br = lie_bracket(lambda_op(p, 1, space4), lambda_op(q, 1, space4))
         lam = lambda_op(pair_bracket(p, q), 1, space4)
         phi = nz_state(1, space4, rng)
-        assert np.abs(br.apply(0.0, phi) - lam.apply(0.0, phi)).max() <= 1e-12
+        assert np.abs(br.apply(phi) - lam.apply(phi)).max() <= 1e-12
 
     def test_bracket_indices_propagate(self, space4):
         p = IndexPair(0.7, 0.3)
@@ -224,7 +203,7 @@ class TestLieBracket:
         worst = 0.0
         for _ in range(4):
             phi = nz_state(1, space, rng)
-            total = sum(op.apply(0.0, phi) for op in jac_ops)
+            total = sum(op.apply(phi) for op in jac_ops)
             worst = max(worst, float(np.abs(total).max()))
         assert worst <= 1e-8
 
@@ -237,7 +216,7 @@ class TestIndexEstimation:
     def test_linear_gives_zero(self, space4, rng):
         F = site_matrix_op(space4, random_hermitian(space4, rng))
         batch = nz_stack(1, space4, rng, 3)
-        est, residual = estimate_log_indices(F, 0.0, batch)
+        est, residual = estimate_log_indices(F, batch)
         assert abs(est.a) <= 1e-12 and abs(est.b) <= 1e-12
         assert residual <= 1e-10
 
@@ -245,14 +224,14 @@ class TestIndexEstimation:
         idx = IndexPair(0.8 - 0.3j, 0.5 + 0.4j)
         F = lambda_op(idx, 1, space4)
         batch = nz_stack(1, space4, rng, 3, cap=math.pi / 2)
-        est, residual = estimate_log_indices(F, 0.0, batch)
+        est, residual = estimate_log_indices(F, batch)
         assert est.close_to(idx, 1e-10)
         assert residual <= 1e-10
 
     def test_log_modulus_is_one_zero(self, space4, rng):
         F = log_modulus_op(space4, 1.0)
         batch = nz_stack(1, space4, rng, 3, cap=math.pi / 2)
-        est, _ = estimate_log_indices(F, 0.0, batch)
+        est, _ = estimate_log_indices(F, batch)
         assert est.close_to(IndexPair(1.0, 0.0), 1e-10)
 
     def test_declared_mismatch_raises(self, space4, rng):
@@ -261,30 +240,30 @@ class TestIndexEstimation:
         F = replace(log_modulus_op(space4, 1.0), indices=IndexPair(2.0, 0.0))
         batch = nz_stack(1, space4, rng, 3, cap=math.pi / 2)
         with pytest.raises(IndexMismatch):
-            estimate_log_indices(F, 0.0, batch)
+            estimate_log_indices(F, batch)
 
     def test_zero_amplitude_raises(self, space4):
         F = log_modulus_op(space4, 1.0)
         flat = np.ones(4, dtype=complex)
         flat[2] = 0.0
         with pytest.raises(ZeroAmplitude):
-            estimate_log_indices(F, 0.0, flat[:, None])
+            estimate_log_indices(F, flat[:, None])
 
 
 class TestPermutationProperty:
     def test_one_particle_vacuous(self, space4, rng):
         F = rms_log_modulus_op(space4, 1.0)
-        assert check_permutation_property(F, 0.0, nz_stack(1, space4, rng, 2)) == [0.0] * 2
+        assert check_permutation_property(F, nz_stack(1, space4, rng, 2)) == [0.0] * 2
 
     def test_symmetrised_operator(self, space3, rng):
         G = cross_ratio_op(space3, refs=(1, 2), coupling=0.9)
         batch = nz_stack(2, space3, rng, 3)
-        assert max(check_permutation_property(G, 0.0, batch)) <= 1e-12
+        assert max(check_permutation_property(G, batch)) <= 1e-12
 
     def test_asymmetric_counterexample(self, space3, rng):
         lone = lift_J(shifted_log_modulus_op(space3, 1.0), (0,), 2)
         batch = nz_stack(2, space3, rng, 3)
-        assert min(check_permutation_property(lone, 0.0, batch)) > 0.1
+        assert min(check_permutation_property(lone, batch)) > 0.1
 
 
 class TestEuler:
@@ -292,27 +271,27 @@ class TestEuler:
         F = site_matrix_op(space4, random_hermitian(space4, rng))
         phi = nz_stack(1, space4, rng, 2)
         for eta in (1.0, 1j, 0.4 - 1.1j):
-            assert max(euler_log_residual(F, 0.0, phi, eta, indices=IndexPair(0, 0))) <= 1e-13
+            assert max(euler_log_residual(F, phi, eta, indices=IndexPair(0, 0))) <= 1e-13
 
     def test_lambda_closed(self, space4, rng):
         idx = IndexPair(0.5 + 0.2j, -0.3 + 0.7j)
         F = lambda_op(idx, 1, space4)
         phi = nz_stack(1, space4, rng, 2)
         for eta in (1.0, 1j, 0.8 - 0.6j):
-            assert max(euler_log_residual(F, 0.0, phi, eta)) <= CLOSED_TOL
+            assert max(euler_log_residual(F, phi, eta)) <= CLOSED_TOL
 
     def test_cross_ratio_both_forms(self, space3, rng):
         G = cross_ratio_op(space3, coupling=0.8)
         phi = nz_stack(2, space3, rng, 2)
         for eta in (1.0, 1j, 0.8 - 0.6j):
-            assert max(euler_power_residual(G, 0.0, phi, eta, IndexPair(1, 1))) <= CLOSED_TOL
-            assert max(euler_log_residual(G, 0.0, phi, eta, indices=IndexPair(0, 0))) <= CLOSED_TOL
+            assert max(euler_power_residual(G, phi, eta, IndexPair(1, 1))) <= CLOSED_TOL
+            assert max(euler_log_residual(G, phi, eta, indices=IndexPair(0, 0))) <= CLOSED_TOL
 
     def test_richardson_ratio(self, space4, rng):
         F = log_modulus_op(space4, 1.0)
         phi = nz_stack(1, space4, rng)
-        [r1] = euler_log_residual(F, 0.0, phi, 0.8 - 0.6j, fd_step=1e-3)
-        [r2] = euler_log_residual(F, 0.0, phi, 0.8 - 0.6j, fd_step=5e-4)
+        [r1] = euler_log_residual(F, phi, 0.8 - 0.6j, fd_step=1e-3)
+        [r2] = euler_log_residual(F, phi, 0.8 - 0.6j, fd_step=5e-4)
         assert 3.5 <= r1 / r2 <= 4.5
 
     def test_eta_equals_one_matches_frechet_of_phi(self, space4, rng):
@@ -320,8 +299,8 @@ class TestEuler:
         idx = IndexPair(0.9, 0.4)
         F = lambda_op(idx, 1, space4)
         phi = nz_state(1, space4, rng)
-        lhs = F.derivative(0.0, phi, phi)
-        rhs = F.apply(0.0, phi) + pair_action(idx, 1.0) * phi
+        lhs = F.derivative(phi, phi)
+        rhs = F.apply(phi) + pair_action(idx, 1.0) * phi
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -340,8 +319,8 @@ class TestCombinators:
     def test_zero_op(self, space4, rng):
         z = zero_op(space4, 2)
         phi = random_state(2, space4, rng)
-        assert np.abs(z.apply(0.0, phi)).max() == 0.0
-        assert np.abs(z.derivative(0.0, phi, phi)).max() == 0.0
+        assert np.abs(z.apply(phi)).max() == 0.0
+        assert np.abs(z.derivative(phi, phi)).max() == 0.0
 
 
 def bundled_families(space):
@@ -359,7 +338,6 @@ def bundled_families(space):
         "shift-all": shift_all_op(space, 1, 2),
         "central-difference": central_difference_op(space),
         "lambda": lambda_op(idx, 1, space),
-        "lambda-of-t": lambda_op(lambda t: IndexPair(0.6 + 0.1 * t, 0.3 - 0.2j * t), 1, space),
         "log-modulus": log_modulus_op(space, 0.8),
         "shifted-log-modulus": shifted_log_modulus_op(space, 0.9, 2),
         "relative-log-modulus": relative_log_modulus_op(space, 0.7),
@@ -393,7 +371,7 @@ def linearize_cases(F):
 
 
 class TestLinearize:
-    """linearize(t, data) is (apply, derivative) from one preparation of
+    """linearize(data) is (apply, derivative) from one preparation of
     the state, for every bundled family, its lifts and its sums."""
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -402,12 +380,12 @@ class TestLinearize:
         for label, op in linearize_cases(bundled_families(SPIN_GRID)[family]):
             data, eta, zeta = random_batch((op.n,) * 3, SPIN_GRID, [rng] * 2,
                                            phase_cap=np.pi / 8)
-            value, tangent = op.linearize(0.3, data)
-            assert np.array_equal(value, op.apply(0.3, data)), label
+            value, tangent = op.linearize(data)
+            assert np.array_equal(value, op.apply(data)), label
             for direction in (eta, zeta):  # the tangent serves many directions
                 got = tangent(direction)
-                assert np.array_equal(got, op.derivative(0.3, data, direction)), label
-                fd = op.derivative(0.3, data, direction, fd_step=1e-6)
+                assert np.array_equal(got, op.derivative(data, direction)), label
+                fd = op.derivative(data, direction, fd_step=1e-6)
                 assert np.abs(fd - got).max() <= 1e-8, label
 
     def test_which_operators_carry_a_linearize_kernel(self):
@@ -429,9 +407,9 @@ class TestLinearize:
         for op in (lift_J(F, (1,), 2), op_combine([F, log_modulus_op(SPIN_GRID)])):
             assert op.linearize_fn is None
             data, eta = random_batch((op.n,) * 2, SPIN_GRID, [rng] * 2)
-            value, tangent = op.linearize(0.0, data)
-            assert np.array_equal(value, op.apply(0.0, data))
-            assert np.array_equal(tangent(eta), op.derivative(0.0, data, eta))
+            value, tangent = op.linearize(data)
+            assert np.array_equal(value, op.apply(data))
+            assert np.array_equal(tangent(eta), op.derivative(data, eta))
 
 
 def rolled_difference(space, data):
@@ -453,11 +431,11 @@ class TestCentralDifferenceGathers:
         D = central_difference_op(space)
         rng = np.random.default_rng(11)
         one, three = random_batch((1, 3), space, [rng] * 3)
-        assert np.array_equal(D.apply(0.0, one), rolled_difference(space, one))
+        assert np.array_equal(D.apply(one), rolled_difference(space, one))
         # a transposed lifted view: particle 2 in front, strides untouched
         view = three.transpose(2, 0, 1, 3)
         assert not view.flags.c_contiguous
-        assert np.array_equal(D.apply(0.0, view), rolled_difference(space, view))
-        lifted = lift_J(D, (2,), 3).apply(0.0, three)
+        assert np.array_equal(D.apply(view), rolled_difference(space, view))
+        lifted = lift_J(D, (2,), 3).apply(three)
         want = rolled_difference(space, view).transpose(1, 2, 0, 3)
         assert np.array_equal(lifted, want)

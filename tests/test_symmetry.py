@@ -19,7 +19,6 @@ from sepsym.operators import (
     lambda_op,
     linear_op,
     log_modulus_op,
-    rms_log_modulus_op,
     shift_all_op,
     site_matrix_op,
     spin_rms_log_op,
@@ -27,7 +26,7 @@ from sepsym.operators import (
 )
 from sepsym.checks import CHECKS, run_check
 from sepsym.scenario import load_scenario, random_hermitian
-from sepsym.space import ConfigSpace, random_batch, random_state
+from sepsym.space import ConfigSpace, random_batch, random_state, sup_norms
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
@@ -62,24 +61,23 @@ def log_hierarchy(space, n_max=3):
 class TestFiniteSymmetry:
     def test_identity_symmetry(self, grid8, rng):
         H = log_hierarchy(grid8)
-        eye = site_matrix_op(grid8, np.eye(8))
-        levels = Hierarchy((eye,))
-        V = FiniteSymmetry(levels=levels, tmap=IDENTITY_TIME)
+        levels = Hierarchy((site_matrix_op(grid8, np.eye(8)),))
+        V = FiniteSymmetry(levels=lambda t: levels, tmap=IDENTITY_TIME)
         assert max(symmetry_residual(V, H, 0.4, nzs(1, grid8, rng))) <= 1e-12
 
     def test_lattice_shift_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
-        V = FiniteSymmetry(
-            levels=Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3))),
-            tmap=IDENTITY_TIME,
-        )
+        shifts = Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3)))
+        V = FiniteSymmetry(levels=lambda t: shifts, tmap=IDENTITY_TIME)
         for n in (1, 2, 3):
             assert max(symmetry_residual(V, H, 0.3, nzs(n, grid8, rng))) <= 1e-12
 
-    def test_level_k_must_act_on_k_particles(self, grid8):
-        # the levels are a Hierarchy, which rejects a gap in the ladder
+    def test_level_k_must_act_on_k_particles(self, grid8, rng):
+        # the levels at each t are a Hierarchy, which rejects a gap in the ladder
+        V = FiniteSymmetry(levels=lambda t: Hierarchy((shift_all_op(grid8, 1, 3),
+                                                       shift_all_op(grid8, 3, 3))))
         with pytest.raises(SpaceMismatch):
-            FiniteSymmetry(levels=Hierarchy((shift_all_op(grid8, 1, 3), shift_all_op(grid8, 3, 3))))
+            symmetry_residual(V, log_hierarchy(grid8), 0.3, nzs(1, grid8, rng))
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     def test_linear_conjugated_flow(self, space4, rng, hbar):
@@ -91,14 +89,12 @@ class TestFiniteSymmetry:
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
 
-        def conjugated(t, data):
+        def conjugated(t):
             U = scipy.linalg.expm(-1j * A * t)
-            return U @ W @ U.conj().T @ data
+            M = U @ W @ U.conj().T
+            return Hierarchy((linear_op(space4, 1, lambda data: M @ data, "V"),))
 
-        V = FiniteSymmetry(
-            levels=Hierarchy((linear_op(space4, 1, conjugated, "V", time_dependent=True),)),
-            tmap=IDENTITY_TIME,
-        )
+        V = FiniteSymmetry(levels=conjugated, tmap=IDENTITY_TIME)
         res = max(symmetry_residual(V, H, 0.37 / hbar, nzs(1, space4, rng)))
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 
@@ -108,9 +104,8 @@ class TestInfinitesimal:
         A = random_hermitian(space4, rng)
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
-        K = InfinitesimalSymmetry(
-            levels=Hierarchy((site_matrix_op(space4, A @ A),)), tau=AffineMap(0.0, 0.0)
-        )
+        levels = Hierarchy((site_matrix_op(space4, A @ A),))
+        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.3, nzs(1, space4, rng))) <= 1e-11
 
     def test_drive_is_own_symmetry(self, space4, rng):
@@ -118,17 +113,14 @@ class TestInfinitesimal:
         # plain F would not, since DF is only real-linear
         H = log_hierarchy(space4, 2)
         levels = Hierarchy(tuple(op_combine([H.op(n)], [-1j]) for n in (1, 2)))
-        K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
+        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.5, nzs(2, space4, rng))) <= 1e-11
 
     def test_constant_phase_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
         phase = diag_mult_op(grid8, 1j * 0.7 * np.ones(8), name="i*c")
-        gen = Generator(phase)
-        K = InfinitesimalSymmetry(
-            levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2, 3))),
-            tau=AffineMap(0.0, 0.0),
-        )
+        levels = Hierarchy(tuple(canonical_lift(Generator(phase), n) for n in (1, 2, 3)))
+        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.1, nzs(2, grid8, rng))) <= 1e-12
 
     def test_momentum_residual_quadratic_in_h(self, rng):
@@ -139,11 +131,8 @@ class TestInfinitesimal:
             spec = PointSymmetrySpec(xi=lambda pos: np.full(pos.shape, 0.9))
             parts = point_symmetry_parts(spec, sp)
             mom = op_combine([parts["drift"], parts["mult"]], name="advection")
-            gen = Generator(mom)
-            K = InfinitesimalSymmetry(
-                levels=Hierarchy(tuple(canonical_lift(gen, n) for n in (1, 2))),
-                tau=AffineMap(0.0, 0.0),
-            )
+            levels = Hierarchy(tuple(canonical_lift(Generator(mom), n) for n in (1, 2)))
+            K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
             [data] = random_batch((2,), sp, [(5, 1)], smooth=True)
             residuals.append(max(inf_symmetry_residual(K, Hg, 0.2, data)))
         assert residuals[0] > 1e-4  # genuinely non-zero at finite h
@@ -170,13 +159,50 @@ class TestInfinitesimal:
         assert 3.0 <= r[0] / r[1] <= 5.0
 
 
+class TestLevelFamilies:
+    """A symmetry's levels are a family t -> Hierarchy; its residuals take
+    d/dt of the family, which is zero for one that ignores t."""
+
+    def test_static_shift_family_has_no_rate_term(self, grid8, rng):
+        # a static family differences two equal arrays, so the residual is
+        # bit for bit the formula without its d/dt term
+        H = log_hierarchy(grid8)
+        shifts = Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3)))
+        tmap = AffineMap(1.5, 0.2)
+        V = FiniteSymmetry(levels=lambda t: shifts, tmap=tmap)
+        for n in (1, 2, 3):
+            data = nzs(n, grid8, rng, k=3)
+            Vn, Fn = shifts.op(n), H.op(n)
+            drive = -1j * Fn.apply(data)
+            want = sup_norms(tmap.derivative * Vn.derivative(data, drive)
+                             - (-1j) * Fn.apply(Vn.apply(data)))
+            assert symmetry_residual(V, H, 0.3, data) == want
+
+    def test_index_symmetry_solves_the_flow_once_per_time(self, space3, monkeypatch):
+        asked = []
+
+        def recording(*args):
+            flow = index_flow(*args)
+            return lambda t: asked.append(t) or flow(t)
+
+        monkeypatch.setattr(sepsym.symmetry, "index_flow", recording)
+        args = (1.1, 0.6, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4),
+                EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0))
+        K = lambda_index_symmetry(*args, space3, 3)
+        for t in (0.2, 0.7, 0.2):
+            levels = K.levels(t)
+            want = index_flow(*args)(t)
+            assert [op.indices for op in levels.ops] == [want] * 3
+        assert asked == [0.2, 0.7, 0.2]
+
+
 def remarch_oracle(p, q, tau, start, cfg):
     """The index flow as a fresh RK4 march from cfg.t0 on every call, its
     state a 2-entry ndarray marched stage by stage by rk4_trajectory: the
     flow's step maps must reproduce it to round-off."""
     da, db = -1j * p, -1j * q
 
-    def rhs(t, y):
+    def rhs(y):
         c, d = complex(y[0]), complex(y[1])
         fa, fb = product_components(da, db, c, d)
         ba, bb = product_components(c, d, da, db)
@@ -189,11 +215,11 @@ def remarch_oracle(p, q, tau, start, cfg):
         reached = cfg.t0
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
-            y = rk4_trajectory(rhs, y, cfg.t0, signed_dt, abs(steps))
+            y = rk4_trajectory(rhs, y, signed_dt, abs(steps))
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
         if abs(rem) > 1e-15:
-            y = rk4_trajectory(rhs, y, reached, rem, 1)
+            y = rk4_trajectory(rhs, y, rem, 1)
         return IndexPair(complex(y[0]), complex(y[1]))
 
     return at
@@ -351,7 +377,7 @@ class TestBracket:
         M = inf_symmetry_bracket(K, K)
         assert abs(M.tau.alpha) == 0.0 and abs(M.tau.beta) == 0.0
         phi = nz(2, space3, rng)
-        assert np.abs(M.levels.op(2).apply(0.4, phi)).max() <= 1e-7
+        assert np.abs(M.levels(0.4).op(2).apply(phi)).max() <= 1e-7
 
     def test_tau_bracket_frozen_example(self, space3):
         # tau_K = 1, tau_L = t gives tau_[K,L] = 1
@@ -383,8 +409,8 @@ class TestBracket:
         sc = load_scenario("scaling-indices", set(CHECKS))
         assert run_check("symmetry-bracket-closure", sc, {}).status == "pass"
         [M] = built
-        levels = [M.levels.op(n) for n in range(1, M.levels.n_max + 1)]
-        assert len(levels) == 2 and all(op.has_closed_derivative for op in levels)
+        levels = M.levels(0.3)
+        assert levels.n_max == 2 and all(op.has_closed_derivative for op in levels.ops)
 
 
 class TestThresholdConsistency:
@@ -400,32 +426,31 @@ class TestThresholdConsistency:
             return NonlinearOperator(n=n, space=space, eval_fn=ev)
 
         lhs_levels, rhs_levels = [], []
+        before, here, after = (K.levels(t0 + d) for d in (-dt_sym, 0.0, dt_sym))
         for n in range(1, n_max + 1):
-            Kn, Fn = K.levels.op(n), H.op(n)
+            Kn, Fn = here.op(n), H.op(n)
 
-            def lhs_eval(t, data, Kn=Kn):
-                return (Kn.apply(t0 + dt_sym, data) - Kn.apply(t0 - dt_sym, data)) / (
-                    2 * dt_sym
-                )
+            def lhs_eval(data, n=n):
+                return (after.op(n).apply(data) - before.op(n).apply(data)) / (2 * dt_sym)
 
-            def rhs_eval(t, data, Kn=Kn, Fn=Fn):
-                bracket = -1j * Fn.derivative(t0, data, Kn.apply(t0, data)) - Kn.derivative(
-                    t0, data, -1j * Fn.apply(t0, data)
+            def rhs_eval(data, Kn=Kn, Fn=Fn):
+                bracket = -1j * Fn.derivative(data, Kn.apply(data)) - Kn.derivative(
+                    data, -1j * Fn.apply(data)
                 )
-                return bracket - tau.derivative * (-1j) * Fn.apply(t0, data)
+                return bracket - tau.derivative * (-1j) * Fn.apply(data)
 
             lhs_levels.append(freeze(n, lhs_eval))
             rhs_levels.append(freeze(n, rhs_eval))
         lhs_h = Hierarchy(tuple(lhs_levels))
         rhs_h = Hierarchy(tuple(rhs_levels))
-        d_lhs = canonical_decompose(lhs_h, t=t0, seed=5, derivation_tol=1e-6)
-        d_rhs = canonical_decompose(rhs_h, t=t0, seed=5, derivation_tol=1e-6)
+        d_lhs = canonical_decompose(lhs_h, seed=5, derivation_tol=1e-6)
+        d_rhs = canonical_decompose(rhs_h, seed=5, derivation_tol=1e-6)
         gaps = []
         for gl, gr in zip(d_lhs, d_rhs):
             phi = nz(gl.ell, space, rng, phase_cap=math.pi / 4)
             gaps.append(
                 float(
-                    np.abs(gl.op.apply(t0, phi) - gr.op.apply(t0, phi)).max()
+                    np.abs(gl.op.apply(phi) - gr.op.apply(phi)).max()
                 )
             )
         return d_lhs, d_rhs, gaps
@@ -445,10 +470,10 @@ class TestThresholdConsistency:
         assert max(gaps) <= 1e-6
         for g in list(d_lhs[1:]) + list(d_rhs[1:]):
             phi = nz(g.ell, space3, rng, phase_cap=math.pi / 4)
-            assert np.abs(g.op.apply(0.4, phi)).max() <= 1e-6
+            assert np.abs(g.op.apply(phi)).max() <= 1e-6
         # the threshold-one part is genuinely non-zero
         phi1 = nz(1, space3, rng)
-        assert np.abs(d_lhs[0].op.apply(0.4, phi1)).max() > 1e-3
+        assert np.abs(d_lhs[0].op.apply(phi1)).max() > 1e-3
 
     def test_balanced_index_symmetry_of_extended_hierarchy(self, space3, rng):
         # with a threshold-2 generator in the evolution, only symmetries
@@ -470,7 +495,7 @@ class TestThresholdConsistency:
         )
         c = 0.8
         levels = Hierarchy(tuple(lambda_op(IndexPair(c, c), n, space3) for n in (1, 2, 3)))
-        K = InfinitesimalSymmetry(levels=levels, tau=tau)
+        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=tau)
         for n in (1, 2, 3):
             data = nzs(n, space3, rng, phase_cap=math.pi / 4)
             assert max(inf_symmetry_residual(K, H, 0.4, data)) <= 1e-10
@@ -478,7 +503,7 @@ class TestThresholdConsistency:
         assert max(gaps) <= 1e-6
         for g in list(d_lhs) + list(d_rhs):
             phi = nz(g.ell, space3, rng, phase_cap=math.pi / 4)
-            assert np.abs(g.op.apply(0.4, phi)).max() <= 1e-6
+            assert np.abs(g.op.apply(phi)).max() <= 1e-6
 
     def test_unbalanced_indices_are_obstructed(self, space3, rng):
         # the same construction with c != d fails against the threshold-2
@@ -488,7 +513,7 @@ class TestThresholdConsistency:
 
         H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space3, coupling=0.5))], 2)
         levels = Hierarchy(tuple(lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)))
-        K = InfinitesimalSymmetry(levels=levels, tau=AffineMap(0.0, 0.0))
+        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
         res = max(inf_symmetry_residual(K, H2, 0.4, nzs(2, space3, rng, phase_cap=math.pi / 4)))
         assert res > 1e-2
 
@@ -506,7 +531,7 @@ class TestPointSymmetry:
             K = point_level(spec, n, grid8)
             phi = random_state(n, grid8, rng)
             assert np.allclose(
-                K.apply(0.0, phi), 1j * 0.7 * n * phi, rtol=1e-13, atol=1e-15
+                K.apply(phi), 1j * 0.7 * n * phi, rtol=1e-13, atol=1e-15
             )
 
     def test_momentum_matches_direct_two_particle_form(self, grid8, rng):
@@ -525,17 +550,16 @@ class TestPointSymmetry:
         full = np.kron(L1, eye) + np.kron(eye, L1)
         phi = random_state(2, grid8, rng)
         oracle = (full @ phi.reshape(-1)).reshape(8, 8)
-        assert np.allclose(K2.apply(0.0, phi), oracle, rtol=1e-12, atol=1e-13)
+        assert np.allclose(K2.apply(phi), oracle, rtol=1e-12, atol=1e-13)
 
     def test_generator_levels(self, grid8):
         spec = PointSymmetrySpec(eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos))
-        K = InfinitesimalSymmetry(
-            levels=Hierarchy(tuple(point_level(spec, n, grid8) for n in (1, 2, 3)))
-        )
-        assert K.levels.n_max == 3
-        assert [K.levels.op(n).n for n in (1, 2, 3)] == [1, 2, 3]
+        levels = Hierarchy(tuple(point_level(spec, n, grid8) for n in (1, 2, 3)))
+        K = InfinitesimalSymmetry(levels=lambda t: levels)
+        assert K.levels(0.0).n_max == 3
+        assert [K.levels(0.0).op(n).n for n in (1, 2, 3)] == [1, 2, 3]
         with pytest.raises(BadRange):
-            K.levels.op(4)
+            K.levels(0.0).op(4)
 
     def test_named_profiles(self, grid8):
         pos = grid8.positions()
@@ -594,7 +618,7 @@ class TestFreelift:
         # near 2, below the band the central difference's O(h^2) meets
         def forward_difference_op(space):
             h = space.spacing
-            return linear_op(space, 1, lambda t, data: (np.roll(data, -1, axis=0) - data) / h,
+            return linear_op(space, 1, lambda data: (np.roll(data, -1, axis=0) - data) / h,
                              "grid-derivative")
 
         monkeypatch.setattr(sepsym.symmetry, "central_difference_op", forward_difference_op)
@@ -626,4 +650,4 @@ class TestInternalDof:
         F = Generator(site_matrix_op(spin_space, random_hermitian(spin_space, rng)))
         K = Generator(spin_rotation_op(spin_space))
         wf = nz(2, spin_space, rng)
-        assert np.abs(corollary1_obstruction(F, K, 0.0, wf)).max() <= 1e-10
+        assert np.abs(corollary1_obstruction(F, K, wf)).max() <= 1e-10
