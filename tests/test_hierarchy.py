@@ -26,6 +26,7 @@ from sepsym.operators import (
     cross_ratio_op,
     diag_mult_op,
     lambda_op,
+    linear_op,
     log_modulus_op,
     nonseparating_op,
     relative_log_modulus_op,
@@ -125,6 +126,13 @@ def sliced_oracle(fn, m, J, arrays):
     return np.transpose(out.reshape((s,) * m), inv)
 
 
+def pair_matrix(space, square):
+    """Kernel of the two-particle matrix ``square`` acting on the flattened pair."""
+    def ev(data):
+        return (square @ data.reshape(space.size**2, -1)).reshape(data.shape)
+    return ev
+
+
 def _contract_cases():
     """Every operator factory, the point-symmetry drift, one combination
     and one bracket, on a factored grid (spin x sites) and a plain grid."""
@@ -137,10 +145,12 @@ def _contract_cases():
     for sp in (spin, plain):
         s = sp.size
         site_vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        square = rng.standard_normal((s * s, s * s)) + 1j * rng.standard_normal((s * s, s * s))
         cases += [
             (sp, zero_op(sp, 1)),
             (sp, zero_op(sp, 2)),
             (sp, site_matrix_op(sp, random_hermitian(sp, rng))),
+            (sp, linear_op(sp, 2, pair_matrix(sp, square), "pair-matrix")),
             (sp, diag_mult_op(sp, site_vals)),
             (sp, lambda_op(IndexPair(0.4 - 0.2j, 0.7), 1, sp)),
             (sp, lambda_op(IndexPair(0.4, 0.7), 2, sp)),
