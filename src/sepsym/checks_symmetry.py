@@ -13,7 +13,6 @@ from .space import random_batch
 from .symmetry import (
     AffineMap,
     FiniteSymmetry,
-    IDENTITY_TIME,
     index_law_residual,
     inf_symmetry_bracket,
     inf_symmetry_residual,
@@ -37,7 +36,7 @@ def check_index_evolution(ctx: CheckContext) -> CheckResult:
     start = IndexPair(0.9, 0.4)
     cfg = ctx.evolution
     H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
-    K = lambda_index_symmetry(p, q, tau, start, cfg, space, 2)
+    K = lambda_index_symmetry(p, q, tau, start, cfg, space)
     # one two-particle state per time
     times = _inside(cfg, (0.21, 0.5, 0.83))
     worst_sym = max(
@@ -58,8 +57,8 @@ def check_lattice_shift(ctx: CheckContext) -> CheckResult:
     space = ctx.space
     F1 = Generator(log_modulus_op(space, 1.0))
     H = Hierarchy.from_generators([F1], 3)
-    shifts = Hierarchy(tuple(shift_all_op(space, n, 2) for n in (1, 2, 3)))
-    V = FiniteSymmetry(levels=lambda t: shifts, tmap=IDENTITY_TIME)
+    shifts = [shift_all_op(space, n, 2) for n in (1, 2, 3)]
+    V = FiniteSymmetry(level=lambda t, n: shifts[n - 1])
     worst = max(
         max(symmetry_residual(V, H, 0.3, data))
         for n in (1, 2, 3) for data in random_batch((n,), space, [ctx.rng(n)])
@@ -75,8 +74,8 @@ def check_symmetry_bracket(ctx: CheckContext) -> CheckResult:
     p, q = 0.9, 0.5
     cfg = ctx.evolution
     H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
-    K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space, 2)
-    L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space, 2)
+    K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space)
+    L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space)
     M = inf_symmetry_bracket(K, L)
     tau_expected = K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha
     tau_err = abs(M.tau.beta - tau_expected) + abs(M.tau.alpha)

@@ -1,7 +1,8 @@
 """Command-line front end: run scenario files, list checks.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or errored,
-2 the scenario could not be loaded or validated.
+2 the scenario could not be loaded or validated, or the ``--out`` file
+could not be opened for writing; both are found before any check runs.
 """
 
 from __future__ import annotations
@@ -111,10 +112,15 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     report = build_report(scenario)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report_text(report))
+    if out:
+        with out:
+            out.write(report_text(report))
     _print_table(report)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 

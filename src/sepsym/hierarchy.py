@@ -44,7 +44,7 @@ from .errors import BadRange, BadTuple, NotDerivation, SpaceMismatch
 from .mixedpow import IndexPair, ZERO_PAIR
 from .opcalc import NonlinearOperator, estimate_log_indices, lie_bracket, op_combine
 from .operators import lambda_op, zero_op
-from .space import ConfigSpace, check_index_tuple, random_batch, sup_norms, tensor_all
+from .space import ConfigSpace, check_index_tuple, random_batch, state_shape, sup_norms, tensor_all
 
 DERIVATION_TOL = 1e-8
 
@@ -186,6 +186,7 @@ def _slot_sum(gen: Generator, ns: tuple[int, ...], n: int, space: ConfigSpace,
     if gen.op.pointwise_lambda is not None and gen.op.pointwise_lambda == gen.indices:
         return replace(gen.op, n=n, space=space, name=name)
     shape, count = (space.size,) * n, space.size**n
+    state_shape(gen.op.space, max(ns))  # the flat-size cap, before the plan's size**n indices
     gather, back, adds, first = _slot_plan(gen.op.space.size, ns, gen.ell)
 
     def into(a):

@@ -2,9 +2,9 @@
 
 Times are in units of hbar, as in ``evolution``, so no law carries hbar.
 The evolution law i d_t psi = F(psi) is autonomous; time lives in the
-symmetries alone.  A symmetry's ``levels`` is a family t -> Hierarchy of
-autonomous operators, and its residuals take d/dt of that family by a
-central difference (exactly zero for a family that ignores t).
+symmetries alone.  A symmetry's ``level`` is a family (t, n) -> n-particle
+operator; a residual builds only the level it judges and takes its d/dt by
+a central difference (exactly zero for a family that ignores t).
 
 A finite symmetry acts as (V psi)(t) = V(t) psi(T(t)) with an affine time
 map T; it solves the evolution equation
@@ -40,9 +40,9 @@ import numpy as np
 
 from .errors import SpaceMismatch, StepMismatch
 from .evolution import MAX_STEPS, EvolutionConfig, rk4_affine_step
-from .hierarchy import Hierarchy, bracket_hierarchy
+from .hierarchy import Hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
-from .opcalc import NonlinearOperator
+from .opcalc import NonlinearOperator, lie_bracket
 from .operators import central_difference_op, diag_mult_op, lambda_op, linear_op, site_multiply
 from .space import ConfigSpace, sup_norms
 
@@ -60,28 +60,21 @@ class AffineMap:
     def __call__(self, t: float) -> float:
         return self.alpha * t + self.beta
 
-    @property
-    def derivative(self) -> float:
-        return self.alpha
-
-
-IDENTITY_TIME = AffineMap(1.0, 0.0)
-
 
 @dataclass(frozen=True)
 class FiniteSymmetry:
-    """Family t -> hierarchy of operators V_n(t), with the time map T."""
+    """Family (t, n) -> n-particle operator V_n(t), with the time map T."""
 
-    levels: Callable[[float], Hierarchy]
-    tmap: AffineMap = IDENTITY_TIME
+    level: Callable[[float, int], NonlinearOperator]
+    tmap: AffineMap = AffineMap()
 
 
 @dataclass(frozen=True)
 class InfinitesimalSymmetry:
-    """Family t -> hierarchy of generators K_n(t), with the
+    """Family (t, n) -> n-particle generator K_n(t), with the
     time-reparameterisation rate."""
 
-    levels: Callable[[float], Hierarchy]
+    level: Callable[[float, int], NonlinearOperator]
     tau: AffineMap = AffineMap(0.0, 0.0)
 
 
@@ -90,16 +83,25 @@ def _d_dt(fn: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     return (fn(t + DT_SYM) - fn(t - DT_SYM)) / (2 * DT_SYM)
 
 
+def _level(sym, F: Hierarchy, t: float, n: int) -> NonlinearOperator:
+    """Level n of ``sym`` at t; SpaceMismatch unless it is an n-particle
+    operator on F's space."""
+    op = sym.level(t, n)
+    if op.n != n or op.space != F.space:
+        raise SpaceMismatch(f"level {n} operator has n={op.n} or another space")
+    return op
+
+
 def symmetry_residual(V: FiniteSymmetry, F: Hierarchy, t: float, data: np.ndarray) -> list[float]:
     """Defect of d_t V = i_bar F V - T' DV . i_bar F, per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
-    Vn = V.levels(t).op(n)
     Fn = F.op(n)
-    dV = _d_dt(lambda s: V.levels(s).op(n).apply(data), t)
+    Vn = _level(V, F, t, n)
+    dV = _d_dt(lambda s: V.level(s, n).apply(data), t)
     Vphi = Vn.apply(data)
     drive = -1j * Fn.apply(data)
-    resid = dV - (-1j) * Fn.apply(Vphi) + V.tmap.derivative * Vn.derivative(data, drive)
+    resid = dV - (-1j) * Fn.apply(Vphi) + V.tmap.alpha * Vn.derivative(data, drive)
     return sup_norms(resid)
 
 
@@ -109,9 +111,9 @@ def inf_symmetry_residual(
     """Defect of d_t K = [i_bar F, K] - d_t (tau i_bar F), per state
     stacked on ``data``'s trailing batch axis."""
     n = data.ndim - 1
-    Kn = K.levels(t).op(n)
     Fn = F.op(n)
-    dK = _d_dt(lambda s: K.levels(s).op(n).apply(data), t)
+    Kn = _level(K, F, t, n)
+    dK = _d_dt(lambda s: K.level(s, n).apply(data), t)
     Kphi = Kn.apply(data)
     Fphi = Fn.apply(data)
     # [i_bar F, K] = D(i_bar F).K - DK.(i_bar F); multiplication by -i is
@@ -124,35 +126,30 @@ def inf_symmetry_residual(
 
 
 def inf_symmetry_bracket(K: InfinitesimalSymmetry, L: InfinitesimalSymmetry) -> InfinitesimalSymmetry:
-    """Bracket [K, L]: at each t, the level-wise Lie bracket of K(t) and
-    L(t) plus the rate terms tau_K d_t L - tau_L d_t K."""
+    """Bracket [K, L]: at each (t, n), the Lie bracket of K_n(t) and
+    L_n(t) plus the rate terms tau_K d_t L_n - tau_L d_t K_n."""
 
-    def levels(t: float) -> Hierarchy:
-        inner = bracket_hierarchy(K.levels(t), L.levels(t))
+    def level(t: float, n: int) -> NonlinearOperator:
+        br = lie_bracket(K.level(t, n), L.level(t, n))
 
-        def with_rates(n):
-            br = inner.op(n)
+        def rated(attr):
+            # one kernel of br plus the rate terms of the same kernel of L, K
+            def rate(sym, arrays):
+                return _d_dt(lambda s: getattr(sym.level(s, n), attr)(*arrays), t)
 
-            def rated(attr):
-                # one kernel of br plus the rate terms of the same kernel of L, K
-                def rate(sym, arrays):
-                    return _d_dt(lambda s: getattr(sym.levels(s).op(n), attr)(*arrays), t)
+            def kernel(*arrays):
+                out = getattr(br, attr)(*arrays)
+                out += K.tau(t) * rate(L, arrays)
+                out -= L.tau(t) * rate(K, arrays)
+                return out
 
-                def kernel(*arrays):
-                    out = getattr(br, attr)(*arrays)
-                    out += K.tau(t) * rate(L, arrays)
-                    out -= L.tau(t) * rate(K, arrays)
-                    return out
+            return kernel
 
-                return kernel
-
-            deriv = rated("derivative") if br.derivative_fn is not None else None
-            return replace(br, eval_fn=rated("apply"), derivative_fn=deriv)
-
-        return Hierarchy(tuple(with_rates(n) for n in range(1, inner.n_max + 1)))
+        deriv = rated("derivative") if br.derivative_fn is not None else None
+        return replace(br, eval_fn=rated("apply"), derivative_fn=deriv)
 
     tau = AffineMap(0.0, K.tau.beta * L.tau.alpha - L.tau.beta * K.tau.alpha)
-    return InfinitesimalSymmetry(levels=levels, tau=tau)
+    return InfinitesimalSymmetry(level=level, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +301,10 @@ def lambda_index_symmetry(
     start: IndexPair,
     cfg: EvolutionConfig,
     space: ConfigSpace,
-    n_levels: int,
 ) -> InfinitesimalSymmetry:
     """The index-carrying symmetry K(t) = Lambda(c(t), d(t)) of the
     Lambda(p, q) hierarchy, with (c, d) transported by the index law:
-    ``levels(t)`` solves the flow once and builds every level from it."""
+    ``level(t, n)`` solves the flow once and builds Lambda_n of its
+    indices."""
     flow = index_flow(p, q, tau, start, cfg)
-
-    def levels(t: float) -> Hierarchy:
-        idx = flow(t)
-        return Hierarchy(tuple(lambda_op(idx, n, space) for n in range(1, n_levels + 1)))
-
-    return InfinitesimalSymmetry(levels=levels, tau=tau)
+    return InfinitesimalSymmetry(level=lambda t, n: lambda_op(flow(t), n, space), tau=tau)

@@ -35,7 +35,6 @@ from sepsym.space import ConfigSpace, random_batch, random_state, tensor_all
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
-    IDENTITY_TIME,
     inf_symmetry_residual,
     lambda_index_symmetry,
     symmetry_residual,
@@ -155,8 +154,7 @@ class TestStackedResiduals:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetry_residual(self, grid8, n):
         H = Hierarchy.from_generators([Generator(log_modulus_op(grid8, 1.0))], 3)
-        shifts = Hierarchy(tuple(shift_all_op(grid8, k, 2) for k in (1, 2, 3)))
-        V = FiniteSymmetry(lambda t: shifts, IDENTITY_TIME)
+        V = FiniteSymmetry(lambda t, k: shift_all_op(grid8, k, 2))
         stacked, singles = one_by_one(lambda d: symmetry_residual(V, H, 0.3, d), (n,), grid8)
         assert stacked == singles
 
@@ -165,7 +163,7 @@ class TestStackedResiduals:
         # a time-dependent K, so the residual's d_t K term is taken too
         H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(1.1, 0.6), 1, space3))], 2)
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
-        K = lambda_index_symmetry(1.1, 0.6, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3, 2)
+        K = lambda_index_symmetry(1.1, 0.6, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3)
         stacked, singles = one_by_one(lambda d: inf_symmetry_residual(K, H, 0.4, d), (n,),
                                       space3)
         assert stacked == singles

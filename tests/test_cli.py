@@ -280,6 +280,16 @@ class TestCheckErrors:
         assert checks[1]["status"] == "pass"  # later checks still run
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_slot_plan_meets_the_cap_before_it_allocates(self, tmp_path, capsys):
+        # a lift's slot plan holds size**n indices per level: at 10**6
+        # sites the cap must fire before it, not a MemoryError inside it
+        doc = {"name": "huge", "seed": 3, "space": {"size": 10**6, "grid": True},
+               "checks": ["derivation-bracket"]}
+        [entry] = self.run(tmp_path, doc)
+        assert entry["status"] == "error"
+        assert entry["details"]["error"].startswith("SizeCapExceeded: ")
+        assert capsys.readouterr().err == ""
+
     def test_unexpected_exception_becomes_error_entry(self, tmp_path, capsys, monkeypatch):
         def broken(ctx):
             raise RuntimeError("planted fault")
@@ -521,6 +531,18 @@ class TestBadValuesExitTwo:
     def test_bad_evolution(self, tmp_path, capsys, evolution):
         err = self.run_main(tmp_path, capsys, dict(self.EVOLVING, evolution=evolution))
         assert "evolution" in err
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "."])
+    def test_unwritable_out_exits_two_before_any_check(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.setattr(sepsym.cli, "build_report", lambda sc: pytest.fail("checks ran"))
+        scen = tmp_path / "fast.json"
+        scen.write_text(json.dumps(FAST_SCENARIO))
+        target = tmp_path / out
+        assert main(["run", "--scenario", str(scen), "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+        assert not target.is_file()
 
     def test_negative_factors(self, tmp_path, capsys):
         # (-1) * (-3) is the size, but a factor below 1 is no set of sites

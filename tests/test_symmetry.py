@@ -30,7 +30,6 @@ from sepsym.space import ConfigSpace, random_batch, random_state, sup_norms
 from sepsym.symmetry import (
     AffineMap,
     FiniteSymmetry,
-    IDENTITY_TIME,
     InfinitesimalSymmetry,
     PointSymmetrySpec,
     index_flow,
@@ -61,23 +60,27 @@ def log_hierarchy(space, n_max=3):
 class TestFiniteSymmetry:
     def test_identity_symmetry(self, grid8, rng):
         H = log_hierarchy(grid8)
-        levels = Hierarchy((site_matrix_op(grid8, np.eye(8)),))
-        V = FiniteSymmetry(levels=lambda t: levels, tmap=IDENTITY_TIME)
+        identity = site_matrix_op(grid8, np.eye(8))
+        V = FiniteSymmetry(level=lambda t, n: identity)
         assert max(symmetry_residual(V, H, 0.4, nzs(1, grid8, rng))) <= 1e-12
 
     def test_lattice_shift_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
-        shifts = Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3)))
-        V = FiniteSymmetry(levels=lambda t: shifts, tmap=IDENTITY_TIME)
+        V = FiniteSymmetry(level=lambda t, n: shift_all_op(grid8, n, 3))
         for n in (1, 2, 3):
             assert max(symmetry_residual(V, H, 0.3, nzs(n, grid8, rng))) <= 1e-12
 
     def test_level_k_must_act_on_k_particles(self, grid8, rng):
-        # the levels at each t are a Hierarchy, which rejects a gap in the ladder
-        V = FiniteSymmetry(levels=lambda t: Hierarchy((shift_all_op(grid8, 1, 3),
-                                                       shift_all_op(grid8, 3, 3))))
+        # the residual judges level n only if it acts on n particles of F's space
+        V = FiniteSymmetry(level=lambda t, n: shift_all_op(grid8, 3, 3))
         with pytest.raises(SpaceMismatch):
             symmetry_residual(V, log_hierarchy(grid8), 0.3, nzs(1, grid8, rng))
+        other = FiniteSymmetry(level=lambda t, n: shift_all_op(ConfigSpace(8), n, 3))
+        with pytest.raises(SpaceMismatch):
+            symmetry_residual(other, log_hierarchy(grid8), 0.3, nzs(1, grid8, rng))
+        K = InfinitesimalSymmetry(level=lambda t, n: shift_all_op(grid8, 2, 3))
+        with pytest.raises(SpaceMismatch):
+            inf_symmetry_residual(K, log_hierarchy(grid8), 0.3, nzs(1, grid8, rng))
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     def test_linear_conjugated_flow(self, space4, rng, hbar):
@@ -89,12 +92,12 @@ class TestFiniteSymmetry:
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
 
-        def conjugated(t):
+        def conjugated(t, n):
             U = scipy.linalg.expm(-1j * A * t)
             M = U @ W @ U.conj().T
-            return Hierarchy((linear_op(space4, 1, lambda data: M @ data, "V"),))
+            return linear_op(space4, n, lambda data: M @ data, "V")
 
-        V = FiniteSymmetry(levels=conjugated, tmap=IDENTITY_TIME)
+        V = FiniteSymmetry(level=conjugated)
         res = max(symmetry_residual(V, H, 0.37 / hbar, nzs(1, space4, rng)))
         assert res <= 1e-6  # limited by the DT_SYM time differencing
 
@@ -104,23 +107,23 @@ class TestInfinitesimal:
         A = random_hermitian(space4, rng)
         g = Generator(site_matrix_op(space4, A))
         H = Hierarchy.from_generators([g], 1)
-        levels = Hierarchy((site_matrix_op(space4, A @ A),))
-        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
+        square = site_matrix_op(space4, A @ A)
+        K = InfinitesimalSymmetry(level=lambda t, n: square, tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.3, nzs(1, space4, rng))) <= 1e-11
 
     def test_drive_is_own_symmetry(self, space4, rng):
         # K = i_bar F commutes with the drive ([i_bar F, i_bar F] = 0); the
         # plain F would not, since DF is only real-linear
         H = log_hierarchy(space4, 2)
-        levels = Hierarchy(tuple(op_combine([H.op(n)], [-1j]) for n in (1, 2)))
-        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
+        K = InfinitesimalSymmetry(level=lambda t, n: op_combine([H.op(n)], [-1j]),
+                                  tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.5, nzs(2, space4, rng))) <= 1e-11
 
     def test_constant_phase_exact(self, grid8, rng):
         H = log_hierarchy(grid8)
         phase = diag_mult_op(grid8, 1j * 0.7 * np.ones(8), name="i*c")
-        levels = Hierarchy(tuple(canonical_lift(Generator(phase), n) for n in (1, 2, 3)))
-        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
+        K = InfinitesimalSymmetry(level=lambda t, n: canonical_lift(Generator(phase), n),
+                                  tau=AffineMap(0.0, 0.0))
         assert max(inf_symmetry_residual(K, H, 0.1, nzs(2, grid8, rng))) <= 1e-12
 
     def test_momentum_residual_quadratic_in_h(self, rng):
@@ -131,8 +134,8 @@ class TestInfinitesimal:
             spec = PointSymmetrySpec(xi=lambda pos: np.full(pos.shape, 0.9))
             parts = point_symmetry_parts(spec, sp)
             mom = op_combine([parts["drift"], parts["mult"]], name="advection")
-            levels = Hierarchy(tuple(canonical_lift(Generator(mom), n) for n in (1, 2)))
-            K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
+            K = InfinitesimalSymmetry(level=lambda t, n: canonical_lift(Generator(mom), n),
+                                      tau=AffineMap(0.0, 0.0))
             [data] = random_batch((2,), sp, [(5, 1)], smooth=True)
             residuals.append(max(inf_symmetry_residual(K, Hg, 0.2, data)))
         assert residuals[0] > 1e-4  # genuinely non-zero at finite h
@@ -144,7 +147,7 @@ class TestInfinitesimal:
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
         g = Generator(lambda_op(IndexPair(p, q), 1, space3))
         H = Hierarchy.from_generators([g], 2)
-        K = lambda_index_symmetry(p, q, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3, 2)
+        K = lambda_index_symmetry(p, q, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4), cfg, space3)
         for t in (0.2, 0.8):
             assert max(inf_symmetry_residual(K, H, t, nzs(2, space3, rng))) <= 1e-6
 
@@ -160,25 +163,26 @@ class TestInfinitesimal:
 
 
 class TestLevelFamilies:
-    """A symmetry's levels are a family t -> Hierarchy; its residuals take
-    d/dt of the family, which is zero for one that ignores t."""
+    """A symmetry's level is a family (t, n) -> n-particle operator; its
+    residuals take d/dt of level n, which is zero for a family that
+    ignores t."""
 
     def test_static_shift_family_has_no_rate_term(self, grid8, rng):
         # a static family differences two equal arrays, so the residual is
         # bit for bit the formula without its d/dt term
         H = log_hierarchy(grid8)
-        shifts = Hierarchy(tuple(shift_all_op(grid8, n, 3) for n in (1, 2, 3)))
+        shifts = [shift_all_op(grid8, n, 3) for n in (1, 2, 3)]
         tmap = AffineMap(1.5, 0.2)
-        V = FiniteSymmetry(levels=lambda t: shifts, tmap=tmap)
+        V = FiniteSymmetry(level=lambda t, n: shifts[n - 1], tmap=tmap)
         for n in (1, 2, 3):
             data = nzs(n, grid8, rng, k=3)
-            Vn, Fn = shifts.op(n), H.op(n)
+            Vn, Fn = shifts[n - 1], H.op(n)
             drive = -1j * Fn.apply(data)
-            want = sup_norms(tmap.derivative * Vn.derivative(data, drive)
+            want = sup_norms(tmap.alpha * Vn.derivative(data, drive)
                              - (-1j) * Fn.apply(Vn.apply(data)))
             assert symmetry_residual(V, H, 0.3, data) == want
 
-    def test_index_symmetry_solves_the_flow_once_per_time(self, space3, monkeypatch):
+    def test_index_symmetry_solves_the_flow_once_per_level(self, space3, monkeypatch):
         asked = []
 
         def recording(*args):
@@ -188,12 +192,32 @@ class TestLevelFamilies:
         monkeypatch.setattr(sepsym.symmetry, "index_flow", recording)
         args = (1.1, 0.6, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4),
                 EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0))
-        K = lambda_index_symmetry(*args, space3, 3)
-        for t in (0.2, 0.7, 0.2):
-            levels = K.levels(t)
-            want = index_flow(*args)(t)
-            assert [op.indices for op in levels.ops] == [want] * 3
+        K = lambda_index_symmetry(*args, space3)
+        for t, n in ((0.2, 1), (0.7, 3), (0.2, 2)):
+            op = K.level(t, n)
+            assert (op.n, op.indices) == (n, index_flow(*args)(t))
         assert asked == [0.2, 0.7, 0.2]
+
+    def test_a_residual_builds_only_its_level(self, space3, rng):
+        # the residual at n builds level n at t and at t +- DT_SYM, no other
+        built = []
+        H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(1.1, 0.6), 1, space3))], 3)
+        K = lambda_index_symmetry(1.1, 0.6, AffineMap(0.5, 0.2), IndexPair(0.9, 0.4),
+                                  EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0), space3)
+        recorded = replace(K, level=lambda t, n: built.append(n) or K.level(t, n))
+        inf_symmetry_residual(recorded, H, 0.4, nzs(2, space3, rng))
+        assert built == [2, 2, 2]
+
+    @pytest.mark.parametrize("check", ["index-evolution", "symmetry-bracket-closure"])
+    def test_a_check_builds_one_hierarchy(self, check, monkeypatch):
+        # the evolution hierarchy F is the only one; a symmetry builds levels
+        built = []
+        post_init = Hierarchy.__post_init__
+        monkeypatch.setattr(Hierarchy, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        sc = load_scenario("scaling-indices", set(CHECKS))
+        assert run_check(check, sc, {}).status == "pass"
+        assert len(built) == 1
 
 
 def remarch_oracle(p, q, tau, start, cfg):
@@ -367,8 +391,8 @@ class TestBracket:
     def make_pair(self, space):
         p, q = 0.9, 0.5
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
-        K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space, 2)
-        L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space, 2)
+        K = lambda_index_symmetry(p, q, AffineMap(0.0, 1.0), IndexPair(0.8, 0.3), cfg, space)
+        L = lambda_index_symmetry(p, q, AffineMap(1.0, 0.0), IndexPair(0.2, 0.7), cfg, space)
         H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space))], 2)
         return K, L, H
 
@@ -377,7 +401,7 @@ class TestBracket:
         M = inf_symmetry_bracket(K, K)
         assert abs(M.tau.alpha) == 0.0 and abs(M.tau.beta) == 0.0
         phi = nz(2, space3, rng)
-        assert np.abs(M.levels(0.4).op(2).apply(phi)).max() <= 1e-7
+        assert np.abs(M.level(0.4, 2).apply(phi)).max() <= 1e-7
 
     def test_tau_bracket_frozen_example(self, space3):
         # tau_K = 1, tau_L = t gives tau_[K,L] = 1
@@ -393,7 +417,7 @@ class TestBracket:
             assert max(inf_symmetry_residual(M, H, t, nzs(2, space3, rng))) <= 2e-5
 
     def test_checked_bracket_has_closed_derivatives(self, monkeypatch):
-        # symmetry-bracket-closure differentiates every level of [K, L]; a
+        # symmetry-bracket-closure differentiates a level of [K, L]; a
         # level without a closed derivative would move it onto finite
         # differences without a word (only Lambda and linear operators
         # carry the second derivatives a bracket's derivative needs)
@@ -409,8 +433,7 @@ class TestBracket:
         sc = load_scenario("scaling-indices", set(CHECKS))
         assert run_check("symmetry-bracket-closure", sc, {}).status == "pass"
         [M] = built
-        levels = M.levels(0.3)
-        assert levels.n_max == 2 and all(op.has_closed_derivative for op in levels.ops)
+        assert all(M.level(0.3, n).has_closed_derivative for n in (1, 2))
 
 
 class TestThresholdConsistency:
@@ -426,18 +449,18 @@ class TestThresholdConsistency:
             return NonlinearOperator(n=n, space=space, eval_fn=ev)
 
         lhs_levels, rhs_levels = [], []
-        before, here, after = (K.levels(t0 + d) for d in (-dt_sym, 0.0, dt_sym))
         for n in range(1, n_max + 1):
-            Kn, Fn = here.op(n), H.op(n)
+            before, Kn, after = (K.level(t0 + d, n) for d in (-dt_sym, 0.0, dt_sym))
+            Fn = H.op(n)
 
-            def lhs_eval(data, n=n):
-                return (after.op(n).apply(data) - before.op(n).apply(data)) / (2 * dt_sym)
+            def lhs_eval(data, before=before, after=after):
+                return (after.apply(data) - before.apply(data)) / (2 * dt_sym)
 
             def rhs_eval(data, Kn=Kn, Fn=Fn):
                 bracket = -1j * Fn.derivative(data, Kn.apply(data)) - Kn.derivative(
                     data, -1j * Fn.apply(data)
                 )
-                return bracket - tau.derivative * (-1j) * Fn.apply(data)
+                return bracket - tau.alpha * (-1j) * Fn.apply(data)
 
             lhs_levels.append(freeze(n, lhs_eval))
             rhs_levels.append(freeze(n, rhs_eval))
@@ -465,7 +488,7 @@ class TestThresholdConsistency:
         tau = AffineMap(0.5, 0.2)
         cfg = EvolutionConfig(dt=1e-3, t0=0.0, t1=1.0)
         H = Hierarchy.from_generators([Generator(lambda_op(IndexPair(p, q), 1, space3))], 3)
-        K = lambda_index_symmetry(p, q, tau, IndexPair(0.9, 0.4), cfg, space3, 3)
+        K = lambda_index_symmetry(p, q, tau, IndexPair(0.9, 0.4), cfg, space3)
         d_lhs, d_rhs, gaps = self.decompose_both_sides(space3, H, K, tau, 0.4, rng)
         assert max(gaps) <= 1e-6
         for g in list(d_lhs[1:]) + list(d_rhs[1:]):
@@ -494,8 +517,8 @@ class TestThresholdConsistency:
             3,
         )
         c = 0.8
-        levels = Hierarchy(tuple(lambda_op(IndexPair(c, c), n, space3) for n in (1, 2, 3)))
-        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=tau)
+        K = InfinitesimalSymmetry(level=lambda t, n: lambda_op(IndexPair(c, c), n, space3),
+                                  tau=tau)
         for n in (1, 2, 3):
             data = nzs(n, space3, rng, phase_cap=math.pi / 4)
             assert max(inf_symmetry_residual(K, H, 0.4, data)) <= 1e-10
@@ -512,8 +535,8 @@ class TestThresholdConsistency:
         from sepsym.operators import cross_ratio_op
 
         H2 = Hierarchy.from_generators([Generator(cross_ratio_op(space3, coupling=0.5))], 2)
-        levels = Hierarchy(tuple(lambda_op(IndexPair(0.8, 0.3), n, space3) for n in (1, 2)))
-        K = InfinitesimalSymmetry(levels=lambda t: levels, tau=AffineMap(0.0, 0.0))
+        K = InfinitesimalSymmetry(level=lambda t, n: lambda_op(IndexPair(0.8, 0.3), n, space3),
+                                  tau=AffineMap(0.0, 0.0))
         res = max(inf_symmetry_residual(K, H2, 0.4, nzs(2, space3, rng, phase_cap=math.pi / 4)))
         assert res > 1e-2
 
@@ -552,14 +575,13 @@ class TestPointSymmetry:
         oracle = (full @ phi.reshape(-1)).reshape(8, 8)
         assert np.allclose(K2.apply(phi), oracle, rtol=1e-12, atol=1e-13)
 
-    def test_generator_levels(self, grid8):
+    def test_generator_levels(self, grid8, rng):
         spec = PointSymmetrySpec(eta=lambda pos: np.sin(pos), xi=lambda pos: np.cos(pos))
-        levels = Hierarchy(tuple(point_level(spec, n, grid8) for n in (1, 2, 3)))
-        K = InfinitesimalSymmetry(levels=lambda t: levels)
-        assert K.levels(0.0).n_max == 3
-        assert [K.levels(0.0).op(n).n for n in (1, 2, 3)] == [1, 2, 3]
+        K = InfinitesimalSymmetry(level=lambda t, n: point_level(spec, n, grid8))
+        assert [K.level(0.0, n).n for n in (1, 2, 3)] == [1, 2, 3]
+        # a residual judges no level above the evolution hierarchy's
         with pytest.raises(BadRange):
-            K.levels(0.0).op(4)
+            inf_symmetry_residual(K, log_hierarchy(grid8), 0.0, nzs(4, grid8, rng))
 
     def test_named_profiles(self, grid8):
         pos = grid8.positions()
