@@ -98,18 +98,19 @@ def check_scaling_indices(ctx: CheckContext) -> CheckResult:
     # both trajectories off the branch cut, where E(k phi) = k^(a,b) E(phi) holds
     [phi] = random_batch((1,), space, [rng], phase_cap=math.pi / 2)
     dts = [0.02, 0.01, 0.005]
-    runs = scaling_test(F, phi, 1.4 + 0.3j, [EvolutionConfig(dt=dt, t0=0.0, t1=1.0) for dt in dts])
+    cfgs = [EvolutionConfig(dt=dt, t0=0.0, t1=1.0) for dt in dts]
+    runs = scaling_test(F, phi, 1.4 + 0.3j, cfgs)
     residuals = [gaps[0] for gaps, _ in runs]
-    trajs = [traj for _, traj in runs]
+    flows = [flow for _, flow in runs]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    # the ladder's index laws at dt = 0.02 and 0.01 give the closed form and
+    # the ladder's index flows at dt = 0.02 and 0.01 give the closed form and
     # the extraction, which recovers (p, q) at second order: halving the
     # step quarters the error
     closed = complex(math.cos(p), -math.sin(p))
-    closed_err = abs(complex(trajs[1].a[-1]) - closed)
+    closed_err = abs(flows[1](cfgs[1].t1).a - closed)
     extr_errs = []
-    for traj in trajs[:2]:
-        est = extract_indices(traj)
+    for flow, cfg in zip(flows[:2], cfgs):
+        est = extract_indices(flow, cfg)
         extr_errs.append(max(abs(est.a - p), abs(est.b - p)))
     extr_ratio = extr_errs[0] / extr_errs[1] if extr_errs[1] > 0 else float("inf")
     # strictly homogeneous operator: scaling holds to round-off

@@ -16,8 +16,10 @@ desk scale) integrates states.  The evolution-scaling indices
 which govern how E(t', t)(k phi) = k^(a, b) E(t', t) phi scales rescaled
 initial data, obey real-linear laws, so their RK4 step is one fixed real
 4x4 map (``rk4_affine_step``, which takes an affine law) applied to the
-pair (a, b).  The logarithmic indices are recovered from the trajectory
-by one-sided second-order differencing of a and b at t' = t.
+pair (a, b).  ``pair_flow`` marches any such pair law, this one and the
+index law that ``symmetry`` carries along a symmetry, on a table of RK4
+nodes.  The logarithmic indices are recovered from the flow by one-sided
+second-order differencing of a and b at t' = t.
 
 States are marched a whole dt ladder and, in the separation test, all
 particle levels at a time.  An RK4 step on a decoupled system is the step
@@ -34,6 +36,7 @@ the march.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,7 +49,7 @@ from .mixedpow import IndexPair, mixed_power, pair_action
 from .opcalc import NonlinearOperator
 from .space import sup_norms, tensor_data
 
-# Desk-scale guarantee, as the flat-size cap: a march, or the index flow either
+# Desk-scale guarantee, as the flat-size cap: a march, or a pair flow either
 # way, may take at most this many steps.  The default dt takes 1000 and no
 # check's ladder over 200.
 MAX_STEPS = 100_000
@@ -130,6 +133,65 @@ def rk4_affine_step(linear: Callable, offset: tuple[complex, complex], dt: float
                         r30 * x0 + r31 * x1 + r32 * x2 + r33 * x3 + s3))
 
     return step
+
+
+def pair_flow(
+    linear: Callable, offset: tuple[complex, complex], start: IndexPair, cfg: EvolutionConfig
+) -> Callable[[float], IndexPair]:
+    """Dense RK4 solution t -> (c(t), d(t)) of the autonomous real-affine
+    law d/dt (c, d) = linear(c, d) + offset, with (c, d) = start at cfg.t0.
+
+    The flow keeps the RK4 nodes y(t0 + k dt) and y(t0 - k dt) it has
+    reached, marching further on demand in the direction a call needs with
+    the ``rk4_affine_step`` map of that signed step; an off-node time takes
+    the map of its remainder from its nearest node (dense output).  Each
+    map is built once, on first use.  Node k is bit for bit k applications
+    of the map to the start, the value of a fresh k-step march from
+    cfg.t0.  A time more than MAX_STEPS steps from cfg.t0 raises
+    StepMismatch.
+    """
+    y0 = (start.a, start.b)
+    tables = {cfg.dt: [y0], -cfg.dt: [y0]}  # signed step -> [y_0, y_1, ...]
+
+    @functools.cache  # central differences revisit each remainder
+    def step_map(h: float) -> Callable:
+        return rk4_affine_step(linear, offset, h)
+
+    def at(tt: float) -> IndexPair:
+        span = tt - cfg.t0
+        steps = span / cfg.dt
+        if not abs(steps) < MAX_STEPS + 0.5:  # before the table grows; NaN and inf fail too
+            raise StepMismatch(f"time {tt} is {abs(steps):.6g} steps of dt={cfg.dt} from "
+                               f"t0={cfg.t0}, above the step-count cap {MAX_STEPS}")
+        steps = int(round(steps))
+        y = y0
+        reached = cfg.t0
+        if steps != 0:
+            signed_dt = math.copysign(cfg.dt, span)
+            table = tables[signed_dt]
+            if len(table) <= abs(steps):
+                step = step_map(signed_dt)
+                for _ in range(len(table), abs(steps) + 1):
+                    table.append(step(*table[-1]))
+            y = table[abs(steps)]
+            reached = cfg.t0 + abs(steps) * signed_dt
+        rem = tt - reached
+        if abs(rem) > 1e-15:
+            y = step_map(rem)(*y)
+        return IndexPair(*y)
+
+    return at
+
+
+def scaling_flow(indices: IndexPair, cfg: EvolutionConfig) -> Callable[[float], IndexPair]:
+    """``pair_flow`` of the uncoupled scaling-index laws of constant
+    indices (p, q), with a = b = 1 at cfg.t0."""
+    law_a, law_b = indices, IndexPair(indices.b, indices.a)
+
+    def linear(a, b):
+        return -1j * pair_action(law_a, a), -1j * pair_action(law_b, b)
+
+    return pair_flow(linear, (0j, 0j), IndexPair(1, 1), cfg)
 
 
 def _march(
@@ -242,59 +304,27 @@ def replaced_level_gaps(
                       - run.psi12[..., :k]) for run, psi2 in zip(runs, _march(F, phi2, cfgs))]
 
 
-@dataclass(frozen=True)
-class IndexTrajectory:
-    """Evolution-scaling indices a(t', t), b(t', t) sampled every dt."""
-
-    dt: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def final(self) -> IndexPair:
-        return IndexPair(complex(self.a[-1]), complex(self.b[-1]))
-
-
-def index_ode_solve(p: complex, q: complex, cfg: EvolutionConfig) -> IndexTrajectory:
-    """Solve the scaling-index equations for constant indices (p, q) over
-    the horizon of cfg, with a = b = 1 at cfg.t0.  The two laws are
-    uncoupled, autonomous and real-linear, so (a, b) is marched as one
-    pair of Python complex numbers by one ``rk4_affine_step`` map, keeping
-    every step."""
-    law_a, law_b = IndexPair(p, q), IndexPair(q, p)
-
-    def linear(a, b):
-        return -1j * pair_action(law_a, a), -1j * pair_action(law_b, b)
-
-    step = rk4_affine_step(linear, (0j, 0j), cfg.dt)
-    samples = [(1.0 + 0j, 1.0 + 0j)]
-    for _ in range(cfg.n_steps()):
-        samples.append(step(*samples[-1]))
-    a, b = zip(*samples)
-    return IndexTrajectory(cfg.dt, np.array(a), np.array(b))
-
-
-def extract_indices(traj: IndexTrajectory) -> IndexPair:
-    """Logarithmic indices p, q = i d_t' (a, b) at t' = t.
+def extract_indices(flow: Callable[[float], IndexPair], cfg: EvolutionConfig) -> IndexPair:
+    """Logarithmic indices p, q = i d_t' (a, b) at t' = t from the scaling
+    flow's nodes at cfg.t0, t0 + dt and t0 + 2 dt.
 
     Uses the second-order one-sided three-point difference, so the
     recovery error is O(dt^2).
     """
-    if len(traj.a) < 3:
-        raise ValueError("need at least three samples to extract indices")
-    dt = traj.dt
-    da = (-3 * traj.a[0] + 4 * traj.a[1] - traj.a[2]) / (2 * dt)
-    db = (-3 * traj.b[0] + 4 * traj.b[1] - traj.b[2]) / (2 * dt)
+    y0, y1, y2 = (flow(cfg.t0 + k * cfg.dt) for k in range(3))
+    da = (-3 * y0.a + 4 * y1.a - y2.a) / (2 * cfg.dt)
+    db = (-3 * y0.b + 4 * y1.b - y2.b) / (2 * cfg.dt)
     return IndexPair(1j * da, 1j * db)
 
 
 def scaling_test(
     F: NonlinearOperator, data: np.ndarray, k: complex, cfgs: Sequence[EvolutionConfig]
-) -> list[tuple[list[float], IndexTrajectory]]:
+) -> list[tuple[list[float], Callable[[float], IndexPair]]]:
     """Gaps || E(k phi) - k^(a,b) E(phi) ||_inf of the states stacked in
-    ``data`` over the dt ladder ``cfgs``, with (a, b) integrated alongside
-    the state from the declared indices of F: per cfg, the gap of every
-    batch entry and the index trajectory.  k phi and phi are marched as
-    one batch."""
+    ``data`` over the dt ladder ``cfgs``, with (a, b) = flow(t1) from the
+    ``scaling_flow`` of the declared indices of F: per cfg, the gap of
+    every batch entry and the flow.  k phi and phi are marched as one
+    batch."""
     k = complex(k)
     if k == 0:
         raise ValueError("scaling factor must be non-zero")
@@ -303,7 +333,7 @@ def scaling_test(
     width = data.shape[-1]
     runs = []
     for cfg, out in zip(cfgs, _march(F, np.concatenate([k * data, data], axis=-1), cfgs)):
-        traj = index_ode_solve(F.indices.a, F.indices.b, cfg)
-        factor = mixed_power(k, traj.final())
-        runs.append((sup_norms(out[..., :width] - factor * out[..., width:]), traj))
+        flow = scaling_flow(F.indices, cfg)
+        factor = mixed_power(k, flow(cfg.t1))
+        runs.append((sup_norms(out[..., :width] - factor * out[..., width:]), flow))
     return runs

@@ -38,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SpaceMismatch, StepMismatch
-from .evolution import MAX_STEPS, EvolutionConfig, rk4_affine_step
+from .errors import SpaceMismatch
+from .evolution import EvolutionConfig, pair_flow
 from .hierarchy import Hierarchy
 from .mixedpow import IndexPair, bracket_components, pair_bracket
 from .opcalc import NonlinearOperator, lie_bracket
@@ -210,72 +210,26 @@ def point_symmetry_parts(spec: PointSymmetrySpec, space: ConfigSpace) -> dict[st
 # index evolution along symmetries
 
 
-def index_flow(
-    p: complex,
-    q: complex,
-    tau: AffineMap,
-    start: IndexPair,
-    cfg: EvolutionConfig,
-) -> Callable[[float], IndexPair]:
+def index_flow(p: complex, q: complex, tau: AffineMap, start: IndexPair,
+               cfg: EvolutionConfig) -> Callable[[float], IndexPair]:
     """Dense solution of the symmetry-index evolution
 
         d_t (c, d) = [(i_bar p, i_bar q), (c, d)] - d_t(tau (i_bar p, i_bar q))
 
-    for constant evolution indices (p, q) and affine tau.  Returns a
-    callable evaluating (c(t), d(t)).
-
-    The law is real-affine in (c, d), so each step size has one
-    ``rk4_affine_step`` map.  The flow keeps the RK4 nodes y(t0 + k dt)
-    and y(t0 - k dt) it has reached, marching further on demand in the
-    direction a call needs with the map of that signed step; an off-node
-    time takes the map of its remainder, built once, from its nearest node
-    (dense output).  Node k is bit for bit k applications of the map to
-    the start, the value of a fresh k-step march from cfg.t0.  A time more
-    than MAX_STEPS steps from cfg.t0 raises StepMismatch.
+    for constant evolution indices (p, q) and affine tau, from ``start``
+    at cfg.t0.  Returns a callable evaluating (c(t), d(t)): the law is
+    real-affine in (c, d), so ``pair_flow`` solves it on its node table.
     """
     da, db = -1j * p, -1j * q  # the drive (i_bar p, i_bar q)
 
     def linear(c, d):  # [drive, (c, d)]
         return bracket_components(da, db, c, d)
 
-    offset = (-tau.alpha * da, -tau.alpha * db)  # -tau' drive
-    y0 = (start.a, start.b)
-    # signed step -> (its step map, [y_0, y_1, ...]); remainder -> (its map, [])
-    nodes = {dt: (rk4_affine_step(linear, offset, dt), [y0]) for dt in (cfg.dt, -cfg.dt)}
-
-    def at(tt: float) -> IndexPair:
-        span = tt - cfg.t0
-        steps = span / cfg.dt
-        if not abs(steps) < MAX_STEPS + 0.5:  # before the table grows; NaN and inf fail too
-            raise StepMismatch(f"time {tt} is {abs(steps):.6g} steps of dt={cfg.dt} from "
-                               f"t0={cfg.t0}, above the step-count cap {MAX_STEPS}")
-        steps = int(round(steps))
-        y = y0
-        reached = cfg.t0
-        if steps != 0:
-            signed_dt = math.copysign(cfg.dt, span)
-            step, table = nodes[signed_dt]
-            for _ in range(len(table), abs(steps) + 1):
-                table.append(step(*table[-1]))
-            y = table[abs(steps)]
-            reached = cfg.t0 + abs(steps) * signed_dt
-        rem = tt - reached
-        if abs(rem) > 1e-15:
-            if rem not in nodes:  # central differences revisit each remainder
-                nodes[rem] = (rk4_affine_step(linear, offset, rem), [])
-            y = nodes[rem][0](*y)
-        return IndexPair(*y)
-
-    return at
+    return pair_flow(linear, (-tau.alpha * da, -tau.alpha * db), start, cfg)  # -tau' drive
 
 
-def index_law_residual(
-    p: complex,
-    q: complex,
-    tau: AffineMap,
-    start: IndexPair,
-    cfg: EvolutionConfig,
-) -> float:
+def index_law_residual(p: complex, q: complex, tau: AffineMap, start: IndexPair,
+                       cfg: EvolutionConfig) -> float:
     """Central-difference defect of the index evolution law along the
     solved trajectory; O(dt^2) in the sampling step."""
     flow = index_flow(p, q, tau, start, cfg)
@@ -285,23 +239,15 @@ def index_law_residual(
     for k in range(1, steps):
         tm, tt, tp = (cfg.t0 + (k + d) * cfg.dt for d in (-1, 0, 1))
         before, here, after = flow(tm), flow(tt), flow(tp)
-        dcd = IndexPair(
-            (after.a - before.a) / (2 * cfg.dt), (after.b - before.b) / (2 * cfg.dt)
-        )
+        dcd = IndexPair((after.a - before.a) / (2 * cfg.dt), (after.b - before.b) / (2 * cfg.dt))
         rhs = pair_bracket(drive, here) - tau.alpha * drive
         defect = dcd - rhs
         worst = max(worst, abs(defect.a), abs(defect.b))
     return worst
 
 
-def lambda_index_symmetry(
-    p: complex,
-    q: complex,
-    tau: AffineMap,
-    start: IndexPair,
-    cfg: EvolutionConfig,
-    space: ConfigSpace,
-) -> InfinitesimalSymmetry:
+def lambda_index_symmetry(p: complex, q: complex, tau: AffineMap, start: IndexPair,
+                          cfg: EvolutionConfig, space: ConfigSpace) -> InfinitesimalSymmetry:
     """The index-carrying symmetry K(t) = Lambda(c(t), d(t)) of the
     Lambda(p, q) hierarchy, with (c, d) transported by the index law:
     ``level(t, n)`` solves the flow once and builds Lambda_n of its

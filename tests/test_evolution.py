@@ -16,10 +16,11 @@ from sepsym.evolution import (
     EvolutionConfig,
     _march,
     extract_indices,
-    index_ode_solve,
+    pair_flow,
     replaced_level_gaps,
     rk4_affine_step,
     rk4_trajectory,
+    scaling_flow,
     scaling_test,
     separation_test,
 )
@@ -327,10 +328,11 @@ class TestLadder:
         F = make(space4)
         [data] = random_batch((1,), space4, [(seed, k) for k in range(2)])
         cfgs = self.cfgs(t1=1.0)
-        for cfg, (gaps, traj) in zip(cfgs, scaling_test(F, data, 1.4 + 0.3j, cfgs)):
-            [(alone_gaps, alone_traj)] = scaling_test(F, data, 1.4 + 0.3j, [cfg])
+        for cfg, (gaps, flow) in zip(cfgs, scaling_test(F, data, 1.4 + 0.3j, cfgs)):
+            [(alone_gaps, alone_flow)] = scaling_test(F, data, 1.4 + 0.3j, [cfg])
             assert gaps == alone_gaps
-            assert np.array_equal(traj.a, alone_traj.a) and np.array_equal(traj.b, alone_traj.b)
+            for t in node_times(cfg):
+                assert flow(t) == alone_flow(t)
 
     def test_each_level_takes_the_finest_step_count(self, space3, rng):
         # (0.02, 0.01, 0.005) over 0.5 is 25 + 50 + 100 steps one at a time,
@@ -442,19 +444,65 @@ class TestAffineStep:
             assert np.abs(got - want).max() >= 1e-8
 
 
+def node_times(cfg):
+    """cfg.t0 and every RK4 node of cfg's horizon, as the flow's nodes."""
+    return [cfg.t0 + k * cfg.dt for k in range(cfg.n_steps() + 1)]
+
+
+class TestPairFlow:
+    """``pair_flow`` of a random affine law against its step maps and the
+    staged march."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nodes_are_map_marches_both_ways(self, seed):
+        linear, offset, rhs, y0 = random_affine_law(seed)
+        cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=0.5)
+        flow = pair_flow(linear, offset, IndexPair(*y0), cfg)
+        for k in (3, -2, 7, 0, -5, 1):
+            signed_dt = math.copysign(cfg.dt, k)
+            got = flow(cfg.t0 + abs(k) * signed_dt)
+            want = map_march(rk4_affine_step(linear, offset, signed_dt), y0, abs(k))
+            assert np.array_equal(np.array([got.a, got.b]), want), k
+            staged = rk4_trajectory(rhs, y0, signed_dt, abs(k))
+            assert np.abs(np.array([got.a, got.b]) - staged).max() <= 1e-12
+
+    def test_maps_are_built_on_first_use(self, monkeypatch):
+        # a forward flow never builds the backward step's map, and a
+        # remainder's map is built once however often its time is asked
+        built = []
+
+        def counting(linear, offset, dt):
+            built.append(dt)
+            return rk4_affine_step(linear, offset, dt)
+
+        monkeypatch.setattr(evolution, "rk4_affine_step", counting)
+        cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
+        flow = scaling_flow(IndexPair(1.1, 0.4), cfg)
+        assert built == []
+        extract_indices(flow, cfg)
+        flow(cfg.t1)
+        assert built == [cfg.dt]
+        for _ in range(3):
+            flow(0.5 + 0.004)
+        assert built == [cfg.dt, pytest.approx(0.004)]
+        flow(-0.02)
+        assert built[2:] == [-cfg.dt]
+
+
 class TestIndexOde:
+    """The scaling-index equations, solved by ``scaling_flow``."""
+
     def test_zero_indices_stay_one(self):
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
-        traj = index_ode_solve(0.0, 0.0, cfg)
-        assert np.abs(traj.a - 1.0).max() == 0.0
-        assert np.abs(traj.b - 1.0).max() == 0.0
+        flow = scaling_flow(IndexPair(0.0, 0.0), cfg)
+        assert all(flow(t) == IndexPair(1.0, 1.0) for t in node_times(cfg))
 
     def test_constant_real_closed_form(self):
         p = 1.3
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=1.0)
-        traj = index_ode_solve(p, p, cfg)
-        assert abs(complex(traj.a[-1]) - cmath.exp(-1.3j)) <= 1e-8
-        assert abs(complex(traj.b[-1]) - cmath.exp(-1.3j)) <= 1e-8
+        final = scaling_flow(IndexPair(p, p), cfg)(cfg.t1)
+        assert abs(final.a - cmath.exp(-1.3j)) <= 1e-8
+        assert abs(final.b - cmath.exp(-1.3j)) <= 1e-8
 
     def test_matrix_exponential_oracle(self):
         # the real 2x2 system d[Re a, Im a]/ds = rot . rep(p, q), with s in
@@ -462,17 +510,17 @@ class TestIndexOde:
         p, q = 1.1, 0.4
         hbar = 1.3
         cfg = evolution_config({"dt": 0.002, "t1": 1.0}, hbar)
-        traj = index_ode_solve(p, q, cfg)
+        final = scaling_flow(IndexPair(p, q), cfg)(cfg.t1)
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
         Ma = rot @ matrix_components(p, q)
         va = scipy.linalg.expm(cfg.t1 * Ma) @ np.array([1.0, 0.0])
-        assert abs(complex(traj.a[-1]) - complex(va[0], va[1])) <= 1e-10
+        assert abs(final.a - complex(va[0], va[1])) <= 1e-10
         Mb = rot @ matrix_components(q, p)
         vb = scipy.linalg.expm(cfg.t1 * Mb) @ np.array([1.0, 0.0])
-        assert abs(complex(traj.b[-1]) - complex(vb[0], vb[1])) <= 1e-10
+        assert abs(final.b - complex(vb[0], vb[1])) <= 1e-10
 
     def test_scalar_laws_match_joint_array_march(self):
-        # sample k is k applications of one step map of the two laws, bit
+        # node k is k applications of one step map of the two laws, bit
         # for bit, and the joint complex128 march of [a, b] to round-off
         p, q = 1.1, 0.4
         cfg = EvolutionConfig(dt=0.01, t0=0.25, t1=1.25)
@@ -489,19 +537,19 @@ class TestIndexOde:
         for _ in range(cfg.n_steps()):
             mapped.append(step(*mapped[-1]))
             samples.append(rk4_trajectory(rhs, samples[-1], cfg.dt, 1))
-        traj = index_ode_solve(p, q, cfg)
-        assert traj.a.tobytes() == np.array([a for a, _ in mapped]).tobytes()
-        assert traj.b.tobytes() == np.array([b for _, b in mapped]).tobytes()
+        flow = scaling_flow(IndexPair(p, q), cfg)
+        nodes = [flow(t) for t in node_times(cfg)]
+        assert [(y.a, y.b) for y in nodes] == mapped
         joint = np.array(samples)
-        assert np.abs(traj.a - joint[:, 0]).max() <= 1e-12
-        assert np.abs(traj.b - joint[:, 1]).max() <= 1e-12
+        assert np.abs(np.array([y.a for y in nodes]) - joint[:, 0]).max() <= 1e-12
+        assert np.abs(np.array([y.b for y in nodes]) - joint[:, 1]).max() <= 1e-12
 
     def test_extraction_second_order(self):
         p, q = 1.3, 0.6
         errs = []
         for dt in (0.02, 0.01):
             cfg = EvolutionConfig(dt=dt, t0=0.0, t1=1.0)
-            est = extract_indices(index_ode_solve(p, q, cfg))
+            est = extract_indices(scaling_flow(IndexPair(p, q), cfg), cfg)
             errs.append(max(abs(est.a - p), abs(est.b - q)))
         assert errs[1] <= 1.0 * 0.01**2
         assert 3.0 <= errs[0] / errs[1] <= 5.0
@@ -520,7 +568,7 @@ class TestScaling:
         phi = nz(1, space4, rng)
         k = 1.4 + 0.3j
         cfg = EvolutionConfig(dt=0.01, t0=0.0, t1=0.5)
-        factor = mixed_power(k, index_ode_solve(F.indices.a, F.indices.b, cfg).final())
+        factor = mixed_power(k, scaling_flow(F.indices, cfg)(cfg.t1))
         [scaled] = _march(F, k * phi, [cfg])
         [base] = _march(F, phi, [cfg])
         two_marches = float(np.abs(scaled - factor * base).max())
@@ -555,8 +603,7 @@ class TestScaling:
         p = 1.3
         k = 1.4 + 0.3j
         cfg = EvolutionConfig(dt=0.005, t0=0.0, t1=1.0)
-        traj = index_ode_solve(p, p, cfg)
-        factor = mixed_power(k, traj.final())
+        factor = mixed_power(k, scaling_flow(IndexPair(p, p), cfg)(cfg.t1))
         closed = mixed_power(k, IndexPair(cmath.exp(-1.3j), cmath.exp(-1.3j)))
         assert abs(factor - closed) <= 1e-8
 

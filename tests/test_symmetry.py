@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 
 import sepsym.symmetry
+from sepsym import evolution
 from sepsym.errors import BadRange, SpaceMismatch, StepMismatch
-from sepsym.evolution import MAX_STEPS, EvolutionConfig, rk4_affine_step, rk4_trajectory
+from sepsym.evolution import MAX_STEPS, EvolutionConfig, pair_flow, rk4_affine_step, rk4_trajectory
 from sepsym.hierarchy import Generator, Hierarchy, canonical_lift
 from sepsym.mixedpow import IndexPair, bracket_components, product_components
 from sepsym.opcalc import op_combine
@@ -309,7 +310,8 @@ class TestIndexFlowTable:
 
     def test_repeated_off_node_time_builds_no_second_map(self, monkeypatch):
         # the central differences of index_law_residual revisit remainders:
-        # each remainder's map is built once, and its value is a fresh flow's
+        # each remainder's map is built once, and its value is a fresh flow's;
+        # each signed step's map is built when the flow first marches that way
         tau, cfg = self.CASES[1]
         fresh = index_flow(self.P, self.Q, tau, self.START, cfg)(0.3001)
         built = []
@@ -318,14 +320,14 @@ class TestIndexFlowTable:
             built.append(dt)
             return rk4_affine_step(linear, offset, dt)
 
-        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
+        monkeypatch.setitem(pair_flow.__globals__, "rk4_affine_step", counting)
         flow = index_flow(self.P, self.Q, tau, self.START, cfg)
-        assert len(built) == 2  # the two signed steps
+        assert built == []
         values = [flow(t) for t in (0.3001, 0.1, 0.3001, -0.2, 0.3001)]
-        assert len(built) == 3
+        assert len(built) == 3  # the two signed steps and one remainder
         assert all((got.a, got.b) == (fresh.a, fresh.b) for got in values[::2])
 
-    def march_steps(self, monkeypatch, index_flow=index_flow):
+    def march_steps(self, monkeypatch, pair_flow=pair_flow):
         """Step-map applications the flow makes over a repetitive call
         sequence, with the fewest and most a flow that marches each node
         once may make."""
@@ -340,7 +342,8 @@ class TestIndexFlowTable:
 
             return counted
 
-        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
+        monkeypatch.setitem(pair_flow.__globals__, "rk4_affine_step", counting)
+        monkeypatch.setattr(sepsym.symmetry, "pair_flow", pair_flow)
         tau, cfg = self.CASES[1]
         flow = index_flow(self.P, self.Q, tau, self.START, cfg)
         ts = [0.3, 0.1, 0.3001, -0.05, 0.2999, 0.0, -0.0501, 0.25] * 4
@@ -365,7 +368,7 @@ class TestIndexFlowTable:
             step = rk4_affine_step(linear, offset, dt)
             return lambda c, d: steps.append(dt) or step(c, d)
 
-        monkeypatch.setitem(index_flow.__globals__, "rk4_affine_step", counting)
+        monkeypatch.setitem(pair_flow.__globals__, "rk4_affine_step", counting)
         cfg = EvolutionConfig(dt=0.01, t0=0.5, t1=1.0)
         flow = index_flow(self.P, self.Q, AffineMap(0.5, 0.2), self.START, cfg)
         for far in (cfg.t0 + sign * (MAX_STEPS + 1) * cfg.dt, sign * 1e300, math.inf):
@@ -377,13 +380,13 @@ class TestIndexFlowTable:
 
     def test_remarching_flow_fails_the_count(self, monkeypatch):
         # a flow that clears its node tables on every call re-marches from t0
-        source = inspect.getsource(sepsym.symmetry.index_flow)
+        source = inspect.getsource(evolution.pair_flow)
         anchor = "        span = tt - cfg.t0\n"
         assert source.count(anchor) == 1
-        namespace = dict(vars(sepsym.symmetry))
-        clear = "        for _, table in nodes.values():\n            del table[1:]\n"
+        namespace = dict(vars(evolution))
+        clear = "        for table in tables.values():\n            del table[1:]\n"
         exec(source.replace(anchor, clear + anchor), namespace)
-        steps, _, most = self.march_steps(monkeypatch, namespace["index_flow"])
+        steps, _, most = self.march_steps(monkeypatch, namespace["pair_flow"])
         assert steps > most
 
 
