@@ -113,7 +113,8 @@ def multiplier_op(
 
     def tangent(data, m):
         def along(eta):
-            out = eta * m + data * dmult(data, eta)
+            out = data * dmult(data, eta)  # complex whatever eta's dtype
+            out += eta * m
             return scaled(np.add(out, eta, out=out) if log_self else out)
         return along
 
@@ -223,8 +224,8 @@ def principal_log(z: np.ndarray) -> np.ndarray:
     the same sign of the imaginary part on the cut, from two real ufuncs,
     which large arrays evaluate faster than numpy's complex log."""
     out = np.empty(z.shape, dtype=np.complex128)
-    out.real = np.log(np.abs(z))
-    out.imag = np.arctan2(z.imag, z.real)
+    np.log(np.abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
     return out
 
 
