@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed or errored,
 2 the scenario could not be loaded or validated, or the ``--out`` file
-could not be opened for writing; both are found before any check runs.
+could not be opened or written.  All but a failed write are found before
+any check runs.
 """
 
 from __future__ import annotations
@@ -119,8 +120,12 @@ def main(argv=None) -> int:
         return 2
     report = build_report(scenario)
     if out:
-        with out:
-            out.write(report_text(report))
+        try:
+            with out:
+                out.write(report_text(report))
+        except OSError as exc:  # a full disk shows at the write or the close
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     _print_table(report)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 

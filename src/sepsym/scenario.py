@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -340,33 +339,52 @@ def parse_scenario(doc: dict, known_checks: set[str], origin: str = "<scenario>"
     )
 
 
+# the bundled scenario files, found with os.path: importing importlib.resources,
+# and pathlib with it, would add to every run's start-up
+_SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scenarios")
+
+
 def bundled_scenario_names() -> list[str]:
-    root = resources.files("sepsym").joinpath("scenarios")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(name[:-5] for name in os.listdir(_SCENARIO_DIR) if name.endswith(".json"))
+
+
+def _posix_path(path: str) -> str:
+    """``path`` as ``str(pathlib.PurePosixPath(path))`` spells it: without
+    empty and ``.`` components, with ``..`` kept."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * path.startswith("/")
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 def load_scenario(path_or_name: str, known_checks: set[str]) -> Scenario:
-    """Load a scenario from a file path or a bundled name."""
-    p = Path(path_or_name)
-    if p.suffix == ".json" or p.exists():
-        try:
-            text = p.read_text()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
-        origin = str(p)
+    """Load a scenario from a file path or a bundled name.
+
+    A path is a name that ends in ``.json`` or that exists.  Every way a
+    file can fail to be a scenario, unreadable, not UTF-8 or not JSON
+    within the parser's limits, raises ScenarioError.
+    """
+    path = _posix_path(path_or_name)
+    name = path.rsplit("/", 1)[-1]
+    if (name.endswith(".json") and name != ".json") or os.path.exists(path):
+        origin = path
     else:
-        res = resources.files("sepsym").joinpath(f"scenarios/{path_or_name}.json")
-        if not res.is_file():
+        path = os.path.join(_SCENARIO_DIR, f"{path_or_name}.json")
+        if not os.path.isfile(path):
             raise ScenarioError(
                 f"no scenario file or bundled scenario named {path_or_name!r}; "
                 f"bundled: {', '.join(bundled_scenario_names())}"
             )
-        text = res.read_text()
         origin = f"bundled:{path_or_name}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+        raise ScenarioError(f"{origin}: invalid JSON: {exc}") from exc
     return parse_scenario(doc, known_checks, origin=origin)

@@ -38,6 +38,15 @@ FAST_SCENARIO = {
     "checks": ["algebra-table", "algebra-brackets"],
 }
 
+# files that are no JSON document Python's parser accepts: the first is not
+# UTF-8, the second holds an integer above the integer-string limit and the
+# third nests deeper than the parser recurses
+MALFORMED = {
+    "not-utf8": b'{"name": "\xff", "seed": 1}',
+    "long-integer": b'{"name": "x", "seed": ' + b"9" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
 
 class TestScenarioLoading:
     def test_bundled_names(self):
@@ -544,6 +553,27 @@ class TestBadValuesExitTwo:
         assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
         assert not target.is_file()
 
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_file(self, tmp_path, capsys, text):
+        scen = tmp_path / "bad.json"
+        scen.write_bytes(text)
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_report_write_exits_two(self, tmp_path, capsys):
+        # every write to /dev/full fails with ENOSPC, after every check has run
+        scen = tmp_path / "fast.json"
+        scen.write_text(json.dumps(FAST_SCENARIO))
+        assert main(["run", "--scenario", str(scen), "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+
     def test_negative_factors(self, tmp_path, capsys):
         # (-1) * (-3) is the size, but a factor below 1 is no set of sites
         err = self.run_main(tmp_path, capsys,
@@ -897,6 +927,41 @@ class TestParseScenarioFuzz:
     test_symmetry = fuzz_block("symmetry")
     test_checks = fuzz_block("checks")
     test_unknown_key = fuzz_block("unknown")
+
+
+BUNDLED_TEXTS = [(Path(sepsym.__file__).parent / "scenarios" / f"{name}.json").read_bytes()
+                 for name in bundled_scenario_names()]
+
+
+@st.composite
+def mutated_scenario_text(draw):
+    """A bundled scenario's text with up to three short runs of bytes
+    replaced by drawn bytes."""
+    text = draw(st.sampled_from(BUNDLED_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 4)))
+        text = text[:start] + draw(st.binary(max_size=4)) + text[end:]
+    return text
+
+
+class TestLoadScenarioFuzz:
+    """Any file gives a Scenario or a ScenarioError, never another
+    exception: raw bytes, and bundled scenarios with a few bytes changed."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=st.binary(max_size=40) | mutated_scenario_text())
+    @example(text=MALFORMED["not-utf8"])
+    @example(text=MALFORMED["long-integer"])
+    @example(text=MALFORMED["deep-nesting"])
+    def test_any_file_loads_or_raises_scenario_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(text)
+        try:
+            sc = load_scenario(str(path), KNOWN)
+        except ScenarioError:
+            return
+        assert isinstance(sc, scenario.Scenario)
 
 
 class TestAllowedKeyDocs:
