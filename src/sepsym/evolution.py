@@ -169,10 +169,8 @@ def pair_flow(
         if steps != 0:
             signed_dt = math.copysign(cfg.dt, span)
             table = tables[signed_dt]
-            if len(table) <= abs(steps):
-                step = step_map(signed_dt)
-                for _ in range(len(table), abs(steps) + 1):
-                    table.append(step(*table[-1]))
+            while len(table) <= abs(steps):
+                table.append(step_map(signed_dt)(*table[-1]))
             y = table[abs(steps)]
             reached = cfg.t0 + abs(steps) * signed_dt
         rem = tt - reached
